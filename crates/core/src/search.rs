@@ -109,11 +109,11 @@ pub struct RecoveryConfig {
     /// Within-proof parallel expansion width: how many frontier entries
     /// to expand speculatively at once, each query answered on its own
     /// thread by a clone of the model. `1` (the default) is the plain
-    /// sequential search. Like the retry knobs this is transport only —
-    /// results commit serially in exactly the order the sequential search
-    /// would pop, and speculation that order invalidates is requeued and
-    /// recomputed — so every value yields byte-identical results and the
-    /// knob stays out of the cell cache key.
+    /// sequential search: the same loop at width one. Like the retry knobs
+    /// this is transport only — results commit serially in exactly the
+    /// order a width-one search would pop, and speculation that order
+    /// invalidates is requeued and recomputed — so every value yields
+    /// byte-identical results and the knob stays out of the cell cache key.
     pub proof_jobs: usize,
     /// Record one [`AttemptRec`] per committed proposal into
     /// [`SearchStats::attempts`]. A side channel in the trace-crate
@@ -401,7 +401,7 @@ impl Frontier {
 
     /// True when the current top of the frontier would be popped before
     /// `entry` under this discipline's (total) order — the speculation
-    /// check of the parallel search: a batched entry only commits while
+    /// check of a batch wider than one: a batched entry only commits while
     /// nothing pushed since outranks it. Under BreadthFirst everything in
     /// the queue was pushed after any already-popped entry, so the answer
     /// is always no.
@@ -467,9 +467,7 @@ fn propose_with_retry(
 
 /// Applies one query's proposals at `entry`, updating the counters and
 /// pushing the surviving children onto the frontier. Returns the proof
-/// script when a proposal closes the goal. Both the sequential and the
-/// parallel search commit through this one function, so their observable
-/// effects are identical by construction.
+/// script when a proposal closes the goal.
 fn commit_proposals(
     session: &mut ProofSession,
     frontier: &mut Frontier,
@@ -589,6 +587,161 @@ fn rerank_proposals(
         .collect()
 }
 
+/// A popped frontier entry together with what its oracle query needs.
+struct Pending {
+    entry: Entry,
+    state: minicoq::goal::ProofState,
+    path: Vec<String>,
+}
+
+/// One answered query: proposals, faults seen, retries issued.
+type Answer = (Vec<Proposal>, u32, u32);
+
+/// The per-search half of every oracle query — everything a query carries
+/// besides its state, path and index. Shared read-only by every worker of
+/// a speculative batch.
+struct Asker<'a> {
+    prompt: &'a PromptInfo,
+    env: &'a Env,
+    theorem: &'a str,
+    width: usize,
+    recovery: &'a RecoveryConfig,
+}
+
+impl Asker<'_> {
+    /// Answers `pending`'s query under `query_index` with `model`. The
+    /// fault plan, when present, wraps the model in the client-side
+    /// failure channel; its trip counters are shared and site-keyed, so
+    /// which queries fault does not depend on which model or thread
+    /// answers.
+    fn ask(&self, model: &mut dyn TacticModel, pending: &Pending, query_index: u32) -> Answer {
+        let mut chaotic_slot;
+        let model: &mut dyn TacticModel = match &self.recovery.fault_plan {
+            Some(plan) => {
+                chaotic_slot = ChaoticModel::new(model, Arc::clone(plan));
+                &mut chaotic_slot
+            }
+            None => model,
+        };
+        let ctx = QueryCtx {
+            prompt: self.prompt,
+            state: &pending.state,
+            env: self.env,
+            path: &pending.path,
+            theorem: self.theorem,
+            query_index,
+        };
+        // Sampled: one oracle query per TRACE_SAMPLE gets a full span (its
+        // subtree — prompt assembly included — is all oracle-phase, so
+        // eliding the rest shifts no time across phases; the residue keeps
+        // the oracle total exact).
+        static ORACLE_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
+        let mut sp = proof_trace::span_sampled(&ORACLE_SITE, "oracle", self.theorem);
+        let answer = propose_with_retry(model, &ctx, self.width, self.recovery);
+        if sp.is_armed() {
+            sp.field_u64("query", query_index as u64);
+            sp.field_u64("proposals", answer.0.len() as u64);
+            sp.field_u64("retries", answer.2 as u64);
+        }
+        answer
+    }
+}
+
+/// Who answers the oracle queries of one search.
+enum Oracles<'m> {
+    /// Width 1: the caller's own model, on the calling thread.
+    Caller(&'m mut dyn TacticModel),
+    /// Width > 1: one clone per speculative slot.
+    Clones(Vec<Box<dyn TacticModel + Send>>),
+}
+
+impl<'m> Oracles<'m> {
+    /// `proof_jobs` clones of `model` when more than one is asked for and
+    /// the model declares its proposals pure ([`TacticModel::clone_boxed`]);
+    /// otherwise the caller's model alone.
+    fn new(model: &'m mut dyn TacticModel, proof_jobs: usize) -> Oracles<'m> {
+        if proof_jobs > 1 {
+            if let Some(clones) = (0..proof_jobs).map(|_| model.clone_boxed()).collect() {
+                return Oracles::Clones(clones);
+            }
+        }
+        Oracles::Caller(model)
+    }
+
+    /// How many entries one batch may speculate on.
+    fn width(&self) -> usize {
+        match self {
+            Oracles::Caller(_) => 1,
+            Oracles::Clones(models) => models.len(),
+        }
+    }
+
+    /// Answers `batch`, its i-th query under index `base + i`. A batch of
+    /// one is answered on the calling thread; a larger one on one scoped
+    /// thread per query, each with its own clone.
+    fn answer(&mut self, asker: &Asker<'_>, batch: &[Pending], base: u32) -> Vec<Answer> {
+        let model: &mut dyn TacticModel = match self {
+            Oracles::Clones(models) if batch.len() > 1 => {
+                return std::thread::scope(|scope| {
+                    let handles: Vec<_> = models
+                        .iter_mut()
+                        .zip(batch.iter().zip(base..))
+                        .map(|(model, (pending, query_index))| {
+                            scope.spawn(move || asker.ask(model.as_mut(), pending, query_index))
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| match h.join() {
+                            Ok(v) => v,
+                            Err(panic) => std::panic::resume_unwind(panic),
+                        })
+                        .collect()
+                })
+            }
+            Oracles::Clones(models) => models[0].as_mut(),
+            Oracles::Caller(model) => &mut **model,
+        };
+        batch
+            .iter()
+            .zip(base..)
+            .map(|(pending, query_index)| asker.ask(&mut *model, pending, query_index))
+            .collect()
+    }
+}
+
+/// Pops up to `want` live entries in the discipline's pop order, each with
+/// the state and path its query needs. Entries whose state is gone are
+/// skipped.
+fn pop_batch(frontier: &mut Frontier, session: &ProofSession, want: usize) -> Vec<Pending> {
+    let mut batch = Vec::with_capacity(want);
+    while batch.len() < want {
+        let entry = {
+            static POP_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
+            let _sp = proof_trace::span_sampled(&POP_SITE, "frontier", "pop");
+            match frontier.pop() {
+                Some(e) => e,
+                None => break,
+            }
+        };
+        let state = {
+            static STATE_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
+            let _sp = proof_trace::span_sampled(&STATE_SITE, "stm", "state");
+            match session.state(entry.id).cloned() {
+                Some(s) => s,
+                None => continue,
+            }
+        };
+        let path = {
+            static PATH_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
+            let _sp = proof_trace::span_sampled(&PATH_SITE, "stm", "path");
+            session.script_to(entry.id)
+        };
+        batch.push(Pending { entry, state, path });
+    }
+    batch
+}
+
 /// Runs the search for `stmt` against `model`. The environment is shared
 /// with the session (no copy), so concurrent searches over the same
 /// snapshot are cheap.
@@ -611,14 +764,33 @@ pub fn search(
     )
 }
 
-/// As [`search`], with an explicit oracle-recovery layer: failed oracle
-/// calls ([`proof_oracle::OracleFault`]) are retried with exponential
-/// backoff up to `recovery.oracle_retries` times. A retried query keeps
-/// its `query_index` and does not count against the query limit, so a
-/// recovered run is indistinguishable from a clean one. When the plan's
-/// faults outlast every retry the oracle is genuinely down; the search
-/// panics with a diagnostic, which the cell runner's panic isolation
-/// converts into a typed crashed-cell record for journaled resume.
+/// As [`search`], with an explicit transport layer.
+///
+/// **Oracle recovery.** Failed oracle calls ([`proof_oracle::OracleFault`])
+/// are retried with exponential backoff up to `recovery.oracle_retries`
+/// times. A retried query keeps its `query_index` and does not count
+/// against the query limit, so a recovered run is indistinguishable from a
+/// clean one. When the plan's faults outlast every retry the oracle is
+/// genuinely down; the search panics with a diagnostic, which the cell
+/// runner's panic isolation converts into a typed crashed-cell record for
+/// journaled resume.
+///
+/// **Speculative expansion.** There is one loop. Each round pops a batch
+/// of up to `width` entries in the discipline's pop order, answers their
+/// queries (each pinned to the index it would get in pop order), then
+/// commits serially in that same order. The width is `recovery.proof_jobs`
+/// when the model can be cloned ([`TacticModel::clone_boxed`]), one clone
+/// per slot answering on its own thread; otherwise it is 1 and the
+/// caller's model answers on the calling thread — the plain sequential
+/// search. A speculated commit is valid only while nothing the batch has
+/// committed so far would be popped before it; the moment
+/// [`Frontier::outranks`] says otherwise, the rest of the batch is pushed
+/// back (its `seq` is unchanged, so its order is too) and its answers
+/// discarded — those queries re-run later under their true indices.
+/// Everything observable (state ids, counters, expansion transcript,
+/// scripts) is therefore byte-identical at every width; only wall-clock
+/// and the fault plan's per-site retry budgets (consumed early by
+/// discarded speculation, which faults report as transient anyway) differ.
 #[allow(clippy::too_many_arguments)]
 pub fn search_with_recovery(
     env: &Arc<Env>,
@@ -629,29 +801,7 @@ pub fn search_with_recovery(
     cfg: &SearchConfig,
     recovery: &RecoveryConfig,
 ) -> SearchResult {
-    // Within-proof parallel expansion (`proof_jobs > 1`): clone the model
-    // once per worker and speculatively expand that many frontier entries
-    // concurrently. Only models that declare their proposals pure can be
-    // cloned ([`TacticModel::clone_boxed`]); anything else keeps the
-    // sequential path regardless of the knob.
-    if recovery.proof_jobs > 1 {
-        let clones: Option<Vec<Box<dyn TacticModel + Send>>> = (0..recovery.proof_jobs)
-            .map(|_| model.clone_boxed())
-            .collect();
-        if let Some(mut models) = clones {
-            return search_parallel(env, stmt, theorem, &mut models, prompt, cfg, recovery);
-        }
-    }
-    // The fault plan, when present, wraps the model with the client-side
-    // failure channel and arms the session's spurious-timeout hook.
-    let mut chaotic_slot;
-    let model: &mut dyn TacticModel = match &recovery.fault_plan {
-        Some(plan) => {
-            chaotic_slot = ChaoticModel::new(model, Arc::clone(plan));
-            &mut chaotic_slot
-        }
-        None => model,
-    };
+    let mut oracles = Oracles::new(model, recovery.proof_jobs);
     // Goal-directed ranking (opt-in). The learned scorer is built against
     // the caller's *unranked* environment — the same view mining and
     // training see — before hint reordering produces the fresh snapshot;
@@ -660,23 +810,17 @@ pub fn search_with_recovery(
         PremiseRank::Learned => corpus_analysis::score::RankCtx::new(env, stmt),
         _ => None,
     };
+    use corpus_analysis::premise::{reranked_env_v2, RankMode};
+    let mode = match cfg.premise_rank {
+        PremiseRank::Off => None,
+        PremiseRank::Graph => Some(RankMode::Graph),
+        PremiseRank::Learned => Some(RankMode::Learned),
+    };
     let ranked_env;
-    let env: &Arc<Env> = match cfg.premise_rank {
-        PremiseRank::Off => env,
-        PremiseRank::Graph => {
-            ranked_env = Arc::new(corpus_analysis::premise::reranked_env_v2(
-                env,
-                stmt,
-                corpus_analysis::premise::RankMode::Graph,
-            ));
-            &ranked_env
-        }
-        PremiseRank::Learned => {
-            ranked_env = Arc::new(corpus_analysis::premise::reranked_env_v2(
-                env,
-                stmt,
-                corpus_analysis::premise::RankMode::Learned,
-            ));
+    let env: &Arc<Env> = match mode {
+        None => env,
+        Some(mode) => {
+            ranked_env = Arc::new(reranked_env_v2(env, stmt, mode));
             &ranked_env
         }
     };
@@ -691,6 +835,13 @@ pub fn search_with_recovery(
             fault_scope: theorem.to_string(),
         },
     );
+    let asker = Asker {
+        prompt,
+        env: env.as_ref(),
+        theorem,
+        width: cfg.width,
+        recovery,
+    };
     let mut stats = SearchStats::default();
     let mut frontier = Frontier::new(cfg.strategy);
     let mut seq = 0u64;
@@ -702,278 +853,26 @@ pub fn search_with_recovery(
         depth: 0,
     });
 
-    loop {
-        let entry = {
-            static POP_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-            let _sp = proof_trace::span_sampled(&POP_SITE, "frontier", "pop");
-            match frontier.pop() {
-                Some(e) => e,
-                None => break,
-            }
-        };
-        if stats.queries >= cfg.query_limit {
-            stats.fuel_spent = session.fuel_spent();
-            stats.tree_size = session.live_states();
-            return SearchResult {
-                outcome: Outcome::Fuelout,
-                stats,
-            };
-        }
-        let state = {
-            static STATE_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-            let _sp = proof_trace::span_sampled(&STATE_SITE, "stm", "state");
-            match session.state(entry.id).cloned() {
-                Some(s) => s,
-                None => continue,
-            }
-        };
-        let mut expand_sp = proof_trace::span("search.expand", theorem);
-        if expand_sp.is_armed() {
-            expand_sp.field_u64("state", entry.id.0);
-            expand_sp.field_u64("depth", entry.depth as u64);
-            expand_sp.field_u64("query", stats.queries as u64);
-            proof_trace::metrics::observe("search.frontier.depth", frontier.len() as u64);
-        }
-        stats.expansions.push(entry.id.0);
-        let path = {
-            static PATH_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-            let _sp = proof_trace::span_sampled(&PATH_SITE, "stm", "path");
-            session.script_to(entry.id)
-        };
-        let ctx = QueryCtx {
-            prompt,
-            state: &state,
-            env: env.as_ref(),
-            path: &path,
-            theorem,
-            query_index: stats.queries,
-        };
-        // Bounded retry on oracle faults. The retried query reuses the
-        // same `query_index`, so a recovered answer is the answer a clean
-        // run would have produced; only `stats.oracle_*` (never serialized
-        // into cell results) records that anything went wrong.
-        let proposals = {
-            // Sampled: one oracle query per TRACE_SAMPLE gets a full span
-            // (its subtree — prompt assembly included — is all
-            // oracle-phase, so eliding the rest shifts no time across
-            // phases; the residue keeps the oracle total exact).
-            static ORACLE_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-            let mut sp = proof_trace::span_sampled(&ORACLE_SITE, "oracle", theorem);
-            let (props, faults, retries) = propose_with_retry(model, &ctx, cfg.width, recovery);
-            stats.oracle_faults += faults;
-            stats.oracle_retries += retries;
-            if sp.is_armed() {
-                sp.field_u64("query", stats.queries as u64);
-                sp.field_u64("proposals", props.len() as u64);
-                sp.field_u64("retries", retries as u64);
-            }
-            props
-        };
-        let proposals = match &rank_ctx {
-            Some(rcx) => rerank_proposals(rcx, proposals),
-            None => proposals,
-        };
-        stats.queries += 1;
-        if let Some(script) = commit_proposals(
-            &mut session,
-            &mut frontier,
-            &mut stats,
-            &mut seq,
-            &entry,
-            proposals,
-            recovery.collect_attempts,
-        ) {
-            if recovery.collect_attempts {
-                mark_on_path(&mut stats.attempts, root_id, &script);
-            }
-            stats.fuel_spent = session.fuel_spent();
-            stats.tree_size = session.live_states();
-            return SearchResult {
-                outcome: Outcome::Proved { script },
-                stats,
-            };
-        }
-    }
-    stats.fuel_spent = session.fuel_spent();
-    stats.tree_size = session.live_states();
-    SearchResult {
-        outcome: Outcome::Stuck,
-        stats,
-    }
-}
-
-/// The within-proof parallel search: speculatively pops up to
-/// `worker_models.len()` frontier entries, answers their oracle queries
-/// concurrently (one cloned model per worker, each query pinned to the
-/// provisional index it would get in pop order), then commits serially in
-/// that same order. A commit is valid only while the committed entry's
-/// children haven't produced something the sequential search would pop
-/// first; the moment [`Frontier::outranks`] says otherwise, the remaining
-/// speculated entries are pushed back (their `seq` is unchanged, so their
-/// order is too) and their answers discarded — those queries re-run later
-/// under their true indices. Everything observable (state ids, counters,
-/// expansion transcript, scripts) is therefore byte-identical to the
-/// sequential search for any worker count; only wall-clock and the
-/// fault plan's per-site retry budgets (consumed early by discarded
-/// speculation, which faults report as transient anyway) differ.
-fn search_parallel(
-    env: &Arc<Env>,
-    stmt: &Formula,
-    theorem: &str,
-    worker_models: &mut [Box<dyn TacticModel + Send>],
-    prompt: &PromptInfo,
-    cfg: &SearchConfig,
-    recovery: &RecoveryConfig,
-) -> SearchResult {
-    let rank_ctx = match cfg.premise_rank {
-        PremiseRank::Learned => corpus_analysis::score::RankCtx::new(env, stmt),
-        _ => None,
-    };
-    let ranked_env;
-    let env: &Arc<Env> = match cfg.premise_rank {
-        PremiseRank::Off => env,
-        PremiseRank::Graph => {
-            ranked_env = Arc::new(corpus_analysis::premise::reranked_env_v2(
-                env,
-                stmt,
-                corpus_analysis::premise::RankMode::Graph,
-            ));
-            &ranked_env
-        }
-        PremiseRank::Learned => {
-            ranked_env = Arc::new(corpus_analysis::premise::reranked_env_v2(
-                env,
-                stmt,
-                corpus_analysis::premise::RankMode::Learned,
-            ));
-            &ranked_env
-        }
-    };
-    let mut session = ProofSession::new(
-        Arc::clone(env),
-        stmt.clone(),
-        SessionConfig {
-            tactic_fuel: cfg.tactic_fuel,
-            dedupe_states: cfg.dedupe_states,
-            preflight: cfg.preflight,
-            fault_plan: recovery.fault_plan.clone(),
-            fault_scope: theorem.to_string(),
-        },
-    );
-    let mut stats = SearchStats::default();
-    let mut frontier = Frontier::new(cfg.strategy);
-    let mut seq = 0u64;
-    let root_id = session.root().0;
-    frontier.push(Entry {
-        score: 0.0,
-        seq,
-        id: session.root(),
-        depth: 0,
-    });
-
-    loop {
+    let outcome = 'search: loop {
         let remaining = cfg.query_limit.saturating_sub(stats.queries) as usize;
         if remaining == 0 {
-            // Mirror the sequential order of checks: one more pop decides
-            // Fuelout (an entry was still waiting) vs Stuck (frontier
-            // empty).
-            if frontier.pop().is_some() {
-                stats.fuel_spent = session.fuel_spent();
-                stats.tree_size = session.live_states();
-                return SearchResult {
-                    outcome: Outcome::Fuelout,
-                    stats,
-                };
-            }
-            break;
+            // One more pop decides Fuelout (an entry was still waiting)
+            // vs Stuck (the frontier emptied with the last query).
+            break if frontier.pop().is_some() {
+                Outcome::Fuelout
+            } else {
+                Outcome::Stuck
+            };
         }
-        // Speculative batch pop: the next `want` live entries in this
-        // discipline's pop order. Sized by the query budget so a batch
-        // never overruns the limit mid-commit.
-        let want = worker_models.len().min(remaining);
-        let mut batch: Vec<(Entry, minicoq::goal::ProofState, Vec<String>)> =
-            Vec::with_capacity(want);
-        while batch.len() < want {
-            let entry = {
-                static POP_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-                let _sp = proof_trace::span_sampled(&POP_SITE, "frontier", "pop");
-                match frontier.pop() {
-                    Some(e) => e,
-                    None => break,
-                }
-            };
-            let state = {
-                static STATE_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-                let _sp = proof_trace::span_sampled(&STATE_SITE, "stm", "state");
-                match session.state(entry.id).cloned() {
-                    Some(s) => s,
-                    None => continue,
-                }
-            };
-            let path = {
-                static PATH_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-                let _sp = proof_trace::span_sampled(&PATH_SITE, "stm", "path");
-                session.script_to(entry.id)
-            };
-            batch.push((entry, state, path));
-        }
+        // Sized by the query budget so a batch never overruns the limit
+        // mid-commit.
+        let batch = pop_batch(&mut frontier, &session, oracles.width().min(remaining));
         if batch.is_empty() {
-            break;
+            break Outcome::Stuck;
         }
-        let base = stats.queries;
-        let plan = &recovery.fault_plan;
-        let results: Vec<(Vec<Proposal>, u32, u32)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = worker_models
-                .iter_mut()
-                .zip(batch.iter().enumerate())
-                .map(|(model, (i, (_, state, path)))| {
-                    scope.spawn(move || {
-                        // Each worker wraps its own clone in its own fault
-                        // injector; the plan's trip counters are shared and
-                        // site-keyed, so which queries fault is unchanged.
-                        let mut chaotic_slot;
-                        let m: &mut dyn TacticModel = match plan {
-                            Some(p) => {
-                                chaotic_slot = ChaoticModel::new(model.as_mut(), Arc::clone(p));
-                                &mut chaotic_slot
-                            }
-                            None => model.as_mut(),
-                        };
-                        let query_index = base + i as u32;
-                        let ctx = QueryCtx {
-                            prompt,
-                            state,
-                            env: env.as_ref(),
-                            path,
-                            theorem,
-                            query_index,
-                        };
-                        static ORACLE_SITE: proof_trace::SampleSite =
-                            proof_trace::SampleSite::new();
-                        let mut sp = proof_trace::span_sampled(&ORACLE_SITE, "oracle", theorem);
-                        let (props, faults, retries) =
-                            propose_with_retry(m, &ctx, cfg.width, recovery);
-                        if sp.is_armed() {
-                            sp.field_u64("query", query_index as u64);
-                            sp.field_u64("proposals", props.len() as u64);
-                            sp.field_u64("retries", retries as u64);
-                        }
-                        (props, faults, retries)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
-        // Serial commit in pop order.
-        let n = results.len();
-        for (i, ((entry, _, _), (props, faults, retries))) in batch.iter().zip(results).enumerate()
-        {
+        let answers = oracles.answer(&asker, &batch, stats.queries);
+        for (i, (pending, (props, faults, retries))) in batch.iter().zip(answers).enumerate() {
+            let entry = &pending.entry;
             let mut expand_sp = proof_trace::span("search.expand", theorem);
             if expand_sp.is_armed() {
                 expand_sp.field_u64("state", entry.id.0);
@@ -1001,30 +900,25 @@ fn search_parallel(
                 if recovery.collect_attempts {
                     mark_on_path(&mut stats.attempts, root_id, &script);
                 }
-                stats.fuel_spent = session.fuel_spent();
-                stats.tree_size = session.live_states();
-                return SearchResult {
-                    outcome: Outcome::Proved { script },
-                    stats,
-                };
+                break 'search Outcome::Proved { script };
             }
             // The next speculated entry only stands while nothing this
             // commit pushed would be popped before it.
-            if i + 1 < n && frontier.outranks(&batch[i + 1].0) {
+            if batch
+                .get(i + 1)
+                .is_some_and(|next| frontier.outranks(&next.entry))
+            {
                 proof_trace::metrics::counter_inc("search.parallel.requeued");
-                for (e, _, _) in &batch[i + 1..] {
-                    frontier.push(e.clone());
+                for p in &batch[i + 1..] {
+                    frontier.push(p.entry.clone());
                 }
                 break;
             }
         }
-    }
+    };
     stats.fuel_spent = session.fuel_spent();
     stats.tree_size = session.live_states();
-    SearchResult {
-        outcome: Outcome::Stuck,
-        stats,
-    }
+    SearchResult { outcome, stats }
 }
 
 #[cfg(test)]

@@ -31,6 +31,15 @@ const SLICE: &[&str] = &[
 ];
 
 fn run_one(theorem: &str, strategy: Strategy, recovery: &RecoveryConfig) -> SearchResult {
+    run_limited(theorem, strategy, recovery, 24)
+}
+
+fn run_limited(
+    theorem: &str,
+    strategy: Strategy,
+    recovery: &RecoveryConfig,
+    query_limit: u32,
+) -> SearchResult {
     let dev = fscq_corpus::load_corpus(false).unwrap();
     let thm = dev.theorem(theorem).unwrap();
     let env = dev.env_before(thm);
@@ -39,7 +48,7 @@ fn run_one(theorem: &str, strategy: Strategy, recovery: &RecoveryConfig) -> Sear
     let mut model = SimulatedModel::new(ModelProfile::gpt4o());
     let cfg = SearchConfig {
         strategy,
-        query_limit: 24,
+        query_limit,
         ..Default::default()
     };
     search_with_recovery(
@@ -151,6 +160,37 @@ fn parallel_expansion_matches_sequential_transcript() {
                     &a,
                     &b,
                     &format!("{name} under {strategy:?}, proof_jobs={jobs}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_query_budget_ends_the_same_at_every_width() {
+    // The budget check is where a batch is cut short, so sweep it. At each
+    // limit a speculative search must end exactly where the width-one
+    // search ends: same outcome, expansions and query count. `in_cons` is
+    // proved at the third query; `incl_refl` runs out of frontier at the
+    // fourteenth, so limit 14 is a Stuck that a Fuelout check could miss.
+    for &name in &["in_cons", "incl_refl"] {
+        for query_limit in 0..=15 {
+            let a = run_limited(
+                name,
+                Strategy::BestFirst,
+                &RecoveryConfig::default(),
+                query_limit,
+            );
+            for proof_jobs in [2usize, 3] {
+                let recovery = RecoveryConfig {
+                    proof_jobs,
+                    ..Default::default()
+                };
+                let b = run_limited(name, Strategy::BestFirst, &recovery, query_limit);
+                assert_same_transcript(
+                    &a,
+                    &b,
+                    &format!("{name} limit {query_limit}, proof_jobs={proof_jobs}"),
                 );
             }
         }

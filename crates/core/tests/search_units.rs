@@ -7,7 +7,9 @@ use minicoq::env::Env;
 use minicoq::parse::parse_formula;
 use proof_oracle::model::{Proposal, QueryCtx, TacticModel};
 use proof_oracle::prompt::PromptInfo;
-use proof_search::search::{search, Outcome, PremiseRank, SearchConfig, Strategy};
+use proof_search::search::{
+    search, search_with_recovery, Outcome, PremiseRank, RecoveryConfig, SearchConfig, Strategy,
+};
 
 /// An empty prompt (the scripted models below ignore it).
 fn empty_prompt() -> PromptInfo {
@@ -276,6 +278,32 @@ fn query_limit_zero_is_an_immediate_fuelout() {
 }
 
 #[test]
+fn frontier_dying_on_the_last_allowed_query_is_stuck() {
+    // `intros` applies once, then duplicates: the frontier empties with
+    // the second query. A budget of exactly two must read Stuck (nothing
+    // was left to expand), one less Fuelout (a state was still waiting).
+    for (limit, stuck) in [(2, true), (1, false)] {
+        let mut m = FixedModel::new([("intros", -0.1)]);
+        let mut c = cfg();
+        c.query_limit = limit;
+        let r = run(&mut m, "forall n : nat, le 0 n", &c);
+        assert_eq!(r.stats.queries, limit);
+        assert_eq!(
+            matches!(r.outcome, Outcome::Stuck),
+            stuck,
+            "{limit}: {:?}",
+            r.outcome
+        );
+        assert_eq!(
+            matches!(r.outcome, Outcome::Fuelout),
+            !stuck,
+            "{limit}: {:?}",
+            r.outcome
+        );
+    }
+}
+
+#[test]
 fn tactic_timeouts_are_counted_separately() {
     // A starvation budget turns even reflexivity into a timeout.
     let mut m = FixedModel::new([("reflexivity", -0.1)]);
@@ -284,6 +312,48 @@ fn tactic_timeouts_are_counted_separately() {
     let r = run(&mut m, "add 7 7 = 14", &c);
     assert!(!r.proved());
     assert!(r.stats.timeouts > 0, "{:?}", r.stats);
+}
+
+// ------------------------------------------------------------- proof jobs
+
+#[test]
+fn uncloneable_model_answers_every_query_itself_at_any_proof_jobs() {
+    // A model that cannot be cloned keeps the search at width one, so the
+    // caller's own model must answer every query, in order, whatever
+    // `proof_jobs` asks for — and the result cannot tell the widths apart.
+    struct Counting {
+        inner: FixedModel,
+        indices: Vec<u32>,
+    }
+    impl TacticModel for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn propose(&mut self, ctx: &QueryCtx<'_>, w: usize) -> Vec<Proposal> {
+            self.indices.push(ctx.query_index);
+            self.inner.propose(ctx, w)
+        }
+    }
+    let env = std::sync::Arc::new(Env::with_prelude());
+    let f = parse_formula(&env, "0 = 0 /\\ 1 = 1").unwrap();
+    let prompt = empty_prompt();
+    let mut transcripts = Vec::new();
+    for proof_jobs in [1usize, 4] {
+        let mut m = Counting {
+            inner: FixedModel::new([("split", -3.0), ("intros", -0.1), ("reflexivity", -0.2)]),
+            indices: Vec::new(),
+        };
+        let recovery = RecoveryConfig {
+            proof_jobs,
+            ..Default::default()
+        };
+        let r = search_with_recovery(&env, &f, "t", &mut m, &prompt, &cfg(), &recovery);
+        assert!(r.proved(), "proof_jobs={proof_jobs}: {:?}", r.outcome);
+        let expected: Vec<u32> = (0..r.stats.queries).collect();
+        assert_eq!(m.indices, expected, "proof_jobs={proof_jobs}");
+        transcripts.push((r.outcome, r.stats.expansions));
+    }
+    assert_eq!(transcripts[0], transcripts[1]);
 }
 
 #[test]
