@@ -146,9 +146,14 @@ pub struct CtorInfo {
 ///
 /// Fresh ids are allocated on construction, on clone, and on every
 /// declaration, so two environments with equal uids hold identical
-/// declarations. Kernel memo tables (weak-head normalization in
-/// [`crate::intern`]) key on this instead of on environment contents; a
-/// clone getting a new uid only costs cache sharing, never correctness.
+/// declarations. Memo tables key on this instead of on environment
+/// contents: weak-head normalization and term/formula evaluation in
+/// [`crate::intern`], the STM session's tactic-application memo, and the
+/// simulated oracle's prompt preparation. A clone getting a new uid never
+/// costs correctness, but it starts every one of those memos cold, so a
+/// cache keyed here is only free for environments that are not cloned per
+/// search. The `auto`/`eauto` hint index is therefore built per invocation
+/// instead.
 #[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EnvUid(u64);
 

@@ -5,6 +5,15 @@
 //! conclusion; `eauto` threads metavariables through premises (existential
 //! search). `eapply` reuses [`backchain`] to discharge premises whose
 //! instantiation the conclusion did not determine.
+//!
+//! Candidates are filtered by head symbol: a hypothesis or hint is only
+//! instantiated and unified when its conclusion's head can unify with the
+//! target's. A skipped candidate is charged exactly the fuel its failed
+//! unification would have cost, so budgets, timeouts and every search
+//! outcome are the same as a scan that tries every candidate.
+
+use std::cell::OnceCell;
+use std::mem::discriminant;
 
 use crate::env::Env;
 use crate::error::TacticError;
@@ -16,6 +25,8 @@ use crate::subst::subst_formula1;
 use crate::term::Term;
 use crate::unify::{instantiate_rule, Unifier};
 use crate::Ident;
+
+use super::apply::expose_rule;
 
 /// Default search depth, matching Coq's `auto` default of 5.
 pub const AUTO_DEFAULT_DEPTH: u32 = 5;
@@ -38,18 +49,9 @@ pub(crate) fn backchain(
     // would leak out of scope. The check runs at every success point so the
     // search backtracks over leaky branches.
     let watermark = uni.meta_watermark();
-    solve(
-        env,
-        goal,
-        target,
-        uni,
-        depth,
-        extra_hints,
-        true,
-        watermark,
-        fuel,
-    )
-    .unwrap_or_default()
+    Search::new(env, extra_hints, true, watermark)
+        .solve(goal, target, uni, depth, fuel)
+        .unwrap_or_default()
 }
 
 /// True when a caller-owned metavariable (id below the watermark) is bound
@@ -74,18 +76,8 @@ pub fn auto_tactic(
     e_mode: bool,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
-    let uni = Unifier::new();
-    match solve(
-        env,
-        goal,
-        &goal.concl.clone(),
-        uni,
-        AUTO_DEFAULT_DEPTH,
-        using,
-        e_mode,
-        0,
-        fuel,
-    )? {
+    let search = Search::new(env, using, e_mode, 0);
+    match search.solve(goal, &goal.concl, Unifier::new(), AUTO_DEFAULT_DEPTH, fuel)? {
         Some(_) => Ok(vec![]),
         None => Err(TacticError::rejected(if e_mode {
             "eauto cannot solve the goal"
@@ -97,437 +89,329 @@ pub fn auto_tactic(
 
 /// `trivial`: depth-1 `auto`.
 pub fn trivial(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, TacticError> {
-    let uni = Unifier::new();
-    match solve(env, goal, &goal.concl.clone(), uni, 1, &[], false, 0, fuel)? {
+    let search = Search::new(env, &[], false, 0);
+    match search.solve(goal, &goal.concl, Unifier::new(), 1, fuel)? {
         Some(_) => Ok(vec![]),
         None => Err(TacticError::rejected("trivial cannot solve the goal")),
     }
 }
 
-/// The recursive search. Returns `Ok(Some(uni))` on success, `Ok(None)` on
-/// exhausted search, and `Err(Timeout)` when fuel runs out.
-#[allow(clippy::too_many_arguments)]
-fn solve(
-    env: &Env,
-    goal: &Goal,
-    target: &Formula,
-    mut uni: Unifier,
-    depth: u32,
-    extra_hints: &[Ident],
+/// A hint resolved to its statement, with its [`expose_rule`] form when
+/// that differs.
+struct Rule {
+    stmt: Formula,
+    exposed: Option<Formula>,
+}
+
+/// One `auto`/`eauto`/`trivial` invocation or `backchain` call: what stays
+/// fixed while the search recurses.
+struct Search<'a> {
+    env: &'a Env,
+    /// `using` extras, tried before `core`.
+    extra_hints: &'a [Ident],
+    /// `eauto`: premises may leave metavariables for later premises.
     e_mode: bool,
+    /// Metavariables below this id belong to the caller (see [`leaks`]).
     watermark: u32,
-    fuel: &mut Fuel,
-) -> Result<Option<Unifier>, TacticError> {
-    fuel.charge(4)?;
-    let target = uni.resolve_formula(target);
-    // For a defined-predicate target, try candidates against the *folded*
-    // form first (hint lemmas and hypotheses state things about `incl`, not
-    // its unfolding), then fall back to the unfolded form.
-    if let Formula::Pred(..) = &target {
-        if let Some(u) = search_candidates(
+    /// One slot per name of `extra_hints` then `core`, in database order.
+    /// A slot is resolved the first time a scan reaches it and reused by
+    /// every later node; names a search never reaches are never resolved.
+    /// Built per invocation: nothing is cached on the environment's uid.
+    hints: Vec<OnceCell<Option<Rule>>>,
+    /// Test builds can run the pre-index linear scan instead: the reference
+    /// the fuel-equivalence suite checks the head filter against.
+    #[cfg(test)]
+    linear: bool,
+}
+
+impl<'a> Search<'a> {
+    fn new(env: &'a Env, extra_hints: &'a [Ident], e_mode: bool, watermark: u32) -> Search<'a> {
+        Search {
             env,
-            goal,
-            &target,
-            uni.clone(),
-            depth,
             extra_hints,
             e_mode,
             watermark,
-            fuel,
-        )? {
-            return Ok(Some(u));
+            hints: std::iter::repeat_with(OnceCell::new)
+                .take(extra_hints.len() + env.hint_db("core").len())
+                .collect(),
+            #[cfg(test)]
+            linear: false,
         }
-        let unfolded = super::basic::whnf_prop(env, &target);
-        if unfolded != target {
-            return solve(
-                env,
-                goal,
-                &unfolded,
-                uni,
-                depth,
-                extra_hints,
-                e_mode,
-                watermark,
-                fuel,
-            );
-        }
-        return Ok(None);
     }
-    let target = super::basic::whnf_prop(env, &target);
-    match &target {
-        Formula::True => Ok(Some(uni)),
-        Formula::False => search_candidates(
-            env,
-            goal,
-            &target,
-            uni,
-            depth,
-            extra_hints,
-            e_mode,
-            watermark,
-            fuel,
-        ),
-        Formula::And(a, b) => {
-            let Some(u1) = solve(
-                env,
-                goal,
-                a,
-                uni,
-                depth,
-                extra_hints,
-                e_mode,
-                watermark,
-                fuel,
-            )?
-            else {
-                return Ok(None);
-            };
-            solve(
-                env,
-                goal,
-                b,
-                u1,
-                depth,
-                extra_hints,
-                e_mode,
-                watermark,
-                fuel,
-            )
-        }
-        Formula::Or(a, b) => {
-            if let Some(u) = solve(
-                env,
-                goal,
-                a,
-                uni.clone(),
-                depth,
-                extra_hints,
-                e_mode,
-                watermark,
-                fuel,
-            )? {
+
+    /// The hint candidates in scan order, each resolved on first use.
+    fn hints(&self) -> impl Iterator<Item = &Rule> {
+        let names = self.extra_hints.iter().chain(self.env.hint_db("core"));
+        names.zip(&self.hints).filter_map(|(name, slot)| {
+            slot.get_or_init(|| {
+                let stmt = self.env.rule_or_lemma(name)?;
+                Some(Rule {
+                    exposed: exposed_form(self.env, &stmt),
+                    stmt,
+                })
+            })
+            .as_ref()
+        })
+    }
+
+    /// The recursive search. Returns `Ok(Some(uni))` on success, `Ok(None)`
+    /// on exhausted search, and `Err(Timeout)` when fuel runs out.
+    fn solve(
+        &self,
+        goal: &Goal,
+        target: &Formula,
+        mut uni: Unifier,
+        depth: u32,
+        fuel: &mut Fuel,
+    ) -> Result<Option<Unifier>, TacticError> {
+        fuel.charge(4)?;
+        let target = uni.resolve_formula(target);
+        // For a defined-predicate target, try candidates against the
+        // *folded* form first (hint lemmas and hypotheses state things about
+        // `incl`, not its unfolding), then fall back to the unfolded form.
+        if let Formula::Pred(..) = &target {
+            if let Some(u) = self.search_candidates(goal, &target, uni.clone(), depth, fuel)? {
                 return Ok(Some(u));
             }
-            solve(
-                env,
-                goal,
-                b,
-                uni,
-                depth,
-                extra_hints,
-                e_mode,
-                watermark,
-                fuel,
-            )
-        }
-        Formula::Iff(a, b) => {
-            let fwd = Formula::implies((**a).clone(), (**b).clone());
-            let bwd = Formula::implies((**b).clone(), (**a).clone());
-            let Some(u1) = solve(
-                env,
-                goal,
-                &fwd,
-                uni,
-                depth,
-                extra_hints,
-                e_mode,
-                watermark,
-                fuel,
-            )?
-            else {
-                return Ok(None);
-            };
-            solve(
-                env,
-                goal,
-                &bwd,
-                u1,
-                depth,
-                extra_hints,
-                e_mode,
-                watermark,
-                fuel,
-            )
-        }
-        Formula::Forall(v, s, body) => {
-            // The `#bc` prefix marks search-local variables so the backchain
-            // wrapper can reject solutions that would leak them.
-            let mut g = goal.clone();
-            let fresh = g.fresh(&format!("#bc{v}"));
-            g.vars.push((fresh.clone(), s.clone()));
-            let body = subst_formula1(body, v, &Term::var(fresh));
-            solve(
-                env,
-                &g,
-                &body,
-                uni,
-                depth,
-                extra_hints,
-                e_mode,
-                watermark,
-                fuel,
-            )
-        }
-        Formula::Implies(p, q) => {
-            let mut g = goal.clone();
-            let h = g.fresh("H");
-            g.hyps.push((h, (**p).clone()));
-            solve(env, &g, q, uni, depth, extra_hints, e_mode, watermark, fuel)
-        }
-        Formula::Not(p) => {
-            let mut g = goal.clone();
-            let h = g.fresh("H");
-            g.hyps.push((h, (**p).clone()));
-            solve(
-                env,
-                &g,
-                &Formula::False,
-                uni,
-                depth,
-                extra_hints,
-                e_mode,
-                watermark,
-                fuel,
-            )
-        }
-        Formula::Exists(v, _, body) => {
-            if !e_mode {
-                return Ok(None);
+            let unfolded = super::basic::whnf_prop(self.env, &target);
+            if unfolded != target {
+                return self.solve(goal, &unfolded, uni, depth, fuel);
             }
-            let m = uni.fresh_term_meta();
-            let body = subst_formula1(body, v, &m);
-            solve(
-                env,
-                goal,
-                &body,
-                uni,
-                depth,
-                extra_hints,
-                e_mode,
-                watermark,
-                fuel,
-            )
-        }
-        Formula::Eq(_, a, b) => {
-            // Reflexivity attempt (unification handles metavariables; when
-            // ground, fall back to conversion).
-            let mut u2 = uni.clone();
-            if u2.unify_terms(a, b, fuel).is_ok() && !leaks(&u2, watermark) {
-                return Ok(Some(u2));
-            }
-            if a.is_ground() && b.is_ground() && conv_eq_term(env, a, b, fuel)? {
-                return Ok(Some(uni));
-            }
-            search_candidates(
-                env,
-                goal,
-                &target,
-                uni,
-                depth,
-                extra_hints,
-                e_mode,
-                watermark,
-                fuel,
-            )
-        }
-        _ => search_candidates(
-            env,
-            goal,
-            &target,
-            uni,
-            depth,
-            extra_hints,
-            e_mode,
-            watermark,
-            fuel,
-        ),
-    }
-}
-
-/// Tries hypotheses and hint lemmas against an atomic target.
-#[allow(clippy::too_many_arguments)]
-fn search_candidates(
-    env: &Env,
-    goal: &Goal,
-    target: &Formula,
-    uni: Unifier,
-    depth: u32,
-    extra_hints: &[Ident],
-    e_mode: bool,
-    watermark: u32,
-    fuel: &mut Fuel,
-) -> Result<Option<Unifier>, TacticError> {
-    // Hypotheses first: direct match, then as rules.
-    for (_, hf) in &goal.hyps {
-        fuel.charge(2)?;
-        let mut u2 = uni.clone();
-        if u2.unify_formulas(hf, target, fuel).is_ok() && !leaks(&u2, watermark) {
-            return Ok(Some(u2));
-        }
-    }
-    if depth == 0 {
-        return Ok(None);
-    }
-    // Hypotheses as backchaining rules (defined predicates such as `incl`
-    // expose their rule structure inside try_rule).
-    let hyp_stmts: Vec<Formula> = goal.hyps.iter().map(|(_, f)| f.clone()).collect();
-    for stmt in &hyp_stmts {
-        if let Some(u) = try_rule(
-            env,
-            goal,
-            stmt,
-            target,
-            &uni,
-            depth,
-            extra_hints,
-            e_mode,
-            watermark,
-            fuel,
-        )? {
-            return Ok(Some(u));
-        }
-    }
-    // Hint databases: `core` plus `using` extras.
-    let mut names: Vec<Ident> = extra_hints.to_vec();
-    names.extend(env.hint_db("core").iter().cloned());
-    for name in names {
-        let Some(stmt) = env.rule_or_lemma(&name) else {
-            continue;
-        };
-        if let Some(u) = try_rule(
-            env,
-            goal,
-            &stmt,
-            target,
-            &uni,
-            depth,
-            extra_hints,
-            e_mode,
-            watermark,
-            fuel,
-        )? {
-            return Ok(Some(u));
-        }
-    }
-    Ok(None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn try_rule(
-    env: &Env,
-    goal: &Goal,
-    stmt: &Formula,
-    target: &Formula,
-    uni: &Unifier,
-    depth: u32,
-    extra_hints: &[Ident],
-    e_mode: bool,
-    watermark: u32,
-    fuel: &mut Fuel,
-) -> Result<Option<Unifier>, TacticError> {
-    fuel.charge(4)?;
-    if let Some(u) = try_rule_exact(
-        env,
-        goal,
-        stmt,
-        target,
-        uni,
-        depth,
-        extra_hints,
-        e_mode,
-        watermark,
-        fuel,
-    )? {
-        return Ok(Some(u));
-    }
-    let exposed = super::apply::expose_rule(env, stmt);
-    if exposed != *stmt {
-        return try_rule_exact(
-            env,
-            goal,
-            &exposed,
-            target,
-            uni,
-            depth,
-            extra_hints,
-            e_mode,
-            watermark,
-            fuel,
-        );
-    }
-    Ok(None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn try_rule_exact(
-    env: &Env,
-    goal: &Goal,
-    stmt: &Formula,
-    target: &Formula,
-    uni: &Unifier,
-    depth: u32,
-    extra_hints: &[Ident],
-    e_mode: bool,
-    watermark: u32,
-    fuel: &mut Fuel,
-) -> Result<Option<Unifier>, TacticError> {
-    let mut u2 = uni.clone();
-    let inst = instantiate_rule(stmt, &mut u2);
-    let mut premises = inst.premises.clone();
-    if u2.unify_formulas(&inst.conclusion, target, fuel).is_err() {
-        // A rule concluding `~P` proves a `False` target with premise `P`.
-        if let (Formula::Not(p), Formula::False) = (&inst.conclusion, target) {
-            u2 = uni.clone();
-            let inst2 = instantiate_rule(stmt, &mut u2);
-            premises = inst2.premises.clone();
-            if let Formula::Not(p2) = inst2.conclusion {
-                premises.push(*p2);
-            } else {
-                let _ = p;
-                return Ok(None);
-            }
-        } else {
             return Ok(None);
         }
+        let target = super::basic::whnf_prop(self.env, &target);
+        match &target {
+            Formula::True => Ok(Some(uni)),
+            Formula::And(a, b) => {
+                let Some(u1) = self.solve(goal, a, uni, depth, fuel)? else {
+                    return Ok(None);
+                };
+                self.solve(goal, b, u1, depth, fuel)
+            }
+            Formula::Or(a, b) => {
+                if let Some(u) = self.solve(goal, a, uni.clone(), depth, fuel)? {
+                    return Ok(Some(u));
+                }
+                self.solve(goal, b, uni, depth, fuel)
+            }
+            Formula::Iff(a, b) => {
+                let fwd = Formula::implies((**a).clone(), (**b).clone());
+                let bwd = Formula::implies((**b).clone(), (**a).clone());
+                let Some(u1) = self.solve(goal, &fwd, uni, depth, fuel)? else {
+                    return Ok(None);
+                };
+                self.solve(goal, &bwd, u1, depth, fuel)
+            }
+            Formula::Forall(v, s, body) => {
+                // The `#bc` prefix marks search-local variables so the
+                // backchain wrapper can reject solutions that would leak
+                // them.
+                let mut g = goal.clone();
+                let fresh = g.fresh(&format!("#bc{v}"));
+                g.vars.push((fresh.clone(), s.clone()));
+                let body = subst_formula1(body, v, &Term::var(fresh));
+                self.solve(&g, &body, uni, depth, fuel)
+            }
+            Formula::Implies(p, q) => {
+                let mut g = goal.clone();
+                let h = g.fresh("H");
+                g.hyps.push((h, (**p).clone()));
+                self.solve(&g, q, uni, depth, fuel)
+            }
+            Formula::Not(p) => {
+                let mut g = goal.clone();
+                let h = g.fresh("H");
+                g.hyps.push((h, (**p).clone()));
+                self.solve(&g, &Formula::False, uni, depth, fuel)
+            }
+            Formula::Exists(v, _, body) => {
+                if !self.e_mode {
+                    return Ok(None);
+                }
+                let m = uni.fresh_term_meta();
+                let body = subst_formula1(body, v, &m);
+                self.solve(goal, &body, uni, depth, fuel)
+            }
+            Formula::Eq(_, a, b) => {
+                // Reflexivity attempt (unification handles metavariables;
+                // when ground, fall back to conversion).
+                let mut u2 = uni.clone();
+                if u2.unify_terms(a, b, fuel).is_ok() && !leaks(&u2, self.watermark) {
+                    return Ok(Some(u2));
+                }
+                if a.is_ground() && b.is_ground() && conv_eq_term(self.env, a, b, fuel)? {
+                    return Ok(Some(uni));
+                }
+                self.search_candidates(goal, &target, uni, depth, fuel)
+            }
+            _ => self.search_candidates(goal, &target, uni, depth, fuel),
+        }
     }
-    if leaks(&u2, watermark) {
-        return Ok(None);
-    }
-    if !e_mode {
-        // `auto`: all premises must be fully determined by the conclusion.
-        for p in &premises {
-            if !u2.resolve_formula(p).is_ground() {
-                return Ok(None);
+
+    /// Tries hypotheses and hint lemmas against an atomic target.
+    fn search_candidates(
+        &self,
+        goal: &Goal,
+        target: &Formula,
+        uni: Unifier,
+        depth: u32,
+        fuel: &mut Fuel,
+    ) -> Result<Option<Unifier>, TacticError> {
+        #[cfg(test)]
+        if self.linear {
+            return self.search_candidates_linear(goal, target, uni, depth, fuel);
+        }
+        // Hypotheses first: direct match, then as rules.
+        for (_, hf) in &goal.hyps {
+            fuel.charge(2)?;
+            if !same_head(hf, target) {
+                skip(fuel);
+                continue;
+            }
+            let mut u2 = uni.clone();
+            if u2.unify_formulas(hf, target, fuel).is_ok() && !leaks(&u2, self.watermark) {
+                return Ok(Some(u2));
             }
         }
+        if depth == 0 {
+            return Ok(None);
+        }
+        // A rule is tried as stated, then exposed (defined predicates such
+        // as `incl` unfold to their rule structure); each form whose
+        // conclusion cannot meet the target costs one skip tick.
+        let try_rule = |stmt: &Formula, exposed: Option<&Formula>, fuel: &mut Fuel| {
+            fuel.charge(4)?;
+            for form in std::iter::once(stmt).chain(exposed) {
+                if !concludes(form, target) {
+                    skip(fuel);
+                } else if let Some(u) =
+                    self.try_rule_exact(goal, form, target, &uni, depth, fuel)?
+                {
+                    return Ok(Some(u));
+                }
+            }
+            Ok(None)
+        };
+        for (_, hf) in &goal.hyps {
+            if let Some(u) = try_rule(hf, exposed_form(self.env, hf).as_ref(), fuel)? {
+                return Ok(Some(u));
+            }
+        }
+        for rule in self.hints() {
+            if let Some(u) = try_rule(&rule.stmt, rule.exposed.as_ref(), fuel)? {
+                return Ok(Some(u));
+            }
+        }
+        Ok(None)
     }
-    let mut cur = u2;
-    for p in &premises {
-        match solve(
-            env,
-            goal,
-            p,
-            cur,
-            depth - 1,
-            extra_hints,
-            e_mode,
-            watermark,
-            fuel,
-        )? {
-            Some(next) => cur = next,
-            None => return Ok(None),
+
+    fn try_rule_exact(
+        &self,
+        goal: &Goal,
+        stmt: &Formula,
+        target: &Formula,
+        uni: &Unifier,
+        depth: u32,
+        fuel: &mut Fuel,
+    ) -> Result<Option<Unifier>, TacticError> {
+        let mut u2 = uni.clone();
+        let inst = instantiate_rule(stmt, &mut u2);
+        let mut premises = inst.premises;
+        if u2.unify_formulas(&inst.conclusion, target, fuel).is_err() {
+            // A rule concluding `~P` proves a `False` target with premise
+            // `P`.
+            let (Formula::Not(_), Formula::False) = (&inst.conclusion, target) else {
+                return Ok(None);
+            };
+            u2 = uni.clone();
+            let inst2 = instantiate_rule(stmt, &mut u2);
+            let Formula::Not(p2) = inst2.conclusion else {
+                return Ok(None);
+            };
+            premises = inst2.premises;
+            premises.push(*p2);
+        }
+        if leaks(&u2, self.watermark) {
+            return Ok(None);
+        }
+        if !self.e_mode {
+            // `auto`: all premises must be fully determined by the
+            // conclusion.
+            for p in &premises {
+                if !u2.resolve_formula(p).is_ground() {
+                    return Ok(None);
+                }
+            }
+        }
+        let mut cur = u2;
+        for p in &premises {
+            match self.solve(goal, p, cur, depth - 1, fuel)? {
+                Some(next) => cur = next,
+                None => return Ok(None),
+            }
+        }
+        if leaks(&cur, self.watermark) {
+            return Ok(None);
+        }
+        Ok(Some(cur))
+    }
+}
+
+/// Charges the one tick [`Unifier::unify_formulas`] spends before it finds
+/// two heads apart. As there, running dry on it is not a timeout.
+fn skip(fuel: &mut Fuel) {
+    let _ = fuel.tick();
+}
+
+/// Whether `a` and `b` agree on what [`Unifier::unify_formulas`] compares
+/// first: the connective, and for predicates the name. When they do not,
+/// unification fails after exactly one tick.
+fn same_head(a: &Formula, b: &Formula) -> bool {
+    match (a, b) {
+        (Formula::Pred(p, ..), Formula::Pred(q, ..)) => p == q,
+        _ => discriminant(a) == discriminant(b),
+    }
+}
+
+/// `stmt` without the `ForallSort`/`Forall`/`Implies` prefix that
+/// [`instantiate_rule`] strips. Instantiation only substitutes, so this has
+/// the head of the instantiated conclusion.
+fn conclusion(mut stmt: &Formula) -> &Formula {
+    loop {
+        match stmt {
+            Formula::ForallSort(_, body) | Formula::Forall(_, _, body) => stmt = body,
+            Formula::Implies(_, q) => stmt = q,
+            _ => return stmt,
         }
     }
-    if leaks(&cur, watermark) {
-        return Ok(None);
+}
+
+/// Whether a rule stated as `stmt` can get past unifying its conclusion
+/// with `target`: the heads agree, or a `~P` conclusion meets a `False`
+/// target (proved from premise `P`).
+fn concludes(stmt: &Formula, target: &Formula) -> bool {
+    let concl = conclusion(stmt);
+    same_head(concl, target) || matches!((concl, target), (Formula::Not(_), Formula::False))
+}
+
+/// `stmt`'s [`expose_rule`] form, when that differs from `stmt`. Exposure
+/// only changes a conclusion that weak-head unfolds, so any other
+/// conclusion skips the unfolding.
+fn exposed_form(env: &Env, stmt: &Formula) -> Option<Formula> {
+    if !matches!(conclusion(stmt), Formula::Pred(..) | Formula::FMatch(..)) {
+        return None;
     }
-    Ok(Some(cur))
+    let exposed = expose_rule(env, stmt);
+    (exposed != *stmt).then_some(exposed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::{DefinedPred, PredDef};
+    use crate::parse::parse_formula;
     use crate::sort::Sort;
+    use crate::term::Pat;
 
     fn goal_of(env: &Env, f: Formula) -> Goal {
         let _ = env;
@@ -606,5 +490,374 @@ mod tests {
             Formula::Pred("le".into(), vec![], vec![Term::nat(2), Term::nat(4)]),
         );
         assert!(trivial(&env, &g2, &mut Fuel::unlimited()).is_err());
+    }
+
+    impl Search<'_> {
+        /// The scan before the head filter: every hypothesis and hint is
+        /// resolved, instantiated and unified at every node.
+        pub(super) fn search_candidates_linear(
+            &self,
+            goal: &Goal,
+            target: &Formula,
+            uni: Unifier,
+            depth: u32,
+            fuel: &mut Fuel,
+        ) -> Result<Option<Unifier>, TacticError> {
+            for (_, hf) in &goal.hyps {
+                fuel.charge(2)?;
+                let mut u2 = uni.clone();
+                if u2.unify_formulas(hf, target, fuel).is_ok() && !leaks(&u2, self.watermark) {
+                    return Ok(Some(u2));
+                }
+            }
+            if depth == 0 {
+                return Ok(None);
+            }
+            let hyp_stmts = goal.hyps.iter().map(|(_, f)| f.clone());
+            let names = self.extra_hints.iter().chain(self.env.hint_db("core"));
+            let hints = names.filter_map(|name| self.env.rule_or_lemma(name));
+            for stmt in hyp_stmts.chain(hints) {
+                fuel.charge(4)?;
+                if let Some(u) = self.try_rule_exact(goal, &stmt, target, &uni, depth, fuel)? {
+                    return Ok(Some(u));
+                }
+                let exposed = expose_rule(self.env, &stmt);
+                if exposed != stmt {
+                    if let Some(u) =
+                        self.try_rule_exact(goal, &exposed, target, &uni, depth, fuel)?
+                    {
+                        return Ok(Some(u));
+                    }
+                }
+            }
+            Ok(None)
+        }
+    }
+
+    /// The prelude plus a list toolbox shaped like the corpus's: `In` is a
+    /// recursive predicate over a formula `match`, `incl` a definition
+    /// that exposes a rule, and the `core` hints mix `In`, `incl`, `~ P`
+    /// and equation conclusions.
+    fn list_env() -> Env {
+        let mut env = Env::with_prelude();
+        let a = Sort::Var("A".into());
+        let in_ = |x: &str, l: &str| {
+            Formula::Pred(
+                "In".into(),
+                vec![a.clone()],
+                vec![Term::var(x), Term::var(l)],
+            )
+        };
+        let defined = |name: &str, params: [(&str, Sort); 2], body, recursive| {
+            PredDef::Defined(DefinedPred {
+                name: name.into(),
+                sort_params: vec!["A".into()],
+                params: params.map(|(v, s)| (v.to_string(), s)).to_vec(),
+                body,
+                recursive,
+                struct_arg: recursive.then_some(1),
+            })
+        };
+        let in_body = Formula::FMatch(
+            Box::new(Term::var("l")),
+            vec![
+                (Pat::Ctor("nil".into(), vec![]), Formula::False),
+                (
+                    Pat::Ctor("cons".into(), vec!["y".into(), "ys".into()]),
+                    Formula::or(
+                        Formula::Eq(a.clone(), Term::var("y"), Term::var("x")),
+                        in_("x", "ys"),
+                    ),
+                ),
+            ],
+        );
+        let la = Sort::list(a.clone());
+        env.declare_pred(defined(
+            "In",
+            [("x", a.clone()), ("l", la.clone())],
+            in_body,
+            true,
+        ))
+        .unwrap();
+        let incl_body = Formula::forall(
+            "x",
+            a.clone(),
+            Formula::implies(in_("x", "l1"), in_("x", "l2")),
+        );
+        env.declare_pred(defined(
+            "incl",
+            [("l1", la.clone()), ("l2", la)],
+            incl_body,
+            false,
+        ))
+        .unwrap();
+        for (name, src) in [
+            (
+                "in_eq",
+                "forall (A : Sort) (a : A) (l : list A), In a (a :: l)",
+            ),
+            (
+                "in_cons",
+                "forall (A : Sort) (a b : A) (l : list A), In b l -> In b (a :: l)",
+            ),
+            ("in_nil", "forall (A : Sort) (a : A), ~ In a []"),
+            ("incl_refl", "forall (A : Sort) (l : list A), incl l l"),
+            (
+                "incl_tl",
+                "forall (A : Sort) (a : A) (l m : list A), incl l m -> incl l (a :: m)",
+            ),
+            ("add_0_r", "forall n : nat, add n 0 = n"),
+            ("le_Sn_n", "forall n : nat, ~ le (S n) n"),
+        ] {
+            let stmt = parse_formula(&env, src).unwrap();
+            env.add_lemma(name, stmt).unwrap();
+            env.add_hint("core", name);
+        }
+        env
+    }
+
+    /// One invocation of the search: the arguments `auto_tactic` or
+    /// `backchain` would pass.
+    struct Case {
+        name: &'static str,
+        goal: Goal,
+        target: Formula,
+        uni: Unifier,
+        depth: u32,
+        using: Vec<Ident>,
+        e_mode: bool,
+        watermark: u32,
+    }
+
+    /// `auto`/`eauto [using ...]` on a closed statement.
+    fn auto_case(env: &Env, name: &'static str, src: &str, using: &[&str], e_mode: bool) -> Case {
+        let stmt = parse_formula(env, src).unwrap();
+        Case {
+            name,
+            goal: Goal::new(stmt.clone()),
+            target: stmt,
+            uni: Unifier::new(),
+            depth: AUTO_DEFAULT_DEPTH,
+            using: using.iter().map(|u| u.to_string()).collect(),
+            e_mode,
+            watermark: 0,
+        }
+    }
+
+    /// `backchain` as `eapply` calls it, on `pred ?m args..`: a target whose
+    /// first argument is a caller-owned metavariable.
+    fn backchain_case(name: &'static str, pred: &str, sorts: Vec<Sort>, args: Vec<Term>) -> Case {
+        let mut uni = Unifier::new();
+        let m = uni.fresh_term_meta();
+        let target = Formula::Pred(pred.into(), sorts, std::iter::once(m).chain(args).collect());
+        Case {
+            name,
+            goal: Goal::new(Formula::True),
+            target,
+            watermark: uni.meta_watermark(),
+            uni,
+            depth: 3,
+            using: vec![],
+            e_mode: true,
+        }
+    }
+
+    fn nat_list(xs: &[u64]) -> Term {
+        xs.iter().rev().fold(Term::cst("nil"), |tail, &x| {
+            Term::App("cons".into(), vec![Term::nat(x), tail])
+        })
+    }
+
+    fn cases(env: &Env) -> Vec<Case> {
+        vec![
+            auto_case(
+                env,
+                "incl unfolds, proved by incl_tl",
+                "forall (l : list nat) (a b : nat), incl l (a :: b :: l)",
+                &[],
+                false,
+            ),
+            auto_case(
+                env,
+                "incl unfolds to In, exhausted",
+                "forall (l m : list nat) (a : nat), incl (a :: l) m",
+                &[],
+                false,
+            ),
+            Case {
+                // Depth 2 keeps `in_cons` from recursing into `In x []`.
+                depth: 2,
+                ..auto_case(
+                    env,
+                    "In unfolds through FMatch",
+                    "forall (x y : nat), y = x -> In x (y :: [])",
+                    &[],
+                    false,
+                )
+            },
+            auto_case(
+                env,
+                "In by hints",
+                "forall (a b c : nat), In b (a :: b :: c :: [])",
+                &[],
+                false,
+            ),
+            auto_case(env, "inductive rules", "le 2 5", &[], false),
+            auto_case(env, "inductive rules, out of depth", "le 0 7", &[], false),
+            auto_case(
+                env,
+                "~P rule against False",
+                "forall n : nat, le (S n) n -> False",
+                &[],
+                true,
+            ),
+            auto_case(
+                env,
+                "exposed hypothesis proves False",
+                "forall x : nat, In x [] -> False",
+                &[],
+                false,
+            ),
+            auto_case(
+                env,
+                "Eq target by hint",
+                "forall n : nat, add n 0 = n",
+                &[],
+                false,
+            ),
+            auto_case(
+                env,
+                "Eq target, exhausted",
+                "forall n m : nat, add n 0 = m",
+                &[],
+                true,
+            ),
+            auto_case(
+                env,
+                "exposed hypothesis as rule",
+                "forall (a : nat) (l m : list nat), incl l m -> In a l -> In a m",
+                &[],
+                false,
+            ),
+            auto_case(
+                env,
+                "hypothesis as rule",
+                "forall n m : nat, (forall k : nat, le k n -> le k m) -> le 2 n -> le 2 m",
+                &[],
+                false,
+            ),
+            auto_case(
+                env,
+                "using duplicates core, exhausted",
+                "forall (l m : list nat) (a : nat), incl (a :: l) m",
+                &["in_cons", "incl_tl"],
+                true,
+            ),
+            auto_case(
+                env,
+                "using duplicates core, proved",
+                "forall (a b c : nat), In c (a :: b :: c :: [])",
+                &["in_cons"],
+                true,
+            ),
+            backchain_case(
+                "backchain binds a caller meta",
+                "In",
+                vec![Sort::nat()],
+                vec![nat_list(&[1, 2])],
+            ),
+            Case {
+                depth: 2,
+                ..backchain_case(
+                    "backchain exhausted",
+                    "In",
+                    vec![Sort::nat()],
+                    vec![nat_list(&[])],
+                )
+            },
+        ]
+    }
+
+    /// What a caller observes of one run under `budget`: the result, and
+    /// the fuel's spent and remaining counts.
+    fn observe(env: &Env, case: &Case, linear: bool, budget: u64) -> (String, u64, u64) {
+        let mut search = Search::new(env, &case.using, case.e_mode, case.watermark);
+        search.linear = linear;
+        let mut fuel = Fuel::new(budget);
+        let r = search.solve(
+            &case.goal,
+            &case.target,
+            case.uni.clone(),
+            case.depth,
+            &mut fuel,
+        );
+        (format!("{r:?}"), fuel.spent(), fuel.remaining())
+    }
+
+    #[test]
+    fn backchain_index_charges_fuel_like_the_linear_scan() {
+        let env = list_env();
+        let (mut proved, mut exhausted) = (0, 0);
+        for case in cases(&env) {
+            let (result, full, _) = observe(&env, &case, true, u64::MAX / 2);
+            proved += usize::from(result.starts_with("Ok(Some"));
+            exhausted += usize::from(result == "Ok(None)");
+            for budget in (0..=full + 1).chain([u64::MAX / 2]) {
+                assert_eq!(
+                    observe(&env, &case, false, budget),
+                    observe(&env, &case, true, budget),
+                    "{}: budget {budget} of {full}",
+                    case.name
+                );
+            }
+        }
+        assert!(
+            proved >= 5 && exhausted >= 5,
+            "{proved} proved, {exhausted} exhausted"
+        );
+    }
+
+    #[test]
+    fn backchain_index_resolves_each_hint_at_most_once_and_only_when_reached() {
+        let env = list_env();
+        let resolved = |search: &Search| -> Vec<Formula> {
+            let slots = search.hints.iter().filter_map(OnceCell::get);
+            slots.flatten().map(|rule| rule.stmt.clone()).collect()
+        };
+        // An exhausted search reaches every name: `using in_cons`, then all
+        // of `core` (`le_n`, `le_S`, `in_eq`, `in_cons`, ...), whose
+        // `in_cons` stays too.
+        let case = auto_case(
+            &env,
+            "",
+            "forall (l m : list nat) (a : nat), incl (a :: l) m",
+            &["in_cons"],
+            false,
+        );
+        let search = Search::new(&env, &case.using, false, 0);
+        assert!(resolved(&search).is_empty());
+        let r = search.solve(
+            &case.goal,
+            &case.target,
+            Unifier::new(),
+            5,
+            &mut Fuel::unlimited(),
+        );
+        assert!(matches!(r, Ok(None)));
+        let hints = resolved(&search);
+        assert_eq!(hints.len(), 1 + env.hint_db("core").len());
+        assert_eq!(hints[0], hints[4]);
+        // `le 2 5` closes on `le_S` and `le_n`, the first two `core` hints.
+        let case = auto_case(&env, "", "le 2 5", &[], false);
+        let search = Search::new(&env, &[], false, 0);
+        let r = search.solve(
+            &case.goal,
+            &case.target,
+            Unifier::new(),
+            5,
+            &mut Fuel::unlimited(),
+        );
+        assert!(matches!(r, Ok(Some(_))));
+        assert_eq!(resolved(&search).len(), 2);
     }
 }
