@@ -138,7 +138,7 @@ pub fn run(env: &Env, graph: &DepGraph, out: &mut Vec<Finding>) {
                     edges.push(Edge {
                         from: chead.to_string(),
                         to: phead.to_string(),
-                        hint: hint.clone(),
+                        hint: hint.to_string(),
                         decreasing: decreasing(&pargs, &cargs),
                     });
                 }

@@ -19,6 +19,7 @@ use minicoq::env::{Env, PredDef};
 use minicoq::formula::Formula;
 
 use crate::graph::{formula_refs, sort_refs, term_refs};
+use crate::score::RankCtx;
 
 /// Undirected reference adjacency over the names declared in `env`.
 fn adjacency(env: &Env) -> BTreeMap<String, BTreeSet<String>> {
@@ -108,6 +109,21 @@ pub(crate) fn distances(env: &Env, goal: &Formula) -> BTreeMap<String, usize> {
     dist
 }
 
+/// A copy of `env` with every hint database stably sorted by `key`
+/// (declaration order breaks ties). Only the database vectors are new;
+/// their names are the original `Arc`s.
+fn permuted_hints<K: Ord>(env: &Env, key: impl Fn(&str) -> K) -> Env {
+    let mut hints = (*env.hints).clone();
+    for db in hints.values_mut() {
+        let mut keyed: Vec<(K, usize)> = db.iter().enumerate().map(|(i, h)| (key(h), i)).collect();
+        keyed.sort();
+        *db = keyed.into_iter().map(|(_, i)| Arc::clone(&db[i])).collect();
+    }
+    let mut out = env.clone();
+    out.hints = Arc::new(hints);
+    out
+}
+
 /// Returns an environment identical to `env` except that every hint
 /// database is stably reordered by dependency distance to `goal`
 /// (closest first; unreachable hints keep their relative order at the
@@ -115,25 +131,8 @@ pub(crate) fn distances(env: &Env, goal: &Formula) -> BTreeMap<String, usize> {
 pub fn reranked_env(env: &Env, goal: &Formula) -> Env {
     let _sp = proof_trace::span("analysis", "premise_rank");
     let dist = distances(env, goal);
-    let mut hints: BTreeMap<String, Vec<minicoq::Ident>> = (*env.hints).clone();
-    for db in hints.values_mut() {
-        let mut keyed: Vec<(usize, usize, minicoq::Ident)> = db
-            .iter()
-            .enumerate()
-            .map(|(i, h)| {
-                (
-                    dist.get(h.as_str()).copied().unwrap_or(usize::MAX),
-                    i,
-                    h.clone(),
-                )
-            })
-            .collect();
-        keyed.sort();
-        *db = keyed.into_iter().map(|(_, _, h)| h).collect();
-    }
+    let out = permuted_hints(env, |h| dist.get(h).copied().unwrap_or(usize::MAX));
     proof_trace::metrics::counter_inc("analysis.premise_rank.reranks");
-    let mut out = env.clone();
-    out.hints = Arc::new(hints);
     out
 }
 
@@ -149,32 +148,28 @@ pub enum RankMode {
     Learned,
 }
 
+/// The learned rerank against a ranking context the caller already
+/// built: every hint database sorted by descending learned score, with
+/// declaration order as the tie-break. A searcher that scores proposals
+/// with `rcx` too builds the context once, not once per use.
+pub fn reranked_env_learned(env: &Env, rcx: &RankCtx<'_>) -> Env {
+    let _sp = proof_trace::span("analysis", "premise_rank_learned");
+    let out = permuted_hints(env, |h| -rcx.score_premise(h));
+    proof_trace::metrics::counter_inc("analysis.premise_rank.learned_reranks");
+    out
+}
+
 /// [`reranked_env`] v2: the `Graph` arm is the original distance sort;
-/// the `Learned` arm sorts every hint database by descending learned
-/// score with declaration order as the tie-break. Both are permutations
-/// only — hint *sets* are unchanged, so any proof found with ranking
-/// replays without it.
+/// the `Learned` arm is [`reranked_env_learned`] over a fresh
+/// [`RankCtx`]. Both are permutations only — hint *sets* are unchanged,
+/// so any proof found with ranking replays without it.
 pub fn reranked_env_v2(env: &Env, goal: &Formula, mode: RankMode) -> Env {
     let rcx = match mode {
         RankMode::Graph => None,
-        RankMode::Learned => crate::score::RankCtx::new(env, goal),
+        RankMode::Learned => RankCtx::new(env, goal),
     };
-    let Some(rcx) = rcx else {
-        return reranked_env(env, goal);
-    };
-    let _sp = proof_trace::span("analysis", "premise_rank_learned");
-    let mut hints: BTreeMap<String, Vec<minicoq::Ident>> = (*env.hints).clone();
-    for db in hints.values_mut() {
-        let mut keyed: Vec<(i64, usize, minicoq::Ident)> = db
-            .iter()
-            .enumerate()
-            .map(|(i, h)| (-rcx.score_premise(h.as_str()), i, h.clone()))
-            .collect();
-        keyed.sort();
-        *db = keyed.into_iter().map(|(_, _, h)| h).collect();
+    match rcx {
+        Some(rcx) => reranked_env_learned(env, &rcx),
+        None => reranked_env(env, goal),
     }
-    proof_trace::metrics::counter_inc("analysis.premise_rank.learned_reranks");
-    let mut out = env.clone();
-    out.hints = Arc::new(hints);
-    out
 }

@@ -2,6 +2,7 @@
 //! database — never an addition or removal.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use corpus_analysis::premise::reranked_env;
 use minicoq_vernac::Loader;
@@ -28,8 +29,8 @@ fn reranking_is_a_permutation() {
     let ranked = reranked_env(&dev.env, goal);
     assert_eq!(dev.env.hints.len(), ranked.hints.len());
     for (db, hints) in dev.env.hints.iter() {
-        let before: BTreeSet<&String> = hints.iter().collect();
-        let after: BTreeSet<&String> = ranked.hints[db].iter().collect();
+        let before: BTreeSet<&str> = hints.iter().map(|h| &**h).collect();
+        let after: BTreeSet<&str> = ranked.hints[db].iter().map(|h| &**h).collect();
         assert_eq!(before, after, "db {db} changed contents");
         assert_eq!(hints.len(), ranked.hints[db].len(), "db {db} changed size");
     }
@@ -43,7 +44,7 @@ fn goal_adjacent_hints_rank_first() {
     // puts far first, ranking must put near first.
     let goal = &dev.theorem("near").unwrap().stmt;
     let core = dev.env.hint_db("core");
-    let pos = |db: &[String], name: &str| db.iter().position(|h| h == name).unwrap();
+    let pos = |db: &[Arc<str>], name: &str| db.iter().position(|h| &**h == name).unwrap();
     assert!(pos(core, "far") < pos(core, "near"), "fixture order broke");
     let ranked = reranked_env(&dev.env, goal);
     let rcore = ranked.hint_db("core");

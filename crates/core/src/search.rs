@@ -802,25 +802,26 @@ pub fn search_with_recovery(
     recovery: &RecoveryConfig,
 ) -> SearchResult {
     let mut oracles = Oracles::new(model, recovery.proof_jobs);
-    // Goal-directed ranking (opt-in). The learned scorer is built against
-    // the caller's *unranked* environment — the same view mining and
-    // training see — before hint reordering produces the fresh snapshot;
-    // with ranking off the caller's Arc is used as-is, untouched.
+    // Goal-directed ranking (opt-in). The learned scorer is built once,
+    // against the caller's *unranked* environment — the same view mining
+    // and training see — and serves both the hint reordering that
+    // produces the fresh snapshot and the proposal reranking below.
+    // Without an installed model the learned arm falls back to graph
+    // ranking; with ranking off the caller's Arc is used as-is, untouched.
+    use corpus_analysis::premise::{reranked_env, reranked_env_learned};
     let rank_ctx = match cfg.premise_rank {
         PremiseRank::Learned => corpus_analysis::score::RankCtx::new(env, stmt),
         _ => None,
     };
-    use corpus_analysis::premise::{reranked_env_v2, RankMode};
-    let mode = match cfg.premise_rank {
-        PremiseRank::Off => None,
-        PremiseRank::Graph => Some(RankMode::Graph),
-        PremiseRank::Learned => Some(RankMode::Learned),
-    };
     let ranked_env;
-    let env: &Arc<Env> = match mode {
-        None => env,
-        Some(mode) => {
-            ranked_env = Arc::new(reranked_env_v2(env, stmt, mode));
+    let env: &Arc<Env> = match (cfg.premise_rank, &rank_ctx) {
+        (PremiseRank::Off, _) => env,
+        (_, Some(rcx)) => {
+            ranked_env = Arc::new(reranked_env_learned(env, rcx));
+            &ranked_env
+        }
+        (_, None) => {
+            ranked_env = Arc::new(reranked_env(env, stmt));
             &ranked_env
         }
     };

@@ -187,10 +187,16 @@ impl Clone for EnvUid {
 /// Every collection is behind an `Arc`, so cloning an environment is a
 /// handful of reference-count bumps and snapshots share storage with the
 /// original (copy-on-write: mutating methods use [`Arc::make_mut`], which
-/// only copies a collection when some snapshot still aliases it). This is
-/// what makes per-theorem environment snapshots and per-worker environment
-/// hand-off in the parallel runner cheap. Readers are unaffected: all
-/// lookup methods auto-deref through the `Arc`s.
+/// copies a collection when some snapshot still aliases it). That copy is
+/// shallow only where the entries are themselves shared: lemmas are
+/// `Arc<Lemma>`, and the lemma index and hint databases hold `Arc<str>`
+/// names, so the first `add_lemma`/`add_hint` after a snapshot copies one
+/// pointer per earlier entry and clones no statement or name. A per-theorem
+/// snapshot sequence over `n` lemmas therefore costs O(n²) pointers, not
+/// O(n²) formulas. Sorts, inductives, functions and predicates are still
+/// copied entry by entry when declared after a snapshot; corpora declare
+/// few of them. Readers are unaffected: all lookup methods auto-deref
+/// through the `Arc`s.
 #[derive(Debug, Clone, Default)]
 pub struct Env {
     /// Process-unique id of this environment value; see [`EnvUid`].
@@ -207,12 +213,13 @@ pub struct Env {
     pub funcs: Arc<BTreeMap<Ident, FuncDef>>,
     /// Predicate declarations by name.
     pub preds: Arc<BTreeMap<Ident, PredDef>>,
-    /// Lemmas in declaration order.
-    pub lemmas: Arc<Vec<Lemma>>,
+    /// Lemmas in declaration order, each shared by every snapshot that
+    /// sees it.
+    pub lemmas: Arc<Vec<Arc<Lemma>>>,
     /// Lemma name to index lookup.
-    pub lemma_index: Arc<BTreeMap<Ident, usize>>,
-    /// Hint databases (`core` is used by `auto`/`eauto`).
-    pub hints: Arc<BTreeMap<String, Vec<Ident>>>,
+    pub lemma_index: Arc<BTreeMap<Arc<str>, usize>>,
+    /// Hint databases (`core` is used by `auto`/`eauto`), by name.
+    pub hints: Arc<BTreeMap<Arc<str>, Vec<Arc<str>>>>,
 }
 
 impl Env {
@@ -300,17 +307,17 @@ impl Env {
     pub fn add_lemma(&mut self, name: impl Into<Ident>, stmt: Formula) -> Result<(), KernelError> {
         self.uid = EnvUid::fresh();
         let name = name.into();
-        if self.lemma_index.contains_key(&name) {
+        if self.lemma_index.contains_key(name.as_str()) {
             return Err(KernelError::Redeclared(name));
         }
-        Arc::make_mut(&mut self.lemma_index).insert(name.clone(), self.lemmas.len());
-        Arc::make_mut(&mut self.lemmas).push(Lemma { name, stmt });
+        Arc::make_mut(&mut self.lemma_index).insert(Arc::from(name.as_str()), self.lemmas.len());
+        Arc::make_mut(&mut self.lemmas).push(Arc::new(Lemma { name, stmt }));
         Ok(())
     }
 
     /// Looks up a lemma statement by name.
     pub fn lemma(&self, name: &str) -> Option<&Lemma> {
-        self.lemma_index.get(name).map(|&i| &self.lemmas[i])
+        self.lemma_index.get(name).map(|&i| &*self.lemmas[i])
     }
 
     /// Adds a lemma (or inductive-predicate rule) name to a hint database.
@@ -318,15 +325,15 @@ impl Env {
         self.uid = EnvUid::fresh();
         let name = name.into();
         let v = Arc::make_mut(&mut self.hints)
-            .entry(db.to_string())
+            .entry(Arc::from(db))
             .or_default();
-        if !v.contains(&name) {
-            v.push(name);
+        if !v.iter().any(|h| **h == *name) {
+            v.push(Arc::from(name));
         }
     }
 
     /// The hints in a database, empty if the database does not exist.
-    pub fn hint_db(&self, db: &str) -> &[Ident] {
+    pub fn hint_db(&self, db: &str) -> &[Arc<str>] {
         self.hints.get(db).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -779,5 +786,39 @@ mod tests {
         env.add_hint("core", "a");
         assert_eq!(env.hint_db("core").len(), 1);
         assert!(env.hint_db("missing").is_empty());
+    }
+
+    #[test]
+    fn declarations_after_a_snapshot_share_earlier_lemmas_and_hints() {
+        let mut env = Env::with_prelude();
+        for name in ["a", "b", "c"] {
+            env.add_lemma(name, Formula::True).unwrap();
+            env.add_hint("core", name);
+        }
+        let snap = env.clone();
+        env.add_lemma("d", Formula::True).unwrap();
+        env.add_hint("core", "d");
+        env.add_hint("other", "d");
+
+        assert_eq!(snap.lemmas.len(), 3);
+        for i in 0..snap.lemmas.len() {
+            assert!(Arc::ptr_eq(&snap.lemmas[i], &env.lemmas[i]), "lemma {i}");
+        }
+        for (name, i) in snap.lemma_index.iter() {
+            let (key, &j) = env.lemma_index.get_key_value(&**name).unwrap();
+            assert!(Arc::ptr_eq(name, key) && *i == j, "index key {name}");
+        }
+        let (old, new) = (snap.hint_db("core"), env.hint_db("core"));
+        for (i, h) in old.iter().enumerate() {
+            assert!(Arc::ptr_eq(h, &new[i]), "core hint {h}");
+        }
+        let (db, _) = env.hints.get_key_value("core").unwrap();
+        assert!(Arc::ptr_eq(db, snap.hints.get_key_value("core").unwrap().0));
+
+        assert_ne!(snap.uid, env.uid);
+        assert!(snap.lemma("d").is_none() && env.lemma("d").is_some());
+        assert!(!snap.hint_db("core").iter().any(|h| &**h == "d"));
+        assert!(snap.hint_db("other").is_empty());
+        assert_eq!(env.hint_db("core").len(), old.len() + 1);
     }
 }

@@ -139,9 +139,15 @@ impl<'a> Search<'a> {
         }
     }
 
+    /// The hint names in scan order: `using` extras, then `core`.
+    fn hint_names(&self) -> impl Iterator<Item = &str> {
+        let core = self.env.hint_db("core").iter().map(|h| &**h);
+        self.extra_hints.iter().map(String::as_str).chain(core)
+    }
+
     /// The hint candidates in scan order, each resolved on first use.
     fn hints(&self) -> impl Iterator<Item = &Rule> {
-        let names = self.extra_hints.iter().chain(self.env.hint_db("core"));
+        let names = self.hint_names();
         names.zip(&self.hints).filter_map(|(name, slot)| {
             slot.get_or_init(|| {
                 let stmt = self.env.rule_or_lemma(name)?;
@@ -514,8 +520,9 @@ mod tests {
                 return Ok(None);
             }
             let hyp_stmts = goal.hyps.iter().map(|(_, f)| f.clone());
-            let names = self.extra_hints.iter().chain(self.env.hint_db("core"));
-            let hints = names.filter_map(|name| self.env.rule_or_lemma(name));
+            let hints = self
+                .hint_names()
+                .filter_map(|name| self.env.rule_or_lemma(name));
             for stmt in hyp_stmts.chain(hints) {
                 fuel.charge(4)?;
                 if let Some(u) = self.try_rule_exact(goal, &stmt, target, &uni, depth, fuel)? {

@@ -217,8 +217,10 @@ impl Loader {
                         })?;
                     }
                     // Cheap: Env's collections are Arc-shared, so this
-                    // snapshot aliases the current storage until the next
-                    // mutation copies-on-write.
+                    // snapshot aliases the current storage. The add_lemma
+                    // below then copies the lemma vector and index, but
+                    // only as pointers: lemmas and names are themselves
+                    // shared, never cloned (see `Env`).
                     envs.push(Arc::new(env.clone()));
                     theorems.push(TheoremInfo {
                         name: name.clone(),
@@ -346,7 +348,7 @@ Proof. reflexivity. Qed.
         assert!(env.lemma("double_2").is_some());
         assert!(env.lemma("double_add").is_none());
         assert!(dev.env.lemma("double_add").is_some());
-        assert!(dev.env.hint_db("core").contains(&"double_add".to_string()));
+        assert!(dev.env.hint_db("core").iter().any(|h| &**h == "double_add"));
     }
 
     #[test]
