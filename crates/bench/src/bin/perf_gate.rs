@@ -67,11 +67,11 @@ fn parse_args() -> Args {
             "--write-baseline" => out.write_baseline = true,
             // Shared flags other grid binaries accept; harmless here.
             "--fresh" => {}
-            "--jobs" | "--proof-jobs" => {
+            "--jobs" => {
                 args.next();
             }
             "--help" | "-h" => usage(),
-            other if other.starts_with("--jobs=") || other.starts_with("--proof-jobs=") => {}
+            other if other.starts_with("--jobs=") => {}
             other => {
                 eprintln!("unexpected argument {other}");
                 usage()

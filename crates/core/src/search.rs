@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use minicoq::env::Env;
 use minicoq::formula::Formula;
+use minicoq::goal::ProofState;
 use minicoq_stm::{AddError, ProofSession, SessionConfig, StateId};
 use proof_chaos::FaultPlan;
 use proof_oracle::{ChaoticModel, PromptInfo, Proposal, QueryCtx, TacticModel};
@@ -106,15 +107,6 @@ pub struct RecoveryConfig {
     /// Seeded fault plan to inject oracle faults and prover stalls;
     /// `None` runs clean (and then the retry loop never engages).
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Within-proof parallel expansion width: how many frontier entries
-    /// to expand speculatively at once, each query answered on its own
-    /// thread by a clone of the model. `1` (the default) is the plain
-    /// sequential search: the same loop at width one. Like the retry knobs
-    /// this is transport only — results commit serially in exactly the
-    /// order a width-one search would pop, and speculation that order
-    /// invalidates is requeued and recomputed — so every value yields
-    /// byte-identical results and the knob stays out of the cell cache key.
-    pub proof_jobs: usize,
     /// Record one [`AttemptRec`] per committed proposal into
     /// [`SearchStats::attempts`]. A side channel in the trace-crate
     /// sense: records are *read* from the finished search (attempt-log
@@ -131,7 +123,6 @@ impl Default for RecoveryConfig {
             backoff_ms: 10,
             backoff_cap_ms: 200,
             fault_plan: None,
-            proof_jobs: 1,
             collect_attempts: false,
         }
     }
@@ -314,7 +305,6 @@ impl Ord for Entry {
 /// An entry under the greedy discipline: deepest first, then best score,
 /// then oldest. `seq` is unique per entry, so the order is total and the
 /// maximum unambiguous.
-#[derive(Clone)]
 struct GreedyEntry(Entry);
 
 impl PartialEq for GreedyEntry {
@@ -396,25 +386,6 @@ impl Frontier {
             Frontier::BestFirst(heap) => heap.len(),
             Frontier::Greedy(heap) => heap.len(),
             Frontier::BreadthFirst(queue) => queue.len(),
-        }
-    }
-
-    /// True when the current top of the frontier would be popped before
-    /// `entry` under this discipline's (total) order — the speculation
-    /// check of a batch wider than one: a batched entry only commits while
-    /// nothing pushed since outranks it. Under BreadthFirst everything in
-    /// the queue was pushed after any already-popped entry, so the answer
-    /// is always no.
-    fn outranks(&self, entry: &Entry) -> bool {
-        match self {
-            Frontier::BestFirst(heap) => heap.peek().map(|t| t > entry).unwrap_or(false),
-            Frontier::Greedy(heap) => heap
-                .peek()
-                .map(|t| *t > GreedyEntry(entry.clone()))
-                .unwrap_or(false),
-            Frontier::BreadthFirst(queue) => {
-                queue.front().map(|t| t.seq < entry.seq).unwrap_or(false)
-            }
         }
     }
 }
@@ -587,19 +558,11 @@ fn rerank_proposals(
         .collect()
 }
 
-/// A popped frontier entry together with what its oracle query needs.
-struct Pending {
-    entry: Entry,
-    state: minicoq::goal::ProofState,
-    path: Vec<String>,
-}
-
 /// One answered query: proposals, faults seen, retries issued.
 type Answer = (Vec<Proposal>, u32, u32);
 
 /// The per-search half of every oracle query — everything a query carries
-/// besides its state, path and index. Shared read-only by every worker of
-/// a speculative batch.
+/// besides its state, path and index.
 struct Asker<'a> {
     prompt: &'a PromptInfo,
     env: &'a Env,
@@ -609,12 +572,16 @@ struct Asker<'a> {
 }
 
 impl Asker<'_> {
-    /// Answers `pending`'s query under `query_index` with `model`. The
+    /// Answers the query at `state` under `query_index` with `model`. The
     /// fault plan, when present, wraps the model in the client-side
-    /// failure channel; its trip counters are shared and site-keyed, so
-    /// which queries fault does not depend on which model or thread
-    /// answers.
-    fn ask(&self, model: &mut dyn TacticModel, pending: &Pending, query_index: u32) -> Answer {
+    /// failure channel.
+    fn ask(
+        &self,
+        model: &mut dyn TacticModel,
+        state: &ProofState,
+        path: &[String],
+        query_index: u32,
+    ) -> Answer {
         let mut chaotic_slot;
         let model: &mut dyn TacticModel = match &self.recovery.fault_plan {
             Some(plan) => {
@@ -625,9 +592,9 @@ impl Asker<'_> {
         };
         let ctx = QueryCtx {
             prompt: self.prompt,
-            state: &pending.state,
+            state,
             env: self.env,
-            path: &pending.path,
+            path,
             theorem: self.theorem,
             query_index,
         };
@@ -647,99 +614,22 @@ impl Asker<'_> {
     }
 }
 
-/// Who answers the oracle queries of one search.
-enum Oracles<'m> {
-    /// Width 1: the caller's own model, on the calling thread.
-    Caller(&'m mut dyn TacticModel),
-    /// Width > 1: one clone per speculative slot.
-    Clones(Vec<Box<dyn TacticModel + Send>>),
-}
-
-impl<'m> Oracles<'m> {
-    /// `proof_jobs` clones of `model` when more than one is asked for and
-    /// the model declares its proposals pure ([`TacticModel::clone_boxed`]);
-    /// otherwise the caller's model alone.
-    fn new(model: &'m mut dyn TacticModel, proof_jobs: usize) -> Oracles<'m> {
-        if proof_jobs > 1 {
-            if let Some(clones) = (0..proof_jobs).map(|_| model.clone_boxed()).collect() {
-                return Oracles::Clones(clones);
-            }
-        }
-        Oracles::Caller(model)
-    }
-
-    /// How many entries one batch may speculate on.
-    fn width(&self) -> usize {
-        match self {
-            Oracles::Caller(_) => 1,
-            Oracles::Clones(models) => models.len(),
-        }
-    }
-
-    /// Answers `batch`, its i-th query under index `base + i`. A batch of
-    /// one is answered on the calling thread; a larger one on one scoped
-    /// thread per query, each with its own clone.
-    fn answer(&mut self, asker: &Asker<'_>, batch: &[Pending], base: u32) -> Vec<Answer> {
-        let model: &mut dyn TacticModel = match self {
-            Oracles::Clones(models) if batch.len() > 1 => {
-                return std::thread::scope(|scope| {
-                    let handles: Vec<_> = models
-                        .iter_mut()
-                        .zip(batch.iter().zip(base..))
-                        .map(|(model, (pending, query_index))| {
-                            scope.spawn(move || asker.ask(model.as_mut(), pending, query_index))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(v) => v,
-                            Err(panic) => std::panic::resume_unwind(panic),
-                        })
-                        .collect()
-                })
-            }
-            Oracles::Clones(models) => models[0].as_mut(),
-            Oracles::Caller(model) => &mut **model,
-        };
-        batch
-            .iter()
-            .zip(base..)
-            .map(|(pending, query_index)| asker.ask(&mut *model, pending, query_index))
-            .collect()
-    }
-}
-
-/// Pops up to `want` live entries in the discipline's pop order, each with
-/// the state and path its query needs. Entries whose state is gone are
-/// skipped.
-fn pop_batch(frontier: &mut Frontier, session: &ProofSession, want: usize) -> Vec<Pending> {
-    let mut batch = Vec::with_capacity(want);
-    while batch.len() < want {
+/// Pops the next entry in the discipline's pop order whose state is still
+/// in the session, skipping entries whose state is gone.
+fn pop_live<'s>(
+    frontier: &mut Frontier,
+    session: &'s ProofSession,
+) -> Option<(Entry, &'s ProofState)> {
+    loop {
         let entry = {
             static POP_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
             let _sp = proof_trace::span_sampled(&POP_SITE, "frontier", "pop");
-            match frontier.pop() {
-                Some(e) => e,
-                None => break,
-            }
+            frontier.pop()?
         };
-        let state = {
-            static STATE_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-            let _sp = proof_trace::span_sampled(&STATE_SITE, "stm", "state");
-            match session.state(entry.id).cloned() {
-                Some(s) => s,
-                None => continue,
-            }
-        };
-        let path = {
-            static PATH_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-            let _sp = proof_trace::span_sampled(&PATH_SITE, "stm", "path");
-            session.script_to(entry.id)
-        };
-        batch.push(Pending { entry, state, path });
+        if let Some(state) = session.state(entry.id) {
+            return Some((entry, state));
+        }
     }
-    batch
 }
 
 /// Runs the search for `stmt` against `model`. The environment is shared
@@ -774,24 +664,6 @@ pub fn search(
 /// genuinely down; the search panics with a diagnostic, which the cell
 /// runner's panic isolation converts into a typed crashed-cell record for
 /// journaled resume.
-///
-/// **Speculative expansion.** There is one loop. Each round pops a batch
-/// of up to `width` entries in the discipline's pop order, answers their
-/// queries (each pinned to the index it would get in pop order), then
-/// commits serially in that same order. The width is `recovery.proof_jobs`
-/// when the model can be cloned ([`TacticModel::clone_boxed`]), one clone
-/// per slot answering on its own thread; otherwise it is 1 and the
-/// caller's model answers on the calling thread — the plain sequential
-/// search. A speculated commit is valid only while nothing the batch has
-/// committed so far would be popped before it; the moment
-/// [`Frontier::outranks`] says otherwise, the rest of the batch is pushed
-/// back (its `seq` is unchanged, so its order is too) and its answers
-/// discarded — those queries re-run later under their true indices.
-/// Everything observable (state ids, counters, expansion transcript,
-/// scripts) is therefore byte-identical at every width; only wall-clock
-/// and the fault plan's per-site retry budgets (consumed early by
-/// discarded speculation, which faults report as transient anyway) differ.
-#[allow(clippy::too_many_arguments)]
 pub fn search_with_recovery(
     env: &Arc<Env>,
     stmt: &Formula,
@@ -801,7 +673,6 @@ pub fn search_with_recovery(
     cfg: &SearchConfig,
     recovery: &RecoveryConfig,
 ) -> SearchResult {
-    let mut oracles = Oracles::new(model, recovery.proof_jobs);
     // Goal-directed ranking (opt-in). The learned scorer is built once,
     // against the caller's *unranked* environment — the same view mining
     // and training see — and serves both the hint reordering that
@@ -854,9 +725,8 @@ pub fn search_with_recovery(
         depth: 0,
     });
 
-    let outcome = 'search: loop {
-        let remaining = cfg.query_limit.saturating_sub(stats.queries) as usize;
-        if remaining == 0 {
+    let outcome = loop {
+        if stats.queries >= cfg.query_limit {
             // One more pop decides Fuelout (an entry was still waiting)
             // vs Stuck (the frontier emptied with the last query).
             break if frontier.pop().is_some() {
@@ -865,56 +735,43 @@ pub fn search_with_recovery(
                 Outcome::Stuck
             };
         }
-        // Sized by the query budget so a batch never overruns the limit
-        // mid-commit.
-        let batch = pop_batch(&mut frontier, &session, oracles.width().min(remaining));
-        if batch.is_empty() {
+        let Some((entry, state)) = pop_live(&mut frontier, &session) else {
             break Outcome::Stuck;
+        };
+        let path = {
+            static PATH_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
+            let _sp = proof_trace::span_sampled(&PATH_SITE, "stm", "path");
+            session.script_to(entry.id)
+        };
+        let (props, faults, retries) = asker.ask(model, state, &path, stats.queries);
+        let mut expand_sp = proof_trace::span("search.expand", theorem);
+        if expand_sp.is_armed() {
+            expand_sp.field_u64("state", entry.id.0);
+            expand_sp.field_u64("depth", entry.depth as u64);
+            expand_sp.field_u64("query", stats.queries as u64);
+            proof_trace::metrics::observe("search.frontier.depth", frontier.len() as u64);
         }
-        let answers = oracles.answer(&asker, &batch, stats.queries);
-        for (i, (pending, (props, faults, retries))) in batch.iter().zip(answers).enumerate() {
-            let entry = &pending.entry;
-            let mut expand_sp = proof_trace::span("search.expand", theorem);
-            if expand_sp.is_armed() {
-                expand_sp.field_u64("state", entry.id.0);
-                expand_sp.field_u64("depth", entry.depth as u64);
-                expand_sp.field_u64("query", stats.queries as u64);
-                proof_trace::metrics::observe("search.frontier.depth", frontier.len() as u64);
+        stats.expansions.push(entry.id.0);
+        stats.oracle_faults += faults;
+        stats.oracle_retries += retries;
+        stats.queries += 1;
+        let props = match &rank_ctx {
+            Some(rcx) => rerank_proposals(rcx, props),
+            None => props,
+        };
+        if let Some(script) = commit_proposals(
+            &mut session,
+            &mut frontier,
+            &mut stats,
+            &mut seq,
+            &entry,
+            props,
+            recovery.collect_attempts,
+        ) {
+            if recovery.collect_attempts {
+                mark_on_path(&mut stats.attempts, root_id, &script);
             }
-            stats.expansions.push(entry.id.0);
-            stats.oracle_faults += faults;
-            stats.oracle_retries += retries;
-            stats.queries += 1;
-            let props = match &rank_ctx {
-                Some(rcx) => rerank_proposals(rcx, props),
-                None => props,
-            };
-            if let Some(script) = commit_proposals(
-                &mut session,
-                &mut frontier,
-                &mut stats,
-                &mut seq,
-                entry,
-                props,
-                recovery.collect_attempts,
-            ) {
-                if recovery.collect_attempts {
-                    mark_on_path(&mut stats.attempts, root_id, &script);
-                }
-                break 'search Outcome::Proved { script };
-            }
-            // The next speculated entry only stands while nothing this
-            // commit pushed would be popped before it.
-            if batch
-                .get(i + 1)
-                .is_some_and(|next| frontier.outranks(&next.entry))
-            {
-                proof_trace::metrics::counter_inc("search.parallel.requeued");
-                for p in &batch[i + 1..] {
-                    frontier.push(p.entry.clone());
-                }
-                break;
-            }
+            break Outcome::Proved { script };
         }
     };
     stats.fuel_spent = session.fuel_spent();

@@ -31,15 +31,6 @@ const SLICE: &[&str] = &[
 ];
 
 fn run_one(theorem: &str, strategy: Strategy, recovery: &RecoveryConfig) -> SearchResult {
-    run_limited(theorem, strategy, recovery, 24)
-}
-
-fn run_limited(
-    theorem: &str,
-    strategy: Strategy,
-    recovery: &RecoveryConfig,
-    query_limit: u32,
-) -> SearchResult {
     let dev = fscq_corpus::load_corpus(false).unwrap();
     let thm = dev.theorem(theorem).unwrap();
     let env = dev.env_before(thm);
@@ -48,7 +39,7 @@ fn run_limited(
     let mut model = SimulatedModel::new(ModelProfile::gpt4o());
     let cfg = SearchConfig {
         strategy,
-        query_limit,
+        query_limit: 24,
         ..Default::default()
     };
     search_with_recovery(
@@ -133,93 +124,6 @@ fn recovered_faulted_run_matches_clean_transcript() {
     );
 }
 
-#[test]
-fn parallel_expansion_matches_sequential_transcript() {
-    // `proof_jobs` is transport only: speculative parallel expansion must
-    // reproduce the sequential search byte for byte — same outcomes, same
-    // scripts, same node-expansion order — under every frontier
-    // discipline and any worker count.
-    let sequential = RecoveryConfig::default();
-    for strategy in [
-        Strategy::BestFirst,
-        Strategy::Greedy,
-        Strategy::BreadthFirst,
-    ] {
-        for &name in SLICE {
-            let a = run_one(name, strategy, &sequential);
-            for jobs in [2usize, 4] {
-                let b = run_one(
-                    name,
-                    strategy,
-                    &RecoveryConfig {
-                        proof_jobs: jobs,
-                        ..Default::default()
-                    },
-                );
-                assert_same_transcript(
-                    &a,
-                    &b,
-                    &format!("{name} under {strategy:?}, proof_jobs={jobs}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn every_query_budget_ends_the_same_at_every_width() {
-    // The budget check is where a batch is cut short, so sweep it. At each
-    // limit a speculative search must end exactly where the width-one
-    // search ends: same outcome, expansions and query count. `in_cons` is
-    // proved at the third query; `incl_refl` runs out of frontier at the
-    // fourteenth, so limit 14 is a Stuck that a Fuelout check could miss.
-    for &name in &["in_cons", "incl_refl"] {
-        for query_limit in 0..=15 {
-            let a = run_limited(
-                name,
-                Strategy::BestFirst,
-                &RecoveryConfig::default(),
-                query_limit,
-            );
-            for proof_jobs in [2usize, 3] {
-                let recovery = RecoveryConfig {
-                    proof_jobs,
-                    ..Default::default()
-                };
-                let b = run_limited(name, Strategy::BestFirst, &recovery, query_limit);
-                assert_same_transcript(
-                    &a,
-                    &b,
-                    &format!("{name} limit {query_limit}, proof_jobs={proof_jobs}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_expansion_matches_under_chaos() {
-    // The two transports compose: a parallel run whose oracle calls are
-    // faulted (and recovered by bounded retry inside each worker) must
-    // still match the clean sequential transcript. Discarded speculation
-    // may consume some of a site's fault budget early — that only turns
-    // injected faults into clean calls, which recovery makes invisible
-    // either way.
-    let clean = RecoveryConfig::default();
-    for seed in [101, 202, 303] {
-        let chaotic_parallel = RecoveryConfig {
-            backoff_ms: 0,
-            proof_jobs: 2,
-            ..RecoveryConfig::with_plan(Arc::new(FaultPlan::new(FaultConfig::smoke(seed))))
-        };
-        for &name in &SLICE[..4] {
-            let a = run_one(name, Strategy::BestFirst, &clean);
-            let b = run_one(name, Strategy::BestFirst, &chaotic_parallel);
-            assert_same_transcript(&a, &b, &format!("{name} seed {seed} parallel chaos"));
-        }
-    }
-}
-
 /// A small pinned-seed generated corpus: several modules, every knob
 /// exercised, loaded the same way the `gen grid` bench loads it.
 fn golden_gen_corpus() -> corpus_gen::GeneratedCorpus {
@@ -244,11 +148,11 @@ fn generated_corpus_is_byte_identical_for_pinned_seed() {
 }
 
 #[test]
-fn generated_grid_is_byte_identical_across_jobs_and_proof_jobs() {
+fn generated_grid_is_byte_identical_across_jobs() {
     // The full evaluation pipeline over a generated corpus is a pure
-    // function of (seed, cell): worker count and within-proof speculation
-    // are transport only, so the serialized cell result must not move by
-    // a byte across `--jobs 1/2` and `--proof-jobs 1/2`.
+    // function of (seed, cell): the worker count is transport only, so
+    // the serialized cell result must not move by a byte across
+    // `--jobs 1/2`.
     use proof_metrics::runner::Runner;
     use proof_metrics::{CellConfig, EvalScope};
     use proof_oracle::prompt::PromptSetting;
@@ -260,28 +164,15 @@ fn generated_grid_is_byte_identical_across_jobs_and_proof_jobs() {
     cell.scope = EvalScope::Full;
     cell.variant = Some(format!("gen:{}", corpus.manifest.fingerprint));
 
-    let run = |jobs: usize, proof_jobs: usize| {
-        let recovery = RecoveryConfig {
-            proof_jobs,
-            ..Default::default()
-        };
-        let runner = Runner::from_env()
-            .with_jobs(jobs)
-            .without_cache()
-            .with_recovery(recovery);
+    let run = |jobs: usize| {
+        let runner = Runner::from_env().with_jobs(jobs).without_cache();
         let result = runner.run_cell(&fscq, &cell);
         serde_json::to_string_pretty(&result).expect("cell result serializes")
     };
 
-    let baseline = run(1, 1);
+    let baseline = run(1);
     assert!(!baseline.is_empty());
-    for (jobs, proof_jobs) in [(2, 1), (1, 2), (2, 2)] {
-        assert_eq!(
-            baseline,
-            run(jobs, proof_jobs),
-            "grid output diverged at jobs={jobs}, proof_jobs={proof_jobs}"
-        );
-    }
+    assert_eq!(baseline, run(2), "grid output diverged at jobs=2");
 }
 
 #[test]

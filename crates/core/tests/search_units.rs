@@ -7,9 +7,7 @@ use minicoq::env::Env;
 use minicoq::parse::parse_formula;
 use proof_oracle::model::{Proposal, QueryCtx, TacticModel};
 use proof_oracle::prompt::PromptInfo;
-use proof_search::search::{
-    search, search_with_recovery, Outcome, PremiseRank, RecoveryConfig, SearchConfig, Strategy,
-};
+use proof_search::search::{search, Outcome, PremiseRank, SearchConfig, Strategy};
 
 /// An empty prompt (the scripted models below ignore it).
 fn empty_prompt() -> PromptInfo {
@@ -314,13 +312,10 @@ fn tactic_timeouts_are_counted_separately() {
     assert!(r.stats.timeouts > 0, "{:?}", r.stats);
 }
 
-// ------------------------------------------------------------- proof jobs
-
 #[test]
-fn uncloneable_model_answers_every_query_itself_at_any_proof_jobs() {
-    // A model that cannot be cloned keeps the search at width one, so the
-    // caller's own model must answer every query, in order, whatever
-    // `proof_jobs` asks for — and the result cannot tell the widths apart.
+fn callers_model_answers_every_query_in_order() {
+    // The search asks the caller's own model one query at a time, so it
+    // sees every query index exactly once, in order: `0..queries`.
     struct Counting {
         inner: FixedModel,
         indices: Vec<u32>,
@@ -337,23 +332,15 @@ fn uncloneable_model_answers_every_query_itself_at_any_proof_jobs() {
     let env = std::sync::Arc::new(Env::with_prelude());
     let f = parse_formula(&env, "0 = 0 /\\ 1 = 1").unwrap();
     let prompt = empty_prompt();
-    let mut transcripts = Vec::new();
-    for proof_jobs in [1usize, 4] {
-        let mut m = Counting {
-            inner: FixedModel::new([("split", -3.0), ("intros", -0.1), ("reflexivity", -0.2)]),
-            indices: Vec::new(),
-        };
-        let recovery = RecoveryConfig {
-            proof_jobs,
-            ..Default::default()
-        };
-        let r = search_with_recovery(&env, &f, "t", &mut m, &prompt, &cfg(), &recovery);
-        assert!(r.proved(), "proof_jobs={proof_jobs}: {:?}", r.outcome);
-        let expected: Vec<u32> = (0..r.stats.queries).collect();
-        assert_eq!(m.indices, expected, "proof_jobs={proof_jobs}");
-        transcripts.push((r.outcome, r.stats.expansions));
-    }
-    assert_eq!(transcripts[0], transcripts[1]);
+    let mut m = Counting {
+        inner: FixedModel::new([("split", -3.0), ("intros", -0.1), ("reflexivity", -0.2)]),
+        indices: Vec::new(),
+    };
+    let r = search(&env, &f, "t", &mut m, &prompt, &cfg());
+    assert!(r.proved(), "{:?}", r.outcome);
+    assert!(r.stats.queries > 1, "{:?}", r.stats);
+    let expected: Vec<u32> = (0..r.stats.queries).collect();
+    assert_eq!(m.indices, expected);
 }
 
 #[test]

@@ -61,37 +61,17 @@ pub fn resolve_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolves the within-proof expansion width: `--proof-jobs N` (or
-/// `--proof-jobs=N`), then `PROOF_JOBS=N`, then `1` (sequential).
-/// Unlike `--jobs` this does not default to the machine's parallelism:
-/// on the typical grid the cell-level pool already saturates the cores,
-/// and within-proof speculation only helps when cells outnumber workers.
-pub fn resolve_proof_jobs() -> usize {
-    if let Some(n) = flag_arg(std::env::args().skip(1), "--proof-jobs") {
-        return n.max(1);
-    }
-    if let Ok(v) = std::env::var("PROOF_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    1
-}
-
+/// The value of the first parseable `--jobs N` or `--jobs=N` in `args`.
 fn jobs_arg(args: impl Iterator<Item = String>) -> Option<usize> {
-    flag_arg(args, "--jobs")
-}
-
-fn flag_arg(args: impl Iterator<Item = String>, flag: &str) -> Option<usize> {
     let mut args = args.peekable();
     while let Some(a) = args.next() {
-        if a == flag {
+        if a == "--jobs" {
             if let Some(v) = args.peek() {
                 if let Ok(n) = v.parse::<usize>() {
                     return Some(n);
                 }
             }
-        } else if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
+        } else if let Some(v) = a.strip_prefix("--jobs=") {
             if let Ok(n) = v.parse::<usize>() {
                 return Some(n);
             }
@@ -379,10 +359,7 @@ impl Runner {
             jobs: resolve_jobs(),
             cache_dir: Some(default_cache_dir()),
             bench: Mutex::new(Vec::new()),
-            recovery: RecoveryConfig {
-                proof_jobs: resolve_proof_jobs(),
-                ..RecoveryConfig::default()
-            },
+            recovery: RecoveryConfig::default(),
             journal: None,
         }
     }
@@ -633,16 +610,7 @@ mod tests {
         assert_eq!(v(&["--jobs"]), None);
         assert_eq!(v(&["--jobs", "xyz"]), None);
         assert_eq!(v(&["--fresh"]), None);
-    }
-
-    #[test]
-    fn proof_jobs_flag_parsing() {
-        let v = |xs: &[&str]| flag_arg(xs.iter().map(|s| s.to_string()), "--proof-jobs");
-        assert_eq!(v(&["--proof-jobs", "2"]), Some(2));
-        assert_eq!(v(&["--fresh", "--proof-jobs=3"]), Some(3));
-        assert_eq!(v(&["--jobs", "4"]), None);
-        assert_eq!(v(&["--proof-jobsx=2"]), None);
-        assert_eq!(v(&["--proof-jobs"]), None);
+        assert_eq!(v(&["--jobsx=2"]), None);
     }
 
     #[test]

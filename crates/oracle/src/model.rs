@@ -107,14 +107,8 @@ pub trait TacticModel {
         Ok(self.propose(ctx, width))
     }
 
-    /// Clones the model into an owned, thread-safe box for within-proof
-    /// parallel expansion (`--proof-jobs`). A model may only opt in when
-    /// its proposals are a pure function of the query — the same `ctx`
-    /// must yield the same answer from every clone — because the parallel
-    /// search fans queries out across clones and relies on that purity
-    /// for byte-identical results. Models that keep cross-query state
-    /// return `None` (the default), which makes the search fall back to
-    /// sequential expansion.
+    /// Unused by the search; kept only because the benchmark package's
+    /// timing wrapper overrides it.
     fn clone_boxed(&self) -> Option<Box<dyn TacticModel + Send>> {
         None
     }

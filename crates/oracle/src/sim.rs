@@ -479,14 +479,6 @@ impl TacticModel for SimulatedModel {
         &self.display_name
     }
 
-    /// The simulator's proposals are a pure function of the query (all
-    /// noise is hashed from `(theorem, query_index, …)`; `prep` and
-    /// `cur_skill_eff` are caches rebuilt from the query itself), so
-    /// clones are interchangeable and parallel expansion is safe.
-    fn clone_boxed(&self) -> Option<Box<dyn TacticModel + Send>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn propose(&mut self, ctx: &QueryCtx<'_>, width: usize) -> Vec<Proposal> {
         let Some(goal) = ctx.state.focused() else {
             return Vec::new();

@@ -6,7 +6,7 @@
 //!       [--retrieval K] [--limit N] [--width W] [--strategy best|greedy|bfs]
 //!       [--show-query] [--preflight|--no-preflight]
 //!       [--premise-rank off|graph|learned] [--rank-model PATH]
-//!       [--attempt-log PATH] [--proof-jobs N]
+//!       [--attempt-log PATH]
 //! prove --incremental --save-baseline DIR [--corpus DIR] [cell flags]
 //! prove --incremental --baseline DIR [--corpus DIR] [cell flags] [--jobs N]
 //! ```
@@ -43,7 +43,6 @@ struct Args {
     cfg: SearchConfig,
     rank_model: Option<PathBuf>,
     attempt_log: Option<PathBuf>,
-    proof_jobs: usize,
     show_query: bool,
     incremental: bool,
     baseline: Option<PathBuf>,
@@ -57,7 +56,7 @@ fn usage() -> ! {
         "usage: prove <theorem> [--model mini|gpt4o|flash|pro|pro128k] [--vanilla]\n\
          \x20             [--retrieval K] [--limit N] [--width W] [--strategy best|greedy|bfs]\n\
          \x20             [--preflight|--no-preflight] [--premise-rank off|graph|learned]\n\
-         \x20             [--rank-model PATH] [--attempt-log PATH] [--proof-jobs N]\n\
+         \x20             [--rank-model PATH] [--attempt-log PATH]\n\
          \x20      prove --incremental --save-baseline DIR [--corpus DIR]\n\
          \x20      prove --incremental --baseline DIR [--corpus DIR] [--jobs N]"
     );
@@ -73,7 +72,6 @@ fn parse_args() -> Args {
     let mut cfg = SearchConfig::default();
     let mut rank_model = None;
     let mut attempt_log = None;
-    let mut proof_jobs = 1usize;
     let mut show_query = false;
     let mut incremental = false;
     let mut baseline = None;
@@ -121,12 +119,6 @@ fn parse_args() -> Args {
             "--retrieval" => retrieval = value("--retrieval").parse().ok(),
             "--limit" => cfg.query_limit = value("--limit").parse().unwrap_or_else(|_| usage()),
             "--width" => cfg.width = value("--width").parse().unwrap_or_else(|_| usage()),
-            "--proof-jobs" => {
-                proof_jobs = value("--proof-jobs")
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| usage())
-                    .max(1)
-            }
             "--strategy" => {
                 cfg.strategy = match value("--strategy").as_str() {
                     "best" => Strategy::BestFirst,
@@ -166,7 +158,6 @@ fn parse_args() -> Args {
         cfg,
         rank_model,
         attempt_log,
-        proof_jobs,
         show_query,
         incremental,
         baseline,
@@ -296,10 +287,6 @@ fn incremental_main(args: &Args) -> ExitCode {
         }
     }
     let cfg = IncrementalConfig {
-        recovery: RecoveryConfig {
-            proof_jobs: args.proof_jobs,
-            ..RecoveryConfig::default()
-        },
         jobs: args.jobs,
         ..IncrementalConfig::new(cell)
     };
@@ -403,7 +390,6 @@ fn main() -> ExitCode {
 
     let mut model = SimulatedModel::new(args.profile.clone());
     let recovery = RecoveryConfig {
-        proof_jobs: args.proof_jobs,
         collect_attempts: args.attempt_log.is_some(),
         ..RecoveryConfig::default()
     };
