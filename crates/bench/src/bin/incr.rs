@@ -1,20 +1,15 @@
 //! Incremental-verification driver: the dirty-cone workflow end to end.
 //!
-//! Subcommands:
+//! Usage: `incr [ci] [--jobs N]`
 //!
-//! * `ci` (default) — the CI gate. Runs the baseline cell cold on the
-//!   pristine corpus, applies the checked-in single-module edit
-//!   (`fixtures/incremental_edit.txt`), re-verifies incrementally, and
-//!   asserts (a) only the expected dependency cone was re-verified
-//!   (DirTree from the edited item onward, plus FS — its only importer),
-//!   (b) the merged result is byte-identical to a full cold run of the
-//!   edited corpus, and (c) writes the impact report and SARIF artifacts
-//!   under `target/experiments/`. Exit 0 on pass, 1 on any violation.
-//! * `ab` — the perf A/B. Times a full cold run of the edited corpus
-//!   against the incremental run, prints the wall-time ratio, and appends
-//!   both timings to the run ledger.
-//!
-//! Usage: `incr [ci|ab] [--jobs N]`
+//! `ci` (the default and only mode) is the CI gate. It runs the baseline
+//! cell cold on the pristine corpus, applies the checked-in single-module
+//! edit (`fixtures/incremental_edit.txt`), re-verifies incrementally, and
+//! asserts (a) only the expected dependency cone was re-verified (DirTree
+//! from the edited item onward, plus FS — its only importer), (b) the
+//! merged result is byte-identical to a full cold run of the edited
+//! corpus, and (c) writes the impact report and SARIF artifacts under
+//! `target/experiments/`. Exit 0 on pass, 1 on any violation.
 
 use std::time::Instant;
 
@@ -156,37 +151,29 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1)
 }
 
-/// Appends the mode's headline measurement to the fleet ledger, with any
-/// extra timing `counters` (milliseconds, rounded).
-fn append_ledger(
-    variant: &str,
-    result: &CellResult,
-    wall_ms: f64,
-    jobs: usize,
-    counters: std::collections::BTreeMap<String, u64>,
-) {
+/// Appends the incremental run (series `incr/ci`) to the fleet ledger.
+fn append_ledger(result: &CellResult, wall_ms: f64, jobs: usize) {
     let proved = result
         .outcomes
         .iter()
         .filter(|o| o.outcome == "proved")
         .count() as u64;
     let record = CellBench::new(
-        format!("incr {variant}"),
+        "incr ci".to_string(),
         result.outcomes.len(),
         wall_ms,
         jobs,
         CellSource::Computed,
-        variant.to_string(),
+        "ci".to_string(),
     );
     if let Some(path) = llm_fscq_bench::ledger_append(&llm_fscq_bench::LedgerRun {
         bin: "incr",
-        label: variant,
-        variant,
+        label: "ci",
+        variant: "ci",
         jobs,
         records: std::slice::from_ref(&record),
         theorems: Some(result.outcomes.len() as u64),
         proved,
-        counters,
         ..Default::default()
     }) {
         eprintln!("[incremental] ledger appended to {}", path.display());
@@ -252,7 +239,7 @@ fn ci(jobs: usize) {
     if result_json(&inc.merged) != result_json(&full) {
         fail("merged incremental result diverges from the full cold run");
     }
-    append_ledger("ci", &inc.merged, inc.wall_ms, jobs, Default::default());
+    append_ledger(&inc.merged, inc.wall_ms, jobs);
     println!(
         "[incremental] PASS: {} re-verified / {} served from baseline, merged output \
          byte-identical to the full run (artifacts in {})",
@@ -262,54 +249,14 @@ fn ci(jobs: usize) {
     );
 }
 
-/// The perf A/B: cold-vs-incremental wall time, appended to the run
-/// ledger (the cold run's time as the `incr.cold_ms` counter).
-fn ab(jobs: usize) {
-    let cell = cell();
-    let spec = edit_spec();
-    let pristine = pristine_sources();
-    let edited = edited_sources(&spec);
-    let (pristine_corpus, _) = load_edited(&pristine).expect("pristine corpus loads");
-    let snapshot = Snapshot::capture(&pristine_corpus.dev);
-    let baseline = run_full(&pristine, &cell, jobs);
-
-    let t = Instant::now();
-    let full = run_full(&edited, &cell, jobs);
-    let cold_ms = t.elapsed().as_secs_f64() * 1e3;
-    let inc = run_inc(&baseline, &snapshot, &edited, jobs);
-    if result_json(&inc.merged) != result_json(&full) {
-        fail("merged incremental result diverges from the full cold run");
-    }
-
-    let ratio = if inc.wall_ms > 0.0 {
-        cold_ms / inc.wall_ms
-    } else {
-        0.0
-    };
-    let note = format!(
-        "incremental A/B: single-module edit, cold {cold_ms:.0} ms vs incremental \
-         {:.0} ms ({ratio:.1}x), {} of {} theorems re-verified",
-        inc.wall_ms,
-        inc.reverified.len(),
-        full.outcomes.len()
-    );
-    let counters = [("incr.cold_ms".to_string(), cold_ms.round() as u64)].into();
-    append_ledger("ab", &inc.merged, inc.wall_ms, jobs, counters);
-    println!("[incremental] {note}");
-}
-
 fn main() {
     let mode = std::env::args()
         .nth(1)
         .filter(|a| !a.starts_with('-'))
         .unwrap_or_else(|| "ci".to_string());
-    let jobs = resolve_jobs();
-    match mode.as_str() {
-        "ci" => ci(jobs),
-        "ab" => ab(jobs),
-        other => {
-            eprintln!("usage: incr [ci|ab] [--jobs N] (got `{other}`)");
-            std::process::exit(2);
-        }
+    if mode != "ci" {
+        eprintln!("usage: incr [ci] [--jobs N] (got `{mode}`)");
+        std::process::exit(2);
     }
+    ci(resolve_jobs());
 }

@@ -8,6 +8,8 @@
 //! whole corpus (exiting non-zero on any divergence), prints the
 //! per-reason pruning table, and appends one run-ledger record covering
 //! both cells, with the prune counts (total and per reason) as counters.
+//! It prints no wall-time comparison: both arms share one process, so the
+//! second inherits the first's warm interner and memo tables.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -61,9 +63,6 @@ fn main() -> ExitCode {
     let queries: u64 = r_on.outcomes.iter().map(|o| u64::from(o.queries)).sum();
     println!("{}", render_preflight(&[&r_on]));
 
-    let records = runner.bench_records();
-    let (ms_on, ms_off) = (records[0].wall_ms, records[1].wall_ms);
-    let delta = 100.0 * (ms_off - ms_on) / ms_off.max(1e-9);
     println!(
         "outcomes : {} theorems, proved {:.1}% (both runs identical: {})",
         r_on.outcomes.len(),
@@ -71,9 +70,6 @@ fn main() -> ExitCode {
         divergences == 0
     );
     println!("pruning  : {pruned} proposals statically rejected across {queries} model queries");
-    println!(
-        "wall time: on {ms_on:.0} ms vs off {ms_off:.0} ms ({delta:+.1}% saved by the filter)"
-    );
 
     let mut counters = BTreeMap::from([
         ("preflight.pruned".to_string(), pruned),

@@ -259,7 +259,7 @@ fn main() -> ExitCode {
     let records = ledger.load();
     if records.is_empty() {
         eprintln!(
-            "radar: no usable runs in {} — run any bench bin (table2, perf_gate, …) to seed it",
+            "radar: no usable runs in {} — run any bench bin (table2, gen, …) to seed it",
             ledger.path().display()
         );
         return ExitCode::from(2);

@@ -202,7 +202,7 @@ pub fn write_trace_artifacts(base: &Path) -> (BTreeMap<String, f64>, u64) {
 /// telemetry must never fail a bench run.
 #[derive(Default)]
 pub struct LedgerRun<'a> {
-    /// Bench binary name (`table2`, `perf_gate`, …).
+    /// Bench binary name (`table2`, `incr`, …).
     pub bin: &'a str,
     /// Run label (cell lineup / subcommand).
     pub label: &'a str,
@@ -337,7 +337,7 @@ pub fn outcomes_in(rs: &ResultSet) -> u64 {
     rs.cells.iter().map(|c| c.outcomes.len() as u64).sum()
 }
 
-/// The current binary's file stem (`table2`, `perf_gate`, …) for ledger
+/// The current binary's file stem (`table2`, `preflight`, …) for ledger
 /// attribution.
 pub fn bin_name() -> String {
     std::env::current_exe()

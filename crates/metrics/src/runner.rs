@@ -138,10 +138,10 @@ pub fn run_indices_jobs(
 }
 
 /// As [`run_indices_jobs`], under an explicit recovery policy and with
-/// cell-level panic isolation: a panic anywhere in the evaluation — a
-/// worker thread, the serial loop, an oracle whose faults outlasted every
-/// retry, or an injected [`FaultKind::WorkerPanic`] — is caught at the
-/// cell boundary and returned as a typed [`CellCrash`].
+/// cell-level panic isolation: a panic anywhere in the evaluation — any
+/// worker, an oracle whose faults outlasted every retry, or an injected
+/// [`FaultKind::WorkerPanic`] — is caught at the cell boundary and
+/// returned as a typed [`CellCrash`].
 ///
 /// `attempt` is how many evaluations of this cell already *began*
 /// (journal `start` entries); the worker-panic fault site is keyed on it,
@@ -169,81 +169,55 @@ pub fn run_indices_checked(
         label: cell.label(),
         panic: panic_text(payload),
     };
-    if jobs <= 1 || indices.len() <= 1 {
-        return std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut model = cell.model();
-            indices
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| {
-                    if inject_panic && k == 0 {
-                        panic!("injected: worker panic in cell `{}`", cell.label());
-                    }
-                    eval_theorem_with_recovery(
-                        dev,
-                        i,
-                        &hints,
-                        &prompt_cfg,
-                        &cell.search,
-                        &mut model,
-                        &prompt_cache,
-                        recovery,
-                    )
-                })
-                .collect()
-        }))
-        .map_err(crash);
-    }
+    // One worker body: steal the next index, evaluate it, repeat. A single
+    // worker runs inline on the caller's thread, so `JOBS=1` spawns
+    // nothing and its trace spans keep the caller's thread id.
     let next = AtomicUsize::new(0);
-    let workers = jobs.min(indices.len());
-    let joined: Vec<std::thread::Result<Vec<(usize, TheoremOutcome)>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut model = cell.model();
-                    let mut out = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= indices.len() {
-                            break;
-                        }
-                        if inject_panic && k == 0 {
-                            panic!("injected: worker panic in cell `{}`", cell.label());
-                        }
-                        out.push((
-                            k,
-                            eval_theorem_with_recovery(
-                                dev,
-                                indices[k],
-                                &hints,
-                                &prompt_cfg,
-                                &cell.search,
-                                &mut model,
-                                &prompt_cache,
-                                recovery,
-                            ),
-                        ));
-                    }
-                    out
-                })
-            })
-            .collect();
-        // Join every worker before deciding the cell's fate: a panic
-        // in one must not leave siblings detached (that was the
-        // `h.join().expect(...)` bug — the first panicking join took
-        // down the whole process).
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    let mut parts = Vec::new();
-    for j in joined {
-        match j {
-            Ok(part) => parts.push(part),
-            Err(payload) => return Err(crash(payload)),
+    let worker = || {
+        let mut model = cell.model();
+        let mut out = Vec::new();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= indices.len() {
+                break;
+            }
+            if inject_panic && k == 0 {
+                panic!("injected: worker panic in cell `{}`", cell.label());
+            }
+            out.push((
+                k,
+                eval_theorem_with_recovery(
+                    dev,
+                    indices[k],
+                    &hints,
+                    &prompt_cfg,
+                    &cell.search,
+                    &mut model,
+                    &prompt_cache,
+                    recovery,
+                ),
+            ));
         }
-    }
+        out
+    };
+    let workers = jobs.min(indices.len());
+    let joined: Vec<std::thread::Result<Vec<(usize, TheoremOutcome)>>> = if workers <= 1 {
+        vec![std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+            worker,
+        ))]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+            // Join every worker before deciding the cell's fate: a panic
+            // in one must not leave siblings detached (that was the
+            // `h.join().expect(...)` bug — the first panicking join took
+            // down the whole process).
+            handles.into_iter().map(|h| h.join()).collect()
+        })
+    };
     let mut slots: Vec<Option<TheoremOutcome>> = indices.iter().map(|_| None).collect();
-    for part in parts {
-        for (k, o) in part {
+    for part in joined {
+        for (k, o) in part.map_err(crash)? {
             slots[k] = Some(o);
         }
     }

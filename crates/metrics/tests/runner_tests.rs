@@ -23,7 +23,7 @@ fn parallel_is_bit_identical_to_serial() {
     let corpus = Corpus::load();
     let cell = small_cell();
     let serial = run_cell(&corpus, &cell);
-    for jobs in [2, 4] {
+    for jobs in [1, 2, 4] {
         let parallel = run_cell_jobs(&corpus, &cell, jobs);
         // Serialized equality is the strongest observable check: every
         // outcome field (scripts, similarities, query counts) and the

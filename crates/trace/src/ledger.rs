@@ -30,12 +30,11 @@ pub const DEFAULT_LEDGER_PATH: &str = "telemetry/RUNS.jsonl";
 pub struct RunRecord {
     /// Seconds since the Unix epoch when the record was appended.
     pub ts_unix: u64,
-    /// The bench binary (`table2`, `perf_gate`, `gen`, `incr`,
-    /// `trace_overhead`, …).
+    /// The bench binary (`table2`, `gen`, `incr`, `preflight`, …).
     pub bin: String,
     /// Run label within the bin (cell lineup, subcommand).
     pub label: String,
-    /// Variant tag — the series key alongside `bin` (e.g. `perf-gate`,
+    /// Variant tag — the series key alongside `bin` (e.g. `ci`,
     /// `gen:<fingerprint>`); empty for the default lineup.
     pub variant: String,
     /// `git rev-parse --short=12 HEAD` at run time (or `GIT_SHA`,
@@ -298,7 +297,7 @@ mod tests {
         let l = temp_ledger("roundtrip");
         assert!(l.append(&sample()));
         let mut second = sample();
-        second.bin = "perf_gate".into();
+        second.bin = "preflight".into();
         assert!(l.append(&second));
         assert_eq!(l.load().len(), 2);
         // Tear the last line mid-write; the first record must survive and
@@ -334,7 +333,7 @@ mod tests {
     fn series_key_includes_variant() {
         let mut r = sample();
         assert_eq!(r.series(), "table2");
-        r.variant = "perf-gate".into();
-        assert_eq!(r.series(), "table2/perf-gate");
+        r.variant = "ci".into();
+        assert_eq!(r.series(), "table2/ci");
     }
 }

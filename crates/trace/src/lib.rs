@@ -40,9 +40,10 @@
 //! relaxed [`AtomicBool`]; when disabled, [`span`] returns an inert guard
 //! without reading the clock and the hot instrumentation sites skip their
 //! registry lookups entirely, so release builds pay a few branches per
-//! query, not per nanosecond measured. The `trace_overhead` bin appends
-//! the measured on-vs-off delta for the full Table 2 grid to the run
-//! ledger.
+//! query, not per nanosecond measured. Measure the armed cost out of
+//! process: `table2 --fresh` against `table2 --fresh --trace-out <base>`,
+//! alternating the two in fresh processes (the README's tracing section
+//! has the recipe and the last measurement).
 
 pub mod attempts;
 pub mod collect;

@@ -288,9 +288,9 @@ mod tests {
     fn mad_path_flags_large_deviation_only() {
         let mut records: Vec<RunRecord> = [60.0, 61.0, 59.0, 60.5, 59.5, 60.2]
             .iter()
-            .map(|&t| rec("perf_gate", t, 0))
+            .map(|&t| rec("table2", t, 0))
             .collect();
-        records.push(rec("perf_gate", 30.0, 0));
+        records.push(rec("table2", 30.0, 0));
         let flags = assess(&records, &RadarParams::default(), &[]);
         let tps = flags.iter().find(|a| a.metric == "thm_per_sec").unwrap();
         assert!(tps.mad > 0.0);
