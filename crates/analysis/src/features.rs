@@ -5,7 +5,11 @@
 //! computed from the environment's symbol table, the undirected reference
 //! graph (shared with [`crate::premise`]), and content fingerprints of
 //! premise statements (the env-side analogue of the per-symbol semantic
-//! fingerprints used by change-impact analysis). The encoding is pinned
+//! fingerprints used by change-impact analysis). Everything read off a
+//! lemma statement (references, size, conclusion head, fingerprint) is
+//! its [`minicoq::env::Lemma::facts`], computed once per lemma and shared
+//! by every snapshot; a search builds only the graph over them and the
+//! goal-side slots. The encoding is pinned
 //! by golden tests: any change to slot layout, bucketing, or hashing MUST
 //! bump [`FEATURES_SCHEMA`], because serialized attempt logs and model
 //! artifacts reference the schema id and silently mixing encodings would
@@ -14,17 +18,15 @@
 //! Extraction is total: names that do not resolve to a lemma (section
 //! hypotheses, hallucinated identifiers) still get a vector, with the
 //! premise slots collapsed to sentinel values. Determinism holds by
-//! construction — everything is computed from `BTreeMap`/`BTreeSet`
-//! traversals and FNV hashing, with no ambient state.
+//! construction — everything is computed from `BTreeSet` traversals,
+//! name-ordered reference lists and FNV hashing; hash maps are only
+//! looked up, never iterated.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use minicoq::env::Env;
+use minicoq::env::{Env, PredDef};
 use minicoq::formula::Formula;
-use proof_trace::envelope::fnv1a;
-
-use crate::graph::{formula_refs, sort_refs, term_refs};
-use crate::premise::distances;
+use minicoq::refs::{formula_names, sort_names, term_names, ConclusionHead};
 
 /// Version of the feature encoding. Bump on any change to slot layout,
 /// value bucketing, or the hash used for symbol-identity slots.
@@ -114,132 +116,181 @@ fn log2_bucket(n: usize) -> u16 {
 /// Head encoding shared by GOAL_HEAD and PREMISE_HEAD: a small tag for
 /// structural heads, a hashed identity bucket for `Eq` sorts (16..64)
 /// and predicate symbols (64..256).
-fn head_code(conclusion: &Formula) -> u16 {
-    match conclusion {
-        Formula::True => 1,
-        Formula::False => 2,
-        Formula::Not(_) => 3,
-        Formula::And(..) => 4,
-        Formula::Or(..) => 5,
-        Formula::Iff(..) => 6,
-        Formula::FMatch(..) => 7,
-        Formula::Exists(..) => 8,
-        Formula::Eq(sort, _, _) => 16 + (fnv1a(format!("{sort:?}").as_bytes()) % 48) as u16,
-        Formula::Pred(name, _, _) => 64 + (fnv1a(name.as_bytes()) % 192) as u16,
+fn head_code(head: ConclusionHead) -> u16 {
+    match head {
+        ConclusionHead::True => 1,
+        ConclusionHead::False => 2,
+        ConclusionHead::Not => 3,
+        ConclusionHead::And => 4,
+        ConclusionHead::Or => 5,
+        ConclusionHead::Iff => 6,
+        ConclusionHead::Match => 7,
+        ConclusionHead::Exists => 8,
+        ConclusionHead::Eq(sort_hash) => 16 + (sort_hash % 48) as u16,
+        ConclusionHead::Pred(name_hash) => 64 + (name_hash % 192) as u16,
         // peel() strips these, but head_code is total anyway.
-        Formula::Implies(..) | Formula::Forall(..) | Formula::ForallSort(..) => 9,
+        ConclusionHead::Binder => 9,
     }
 }
 
-/// Per-environment context: directed reference edges (for cone sizes),
-/// hint-db membership, and a premise statement index. Build once per
-/// environment and reuse across theorems.
+/// One name of a [`FeatureCtx`]'s reference graph.
+struct Node<'a> {
+    name: &'a str,
+    /// Directed references: the names this declaration's definition or
+    /// statement mentions, in name order.
+    refs: Vec<u32>,
+    /// Undirected reference adjacency (may repeat a neighbour).
+    adj: Vec<u32>,
+    /// Number of hint dbs containing the name, and its best position.
+    hint: Option<(u16, u16)>,
+}
+
+/// Per-snapshot context: a compact reference graph over every declared,
+/// referenced or hinted name, with hint-db membership. Built once per
+/// search, since each theorem has its own environment snapshot. Lemmas
+/// contribute their shared [`minicoq::env::Lemma::facts`], so no lemma
+/// statement is walked here; the few inductives, functions and
+/// predicates a corpus declares are.
 pub struct FeatureCtx<'a> {
     env: &'a Env,
-    /// Directed references: every declared name → names its definition
-    /// or statement mentions.
-    refs: BTreeMap<String, BTreeSet<String>>,
-    /// Premise name → (number of hint dbs containing it, best position).
-    hints: BTreeMap<String, (u16, u16)>,
-    /// Lemma name → statement.
-    lemmas: BTreeMap<&'a str, &'a Formula>,
+    /// Node id of every name in the graph.
+    ids: HashMap<&'a str, u32>,
+    nodes: Vec<Node<'a>>,
 }
 
 impl<'a> FeatureCtx<'a> {
-    /// Precomputes the per-environment tables.
+    /// Builds the reference graph and hint table of `env`.
     pub fn new(env: &'a Env) -> FeatureCtx<'a> {
-        let mut refs: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let mut cx = FeatureCtx {
+            env,
+            ids: HashMap::new(),
+            nodes: Vec::new(),
+        };
         for (n, ind) in env.inductives.iter() {
             let mut r = BTreeSet::new();
+            let mut add = |x| {
+                r.insert(x);
+            };
             for c in &ind.ctors {
-                r.insert(c.name.to_string());
-                for s in &c.args {
-                    sort_refs(s, &mut r);
-                }
+                add(c.name.as_str());
+                c.args.iter().for_each(|s| sort_names(s, &mut add));
             }
-            refs.insert(n.to_string(), r);
+            cx.declare(n, r, false);
         }
         for (n, f) in env.funcs.iter() {
             let mut r = BTreeSet::new();
-            term_refs(&f.body, &mut r);
-            sort_refs(&f.ret, &mut r);
-            for (_, s) in &f.params {
-                sort_refs(s, &mut r);
-            }
-            refs.insert(n.to_string(), r);
+            let mut add = |x| {
+                r.insert(x);
+            };
+            term_names(&f.body, &mut add);
+            sort_names(&f.ret, &mut add);
+            f.params.iter().for_each(|(_, s)| sort_names(s, &mut add));
+            cx.declare(n, r, false);
         }
         for (n, pd) in env.preds.iter() {
             let mut r = BTreeSet::new();
             match pd {
-                minicoq::env::PredDef::Defined(dp) => {
-                    formula_refs(&dp.body, &mut r);
-                    for (_, s) in &dp.params {
-                        sort_refs(s, &mut r);
-                    }
+                PredDef::Defined(dp) => {
+                    let mut add = |x| {
+                        r.insert(x);
+                    };
+                    formula_names(&dp.body, &mut add);
+                    dp.params.iter().for_each(|(_, s)| sort_names(s, &mut add));
                 }
-                minicoq::env::PredDef::Inductive(ip) => {
+                PredDef::Inductive(ip) => {
                     for (rn, stmt) in &ip.rules {
-                        r.insert(rn.to_string());
                         let mut rr = BTreeSet::new();
-                        formula_refs(stmt, &mut rr);
-                        refs.entry(rn.to_string()).or_default().extend(rr.clone());
+                        formula_names(stmt, &mut |x| {
+                            rr.insert(x);
+                        });
+                        cx.declare(rn, rr.iter().copied(), true);
+                        r.insert(rn.as_str());
                         r.extend(rr);
                     }
-                    for s in &ip.arg_sorts {
-                        sort_refs(s, &mut r);
-                    }
+                    let mut add = |x| {
+                        r.insert(x);
+                    };
+                    ip.arg_sorts.iter().for_each(|s| sort_names(s, &mut add));
                 }
             }
-            refs.insert(n.to_string(), r);
+            cx.declare(n, r, false);
         }
-        let mut lemmas: BTreeMap<&str, &Formula> = BTreeMap::new();
         for l in env.lemmas.iter() {
-            let mut r = BTreeSet::new();
-            formula_refs(&l.stmt, &mut r);
-            refs.insert(l.name.to_string(), r);
-            lemmas.insert(&l.name, &l.stmt);
+            cx.declare(&l.name, l.facts().refs.iter().map(String::as_str), false);
         }
-        let mut hints: BTreeMap<String, (u16, u16)> = BTreeMap::new();
         for db in env.hints.values() {
             for (pos, h) in db.iter().enumerate() {
-                let e = hints.entry(h.to_string()).or_insert((0, u16::MAX));
-                e.0 = (e.0 + 1).min(15);
-                e.1 = e.1.min(pos.min(u16::MAX as usize) as u16);
+                let pos = pos.min(u16::MAX as usize) as u16;
+                let id = cx.id(h);
+                let (dbs, best) = cx.nodes[id].hint.unwrap_or((0, u16::MAX));
+                cx.nodes[id].hint = Some(((dbs + 1).min(15), best.min(pos)));
             }
         }
-        FeatureCtx {
-            env,
-            refs,
-            hints,
-            lemmas,
+        cx
+    }
+
+    /// The node id of `name`, added without edges when new.
+    fn id(&mut self, name: &'a str) -> usize {
+        let next = self.nodes.len();
+        let id = *self.ids.entry(name).or_insert(next as u32) as usize;
+        if id == next {
+            self.nodes.push(Node {
+                name,
+                refs: Vec::new(),
+                adj: Vec::new(),
+                hint: None,
+            });
         }
+        id
+    }
+
+    /// Records that declaration `name` references `refs` (given in name
+    /// order): undirected edges both ways, and its directed references,
+    /// replacing earlier ones or, with `extend`, merged into them.
+    fn declare(&mut self, name: &'a str, refs: impl IntoIterator<Item = &'a str>, extend: bool) {
+        let a = self.id(name);
+        let mut out: Vec<u32> = refs.into_iter().map(|r| self.id(r) as u32).collect();
+        for &r in &out {
+            if r as usize != a {
+                self.nodes[a].adj.push(r);
+                self.nodes[r as usize].adj.push(a as u32);
+            }
+        }
+        if extend {
+            out.extend_from_slice(&self.nodes[a].refs);
+            out.sort_by_key(|&i| self.nodes[i as usize].name);
+            out.dedup();
+        }
+        self.nodes[a].refs = out;
     }
 
     /// Every premise name in scope: lemmas plus hint-db entries.
     pub fn premise_names(&self) -> BTreeSet<String> {
-        let mut names: BTreeSet<String> = self.lemmas.keys().map(|k| k.to_string()).collect();
+        let mut names: BTreeSet<String> = self.env.lemmas.iter().map(|l| l.name.clone()).collect();
         for db in self.env.hints.values() {
             names.extend(db.iter().map(|h| h.to_string()));
         }
         names
     }
 
-    /// Size of the directed dependency cone rooted at `name`, bounded at
-    /// 64 nodes so extraction stays O(1) per premise.
+    /// Size of the directed dependency cone rooted at `name`. Neighbours
+    /// are visited in name order, and the 64-node cap is checked only when
+    /// a node is popped, so the fan-out of the last node expanded can push
+    /// the size past 64 and the result depends on the visit order.
     fn cone_size(&self, name: &str) -> usize {
-        let mut seen = BTreeSet::new();
-        let mut queue = VecDeque::new();
-        seen.insert(name.to_string());
-        queue.push_back(name.to_string());
+        let Some(&root) = self.ids.get(name) else {
+            return 1;
+        };
+        let mut seen = vec![root];
+        let mut queue = VecDeque::from([root]);
         while let Some(n) = queue.pop_front() {
             if seen.len() >= 64 {
                 break;
             }
-            if let Some(next) = self.refs.get(&n) {
-                for m in next {
-                    if seen.insert(m.clone()) {
-                        queue.push_back(m.clone());
-                    }
+            for &m in &self.nodes[n as usize].refs {
+                if !seen.contains(&m) {
+                    seen.push(m);
+                    queue.push_back(m);
                 }
             }
         }
@@ -250,8 +301,11 @@ impl<'a> FeatureCtx<'a> {
 /// Per-theorem context: BFS distances from the goal and the goal-side
 /// slots, computed once and shared across all premises of the theorem.
 pub struct GoalCtx {
-    dist: BTreeMap<String, usize>,
-    goal_syms: BTreeSet<String>,
+    /// Distance from the goal's symbols by [`FeatureCtx`] node id
+    /// (`u32::MAX` = unreachable).
+    dist: Vec<u32>,
+    /// The goal's symbols, in name order.
+    goal_syms: Vec<String>,
     goal_head: u16,
     goal_size: u16,
     goal_shape: u16,
@@ -260,15 +314,48 @@ pub struct GoalCtx {
 impl GoalCtx {
     /// Precomputes the goal-side features and the distance map.
     pub fn new(fcx: &FeatureCtx<'_>, goal: &Formula) -> GoalCtx {
-        let mut goal_syms = BTreeSet::new();
-        formula_refs(goal, &mut goal_syms);
+        let mut syms = BTreeSet::new();
+        formula_names(goal, &mut |n| {
+            syms.insert(n);
+        });
+        let mut dist = vec![u32::MAX; fcx.nodes.len()];
+        let mut queue: VecDeque<u32> = syms
+            .iter()
+            .filter_map(|s| fcx.ids.get(s))
+            .copied()
+            .collect();
+        queue.iter().for_each(|&i| dist[i as usize] = 0);
+        while let Some(n) = queue.pop_front() {
+            let d = dist[n as usize] + 1;
+            for &m in &fcx.nodes[n as usize].adj {
+                if dist[m as usize] == u32::MAX {
+                    dist[m as usize] = d;
+                    queue.push_back(m);
+                }
+            }
+        }
         let peeled = goal.peel();
         GoalCtx {
-            dist: distances(fcx.env, goal),
-            goal_syms,
-            goal_head: head_code(peeled.conclusion),
+            dist,
+            goal_syms: syms.into_iter().map(str::to_owned).collect(),
+            goal_head: head_code(ConclusionHead::of(peeled.conclusion)),
             goal_size: log2_bucket(goal.size()),
             goal_shape: (peeled.binders.len() + peeled.premises.len()).min(15) as u16,
+        }
+    }
+
+    /// Shortest undirected reference distance from the goal's symbols to
+    /// `name`, or `None` when no path connects them.
+    pub fn distance(&self, fcx: &FeatureCtx<'_>, name: &str) -> Option<usize> {
+        match fcx.ids.get(name) {
+            Some(&i) => Some(self.dist[i as usize])
+                .filter(|&d| d != u32::MAX)
+                .map(|d| d as usize),
+            None => self
+                .goal_syms
+                .binary_search_by(|s| s.as_str().cmp(name))
+                .ok()
+                .map(|_| 0),
         }
     }
 }
@@ -295,26 +382,26 @@ fn premise_into(
     backward: bool,
     mut v: FeatureVec,
 ) -> FeatureVec {
-    let stmt = fcx.lemmas.get(name).copied();
-    v[slot::PREMISE_KIND] = if stmt.is_some() { 1 } else { 2 };
-    v[slot::GRAPH_DIST] = match gcx.dist.get(name) {
-        Some(&d) => 1 + d.min(13) as u16,
+    let lemma = fcx.env.lemma(name);
+    v[slot::PREMISE_KIND] = if lemma.is_some() { 1 } else { 2 };
+    v[slot::GRAPH_DIST] = match gcx.distance(fcx, name) {
+        Some(d) => 1 + d.min(13) as u16,
         None => 15,
     };
-    if let Some(&(dbs, pos)) = fcx.hints.get(name) {
+    let hint = fcx.ids.get(name).and_then(|&i| fcx.nodes[i as usize].hint);
+    if let Some((dbs, pos)) = hint {
         v[slot::HINT_DBS] = dbs;
         v[slot::HINT_POS] = 1 + (pos as usize / 2).min(14) as u16;
     }
-    if let Some(stmt) = stmt {
-        let peeled = stmt.peel();
-        v[slot::PREMISE_HEAD] = head_code(peeled.conclusion);
+    if let Some(lemma) = lemma {
+        let facts = lemma.facts();
+        v[slot::PREMISE_HEAD] = head_code(facts.head);
         v[slot::CONE_SIZE] = log2_bucket(fcx.cone_size(name));
-        let mut syms = BTreeSet::new();
-        formula_refs(stmt, &mut syms);
-        v[slot::OVERLAP] = gcx.goal_syms.intersection(&syms).count().min(15) as u16;
-        v[slot::PREMISE_SIZE] = log2_bucket(stmt.size());
-        v[slot::PREMISE_FP] = 1 + (fnv1a(format!("{stmt:?}").as_bytes()) % 254) as u16;
-        let equational = matches!(peeled.conclusion, Formula::Eq(..) | Formula::Iff(..));
+        let in_goal = |r: &&String| gcx.goal_syms.binary_search(r).is_ok();
+        v[slot::OVERLAP] = facts.refs.iter().filter(in_goal).count().min(15) as u16;
+        v[slot::PREMISE_SIZE] = log2_bucket(facts.size);
+        v[slot::PREMISE_FP] = 1 + (facts.fingerprint % 254) as u16;
+        let equational = matches!(facts.head, ConclusionHead::Eq(_) | ConclusionHead::Iff);
         v[slot::REWRITE_ORIENT] = match (v[slot::REWRITE_ORIENT], equational, backward) {
             (0, _, _) => 0, // not a rewrite tactic
             (_, true, false) => 1,

@@ -20,12 +20,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use minicoq::env::{Env, PredDef};
-use minicoq::formula::Formula;
-use minicoq::sort::Sort;
-use minicoq::term::{Pat, Term};
 use minicoq_vernac::item::ItemKind;
 use minicoq_vernac::lint::hint_targets;
 use minicoq_vernac::loader::Development;
+
+pub use minicoq::refs::{formula_refs, sort_refs, term_refs};
 
 /// The pseudo-file prelude symbols are attributed to.
 pub const PRELUDE_FILE: &str = "<prelude>";
@@ -487,83 +486,4 @@ fn group_members(dev: &Development, text: &str, first: &str) -> Vec<String> {
 fn ident_tokens(s: &str) -> impl Iterator<Item = &str> {
     s.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
         .filter(|t| !t.is_empty())
-}
-
-/// Collects every declared name a sort references.
-pub fn sort_refs(s: &Sort, out: &mut BTreeSet<String>) {
-    match s {
-        Sort::Atom(n) => {
-            out.insert(n.clone());
-        }
-        Sort::Var(_) | Sort::Meta(_) => {}
-        Sort::App(n, args) => {
-            out.insert(n.clone());
-            for a in args {
-                sort_refs(a, out);
-            }
-        }
-    }
-}
-
-/// Collects every declared name a term references (variables and pattern
-/// binders excluded; constructor patterns included).
-pub fn term_refs(t: &Term, out: &mut BTreeSet<String>) {
-    match t {
-        Term::Var(_) | Term::Meta(_) => {}
-        Term::App(f, args) => {
-            out.insert(f.clone());
-            for a in args {
-                term_refs(a, out);
-            }
-        }
-        Term::Match(scrut, arms) => {
-            term_refs(scrut, out);
-            for (pat, rhs) in arms {
-                if let Pat::Ctor(c, _) = pat {
-                    out.insert(c.clone());
-                }
-                term_refs(rhs, out);
-            }
-        }
-    }
-}
-
-/// Collects every declared name a formula references.
-pub fn formula_refs(f: &Formula, out: &mut BTreeSet<String>) {
-    match f {
-        Formula::True | Formula::False => {}
-        Formula::Eq(s, a, b) => {
-            sort_refs(s, out);
-            term_refs(a, out);
-            term_refs(b, out);
-        }
-        Formula::Pred(p, sorts, args) => {
-            out.insert(p.clone());
-            for s in sorts {
-                sort_refs(s, out);
-            }
-            for a in args {
-                term_refs(a, out);
-            }
-        }
-        Formula::Not(a) => formula_refs(a, out),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            formula_refs(a, out);
-            formula_refs(b, out);
-        }
-        Formula::Forall(_, s, b) | Formula::Exists(_, s, b) => {
-            sort_refs(s, out);
-            formula_refs(b, out);
-        }
-        Formula::ForallSort(_, b) => formula_refs(b, out),
-        Formula::FMatch(scrut, arms) => {
-            term_refs(scrut, out);
-            for (pat, rhs) in arms {
-                if let Pat::Ctor(c, _) = pat {
-                    out.insert(c.clone());
-                }
-                formula_refs(rhs, out);
-            }
-        }
-    }
 }

@@ -30,27 +30,26 @@
 //!              [--refine] [--spec PATH]
 
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 
-use corpus_analysis::features::{self, FeatureCtx, FeatureVec, GoalCtx};
+use corpus_analysis::features::FeatureVec;
 use corpus_analysis::score::{clear_model, install_model, Model};
-use corpus_gen::{generate, GenSpec, GeneratedCorpus};
+use corpus_gen::generate_pinned;
 use fscq_corpus::Corpus;
+use llm_fscq_bench::rank::{base_cell, features_of_log, gen_dev, hard_tier, PINNED_SPEC};
 use llm_fscq_bench::{artifact_dir, ledger_append, LedgerRun};
-use minicoq_vernac::loader::Development;
 use proof_metrics::experiment::{clear_attempt_log, install_attempt_log};
 use proof_metrics::runner::{resolve_jobs, Runner};
 use proof_metrics::{CellConfig, CellResult, EvalScope};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
 use proof_search::PremiseRank;
-use proof_trace::attempts::{AttemptLog, AttemptRecord};
+use proof_trace::attempts::AttemptLog;
 
 /// Default mined-attempt log location.
 const DEFAULT_LOG: &str = "target/experiments/attempts.jsonl";
 /// Default trained-model artifact location.
 const DEFAULT_MODEL: &str = "target/experiments/rank_model.bin";
-/// The pinned generated-corpus spec (seed + knobs + expected fingerprint).
-const DEFAULT_SPEC: &str = "fixtures/gen_1k.json";
 /// Cell cache for the A/B's cacheable arms, separate from `target/cells`.
 const RANK_CACHE_DIR: &str = "target/cells-rank";
 
@@ -70,76 +69,9 @@ fn flag_present(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// Loads the pinned corpus spec fixture and rebuilds the corpus from it,
-/// refusing to proceed when the generator output has drifted from the
-/// recorded fingerprint (the A/B would silently change its population).
-fn pinned_corpus() -> GeneratedCorpus {
-    let path = flag_value("--spec").unwrap_or_else(|| DEFAULT_SPEC.to_string());
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
-    let v: serde_json::Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| fail(&format!("{path}: {e:?}")));
-    let field = |obj: &serde_json::Value, key: &str| -> serde_json::Value {
-        obj.as_object()
-            .unwrap_or_else(|| fail(&format!("{path}: not an object")))
-            .iter()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| fail(&format!("{path}: missing `{key}`")))
-            .1
-            .clone()
-    };
-    let spec_json = serde_json::to_string(&field(&v, "spec")).expect("spec renders");
-    let spec: GenSpec =
-        serde_json::from_str(&spec_json).unwrap_or_else(|e| fail(&format!("{path} spec: {e:?}")));
-    let expected = field(&v, "expected");
-    let fingerprint = match field(&expected, "fingerprint") {
-        serde_json::Value::Str(s) => s,
-        other => fail(&format!("{path} fingerprint: {other:?}")),
-    };
-    let corpus = generate(&spec);
-    if corpus.manifest.fingerprint != fingerprint {
-        fail(&format!(
-            "generated corpus fingerprint {} drifted from pinned {fingerprint} — \
-             regenerate {path} if the generator change is intentional",
-            corpus.manifest.fingerprint
-        ));
-    }
-    corpus
-}
-
-/// The hard tier of a generated corpus: the benchmark theorems whose
-/// recorded witnesses are longest (top third by witness token count,
-/// ties broken by name for determinism).
-fn hard_tier(corpus: &GeneratedCorpus) -> Vec<String> {
-    let mut thms: Vec<(usize, &str)> = corpus
-        .manifest
-        .theorems
-        .iter()
-        .filter(|t| t.role == "theorem")
-        .map(|t| (t.witness.split_whitespace().count(), t.name.as_str()))
-        .collect();
-    thms.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
-    let keep = (thms.len() / 3).max(1);
-    thms.truncate(keep);
-    thms.into_iter().map(|(_, n)| n.to_string()).collect()
-}
-
-/// Wraps a generated corpus into the evaluation harness's corpus type.
-fn gen_dev(corpus: &GeneratedCorpus) -> Corpus {
-    let dev = corpus
-        .development(false)
-        .unwrap_or_else(|e| fail(&format!("generated corpus failed to load: {e}")));
-    Corpus { dev }
-}
-
-/// The A/B's base cell: GPT-4o with hints over the full eval set — the
-/// same configuration the retired `--premise-ab` experiment used.
-fn base_cell(arm: &str, rank: PremiseRank) -> CellConfig {
-    let mut cell = CellConfig::standard(ModelProfile::gpt4o(), PromptSetting::Hints);
-    cell.scope = EvalScope::Full;
-    cell.search.premise_rank = rank;
-    cell.variant = Some(arm.to_string());
-    cell
+/// The pinned generated-corpus spec: `--spec`, or the checked-in fixture.
+fn spec_path() -> PathBuf {
+    PathBuf::from(flag_value("--spec").unwrap_or_else(|| PINNED_SPEC.to_string()))
 }
 
 // ---------------------------------------------------------------- mine
@@ -170,8 +102,8 @@ fn cmd_mine() {
         runner.run_cell(&corpus, &cell);
     }
     if flag_present("--gen") {
-        let gc = pinned_corpus();
-        let fscq = gen_dev(&gc);
+        let gc = generate_pinned(&spec_path()).unwrap_or_else(|e| fail(&e));
+        let fscq = gen_dev(&gc).unwrap_or_else(|e| fail(&e));
         let mut cell = base_cell("rank-mine:genhard", PremiseRank::Off);
         cell.subset = Some(hard_tier(&gc));
         eprintln!(
@@ -188,50 +120,6 @@ fn cmd_mine() {
 
 // --------------------------------------------------------------- train
 
-/// Resolves every record's theorem against the embedded corpus (and the
-/// pinned generated corpus when needed) and extracts one feature vector
-/// per attempt, labelled by on-path membership, grouped per theorem in
-/// log order. Records whose theorem resolves nowhere are dropped with a
-/// note.
-fn features_of_log(log: &[AttemptRecord]) -> BTreeMap<String, Vec<(FeatureVec, bool)>> {
-    let embedded = Corpus::load();
-    // Generated theorems are recognizable by name; rebuild the pinned
-    // corpus only if some record needs it.
-    let needs_gen = log
-        .iter()
-        .any(|r| embedded.dev.theorem(&r.theorem).is_none());
-    let gen_fscq = needs_gen.then(|| gen_dev(&pinned_corpus()));
-
-    let mut by_thm: BTreeMap<&str, Vec<&AttemptRecord>> = BTreeMap::new();
-    for r in log {
-        by_thm.entry(r.theorem.as_str()).or_default().push(r);
-    }
-    let mut out = BTreeMap::new();
-    for (name, records) in by_thm {
-        let dev: &Development = if embedded.dev.theorem(name).is_some() {
-            &embedded.dev
-        } else if let Some(c) = gen_fscq.as_ref().filter(|c| c.dev.theorem(name).is_some()) {
-            &c.dev
-        } else {
-            eprintln!(
-                "[rank] unknown theorem `{name}` skipped ({} records)",
-                records.len()
-            );
-            continue;
-        };
-        let thm = dev.theorem(name).expect("resolved above");
-        let env = dev.env_before(thm);
-        let fcx = FeatureCtx::new(env);
-        let gcx = GoalCtx::new(&fcx, &thm.stmt);
-        let samples: Vec<(FeatureVec, bool)> = records
-            .iter()
-            .map(|r| (features::tactic_vector(&fcx, &gcx, &r.tactic), r.on_path))
-            .collect();
-        out.insert(name.to_string(), samples);
-    }
-    out
-}
-
 fn cmd_train() {
     let log_path = flag_value("--log").unwrap_or_else(|| DEFAULT_LOG.to_string());
     let out = flag_value("--out").unwrap_or_else(|| DEFAULT_MODEL.to_string());
@@ -239,7 +127,11 @@ fn cmd_train() {
     if log.is_empty() {
         fail(&format!("{log_path}: no valid attempt records"));
     }
-    let samples: Vec<(FeatureVec, bool)> = features_of_log(&log).into_values().flatten().collect();
+    let samples: Vec<(FeatureVec, bool)> = features_of_log(&log, &spec_path())
+        .unwrap_or_else(|e| fail(&e))
+        .into_values()
+        .flatten()
+        .collect();
     let positives = samples.iter().filter(|(_, y)| *y).count();
     let model = Model::train(&samples, flag_present("--refine"));
     if let Some(parent) = std::path::Path::new(&out).parent() {
@@ -272,7 +164,7 @@ fn cmd_eval() {
 
     // Within-theorem pairwise ranking accuracy: does the model put
     // on-path attempts above off-path ones for the same goal?
-    let grouped = features_of_log(&log);
+    let grouped = features_of_log(&log, &spec_path()).unwrap_or_else(|e| fail(&e));
     let (mut correct, mut total) = (0u64, 0u64);
     for samples in grouped.values() {
         let scores: Vec<(i64, bool)> = samples
@@ -341,8 +233,11 @@ fn cmd_ab() {
             if log.is_empty() {
                 fail(&format!("{log_path}: no valid attempt records"));
             }
-            let samples: Vec<(FeatureVec, bool)> =
-                features_of_log(&log).into_values().flatten().collect();
+            let samples: Vec<(FeatureVec, bool)> = features_of_log(&log, &spec_path())
+                .unwrap_or_else(|e| fail(&e))
+                .into_values()
+                .flatten()
+                .collect();
             Model::train(&samples, flag_present("--refine"))
         }
     };
@@ -362,9 +257,9 @@ fn cmd_ab() {
     let uncached = Runner::from_env().with_jobs(jobs).without_cache();
 
     let embedded = Corpus::load();
-    let gc = pinned_corpus();
+    let gc = generate_pinned(&spec_path()).unwrap_or_else(|e| fail(&e));
     let tier = hard_tier(&gc);
-    let gen_fscq = gen_dev(&gc);
+    let gen_fscq = gen_dev(&gc).unwrap_or_else(|e| fail(&e));
     eprintln!(
         "[rank] ab: gen hard tier = {} of {} theorems, model hash {model_hash:016x}",
         tier.len(),

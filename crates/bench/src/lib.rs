@@ -28,6 +28,8 @@ use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
 use proof_trace::ledger::{Ledger, RunRecord};
 
+pub mod rank;
+
 /// Where cached experiment artifacts live.
 pub fn artifact_dir() -> PathBuf {
     PathBuf::from("target/experiments")

@@ -235,6 +235,43 @@ pub fn read_dir(dir: &Path) -> Result<GeneratedCorpus, String> {
     Ok(GeneratedCorpus { modules, manifest })
 }
 
+/// Rebuilds the corpus a spec fixture pins (a JSON object with the
+/// [`GenSpec`] under `spec` and the manifest fingerprint under
+/// `expected.fingerprint`), refusing when the generator output has
+/// drifted from the recorded fingerprint: every experiment over the
+/// fixture would silently change its population.
+pub fn generate_pinned(spec: &Path) -> Result<GeneratedCorpus, String> {
+    let path = spec.display();
+    let text = std::fs::read_to_string(spec).map_err(|e| format!("read {path}: {e}"))?;
+    let v: serde_json::Value = serde_json::from_str(&text).map_err(|e| format!("{path}: {e:?}"))?;
+    let field = |obj: &serde_json::Value, key: &str| -> Result<serde_json::Value, String> {
+        let obj = obj
+            .as_object()
+            .ok_or_else(|| format!("{path}: not an object"))?;
+        let (_, value) = obj
+            .iter()
+            .find(|(k, _)| k == key)
+            .ok_or_else(|| format!("{path}: missing `{key}`"))?;
+        Ok(value.clone())
+    };
+    let spec_json = serde_json::to_string(&field(&v, "spec")?).expect("spec renders");
+    let spec: GenSpec =
+        serde_json::from_str(&spec_json).map_err(|e| format!("{path} spec: {e:?}"))?;
+    let fingerprint = match field(&field(&v, "expected")?, "fingerprint")? {
+        serde_json::Value::Str(s) => s,
+        other => return Err(format!("{path} fingerprint: {other:?}")),
+    };
+    let corpus = generate(&spec);
+    if corpus.manifest.fingerprint != fingerprint {
+        return Err(format!(
+            "generated corpus fingerprint {} drifted from pinned {fingerprint} — \
+             regenerate {path} if the generator change is intentional",
+            corpus.manifest.fingerprint
+        ));
+    }
+    Ok(corpus)
+}
+
 /// The outcome of validating a corpus against its manifest.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ValidationReport {

@@ -2,10 +2,12 @@
 //! predicates, lemmas and hint databases.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::KernelError;
 use crate::formula::Formula;
+use crate::refs::LemmaFacts;
 use crate::sort::Sort;
 use crate::term::{Pat, Term};
 use crate::Ident;
@@ -125,12 +127,34 @@ impl PredDef {
 }
 
 /// A proved lemma or theorem available for `apply`, `rewrite` and hints.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Lemma {
     /// Lemma name.
     pub name: Ident,
     /// Closed statement; polymorphism is a `ForallSort` prefix.
     pub stmt: Formula,
+    /// Facts about `stmt`, filled on the first [`Lemma::facts`] call.
+    facts: OnceLock<LemmaFacts>,
+}
+
+impl Lemma {
+    /// The static ranking facts of the statement, computed on first use.
+    /// Every snapshot holding this lemma shares its `Arc`, and with it
+    /// the facts, so a corpus computes them once per lemma. A declared
+    /// lemma's statement never changes, so the facts never go stale.
+    pub fn facts(&self) -> &LemmaFacts {
+        self.facts.get_or_init(|| LemmaFacts::of(&self.stmt))
+    }
+}
+
+/// The facts are a cache of `stmt`, so they stay out of the `Debug` form.
+impl fmt::Debug for Lemma {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Lemma")
+            .field("name", &self.name)
+            .field("stmt", &self.stmt)
+            .finish()
+    }
 }
 
 /// Location of a constructor within the environment.
@@ -153,7 +177,9 @@ pub struct CtorInfo {
 /// costs correctness, but it starts every one of those memos cold, so a
 /// cache keyed here is only free for environments that are not cloned per
 /// search. The `auto`/`eauto` hint index is therefore built per invocation
-/// instead.
+/// instead. Per-lemma facts ([`Lemma::facts`]) are not keyed here: they
+/// live in the `Arc<Lemma>`, so every snapshot and clone that holds the
+/// lemma shares them whatever its uid, and a new uid never recomputes them.
 #[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EnvUid(u64);
 
@@ -311,7 +337,11 @@ impl Env {
             return Err(KernelError::Redeclared(name));
         }
         Arc::make_mut(&mut self.lemma_index).insert(Arc::from(name.as_str()), self.lemmas.len());
-        Arc::make_mut(&mut self.lemmas).push(Arc::new(Lemma { name, stmt }));
+        Arc::make_mut(&mut self.lemmas).push(Arc::new(Lemma {
+            name,
+            stmt,
+            facts: OnceLock::new(),
+        }));
         Ok(())
     }
 
@@ -820,5 +850,22 @@ mod tests {
         assert!(!snap.hint_db("core").iter().any(|h| &**h == "d"));
         assert!(snap.hint_db("other").is_empty());
         assert_eq!(env.hint_db("core").len(), old.len() + 1);
+    }
+
+    #[test]
+    fn lemma_facts_are_shared_by_later_snapshots_and_stay_out_of_debug() {
+        let mut env = Env::with_prelude();
+        let stmt = Formula::Pred("le".into(), vec![], vec![Term::nat(0), Term::nat(1)]);
+        env.add_lemma("a", stmt).unwrap();
+        let snap = env.clone();
+        env.add_lemma("b", Formula::True).unwrap();
+        let facts = snap.lemmas[0].facts();
+        assert!(std::ptr::eq(facts, env.lemmas[0].facts()));
+        assert_eq!(&*facts.refs, ["O", "S", "le"]);
+        let lemma = env.lemma("a").unwrap();
+        assert_eq!(
+            format!("{lemma:?}"),
+            format!("Lemma {{ name: \"a\", stmt: {:?} }}", lemma.stmt)
+        );
     }
 }

@@ -46,6 +46,7 @@ pub mod goal;
 pub mod intern;
 pub mod parse;
 pub mod pretty;
+pub mod refs;
 pub mod replay;
 pub mod sort;
 pub mod statehash;
