@@ -17,8 +17,7 @@
 use std::process::ExitCode;
 
 use proof_trace::metrics::{HistData, MetricsSnapshot};
-use proof_trace::report::{render_report_full, Span};
-use proof_trace::SampledResidue;
+use proof_trace::report::{phase_breakdown, render_report, Span};
 use serde_json::Value;
 
 fn num_u64(v: &Value, key: &str) -> Option<u64> {
@@ -34,7 +33,6 @@ struct Parsed {
     spans: Vec<Span>,
     snap: MetricsSnapshot,
     dropped: u64,
-    residues: Vec<SampledResidue>,
 }
 
 /// Parses the JSONL stream into report inputs.
@@ -42,7 +40,6 @@ fn parse_jsonl(text: &str) -> Result<Parsed, String> {
     let mut spans = Vec::new();
     let mut snap = MetricsSnapshot::default();
     let mut dropped = 0u64;
-    let mut residues = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -91,12 +88,6 @@ fn parse_jsonl(text: &str) -> Result<Parsed, String> {
                     );
                 }
             }
-            "sampled" => residues.push(SampledResidue {
-                phase: str_of(&v, "phase").unwrap_or_default(),
-                parent_phase: str_of(&v, "parent_phase").unwrap_or_default(),
-                ns: num_u64(&v, "ns").unwrap_or(0),
-                count: num_u64(&v, "count").unwrap_or(0),
-            }),
             other => return Err(format!("line {}: unknown record {other}", lineno + 1)),
         }
     }
@@ -104,7 +95,6 @@ fn parse_jsonl(text: &str) -> Result<Parsed, String> {
         spans,
         snap,
         dropped,
-        residues,
     })
 }
 
@@ -225,7 +215,6 @@ fn main() -> ExitCode {
         spans,
         snap,
         dropped,
-        residues,
     } = match parse_jsonl(&text) {
         Ok(parsed) => parsed,
         Err(e) => {
@@ -236,32 +225,13 @@ fn main() -> ExitCode {
     if dropped > 0 {
         eprintln!(
             "warning: {dropped} trace records were dropped at the collector cap — \
-             phase totals undercount; raise TRACE_CAP or lower TRACE_SAMPLE fidelity"
+             phase totals undercount; raise TRACE_CAP"
         );
     }
-    print!(
-        "{}",
-        render_report_full(&spans, &snap, dropped, top_n, &residues)
-    );
+    print!("{}", render_report(&spans, &snap, dropped, top_n));
 
     if let Some(path) = &flame_path {
-        // Re-shape into collector records: collapsed_stacks only reads
-        // id/parent/kind/name/dur, and kind needs a 'static str — leak
-        // the handful of distinct kinds (one-shot CLI, bounded set).
-        let recs: Vec<proof_trace::SpanRec> = spans
-            .iter()
-            .map(|s| proof_trace::SpanRec {
-                id: s.id,
-                parent: s.parent,
-                tid: s.tid,
-                kind: Box::leak(s.kind.clone().into_boxed_str()),
-                name: s.name.clone(),
-                start_ns: s.start_ns,
-                dur_ns: s.dur_ns,
-                fields: Vec::new(),
-            })
-            .collect();
-        match proof_trace::export::write_collapsed(std::path::Path::new(path), &recs) {
+        match proof_trace::export::write_collapsed(std::path::Path::new(path), &spans) {
             Ok(()) => println!("\nflamegraph collapsed stacks -> {path}"),
             Err(e) => {
                 eprintln!("cannot write {path}: {e}");
@@ -288,10 +258,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(min) = min_phase_pct {
-        // The residue-corrected breakdown: sampled-out span time counts
-        // toward its phase, so the coverage gate stays meaningful when
-        // span sampling is on.
-        let pct = proof_trace::report::phase_breakdown_full(&spans, &residues).named_phase_pct();
+        let pct = phase_breakdown(&spans).named_phase_pct();
         if pct < min {
             eprintln!("named-phase attribution {pct:.1}% is below the required {min:.1}%");
             return ExitCode::FAILURE;

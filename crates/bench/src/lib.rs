@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use fscq_corpus::Corpus;
 use proof_chaos::FaultPlan;
@@ -62,11 +62,6 @@ pub struct GridOpts {
     /// to stderr after the grid (hit rates, dedup factor, arena bytes).
     /// Read-only diagnostics — never changes results.
     pub intern_stats: bool,
-    /// `--metrics-addr ADDR` / `METRICS_ADDR`: serve live Prometheus
-    /// exposition (plus `/healthz` and `/tracez`) on `ADDR` for the
-    /// duration of the run. Arming the endpoint also arms tracing —
-    /// the histograms have nothing to say otherwise.
-    pub metrics_addr: Option<String>,
 }
 
 impl GridOpts {
@@ -78,7 +73,6 @@ impl GridOpts {
             fault_plan: proof_chaos::plan_from_env_args(),
             trace_out: trace_out_flag(),
             intern_stats: intern_stats_flag(),
-            metrics_addr: metrics_addr_flag(),
         }
     }
 
@@ -105,53 +99,10 @@ pub fn trace_out_flag() -> Option<PathBuf> {
     None
 }
 
-/// The `--metrics-addr ADDR` / `--metrics-addr=ADDR` argument, falling
-/// back to the `METRICS_ADDR` environment variable.
-pub fn metrics_addr_flag() -> Option<String> {
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(a) = args.next() {
-        if a == "--metrics-addr" {
-            if let Some(v) = args.peek() {
-                return Some(v.clone());
-            }
-        } else if let Some(v) = a.strip_prefix("--metrics-addr=") {
-            return Some(v.to_string());
-        }
-    }
-    std::env::var("METRICS_ADDR").ok().filter(|v| !v.is_empty())
-}
-
-/// The live exposition server, once armed. Kept for the process lifetime
-/// so scrapes keep working until exit; `/metrics` reads the live registry
-/// and collector, so there is nothing to flush.
-static METRICS_SERVER: OnceLock<proof_trace::expose::ServerHandle> = OnceLock::new();
-
-/// Arms tracing and starts the Prometheus exposition endpoint on `addr`.
-/// Returns the bound address (port 0 resolves). Idempotent per process:
-/// the first successful bind wins.
-pub fn arm_metrics_endpoint(addr: &str) -> Option<std::net::SocketAddr> {
-    proof_trace::set_enabled(true);
-    if let Some(h) = METRICS_SERVER.get() {
-        return Some(h.addr());
-    }
-    match proof_trace::expose::serve(addr) {
-        Ok(handle) => {
-            let bound = handle.addr();
-            eprintln!("metrics endpoint: http://{bound}/metrics (also /healthz, /tracez)");
-            let _ = METRICS_SERVER.set(handle);
-            Some(bound)
-        }
-        Err(e) => {
-            eprintln!("metrics endpoint failed to bind {addr}: {e}");
-            None
-        }
-    }
-}
-
 /// Drains the collector and writes both trace artifacts: Chrome
 /// trace-event JSON at `base` with a `.json` extension and the JSONL
 /// event stream beside it with `.jsonl`. Returns what the run ledger
-/// wants: the residue-corrected per-phase self time in milliseconds and
+/// wants: the per-phase self time in milliseconds and
 /// the records dropped at the collector cap (empty and 0 when the write
 /// fails, which is reported on stderr).
 pub fn write_trace_artifacts(base: &Path) -> (BTreeMap<String, f64>, u64) {
@@ -189,7 +140,7 @@ pub fn write_trace_artifacts(base: &Path) -> (BTreeMap<String, f64>, u64) {
             dur_ns: s.dur_ns,
         })
         .collect();
-    let bd = proof_trace::report::phase_breakdown_full(&report_spans, &data.sampled);
+    let bd = proof_trace::report::phase_breakdown(&report_spans);
     let phase_self_ms = bd
         .phases
         .iter()
@@ -364,9 +315,6 @@ pub fn main_grid(fresh: bool) -> ResultSet {
 pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
     if opts.trace_out.is_some() {
         proof_trace::set_enabled(true);
-    }
-    if let Some(addr) = &opts.metrics_addr {
-        arm_metrics_endpoint(addr);
     }
     let path = artifact_dir().join("main_grid.json");
     // A traced run also skips the grid-level JSON shortcut: serving the

@@ -474,8 +474,7 @@ fn commit_proposals(
                 }
                 record(stats, &prop.tactic, Some(out.id.0), AttemptOutcome::Applied);
                 *seq += 1;
-                static PUSH_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-                let _sp = proof_trace::span_sampled(&PUSH_SITE, "frontier", "push");
+                let _sp = proof_trace::span("frontier", "push");
                 frontier.push(Entry {
                     score: entry.score + prop.logprob,
                     seq: *seq,
@@ -598,12 +597,7 @@ impl Asker<'_> {
             theorem: self.theorem,
             query_index,
         };
-        // Sampled: one oracle query per TRACE_SAMPLE gets a full span (its
-        // subtree — prompt assembly included — is all oracle-phase, so
-        // eliding the rest shifts no time across phases; the residue keeps
-        // the oracle total exact).
-        static ORACLE_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-        let mut sp = proof_trace::span_sampled(&ORACLE_SITE, "oracle", self.theorem);
+        let mut sp = proof_trace::span("oracle", self.theorem);
         let answer = propose_with_retry(model, &ctx, self.width, self.recovery);
         if sp.is_armed() {
             sp.field_u64("query", query_index as u64);
@@ -622,8 +616,7 @@ fn pop_live<'s>(
 ) -> Option<(Entry, &'s ProofState)> {
     loop {
         let entry = {
-            static POP_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-            let _sp = proof_trace::span_sampled(&POP_SITE, "frontier", "pop");
+            let _sp = proof_trace::span("frontier", "pop");
             frontier.pop()?
         };
         if let Some(state) = session.state(entry.id) {
@@ -739,8 +732,7 @@ pub fn search_with_recovery(
             break Outcome::Stuck;
         };
         let path = {
-            static PATH_SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-            let _sp = proof_trace::span_sampled(&PATH_SITE, "stm", "path");
+            let _sp = proof_trace::span("stm", "path");
             session.script_to(entry.id)
         };
         let (props, faults, retries) = asker.ask(model, state, &path, stats.queries);

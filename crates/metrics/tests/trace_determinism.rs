@@ -3,6 +3,7 @@
 //! side channel — it never flows into outcomes, scripts, query counts,
 //! cache keys, or anything else that is byte-compared or cached.
 
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 use fscq_corpus::Corpus;
@@ -53,73 +54,54 @@ fn traced_run_is_byte_identical_to_untraced() {
     );
 }
 
+/// Sum of the `stm.add.*` outcome counters: one bump per traced add.
+fn counted_adds() -> u64 {
+    proof_trace::metrics::snapshot()
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("stm.add."))
+        .map(|(_, n)| n)
+        .sum()
+}
+
 #[test]
-fn sampled_and_full_fidelity_runs_are_byte_identical() {
+fn every_armed_add_records_a_span_that_parents_its_preflight() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // A fresh load gives fresh environment uids, so the process-global
+    // STM memo is cold for this corpus and adds reach preflight. The
+    // counters are process-global too: compare deltas, not totals.
     let corpus = Corpus::load();
     let cell = small_cell();
 
-    proof_trace::set_enabled(false);
-    let untraced_json = serde_json::to_string(&run_cell(&corpus, &cell)).unwrap();
-
-    // Aggressive sampling (1 in 64): most hot spans elide into residues.
     proof_trace::set_enabled(true);
-    proof_trace::set_sample_rate(64);
     let _ = proof_trace::drain();
-    let sampled_json = serde_json::to_string(&run_cell(&corpus, &cell)).unwrap();
-    let sampled_data = proof_trace::drain();
-
-    // Full fidelity (rate 1): every span records.
-    proof_trace::set_sample_rate(1);
-    let full_json = serde_json::to_string(&run_cell(&corpus, &cell)).unwrap();
-    let full_data = proof_trace::drain();
+    let before = counted_adds();
+    let _ = run_cell(&corpus, &cell);
+    let adds = counted_adds() - before;
+    let data = proof_trace::drain();
     proof_trace::set_enabled(false);
-    proof_trace::set_sample_rate(0); // back to env/default latching
 
-    assert_eq!(untraced_json, sampled_json, "sampling changed the output");
-    assert_eq!(untraced_json, full_json, "full tracing changed the output");
-    // Sampling must actually thin the span stream and bank the elided
-    // time as residues, or the byte-identity above tested nothing.
-    assert!(
-        sampled_data.spans.len() < full_data.spans.len(),
-        "sampled {} vs full {} spans",
-        sampled_data.spans.len(),
-        full_data.spans.len()
+    let is_add = |s: &proof_trace::SpanRec| s.kind == "stm" && s.name == "add";
+    let add_spans = data.spans.iter().filter(|s| is_add(s)).count() as u64;
+    assert!(adds > 0, "the traced cell ran no adds");
+    assert_eq!(
+        add_spans, adds,
+        "every armed add records one `stm`/`add` span"
     );
-    assert!(
-        !sampled_data.sampled.is_empty(),
-        "elided spans must surface as residues"
-    );
-    // Residues are exact: phase self-time totals (recorded + residue)
-    // must agree between the sampled and full runs to within scheduling
-    // noise — the correction is accounting, not estimation. Counters are
-    // unconditional, so the comparison keys exist in both runs.
-    let phases = |data: &proof_trace::TraceData| {
-        let spans: Vec<proof_trace::report::Span> = data
-            .spans
-            .iter()
-            .map(|s| proof_trace::report::Span {
-                id: s.id,
-                parent: s.parent,
-                tid: s.tid,
-                kind: s.kind.to_string(),
-                name: s.name.clone(),
-                start_ns: s.start_ns,
-                dur_ns: s.dur_ns,
-            })
-            .collect();
-        proof_trace::report::phase_breakdown_full(&spans, &data.sampled)
-    };
-    let sampled_bd = phases(&sampled_data);
-    let full_bd = phases(&full_data);
-    for phase in ["stm", "frontier"] {
+
+    let by_id: HashMap<u64, &proof_trace::SpanRec> = data.spans.iter().map(|s| (s.id, s)).collect();
+    let preflights: Vec<&proof_trace::SpanRec> = data
+        .spans
+        .iter()
+        .filter(|s| s.kind == "preflight")
+        .collect();
+    assert!(!preflights.is_empty(), "the traced cell ran no preflight");
+    for p in preflights {
         assert!(
-            sampled_bd.phases.contains_key(phase),
-            "residue-corrected breakdown keeps phase `{phase}`"
-        );
-        assert!(
-            full_bd.phases.contains_key(phase),
-            "full breakdown has phase `{phase}`"
+            by_id.get(&p.parent).is_some_and(|s| is_add(s)),
+            "preflight span {} has parent {} that is not a recorded `stm`/`add` span",
+            p.id,
+            p.parent
         );
     }
 }

@@ -340,11 +340,9 @@ impl ProofSession {
         if !proof_trace::enabled() {
             return self.add_inner(at, tactic_src);
         }
-        // Hot path: one span per tactic sentence. Sampled (TRACE_SAMPLE)
-        // so an armed trace costs a fraction of full recording; the
-        // outcome counters below stay exact either way.
-        static SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-        let mut sp = proof_trace::span_sampled(&SITE, "stm", "add");
+        // One span per tactic sentence: it encloses the `preflight` span,
+        // and the outcome counter below counts the same adds.
+        let mut sp = proof_trace::span("stm", "add");
         let result = self.add_inner(at, tactic_src);
         let outcome = match &result {
             Ok(o) if o.proved => "proved",
@@ -543,8 +541,7 @@ impl ProofSession {
         if id.0 == 0 {
             return; // The root cannot be cancelled.
         }
-        static SITE: proof_trace::SampleSite = proof_trace::SampleSite::new();
-        let _sp = proof_trace::span_sampled(&SITE, "stm", "cancel");
+        let _sp = proof_trace::span("stm", "cancel");
         let mut dead = vec![id];
         while let Some(d) = dead.pop() {
             if let Some(e) = self.entries.get_mut(d.0 as usize) {

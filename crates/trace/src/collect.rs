@@ -10,18 +10,13 @@
 //! returns the records sorted by start time, ready for the exporters.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Number of collector shards. A small power of two: enough that the
 /// runner's worker pool spreads out, small enough to drain cheaply.
 const SHARDS: usize = 16;
-
-/// Capacity of the `/tracez` recent-span ring (most recent finished spans,
-/// kept only while the exposition server is armed).
-const RING_CAP: usize = 256;
 
 /// A span/event field value. Integers and strings cover every
 /// instrumentation site; keeping floats out keeps the exporters exact.
@@ -80,9 +75,6 @@ pub struct TraceData {
     pub events: Vec<EventRec>,
     /// Records discarded because the collector cap was reached.
     pub dropped: u64,
-    /// Exact time/count accounting for spans elided by sampling
-    /// ([`crate::span_sampled`]), aggregated by (phase, parent phase).
-    pub sampled: Vec<crate::SampledResidue>,
 }
 
 struct Shard {
@@ -99,13 +91,7 @@ pub(crate) struct Collector {
     stored: AtomicUsize,
     dropped: AtomicU64,
     cap: usize,
-    ring: Mutex<VecDeque<SpanRec>>,
 }
-
-/// Whether finished spans are mirrored into the recent-span ring. Armed by
-/// the exposition server ([`crate::expose`]); off otherwise so the ring
-/// costs one relaxed load per span when nobody can scrape it.
-static RING_ON: AtomicBool = AtomicBool::new(false);
 
 static COLLECTOR: OnceLock<Collector> = OnceLock::new();
 
@@ -140,14 +126,12 @@ pub(crate) fn collector() -> &'static Collector {
         stored: AtomicUsize::new(0),
         dropped: AtomicU64::new(0),
         cap: default_cap(),
-        ring: Mutex::new(VecDeque::with_capacity(RING_CAP)),
     })
 }
 
 thread_local! {
     static TID: Cell<u64> = const { Cell::new(0) };
-    static STACK: RefCell<Vec<(u64, &'static str)>> = const { RefCell::new(Vec::new()) };
-    static SUPPRESS: Cell<u32> = const { Cell::new(0) };
+    static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// This thread's trace-local id, assigned densely on first use.
@@ -165,11 +149,11 @@ pub(crate) fn current_tid() -> u64 {
 
 /// Pushes a new span id on this thread's stack; returns the previous top
 /// (the new span's parent), 0 if the stack was empty.
-pub(crate) fn begin_span(id: u64, kind: &'static str) -> u64 {
+pub(crate) fn begin_span(id: u64) -> u64 {
     STACK.with(|s| {
         let mut s = s.borrow_mut();
-        let parent = s.last().map(|&(id, _)| id).unwrap_or(0);
-        s.push((id, kind));
+        let parent = s.last().copied().unwrap_or(0);
+        s.push(id);
         parent
     })
 }
@@ -179,9 +163,9 @@ pub(crate) fn begin_span(id: u64, kind: &'static str) -> u64 {
 pub(crate) fn end_span(id: u64) {
     STACK.with(|s| {
         let mut s = s.borrow_mut();
-        if s.last().map(|&(id, _)| id) == Some(id) {
+        if s.last() == Some(&id) {
             s.pop();
-        } else if let Some(pos) = s.iter().rposition(|&(x, _)| x == id) {
+        } else if let Some(pos) = s.iter().rposition(|&x| x == id) {
             s.remove(pos);
         }
     });
@@ -189,29 +173,7 @@ pub(crate) fn end_span(id: u64) {
 
 /// The id of the span currently open on this thread, 0 if none.
 pub(crate) fn current_span() -> u64 {
-    STACK.with(|s| s.borrow().last().map(|&(id, _)| id).unwrap_or(0))
-}
-
-/// The kind of the span currently open on this thread, if any. Used by
-/// sampled-out spans to attribute their residue time to the phase their
-/// duration will otherwise be misfiled under.
-pub(crate) fn current_span_kind() -> Option<&'static str> {
-    STACK.with(|s| s.borrow().last().map(|&(_, kind)| kind))
-}
-
-/// True while this thread is inside a sampled-out span's subtree: every
-/// span and event opened here must stay inert so the elided interval is
-/// opaque (its whole duration is accounted once, by the residue).
-pub(crate) fn suppressed() -> bool {
-    SUPPRESS.with(|s| s.get() != 0)
-}
-
-pub(crate) fn push_suppress() {
-    SUPPRESS.with(|s| s.set(s.get() + 1));
-}
-
-pub(crate) fn pop_suppress() {
-    SUPPRESS.with(|s| s.set(s.get().saturating_sub(1)));
+    STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
 }
 
 impl Collector {
@@ -237,13 +199,6 @@ impl Collector {
     }
 
     pub(crate) fn record_span(&self, rec: SpanRec) {
-        if RING_ON.load(Ordering::Relaxed) {
-            let mut ring = lock_recover(&self.ring);
-            if ring.len() == RING_CAP {
-                ring.pop_front();
-            }
-            ring.push_back(rec.clone());
-        }
         if self.admit() {
             lock_recover(&self.shard().spans).push(rec);
         }
@@ -259,17 +214,13 @@ impl Collector {
 /// Empties every shard and returns the accumulated records, spans sorted
 /// by (start, id) and events by (timestamp, tid) so export order is a
 /// function of the recorded data alone, not of shard iteration order.
-/// Resets the drop counter and the sampling residue accumulators.
+/// Resets the drop counter.
 pub fn drain() -> TraceData {
     let Some(c) = COLLECTOR.get() else {
-        return TraceData {
-            sampled: crate::take_residues(true),
-            ..TraceData::default()
-        };
+        return TraceData::default();
     };
     let mut data = TraceData {
         dropped: c.dropped.swap(0, Ordering::Relaxed),
-        sampled: crate::take_residues(true),
         ..TraceData::default()
     };
     for shard in &c.shards {
@@ -280,37 +231,4 @@ pub fn drain() -> TraceData {
     data.spans.sort_by_key(|s| (s.start_ns, s.id));
     data.events.sort_by_key(|e| (e.ts_ns, e.tid));
     data
-}
-
-/// The running dropped-record count, without resetting it. This is the
-/// scrape-time view: [`drain`] still owns the reset.
-pub fn dropped_so_far() -> u64 {
-    COLLECTOR
-        .get()
-        .map(|c| c.dropped.load(Ordering::Relaxed))
-        .unwrap_or(0)
-}
-
-/// How many records the collector currently holds (approximate under
-/// concurrent recording; exact when quiescent).
-pub fn stored_so_far() -> u64 {
-    COLLECTOR
-        .get()
-        .map(|c| c.stored.load(Ordering::Relaxed) as u64)
-        .unwrap_or(0)
-}
-
-/// Arms or disarms the recent-span ring (`/tracez`). Armed by the
-/// exposition server; spans finished while disarmed are not mirrored.
-pub fn set_ring_enabled(on: bool) {
-    RING_ON.store(on, Ordering::SeqCst);
-}
-
-/// The most recent finished spans (oldest first, at most [`RING_CAP`]),
-/// cloned out of the ring. Empty unless the ring is armed.
-pub fn recent_spans() -> Vec<SpanRec> {
-    let Some(c) = COLLECTOR.get() else {
-        return Vec::new();
-    };
-    lock_recover(&c.ring).iter().cloned().collect()
 }

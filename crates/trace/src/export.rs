@@ -18,6 +18,7 @@ use std::path::Path;
 use crate::collect::{Field, TraceData};
 use crate::envelope::{json_str, push_json_str};
 use crate::metrics::MetricsSnapshot;
+use crate::report::Span;
 
 /// Renders a field map as a JSON object.
 fn fields_json(fields: &[(&'static str, Field)]) -> String {
@@ -111,16 +112,6 @@ pub fn write_jsonl(
             buckets.join(",")
         )?;
     }
-    for r in &data.sampled {
-        writeln!(
-            w,
-            "{{\"t\":\"sampled\",\"phase\":{},\"parent_phase\":{},\"ns\":{},\"count\":{}}}",
-            json_str(&r.phase),
-            json_str(&r.parent_phase),
-            r.ns,
-            r.count
-        )?;
-    }
     w.flush()
 }
 
@@ -140,16 +131,17 @@ fn flame_frame(kind: &str, name: &str) -> String {
         .collect()
 }
 
-/// Renders spans as collapsed stacks (the `inferno` / `flamegraph.pl` /
+/// Renders parsed spans (as `trace_report` reads them back from a JSONL
+/// export) as collapsed stacks (the `inferno` / `flamegraph.pl` /
 /// speedscope input format): one `frame;frame;frame value` line per
 /// distinct root-to-leaf path, value = **self time in microseconds**
 /// (duration minus recorded children), identical stacks merged, lines
 /// sorted so output is a function of the span data alone. Spans whose
 /// parent was dropped by the collector cap surface as roots.
-pub fn collapsed_stacks(spans: &[crate::SpanRec]) -> String {
+pub fn collapsed_stacks(spans: &[Span]) -> String {
     use std::collections::BTreeMap;
     use std::collections::HashMap;
-    let by_id: HashMap<u64, &crate::SpanRec> = spans.iter().map(|s| (s.id, s)).collect();
+    let by_id: HashMap<u64, &Span> = spans.iter().map(|s| (s.id, s)).collect();
     let mut child_ns: HashMap<u64, u64> = HashMap::new();
     for s in spans {
         if s.parent != 0 && by_id.contains_key(&s.parent) {
@@ -165,12 +157,12 @@ pub fn collapsed_stacks(spans: &[crate::SpanRec]) -> String {
         if self_us == 0 {
             continue;
         }
-        let mut frames = vec![flame_frame(s.kind, &s.name)];
+        let mut frames = vec![flame_frame(&s.kind, &s.name)];
         let mut cur = s.parent;
         let mut hops = 0;
         while cur != 0 && hops < 512 {
             let Some(p) = by_id.get(&cur) else { break };
-            frames.push(flame_frame(p.kind, &p.name));
+            frames.push(flame_frame(&p.kind, &p.name));
             cur = p.parent;
             hops += 1;
         }
@@ -188,7 +180,7 @@ pub fn collapsed_stacks(spans: &[crate::SpanRec]) -> String {
 }
 
 /// Writes [`collapsed_stacks`] to a file.
-pub fn write_collapsed(path: impl AsRef<Path>, spans: &[crate::SpanRec]) -> std::io::Result<()> {
+pub fn write_collapsed(path: impl AsRef<Path>, spans: &[Span]) -> std::io::Result<()> {
     if let Some(dir) = path.as_ref().parent() {
         std::fs::create_dir_all(dir)?;
     }
@@ -308,7 +300,6 @@ mod tests {
                 fields: vec![],
             }],
             dropped: 0,
-            sampled: vec![],
         };
         let snap = MetricsSnapshot::default();
         let jsonl = dir.join("t.jsonl");

@@ -106,31 +106,6 @@ pub fn phase_breakdown(spans: &[Span]) -> PhaseBreakdown {
     out
 }
 
-/// [`phase_breakdown`] corrected for span sampling. An elided span's
-/// duration is invisible to the trace, so it inflates the *self* time of
-/// its nearest recorded ancestor; each [`crate::SampledResidue`] carries
-/// the exact (nanoseconds, count) to move back: the elided phase gains
-/// it, the misattributed parent phase loses it. Because a sampled-out
-/// span suppresses its whole subtree, the residue interval is opaque —
-/// the correction is exact, not an estimate, so sampling changes trace
-/// *volume* but never the phase totals this breakdown reports.
-pub fn phase_breakdown_full(spans: &[Span], residues: &[crate::SampledResidue]) -> PhaseBreakdown {
-    let mut bd = phase_breakdown(spans);
-    for r in residues {
-        let entry = bd.phases.entry(r.phase.clone()).or_insert((0, 0));
-        entry.0 += r.ns;
-        entry.1 += r.count;
-        if r.parent_phase.is_empty() {
-            // Elided roots: their time was never inside any recorded
-            // span, so it extends busy time instead of moving within it.
-            bd.total_busy_ns += r.ns;
-        } else if let Some(parent) = bd.phases.get_mut(&r.parent_phase) {
-            parent.0 = parent.0.saturating_sub(r.ns);
-        }
-    }
-    bd
-}
-
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
@@ -143,20 +118,8 @@ pub fn render_report(
     dropped: u64,
     top_n: usize,
 ) -> String {
-    render_report_full(spans, metrics, dropped, top_n, &[])
-}
-
-/// As [`render_report`], with sampling residues applied to the phase
-/// breakdown (see [`phase_breakdown_full`]).
-pub fn render_report_full(
-    spans: &[Span],
-    metrics: &MetricsSnapshot,
-    dropped: u64,
-    top_n: usize,
-    residues: &[crate::SampledResidue],
-) -> String {
     let mut out = String::new();
-    let bd = phase_breakdown_full(spans, residues);
+    let bd = phase_breakdown(spans);
     let _ = writeln!(out, "== Phase breakdown (self time) ==");
     if dropped > 0 {
         let _ = writeln!(
@@ -165,17 +128,11 @@ pub fn render_report_full(
              phase attribution below is truncated (raise TRACE_CAP)."
         );
     }
-    let sampled_count: u64 = residues.iter().map(|r| r.count).sum();
     let _ = writeln!(
         out,
-        "total busy: {:.1} ms across {} spans{}{}",
+        "total busy: {:.1} ms across {} spans{}",
         ms(bd.total_busy_ns),
         spans.len(),
-        if sampled_count > 0 {
-            format!(" (+{sampled_count} sampled-out, residue-corrected)")
-        } else {
-            String::new()
-        },
         if dropped > 0 {
             format!(" ({dropped} records dropped at the collector cap)")
         } else {
@@ -444,29 +401,6 @@ mod tests {
         assert_eq!(total, 100, "self times partition the root duration");
         // Named phases: oracle 40 + stm 20 + preflight 10 = 70%.
         assert!((bd.named_phase_pct() - 70.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn residue_correction_moves_time_between_phases() {
-        // search root 100, of which 30ns belongs to elided stm spans the
-        // trace never saw: the raw breakdown misfiles them as search self
-        // time, the corrected one moves them back.
-        let spans = vec![span(1, 0, "search.expand", 100)];
-        let residues = vec![crate::SampledResidue {
-            phase: "stm".into(),
-            parent_phase: "search".into(),
-            ns: 30,
-            count: 15,
-        }];
-        let raw = phase_breakdown(&spans);
-        assert_eq!(raw.self_ns("search"), 100);
-        assert_eq!(raw.self_ns("stm"), 0);
-        let bd = phase_breakdown_full(&spans, &residues);
-        assert_eq!(bd.self_ns("search"), 70);
-        assert_eq!(bd.self_ns("stm"), 30);
-        assert_eq!(bd.total_busy_ns, 100, "moving time never changes busy");
-        let total: u64 = bd.phases.values().map(|&(ns, _)| ns).sum();
-        assert_eq!(total, 100, "corrected self times still partition");
     }
 
     #[test]

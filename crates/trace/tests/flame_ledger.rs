@@ -5,19 +5,18 @@
 use proof_trace::envelope::fnv1a;
 use proof_trace::export::collapsed_stacks;
 use proof_trace::ledger::{Ledger, RunRecord};
-use proof_trace::SpanRec;
+use proof_trace::report::Span;
 use proptest::prelude::*;
 
-fn span(id: u64, parent: u64, kind: &'static str, name: &str, dur_us: u64) -> SpanRec {
-    SpanRec {
+fn span(id: u64, parent: u64, kind: &str, name: &str, dur_us: u64) -> Span {
+    Span {
         id,
         parent,
         tid: 1,
-        kind,
+        kind: kind.to_string(),
         name: name.to_string(),
         start_ns: id * 10,
         dur_ns: dur_us * 1_000,
-        fields: Vec::new(),
     }
 }
 
