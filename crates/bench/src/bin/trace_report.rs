@@ -49,15 +49,10 @@ fn parse_jsonl(text: &str) -> Result<Parsed, String> {
         let t = str_of(&v, "t").ok_or_else(|| format!("line {}: missing \"t\"", lineno + 1))?;
         match t.as_str() {
             "meta" => dropped = num_u64(&v, "dropped").unwrap_or(0),
-            "span" => spans.push(Span {
-                id: num_u64(&v, "id").unwrap_or(0),
-                parent: num_u64(&v, "parent").unwrap_or(0),
-                tid: num_u64(&v, "tid").unwrap_or(0),
-                kind: str_of(&v, "kind").unwrap_or_default(),
-                name: str_of(&v, "name").unwrap_or_default(),
-                start_ns: num_u64(&v, "start_ns").unwrap_or(0),
-                dur_ns: num_u64(&v, "dur_ns").unwrap_or(0),
-            }),
+            "span" => spans.push(
+                serde_json::from_value(v)
+                    .map_err(|e| format!("line {}: bad span: {e}", lineno + 1))?,
+            ),
             "event" => {}
             "counter" => {
                 if let (Some(name), Some(value)) = (str_of(&v, "name"), num_u64(&v, "value")) {
@@ -73,19 +68,9 @@ fn parse_jsonl(text: &str) -> Result<Parsed, String> {
             }
             "hist" => {
                 if let Some(name) = str_of(&v, "name") {
-                    let buckets: Vec<u64> = v
-                        .get("buckets")
-                        .and_then(|b| b.as_array())
-                        .map(|a| a.iter().map(|x| x.as_i64().unwrap_or(0) as u64).collect())
-                        .unwrap_or_default();
-                    snap.hists.insert(
-                        name,
-                        HistData {
-                            buckets,
-                            count: num_u64(&v, "count").unwrap_or(0),
-                            sum: num_u64(&v, "sum").unwrap_or(0),
-                        },
-                    );
+                    let hist: HistData = serde_json::from_value(v)
+                        .map_err(|e| format!("line {}: bad hist: {e}", lineno + 1))?;
+                    snap.hists.insert(name, hist);
                 }
             }
             other => return Err(format!("line {}: unknown record {other}", lineno + 1)),

@@ -2,13 +2,14 @@
 //!
 //! A cell's theorems are independent: the simulator's randomness is a pure
 //! hash of (model, theorem, query, candidate) and every worker holds its
-//! own [`SimulatedModel`] clone and an [`Arc`]-shared environment snapshot,
-//! so evaluating them on a work-stealing pool is *bit-identical* to the
-//! serial loop (enforced by `tests/runner_tests.rs`). On top of the pool
-//! sits a content-hashed on-disk cell cache: a completed [`CellResult`] is
-//! stored under `target/cells/<hash>.json`, keyed by every input that
-//! affects the outcomes (profile, setting, scope, search configuration,
-//! tuning, retrieval), so re-running a bench binary with an unchanged
+//! own [`SimulatedModel`](proof_oracle::SimulatedModel) clone and an
+//! [`Arc`]-shared environment snapshot, so evaluating them on a
+//! work-stealing pool is *bit-identical* to the serial loop (enforced by
+//! `tests/runner_tests.rs`). On top of the pool sits a content-hashed
+//! on-disk cell cache: a completed [`CellResult`] is stored under
+//! `target/cells/<hash>.json`, keyed by every input that affects the
+//! outcomes (profile, setting, scope, search configuration, tuning,
+//! retrieval), so re-running a bench binary with an unchanged
 //! configuration loads instead of recomputing — and *changing* any knob
 //! changes the hash, which is the cache-invalidation story.
 //!
@@ -25,7 +26,7 @@ use proof_chaos::{FaultKind, FaultPlan};
 use proof_oracle::prompt::PromptCache;
 use proof_oracle::split::hint_set;
 use proof_search::RecoveryConfig;
-use proof_trace::envelope::{fnv1a, seal, Json, Record};
+use proof_trace::envelope::{fnv1a, seal, Record};
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::{
@@ -549,7 +550,7 @@ impl Runner {
 pub fn load_envelope<T: Deserialize>(path: &Path) -> Option<T> {
     let text = std::fs::read_to_string(path).ok()?;
     let record = Record::open(&text)?;
-    if record.get("schema").and_then(Json::as_u64) != Some(CACHE_SCHEMA.into()) {
+    if record.get("schema").and_then(serde_json::Value::as_i64) != Some(CACHE_SCHEMA.into()) {
         return None;
     }
     serde_json::from_str(record.payload()?).ok()

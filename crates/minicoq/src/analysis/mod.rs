@@ -1,7 +1,7 @@
 //! Static analysis over tactic invocations and developments.
 //!
 //! The first (and currently only) pass is the *pre-flight checker*
-//! ([`preflight`]): given a parsed tactic and the goal it would run
+//! ([`preflight_goal`], [`preflight_state`]): given a parsed tactic and the goal it would run
 //! against, decide — without evaluating the tactic — whether it is
 //! *guaranteed* to fail. The search layer uses it as a pre-filter ahead of
 //! full STM execution, so the one invariant that matters is soundness:

@@ -306,15 +306,6 @@ impl Stats {
         }
         (self.hits() + m) as f64 / m as f64
     }
-
-    /// Substitution memo hit rate over non-early-exit lookups.
-    pub fn subst_hit_rate(&self) -> f64 {
-        let total = self.subst_memo_hits + self.subst_memo_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.subst_memo_hits as f64 / total as f64
-    }
 }
 
 /// Forward map + dense id-indexed store for a small intern table.

@@ -565,9 +565,4 @@ impl<'e> Elaborator<'e> {
         }
         Ok(zonked)
     }
-
-    /// Applies accumulated sort solutions to a sort.
-    pub fn finish_sort(&self, s: &Sort) -> Sort {
-        s.subst_metas(&self.uni.sort_metas)
-    }
 }

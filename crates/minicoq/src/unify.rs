@@ -350,52 +350,6 @@ pub fn instantiate_rule(stmt: &Formula, uni: &mut Unifier) -> InstantiatedRule {
     }
 }
 
-/// Collects the unresolved term metavariables of a formula under a unifier.
-pub fn unresolved_metas(f: &Formula, uni: &Unifier) -> Vec<u32> {
-    let resolved = uni.resolve_formula(f);
-    let mut out = Vec::new();
-    collect_metas_formula(&resolved, &mut out);
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-fn collect_metas_term(t: &Term, out: &mut Vec<u32>) {
-    match t {
-        Term::Var(_) => {}
-        Term::Meta(m) => out.push(*m),
-        Term::App(_, args) => args.iter().for_each(|a| collect_metas_term(a, out)),
-        Term::Match(scrut, arms) => {
-            collect_metas_term(scrut, out);
-            arms.iter().for_each(|(_, r)| collect_metas_term(r, out));
-        }
-    }
-}
-
-fn collect_metas_formula(f: &Formula, out: &mut Vec<u32>) {
-    match f {
-        Formula::True | Formula::False => {}
-        Formula::Eq(_, a, b) => {
-            collect_metas_term(a, out);
-            collect_metas_term(b, out);
-        }
-        Formula::Pred(_, _, args) => args.iter().for_each(|a| collect_metas_term(a, out)),
-        Formula::Not(g) => collect_metas_formula(g, out),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            collect_metas_formula(a, out);
-            collect_metas_formula(b, out);
-        }
-        Formula::Forall(_, _, body) | Formula::Exists(_, _, body) => {
-            collect_metas_formula(body, out)
-        }
-        Formula::ForallSort(_, body) => collect_metas_formula(body, out),
-        Formula::FMatch(scrut, arms) => {
-            collect_metas_term(scrut, out);
-            arms.iter().for_each(|(_, r)| collect_metas_formula(r, out));
-        }
-    }
-}
-
 /// Maps a [`UnifyError`] into a rejected-tactic error with context.
 pub fn reject(ctx: &str) -> TacticError {
     TacticError::rejected(format!("unification failed: {ctx}"))

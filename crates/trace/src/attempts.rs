@@ -16,53 +16,48 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::envelope::{self, json_str, Json, Record};
+use serde::{Deserialize, Serialize};
+
+use crate::envelope::{self, json_str};
 
 /// Attempt-log schema version (the envelope `v`).
 pub const ATTEMPTS_SCHEMA: u64 = 1;
 
-/// One charged search attempt.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// One charged search attempt. Every field defaults when missing and
+/// unknown fields are ignored.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct AttemptRecord {
     /// Theorem under search.
+    #[serde(default)]
     pub theorem: String,
     /// The proposed tactic, verbatim.
+    #[serde(default)]
     pub tactic: String,
     /// The tactic's premise (lemma) argument, empty when none.
+    #[serde(default)]
     pub premise: String,
     /// Feature-encoding schema the miner should use for this record.
+    #[serde(default)]
     pub features_schema: u64,
     /// Commit outcome: `applied`, `proved`, `duplicate`, `timeout`,
     /// `preflight`, or `rejected`.
+    #[serde(default)]
     pub outcome: String,
     /// Expansions charged before this attempt was tried.
+    #[serde(default)]
     pub expansions: u64,
     /// Depth of the parent node in the proof tree.
+    #[serde(default)]
     pub depth: u64,
     /// Oracle query index the attempt came from.
+    #[serde(default)]
     pub query: u64,
     /// Whether the attempt lies on the final proved script's path.
+    #[serde(default)]
     pub on_path: bool,
 }
 
 impl AttemptRecord {
-    /// Hand-rolled serializer (this crate is dependency-free).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"theorem\":{},\"tactic\":{},\"premise\":{},\"features_schema\":{},\
-             \"outcome\":{},\"expansions\":{},\"depth\":{},\"query\":{},\"on_path\":{}}}",
-            json_str(&self.theorem),
-            json_str(&self.tactic),
-            json_str(&self.premise),
-            self.features_schema,
-            json_str(&self.outcome),
-            self.expansions,
-            self.depth,
-            self.query,
-            self.on_path
-        )
-    }
-
     /// The record as one sealed attempt-log line (no trailing newline).
     pub fn to_line(&self) -> String {
         envelope::seal(
@@ -70,27 +65,8 @@ impl AttemptRecord {
                 ("ev", json_str("attempt")),
                 ("v", ATTEMPTS_SCHEMA.to_string()),
             ],
-            &self.to_json(),
+            &serde_json::to_string(self).expect("an attempt record always serializes"),
         )
-    }
-
-    /// Tolerant parse of [`to_json`](Self::to_json) output: missing
-    /// fields default, unknown fields are ignored.
-    pub fn from_json(text: &str) -> Option<AttemptRecord> {
-        let r = Record::open(text)?;
-        let str_of = |name: &str| r.str(name).unwrap_or("").to_string();
-        let num_of = |name: &str| r.get(name).and_then(Json::as_u64).unwrap_or(0);
-        Some(AttemptRecord {
-            theorem: str_of("theorem"),
-            tactic: str_of("tactic"),
-            premise: str_of("premise"),
-            features_schema: num_of("features_schema"),
-            outcome: str_of("outcome"),
-            expansions: num_of("expansions"),
-            depth: num_of("depth"),
-            query: num_of("query"),
-            on_path: matches!(r.get("on_path"), Some(Json::Bool(true))),
-        })
     }
 }
 
@@ -122,7 +98,7 @@ impl AttemptLog {
     /// Loads every valid record in file order; unparseable or
     /// checksum-failing lines are skipped.
     pub fn load(&self) -> Vec<AttemptRecord> {
-        envelope::load_sealed(&self.path, "attempt", AttemptRecord::from_json)
+        envelope::load_sealed(&self.path, "attempt", |p| serde_json::from_str(p).ok())
     }
 }
 
@@ -153,7 +129,8 @@ mod tests {
     #[test]
     fn round_trips_through_json() {
         let r = rec("app_nil_l", "apply app_nil_l", true);
-        assert_eq!(AttemptRecord::from_json(&r.to_json()), Some(r));
+        let text = serde_json::to_string(&r).unwrap();
+        assert_eq!(serde_json::from_str::<AttemptRecord>(&text).unwrap(), r);
     }
 
     #[test]

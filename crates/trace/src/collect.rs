@@ -1,9 +1,9 @@
 //! The sharded in-memory collector.
 //!
-//! Finished spans and events land in one of [`SHARDS`] mutex-guarded
-//! vectors, picked by the recording thread's id — workers on the runner's
-//! pool therefore almost never contend on a lock. The collector is
-//! bounded ([`default_cap`], override with `TRACE_CAP`): past the cap,
+//! Finished spans and events land in one of 16 mutex-guarded vectors,
+//! picked by the recording thread's id — workers on the runner's pool
+//! therefore almost never contend on a lock. The collector is bounded
+//! (4 million records, override with `TRACE_CAP`): past the cap,
 //! records are counted in `dropped` instead of being stored, so a
 //! pathological run degrades to a truncated trace with an explicit drop
 //! count, never to unbounded memory. [`drain`] empties every shard and

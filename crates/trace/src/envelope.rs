@@ -17,13 +17,14 @@
 //! [`load`], which skips any line that does not parse. A crash can cost at
 //! most the lines being written, never the file.
 //!
-//! This crate is dependency-free, so the module also carries the JSON
-//! string escaper and a small recursive-descent parser — enough to read
-//! back what it writes (and any hand-edited record that is still valid
-//! JSON).
+//! Records are read with the workspace's `serde_json`, and every string
+//! the envelope writes goes through its escaper, so there is one JSON
+//! reader and one escaper for every file.
 
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+
+use serde_json::Value;
 
 /// FNV-1a over a byte string: the workspace's one content hash and record
 /// checksum. Not cryptographic — it guards against torn writes and keys
@@ -39,30 +40,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// JSON-escapes `s` into `out` (quotes included).
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// `s` as a JSON string literal, quotes included.
 pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_json_str(&mut out, s);
-    out
+    serde_json::to_string(s).expect("a string always serializes")
 }
 
 /// A one-line JSON object from `(key, rendered JSON value)` pairs, in
@@ -73,7 +53,7 @@ pub fn object<V: AsRef<str>>(fields: &[(&str, V)]) -> String {
         if i > 0 {
             out.push(',');
         }
-        push_json_str(&mut out, k);
+        out.push_str(&json_str(k));
         out.push(':');
         out.push_str(v.as_ref());
     }
@@ -92,30 +72,28 @@ pub fn seal<V: AsRef<str>>(head: &[(&str, V)], payload: &str) -> String {
     object(&fields)
 }
 
-/// One parsed record — a sealed line, or a payload decoded in turn: the
-/// top-level fields of a JSON object.
+/// One parsed line: the top-level fields of a JSON object. Owners decode
+/// a verified [`Record::payload`] with `serde_json` in turn.
 #[derive(Debug, Clone)]
 pub struct Record {
-    fields: Vec<(String, Json)>,
+    fields: Value,
 }
 
 impl Record {
     /// Parses one record; `None` unless `text` is a complete JSON object.
     pub fn open(text: &str) -> Option<Record> {
-        match parse_json(text).ok()? {
-            Json::Obj(fields) => Some(Record { fields }),
-            _ => None,
-        }
+        let fields: Value = serde_json::from_str(text).ok()?;
+        fields.as_object().is_some().then_some(Record { fields })
     }
 
     /// The first field named `key`.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.fields.get(key)
     }
 
     /// The string field named `key`.
     pub fn str(&self, key: &str) -> Option<&str> {
-        self.get(key).and_then(Json::as_str)
+        self.get(key).and_then(Value::as_str)
     }
 
     /// The payload, only if its checksum verifies.
@@ -194,255 +172,4 @@ pub fn load_sealed<T>(path: &Path, ev: &str, decode: impl Fn(&str) -> Option<T>)
         .filter_map(Record::payload)
         .filter_map(decode)
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// A minimal JSON value + recursive-descent parser (read path only; writers
-// render by hand, as everywhere else in this crate).
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (f64 is exact for every magnitude the logs write).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if this is a whole number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-}
-
-/// Parses a complete JSON document (trailing content is an error).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    p.ws();
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing content at byte {}", p.i));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", c as char, self.i))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.i)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            let v = self.value()?;
-            fields.push((key, v));
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.ws();
-            items.push(self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(c) = self.peek() else {
-                return Err("unterminated string".to_string());
-            };
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".to_string());
-                    };
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let cp = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require \uXXXX low half.
-                                if self.b[self.i..].starts_with(b"\\u") {
-                                    self.i += 2;
-                                    let lo = self.hex4()?;
-                                    if (0xDC00..0xE000).contains(&lo) {
-                                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                    } else {
-                                        0xFFFD
-                                    }
-                                } else {
-                                    0xFFFD
-                                }
-                            } else if (0xDC00..0xE000).contains(&hi) {
-                                0xFFFD
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.i)),
-                    }
-                }
-                c if c < 0x20 => return Err("control byte in string".to_string()),
-                c if c < 0x80 => out.push(c as char),
-                _ => {
-                    // Multi-byte UTF-8: the input is a &str, so the bytes
-                    // are valid — find the char that starts one byte back.
-                    let start = self.i - 1;
-                    let mut end = self.i;
-                    while end < self.b.len() && (self.b[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.b[start..end])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    out.push_str(s);
-                    self.i = end;
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        if self.i + 4 > self.b.len() {
-            return Err("short \\u escape".to_string());
-        }
-        let s = std::str::from_utf8(&self.b[self.i..self.i + 4])
-            .map_err(|_| "bad \\u escape".to_string())?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape".to_string())?;
-        self.i += 4;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        let s = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| "bad number")?;
-        s.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number `{s}` at byte {start}"))
-    }
 }

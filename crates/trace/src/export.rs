@@ -1,7 +1,7 @@
 //! Exporters: the JSONL event stream and Chrome trace-event JSON.
 //!
-//! Both formats are written with a hand-rolled escaper (this crate is
-//! dependency-free); the shapes are deliberately boring:
+//! Both formats are rendered line by line with the workspace's one JSON
+//! escaper ([`json_str`]); the shapes are deliberately boring:
 //!
 //! * **JSONL** — one self-describing object per line: a `meta` header,
 //!   then `span`, `event`, `counter`, `gauge`, and `hist` lines. This is
@@ -16,26 +16,19 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use crate::collect::{Field, TraceData};
-use crate::envelope::{json_str, push_json_str};
+use crate::envelope::{json_str, object};
 use crate::metrics::MetricsSnapshot;
 use crate::report::Span;
 
 /// Renders a field map as a JSON object.
 fn fields_json(fields: &[(&'static str, Field)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, k);
-        out.push(':');
-        match v {
-            Field::U64(n) => out.push_str(&n.to_string()),
-            Field::Str(s) => push_json_str(&mut out, s),
-        }
-    }
-    out.push('}');
-    out
+    let rendered: Vec<(&str, String)> = (fields.iter())
+        .map(|(k, v)| match v {
+            Field::U64(n) => (*k, n.to_string()),
+            Field::Str(s) => (*k, json_str(s)),
+        })
+        .collect();
+    object(&rendered)
 }
 
 /// Microsecond timestamp with nanosecond decimals, as Chrome expects.

@@ -14,10 +14,12 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use serde::{Deserialize, Serialize};
+
 /// The workspace hash, re-exported at the path importers outside this
 /// workspace (the benchmark package) already use.
 pub use crate::envelope::fnv1a;
-use crate::envelope::{self, json_str, object, Json, Record};
+use crate::envelope::{self, json_str};
 
 /// Ledger envelope schema version.
 pub const LEDGER_SCHEMA: u64 = 1;
@@ -25,47 +27,67 @@ pub const LEDGER_SCHEMA: u64 = 1;
 /// Default ledger path, relative to the repo root.
 pub const DEFAULT_LEDGER_PATH: &str = "telemetry/RUNS.jsonl";
 
-/// One bench-bin run, as the ledger records it.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// One bench-bin run, as the ledger records it. Every field defaults when
+/// missing and unknown fields are ignored, so old readers survive new
+/// writers and vice versa.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RunRecord {
     /// Seconds since the Unix epoch when the record was appended.
+    #[serde(default)]
     pub ts_unix: u64,
     /// The bench binary (`table2`, `gen`, `incr`, `preflight`, …).
+    #[serde(default)]
     pub bin: String,
     /// Run label within the bin (cell lineup, subcommand).
+    #[serde(default)]
     pub label: String,
     /// Variant tag — the series key alongside `bin` (e.g. `ci`,
     /// `gen:<fingerprint>`); empty for the default lineup.
+    #[serde(default)]
     pub variant: String,
     /// `git rev-parse --short=12 HEAD` at run time (or `GIT_SHA`,
     /// or `unknown`).
+    #[serde(default)]
     pub git_sha: String,
     /// Content hash of the corpus/environment the run evaluated.
+    #[serde(default)]
     pub corpus_hash: String,
     /// Cell-level worker parallelism.
+    #[serde(default)]
     pub jobs: u64,
     /// Theorem evaluations across all cells of the run.
+    #[serde(default)]
     pub theorems: u64,
     /// How many of them ended `proved`.
+    #[serde(default)]
     pub proved: u64,
     /// End-to-end wall time of the measured work, milliseconds.
+    #[serde(default)]
     pub wall_ms: f64,
     /// Aggregate throughput (theorems / wall seconds).
+    #[serde(default)]
     pub thm_per_sec: f64,
     /// Cells served from the cell cache.
+    #[serde(default)]
     pub cache_hits: u64,
     /// Cells computed (cache miss, journal replay, or fresh).
+    #[serde(default)]
     pub cache_misses: u64,
     /// Injected oracle faults observed (`search.oracle_faults`).
+    #[serde(default)]
     pub oracle_faults: u64,
     /// Oracle retries performed (`search.oracle_retries`).
+    #[serde(default)]
     pub oracle_retries: u64,
     /// Trace records dropped at the collector cap (0 when untraced).
+    #[serde(default)]
     pub dropped_spans: u64,
     /// Extra named counters worth trending (interner dedup stats, …).
+    #[serde(default)]
     pub counters: BTreeMap<String, u64>,
     /// Per-phase self time in milliseconds, rolled up from the trace
     /// (empty when the run was untraced).
+    #[serde(default)]
     pub phase_self_ms: BTreeMap<String, f64>,
 }
 
@@ -88,98 +110,24 @@ impl RunRecord {
         }
     }
 
-    /// Serializes the record as a single JSON line (the envelope payload).
-    pub fn to_json(&self) -> String {
-        let counters: Vec<(&str, String)> = (self.counters.iter())
-            .map(|(k, v)| (k.as_str(), v.to_string()))
-            .collect();
-        let phases: Vec<(&str, String)> = (self.phase_self_ms.iter())
-            .map(|(k, v)| (k.as_str(), fmt_f64(*v)))
-            .collect();
-        object(&[
-            ("ts_unix", self.ts_unix.to_string()),
-            ("bin", json_str(&self.bin)),
-            ("label", json_str(&self.label)),
-            ("variant", json_str(&self.variant)),
-            ("git_sha", json_str(&self.git_sha)),
-            ("corpus_hash", json_str(&self.corpus_hash)),
-            ("jobs", self.jobs.to_string()),
-            ("theorems", self.theorems.to_string()),
-            ("proved", self.proved.to_string()),
-            ("wall_ms", fmt_f64(self.wall_ms)),
-            ("thm_per_sec", fmt_f64(self.thm_per_sec)),
-            ("cache_hits", self.cache_hits.to_string()),
-            ("cache_misses", self.cache_misses.to_string()),
-            ("oracle_faults", self.oracle_faults.to_string()),
-            ("oracle_retries", self.oracle_retries.to_string()),
-            ("dropped_spans", self.dropped_spans.to_string()),
-            ("counters", object(&counters)),
-            ("phase_self_ms", object(&phases)),
-        ])
-    }
-
-    /// The record as one sealed ledger line (no trailing newline).
+    /// The record as one sealed ledger line (no trailing newline). A
+    /// non-finite float is written as 0: JSON has no NaN or infinity, and
+    /// the `null` that would stand in for one does not load back as `f64`,
+    /// so the whole record would be lost.
     pub fn to_line(&self) -> String {
+        let finite = |v: f64| if v.is_finite() { v } else { 0.0 };
+        let record = RunRecord {
+            wall_ms: finite(self.wall_ms),
+            thm_per_sec: finite(self.thm_per_sec),
+            phase_self_ms: (self.phase_self_ms.iter())
+                .map(|(k, &v)| (k.clone(), finite(v)))
+                .collect(),
+            ..self.clone()
+        };
         envelope::seal(
             &[("ev", json_str("run")), ("v", LEDGER_SCHEMA.to_string())],
-            &self.to_json(),
+            &serde_json::to_string(&record).expect("a run record always serializes"),
         )
-    }
-
-    /// Parses a record from its JSON form. Unknown fields are ignored and
-    /// missing fields default, so old readers survive new writers and
-    /// vice versa.
-    pub fn from_json(text: &str) -> Option<RunRecord> {
-        let r = Record::open(text)?;
-        let num = |name: &str| match r.get(name) {
-            Some(Json::Num(n)) => *n,
-            _ => 0.0,
-        };
-        let text = |name: &str| r.str(name).unwrap_or("").to_string();
-        let nums = |name: &str| -> Vec<(String, f64)> {
-            let Some(Json::Obj(m)) = r.get(name) else {
-                return Vec::new();
-            };
-            (m.iter())
-                .filter_map(|(k, v)| match v {
-                    Json::Num(n) => Some((k.clone(), *n)),
-                    _ => None,
-                })
-                .collect()
-        };
-        Some(RunRecord {
-            ts_unix: num("ts_unix") as u64,
-            bin: text("bin"),
-            label: text("label"),
-            variant: text("variant"),
-            git_sha: text("git_sha"),
-            corpus_hash: text("corpus_hash"),
-            jobs: num("jobs") as u64,
-            theorems: num("theorems") as u64,
-            proved: num("proved") as u64,
-            wall_ms: num("wall_ms"),
-            thm_per_sec: num("thm_per_sec"),
-            cache_hits: num("cache_hits") as u64,
-            cache_misses: num("cache_misses") as u64,
-            oracle_faults: num("oracle_faults") as u64,
-            oracle_retries: num("oracle_retries") as u64,
-            dropped_spans: num("dropped_spans") as u64,
-            counters: (nums("counters").into_iter())
-                .map(|(k, n)| (k, n as u64))
-                .collect(),
-            phase_self_ms: nums("phase_self_ms").into_iter().collect(),
-        })
-    }
-}
-
-/// Shortest-faithful float formatting for the ledger (finite; NaN and
-/// infinities write as 0 — no run metric legitimately produces them).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        // `{}` on f64 is already round-trip shortest in Rust.
-        format!("{v}")
-    } else {
-        "0".to_string()
     }
 }
 
@@ -248,7 +196,7 @@ impl Ledger {
     /// file yields the empty ledger; unparseable or checksum-failing
     /// lines are skipped.
     pub fn load(&self) -> Vec<RunRecord> {
-        envelope::load_sealed(&self.path, "run", RunRecord::from_json)
+        envelope::load_sealed(&self.path, "run", |p| serde_json::from_str(p).ok())
     }
 }
 
@@ -288,8 +236,25 @@ mod tests {
     #[test]
     fn record_roundtrips() {
         let r = sample();
-        let parsed = RunRecord::from_json(&r.to_json()).unwrap();
+        let parsed: RunRecord = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
         assert_eq!(r, parsed);
+    }
+
+    #[test]
+    fn non_finite_floats_write_as_zero_and_still_load() {
+        let l = temp_ledger("nan");
+        let mut r = sample();
+        r.wall_ms = f64::NAN;
+        r.thm_per_sec = f64::INFINITY;
+        r.phase_self_ms.insert("stm".to_string(), f64::NAN);
+        assert!(l.append(&r));
+        let loaded = l.load();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[0].wall_ms, 0.0);
+        assert_eq!(loaded[0].thm_per_sec, 0.0);
+        assert_eq!(loaded[0].phase_self_ms["stm"], 0.0);
+        assert_eq!(loaded[0].phase_self_ms["oracle"], 1200.25);
+        let _ = std::fs::remove_file(l.path());
     }
 
     #[test]

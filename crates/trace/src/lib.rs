@@ -1,9 +1,11 @@
-//! `proof-trace`: a zero-dependency tracing, metrics, and profiling layer
-//! for the whole proof-search stack.
+//! `proof-trace`: the tracing, metrics, and profiling layer for the whole
+//! proof-search stack, plus the checksummed record envelope every
+//! persisted log shares ([`envelope`], [`ledger`], [`attempts`]).
 //!
 //! The repo's dependency policy is vendored-offline-only, so instead of
 //! pulling in `tracing`, this crate builds the three observability
-//! primitives the evaluation needs from `std` alone:
+//! primitives the evaluation needs on `std` (records go through the
+//! vendored `serde_json`, the workspace's one JSON implementation):
 //!
 //! * **Spans and events** ([`span`], [`event`]) — monotonic wall-clock
 //!   intervals carrying a *kind* (the phase taxonomy: `oracle`, `stm`,

@@ -20,6 +20,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use serde::Deserialize;
+
 /// Number of histogram buckets: one for zero plus one per power of two of
 /// a `u64` value.
 pub const HIST_BUCKETS: usize = 65;
@@ -106,16 +108,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Merges another histogram into this one (exact: element-wise bucket
-    /// and sum addition).
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// An immutable copy of the current state.
     pub fn snapshot(&self) -> HistData {
         let buckets: Vec<u64> = self
@@ -132,14 +124,19 @@ impl Histogram {
     }
 }
 
-/// A plain-data histogram snapshot (what exporters and reports consume).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// A plain-data histogram snapshot (what exporters and reports consume;
+/// `trace_report` reads it back from a JSONL `hist` line, where a missing
+/// field reads as its default).
+#[derive(Debug, Clone, PartialEq, Eq, Default, Deserialize)]
 pub struct HistData {
     /// Per-bucket counts ([`HIST_BUCKETS`] entries).
+    #[serde(default)]
     pub buckets: Vec<u64>,
     /// Total recorded values.
+    #[serde(default)]
     pub count: u64,
     /// Exact sum of recorded values.
+    #[serde(default)]
     pub sum: u64,
 }
 

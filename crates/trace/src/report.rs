@@ -14,24 +14,34 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
+use serde::Deserialize;
+
 use crate::metrics::MetricsSnapshot;
 
-/// A parsed span, as read back from a JSONL export.
-#[derive(Debug, Clone)]
+/// A parsed span, as read back from a JSONL export (a missing field reads
+/// as its default).
+#[derive(Debug, Clone, Deserialize)]
 pub struct Span {
     /// Span id.
+    #[serde(default)]
     pub id: u64,
     /// Parent span id (0 = root).
+    #[serde(default)]
     pub parent: u64,
     /// Trace-local thread id.
+    #[serde(default)]
     pub tid: u64,
     /// Phase taxonomy kind.
+    #[serde(default)]
     pub kind: String,
     /// Display name.
+    #[serde(default)]
     pub name: String,
     /// Start, nanoseconds since the trace epoch.
+    #[serde(default)]
     pub start_ns: u64,
     /// Duration in nanoseconds.
+    #[serde(default)]
     pub dur_ns: u64,
 }
 

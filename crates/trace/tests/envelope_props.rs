@@ -1,5 +1,5 @@
 //! The shared record envelope (`proof_trace::envelope`): layout, torn-tail
-//! repair, concurrent appends, the JSON reader, and durability properties
+//! repair, concurrent appends, the escaper, and durability properties
 //! over the head shape of every file that uses it — the run ledger, the
 //! attempt log, the grid journal's `done` entries and the cell cache. A
 //! torn tail at any byte never breaks later appends or loses an intact
@@ -8,9 +8,7 @@
 use std::path::{Path, PathBuf};
 
 use proof_trace::attempts::{AttemptLog, AttemptRecord};
-use proof_trace::envelope::{
-    self, append, fnv1a, json_str, load, load_sealed, parse_json, seal, Json, Record,
-};
+use proof_trace::envelope::{self, append, fnv1a, json_str, load, load_sealed, seal, Record};
 use proptest::prelude::*;
 
 fn scratch(tag: &str, salt: u64) -> PathBuf {
@@ -38,7 +36,7 @@ fn seal_renders_the_documented_layout() {
     assert_eq!(line, expected);
     let record = Record::open(&line).unwrap();
     assert_eq!(record.str("ev"), Some("run"));
-    assert_eq!(record.get("v").and_then(Json::as_u64), Some(1));
+    assert_eq!(record.get("v").and_then(serde_json::Value::as_i64), Some(1));
     assert_eq!(record.payload(), Some(payload));
 }
 
@@ -142,17 +140,6 @@ fn concurrent_batches_land_whole_and_contiguous() {
             .all(|(i, r)| r.expansions == i as u64));
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn parser_handles_escapes_and_nesting() {
-    let v = parse_json(r#"{"a":[1,2.5,-3e2],"b":"q\"\\\nA😀","c":{"d":null,"e":true}}"#).unwrap();
-    let Json::Obj(fields) = v else { panic!() };
-    assert_eq!(
-        fields[0].1,
-        Json::Arr(vec![Json::Num(1.0), Json::Num(2.5), Json::Num(-300.0)])
-    );
-    assert_eq!(fields[1].1, Json::Str("q\"\\\nA😀".to_string()));
 }
 
 #[test]
