@@ -58,10 +58,6 @@ pub struct GridOpts {
     /// `--trace-out PATH`: arm the tracing layer and write a Chrome
     /// trace-event JSON at `PATH` plus a JSONL event stream next to it.
     pub trace_out: Option<PathBuf>,
-    /// `--intern-stats`: print the kernel interner / memo-table counters
-    /// to stderr after the grid (hit rates, dedup factor, arena bytes).
-    /// Read-only diagnostics — never changes results.
-    pub intern_stats: bool,
 }
 
 impl GridOpts {
@@ -72,7 +68,6 @@ impl GridOpts {
             resume: resume_flag(),
             fault_plan: proof_chaos::plan_from_env_args(),
             trace_out: trace_out_flag(),
-            intern_stats: intern_stats_flag(),
         }
     }
 
@@ -372,77 +367,12 @@ pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
         BTreeMap::new(),
         opts.trace_out.as_deref(),
     );
-    if opts.intern_stats {
-        print_intern_stats();
-    }
     rs
 }
 
 /// True when `--fresh` was passed on the command line.
 pub fn fresh_flag() -> bool {
     std::env::args().any(|a| a == "--fresh")
-}
-
-/// True when `--intern-stats` was passed on the command line.
-pub fn intern_stats_flag() -> bool {
-    std::env::args().any(|a| a == "--intern-stats")
-}
-
-/// Prints the kernel interner / memo-table counters to stderr
-/// (`--intern-stats`). The same numbers flow into trace artifacts as
-/// `intern.*` gauges; this is the no-tracing-needed view.
-pub fn print_intern_stats() {
-    let s = minicoq::intern::stats();
-    let pct = |h: u64, m: u64| {
-        if h + m > 0 {
-            100.0 * h as f64 / (h + m) as f64
-        } else {
-            0.0
-        }
-    };
-    eprintln!("kernel interner / memo tables:");
-    eprintln!(
-        "  terms    {:>10} hit {:>10} miss ({:.1}% reuse)",
-        s.term_hits,
-        s.term_misses,
-        pct(s.term_hits, s.term_misses)
-    );
-    eprintln!(
-        "  formulas {:>10} hit {:>10} miss ({:.1}% reuse)",
-        s.formula_hits,
-        s.formula_misses,
-        pct(s.formula_hits, s.formula_misses)
-    );
-    eprintln!(
-        "  goals    {:>10} hit {:>10} miss ({:.1}% reuse)",
-        s.goal_struct_hits,
-        s.goal_misses,
-        pct(s.goal_struct_hits, s.goal_misses)
-    );
-    eprintln!(
-        "  subst    {:>10} hit {:>10} miss, {} early-exits ({:.1}% hit)",
-        s.subst_memo_hits,
-        s.subst_memo_misses,
-        s.subst_early_exits,
-        pct(s.subst_memo_hits, s.subst_memo_misses)
-    );
-    eprintln!(
-        "  whnf     {:>10} hit {:>10} miss ({:.1}% hit)",
-        s.whnf_hits,
-        s.whnf_misses,
-        pct(s.whnf_hits, s.whnf_misses)
-    );
-    eprintln!(
-        "  eval     {:>10} hit {:>10} miss ({:.1}% hit)",
-        s.eval_hits,
-        s.eval_misses,
-        pct(s.eval_hits, s.eval_misses)
-    );
-    eprintln!(
-        "  arena    {} bytes, dedup factor {:.3}x",
-        s.arena_bytes,
-        s.dedup_factor()
-    );
 }
 
 /// True when `--resume` was passed on the command line.

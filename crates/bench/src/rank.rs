@@ -1,7 +1,7 @@
-//! The pinned inputs of learned premise ranking, shared by the `rank` bin,
-//! the ranking microbenchmark and the learned-arm golden test: the hard
-//! tier of the generated corpus a spec fixture pins, the A/B's base cell,
-//! and the feature vectors of an attempt log.
+//! The pinned inputs of learned premise ranking, shared by the `rank` bin
+//! and the learned-arm golden test: the hard tier of the generated corpus
+//! a spec fixture pins, the A/B's base cell, and the feature vectors of an
+//! attempt log.
 
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -1,6 +1,7 @@
 //! End-to-end telemetry contracts: the pinned two-run regression-radar
 //! demo (seed run, then an injected slowdown the radar must flag by
-//! name), and the radar's clean and missing-ledger exits.
+//! name), the radar's clean and missing-ledger exits, and the kernel
+//! interner counters' path into a trace and its report.
 
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -166,5 +167,55 @@ fn radar_check_clean_and_missing_ledger() {
         .output()
         .expect("radar spawns");
     assert_eq!(out.status.code(), Some(2), "missing ledger is exit 2");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The kernel interner counters reach a trace: the JSONL carries them as
+/// `intern.*` gauges, and `trace_report`'s renderer turns them into the
+/// "Kernel interner and memo tables" section. This is the only view of
+/// those counters, so a run that drops them must fail here.
+#[test]
+fn interner_counters_reach_the_trace_and_its_report() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("intern-trace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = dir.join("trace");
+
+    proof_trace::set_enabled(true);
+    run_small_cell();
+    llm_fscq_bench::write_trace_artifacts(&base);
+    proof_trace::set_enabled(false);
+
+    let text = std::fs::read_to_string(base.with_extension("jsonl")).unwrap();
+    let mut snap = proof_trace::metrics::MetricsSnapshot::default();
+    for line in text.lines() {
+        let v: serde_json::Value = serde_json::from_str(line).expect("JSONL line");
+        if v.get("t").and_then(|t| t.as_str()) != Some("gauge") {
+            continue;
+        }
+        let name = v.get("name").and_then(|n| n.as_str()).expect("gauge name");
+        let value = v
+            .get("value")
+            .and_then(|n| n.as_i64())
+            .expect("gauge value");
+        snap.gauges.insert(name.to_string(), value);
+    }
+    for key in ["intern.term.hit", "intern.whnf.hit", "intern.eval.hit"] {
+        assert!(snap.gauges.contains_key(key), "no `{key}` gauge line");
+    }
+
+    let report = proof_trace::report::render_report(&[], &snap, 0, 10);
+    assert!(
+        report.contains("Kernel interner and memo tables"),
+        "interner section missing:\n{report}"
+    );
+    let term_hits: u64 = report
+        .lines()
+        .find_map(|l| l.trim_start().strip_prefix("term nodes"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .expect("a `term nodes` line with a hit count");
+    assert!(term_hits > 0, "a cell's evaluation hits the term arena");
     let _ = std::fs::remove_dir_all(&dir);
 }

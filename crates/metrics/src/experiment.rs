@@ -291,32 +291,12 @@ impl CellResult {
 /// Evaluates one theorem under a cell's configuration: build the prompt,
 /// search, and classify. This is the unit of work shared by the serial
 /// [`run_cell`] and the parallel [`runner`](crate::runner).
-pub fn eval_theorem(
-    dev: &Development,
-    index: usize,
-    hints: &BTreeSet<String>,
-    prompt_cfg: &PromptConfig,
-    search_cfg: &SearchConfig,
-    model: &mut SimulatedModel,
-    prompt_cache: &PromptCache,
-) -> TheoremOutcome {
-    eval_theorem_with_recovery(
-        dev,
-        index,
-        hints,
-        prompt_cfg,
-        search_cfg,
-        model,
-        prompt_cache,
-        &RecoveryConfig::default(),
-    )
-}
-
-/// As [`eval_theorem`], under an explicit oracle-recovery policy (fault
-/// injection and retry). The recovery layer never changes a successful
-/// evaluation's outcome — retried queries reuse their `query_index` and
-/// fault counters are not serialized — so the clean and recovered records
-/// are byte-identical.
+///
+/// `recovery` is the oracle-recovery policy (fault injection and retry;
+/// `RecoveryConfig::default()` for none). The recovery layer never
+/// changes a successful evaluation's outcome — retried queries reuse
+/// their `query_index` and fault counters are not serialized — so the
+/// clean and recovered records are byte-identical.
 #[allow(clippy::too_many_arguments)]
 pub fn eval_theorem_with_recovery(
     dev: &Development,
@@ -412,10 +392,11 @@ pub fn run_cell(corpus: &Corpus, cell: &CellConfig) -> CellResult {
     let prompt_cfg = cell.prompt_config();
     let prompt_cache = PromptCache::new();
     let mut model = cell.model();
+    let recovery = RecoveryConfig::default();
     let outcomes = indices
         .iter()
         .map(|&i| {
-            eval_theorem(
+            eval_theorem_with_recovery(
                 dev,
                 i,
                 &hints,
@@ -423,6 +404,7 @@ pub fn run_cell(corpus: &Corpus, cell: &CellConfig) -> CellResult {
                 &cell.search,
                 &mut model,
                 &prompt_cache,
+                &recovery,
             )
         })
         .collect();

@@ -124,23 +124,10 @@ fn panic_text(payload: Box<dyn Any + Send>) -> String {
 /// Evaluates the given theorem indices under `cell` on `jobs` workers and
 /// returns the outcomes in the order of `indices` (corpus order when the
 /// caller passes a sorted eval set). Bit-identical to a serial loop.
-/// Panics if the evaluation panics; fault-aware callers want
-/// [`run_indices_checked`], which captures the crash instead.
-pub fn run_indices_jobs(
-    corpus: &Corpus,
-    cell: &CellConfig,
-    indices: &[usize],
-    jobs: usize,
-) -> Vec<TheoremOutcome> {
-    match run_indices_checked(corpus, cell, indices, jobs, &RecoveryConfig::default(), 0) {
-        Ok(outcomes) => outcomes,
-        Err(crash) => panic!("{crash}"),
-    }
-}
-
-/// As [`run_indices_jobs`], under an explicit recovery policy and with
-/// cell-level panic isolation: a panic anywhere in the evaluation — any
-/// worker, an oracle whose faults outlasted every retry, or an injected
+///
+/// Runs under an explicit recovery policy and with cell-level panic
+/// isolation: a panic anywhere in the evaluation — any worker, an oracle
+/// whose faults outlasted every retry, or an injected
 /// [`FaultKind::WorkerPanic`] — is caught at the cell boundary and
 /// returned as a typed [`CellCrash`].
 ///
@@ -228,11 +215,14 @@ pub fn run_indices_checked(
         .collect())
 }
 
-/// Runs one cell on `jobs` workers (no disk cache).
+/// Runs one cell on `jobs` workers (no disk cache) under the default
+/// recovery policy. Panics if the evaluation crashes.
 pub fn run_cell_jobs(corpus: &Corpus, cell: &CellConfig, jobs: usize) -> CellResult {
     let indices = cell.eval_indices(&corpus.dev);
-    let outcomes = run_indices_jobs(corpus, cell, &indices, jobs);
-    finish_cell(cell, outcomes)
+    match run_indices_checked(corpus, cell, &indices, jobs, &RecoveryConfig::default(), 0) {
+        Ok(outcomes) => finish_cell(cell, outcomes),
+        Err(crash) => panic!("{crash}"),
+    }
 }
 
 /// How a cell's result was obtained — every path through

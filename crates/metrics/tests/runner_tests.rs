@@ -2,10 +2,11 @@
 //! worker count, and a disk cache that round-trips a cell exactly.
 
 use fscq_corpus::Corpus;
-use proof_metrics::runner::{cell_cache_key, run_cell_jobs, run_indices_jobs, Runner};
+use proof_metrics::runner::{cell_cache_key, run_cell_jobs, run_indices_checked, Runner};
 use proof_metrics::{run_cell, CellConfig};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
+use proof_search::RecoveryConfig;
 
 /// A small-budget cell that still exercises every outcome class.
 fn small_cell() -> CellConfig {
@@ -42,7 +43,8 @@ fn slice_evaluation_preserves_request_order() {
     let cell = small_cell();
     let all = cell.eval_indices(&corpus.dev);
     let slice: Vec<usize> = all.iter().rev().take(5).copied().collect();
-    let outcomes = run_indices_jobs(&corpus, &cell, &slice, 3);
+    let outcomes = run_indices_checked(&corpus, &cell, &slice, 3, &RecoveryConfig::default(), 0)
+        .expect("a clean cell does not crash");
     assert_eq!(outcomes.len(), slice.len());
     for (o, &i) in outcomes.iter().zip(&slice) {
         assert_eq!(o.name, corpus.dev.theorems[i].name);

@@ -267,8 +267,8 @@ pub struct Counters {
     pub arena_bytes: AtomicU64,
 }
 
-/// A point-in-time snapshot of [`Counters`], for `--intern-stats` and the
-/// trace report.
+/// A point-in-time snapshot of [`Counters`], published to the trace as
+/// `intern.*` gauges ([`publish_metrics`]) and read by fscqbench.
 #[derive(Debug, Clone, Default)]
 pub struct Stats {
     pub term_hits: u64,

@@ -28,9 +28,8 @@ use llm_fscq::metrics::incremental::{run_incremental, IncrementalConfig};
 use llm_fscq::metrics::runner::cell_cache_key;
 use llm_fscq::metrics::{run_cell_jobs, CellConfig, CellResult};
 use llm_fscq::oracle::profiles::ModelProfile;
-use llm_fscq::oracle::prompt::{build_prompt, PromptConfig, PromptSetting};
+use llm_fscq::oracle::prompt::{build_prompt, PromptSetting};
 use llm_fscq::oracle::split::hint_set;
-use llm_fscq::oracle::SimulatedModel;
 use llm_fscq::search::{search_with_recovery, PremiseRank, RecoveryConfig, SearchConfig, Strategy};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -200,8 +199,8 @@ fn corpus_sources_from(dir: Option<&Path>) -> Result<Vec<(String, String)>, Stri
     Ok(out)
 }
 
-/// The cell configuration the incremental modes evaluate, assembled from
-/// the same model/setting/search flags single-theorem mode takes.
+/// The cell configuration both modes evaluate, assembled from the
+/// model/setting/search flags.
 fn cell_of(args: &Args) -> CellConfig {
     let mut cell = CellConfig::standard(args.profile.clone(), args.setting);
     cell.search = args.cfg.clone();
@@ -352,13 +351,10 @@ fn main() -> ExitCode {
     };
     let env = corpus.dev.env_before(thm);
     let hints = hint_set(&corpus.dev);
-    let prompt_cfg = PromptConfig {
-        setting: args.setting,
-        window: Some(args.profile.window),
-        minimal: false,
-        retrieval: args.retrieval,
-    };
-    let prompt = build_prompt(&corpus.dev, thm, &hints, &prompt_cfg);
+    // The prompt and model come from the same cell the runner evaluates,
+    // so this CLI cannot drift from the grid.
+    let cell = cell_of(&args);
+    let prompt = build_prompt(&corpus.dev, thm, &hints, &cell.prompt_config());
     println!("theorem : {}", thm.statement_text.replace('\n', " "));
     println!(
         "model   : {} ({}), prompt {} tokens / {} lemmas{}",
@@ -388,7 +384,7 @@ fn main() -> ExitCode {
         println!("--- end payload ---");
     }
 
-    let mut model = SimulatedModel::new(args.profile.clone());
+    let mut model = cell.model();
     let recovery = RecoveryConfig {
         collect_attempts: args.attempt_log.is_some(),
         ..RecoveryConfig::default()
