@@ -9,7 +9,7 @@
 //! per-reason pruning table, and appends one run-ledger record covering
 //! both cells, with the prune counts (total and per reason) as counters.
 //! It prints no wall-time comparison: both arms share one process, so the
-//! second inherits the first's warm interner and memo tables.
+//! second inherits the first's warm goal table and prompt caches.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;

@@ -41,40 +41,46 @@ fn main() {
         }
     }
     pool.dedup();
+    // Re-runs the hinted GPT-4o search on each pooled failure under `cfg`,
+    // printing one line per theorem (tagged `label`) and the number
+    // rescued (described as `kind` prompts).
+    let rescue = |cfg: &PromptConfig, label: &str, kind: &str| {
+        let mut rescued = 0usize;
+        for name in &pool {
+            let thm = dev.theorem(name).expect("theorem");
+            let env = dev.env_before(thm);
+            let prompt = build_prompt(dev, thm, &hints, cfg);
+            let mut model = SimulatedModel::new(ModelProfile::gpt4o());
+            let r = search(
+                env,
+                &thm.stmt,
+                &thm.name,
+                &mut model,
+                &prompt,
+                &SearchConfig::default(),
+            );
+            let ok = r.proved();
+            if ok {
+                rescued += 1;
+            }
+            println!(
+                "  {name:28} {label} prompt ({} lemmas visible): {}",
+                prompt.visible_lemmas.len(),
+                if ok { "PROVED" } else { "still failed" }
+            );
+        }
+        println!(
+            "rescued {rescued}/{} short failures with {kind} prompts\n",
+            pool.len()
+        );
+    };
     let minimal_cfg = PromptConfig {
         setting: PromptSetting::Hints,
         window: None,
         minimal: true,
         retrieval: None,
     };
-    let mut rescued = 0usize;
-    for name in &pool {
-        let thm = dev.theorem(name).expect("theorem");
-        let env = dev.env_before(thm);
-        let prompt = build_prompt(dev, thm, &hints, &minimal_cfg);
-        let mut model = SimulatedModel::new(ModelProfile::gpt4o());
-        let r = search(
-            env,
-            &thm.stmt,
-            &thm.name,
-            &mut model,
-            &prompt,
-            &SearchConfig::default(),
-        );
-        let ok = r.proved();
-        if ok {
-            rescued += 1;
-        }
-        println!(
-            "  {name:28} minimal prompt ({} lemmas visible): {}",
-            prompt.visible_lemmas.len(),
-            if ok { "PROVED" } else { "still failed" }
-        );
-    }
-    println!(
-        "rescued {rescued}/{} short failures with minimal dependency prompts\n",
-        pool.len()
-    );
+    rescue(&minimal_cfg, "minimal", "minimal dependency");
 
     // §5 extension: the same rescue attempted WITHOUT oracle knowledge of
     // the human proof — automated premise selection keeps the top-16
@@ -86,34 +92,7 @@ fn main() {
         minimal: false,
         retrieval: Some(16),
     };
-    let mut retrieved = 0usize;
-    for name in &pool {
-        let thm = dev.theorem(name).expect("theorem");
-        let env = dev.env_before(thm);
-        let prompt = build_prompt(dev, thm, &hints, &retrieval_cfg);
-        let mut model = SimulatedModel::new(ModelProfile::gpt4o());
-        let r = search(
-            env,
-            &thm.stmt,
-            &thm.name,
-            &mut model,
-            &prompt,
-            &SearchConfig::default(),
-        );
-        let ok = r.proved();
-        if ok {
-            retrieved += 1;
-        }
-        println!(
-            "  {name:28} retrieval prompt ({} lemmas visible): {}",
-            prompt.visible_lemmas.len(),
-            if ok { "PROVED" } else { "still failed" }
-        );
-    }
-    println!(
-        "rescued {retrieved}/{} short failures with automated retrieval prompts\n",
-        pool.len()
-    );
+    rescue(&retrieval_cfg, "retrieval", "automated retrieval");
 
     println!("== Whole-proof generation (reasoning-model comparison) ==");
     let mut wp_proved = 0usize;

@@ -104,8 +104,8 @@ pub fn write_trace_artifacts(base: &Path) -> (BTreeMap<String, f64>, u64) {
     let chrome = base.with_extension("json");
     let jsonl = base.with_extension("jsonl");
     let data = proof_trace::drain();
-    // Flush kernel interner counters into the metrics registry so the
-    // snapshot (and trace_report) can render dedup/memo hit rates.
+    // Flush the goal interner's counters into the metrics registry so the
+    // snapshot (and trace_report) can render them.
     minicoq::intern::publish_metrics();
     let snap = proof_trace::metrics::snapshot();
     if let Err(e) = proof_trace::export::write_chrome(&chrome, &data)
@@ -122,19 +122,7 @@ pub fn write_trace_artifacts(base: &Path) -> (BTreeMap<String, f64>, u64) {
         chrome.display(),
         jsonl.display()
     );
-    let report_spans: Vec<proof_trace::report::Span> = data
-        .spans
-        .iter()
-        .map(|s| proof_trace::report::Span {
-            id: s.id,
-            parent: s.parent,
-            tid: s.tid,
-            kind: s.kind.to_string(),
-            name: s.name.clone(),
-            start_ns: s.start_ns,
-            dur_ns: s.dur_ns,
-        })
-        .collect();
+    let report_spans: Vec<proof_trace::report::Span> = data.spans.iter().map(Into::into).collect();
     let bd = proof_trace::report::phase_breakdown(&report_spans);
     let phase_self_ms = bd
         .phases

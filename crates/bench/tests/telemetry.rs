@@ -170,10 +170,10 @@ fn radar_check_clean_and_missing_ledger() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The kernel interner counters reach a trace: the JSONL carries them as
+/// The goal interner's counters reach a trace: the JSONL carries them as
 /// `intern.*` gauges, and `trace_report`'s renderer turns them into the
-/// "Kernel interner and memo tables" section. This is the only view of
-/// those counters, so a run that drops them must fail here.
+/// "Goal interner" section. This is the only view of those counters, so a
+/// run that drops them must fail here.
 #[test]
 fn interner_counters_reach_the_trace_and_its_report() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -201,21 +201,21 @@ fn interner_counters_reach_the_trace_and_its_report() {
             .expect("gauge value");
         snap.gauges.insert(name.to_string(), value);
     }
-    for key in ["intern.term.hit", "intern.whnf.hit", "intern.eval.hit"] {
+    for key in ["intern.goal.hit", "intern.goal.miss"] {
         assert!(snap.gauges.contains_key(key), "no `{key}` gauge line");
     }
 
     let report = proof_trace::report::render_report(&[], &snap, 0, 10);
     assert!(
-        report.contains("Kernel interner and memo tables"),
+        report.contains("Goal interner"),
         "interner section missing:\n{report}"
     );
-    let term_hits: u64 = report
+    let goal_hits: u64 = report
         .lines()
-        .find_map(|l| l.trim_start().strip_prefix("term nodes"))
+        .find_map(|l| l.trim_start().strip_prefix("goals"))
         .and_then(|rest| rest.split_whitespace().next())
         .and_then(|n| n.parse().ok())
-        .expect("a `term nodes` line with a hit count");
-    assert!(term_hits > 0, "a cell's evaluation hits the term arena");
+        .expect("a `goals` line with a hit count");
+    assert!(goal_hits > 0, "a cell's evaluation re-sees interned goals");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -194,8 +194,19 @@ pub fn run_indices_checked(
             worker,
         ))]
     } else {
+        // Each worker's spans nest under the caller's open span (the
+        // cell), and the caller books its join as `wait`, not as busy time.
+        let parent = proof_trace::collect::current_span();
+        let _wait = proof_trace::span(proof_trace::report::WAIT_PHASE, "join");
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(move || {
+                        let _adopted = proof_trace::collect::adopt_parent(parent);
+                        worker()
+                    })
+                })
+                .collect();
             // Join every worker before deciding the cell's fate: a panic
             // in one must not leave siblings detached (that was the
             // `h.join().expect(...)` bug — the first panicking join took

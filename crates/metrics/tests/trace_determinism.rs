@@ -3,7 +3,7 @@
 //! side channel — it never flows into outcomes, scripts, query counts,
 //! cache keys, or anything else that is byte-compared or cached.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
 use fscq_corpus::Corpus;
@@ -54,22 +54,24 @@ fn traced_run_is_byte_identical_to_untraced() {
     );
 }
 
-/// Sum of the `stm.add.*` outcome counters: one bump per traced add.
-fn counted_adds() -> u64 {
+/// The `stm.add.*` outcome counters: one bump per traced add.
+fn add_counters() -> BTreeMap<String, u64> {
     proof_trace::metrics::snapshot()
         .counters
-        .iter()
+        .into_iter()
         .filter(|(name, _)| name.starts_with("stm.add."))
-        .map(|(_, n)| n)
-        .sum()
+        .collect()
+}
+
+/// Sum of the `stm.add.*` outcome counters.
+fn counted_adds() -> u64 {
+    add_counters().values().sum()
 }
 
 #[test]
 fn every_armed_add_records_a_span_that_parents_its_preflight() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // A fresh load gives fresh environment uids, so the process-global
-    // STM memo is cold for this corpus and adds reach preflight. The
-    // counters are process-global too: compare deltas, not totals.
+    // The counters are process-global: compare deltas, not totals.
     let corpus = Corpus::load();
     let cell = small_cell();
 
@@ -104,6 +106,88 @@ fn every_armed_add_records_a_span_that_parents_its_preflight() {
             p.parent
         );
     }
+}
+
+/// Evaluates `cell` traced and returns its spans plus the `stm.add.*`
+/// counter deltas it caused.
+fn traced_cell(
+    corpus: &Corpus,
+    cell: &CellConfig,
+    jobs: usize,
+) -> (Vec<proof_trace::SpanRec>, BTreeMap<String, u64>) {
+    let runner = Runner::from_env().without_cache().with_jobs(jobs);
+    proof_trace::set_enabled(true);
+    let _ = proof_trace::drain();
+    let before = add_counters();
+    let _ = runner.run_cell(corpus, cell);
+    let after = add_counters();
+    let data = proof_trace::drain();
+    proof_trace::set_enabled(false);
+    let deltas = after
+        .into_iter()
+        .map(|(name, n)| {
+            let d = n - before.get(&name).copied().unwrap_or(0);
+            (name, d)
+        })
+        .collect();
+    (data.spans, deltas)
+}
+
+#[test]
+fn an_in_process_repeat_does_the_same_stm_work() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Same loaded corpus, same cell, one process: nothing the first run
+    // leaves behind may answer the second run's adds.
+    let corpus = Corpus::load();
+    let cell = small_cell();
+    let preflights =
+        |spans: &[proof_trace::SpanRec]| spans.iter().filter(|s| s.kind == "preflight").count();
+    let (first, first_adds) = traced_cell(&corpus, &cell, 1);
+    let (second, second_adds) = traced_cell(&corpus, &cell, 1);
+    assert!(preflights(&first) > 0, "the traced cell ran no preflight");
+    assert_eq!(preflights(&first), preflights(&second), "preflight spans");
+    assert_eq!(first_adds, second_adds, "`stm.add.*` counter deltas");
+}
+
+fn named_phase_pct(spans: &[proof_trace::SpanRec]) -> f64 {
+    let parsed: Vec<proof_trace::report::Span> = spans.iter().map(Into::into).collect();
+    proof_trace::report::phase_breakdown(&parsed).named_phase_pct()
+}
+
+#[test]
+fn worker_spans_nest_under_their_cell_at_two_jobs() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let corpus = Corpus::load();
+    // A whole cell (not `small_cell`): on a small one, a single
+    // descheduled worker moves the shares by several points.
+    let cell = CellConfig::standard(ModelProfile::gpt4o(), PromptSetting::Hints);
+    // Warm the process-global caches first, so the two measured runs start
+    // equally warm.
+    let _ = traced_cell(&corpus, &cell, 1);
+    let (serial, _) = traced_cell(&corpus, &cell, 1);
+    let (pooled, _) = traced_cell(&corpus, &cell, 2);
+
+    let by_id: HashMap<u64, &proof_trace::SpanRec> = pooled.iter().map(|s| (s.id, s)).collect();
+    let theorems: Vec<&proof_trace::SpanRec> =
+        pooled.iter().filter(|s| s.kind == "theorem").collect();
+    assert!(!theorems.is_empty(), "the pooled cell ran no theorems");
+    for t in &theorems {
+        assert!(
+            by_id.get(&t.parent).is_some_and(|p| p.kind == "cell"),
+            "theorem span {} has parent {} that is not a `cell` span",
+            t.id,
+            t.parent
+        );
+    }
+    assert!(
+        theorems.iter().any(|t| by_id[&t.parent].tid != t.tid),
+        "the pooled cell ran its theorems on workers"
+    );
+    let (p1, p2) = (named_phase_pct(&serial), named_phase_pct(&pooled));
+    assert!(
+        (p1 - p2).abs() <= 3.0,
+        "named-phase attribution moved from {p1:.1}% at one job to {p2:.1}% at two"
+    );
 }
 
 #[test]

@@ -170,14 +170,12 @@ pub struct CtorInfo {
 ///
 /// Fresh ids are allocated on construction, on clone, and on every
 /// declaration, so two environments with equal uids hold identical
-/// declarations. Memo tables key on this instead of on environment
-/// contents: weak-head normalization and term/formula evaluation in
-/// [`crate::intern`], the STM session's tactic-application memo, and the
-/// simulated oracle's prompt preparation. A clone getting a new uid never
-/// costs correctness, but it starts every one of those memos cold, so a
-/// cache keyed here is only free for environments that are not cloned per
-/// search. The `auto`/`eauto` hint index is therefore built per invocation
-/// instead. Per-lemma facts ([`Lemma::facts`]) are not keyed here: they
+/// declarations. The simulated oracle's prompt-preparation cache keys on
+/// this instead of on environment contents. A clone getting a new uid never
+/// costs correctness, but it starts that cache cold, so a cache keyed here
+/// is only free for environments that are not cloned per search. The
+/// `auto`/`eauto` hint index is therefore built per invocation instead.
+/// Per-lemma facts ([`Lemma::facts`]) are not keyed here: they
 /// live in the `Arc<Lemma>`, so every snapshot and clone that holds the
 /// lemma shares them whatever its uid, and a new uid never recomputes them.
 #[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

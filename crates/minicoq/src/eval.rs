@@ -66,30 +66,8 @@ pub fn ctor_head<'a>(env: &Env, t: &'a Term) -> Option<&'a str> {
     }
 }
 
-impl EvalMode {
-    /// A stable small tag for memo keys.
-    fn tag(self) -> u8 {
-        (self.unfold_defs as u8) | ((self.unfold_fix as u8) << 1)
-    }
-}
-
 /// Normalizes a term under the given mode.
-///
-/// Memoized per `(environment uid, mode, term)` with exact fuel-cost
-/// replay (see [`crate::intern::eval_term_memo`]); the recursion below
-/// stays direct, so only whole top-level normalizations are cached.
 pub fn normalize_term(
-    env: &Env,
-    t: &Term,
-    mode: EvalMode,
-    fuel: &mut Fuel,
-) -> Result<Term, TacticError> {
-    crate::intern::eval_term_memo(env.uid.get(), mode.tag(), t, fuel, |fuel| {
-        normalize_term_raw(env, t, mode, fuel)
-    })
-}
-
-fn normalize_term_raw(
     env: &Env,
     t: &Term,
     mode: EvalMode,
@@ -101,7 +79,7 @@ fn normalize_term_raw(
         Term::App(f, args) => {
             let args: Vec<Term> = args
                 .iter()
-                .map(|a| normalize_term_raw(env, a, mode, fuel))
+                .map(|a| normalize_term(env, a, mode, fuel))
                 .collect::<Result<_, _>>()?;
             if env.ctors.contains_key(f) {
                 return Ok(Term::App(f.clone(), args));
@@ -136,7 +114,7 @@ fn normalize_term_raw(
                 .zip(args.iter().cloned())
                 .collect();
             let unfolded = subst_term(&def.body, &map);
-            let reduced = normalize_term_raw(env, &unfolded, mode, fuel)?;
+            let reduced = normalize_term(env, &unfolded, mode, fuel)?;
             if !def.recursive && !mode.unfold_defs {
                 // Refold if the body is still stuck on a match: keeps simpl
                 // output readable (Coq's simpl heuristic).
@@ -149,14 +127,14 @@ fn normalize_term_raw(
             Ok(reduced)
         }
         Term::Match(scrut, arms) => {
-            let scrut = normalize_term_raw(env, scrut, mode, fuel)?;
+            let scrut = normalize_term(env, scrut, mode, fuel)?;
             if let Some(reduced) = step_match(env, &scrut, arms) {
-                return normalize_term_raw(env, &reduced, mode, fuel);
+                return normalize_term(env, &reduced, mode, fuel);
             }
             // Stuck: normalize the arm bodies for readability.
             let arms = arms
                 .iter()
-                .map(|(p, rhs)| Ok((p.clone(), normalize_term_raw(env, rhs, mode, fuel)?)))
+                .map(|(p, rhs)| Ok((p.clone(), normalize_term(env, rhs, mode, fuel)?)))
                 .collect::<Result<Vec<_>, TacticError>>()?;
             Ok(Term::Match(Box::new(scrut), arms))
         }
@@ -268,21 +246,7 @@ pub fn unfold_pred(
 }
 
 /// Normalizes a formula under the given mode.
-///
-/// Memoized per `(environment uid, mode, formula)` with exact fuel-cost
-/// replay (see [`crate::intern::eval_formula_memo`]).
 pub fn normalize_formula(
-    env: &Env,
-    f: &Formula,
-    mode: EvalMode,
-    fuel: &mut Fuel,
-) -> Result<Formula, TacticError> {
-    crate::intern::eval_formula_memo(env.uid.get(), mode.tag(), f, fuel, |fuel| {
-        normalize_formula_raw(env, f, mode, fuel)
-    })
-}
-
-fn normalize_formula_raw(
     env: &Env,
     f: &Formula,
     mode: EvalMode,
@@ -293,13 +257,13 @@ fn normalize_formula_raw(
         Formula::True | Formula::False => Ok(f.clone()),
         Formula::Eq(s, a, b) => Ok(Formula::Eq(
             s.clone(),
-            normalize_term_raw(env, a, mode, fuel)?,
-            normalize_term_raw(env, b, mode, fuel)?,
+            normalize_term(env, a, mode, fuel)?,
+            normalize_term(env, b, mode, fuel)?,
         )),
         Formula::Pred(p, sorts, args) => {
             let args: Vec<Term> = args
                 .iter()
-                .map(|a| normalize_term_raw(env, a, mode, fuel))
+                .map(|a| normalize_term(env, a, mode, fuel))
                 .collect::<Result<_, _>>()?;
             let unfold = match env.preds.get(p) {
                 Some(PredDef::Defined(d)) => {
@@ -317,7 +281,7 @@ fn normalize_formula_raw(
             };
             if unfold {
                 if let Some(body) = unfold_pred(env, p, sorts, &args) {
-                    return normalize_formula_raw(env, &body, mode, fuel);
+                    return normalize_formula(env, &body, mode, fuel);
                 }
             }
             Ok(Formula::Pred(p.clone(), sorts.clone(), args))
@@ -326,43 +290,43 @@ fn normalize_formula_raw(
             env, g, mode, fuel,
         )?))),
         Formula::And(a, b) => Ok(Formula::and(
-            normalize_formula_raw(env, a, mode, fuel)?,
-            normalize_formula_raw(env, b, mode, fuel)?,
+            normalize_formula(env, a, mode, fuel)?,
+            normalize_formula(env, b, mode, fuel)?,
         )),
         Formula::Or(a, b) => Ok(Formula::or(
-            normalize_formula_raw(env, a, mode, fuel)?,
-            normalize_formula_raw(env, b, mode, fuel)?,
+            normalize_formula(env, a, mode, fuel)?,
+            normalize_formula(env, b, mode, fuel)?,
         )),
         Formula::Implies(a, b) => Ok(Formula::implies(
-            normalize_formula_raw(env, a, mode, fuel)?,
-            normalize_formula_raw(env, b, mode, fuel)?,
+            normalize_formula(env, a, mode, fuel)?,
+            normalize_formula(env, b, mode, fuel)?,
         )),
         Formula::Iff(a, b) => Ok(Formula::Iff(
-            Box::new(normalize_formula_raw(env, a, mode, fuel)?),
-            Box::new(normalize_formula_raw(env, b, mode, fuel)?),
+            Box::new(normalize_formula(env, a, mode, fuel)?),
+            Box::new(normalize_formula(env, b, mode, fuel)?),
         )),
         Formula::Forall(v, s, body) => Ok(Formula::Forall(
             v.clone(),
             s.clone(),
-            Box::new(normalize_formula_raw(env, body, mode, fuel)?),
+            Box::new(normalize_formula(env, body, mode, fuel)?),
         )),
         Formula::Exists(v, s, body) => Ok(Formula::Exists(
             v.clone(),
             s.clone(),
-            Box::new(normalize_formula_raw(env, body, mode, fuel)?),
+            Box::new(normalize_formula(env, body, mode, fuel)?),
         )),
         Formula::ForallSort(v, body) => Ok(Formula::ForallSort(
             v.clone(),
-            Box::new(normalize_formula_raw(env, body, mode, fuel)?),
+            Box::new(normalize_formula(env, body, mode, fuel)?),
         )),
         Formula::FMatch(scrut, arms) => {
-            let scrut = normalize_term_raw(env, scrut, mode, fuel)?;
+            let scrut = normalize_term(env, scrut, mode, fuel)?;
             if let Some(reduced) = step_fmatch(env, &scrut, arms) {
-                return normalize_formula_raw(env, &reduced, mode, fuel);
+                return normalize_formula(env, &reduced, mode, fuel);
             }
             let arms = arms
                 .iter()
-                .map(|(p, rhs)| Ok((p.clone(), normalize_formula_raw(env, rhs, mode, fuel)?)))
+                .map(|(p, rhs)| Ok((p.clone(), normalize_formula(env, rhs, mode, fuel)?)))
                 .collect::<Result<Vec<_>, TacticError>>()?;
             Ok(Formula::FMatch(Box::new(scrut), arms))
         }

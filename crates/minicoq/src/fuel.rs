@@ -58,24 +58,6 @@ impl Fuel {
         self.charge(1)
     }
 
-    /// Replays the charge of a memoized evaluation that originally
-    /// succeeded after `cost` single-unit ticks. With enough budget this is
-    /// indistinguishable from re-running it; with less, a live run would
-    /// tick away the whole remainder and fail on one more tick, so the
-    /// replay reproduces exactly that accounting (including the
-    /// one-past-exhaustion overshoot `charge` records in `spent`).
-    pub fn replay(&mut self, cost: u64) -> Result<(), TacticError> {
-        if cost <= self.remaining {
-            self.spent = self.spent.saturating_add(cost);
-            self.remaining -= cost;
-            Ok(())
-        } else {
-            self.spent = self.spent.saturating_add(self.remaining).saturating_add(1);
-            self.remaining = 0;
-            Err(TacticError::Timeout)
-        }
-    }
-
     /// Remaining budget.
     pub fn remaining(&self) -> u64 {
         self.remaining

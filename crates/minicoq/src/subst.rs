@@ -42,30 +42,18 @@ fn range_vars(map: &TermSubst) -> BTreeSet<Ident> {
 }
 
 /// Applies `map` to `t`, renaming `match` binders to avoid capture.
-///
-/// Memoized: the interner's per-node free-variable and binder sets prove
-/// most substitutions are the identity without any traversal, and repeated
-/// `(term, substitution)` pairs return the cached result.
 pub fn subst_term(t: &Term, map: &TermSubst) -> Term {
-    if map.is_empty() {
-        return t.clone();
-    }
-    crate::intern::subst_term_memo(t, map, || subst_term_raw(t, map))
-}
-
-fn subst_term_raw(t: &Term, map: &TermSubst) -> Term {
     if map.is_empty() {
         return t.clone();
     }
     match t {
         Term::Var(v) => map.get(v).cloned().unwrap_or_else(|| t.clone()),
         Term::Meta(_) => t.clone(),
-        Term::App(f, args) => Term::App(
-            f.clone(),
-            args.iter().map(|a| subst_term_raw(a, map)).collect(),
-        ),
+        Term::App(f, args) => {
+            Term::App(f.clone(), args.iter().map(|a| subst_term(a, map)).collect())
+        }
         Term::Match(scrut, arms) => {
-            let scrut = subst_term_raw(scrut, map);
+            let scrut = subst_term(scrut, map);
             let arms = arms
                 .iter()
                 .map(|(pat, rhs)| {
@@ -74,7 +62,7 @@ fn subst_term_raw(t: &Term, map: &TermSubst) -> Term {
                     for b in pat.binders() {
                         inner.remove(&b);
                     }
-                    (pat, subst_term_raw(&rhs, &inner))
+                    (pat, subst_term(&rhs, &inner))
                 })
                 .collect();
             Term::Match(Box::new(scrut), arms)
@@ -94,7 +82,7 @@ fn rename_arm_binders_term(pat: &Pat, rhs: &Term, map: &TermSubst) -> (Pat, Term
     avoid.extend(fv);
     let mut renaming = TermSubst::new();
     let new_pat = rename_pat(pat, &mut avoid, &mut renaming);
-    (new_pat, subst_term_raw(rhs, &renaming))
+    (new_pat, subst_term(rhs, &renaming))
 }
 
 fn rename_pat(pat: &Pat, avoid: &mut BTreeSet<Ident>, renaming: &mut TermSubst) -> Pat {
@@ -123,52 +111,39 @@ fn rename_pat(pat: &Pat, avoid: &mut BTreeSet<Ident>, renaming: &mut TermSubst) 
 
 /// Applies `map` to a formula, renaming quantifier and match binders to
 /// avoid capture.
-///
-/// Memoized like [`subst_term`].
 pub fn subst_formula(f: &Formula, map: &TermSubst) -> Formula {
-    if map.is_empty() {
-        return f.clone();
-    }
-    crate::intern::subst_formula_memo(f, map, || subst_formula_raw(f, map))
-}
-
-fn subst_formula_raw(f: &Formula, map: &TermSubst) -> Formula {
     if map.is_empty() {
         return f.clone();
     }
     match f {
         Formula::True | Formula::False => f.clone(),
-        Formula::Eq(s, a, b) => {
-            Formula::Eq(s.clone(), subst_term_raw(a, map), subst_term_raw(b, map))
-        }
+        Formula::Eq(s, a, b) => Formula::Eq(s.clone(), subst_term(a, map), subst_term(b, map)),
         Formula::Pred(p, sorts, args) => Formula::Pred(
             p.clone(),
             sorts.clone(),
-            args.iter().map(|a| subst_term_raw(a, map)).collect(),
+            args.iter().map(|a| subst_term(a, map)).collect(),
         ),
-        Formula::Not(g) => Formula::Not(Box::new(subst_formula_raw(g, map))),
-        Formula::And(a, b) => Formula::and(subst_formula_raw(a, map), subst_formula_raw(b, map)),
-        Formula::Or(a, b) => Formula::or(subst_formula_raw(a, map), subst_formula_raw(b, map)),
-        Formula::Implies(a, b) => {
-            Formula::implies(subst_formula_raw(a, map), subst_formula_raw(b, map))
-        }
+        Formula::Not(g) => Formula::Not(Box::new(subst_formula(g, map))),
+        Formula::And(a, b) => Formula::and(subst_formula(a, map), subst_formula(b, map)),
+        Formula::Or(a, b) => Formula::or(subst_formula(a, map), subst_formula(b, map)),
+        Formula::Implies(a, b) => Formula::implies(subst_formula(a, map), subst_formula(b, map)),
         Formula::Iff(a, b) => Formula::Iff(
-            Box::new(subst_formula_raw(a, map)),
-            Box::new(subst_formula_raw(b, map)),
+            Box::new(subst_formula(a, map)),
+            Box::new(subst_formula(b, map)),
         ),
         Formula::Forall(v, s, body) => {
             let (v, body, inner) = rename_binder_formula(v, body, map);
-            Formula::Forall(v, s.clone(), Box::new(subst_formula_raw(&body, &inner)))
+            Formula::Forall(v, s.clone(), Box::new(subst_formula(&body, &inner)))
         }
         Formula::Exists(v, s, body) => {
             let (v, body, inner) = rename_binder_formula(v, body, map);
-            Formula::Exists(v, s.clone(), Box::new(subst_formula_raw(&body, &inner)))
+            Formula::Exists(v, s.clone(), Box::new(subst_formula(&body, &inner)))
         }
         Formula::ForallSort(v, body) => {
-            Formula::ForallSort(v.clone(), Box::new(subst_formula_raw(body, map)))
+            Formula::ForallSort(v.clone(), Box::new(subst_formula(body, map)))
         }
         Formula::FMatch(scrut, arms) => {
-            let scrut = subst_term_raw(scrut, map);
+            let scrut = subst_term(scrut, map);
             let arms = arms
                 .iter()
                 .map(|(pat, rhs)| {
@@ -177,7 +152,7 @@ fn subst_formula_raw(f: &Formula, map: &TermSubst) -> Formula {
                     for b in pat.binders() {
                         inner.remove(&b);
                     }
-                    (pat, subst_formula_raw(&rhs, &inner))
+                    (pat, subst_formula(&rhs, &inner))
                 })
                 .collect();
             Formula::FMatch(Box::new(scrut), arms)
@@ -203,7 +178,7 @@ fn rename_binder_formula(
     let nv = fresh_name(v, &avoid);
     let mut renaming = TermSubst::new();
     renaming.insert(v.clone(), Term::Var(nv.clone()));
-    let body = subst_formula_raw(body, &renaming);
+    let body = subst_formula(body, &renaming);
     (nv, body, inner)
 }
 
@@ -219,7 +194,7 @@ fn rename_arm_binders_formula(pat: &Pat, rhs: &Formula, map: &TermSubst) -> (Pat
     avoid.extend(fv);
     let mut renaming = TermSubst::new();
     let new_pat = rename_pat(pat, &mut avoid, &mut renaming);
-    (new_pat, subst_formula_raw(rhs, &renaming))
+    (new_pat, subst_formula(rhs, &renaming))
 }
 
 /// Substitutes a single variable in a term.

@@ -16,20 +16,7 @@ use crate::unify::Unifier;
 /// Weak-head exposure of a proposition: unfolds defined predicates and
 /// reduces decidable formula-matches until a logical connective (or an
 /// opaque atom) is at the head. Bounded.
-///
-/// Memoized per `(environment uid, formula)`: exposure is pure in both
-/// (the internal fuel is local and fixed), and tactics re-expose the same
-/// hypotheses and conclusions on every proposal the search tries.
 pub(crate) fn whnf_prop(env: &Env, f: &Formula) -> Formula {
-    // Already weak-head normal unless a defined predicate or a formula
-    // match is at the head; skip the memo machinery entirely then.
-    if !matches!(f, Formula::Pred(..) | Formula::FMatch(..)) {
-        return f.clone();
-    }
-    crate::intern::whnf_memo(env.uid.get(), f, || whnf_prop_raw(env, f))
-}
-
-fn whnf_prop_raw(env: &Env, f: &Formula) -> Formula {
     let mut cur = f.clone();
     for _ in 0..64 {
         match &cur {

@@ -1,19 +1,17 @@
-//! Property tests for the hash-consing interner: structural identity,
-//! alpha-invariant hashing (and its agreement with the canonical
-//! `statehash` keys the pre-interning kernel hashed), and the
-//! parse → intern → pretty → parse round trip.
+//! Property tests for the goal interner's state stamps (their agreement
+//! with the canonical `statehash` keys) and the parse → pretty → parse
+//! round trip.
 
 use proptest::prelude::*;
 
 use minicoq::env::Env;
 use minicoq::formula::Formula;
 use minicoq::goal::ProofState;
-use minicoq::intern::{alpha_hash_formula, alpha_hash_term, formula_id, state_stamp, term_id};
+use minicoq::intern::state_stamp;
 use minicoq::parse::parse_formula;
 use minicoq::pretty::formula_to_string;
 use minicoq::sort::Sort;
-use minicoq::statehash::{formula_key, state_hash, state_key, term_key};
-use minicoq::subst::subst_term1;
+use minicoq::statehash::{state_hash, state_key};
 use minicoq::term::Term;
 
 /// Closed-ish arithmetic terms over `nat` with two free variables.
@@ -47,52 +45,6 @@ fn closed_eq(t: &Term, u: &Term) -> Formula {
 
 proptest! {
     #[test]
-    fn interned_id_is_structural_equality(t in arb_nat_term(), u in arb_nat_term()) {
-        // The whole point of hash-consing: id equality ⟺ structural
-        // equality, in both directions.
-        prop_assert_eq!(term_id(&t) == term_id(&u), t == u);
-        let f = closed_eq(&t, &t);
-        let g = closed_eq(&u, &u);
-        prop_assert_eq!(formula_id(&f) == formula_id(&g), f == g);
-    }
-
-    #[test]
-    fn alpha_hash_is_alpha_invariant(t in arb_nat_term()) {
-        // forall x, t = t   vs   forall zz, t[x:=zz] = t[x:=zz].
-        let f1 = Formula::forall(
-            "x",
-            Sort::nat(),
-            Formula::Eq(Sort::nat(), t.clone(), t.clone()),
-        );
-        let renamed = subst_term1(&t, "x", &Term::var("zz"));
-        let f2 = Formula::forall(
-            "zz",
-            Sort::nat(),
-            Formula::Eq(Sort::nat(), renamed.clone(), renamed),
-        );
-        prop_assert_eq!(alpha_hash_formula(&f1), alpha_hash_formula(&f2));
-    }
-
-    #[test]
-    fn alpha_hash_agrees_with_canonical_keys(t in arb_nat_term(), u in arb_nat_term()) {
-        // The interned hash is defined as the hash of the canonical
-        // `statehash` key, so key equality must imply hash equality —
-        // that is the compatibility contract with the pre-interning
-        // duplicate-state detection. (The converse would only fail on a
-        // 64-bit hash collision.)
-        prop_assert_eq!(
-            term_key(&t) == term_key(&u),
-            alpha_hash_term(&t) == alpha_hash_term(&u)
-        );
-        let f = closed_eq(&t, &Term::nat(0));
-        let g = closed_eq(&u, &Term::nat(0));
-        prop_assert_eq!(
-            formula_key(&f) == formula_key(&g),
-            alpha_hash_formula(&f) == alpha_hash_formula(&g)
-        );
-    }
-
-    #[test]
     fn state_stamp_matches_legacy_state_hash(t in arb_nat_term(), u in arb_nat_term()) {
         // The incremental stamp reproduces `statehash::state_hash` bit for
         // bit, and its cached keys concatenate to the canonical state key.
@@ -104,16 +56,15 @@ proptest! {
     }
 
     #[test]
-    fn parse_intern_pretty_parse_round_trips(t in arb_nat_term(), u in arb_nat_term()) {
+    fn parse_pretty_parse_round_trips(t in arb_nat_term(), u in arb_nat_term()) {
         let env = Env::with_prelude();
         let f = closed_eq(&t, &u);
-        let id0 = formula_id(&f);
-        // Pretty-print the interned formula and parse it back: the
-        // statement must survive, landing on the very same interned id.
+        // Pretty-print the formula and parse it back: the statement must
+        // survive unchanged.
         let printed = formula_to_string(&f);
         let reparsed = parse_formula(&env, &printed)
             .unwrap_or_else(|e| panic!("pretty output failed to reparse: {printed}: {e}"));
-        prop_assert_eq!(formula_id(&reparsed), id0, "round trip moved: {}", printed);
+        prop_assert_eq!(&reparsed, &f, "round trip moved: {}", printed);
         // And the printer is a fixpoint on reparsed output.
         prop_assert_eq!(formula_to_string(&reparsed), printed);
     }

@@ -1,14 +1,14 @@
 //! Proof sessions: the state-transition machine proper.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use minicoq::analysis::{preflight_state, PreflightRejection, PreflightVerdict};
 use minicoq::env::Env;
 use minicoq::error::TacticError;
 use minicoq::formula::Formula;
 use minicoq::fuel::Fuel;
-use minicoq::goal::{Goal, ProofState};
+use minicoq::goal::ProofState;
 use minicoq::intern::{state_stamp, state_stamp_from_parent, StateStamp};
 use minicoq::parse::parse_tactic;
 use minicoq::tactic::apply_tactic_timed;
@@ -134,86 +134,6 @@ fn add_outcome_counter(outcome: &str) -> &'static proof_trace::metrics::HotCount
             debug_assert_eq!(outcome, "no_such_state", "unknown add outcome");
             &NO_SUCH_STATE
         }
-    }
-}
-
-/// The replayable outcome of running one tactic sentence against one
-/// focused goal. Tactic evaluation is a pure function of `(environment,
-/// focused goal, tactic source, fuel budget)` — the unfocused tail rides
-/// along untouched — so the whole `parse → preflight → apply` pipeline can
-/// be memoized process-wide and replayed byte-for-byte, including the
-/// exact fuel charge.
-#[derive(Debug, Clone)]
-struct CachedAdd {
-    /// True when the outcome precedes the fault-injection point (a parse
-    /// error): replayed before consulting the fault plan, like the
-    /// original evaluation order.
-    pre_fault: bool,
-    /// The replacement goals for the focused goal on success, or the
-    /// error the pipeline produced.
-    result: Result<Vec<Arc<Goal>>, AddError>,
-    /// Fuel the original evaluation charged.
-    fuel: u64,
-}
-
-/// Memo key fields that select an evaluation pipeline: environment
-/// snapshot uid, fuel budget, and whether preflight screening is on.
-type MemoConfig = (u64, u64, bool);
-
-/// `config → tactic source → focused goal → outcome`. `Arc<Goal>` keys
-/// borrow-compare as `Goal` and are pointer-shared with session states, so
-/// inserts never deep-copy. Entries for stale environment uids are dropped
-/// wholesale when the cap is reached.
-type ApplyMemo = HashMap<MemoConfig, HashMap<String, HashMap<Arc<Goal>, CachedAdd>>>;
-
-/// Process-global cap on memoized outcomes; the table is cleared when it
-/// fills (the working set of one theorem is far smaller).
-const APPLY_MEMO_CAP: usize = 1 << 18;
-
-fn apply_memo() -> &'static Mutex<(usize, ApplyMemo)> {
-    static MEMO: OnceLock<Mutex<(usize, ApplyMemo)>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new((0, HashMap::new())))
-}
-
-/// Recovers the table from a poisoned lock: entries are only ever inserted
-/// whole, so the map is valid after a panicking holder.
-fn memo_lock() -> std::sync::MutexGuard<'static, (usize, ApplyMemo)> {
-    apply_memo()
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn memo_get(cfg: MemoConfig, tactic: &str, goal: &Goal) -> Option<CachedAdd> {
-    let guard = memo_lock();
-    let hit = guard
-        .1
-        .get(&cfg)
-        .and_then(|m| m.get(tactic))
-        .and_then(|m| m.get(goal))
-        .cloned();
-    if proof_trace::enabled() {
-        use proof_trace::metrics::HotCounter;
-        static HIT: HotCounter = HotCounter::new("stm.apply_memo.hit");
-        static MISS: HotCounter = HotCounter::new("stm.apply_memo.miss");
-        if hit.is_some() { &HIT } else { &MISS }.inc();
-    }
-    hit
-}
-
-fn memo_put(cfg: MemoConfig, tactic: &str, goal: Arc<Goal>, cached: CachedAdd) {
-    let mut guard = memo_lock();
-    if guard.0 >= APPLY_MEMO_CAP {
-        guard.0 = 0;
-        guard.1.clear();
-    }
-    let by_goal = guard
-        .1
-        .entry(cfg)
-        .or_default()
-        .entry(tactic.to_string())
-        .or_default();
-    if by_goal.insert(goal, cached).is_none() {
-        guard.0 += 1;
     }
 }
 
@@ -360,41 +280,10 @@ impl ProofSession {
         };
         let base = entry.state.clone();
         let base_stamp = entry.stamp.clone();
-        let memo_cfg: MemoConfig = (
-            self.env.uid.get(),
-            self.config.tactic_fuel,
-            self.config.preflight,
-        );
-        // Replay a memoized evaluation of this (goal, tactic) pair, if any:
-        // everything from parsing through tactic execution is a pure
-        // function of the focused goal under this memo configuration. The
-        // fault-injection check still runs per call (its site includes the
-        // state id), at the same point in the order as a live evaluation.
-        if let Some(focused) = base.goals.first() {
-            if let Some(cached) = memo_get(memo_cfg, tactic_src, focused) {
-                if cached.pre_fault {
-                    return Err(cached.result.expect_err("pre-fault outcomes are errors"));
-                }
-                if self.injected_stall(at, tactic_src) {
-                    return Err(AddError::Timeout);
-                }
-                self.fuel_spent += cached.fuel;
-                let replacement = cached.result?;
-                let mut goals = replacement;
-                goals.extend(base.goals.iter().skip(1).cloned());
-                return self.commit(at, &base, &base_stamp, tactic_src, ProofState { goals });
-            }
-        }
         let tac = match parse_tactic(&self.env, base.focused(), tactic_src) {
             Ok(t) => t,
-            Err(e) => {
-                let err = match e {
-                    TacticError::Parse(m) => AddError::Parse(m),
-                    other => AddError::Rejected(other.to_string()),
-                };
-                self.memoize(memo_cfg, tactic_src, &base, true, Err(err.clone()), 0);
-                return Err(err);
-            }
+            Err(TacticError::Parse(m)) => return Err(AddError::Parse(m)),
+            Err(other) => return Err(AddError::Rejected(other.to_string())),
         };
         // Injected prover stall: the tactic parsed but "ran out the clock".
         // Reported exactly like a genuine timeout (the search cannot tell
@@ -408,9 +297,7 @@ impl ProofSession {
             if let PreflightVerdict::Reject(r) =
                 preflight_state(&self.env, &base, &tac, self.config.tactic_fuel)
             {
-                let err = AddError::Preflight(r);
-                self.memoize(memo_cfg, tactic_src, &base, false, Err(err.clone()), 0);
-                return Err(err);
+                return Err(AddError::Preflight(r));
             }
         }
         let mut fuel = Fuel::new(self.config.tactic_fuel);
@@ -418,48 +305,10 @@ impl ProofSession {
         self.fuel_spent += fuel.spent();
         let new_state = match result {
             Ok(s) => s,
-            Err(e) => {
-                let err = match e {
-                    TacticError::Timeout => AddError::Timeout,
-                    TacticError::Parse(m) => AddError::Parse(m),
-                    other => AddError::Rejected(other.to_string()),
-                };
-                self.memoize(
-                    memo_cfg,
-                    tactic_src,
-                    &base,
-                    false,
-                    Err(err.clone()),
-                    fuel.spent(),
-                );
-                return Err(err);
-            }
+            Err(TacticError::Timeout) => return Err(AddError::Timeout),
+            Err(TacticError::Parse(m)) => return Err(AddError::Parse(m)),
+            Err(other) => return Err(AddError::Rejected(other.to_string())),
         };
-        // Only the focused goal's replacement is memoized; the unfocused
-        // tail must have ridden along untouched (pointer-identical), which
-        // every tactic guarantees via `replace_focused`. Checked anyway —
-        // a tactic that broke the invariant would silently be exempted
-        // from memoization rather than corrupt replays.
-        if !base.goals.is_empty() {
-            let tail_len = base.goals.len() - 1;
-            if new_state.goals.len() >= tail_len {
-                let split = new_state.goals.len() - tail_len;
-                let tail_shared = new_state.goals[split..]
-                    .iter()
-                    .zip(base.goals[1..].iter())
-                    .all(|(a, b)| Arc::ptr_eq(a, b));
-                if tail_shared {
-                    self.memoize(
-                        memo_cfg,
-                        tactic_src,
-                        &base,
-                        false,
-                        Ok(new_state.goals[..split].to_vec()),
-                        fuel.spent(),
-                    );
-                }
-            }
-        }
         self.commit(at, &base, &base_stamp, tactic_src, new_state)
     }
 
@@ -471,30 +320,6 @@ impl ProofSession {
                 plan.should_fault(FaultKind::StmTimeout, &site)
             }
             None => false,
-        }
-    }
-
-    /// Stores one evaluated outcome in the process-global apply memo.
-    fn memoize(
-        &self,
-        cfg: MemoConfig,
-        tactic_src: &str,
-        base: &ProofState,
-        pre_fault: bool,
-        result: Result<Vec<Arc<Goal>>, AddError>,
-        fuel: u64,
-    ) {
-        if let Some(focused) = base.goals.first() {
-            memo_put(
-                cfg,
-                tactic_src,
-                Arc::clone(focused),
-                CachedAdd {
-                    pre_fault,
-                    result,
-                    fuel,
-                },
-            );
         }
     }
 

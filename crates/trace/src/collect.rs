@@ -33,7 +33,8 @@ pub enum Field {
 pub struct SpanRec {
     /// Unique span id (process-wide, starts at 1).
     pub id: u64,
-    /// Id of the enclosing span on the same thread; 0 for a root.
+    /// Id of the enclosing span on the same thread, or of the span the
+    /// thread adopted ([`adopt_parent`]); 0 for a root.
     pub parent: u64,
     /// Trace-local thread id (dense, assigned in first-use order).
     pub tid: u64,
@@ -172,8 +173,34 @@ pub(crate) fn end_span(id: u64) {
 }
 
 /// The id of the span currently open on this thread, 0 if none.
-pub(crate) fn current_span() -> u64 {
+pub fn current_span() -> u64 {
     STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
+}
+
+/// Makes span `id` the parent of the spans this thread opens while the
+/// guard lives. A worker thread passes the [`current_span`] of the thread
+/// that spawned it, so the worker's spans nest under that span although
+/// they run on another thread. Id 0 (nothing open, or tracing off) adopts
+/// nothing.
+pub fn adopt_parent(id: u64) -> AdoptedParent {
+    if id != 0 {
+        STACK.with(|s| s.borrow_mut().push(id));
+    }
+    AdoptedParent { id }
+}
+
+/// Guard returned by [`adopt_parent`]; takes the adopted id off this
+/// thread's span stack on drop.
+pub struct AdoptedParent {
+    id: u64,
+}
+
+impl Drop for AdoptedParent {
+    fn drop(&mut self) {
+        if self.id != 0 {
+            end_span(self.id);
+        }
+    }
 }
 
 impl Collector {

@@ -128,16 +128,16 @@ fn flame_frame(kind: &str, name: &str) -> String {
 /// export) as collapsed stacks (the `inferno` / `flamegraph.pl` /
 /// speedscope input format): one `frame;frame;frame value` line per
 /// distinct root-to-leaf path, value = **self time in microseconds**
-/// (duration minus recorded children), identical stacks merged, lines
-/// sorted so output is a function of the span data alone. Spans whose
-/// parent was dropped by the collector cap surface as roots.
+/// (duration minus recorded children on the same thread), identical stacks
+/// merged, lines sorted so output is a function of the span data alone.
+/// Spans whose parent was dropped by the collector cap surface as roots.
 pub fn collapsed_stacks(spans: &[Span]) -> String {
     use std::collections::BTreeMap;
     use std::collections::HashMap;
     let by_id: HashMap<u64, &Span> = spans.iter().map(|s| (s.id, s)).collect();
     let mut child_ns: HashMap<u64, u64> = HashMap::new();
     for s in spans {
-        if s.parent != 0 && by_id.contains_key(&s.parent) {
+        if by_id.get(&s.parent).is_some_and(|p| p.tid == s.tid) {
             *child_ns.entry(s.parent).or_insert(0) += s.dur_ns;
         }
     }

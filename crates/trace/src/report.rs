@@ -4,12 +4,16 @@
 //! The report operates on *parsed* spans ([`Span`], plain `String` kinds —
 //! the binary reads them back from a JSONL export) plus a metrics
 //! snapshot. The central quantity is **self time**: a span's duration
-//! minus the durations of its direct children, aggregated by *phase* (the
-//! span kind up to the first `.`, so `oracle.prompt` accounts under
-//! `oracle`). Because children nest inside parents on each thread, phase
-//! self times over a well-formed trace partition total busy time exactly —
-//! whatever share lands in a named phase is genuinely attributed, and the
-//! remainder is visible as container overhead rather than silently lost.
+//! minus the durations of its direct children on the same thread,
+//! aggregated by *phase* (the span kind up to the first `.`, so
+//! `oracle.prompt` accounts under `oracle`). Because children nest inside
+//! parents on each thread, phase self times over a well-formed trace
+//! partition total busy time exactly — whatever share lands in a named
+//! phase is genuinely attributed, and the remainder is visible as container
+//! overhead rather than silently lost. A child on another thread (a worker
+//! under the cell that spawned it) runs alongside its parent, not inside
+//! it, so its duration is busy time of its own. The [`WAIT_PHASE`] is a
+//! thread idling on a join: it is reported apart, outside busy time.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -45,6 +49,20 @@ pub struct Span {
     pub dur_ns: u64,
 }
 
+impl From<&crate::SpanRec> for Span {
+    fn from(s: &crate::SpanRec) -> Span {
+        Span {
+            id: s.id,
+            parent: s.parent,
+            tid: s.tid,
+            kind: s.kind.to_string(),
+            name: s.name.clone(),
+            start_ns: s.start_ns,
+            dur_ns: s.dur_ns,
+        }
+    }
+}
+
 /// The execution phases the acceptance contract names: a healthy trace
 /// attributes ≥95% of busy time to these.
 pub const NAMED_PHASES: [&str; 7] = [
@@ -57,6 +75,10 @@ pub const NAMED_PHASES: [&str; 7] = [
     "classify",
 ];
 
+/// The phase of a thread blocked on joining its workers: idle time,
+/// reported apart from the busy phases.
+pub const WAIT_PHASE: &str = "wait";
+
 /// The phase a span kind accounts under: everything before the first `.`.
 pub fn phase_of(kind: &str) -> &str {
     kind.split('.').next().unwrap_or(kind)
@@ -65,12 +87,15 @@ pub fn phase_of(kind: &str) -> &str {
 /// Aggregated per-phase accounting.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseBreakdown {
-    /// Phase → (self nanoseconds, span count).
+    /// Busy phase → (self nanoseconds, span count); never [`WAIT_PHASE`].
     pub phases: BTreeMap<String, (u64, u64)>,
-    /// Sum of root-span durations: total thread-busy nanoseconds. Equals
-    /// wall time for a single-threaded run; for a pooled run it is the
-    /// across-threads busy total the phase shares are taken against.
+    /// Total thread-busy nanoseconds: the durations of the spans with no
+    /// parent on their own thread, less the wait. Equals wall time for a
+    /// single-threaded run; for a pooled run it is the across-threads busy
+    /// total the phase shares are taken against.
     pub total_busy_ns: u64,
+    /// [`WAIT_PHASE`] (self nanoseconds, span count).
+    pub wait: (u64, u64),
 }
 
 impl PhaseBreakdown {
@@ -92,27 +117,32 @@ impl PhaseBreakdown {
 
 /// Computes the per-phase self-time breakdown.
 pub fn phase_breakdown(spans: &[Span]) -> PhaseBreakdown {
+    let tid_of: HashMap<u64, u64> = spans.iter().map(|s| (s.id, s.tid)).collect();
+    // A parent missing from the trace (dropped at the cap) counts as the
+    // child's own thread, so the child is not busy time of its own.
+    let nested = |s: &Span| s.parent != 0 && tid_of.get(&s.parent).is_none_or(|&tid| tid == s.tid);
     let mut child_ns: HashMap<u64, u64> = HashMap::new();
-    for s in spans {
-        if s.parent != 0 {
-            *child_ns.entry(s.parent).or_insert(0) += s.dur_ns;
-        }
+    for s in spans.iter().filter(|s| nested(s)) {
+        *child_ns.entry(s.parent).or_insert(0) += s.dur_ns;
     }
     let mut out = PhaseBreakdown::default();
     for s in spans {
         let self_ns = s
             .dur_ns
             .saturating_sub(child_ns.get(&s.id).copied().unwrap_or(0));
-        let entry = out
-            .phases
-            .entry(phase_of(&s.kind).to_string())
-            .or_insert((0, 0));
+        let phase = phase_of(&s.kind);
+        let entry = if phase == WAIT_PHASE {
+            &mut out.wait
+        } else {
+            out.phases.entry(phase.to_string()).or_insert((0, 0))
+        };
         entry.0 += self_ns;
         entry.1 += 1;
-        if s.parent == 0 {
+        if !nested(s) {
             out.total_busy_ns += s.dur_ns;
         }
     }
+    out.total_busy_ns = out.total_busy_ns.saturating_sub(out.wait.0);
     out
 }
 
@@ -161,6 +191,14 @@ pub fn render_report(
             out,
             "  {phase:12} {:>10.1} ms  {share:>5.1}%  ({count} spans)",
             ms(self_ns)
+        );
+    }
+    if bd.wait.1 > 0 {
+        let _ = writeln!(
+            out,
+            "  {WAIT_PHASE:12} {:>10.1} ms  idle   ({} spans, outside total busy)",
+            ms(bd.wait.0),
+            bd.wait.1
         );
     }
     let _ = writeln!(
@@ -255,78 +293,34 @@ pub fn render_report(
     out
 }
 
-/// Renders the kernel interner / memo-table section, if the run published
-/// any `intern.*` gauges (`minicoq::intern::publish_metrics`). Each memo
-/// line is hits vs misses with the hit share; the apply-memo line comes
-/// from the STM layer's always-on counters.
+/// Renders the goal-interner section, if the run published any
+/// `intern.*` gauges (`minicoq::intern::publish_metrics`): goal interns
+/// answered by the structural front map vs those that derived a canonical
+/// key, and the table's approximate size.
 fn intern_section(metrics: &MetricsSnapshot) -> Option<String> {
     let gauge = |key: &str| -> u64 { metrics.gauges.get(key).copied().unwrap_or(0).max(0) as u64 };
     if !metrics.gauges.keys().any(|k| k.starts_with("intern.")) {
         return None;
     }
-    let mut out = String::new();
-    let _ = writeln!(out, "\n== Kernel interner and memo tables ==");
-    let mut ratio_line = |label: &str, hits: u64, misses: u64| {
-        let total = hits + misses;
-        let pct = if total > 0 {
-            100.0 * hits as f64 / total as f64
-        } else {
-            0.0
-        };
-        let _ = writeln!(
-            out,
-            "  {label:18} {hits:>10} hit  {misses:>10} miss  ({pct:>5.1}% hit)"
-        );
+    let (hits, misses) = (gauge("intern.goal.hit"), gauge("intern.goal.miss"));
+    let total = hits + misses;
+    let pct = if total > 0 {
+        100.0 * hits as f64 / total as f64
+    } else {
+        0.0
     };
-    ratio_line(
-        "term nodes",
-        gauge("intern.term.hit"),
-        gauge("intern.term.miss"),
-    );
-    ratio_line(
-        "formula nodes",
-        gauge("intern.formula.hit"),
-        gauge("intern.formula.miss"),
-    );
-    ratio_line("goals", gauge("intern.goal.hit"), gauge("intern.goal.miss"));
-    ratio_line(
-        "subst memo",
-        gauge("intern.subst.memo_hit"),
-        gauge("intern.subst.memo_miss"),
-    );
-    ratio_line(
-        "whnf memo",
-        gauge("intern.whnf.hit"),
-        gauge("intern.whnf.miss"),
-    );
-    ratio_line(
-        "eval memo",
-        gauge("intern.eval.hit"),
-        gauge("intern.eval.miss"),
-    );
-    let apply = |key: &str| metrics.counters.get(key).copied().unwrap_or(0);
-    ratio_line(
-        "apply memo (stm)",
-        apply("stm.apply_memo.hit"),
-        apply("stm.apply_memo.miss"),
-    );
+    let mut out = String::new();
+    let _ = writeln!(out, "\n== Goal interner ==");
     let _ = writeln!(
         out,
-        "  {:18} {}",
-        "subst early-exit",
-        gauge("intern.subst.early_exit")
+        "  {:18} {hits:>10} hit  {misses:>10} miss  ({pct:>5.1}% hit)",
+        "goals"
     );
     let _ = writeln!(
         out,
         "  {:18} {}",
         "arena bytes",
         gauge("intern.arena.bytes")
-    );
-    let _ = writeln!(
-        out,
-        "  {:18} {:.3}x",
-        "dedup factor",
-        gauge("intern.dedup.factor_x1000") as f64 / 1000.0
     );
     Some(out)
 }
@@ -411,6 +405,34 @@ mod tests {
         assert_eq!(total, 100, "self times partition the root duration");
         // Named phases: oracle 40 + stm 20 + preflight 10 = 70%.
         assert!((bd.named_phase_pct() - 70.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cross_thread_children_are_busy_time_and_wait_is_idle() {
+        // Caller (tid 1): cell(100) > wait(90). Two workers (tids 2, 3)
+        // run theorem spans adopted by the cell.
+        let mut spans = vec![
+            span(1, 0, "cell", 100),
+            span(2, 1, "wait", 90),
+            span(3, 1, "theorem", 80),
+            span(4, 3, "oracle", 60),
+            span(5, 1, "theorem", 70),
+            span(6, 5, "stm", 70),
+        ];
+        for (i, tid) in [(2, 2), (3, 2), (4, 3), (5, 3)] {
+            spans[i].tid = tid;
+        }
+        let bd = phase_breakdown(&spans);
+        assert_eq!(bd.self_ns("cell"), 10, "only the same-thread wait nests");
+        assert_eq!(bd.self_ns("theorem"), 20);
+        assert_eq!(bd.wait, (90, 1));
+        assert_eq!(bd.self_ns("wait"), 0, "wait is not a busy phase");
+        // 100 (cell) + 80 + 70 (worker roots) - 90 (wait).
+        assert_eq!(bd.total_busy_ns, 160);
+        let total: u64 = bd.phases.values().map(|&(ns, _)| ns).sum();
+        assert_eq!(total, 160, "busy self times partition total busy");
+        let text = render_report(&spans, &MetricsSnapshot::default(), 0, 5);
+        assert!(text.contains("outside total busy"), "{text}");
     }
 
     #[test]

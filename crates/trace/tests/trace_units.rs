@@ -80,6 +80,35 @@ fn spans_on_other_threads_are_roots_with_their_own_tid() {
 }
 
 #[test]
+fn a_worker_that_adopts_its_spawners_span_nests_under_it() {
+    with_tracing(|| {
+        {
+            let _outer = trace::span("cell", "main");
+            let parent = trace::collect::current_span();
+            std::thread::spawn(move || {
+                {
+                    let _adopted = trace::collect::adopt_parent(parent);
+                    let _s = trace::span("theorem", "adopted");
+                }
+                let _s = trace::span("stm", "after");
+            })
+            .join()
+            .unwrap();
+        }
+        let data = trace::drain();
+        let main = data.spans.iter().find(|s| s.kind == "cell").unwrap();
+        let adopted = data.spans.iter().find(|s| s.kind == "theorem").unwrap();
+        let after = data.spans.iter().find(|s| s.kind == "stm").unwrap();
+        assert_eq!(
+            adopted.parent, main.id,
+            "the worker's span nests under the cell"
+        );
+        assert_ne!(adopted.tid, main.tid, "it still records its own thread");
+        assert_eq!(after.parent, 0, "dropping the guard ends the adoption");
+    });
+}
+
+#[test]
 fn drain_empties_the_collector() {
     with_tracing(|| {
         {
