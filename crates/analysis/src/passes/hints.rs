@@ -122,10 +122,10 @@ pub fn run(env: &Env, graph: &DepGraph, out: &mut Vec<Finding>) {
         let mut edges: Vec<Edge> = Vec::new();
         let mut nodes: BTreeSet<String> = BTreeSet::new();
         for hint in hints {
-            let Some(stmt) = env.rule_or_lemma(hint) else {
+            let Some(rule) = env.rule_or_lemma(hint) else {
                 continue; // unresolved hints are the graph layer's finding
             };
-            let (premises, conclusion) = premises_and_conclusion(&stmt);
+            let (premises, conclusion) = premises_and_conclusion(&rule.stmt);
             let Some((chead, cargs)) = head_of(conclusion) else {
                 continue; // auto cannot backchain on a non-atomic conclusion
             };

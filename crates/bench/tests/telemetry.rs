@@ -173,7 +173,8 @@ fn radar_check_clean_and_missing_ledger() {
 /// The goal interner's counters reach a trace: the JSONL carries them as
 /// `intern.*` gauges, and `trace_report`'s renderer turns them into the
 /// "Goal interner" section. This is the only view of those counters, so a
-/// run that drops them must fail here.
+/// run that drops them must fail here. The goal table's lock is timed only
+/// while tracing is armed.
 #[test]
 fn interner_counters_reach_the_trace_and_its_report() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -181,6 +182,14 @@ fn interner_counters_reach_the_trace_and_its_report() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let base = dir.join("trace");
+
+    let untimed = minicoq::intern::stats().lock_wait_ns;
+    run_small_cell();
+    assert_eq!(
+        minicoq::intern::stats().lock_wait_ns,
+        untimed,
+        "an untraced run timed the goal table's lock"
+    );
 
     proof_trace::set_enabled(true);
     run_small_cell();
@@ -204,6 +213,8 @@ fn interner_counters_reach_the_trace_and_its_report() {
     for key in ["intern.goal.hit", "intern.goal.miss"] {
         assert!(snap.gauges.contains_key(key), "no `{key}` gauge line");
     }
+    let waited = snap.gauges.get("intern.goal.lock_wait_ns").copied();
+    assert!(waited > Some(untimed as i64), "lock wait gauge: {waited:?}");
 
     let report = proof_trace::report::render_report(&[], &snap, 0, 10);
     assert!(
@@ -217,5 +228,6 @@ fn interner_counters_reach_the_trace_and_its_report() {
         .and_then(|n| n.parse().ok())
         .expect("a `goals` line with a hit count");
     assert!(goal_hits > 0, "a cell's evaluation re-sees interned goals");
+    assert!(report.contains("lock wait"), "no lock-wait line:\n{report}");
     let _ = std::fs::remove_dir_all(&dir);
 }

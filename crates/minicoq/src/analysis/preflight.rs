@@ -7,8 +7,9 @@
 //! proposal). The checks fall into three families:
 //!
 //! * **exact mirrors** of deterministic, fuel-free evaluator prefixes
-//!   (name resolution, `whnf` goal shapes, the `rewrite` equality check via
-//!   the very same `expose_rule`/`instantiate_rule` the evaluator calls);
+//!   (name resolution, `whnf` goal shapes, the `rewrite` equality check on
+//!   the very same cached rule readings, [`crate::rule`], the evaluator
+//!   reads);
 //! * **under-approximations** where the evaluator's behaviour depends on
 //!   unification or fuel (the `apply` head-symbol analysis treats any head
 //!   that conversion could still change as a wildcard);
@@ -22,13 +23,12 @@ use crate::env::{Env, PredDef};
 use crate::formula::Formula;
 use crate::fuel::Fuel;
 use crate::goal::{Goal, ProofState};
+use crate::rule::{Rule, RuleForm};
 use crate::sort::Sort;
 use crate::subst::{subst_formula1, subst_sorts_formula, SortSubst};
-use crate::tactic::{
-    candidate_subterms, expose_rule, stmt_of, whnf_formula, DestructTarget, Loc, Tactic,
-};
+use crate::tactic::{candidate_subterms, stmt_of, whnf_formula, DestructTarget, Loc, Tactic};
 use crate::term::Term;
-use crate::unify::{instantiate_rule, InstantiatedRule, Unifier};
+use crate::unify::{InstantiatedRule, Unifier};
 
 /// Machine-readable reason a tactic was statically rejected, aligned with
 /// the paper's invalid-tactic taxonomy (all of these refine "rejected by
@@ -354,8 +354,8 @@ fn success_goal_count(env: &Env, goal: &Goal, tac: &Tactic) -> Option<usize> {
         // `rewrite` success yields the rewritten goal plus one side goal per
         // premise of the (exposed, instantiated) equation.
         Tactic::Rewrite { name, .. } => {
-            let stmt = stmt_of(env, goal, name)?;
-            let inst = exposed_instantiation(env, &stmt);
+            let rule = Rule::resolve(env, goal, name)?;
+            let inst = rule.exposed_or_plain(env).instance();
             match inst.conclusion {
                 Formula::Eq(..) => Some(1 + inst.premises.len()),
                 _ => None,
@@ -639,9 +639,7 @@ fn head_of(env: &Env, f: &Formula) -> Head {
 /// The set of heads an instantiated rule conclusion can present to
 /// `unify_concl`, including the iff-directional and `~P`-on-`False`
 /// fallbacks of `apply_backward`.
-fn conclusion_heads(env: &Env, stmt: &Formula, out: &mut Vec<Head>) {
-    let mut uni = Unifier::new();
-    let inst = instantiate_rule(stmt, &mut uni);
+fn conclusion_heads(env: &Env, inst: &InstantiatedRule, out: &mut Vec<Head>) {
     out.push(head_of(env, &inst.conclusion));
     match &inst.conclusion {
         Formula::Iff(a, b) => {
@@ -654,21 +652,21 @@ fn conclusion_heads(env: &Env, stmt: &Formula, out: &mut Vec<Head>) {
 }
 
 fn check_apply(env: &Env, goal: &Goal, name: &str, in_hyp: Option<&str>) -> PreflightVerdict {
-    let Some(stmt) = stmt_of(env, goal, name) else {
+    let Some(rule) = Rule::resolve(env, goal, name) else {
         return reject(ReasonCode::UnknownName, format!("unknown lemma {name}"));
     };
     match in_hyp {
-        None => check_apply_backward(env, goal, name, &stmt),
+        None => check_apply_backward(env, goal, name, &rule),
         Some(h) => {
             if goal.hyp(h).is_none() {
                 return reject(ReasonCode::UnknownName, format!("no hypothesis {h}"));
             }
-            check_apply_forward(env, &stmt)
+            check_apply_forward(env, &rule)
         }
     }
 }
 
-fn check_apply_backward(env: &Env, goal: &Goal, name: &str, stmt: &Formula) -> PreflightVerdict {
+fn check_apply_backward(env: &Env, goal: &Goal, name: &str, rule: &Rule) -> PreflightVerdict {
     let goal_head = head_of(env, &goal.concl);
     if goal_head == Head::Wild {
         return PreflightVerdict::Accept;
@@ -676,10 +674,9 @@ fn check_apply_backward(env: &Env, goal: &Goal, name: &str, stmt: &Formula) -> P
     // The evaluator tries the statement as parsed and, on failure, its
     // exposed reading; collect candidate conclusion heads from both.
     let mut heads = Vec::new();
-    conclusion_heads(env, stmt, &mut heads);
-    let exposed = expose_rule(env, stmt);
-    if exposed != *stmt {
-        conclusion_heads(env, &exposed, &mut heads);
+    conclusion_heads(env, rule.plain().instance(), &mut heads);
+    if let Some(exposed) = rule.exposed(env) {
+        conclusion_heads(env, exposed.instance(), &mut heads);
     }
     if heads.iter().any(|h| *h == Head::Wild || *h == goal_head) {
         return PreflightVerdict::Accept;
@@ -693,17 +690,12 @@ fn check_apply_backward(env: &Env, goal: &Goal, name: &str, stmt: &Formula) -> P
 /// Forward `apply L in H` needs at least one premise reading; mirrors the
 /// candidate construction in `apply_forward` for both the raw and exposed
 /// statement.
-fn check_apply_forward(env: &Env, stmt: &Formula) -> PreflightVerdict {
-    let has_candidates = |s: &Formula| {
-        let mut uni = Unifier::new();
-        let inst = instantiate_rule(s, &mut uni);
+fn check_apply_forward(env: &Env, rule: &Rule) -> PreflightVerdict {
+    let has_candidates = |form: &RuleForm| {
+        let inst = form.instance();
         !inst.premises.is_empty() || matches!(inst.conclusion, Formula::Iff(..))
     };
-    if has_candidates(stmt) {
-        return PreflightVerdict::Accept;
-    }
-    let exposed = expose_rule(env, stmt);
-    if exposed != *stmt && has_candidates(&exposed) {
+    if has_candidates(rule.plain()) || rule.exposed(env).is_some_and(has_candidates) {
         return PreflightVerdict::Accept;
     }
     reject(ReasonCode::ArityMismatch, "the lemma has no premise")
@@ -723,14 +715,6 @@ fn check_constructor(env: &Env, goal: &Goal) -> PreflightVerdict {
         },
         _ => reject(ReasonCode::GoalShape, "no constructor applies"),
     }
-}
-
-/// The (exposed, instantiated) reading of a statement — exactly what
-/// `rewrite` inspects, and what `specialize`/`pose proof` walk through.
-fn exposed_instantiation(env: &Env, stmt: &Formula) -> InstantiatedRule {
-    let stmt = expose_rule(env, stmt);
-    let mut uni = Unifier::new();
-    instantiate_rule(&stmt, &mut uni)
 }
 
 /// Mirrors the first iteration of `instantiate_with_args`: exposes the next
@@ -964,14 +948,13 @@ fn check_rewrite(
     in_hyp: Option<&str>,
     fuel_budget: u64,
 ) -> PreflightVerdict {
-    let Some(stmt) = stmt_of(env, goal, name) else {
+    let Some(rule) = Rule::resolve(env, goal, name) else {
         return reject(ReasonCode::UnknownName, format!("unknown equation {name}"));
     };
-    // Identical to the evaluator: expose the statement, instantiate it, and
-    // require a syntactic equation as the conclusion.
-    let stmt = expose_rule(env, &stmt);
-    let mut uni = Unifier::new();
-    let inst = instantiate_rule(&stmt, &mut uni);
+    // Identical to the evaluator: the exposed reading of the statement,
+    // which must conclude with a syntactic equation.
+    let form = rule.exposed_or_plain(env);
+    let (inst, uni) = (form.instance(), form.unifier());
     let Formula::Eq(_, l, r) = &inst.conclusion else {
         return reject(
             ReasonCode::NonEquation,

@@ -8,6 +8,7 @@ use std::sync::{Arc, OnceLock};
 use crate::error::KernelError;
 use crate::formula::Formula;
 use crate::refs::LemmaFacts;
+use crate::rule::{Rule, RuleFacts};
 use crate::sort::Sort;
 use crate::term::{Pat, Term};
 use crate::Ident;
@@ -127,6 +128,8 @@ impl PredDef {
 }
 
 /// A proved lemma or theorem available for `apply`, `rewrite` and hints.
+/// An inductive predicate's introduction rule is held as one too, closed
+/// over the predicate's sort parameters (see [`Env::rule_or_lemma`]).
 #[derive(Clone)]
 pub struct Lemma {
     /// Lemma name.
@@ -135,15 +138,38 @@ pub struct Lemma {
     pub stmt: Formula,
     /// Facts about `stmt`, filled on the first [`Lemma::facts`] call.
     facts: OnceLock<LemmaFacts>,
+    /// Rule readings of `stmt`, each filled on first use through
+    /// [`Lemma::rule`].
+    rule: RuleFacts,
 }
 
 impl Lemma {
+    fn new(name: Ident, stmt: Formula) -> Lemma {
+        Lemma {
+            name,
+            stmt,
+            facts: OnceLock::new(),
+            rule: RuleFacts::default(),
+        }
+    }
+
     /// The static ranking facts of the statement, computed on first use.
     /// Every snapshot holding this lemma shares its `Arc`, and with it
     /// the facts, so a corpus computes them once per lemma. A declared
     /// lemma's statement never changes, so the facts never go stale.
     pub fn facts(&self) -> &LemmaFacts {
         self.facts.get_or_init(|| LemmaFacts::of(&self.stmt))
+    }
+
+    /// The statement read as a rule, each reading built on first use and
+    /// shared, like [`Lemma::facts`], by every snapshot holding this lemma.
+    /// The exposed reading and the normal-form conclusion also depend on
+    /// the definitions the statement mentions. Those were declared before
+    /// the statement elaborated, and [`Env`] rejects redeclaring an
+    /// inductive, constructor, function, predicate or lemma, so they never
+    /// change while this lemma lives and the readings never go stale.
+    pub fn rule(&self) -> Rule<'_> {
+        Rule::cached(&self.stmt, &self.rule)
     }
 }
 
@@ -166,6 +192,15 @@ pub struct CtorInfo {
     pub index: usize,
 }
 
+/// An inductive-predicate rule as [`Env::rule_or_lemma`] resolves it.
+#[derive(Debug, Clone)]
+struct IndexedRule {
+    /// The predicate that declares the rule.
+    pred: Ident,
+    /// The rule, its statement closed over the predicate's sort parameters.
+    rule: Arc<Lemma>,
+}
+
 /// A process-unique id naming one immutable *value state* of an [`Env`].
 ///
 /// Fresh ids are allocated on construction, on clone, and on every
@@ -175,9 +210,10 @@ pub struct CtorInfo {
 /// costs correctness, but it starts that cache cold, so a cache keyed here
 /// is only free for environments that are not cloned per search. The
 /// `auto`/`eauto` hint index is therefore built per invocation instead.
-/// Per-lemma facts ([`Lemma::facts`]) are not keyed here: they
-/// live in the `Arc<Lemma>`, so every snapshot and clone that holds the
-/// lemma shares them whatever its uid, and a new uid never recomputes them.
+/// Per-lemma facts, ranking ([`Lemma::facts`]) and rule readings
+/// ([`Lemma::rule`]), are not keyed here: they live in the `Arc<Lemma>`,
+/// so every snapshot and clone that holds the lemma shares them whatever
+/// its uid, and a new uid never recomputes them.
 #[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EnvUid(u64);
 
@@ -242,6 +278,9 @@ pub struct Env {
     pub lemmas: Arc<Vec<Arc<Lemma>>>,
     /// Lemma name to index lookup.
     pub lemma_index: Arc<BTreeMap<Arc<str>, usize>>,
+    /// Inductive-predicate rule name to the rule. When two predicates name
+    /// a rule alike, the one first in `preds` order holds the name.
+    rule_index: Arc<BTreeMap<Arc<str>, IndexedRule>>,
     /// Hint databases (`core` is used by `auto`/`eauto`), by name.
     pub hints: Arc<BTreeMap<Arc<str>, Vec<Arc<str>>>>,
 }
@@ -323,6 +362,24 @@ impl Env {
         if self.preds.contains_key(&name) {
             return Err(KernelError::Redeclared(name));
         }
+        if let PredDef::Inductive(ip) = &p {
+            let index = Arc::make_mut(&mut self.rule_index);
+            for (rn, stmt) in &ip.rules {
+                if index.get(rn.as_str()).is_some_and(|r| r.pred <= name) {
+                    continue;
+                }
+                // Close over the predicate's sort parameters.
+                let mut f = stmt.clone();
+                for sp in ip.sort_params.iter().rev() {
+                    f = Formula::ForallSort(sp.clone(), Box::new(f));
+                }
+                let rule = IndexedRule {
+                    pred: name.clone(),
+                    rule: Arc::new(Lemma::new(rn.clone(), f)),
+                };
+                index.insert(Arc::from(rn.as_str()), rule);
+            }
+        }
         Arc::make_mut(&mut self.preds).insert(name, p);
         Ok(())
     }
@@ -335,11 +392,7 @@ impl Env {
             return Err(KernelError::Redeclared(name));
         }
         Arc::make_mut(&mut self.lemma_index).insert(Arc::from(name.as_str()), self.lemmas.len());
-        Arc::make_mut(&mut self.lemmas).push(Arc::new(Lemma {
-            name,
-            stmt,
-            facts: OnceLock::new(),
-        }));
+        Arc::make_mut(&mut self.lemmas).push(Arc::new(Lemma::new(name, stmt)));
         Ok(())
     }
 
@@ -366,26 +419,12 @@ impl Env {
     }
 
     /// Resolves a name usable as an `apply` target that is not a hypothesis:
-    /// a lemma or an inductive-predicate rule. Returns its closed statement.
-    pub fn rule_or_lemma(&self, name: &str) -> Option<Formula> {
-        if let Some(l) = self.lemma(name) {
-            return Some(l.stmt.clone());
-        }
-        for p in self.preds.values() {
-            if let PredDef::Inductive(ip) = p {
-                for (rn, stmt) in &ip.rules {
-                    if rn == name {
-                        // Close over the predicate's sort parameters.
-                        let mut f = stmt.clone();
-                        for sp in ip.sort_params.iter().rev() {
-                            f = Formula::ForallSort(sp.clone(), Box::new(f));
-                        }
-                        return Some(f);
-                    }
-                }
-            }
-        }
-        None
+    /// a lemma, else an inductive-predicate rule (the first in `preds`
+    /// order that has the name), whose statement is closed over the
+    /// predicate's sort parameters.
+    pub fn rule_or_lemma(&self, name: &str) -> Option<&Lemma> {
+        self.lemma(name)
+            .or_else(|| self.rule_index.get(name).map(|r| &*r.rule))
     }
 
     /// Instantiates the constructor argument sorts of `ctor` so that the
@@ -805,6 +844,45 @@ mod tests {
             ctors: vec![],
         });
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn rule_index_resolves_like_a_scan_of_preds() {
+        let mut env = Env::with_prelude();
+        let atom = |p: &str| Formula::Pred(p.into(), vec![], vec![]);
+        let rule = |p: &str| Formula::implies(Formula::True, atom(p));
+        // `zq` is declared first but sorts after `ap`, so `ap` owns the
+        // clashing name `r`; inside `ap`, its first `r` wins.
+        let preds = [
+            ("zq", vec![("r", rule("zq")), ("s", atom("zq"))]),
+            ("ap", vec![("r", rule("ap")), ("r", atom("ap"))]),
+        ];
+        for (name, rules) in preds {
+            env.declare_pred(PredDef::Inductive(IndPred {
+                name: name.into(),
+                sort_params: vec![],
+                arg_sorts: vec![],
+                rules: rules.into_iter().map(|(r, f)| (r.into(), f)).collect(),
+            }))
+            .unwrap();
+        }
+        // The scan the index replaces (no rule here has sort parameters).
+        let scan = |env: &Env, name: &str| -> Option<Formula> {
+            let rules = env.preds.values().filter_map(|p| match p {
+                PredDef::Inductive(ip) => Some(&ip.rules),
+                PredDef::Defined(_) => None,
+            });
+            let mut rules = rules.flatten();
+            rules.find(|(rn, _)| rn == name).map(|(_, f)| f.clone())
+        };
+        for name in ["r", "s", "le_n", "le_S", "missing"] {
+            let indexed = env.rule_or_lemma(name).map(|l| l.stmt.clone());
+            assert_eq!(indexed, scan(&env, name), "{name}");
+        }
+        assert_eq!(env.rule_or_lemma("r").unwrap().stmt, rule("ap"));
+        // A lemma shadows a rule of the same name.
+        env.add_lemma("s", Formula::False).unwrap();
+        assert_eq!(env.rule_or_lemma("s").unwrap().stmt, Formula::False);
     }
 
     #[test]

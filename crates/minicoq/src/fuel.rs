@@ -58,6 +58,24 @@ impl Fuel {
         self.charge(1)
     }
 
+    /// Replays the charge of an evaluation that succeeded after `cost`
+    /// single-unit ticks, without running it again. With enough budget
+    /// this is indistinguishable from re-running it; with less, a live run
+    /// would tick away the whole remainder and fail on one more tick, so
+    /// the replay reproduces exactly that accounting (including the
+    /// one-past-exhaustion overshoot `charge` records in `spent`).
+    pub fn replay(&mut self, cost: u64) -> Result<(), TacticError> {
+        if cost <= self.remaining {
+            self.spent = self.spent.saturating_add(cost);
+            self.remaining -= cost;
+            Ok(())
+        } else {
+            self.spent = self.spent.saturating_add(self.remaining).saturating_add(1);
+            self.remaining = 0;
+            Err(TacticError::Timeout)
+        }
+    }
+
     /// Remaining budget.
     pub fn remaining(&self) -> u64 {
         self.remaining
@@ -89,5 +107,26 @@ mod tests {
         f.charge(30).unwrap();
         assert_eq!(f.remaining(), 70);
         assert_eq!(f.spent(), 30);
+    }
+
+    #[test]
+    fn replay_matches_ticking_cost_times() {
+        for cost in [0, 1, 2, 7] {
+            for budget in (0..=cost + 1).chain([u64::MAX / 2]) {
+                let mut live = Fuel::new(budget);
+                let ticked = (0..cost).try_for_each(|_| live.tick());
+                let mut replayed = Fuel::new(budget);
+                assert_eq!(
+                    replayed.replay(cost),
+                    ticked,
+                    "cost {cost}, budget {budget}"
+                );
+                assert_eq!(
+                    (replayed.spent(), replayed.remaining()),
+                    (live.spent(), live.remaining()),
+                    "cost {cost}, budget {budget}"
+                );
+            }
+        }
     }
 }

@@ -19,7 +19,9 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::Hasher;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
 
 use crate::goal::{Goal, ProofState};
 
@@ -44,15 +46,25 @@ struct GoalTable {
     bytes: u64,
 }
 
+/// Nanoseconds spent acquiring the goal table's lock while tracing was
+/// armed ([`proof_trace::enabled`]); untraced runs never read the clock.
+static LOCK_WAIT_NS: AtomicU64 = AtomicU64::new(0);
+
 /// The process-global goal table. Recovers from a poisoned lock: the table
 /// is append-only and an id is handed out only after its key is stored, so
 /// a panic mid-update leaves it valid.
 fn goals() -> MutexGuard<'static, GoalTable> {
     static GOALS: OnceLock<Mutex<GoalTable>> = OnceLock::new();
-    GOALS
-        .get_or_init(Default::default)
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
+    let table = GOALS.get_or_init(Default::default);
+    let lock = || table.lock().unwrap_or_else(|p| p.into_inner());
+    if !proof_trace::enabled() {
+        return lock();
+    }
+    let start = Instant::now();
+    let guard = lock();
+    let waited = start.elapsed().as_nanos() as u64;
+    LOCK_WAIT_NS.fetch_add(waited, Ordering::Relaxed);
+    guard
 }
 
 /// A point-in-time snapshot of the goal table's counters, published to the
@@ -65,6 +77,9 @@ pub struct Stats {
     pub goal_misses: u64,
     /// Approximate resident bytes of the goal table.
     pub arena_bytes: u64,
+    /// Nanoseconds spent acquiring the goal table's lock while tracing was
+    /// armed; 0 in an untraced run.
+    pub lock_wait_ns: u64,
     /// Always 0: the term arena is deleted. Kept only because the benchmark
     /// package reads it.
     pub term_hits: u64,
@@ -199,6 +214,7 @@ pub fn stats() -> Stats {
         goal_struct_hits: t.struct_hits,
         goal_misses: t.misses,
         arena_bytes: t.bytes,
+        lock_wait_ns: LOCK_WAIT_NS.load(Ordering::Relaxed),
         ..Stats::default()
     }
 }
@@ -213,6 +229,7 @@ pub fn publish_metrics() {
     set("intern.goal.hit", s.goal_struct_hits);
     set("intern.goal.miss", s.goal_misses);
     set("intern.arena.bytes", s.arena_bytes);
+    set("intern.goal.lock_wait_ns", s.lock_wait_ns);
 }
 
 #[cfg(test)]

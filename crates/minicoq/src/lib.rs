@@ -14,6 +14,8 @@
 //! * [`formula::Formula`] — formulas over terms (equality, declared
 //!   predicates, the usual connectives and quantifiers);
 //! * [`env::Env`] — the global environment of declarations;
+//! * [`rule`] — the readings of a statement used as a rule, cached per
+//!   declaration;
 //! * [`goal::Goal`] / [`goal::ProofState`] — sequents and in-progress proofs;
 //! * [`tactic`] — the tactic engine (`intros`, `apply`, `rewrite`,
 //!   `induction`, `eauto`, `lia`, tacticals, ...);
@@ -48,6 +50,7 @@ pub mod parse;
 pub mod pretty;
 pub mod refs;
 pub mod replay;
+pub mod rule;
 pub mod sort;
 pub mod statehash;
 pub mod subst;

@@ -1,30 +1,39 @@
 //! Backward and forward chaining: `apply`, `eapply`, `constructor`,
 //! `specialize` and `pose proof`.
 
+use std::borrow::Cow;
+
 use crate::env::{Env, PredDef};
 use crate::error::TacticError;
 use crate::eval::{normalize_formula, EvalMode};
 use crate::formula::Formula;
 use crate::fuel::Fuel;
 use crate::goal::Goal;
+use crate::rule::{Rule, RuleForm};
 use crate::subst::{subst_formula1, subst_sorts_formula, SortSubst};
 use crate::term::Term;
 use crate::typing::infer_sort;
-use crate::unify::{instantiate_rule, InstantiatedRule, Unifier};
+use crate::unify::Unifier;
 
 use super::auto::backchain;
 
 /// Resolves a name to a statement: hypotheses shadow lemmas and rules.
 pub(crate) fn stmt_of(env: &Env, goal: &Goal, name: &str) -> Option<Formula> {
-    goal.hyp(name).cloned().or_else(|| env.rule_or_lemma(name))
+    match goal.hyp(name) {
+        Some(h) => Some(h.clone()),
+        None => env.rule_or_lemma(name).map(|l| l.stmt.clone()),
+    }
 }
 
 /// Attempts to unify an instantiated conclusion with a target formula,
-/// first syntactically, then up to conversion.
+/// first syntactically, then up to conversion. When `concl` is the
+/// conclusion of `form`'s instance, `form`'s cached normal form stands in
+/// for normalizing `concl`, charged the fuel that normalization costs.
 fn unify_concl(
     env: &Env,
     uni: &mut Unifier,
     concl: &Formula,
+    form: Option<&RuleForm>,
     target: &Formula,
     fuel: &mut Fuel,
 ) -> Result<(), TacticError> {
@@ -33,7 +42,13 @@ fn unify_concl(
         return Ok(());
     }
     *uni = snapshot;
-    let nc = normalize_formula(env, concl, EvalMode::conversion(), fuel)?;
+    let nc = match form.and_then(|form| form.normal_conclusion(env)) {
+        Some((nc, cost)) => {
+            fuel.replay(cost)?;
+            Cow::Borrowed(nc)
+        }
+        None => Cow::Owned(normalize_formula(env, concl, EvalMode::conversion(), fuel)?),
+    };
     let nt = normalize_formula(env, target, EvalMode::conversion(), fuel)?;
     let snapshot = uni.clone();
     if uni.unify_formulas(&nc, &nt, fuel).is_ok() {
@@ -50,14 +65,21 @@ fn unify_concl(
 fn apply_backward(
     env: &Env,
     goal: &Goal,
-    inst: &InstantiatedRule,
-    mut uni: Unifier,
+    form: &RuleForm,
     existential: bool,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
+    let (inst, mut uni) = (form.instance(), form.unifier().clone());
     // Try the conclusion as-is; for a bi-implication conclusion, also try
     // each direction (Coq's `apply` on an iff lemma).
-    let direct = unify_concl(env, &mut uni, &inst.conclusion, &goal.concl, fuel);
+    let direct = unify_concl(
+        env,
+        &mut uni,
+        &inst.conclusion,
+        Some(form),
+        &goal.concl,
+        fuel,
+    );
     let mut extra_premise: Option<Formula> = None;
     if let Err(direct_err) = direct {
         // `~P` applies to a `False` goal as `P -> False`.
@@ -74,7 +96,7 @@ fn apply_backward(
         };
         let mut try_dir = |lhs: &Formula, rhs: &Formula, uni: &mut Unifier| -> bool {
             let snapshot = uni.clone();
-            if unify_concl(env, uni, rhs, &goal.concl, fuel).is_ok() {
+            if unify_concl(env, uni, rhs, None, &goal.concl, fuel).is_ok() {
                 return true;
             }
             *uni = snapshot;
@@ -161,30 +183,23 @@ pub fn apply(
     existential: bool,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
-    let Some(stmt) = stmt_of(env, goal, name) else {
+    let Some(rule) = Rule::resolve(env, goal, name) else {
         return Err(TacticError::rejected(format!("unknown lemma {name}")));
     };
-    let attempt = |stmt: &Formula, fuel: &mut Fuel| match in_hyp {
-        None => {
-            let mut uni = Unifier::new();
-            let inst = instantiate_rule(stmt, &mut uni);
-            apply_backward(env, goal, &inst, uni, existential, fuel)
-        }
-        Some(h) => apply_forward(env, goal, stmt, h, existential, fuel),
+    let attempt = |form: &RuleForm, fuel: &mut Fuel| match in_hyp {
+        None => apply_backward(env, goal, form, existential, fuel),
+        Some(h) => apply_forward(env, goal, form, h, existential, fuel),
     };
-    match attempt(&stmt, fuel) {
+    match attempt(rule.plain(), fuel) {
         Ok(out) => Ok(out),
         Err(TacticError::Timeout) => Err(TacticError::Timeout),
-        Err(first_err) => {
-            // Fall back to the exposed reading: a defined-predicate head
-            // (e.g. `incl l1 l2`) applies as its unfolding
-            // (`forall x, In x l1 -> In x l2`).
-            let exposed = expose_rule(env, &stmt);
-            if exposed == stmt {
-                return Err(first_err);
-            }
-            attempt(&exposed, fuel).map_err(|_| first_err)
-        }
+        // Fall back to the exposed reading: a defined-predicate head (e.g.
+        // `incl l1 l2`) applies as its unfolding
+        // (`forall x, In x l1 -> In x l2`).
+        Err(first_err) => match rule.exposed(env) {
+            Some(exposed) => attempt(exposed, fuel).map_err(|_| first_err),
+            None => Err(first_err),
+        },
     }
 }
 
@@ -205,7 +220,7 @@ pub(crate) fn expose_rule(env: &Env, stmt: &Formula) -> Formula {
 fn apply_forward(
     env: &Env,
     goal: &Goal,
-    stmt: &Formula,
+    form: &RuleForm,
     h: &str,
     existential: bool,
     fuel: &mut Fuel,
@@ -213,8 +228,7 @@ fn apply_forward(
     let Some(hf) = goal.hyp(h).cloned() else {
         return Err(TacticError::rejected(format!("no hypothesis {h}")));
     };
-    let mut base_uni = Unifier::new();
-    let inst = instantiate_rule(stmt, &mut base_uni);
+    let (inst, base_uni) = (form.instance(), form.unifier());
     // Candidate (premises, conclusion) readings: the rule itself, and for a
     // bi-implication conclusion, each direction of the iff.
     let mut candidates: Vec<(Vec<Formula>, Formula)> = Vec::new();
@@ -238,7 +252,7 @@ fn apply_forward(
             goal,
             premises,
             conclusion,
-            &base_uni,
+            base_uni,
             h,
             &hf,
             existential,
@@ -267,7 +281,7 @@ fn apply_forward_candidate(
 ) -> Result<Option<Vec<Goal>>, TacticError> {
     for i in 0..premises.len() {
         let mut uni = base_uni.clone();
-        if unify_concl(env, &mut uni, &premises[i], hf, fuel).is_err() {
+        if unify_concl(env, &mut uni, &premises[i], None, hf, fuel).is_err() {
             continue;
         }
         // Side premises.
@@ -345,16 +359,13 @@ pub fn constructor(
                     "{p} is not an inductive predicate"
                 )));
             };
-            let rule_names: Vec<String> = ip.rules.iter().map(|(n, _)| n.clone()).collect();
-            for rn in rule_names {
-                let stmt = env
-                    .rule_or_lemma(&rn)
+            for (rn, _) in &ip.rules {
+                let rule = env
+                    .rule_or_lemma(rn)
                     .expect("rule registered in environment");
-                let mut uni = Unifier::new();
-                let inst = instantiate_rule(&stmt, &mut uni);
                 let mut g = goal.clone();
                 g.concl = concl.clone();
-                match apply_backward(env, &g, &inst, uni, existential, fuel) {
+                match apply_backward(env, &g, rule.rule().plain(), existential, fuel) {
                     Ok(gs) => return Ok(gs),
                     Err(TacticError::Timeout) => return Err(TacticError::Timeout),
                     Err(_) => continue,
@@ -497,4 +508,181 @@ pub fn pose_proof(
     };
     g.hyps.push((hname, new));
     Ok(vec![g])
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::env::Env;
+    use crate::fuel::Fuel;
+    use crate::goal::ProofState;
+    use crate::parse::{parse_formula, parse_tactic};
+    use crate::rule::tests::live_path;
+    use crate::tactic::{apply_tactic, Tactic};
+
+    /// `auto`'s list toolbox (`In` over a formula `match`, `incl` exposing
+    /// a rule, `~ P` lemmas), plus lemmas whose conclusions only meet a
+    /// goal up to conversion or through an iff.
+    fn env() -> Env {
+        let mut env = crate::tactic::auto::tests::list_env();
+        for (name, src) in [
+            ("le_add_0", "forall n : nat, le (add 0 n) n"),
+            ("le_iff", "forall n m : nat, le (S n) (S m) <-> le n m"),
+            ("le_pred", "forall n m : nat, le (S n) (S m) -> le n m"),
+            ("add_0_l", "forall n : nat, add 0 n = n"),
+        ] {
+            let stmt = parse_formula(&env, src).unwrap();
+            env.add_lemma(name, stmt).unwrap();
+        }
+        env
+    }
+
+    /// One tactic call: the state `setup` leaves from `stmt`, and the
+    /// tactic then run on it under a budget.
+    struct Case {
+        state: ProofState,
+        tactic: Tactic,
+        text: &'static str,
+    }
+
+    fn case(env: &Env, stmt: &str, setup: &str, text: &'static str) -> Case {
+        let mut state = ProofState::new(parse_formula(env, stmt).unwrap());
+        if !setup.is_empty() {
+            let tac = parse_tactic(env, state.focused(), setup).unwrap();
+            state = apply_tactic(env, &state, &tac, &mut Fuel::unlimited()).unwrap();
+        }
+        let tactic = parse_tactic(env, state.focused(), text).unwrap();
+        Case {
+            state,
+            tactic,
+            text,
+        }
+    }
+
+    fn cases(env: &Env) -> Vec<Case> {
+        let in_h = "forall (x : nat) (l : list nat), In x l -> ";
+        vec![
+            // The conclusion meets the goal only up to conversion.
+            case(env, "le 3 3", "", "apply le_add_0"),
+            case(env, "le 3 4", "", "apply le_add_0"),
+            case(env, "le 3 3", "", "eapply le_add_0"),
+            // An inductive rule, syntactically and up to conversion.
+            case(env, "le (add 1 2) 3", "", "apply le_n"),
+            case(env, "le 2 (add 0 3)", "", "apply le_S"),
+            // Iff conclusions, both directions.
+            case(env, "le 1 2", "", "apply le_iff"),
+            case(env, "le 2 3", "", "apply le_iff"),
+            case(env, "In 1 []", "", "apply le_iff"),
+            // The exposed reading: `incl` unfolds, `In` reduces its match.
+            case(env, "In 1 (0 :: 1 :: [])", "", "apply incl_tl"),
+            case(env, "In 1 (0 :: 1 :: [])", "", "eapply incl_tl"),
+            case(
+                env,
+                &format!("{in_h}In x (0 :: l)"),
+                "intros x l H",
+                "eapply incl_tl",
+            ),
+            case(env, "incl (1 :: []) (2 :: [])", "", "apply incl_refl"),
+            case(env, "incl (1 :: []) (1 :: [])", "", "apply incl_refl"),
+            case(env, "le 1 2", "", "apply in_cons"),
+            case(env, "In 1 (1 :: [])", "", "apply in_eq"),
+            case(env, "In 1 (0 :: 1 :: [])", "", "apply in_cons"),
+            case(
+                env,
+                &format!("{in_h}In x (0 :: l)"),
+                "intros x l H",
+                "apply in_cons",
+            ),
+            // `~P` against `False`.
+            case(env, "le 3 2 -> False", "intros H", "apply le_Sn_n"),
+            case(env, "le 3 2 -> False", "intros H", "eapply le_Sn_n"),
+            case(
+                env,
+                &format!("{in_h}False"),
+                "intros x l H",
+                "eapply in_nil",
+            ),
+            // A hypothesis shadows a lemma of the same name.
+            case(
+                env,
+                "(forall n : nat, le (add 0 n) (S n)) -> le 2 3",
+                "intros le_add_0",
+                "apply le_add_0",
+            ),
+            case(env, "le 1 2 -> le 1 2", "intros in_eq", "apply in_eq"),
+            case(env, "le 1 2", "", "apply no_such_lemma"),
+            // `apply ... in`, up to conversion, through an iff, exposed.
+            case(
+                env,
+                "le (add 1 2) (add 1 3) -> False",
+                "intros H",
+                "apply le_pred in H",
+            ),
+            case(env, "le 2 3 -> False", "intros H", "apply le_S in H"),
+            case(
+                env,
+                &format!("{in_h}False"),
+                "intros x l H",
+                "apply le_pred in H",
+            ),
+            case(env, "le 2 3 -> False", "intros H", "apply le_iff in H"),
+            case(env, "le 4 4 -> False", "intros H", "eapply le_iff in H"),
+            case(
+                env,
+                &format!("{in_h}False"),
+                "intros x l H",
+                "apply incl_refl in H",
+            ),
+            case(
+                env,
+                &format!("{in_h}False"),
+                "intros x l H",
+                "apply add_0_r in H",
+            ),
+            // `rewrite`, both directions, in a hypothesis, shadowed.
+            case(env, "add 2 0 = 2", "", "rewrite add_0_r"),
+            case(env, "2 = add 0 2", "", "rewrite add_0_l"),
+            case(env, "2 = 2", "", "rewrite <- add_0_r"),
+            case(env, "le 2 2", "", "rewrite add_0_l"),
+            case(
+                env,
+                "add 0 1 = 1 -> False",
+                "intros H",
+                "rewrite add_0_l in H",
+            ),
+            case(
+                env,
+                "(forall n : nat, add n 0 = 0) -> add 2 0 = 2",
+                "intros add_0_r",
+                "rewrite add_0_r",
+            ),
+        ]
+    }
+
+    /// What a caller observes of one call under `budget`: the result, and
+    /// the fuel's spent and remaining counts.
+    fn observe(env: &Env, case: &Case, budget: u64) -> (String, u64, u64) {
+        let mut fuel = Fuel::new(budget);
+        let r = apply_tactic(env, &case.state, &case.tactic, &mut fuel);
+        (format!("{r:?}"), fuel.spent(), fuel.remaining())
+    }
+
+    #[test]
+    fn rule_facts_charge_fuel_like_the_live_path() {
+        let env = env();
+        let (mut ok, mut rejected) = (0, 0);
+        for case in cases(&env) {
+            let (result, full, _) = live_path(|| observe(&env, &case, u64::MAX / 2));
+            ok += usize::from(result.starts_with("Ok"));
+            rejected += usize::from(result.starts_with("Err(Rejected"));
+            for budget in (0..=full + 1).chain([u64::MAX / 2]) {
+                assert_eq!(
+                    observe(&env, &case, budget),
+                    live_path(|| observe(&env, &case, budget)),
+                    "{}: budget {budget} of {full}",
+                    case.text
+                );
+            }
+        }
+        assert!(ok >= 10 && rejected >= 10, "{ok} ok, {rejected} rejected");
+    }
 }

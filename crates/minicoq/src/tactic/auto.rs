@@ -15,12 +15,13 @@
 use std::cell::OnceCell;
 use std::mem::discriminant;
 
-use crate::env::Env;
+use crate::env::{Env, Lemma};
 use crate::error::TacticError;
 use crate::eval::conv_eq_term;
 use crate::formula::Formula;
 use crate::fuel::Fuel;
 use crate::goal::Goal;
+use crate::rule::Rule;
 use crate::subst::subst_formula1;
 use crate::term::Term;
 use crate::unify::{instantiate_rule, Unifier};
@@ -96,13 +97,6 @@ pub fn trivial(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, Tac
     }
 }
 
-/// A hint resolved to its statement, with its [`expose_rule`] form when
-/// that differs.
-struct Rule {
-    stmt: Formula,
-    exposed: Option<Formula>,
-}
-
 /// One `auto`/`eauto`/`trivial` invocation or `backchain` call: what stays
 /// fixed while the search recurses.
 struct Search<'a> {
@@ -116,8 +110,10 @@ struct Search<'a> {
     /// One slot per name of `extra_hints` then `core`, in database order.
     /// A slot is resolved the first time a scan reaches it and reused by
     /// every later node; names a search never reaches are never resolved.
-    /// Built per invocation: nothing is cached on the environment's uid.
-    hints: Vec<OnceCell<Option<Rule>>>,
+    /// A slot borrows the declaration's statement and its cached
+    /// [`expose_rule`] form ([`Lemma::rule`]), so nothing is cloned or
+    /// exposed per invocation.
+    hints: Vec<OnceCell<Option<Rule<'a>>>>,
     /// Test builds can run the pre-index linear scan instead: the reference
     /// the fuel-equivalence suite checks the head filter against.
     #[cfg(test)]
@@ -146,17 +142,11 @@ impl<'a> Search<'a> {
     }
 
     /// The hint candidates in scan order, each resolved on first use.
-    fn hints(&self) -> impl Iterator<Item = &Rule> {
+    fn hints(&self) -> impl Iterator<Item = &Rule<'a>> {
         let names = self.hint_names();
         names.zip(&self.hints).filter_map(|(name, slot)| {
-            slot.get_or_init(|| {
-                let stmt = self.env.rule_or_lemma(name)?;
-                Some(Rule {
-                    exposed: exposed_form(self.env, &stmt),
-                    stmt,
-                })
-            })
-            .as_ref()
+            slot.get_or_init(|| self.env.rule_or_lemma(name).map(Lemma::rule))
+                .as_ref()
         })
     }
 
@@ -304,7 +294,7 @@ impl<'a> Search<'a> {
             }
         }
         for rule in self.hints() {
-            if let Some(u) = try_rule(&rule.stmt, rule.exposed.as_ref(), fuel)? {
+            if let Some(u) = try_rule(rule.stmt(), rule.exposed_stmt(self.env), fuel)? {
                 return Ok(Some(u));
             }
         }
@@ -412,7 +402,7 @@ fn exposed_form(env: &Env, stmt: &Formula) -> Option<Formula> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::env::{DefinedPred, PredDef};
     use crate::parse::parse_formula;
@@ -522,7 +512,8 @@ mod tests {
             let hyp_stmts = goal.hyps.iter().map(|(_, f)| f.clone());
             let hints = self
                 .hint_names()
-                .filter_map(|name| self.env.rule_or_lemma(name));
+                .filter_map(|name| self.env.rule_or_lemma(name))
+                .map(|rule| rule.stmt.clone());
             for stmt in hyp_stmts.chain(hints) {
                 fuel.charge(4)?;
                 if let Some(u) = self.try_rule_exact(goal, &stmt, target, &uni, depth, fuel)? {
@@ -545,7 +536,7 @@ mod tests {
     /// recursive predicate over a formula `match`, `incl` a definition
     /// that exposes a rule, and the `core` hints mix `In`, `incl`, `~ P`
     /// and equation conclusions.
-    fn list_env() -> Env {
+    pub(in crate::tactic) fn list_env() -> Env {
         let mut env = Env::with_prelude();
         let a = Sort::Var("A".into());
         let in_ = |x: &str, l: &str| {
@@ -829,7 +820,7 @@ mod tests {
         let env = list_env();
         let resolved = |search: &Search| -> Vec<Formula> {
             let slots = search.hints.iter().filter_map(OnceCell::get);
-            slots.flatten().map(|rule| rule.stmt.clone()).collect()
+            slots.flatten().map(|rule| rule.stmt().clone()).collect()
         };
         // An exhausted search reaches every name: `using in_cons`, then all
         // of `core` (`le_n`, `le_S`, `in_eq`, `in_cons`, ...), whose

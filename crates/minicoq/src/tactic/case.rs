@@ -11,7 +11,7 @@ use crate::sort::Sort;
 use crate::subst::{fresh_name, subst_formula1};
 use crate::term::Term;
 use crate::typing::infer_sort;
-use crate::unify::{instantiate_rule, Unifier};
+use crate::unify::Unifier;
 
 use super::basic::whnf_prop;
 use super::rewrite::replace_in_formula;
@@ -435,12 +435,10 @@ pub fn inversion(
             "{p} is not an inductive predicate"
         )));
     };
-    let rule_names: Vec<String> = ip.rules.iter().map(|(n, _)| n.clone()).collect();
     let mut out = Vec::new();
-    for rn in &rule_names {
-        let stmt = env.rule_or_lemma(rn).expect("registered rule");
-        let mut uni = Unifier::new();
-        let inst = instantiate_rule(&stmt, &mut uni);
+    for (rn, _) in &ip.rules {
+        let rule = env.rule_or_lemma(rn).expect("registered rule").rule();
+        let (inst, mut uni) = (rule.plain().instance(), rule.plain().unifier().clone());
         let Formula::Pred(cp, csorts, cargs) = &inst.conclusion else {
             continue;
         };

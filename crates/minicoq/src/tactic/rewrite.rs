@@ -8,11 +8,11 @@ use crate::eval::{normalize_formula, unfold_pred, EvalMode};
 use crate::formula::Formula;
 use crate::fuel::Fuel;
 use crate::goal::Goal;
+use crate::rule::Rule;
 use crate::subst::{subst_term, TermSubst};
 use crate::term::Term;
-use crate::unify::{instantiate_rule, Unifier};
+use crate::unify::Unifier;
 
-use super::apply::stmt_of;
 use super::Loc;
 
 /// Replaces every occurrence of `from` by `to` in a term, skipping match
@@ -166,14 +166,13 @@ pub fn rewrite(
     in_hyp: Option<&str>,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
-    let Some(stmt) = stmt_of(env, goal, name) else {
+    let Some(rule) = Rule::resolve(env, goal, name) else {
         return Err(TacticError::rejected(format!("unknown equation {name}")));
     };
     // Expose defined predicates so e.g. a `meq m1 m2` hypothesis rewrites
     // as its unfolding `forall a, mfind m1 a = mfind m2 a`.
-    let stmt = super::apply::expose_rule(env, &stmt);
-    let mut uni = Unifier::new();
-    let inst = instantiate_rule(&stmt, &mut uni);
+    let form = rule.exposed_or_plain(env);
+    let (inst, uni) = (form.instance(), form.unifier());
     let Formula::Eq(_, l, r) = &inst.conclusion else {
         return Err(TacticError::rejected(
             "the statement does not conclude with an equality",

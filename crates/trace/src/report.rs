@@ -296,7 +296,8 @@ pub fn render_report(
 /// Renders the goal-interner section, if the run published any
 /// `intern.*` gauges (`minicoq::intern::publish_metrics`): goal interns
 /// answered by the structural front map vs those that derived a canonical
-/// key, and the table's approximate size.
+/// key, the table's approximate size, and the time spent acquiring its
+/// lock.
 fn intern_section(metrics: &MetricsSnapshot) -> Option<String> {
     let gauge = |key: &str| -> u64 { metrics.gauges.get(key).copied().unwrap_or(0).max(0) as u64 };
     if !metrics.gauges.keys().any(|k| k.starts_with("intern.")) {
@@ -321,6 +322,12 @@ fn intern_section(metrics: &MetricsSnapshot) -> Option<String> {
         "  {:18} {}",
         "arena bytes",
         gauge("intern.arena.bytes")
+    );
+    let _ = writeln!(
+        out,
+        "  {:18} {:.1} ms",
+        "lock wait",
+        gauge("intern.goal.lock_wait_ns") as f64 / 1e6
     );
     Some(out)
 }
