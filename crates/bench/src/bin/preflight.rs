@@ -9,7 +9,8 @@
 //! per-reason pruning table, and appends one run-ledger record covering
 //! both cells, with the prune counts (total and per reason) as counters.
 //! It prints no wall-time comparison: both arms share one process, so the
-//! second inherits the first's warm goal table and prompt caches.
+//! second inherits the rule readings and ranking facts its lemmas filled
+//! during the first.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;

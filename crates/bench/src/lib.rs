@@ -104,9 +104,6 @@ pub fn write_trace_artifacts(base: &Path) -> (BTreeMap<String, f64>, u64) {
     let chrome = base.with_extension("json");
     let jsonl = base.with_extension("jsonl");
     let data = proof_trace::drain();
-    // Flush the goal interner's counters into the metrics registry so the
-    // snapshot (and trace_report) can render them.
-    minicoq::intern::publish_metrics();
     let snap = proof_trace::metrics::snapshot();
     if let Err(e) = proof_trace::export::write_chrome(&chrome, &data)
         .and_then(|()| proof_trace::export::write_jsonl(&jsonl, &data, &snap))

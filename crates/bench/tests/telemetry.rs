@@ -1,7 +1,6 @@
 //! End-to-end telemetry contracts: the pinned two-run regression-radar
 //! demo (seed run, then an injected slowdown the radar must flag by
-//! name), the radar's clean and missing-ledger exits, and the kernel
-//! interner counters' path into a trace and its report.
+//! name) and the radar's clean and missing-ledger exits.
 
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -167,67 +166,5 @@ fn radar_check_clean_and_missing_ledger() {
         .output()
         .expect("radar spawns");
     assert_eq!(out.status.code(), Some(2), "missing ledger is exit 2");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The goal interner's counters reach a trace: the JSONL carries them as
-/// `intern.*` gauges, and `trace_report`'s renderer turns them into the
-/// "Goal interner" section. This is the only view of those counters, so a
-/// run that drops them must fail here. The goal table's lock is timed only
-/// while tracing is armed.
-#[test]
-fn interner_counters_reach_the_trace_and_its_report() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = std::env::temp_dir().join(format!("intern-trace-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let base = dir.join("trace");
-
-    let untimed = minicoq::intern::stats().lock_wait_ns;
-    run_small_cell();
-    assert_eq!(
-        minicoq::intern::stats().lock_wait_ns,
-        untimed,
-        "an untraced run timed the goal table's lock"
-    );
-
-    proof_trace::set_enabled(true);
-    run_small_cell();
-    llm_fscq_bench::write_trace_artifacts(&base);
-    proof_trace::set_enabled(false);
-
-    let text = std::fs::read_to_string(base.with_extension("jsonl")).unwrap();
-    let mut snap = proof_trace::metrics::MetricsSnapshot::default();
-    for line in text.lines() {
-        let v: serde_json::Value = serde_json::from_str(line).expect("JSONL line");
-        if v.get("t").and_then(|t| t.as_str()) != Some("gauge") {
-            continue;
-        }
-        let name = v.get("name").and_then(|n| n.as_str()).expect("gauge name");
-        let value = v
-            .get("value")
-            .and_then(|n| n.as_i64())
-            .expect("gauge value");
-        snap.gauges.insert(name.to_string(), value);
-    }
-    for key in ["intern.goal.hit", "intern.goal.miss"] {
-        assert!(snap.gauges.contains_key(key), "no `{key}` gauge line");
-    }
-    let waited = snap.gauges.get("intern.goal.lock_wait_ns").copied();
-    assert!(waited > Some(untimed as i64), "lock wait gauge: {waited:?}");
-
-    let report = proof_trace::report::render_report(&[], &snap, 0, 10);
-    assert!(
-        report.contains("Goal interner"),
-        "interner section missing:\n{report}"
-    );
-    let goal_hits: u64 = report
-        .lines()
-        .find_map(|l| l.trim_start().strip_prefix("goals"))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|n| n.parse().ok())
-        .expect("a `goals` line with a hit count");
-    assert!(goal_hits > 0, "a cell's evaluation re-sees interned goals");
-    assert!(report.contains("lock wait"), "no lock-wait line:\n{report}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,12 +1,11 @@
-//! Canonical keys and hashes for proof states.
+//! Canonical keys for proof states.
 //!
 //! The paper's search rejects a tactic whose resulting proof state was
 //! already encountered in the search tree (§3). Proof states are compared
 //! up to alpha-renaming of context variables, hypothesis names and bound
 //! variables, so `intros x` and `intros y` lead to the same canonical key.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::formula::Formula;
 use crate::goal::{Goal, ProofState};
@@ -366,12 +365,37 @@ pub fn state_key(st: &ProofState) -> String {
     out
 }
 
-/// A 64-bit hash of the canonical state key, used by the search layer for
-/// duplicate-state detection.
-pub fn state_hash(st: &ProofState) -> u64 {
-    let mut h = DefaultHasher::new();
-    state_key(st).hash(&mut h);
-    h.finish()
+/// A proof state's identity for duplicate detection: the canonical key of
+/// each goal, in goal order. Two states are alpha-equal iff their stamps
+/// are equal, and the keys, each followed by `'\n'`, concatenate to
+/// [`state_key`].
+pub fn state_stamp(st: &ProofState) -> Vec<Arc<str>> {
+    st.goals.iter().map(|g| Arc::from(goal_key(g))).collect()
+}
+
+/// Stamps a state incrementally against its parent: trailing goals that
+/// are *pointer-identical* to the parent's trailing goals (the unfocused
+/// tail a tactic did not touch) reuse the parent's keys; only fresh goals
+/// are canonicalized.
+pub fn state_stamp_from_parent(
+    st: &ProofState,
+    parent: &ProofState,
+    parent_stamp: &[Arc<str>],
+) -> Vec<Arc<str>> {
+    let shared = st
+        .goals
+        .iter()
+        .rev()
+        .zip(parent.goals.iter().rev())
+        .take_while(|(a, b)| Arc::ptr_eq(a, b))
+        .count();
+    let fresh = st.goals.len() - shared;
+    let mut stamp: Vec<Arc<str>> = st.goals[..fresh]
+        .iter()
+        .map(|g| Arc::from(goal_key(g)))
+        .collect();
+    stamp.extend_from_slice(&parent_stamp[parent_stamp.len() - shared..]);
+    stamp
 }
 
 #[cfg(test)]
@@ -425,9 +449,19 @@ mod tests {
     }
 
     #[test]
-    fn state_hash_stable() {
-        let st = ProofState::from_goals(vec![eq_goal("x")]);
-        assert_eq!(state_hash(&st), state_hash(&st.clone()));
+    fn incremental_stamp_agrees_with_full_stamp() {
+        let parent = ProofState::from_goals(vec![
+            eq_goal("x"),
+            Goal::new(Formula::True),
+            Goal::new(Formula::False),
+        ]);
+        let pstamp = state_stamp(&parent);
+        let child = parent.replace_focused(vec![eq_goal("y"), Goal::new(Formula::True)]);
+        let inc = state_stamp_from_parent(&child, &parent, &pstamp);
+        assert_eq!(inc, state_stamp(&child));
+        // The untouched tail reuses the parent's keys rather than new ones.
+        assert!(Arc::ptr_eq(&inc[2], &pstamp[1]));
+        assert!(Arc::ptr_eq(&inc[3], &pstamp[2]));
     }
 
     fn id_fn(param: &str) -> crate::env::FuncDef {

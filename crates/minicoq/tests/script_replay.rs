@@ -278,7 +278,7 @@ fn invalid_tactics_rejected_not_panicking() {
 
 #[test]
 fn proof_state_duplicate_detection_keys() {
-    use minicoq::statehash::state_hash;
+    use minicoq::statehash::state_key;
     let env = Env::with_prelude();
     let f = parse_formula(&env, "forall n : nat, n = n").unwrap();
     let st = ProofState::new(f);
@@ -286,6 +286,6 @@ fn proof_state_duplicate_detection_keys() {
     let t2 = parse_tactic(&env, st.focused(), "intros y").unwrap();
     let s1 = apply_tactic(&env, &st, &t1, &mut Fuel::unlimited()).unwrap();
     let s2 = apply_tactic(&env, &st, &t2, &mut Fuel::unlimited()).unwrap();
-    assert_eq!(state_hash(&s1), state_hash(&s2));
-    assert_ne!(state_hash(&st), state_hash(&s1));
+    assert_eq!(state_key(&s1), state_key(&s2));
+    assert_ne!(state_key(&st), state_key(&s1));
 }

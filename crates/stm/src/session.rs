@@ -1,5 +1,6 @@
 //! Proof sessions: the state-transition machine proper.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -9,8 +10,8 @@ use minicoq::error::TacticError;
 use minicoq::formula::Formula;
 use minicoq::fuel::Fuel;
 use minicoq::goal::ProofState;
-use minicoq::intern::{state_stamp, state_stamp_from_parent, StateStamp};
 use minicoq::parse::parse_tactic;
+use minicoq::statehash::{state_stamp, state_stamp_from_parent};
 use minicoq::tactic::apply_tactic_timed;
 use proof_chaos::{FaultKind, FaultPlan};
 
@@ -151,9 +152,9 @@ struct StateEntry {
     parent: Option<StateId>,
     tactic: String,
     state: ProofState,
-    /// Interned identity of `state`: canonical hash plus per-goal
-    /// alpha-class ids, computed incrementally from the parent's stamp.
-    stamp: StateStamp,
+    /// Identity of `state`: its per-goal canonical keys, computed
+    /// incrementally from the parent's stamp.
+    stamp: Vec<Arc<str>>,
     alive: bool,
 }
 
@@ -164,7 +165,8 @@ pub struct ProofSession {
     env: Arc<Env>,
     config: SessionConfig,
     entries: Vec<StateEntry>,
-    hashes: HashMap<u64, StateId>,
+    /// The first live state per stamp; read when deduplicating.
+    states: HashMap<Vec<Arc<str>>, StateId>,
     fuel_spent: u64,
 }
 
@@ -176,8 +178,7 @@ impl ProofSession {
         let env = env.into();
         let root = ProofState::new(stmt);
         let stamp = state_stamp(&root);
-        let mut hashes = HashMap::new();
-        hashes.insert(stamp.hash, StateId(0));
+        let states = HashMap::from([(stamp.clone(), StateId(0))]);
         ProofSession {
             env,
             config,
@@ -188,7 +189,7 @@ impl ProofSession {
                 stamp,
                 alive: true,
             }],
-            hashes,
+            states,
             fuel_spent: 0,
         }
     }
@@ -278,8 +279,7 @@ impl ProofSession {
         let Some(entry) = self.entry(at) else {
             return Err(AddError::NoSuchState);
         };
-        let base = entry.state.clone();
-        let base_stamp = entry.stamp.clone();
+        let base = &entry.state;
         let tac = match parse_tactic(&self.env, base.focused(), tactic_src) {
             Ok(t) => t,
             Err(TacticError::Parse(m)) => return Err(AddError::Parse(m)),
@@ -295,13 +295,13 @@ impl ProofSession {
         if self.config.preflight {
             let _sp = proof_trace::span("preflight", "");
             if let PreflightVerdict::Reject(r) =
-                preflight_state(&self.env, &base, &tac, self.config.tactic_fuel)
+                preflight_state(&self.env, base, &tac, self.config.tactic_fuel)
             {
                 return Err(AddError::Preflight(r));
             }
         }
         let mut fuel = Fuel::new(self.config.tactic_fuel);
-        let result = apply_tactic_timed(&self.env, &base, &tac, &mut fuel);
+        let result = apply_tactic_timed(&self.env, base, &tac, &mut fuel);
         self.fuel_spent += fuel.spent();
         let new_state = match result {
             Ok(s) => s,
@@ -309,7 +309,7 @@ impl ProofSession {
             Err(TacticError::Parse(m)) => return Err(AddError::Parse(m)),
             Err(other) => return Err(AddError::Rejected(other.to_string())),
         };
-        self.commit(at, &base, &base_stamp, tactic_src, new_state)
+        self.commit(at, tactic_src, new_state)
     }
 
     /// True when the armed fault plan injects a prover stall for this call.
@@ -327,30 +327,21 @@ impl ProofSession {
     fn commit(
         &mut self,
         at: StateId,
-        base: &ProofState,
-        base_stamp: &StateStamp,
         tactic_src: &str,
         new_state: ProofState,
     ) -> Result<AddOutcome, AddError> {
-        // Incremental stamping: goals shared (by pointer) with the parent
-        // reuse its cached alpha-class ids; only fresh goals are
-        // re-canonicalized. The hash is byte-compatible with the previous
-        // `statehash::state_hash`.
-        let stamp = state_stamp_from_parent(&new_state, base, base_stamp);
+        let parent = &self.entries[at.0 as usize];
+        let stamp = state_stamp_from_parent(&new_state, &parent.state, &parent.stamp);
+        let id = StateId(self.entries.len() as u64);
         if self.config.dedupe_states {
-            if let Some(&prev) = self.hashes.get(&stamp.hash) {
-                // Hash collision check: per-goal class ids are equal iff
-                // the canonical state keys are equal.
-                if let Some(prev_entry) = self.entry(prev) {
-                    if prev_entry.stamp.classes == stamp.classes {
-                        return Err(AddError::DuplicateState(prev));
-                    }
+            match self.states.entry(stamp.clone()) {
+                Entry::Occupied(prev) => return Err(AddError::DuplicateState(*prev.get())),
+                Entry::Vacant(slot) => {
+                    slot.insert(id);
                 }
             }
         }
-        let id = StateId(self.entries.len() as u64);
         let proved = new_state.is_complete();
-        self.hashes.entry(stamp.hash).or_insert(id);
         self.entries.push(StateEntry {
             parent: Some(at),
             tactic: tactic_src.to_string(),
@@ -378,7 +369,7 @@ impl ProofSession {
                 }
             }
         }
-        self.hashes.retain(|_, v| {
+        self.states.retain(|_, v| {
             self.entries
                 .get(v.0 as usize)
                 .map(|e| e.alive)
@@ -437,6 +428,30 @@ mod tests {
         // A no-op tactic duplicates its own source state.
         let err = s.add(a.id, "idtac").unwrap_err();
         assert_eq!(err, AddError::DuplicateState(a.id));
+    }
+
+    #[test]
+    fn duplicates_are_found_through_a_shared_tail_and_per_session() {
+        let stmt = "(forall a : nat, a = a) /\\ (forall b : nat, b = b)";
+        let mut s = session(stmt, true);
+        let split = s.add(s.root(), "split").unwrap();
+        let x = s.add(split.id, "intros x").unwrap();
+        // The unfocused second goal is the parent's, pointer for pointer.
+        let (parent, child) = (s.state(split.id).unwrap(), s.state(x.id).unwrap());
+        assert_eq!(child.goals.len(), 2);
+        assert!(Arc::ptr_eq(&child.goals[1], &parent.goals[1]));
+        // An alpha-variant step reaches the same state a second way.
+        let err = s.add(split.id, "intros y").unwrap_err();
+        assert_eq!(err, AddError::DuplicateState(x.id));
+        assert_eq!(
+            s.add(s.root(), "split").unwrap_err(),
+            AddError::DuplicateState(split.id)
+        );
+        // A second session on the same statement starts with no states but
+        // its root.
+        let mut t = session(stmt, true);
+        let split2 = t.add(t.root(), "split").unwrap();
+        assert!(t.add(split2.id, "intros y").is_ok());
     }
 
     #[test]
@@ -501,7 +516,7 @@ mod tests {
         assert_eq!(s.live_states(), 1);
         assert!(s.state(b.id).is_none());
         assert!(matches!(s.add(a.id, "simpl"), Err(AddError::NoSuchState)));
-        // After cancel, the state can be re-derived (hash was purged).
+        // After cancel, the state can be re-derived (its stamp was purged).
         assert!(s.add(s.root(), "intros n").is_ok());
     }
 }

@@ -82,7 +82,7 @@ pub struct RunRecord {
     /// Trace records dropped at the collector cap (0 when untraced).
     #[serde(default)]
     pub dropped_spans: u64,
-    /// Extra named counters worth trending (interner dedup stats, …).
+    /// Extra named counters worth trending (per-reason prune counts, …).
     #[serde(default)]
     pub counters: BTreeMap<String, u64>,
     /// Per-phase self time in milliseconds, rolled up from the trace

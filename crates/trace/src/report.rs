@@ -287,49 +287,7 @@ pub fn render_report(
             let _ = writeln!(out, "  {:32} {v}", &k["analysis.".len()..]);
         }
     }
-    if let Some(section) = intern_section(metrics) {
-        out.push_str(&section);
-    }
     out
-}
-
-/// Renders the goal-interner section, if the run published any
-/// `intern.*` gauges (`minicoq::intern::publish_metrics`): goal interns
-/// answered by the structural front map vs those that derived a canonical
-/// key, the table's approximate size, and the time spent acquiring its
-/// lock.
-fn intern_section(metrics: &MetricsSnapshot) -> Option<String> {
-    let gauge = |key: &str| -> u64 { metrics.gauges.get(key).copied().unwrap_or(0).max(0) as u64 };
-    if !metrics.gauges.keys().any(|k| k.starts_with("intern.")) {
-        return None;
-    }
-    let (hits, misses) = (gauge("intern.goal.hit"), gauge("intern.goal.miss"));
-    let total = hits + misses;
-    let pct = if total > 0 {
-        100.0 * hits as f64 / total as f64
-    } else {
-        0.0
-    };
-    let mut out = String::new();
-    let _ = writeln!(out, "\n== Goal interner ==");
-    let _ = writeln!(
-        out,
-        "  {:18} {hits:>10} hit  {misses:>10} miss  ({pct:>5.1}% hit)",
-        "goals"
-    );
-    let _ = writeln!(
-        out,
-        "  {:18} {}",
-        "arena bytes",
-        gauge("intern.arena.bytes")
-    );
-    let _ = writeln!(
-        out,
-        "  {:18} {:.1} ms",
-        "lock wait",
-        gauge("intern.goal.lock_wait_ns") as f64 / 1e6
-    );
-    Some(out)
 }
 
 /// One row of the per-tactic table.

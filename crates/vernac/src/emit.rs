@@ -6,7 +6,7 @@
 //! [`crate::item::group_items`] → [`crate::parser::parse_item`] →
 //! [`crate::loader::Loader`]. Statements are rendered with the kernel's
 //! pretty-printer ([`minicoq::pretty::formula_to_string`]), whose output
-//! is pinned to reparse by the `intern_props` and `corpus_integrity`
+//! is pinned to reparse by the `statehash_props` and `corpus_integrity`
 //! suites.
 
 use minicoq::formula::Formula;
