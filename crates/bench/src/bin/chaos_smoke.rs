@@ -58,23 +58,21 @@ fn grid(runner: &Runner, corpus: &Corpus) -> (ResultSet, usize) {
 
 fn main() {
     let seed = proof_chaos::fault_seed_arg(std::env::args().skip(1)).unwrap_or(101);
-    let jobs = proof_metrics::runner::resolve_jobs();
     let scratch = std::env::temp_dir().join(format!("chaos-smoke-{seed}-{}", std::process::id()));
     let cache_dir = scratch.join("cells");
     let journal = scratch.join("journal.jsonl");
     let _ = std::fs::remove_dir_all(&scratch);
     let corpus = Corpus::load();
 
-    eprintln!("[chaos_smoke] seed={seed} jobs={jobs}");
+    let clean_runner = Runner::from_env().without_cache();
+    eprintln!("[chaos_smoke] seed={seed} jobs={}", clean_runner.jobs());
     eprintln!("[chaos_smoke] pass 1: clean reference run");
-    let clean_runner = Runner::from_env().with_jobs(jobs).without_cache();
     let (clean, clean_crashes) = grid(&clean_runner, &corpus);
     assert_eq!(clean_crashes, 0, "clean run must not crash");
 
     eprintln!("[chaos_smoke] pass 2: faulted run (smoke plan)");
     let plan = Arc::new(FaultPlan::new(FaultConfig::smoke(seed)));
     let faulted_runner = Runner::from_env()
-        .with_jobs(jobs)
         .with_cache_dir(&cache_dir)
         .with_fault_plan(Arc::clone(&plan))
         .with_journal(&journal);
@@ -90,7 +88,6 @@ fn main() {
     eprintln!("[chaos_smoke] pass 3: resumed run (fresh plan, same seed)");
     let resume_plan = Arc::new(FaultPlan::new(FaultConfig::smoke(seed)));
     let resumed_runner = Runner::from_env()
-        .with_jobs(jobs)
         .with_cache_dir(&cache_dir)
         .with_fault_plan(resume_plan)
         .with_journal(&journal);

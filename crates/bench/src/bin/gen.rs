@@ -24,8 +24,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use corpus_gen::{generate, read_dir, validate, GenSpec, GeneratedCorpus};
-use llm_fscq_bench::artifact_dir;
-use proof_metrics::runner::{resolve_jobs, Runner};
+use llm_fscq_bench::{artifact_dir, flag_present, flag_value};
+use proof_metrics::runner::Runner;
 use proof_metrics::{elo_ladder, render_leaderboard, CellConfig, CellResult, EvalScope};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -40,17 +40,6 @@ const GEN_CACHE_DIR: &str = "target/cells-gen";
 fn fail(msg: &str) -> ! {
     eprintln!("[gen] FAIL: {msg}");
     std::process::exit(1)
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn flag_present(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
 }
 
 fn parse_u64(name: &str, default: u64) -> u64 {
@@ -149,10 +138,7 @@ fn cmd_grid() {
         .unwrap_or_else(|e| fail(&format!("generated corpus failed to load: {e}")));
     let fscq = fscq_corpus::Corpus { dev };
 
-    let jobs = resolve_jobs();
-    let mut runner = Runner::from_env()
-        .with_jobs(jobs)
-        .with_cache_dir(GEN_CACHE_DIR);
+    let mut runner = Runner::from_env().with_cache_dir(GEN_CACHE_DIR);
     if flag_present("--fresh") {
         runner = runner.without_cache();
     }
@@ -190,7 +176,7 @@ fn cmd_grid() {
         bin: "gen",
         label: "elo-ladder",
         variant: &format!("gen:{fingerprint}"),
-        jobs,
+        jobs: runner.jobs(),
         records: &records,
         theorems: Some(theorems),
         proved,

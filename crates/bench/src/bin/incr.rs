@@ -15,9 +15,9 @@ use std::time::Instant;
 
 use corpus_analysis::Snapshot;
 use llm_fscq_bench::artifact_dir;
-use proof_metrics::incremental::{load_edited, run_incremental, IncrementalConfig};
-use proof_metrics::runner::{resolve_jobs, CellBench, CellSource};
-use proof_metrics::{run_cell_jobs, CellConfig, CellResult};
+use proof_metrics::incremental::{load_edited, run_incremental};
+use proof_metrics::runner::{CellBench, CellSource};
+use proof_metrics::{CellConfig, CellResult, Runner};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
 
@@ -87,9 +87,9 @@ fn result_json(r: &CellResult) -> String {
     serde_json::to_string_pretty(r).expect("cell result serializes")
 }
 
-fn run_full(sources: &[(String, String)], cell: &CellConfig, jobs: usize) -> CellResult {
+fn run_full(runner: &Runner, sources: &[(String, String)], cell: &CellConfig) -> CellResult {
     let (corpus, _) = load_edited(sources).expect("corpus loads");
-    run_cell_jobs(&corpus, cell, jobs)
+    runner.run_cell(&corpus, cell)
 }
 
 struct IncRun {
@@ -99,22 +99,13 @@ struct IncRun {
     wall_ms: f64,
 }
 
-fn run_inc(
-    baseline: &CellResult,
-    snapshot: &Snapshot,
-    edited: &[(String, String)],
-    jobs: usize,
-) -> IncRun {
+fn run_inc(baseline: &CellResult, snapshot: &Snapshot, edited: &[(String, String)]) -> IncRun {
     let scratch = std::env::temp_dir().join(format!("incremental-cones-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
-    let cfg = IncrementalConfig {
-        cell: cell(),
-        recovery: Default::default(),
-        jobs,
-        cone_cache_dir: Some(scratch.clone()),
-    };
+    let runner = Runner::from_env().with_cache_dir(&scratch);
     let t = Instant::now();
-    let inc = run_incremental(Some(baseline), snapshot, edited, &cfg).expect("incremental runs");
+    let inc = run_incremental(&runner, &cell(), Some(baseline), snapshot, edited)
+        .expect("incremental runs");
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
     let _ = std::fs::remove_dir_all(&scratch);
     assert!(!inc.fallback_full, "single-module edit must not fall back");
@@ -181,7 +172,7 @@ fn append_ledger(result: &CellResult, wall_ms: f64, jobs: usize) {
 }
 
 /// The CI gate: cone precision + byte-identity.
-fn ci(jobs: usize) {
+fn ci() {
     let cell = cell();
     let spec = edit_spec();
     let pristine = pristine_sources();
@@ -190,13 +181,14 @@ fn ci(jobs: usize) {
     eprintln!("[incremental] baseline: full cold run on the pristine corpus");
     let (pristine_corpus, _) = load_edited(&pristine).expect("pristine corpus loads");
     let snapshot = Snapshot::capture(&pristine_corpus.dev);
-    let baseline = run_full(&pristine, &cell, jobs);
+    let cold = Runner::from_env().without_cache();
+    let baseline = run_full(&cold, &pristine, &cell);
 
     eprintln!(
         "[incremental] incremental run on the edited corpus ({} edited)",
         spec.module
     );
-    let inc = run_inc(&baseline, &snapshot, &edited, jobs);
+    let inc = run_inc(&baseline, &snapshot, &edited);
 
     // (a) Cone precision: only the edited module (from the edited item
     // onward) and its importer FS re-verify; everything else is served
@@ -235,11 +227,11 @@ fn ci(jobs: usize) {
     // (b) Byte-identity: the merged result equals a full cold run of the
     // edited corpus.
     eprintln!("[incremental] reference: full cold run on the edited corpus");
-    let full = run_full(&edited, &cell, jobs);
+    let full = run_full(&cold, &edited, &cell);
     if result_json(&inc.merged) != result_json(&full) {
         fail("merged incremental result diverges from the full cold run");
     }
-    append_ledger(&inc.merged, inc.wall_ms, jobs);
+    append_ledger(&inc.merged, inc.wall_ms, cold.jobs());
     println!(
         "[incremental] PASS: {} re-verified / {} served from baseline, merged output \
          byte-identical to the full run (artifacts in {})",
@@ -258,5 +250,5 @@ fn main() {
         eprintln!("usage: incr [ci] [--jobs N] (got `{mode}`)");
         std::process::exit(2);
     }
-    ci(resolve_jobs());
+    ci();
 }

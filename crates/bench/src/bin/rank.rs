@@ -37,9 +37,8 @@ use corpus_analysis::score::{clear_model, install_model, Model};
 use corpus_gen::generate_pinned;
 use fscq_corpus::Corpus;
 use llm_fscq_bench::rank::{base_cell, features_of_log, gen_dev, hard_tier, PINNED_SPEC};
-use llm_fscq_bench::{artifact_dir, ledger_append, LedgerRun};
-use proof_metrics::experiment::{clear_attempt_log, install_attempt_log};
-use proof_metrics::runner::{resolve_jobs, Runner};
+use llm_fscq_bench::{artifact_dir, flag_present, flag_value, ledger_append, LedgerRun};
+use proof_metrics::runner::Runner;
 use proof_metrics::{CellConfig, CellResult, EvalScope};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -58,17 +57,6 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1)
 }
 
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn flag_present(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 /// The pinned generated-corpus spec: `--spec`, or the checked-in fixture.
 fn spec_path() -> PathBuf {
     PathBuf::from(flag_value("--spec").unwrap_or_else(|| PINNED_SPEC.to_string()))
@@ -82,12 +70,14 @@ fn cmd_mine() {
         std::fs::create_dir_all(parent).ok();
     }
     std::fs::remove_file(&out).ok();
-    install_attempt_log(&out);
 
     // One worker, no cache: cached cells never run a search, so a cached
     // mine would produce an empty log; and a single worker keeps the
     // record order deterministic.
-    let runner = Runner::from_env().with_jobs(1).without_cache();
+    let runner = Runner::from_env()
+        .with_jobs(1)
+        .without_cache()
+        .with_attempt_log(&out);
     let corpus = Corpus::load();
     let scope = if flag_present("--sampled") {
         EvalScope::Sampled
@@ -113,7 +103,6 @@ fn cmd_mine() {
         );
         runner.run_cell(&fscq, &cell);
     }
-    clear_attempt_log();
     let n = AttemptLog::at(&out).load().len();
     println!("[rank] mined {n} attempt record(s) -> {out}");
 }
@@ -243,18 +232,15 @@ fn cmd_ab() {
     };
     let model_hash = model.content_hash();
 
-    let jobs = resolve_jobs();
     let cached = if flag_present("--fresh") {
-        Runner::from_env().with_jobs(jobs).without_cache()
+        Runner::from_env().without_cache()
     } else {
-        Runner::from_env()
-            .with_jobs(jobs)
-            .with_cache_dir(RANK_CACHE_DIR)
+        Runner::from_env().with_cache_dir(RANK_CACHE_DIR)
     };
     // The learned arm never uses the cell cache: the model's content is
     // not part of the cache key, so a cached cell could answer for a
     // different model.
-    let uncached = Runner::from_env().with_jobs(jobs).without_cache();
+    let uncached = Runner::from_env().without_cache();
 
     let embedded = Corpus::load();
     let gc = generate_pinned(&spec_path()).unwrap_or_else(|e| fail(&e));
@@ -377,7 +363,7 @@ fn cmd_ab() {
             bin: "rank",
             label: "premise-rank-ab",
             variant: arm,
-            jobs,
+            jobs: cached.jobs(),
             records: &arm_records,
             theorems: Some(arm_results.iter().map(|r| r.theorems as u64).sum()),
             proved: arm_results.iter().map(|r| r.proved as u64).sum(),

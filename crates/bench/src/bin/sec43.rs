@@ -12,7 +12,7 @@ use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::{build_prompt, PromptConfig, PromptSetting};
 use proof_oracle::split::hint_set;
 use proof_oracle::SimulatedModel;
-use proof_search::whole_proof::{whole_proof_attempt, whole_proof_with_repair};
+use proof_search::whole_proof::whole_proof_with_repair;
 use proof_search::{search, SearchConfig};
 
 fn main() {
@@ -111,7 +111,7 @@ fn main() {
         let env = dev.env_before(thm);
         let prompt = build_prompt(dev, thm, &hints, &PromptConfig::hints());
         let mut model = SimulatedModel::new(ModelProfile::gpt4o());
-        let wp = whole_proof_attempt(env, &thm.stmt, &thm.name, &mut model, &prompt, 16);
+        let wp = whole_proof_with_repair(env, &thm.stmt, &thm.name, &mut model, &prompt, 16, 0);
         let rep = whole_proof_with_repair(env, &thm.stmt, &thm.name, &mut model, &prompt, 16, 4);
         let bfs = search(
             env,

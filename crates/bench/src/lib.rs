@@ -1,10 +1,12 @@
 //! Shared harness for the table/figure binaries.
 //!
-//! Experiments are deterministic, so results are cached at two levels:
-//! whole grids as JSON under `target/experiments/`, and individual cells
-//! under `target/cells/` (content-hashed by the runner). Delete the files
-//! (or pass `--fresh`) to recompute. Cells evaluate on the parallel runner;
-//! override the worker count with `--jobs N` or `JOBS=N`.
+//! Experiments are deterministic, so cells are cached under
+//! `target/cells/`, content-hashed by the runner: a changed profile or cell
+//! configuration changes the key and recomputes. Grids are written as JSON
+//! artifacts under `target/experiments/` but never read back. Delete the
+//! cell files (or pass `--fresh`) to recompute. Cells evaluate on the
+//! parallel runner; override the worker count with `--jobs N` or
+//! `JOBS=N`.
 //!
 //! Grid runs are crash-safe: every completed cell is appended to a JSONL
 //! journal under `target/experiments/`, and `--resume` replays it, so a
@@ -69,13 +71,6 @@ impl GridOpts {
             fault_plan: proof_chaos::plan_from_env_args(),
             trace_out: trace_out_flag(),
         }
-    }
-
-    /// True when fault injection is armed (grid-level JSON caching is
-    /// disabled then: a cached grid would bypass the faulted paths the
-    /// run is supposed to exercise).
-    pub fn chaotic(&self) -> bool {
-        self.fault_plan.is_some()
     }
 }
 
@@ -279,8 +274,10 @@ pub fn bin_name() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Runs (or loads) the main experiment grid: the five model configurations
-/// of Table 2, each in the vanilla and hint settings.
+/// Runs the main experiment grid: the five model configurations of
+/// Table 2, each in the vanilla and hint settings. Each cell comes from the
+/// cell cache when its key matches; the grid is written to
+/// `target/experiments/main_grid.json` as an artifact, never read back.
 pub fn main_grid(fresh: bool) -> ResultSet {
     main_grid_opts(&GridOpts {
         fresh,
@@ -295,16 +292,6 @@ pub fn main_grid(fresh: bool) -> ResultSet {
 pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
     if opts.trace_out.is_some() {
         proof_trace::set_enabled(true);
-    }
-    let path = artifact_dir().join("main_grid.json");
-    // A traced run also skips the grid-level JSON shortcut: serving the
-    // whole grid from one file would record an empty trace.
-    if !opts.fresh && !opts.resume && !opts.chaotic() && opts.trace_out.is_none() {
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Ok(rs) = ResultSet::from_json(&text) {
-                return rs;
-            }
-        }
     }
     let journal_path = artifact_dir().join("main_grid.journal.jsonl");
     let mut runner = runner(opts.fresh).with_journal(&journal_path);
@@ -344,7 +331,7 @@ pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
         std::process::exit(2);
     }
     let _ = std::fs::create_dir_all(artifact_dir());
-    let _ = std::fs::write(&path, rs.to_json());
+    let _ = std::fs::write(artifact_dir().join("main_grid.json"), rs.to_json());
     ledger_append_cells(
         "main-grid",
         &runner,
@@ -355,12 +342,25 @@ pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
     rs
 }
 
+/// The argument after the first `name` on the command line, if any.
+pub fn flag_value(name: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// True when `name` was passed on the command line.
+pub fn flag_present(name: &str) -> bool {
+    std::env::args().any(|a| a == name)
+}
+
 /// True when `--fresh` was passed on the command line.
 pub fn fresh_flag() -> bool {
-    std::env::args().any(|a| a == "--fresh")
+    flag_present("--fresh")
 }
 
 /// True when `--resume` was passed on the command line.
 pub fn resume_flag() -> bool {
-    std::env::args().any(|a| a == "--resume")
+    flag_present("--resume")
 }

@@ -13,7 +13,7 @@ use corpus_analysis::features::FeatureVec;
 use corpus_analysis::score::{install_model, Model};
 use fscq_corpus::Corpus;
 use llm_fscq_bench::rank::{base_cell, features_of_log, PINNED_SPEC};
-use proof_metrics::runner::run_cell_jobs;
+use proof_metrics::Runner;
 use proof_search::PremiseRank;
 use proof_trace::attempts::AttemptLog;
 
@@ -35,7 +35,10 @@ fn learned_arm_on_the_embedded_corpus_is_pinned() {
     install_model(model);
 
     let cell = base_cell("rank-learned", PremiseRank::Learned);
-    let result = run_cell_jobs(&Corpus::load(), &cell, 1);
+    let result = Runner::from_env()
+        .with_jobs(1)
+        .without_cache()
+        .run_cell(&Corpus::load(), &cell);
     let proved = result
         .outcomes
         .iter()

@@ -30,106 +30,18 @@ pub struct WholeProofResult {
     pub sentences_total: usize,
 }
 
-/// Attempts a whole proof: the model proposes greedily from its own
-/// predicted states *without checker feedback* — each step takes the
-/// model's top proposal as if it had succeeded, mirroring a reasoning
-/// model writing a proof in one pass.
-pub fn whole_proof_attempt(
-    env: &Env,
-    stmt: &Formula,
-    theorem: &str,
-    model: &mut dyn TacticModel,
-    prompt: &PromptInfo,
-    max_sentences: usize,
-) -> WholeProofResult {
-    // Generation pass: the model imagines the proof. It sees the true
-    // state only while its tactics happen to succeed; after the first
-    // failure it keeps generating against its last believed state —
-    // exactly the "lack of awareness of proof progress" failure mode.
-    let mut believed = ProofState::new(stmt.clone());
-    let mut script: Vec<String> = Vec::new();
-    let mut misses = 0u32;
-    for i in 0..max_sentences {
-        if believed.is_complete() {
-            break;
-        }
-        let ctx = QueryCtx {
-            prompt,
-            state: &believed,
-            env,
-            path: &script,
-            theorem,
-            query_index: i as u32,
-        };
-        let props = model.propose(&ctx, 4);
-        let Some(best) = props
-            .iter()
-            .find(|p| script.last() != Some(&p.tactic))
-            .or_else(|| props.first())
-        else {
-            break;
-        };
-        script.push(best.tactic.clone());
-        // Optimistic belief update: apply the tactic if it happens to work;
-        // otherwise the model *believes* it made progress — after writing a
-        // couple of tactics against the same imagined state it assumes the
-        // subgoal is closed and moves on (the o1 failure the paper
-        // describes: no awareness of actual proof progress).
-        let applied = parse_tactic(env, believed.focused(), &best.tactic)
-            .ok()
-            .and_then(|t| apply_tactic(env, &believed, &t, &mut Fuel::default()).ok());
-        match applied {
-            Some(st) => {
-                believed = st;
-                misses = 0;
-            }
-            None => {
-                misses += 1;
-                if misses >= 2 {
-                    // Assume the goal was closed and move on.
-                    let mut st = believed.clone();
-                    if !st.goals.is_empty() {
-                        st.goals.remove(0);
-                    }
-                    believed = st;
-                    misses = 0;
-                }
-            }
-        }
-    }
-    let text = format!("{}.", script.join(". "));
-
-    // Verification pass: replay the script faithfully.
-    let mut st = ProofState::new(stmt.clone());
-    let mut applied = 0usize;
-    let total = split_sentences(&text).len();
-    for sentence in split_sentences(&text) {
-        let ok = parse_tactic(env, st.focused(), &sentence)
-            .ok()
-            .and_then(|t| apply_tactic(env, &st, &t, &mut Fuel::default()).ok());
-        match ok {
-            Some(next) => {
-                st = next;
-                applied += 1;
-            }
-            None => break,
-        }
-    }
-    WholeProofResult {
-        script: text,
-        proved: applied == total && st.is_complete(),
-        sentences_applied: applied,
-        sentences_total: total,
-    }
-}
-
-/// Whole-proof generation with bounded repair: after a failed attempt the
-/// *checker-verified prefix* is kept, the model sees the true state at the
-/// failure point, and generation continues from there — up to `repairs`
-/// rounds. This is the middle ground between one-pass generation and full
+/// Whole-proof generation with bounded repair.
+///
+/// Each round the model proposes greedily from its own predicted states
+/// *without checker feedback*: every step takes the model's top proposal
+/// as if it had succeeded, mirroring a reasoning model writing a proof in
+/// one pass. The script is then replayed faithfully. After a failed
+/// replay the *checker-verified prefix* is kept, the model sees the true
+/// state at the failure point, and generation continues from there — up
+/// to `repairs` rounds. With `repairs = 0` this is one-pass whole-proof
+/// generation; with more it is the middle ground between that and full
 /// best-first search: one round of real feedback per failure, as in
-/// repair-style provers. With `repairs = 0` it degenerates to
-/// [`whole_proof_attempt`]'s verification discipline.
+/// repair-style provers.
 pub fn whole_proof_with_repair(
     env: &Env,
     stmt: &Formula,
@@ -146,8 +58,10 @@ pub fn whole_proof_with_repair(
     let mut query_base = 0u32;
 
     loop {
-        // Generation pass from the true state, with the model's belief
-        // free-running as in the one-pass mode.
+        // Generation pass from the true state. The model sees the true
+        // state only while its tactics happen to succeed; after a failure
+        // it keeps generating against its last believed state — exactly
+        // the "lack of awareness of proof progress" failure mode.
         let mut believed = state.clone();
         let mut script = prefix.clone();
         let mut misses = 0u32;
@@ -181,6 +95,9 @@ pub fn whole_proof_with_repair(
                     misses = 0;
                 }
                 None => {
+                    // After a couple of tactics against the same imagined
+                    // state the model assumes the subgoal is closed and
+                    // moves on (the o1 failure the paper describes).
                     misses += 1;
                     if misses >= 2 {
                         let mut st = believed.clone();
@@ -246,7 +163,7 @@ mod tests {
         let env = dev.env_before(thm);
         let prompt = build_prompt(&dev, thm, &hints, &PromptConfig::hints());
         let mut model = SimulatedModel::new(ModelProfile::gpt4o());
-        let r = whole_proof_attempt(env, &thm.stmt, &thm.name, &mut model, &prompt, 12);
+        let r = whole_proof_with_repair(env, &thm.stmt, &thm.name, &mut model, &prompt, 12, 0);
         assert!(r.sentences_total > 0);
         assert!(r.sentences_applied <= r.sentences_total);
     }

@@ -7,7 +7,7 @@ use minicoq::env::Env;
 use minicoq::parse::parse_formula;
 use proof_oracle::model::{Proposal, QueryCtx, TacticModel};
 use proof_oracle::prompt::PromptInfo;
-use proof_search::whole_proof::whole_proof_attempt;
+use proof_search::whole_proof::whole_proof_with_repair;
 
 fn empty_prompt() -> PromptInfo {
     PromptInfo {
@@ -47,7 +47,7 @@ fn attempt(stmt: &str, steps: Vec<&'static str>) -> proof_search::whole_proof::W
     let f = parse_formula(&env, stmt).unwrap();
     let mut m = Sequenced { steps, next: 0 };
     let prompt = empty_prompt();
-    whole_proof_attempt(&env, &f, "t", &mut m, &prompt, 16)
+    whole_proof_with_repair(&env, &f, "t", &mut m, &prompt, 16, 0)
 }
 
 #[test]
@@ -139,7 +139,7 @@ fn max_sentences_bounds_generation() {
         }
     }
     let prompt = empty_prompt();
-    let r = whole_proof_attempt(&env, &f, "t", &mut Endless, &prompt, 5);
+    let r = whole_proof_with_repair(&env, &f, "t", &mut Endless, &prompt, 5, 0);
     assert!(!r.proved);
     assert!(r.sentences_total <= 5);
 }
@@ -172,7 +172,6 @@ impl TacticModel for ByQuery {
 
 #[test]
 fn repair_recovers_from_a_single_bad_sentence() {
-    use proof_search::whole_proof::whole_proof_with_repair;
     let env = Env::with_prelude();
     let f = parse_formula(&env, "forall n : nat, n = n").unwrap();
     // Round 0 derails after `intros n`; round 1 sees the true state at the
@@ -197,7 +196,6 @@ fn repair_recovers_from_a_single_bad_sentence() {
 
 #[test]
 fn zero_repairs_matches_one_pass_failure() {
-    use proof_search::whole_proof::whole_proof_with_repair;
     let env = Env::with_prelude();
     let f = parse_formula(&env, "forall n : nat, n = n").unwrap();
     let mut m = ByQuery {
@@ -214,7 +212,6 @@ fn zero_repairs_matches_one_pass_failure() {
 
 #[test]
 fn repair_budget_is_bounded() {
-    use proof_search::whole_proof::whole_proof_with_repair;
     let env = Env::with_prelude();
     let f = parse_formula(&env, "0 = 0").unwrap();
     // A model that never says anything useful: every round fails, and the

@@ -1,15 +1,14 @@
-//! The experiment runner: one *cell* is a (model configuration, prompt
-//! setting) pair evaluated over a set of theorems.
+//! Experiment cells: one *cell* is a (model configuration, prompt
+//! setting) pair evaluated over a set of theorems, one theorem at a time
+//! by the [`Runner`](crate::Runner)'s workers.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
-use std::sync::{OnceLock, RwLock};
 
-use fscq_corpus::{Category, Corpus};
+use fscq_corpus::Category;
 use minicoq_vernac::Development;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::{build_prompt_cached, PromptCache, PromptConfig, PromptSetting};
-use proof_oracle::split::{eval_set, eval_set_small, hint_set};
+use proof_oracle::split::{eval_set, eval_set_small};
 use proof_oracle::tokenizer::{bin_of, count_tokens};
 use proof_oracle::SimulatedModel;
 use proof_search::{search_with_recovery, Outcome, RecoveryConfig, SearchConfig, SearchStats};
@@ -17,49 +16,6 @@ use proof_trace::attempts::{AttemptLog, AttemptRecord};
 use serde::{Deserialize, Serialize};
 
 use crate::levenshtein::{canonical_script, similarity};
-
-// ---------------------------------------------------------------------------
-// Attempt-log sink: when installed (programmatically or via the
-// `ATTEMPT_LOG` env var), every theorem evaluation collects per-proposal
-// attempt records and appends them to the log — the raw material the
-// `rank` pipeline mines. Strictly a side channel: outcomes, cell records,
-// and cache contents are byte-identical with the sink on or off.
-
-fn sink_cell() -> &'static RwLock<Option<AttemptLog>> {
-    static SINK: OnceLock<RwLock<Option<AttemptLog>>> = OnceLock::new();
-    SINK.get_or_init(|| {
-        RwLock::new(
-            std::env::var("ATTEMPT_LOG")
-                .ok()
-                .filter(|p| !p.trim().is_empty())
-                .map(AttemptLog::at),
-        )
-    })
-}
-
-/// Routes every subsequent theorem evaluation's attempt records to the
-/// given JSONL log (overriding any `ATTEMPT_LOG` env var).
-pub fn install_attempt_log(path: impl Into<PathBuf>) {
-    *sink_cell().write().unwrap() = Some(AttemptLog::at(path));
-}
-
-/// Stops attempt-log emission.
-pub fn clear_attempt_log() {
-    *sink_cell().write().unwrap() = None;
-}
-
-fn active_attempt_log() -> Option<AttemptLog> {
-    sink_cell().read().unwrap().clone()
-}
-
-/// Appends one finished search's attempt records to the installed sink.
-/// Returns `false` when no sink is installed or the write fails.
-pub fn append_attempts(theorem: &str, stats: &SearchStats) -> bool {
-    match active_attempt_log() {
-        Some(log) => log.append_all(&attempt_records(theorem, stats)),
-        None => false,
-    }
-}
 
 /// Converts a finished search's collected attempts into attempt-log
 /// records for `theorem`, extracting each tactic's premise argument.
@@ -289,16 +245,18 @@ impl CellResult {
 }
 
 /// Evaluates one theorem under a cell's configuration: build the prompt,
-/// search, and classify. This is the unit of work shared by the serial
-/// [`run_cell`] and the parallel [`runner`](crate::runner).
+/// search, and classify. This is the unit of work of the
+/// [`Runner`](crate::Runner)'s workers.
 ///
 /// `recovery` is the oracle-recovery policy (fault injection and retry;
 /// `RecoveryConfig::default()` for none). The recovery layer never
 /// changes a successful evaluation's outcome — retried queries reuse
 /// their `query_index` and fault counters are not serialized — so the
-/// clean and recovered records are byte-identical.
+/// clean and recovered records are byte-identical. With an
+/// `attempt_log`, `recovery` must collect attempts; the finished search's
+/// records are appended to the log.
 #[allow(clippy::too_many_arguments)]
-pub fn eval_theorem_with_recovery(
+pub(crate) fn eval_theorem_with_recovery(
     dev: &Development,
     index: usize,
     hints: &BTreeSet<String>,
@@ -307,31 +265,19 @@ pub fn eval_theorem_with_recovery(
     model: &mut SimulatedModel,
     prompt_cache: &PromptCache,
     recovery: &RecoveryConfig,
+    attempt_log: Option<&AttemptLog>,
 ) -> TheoremOutcome {
     let thm = &dev.theorems[index];
     let mut thm_sp = proof_trace::span("theorem", &thm.name);
     let env = dev.env_before(thm);
     let prompt = build_prompt_cached(dev, thm, hints, prompt_cfg, prompt_cache);
-    // When an attempt sink is installed, switch on per-proposal
-    // collection (a transport knob: results are unchanged).
-    let sink = active_attempt_log();
-    let recovery_with_sink;
-    let recovery = if sink.is_some() && !recovery.collect_attempts {
-        recovery_with_sink = RecoveryConfig {
-            collect_attempts: true,
-            ..recovery.clone()
-        };
-        &recovery_with_sink
-    } else {
-        recovery
-    };
     let result = {
         let _sp = proof_trace::span("search", &thm.name);
         search_with_recovery(
             env, &thm.stmt, &thm.name, model, &prompt, search_cfg, recovery,
         )
     };
-    if let Some(log) = &sink {
+    if let Some(log) = attempt_log {
         log.append_all(&attempt_records(&thm.name, &result.stats));
     }
     let _classify_sp = proof_trace::span("classify", &thm.name);
@@ -382,38 +328,10 @@ pub(crate) fn finish_cell(cell: &CellConfig, outcomes: Vec<TheoremOutcome>) -> C
     }
 }
 
-/// Runs one experiment cell over the corpus, serially. The parallel
-/// equivalent is [`runner::run_cell_jobs`](crate::runner::run_cell_jobs),
-/// which is bit-identical by construction (and by test).
-pub fn run_cell(corpus: &Corpus, cell: &CellConfig) -> CellResult {
-    let dev = &corpus.dev;
-    let hints = hint_set(dev);
-    let indices = cell.eval_indices(dev);
-    let prompt_cfg = cell.prompt_config();
-    let prompt_cache = PromptCache::new();
-    let mut model = cell.model();
-    let recovery = RecoveryConfig::default();
-    let outcomes = indices
-        .iter()
-        .map(|&i| {
-            eval_theorem_with_recovery(
-                dev,
-                i,
-                &hints,
-                &prompt_cfg,
-                &cell.search,
-                &mut model,
-                &prompt_cache,
-                &recovery,
-            )
-        })
-        .collect();
-    finish_cell(cell, outcomes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fscq_corpus::Corpus;
 
     #[test]
     fn cell_runs_on_a_slice() {
@@ -421,7 +339,10 @@ mod tests {
         let corpus = Corpus::load();
         let mut cell = CellConfig::standard(ModelProfile::gpt4o(), PromptSetting::Hints);
         cell.search.query_limit = 4;
-        let r = run_cell(&corpus, &cell);
+        let r = crate::Runner::from_env()
+            .with_jobs(1)
+            .without_cache()
+            .run_cell(&corpus, &cell);
         assert!(!r.outcomes.is_empty());
         assert!(r.label.contains("hints"));
         for o in &r.outcomes {

@@ -33,37 +33,9 @@ use corpus_analysis::{
 };
 use fscq_corpus::Corpus;
 use minicoq_vernac::Loader;
-use proof_search::RecoveryConfig;
 
 use crate::experiment::{finish_cell, CellConfig, CellResult, TheoremOutcome};
-use crate::runner::{
-    cell_cache_key, default_cache_dir, load_envelope, run_indices_checked, store_envelope,
-};
-
-/// Configuration of one incremental run.
-pub struct IncrementalConfig {
-    /// The cell (profile, setting, scope, search knobs) being re-verified.
-    pub cell: CellConfig,
-    /// Oracle-recovery policy (and optional fault plan) for the pool.
-    pub recovery: RecoveryConfig,
-    /// Worker count.
-    pub jobs: usize,
-    /// Directory of the cone-keyed per-theorem cache; `None` disables it.
-    pub cone_cache_dir: Option<PathBuf>,
-}
-
-impl IncrementalConfig {
-    /// A config with the given cell, serial evaluation, and the default
-    /// cone cache under `target/cells/cones`.
-    pub fn new(cell: CellConfig) -> IncrementalConfig {
-        IncrementalConfig {
-            cell,
-            recovery: RecoveryConfig::default(),
-            jobs: 1,
-            cone_cache_dir: Some(default_cache_dir().join("cones")),
-        }
-    }
-}
+use crate::runner::{cell_cache_key, load_envelope, store_envelope, Runner};
 
 /// What an incremental run did, alongside the merged result.
 pub struct IncrementalOutcome {
@@ -96,25 +68,28 @@ pub fn load_edited(sources: &[(String, String)]) -> Result<(Corpus, DepGraph), S
     Ok((Corpus { dev }, graph))
 }
 
-/// Runs the cell incrementally against `sources` (the edited corpus),
-/// re-verifying only the dirty cone of the edit between `baseline_snapshot`
-/// and the edited corpus, and merging `baseline` outcomes for the clean
-/// remainder. With `baseline: None` every eval theorem is re-verified
-/// (still through the cone-keyed cache).
+/// Runs `cell` incrementally against `sources` (the edited corpus) on
+/// `runner`, re-verifying only the dirty cone of the edit between
+/// `baseline_snapshot` and the edited corpus, and merging `baseline`
+/// outcomes for the clean remainder. With `baseline: None` every eval
+/// theorem is re-verified (still through the cone-keyed cache, which
+/// lives in the `cones` subdirectory of the runner's cache directory and
+/// is off when the runner's cache is).
 ///
-/// The baseline must come from the same cell as `cfg.cell`: merging
+/// The baseline must come from the same cell as `cell`: merging
 /// outcomes across cells (a different `--model` or `--vanilla` than the
 /// saved baseline) would silently mix two incomparable runs, so a
 /// label/setting/variant mismatch is an error rather than a fallback.
 pub fn run_incremental(
+    runner: &Runner,
+    cell: &CellConfig,
     baseline: Option<&CellResult>,
     baseline_snapshot: &Snapshot,
     sources: &[(String, String)],
-    cfg: &IncrementalConfig,
 ) -> Result<IncrementalOutcome, String> {
     let _sp = proof_trace::span("metrics", "incremental");
     if let Some(b) = baseline {
-        let want = finish_cell(&cfg.cell, Vec::new());
+        let want = finish_cell(cell, Vec::new());
         if (b.label.as_str(), b.setting.as_str(), b.variant.as_str())
             != (
                 want.label.as_str(),
@@ -137,12 +112,12 @@ pub fn run_incremental(
         .unwrap_or_default();
     let fallback_full = baseline.is_none() || impact.theorem_set_changed;
 
-    let indices = cfg.cell.eval_indices(&corpus.dev);
-    let cell_key = cell_cache_key(&cfg.cell);
+    let indices = cell.eval_indices(&corpus.dev);
+    let cell_key = cell_cache_key(cell);
     // The snapshot capture and collision scan behind cone fingerprints
     // are O(corpus): build the index once, not once per dirty theorem.
-    let cone_ix = cfg
-        .cone_cache_dir
+    let cone_dir = runner.cone_cache_dir();
+    let cone_ix = cone_dir
         .as_ref()
         .map(|_| ConeIndex::build(&corpus.dev, &graph));
     let mut slots: Vec<Option<TheoremOutcome>> = vec![None; indices.len()];
@@ -162,8 +137,7 @@ pub fn run_incremental(
             continue;
         }
         // Dirty: consult the cone-keyed cache before paying for a search.
-        let cache_path = cfg
-            .cone_cache_dir
+        let cache_path = cone_dir
             .as_ref()
             .zip(cone_ix.as_ref())
             .and_then(|(dir, ix)| {
@@ -185,15 +159,9 @@ pub fn run_incremental(
 
     if !to_eval.is_empty() {
         let eval_indices: Vec<usize> = to_eval.iter().map(|&k| indices[k]).collect();
-        let outcomes = run_indices_checked(
-            &corpus,
-            &cfg.cell,
-            &eval_indices,
-            cfg.jobs,
-            &cfg.recovery,
-            0,
-        )
-        .map_err(|crash| crash.to_string())?;
+        let outcomes = runner
+            .run_indices(&corpus, cell, &eval_indices, 0)
+            .map_err(|crash| crash.to_string())?;
         for ((&k, path), outcome) in to_eval.iter().zip(&eval_keys).zip(outcomes) {
             if let Some(path) = path {
                 store_envelope(path, &outcome);
@@ -210,7 +178,7 @@ pub fn run_incremental(
     proof_trace::metrics::counter_add("incremental.cone_cache_hits", cone_cache_hits as u64);
     proof_trace::metrics::counter_add("incremental.served_baseline", served_baseline as u64);
     Ok(IncrementalOutcome {
-        result: finish_cell(&cfg.cell, merged),
+        result: finish_cell(cell, merged),
         reverified,
         cone_cache_hits,
         served_baseline,

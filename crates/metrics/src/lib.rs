@@ -7,8 +7,9 @@
 //! * [`elo`] — a deterministic Elo-style ladder ranking model
 //!   configurations by pairwise per-theorem duels (the generated-corpus
 //!   leaderboard);
-//! * [`runner`] — the parallel, cache-aware engine the bench binaries use:
-//!   a work-stealing pool (bit-identical to the serial loop) plus a
+//! * [`runner`] — the parallel, cache-aware engine every evaluation runs
+//!   through: a work-stealing pool (bit-identical at any worker count,
+//!   one worker running inline on the caller's thread) plus a
 //!   content-hashed, checksummed on-disk cell cache and per-cell timing
 //!   records, with cell-level panic isolation and optional seeded fault
 //!   injection ([`proof_chaos`]);
@@ -34,7 +35,7 @@ pub mod report;
 pub mod runner;
 
 pub use elo::{elo_ladder, render_leaderboard, EloEntry, EloLeaderboard};
-pub use experiment::{run_cell, CellConfig, CellResult, EvalScope, TheoremOutcome};
-pub use incremental::{load_edited, run_incremental, IncrementalConfig, IncrementalOutcome};
+pub use experiment::{CellConfig, CellResult, EvalScope, TheoremOutcome};
+pub use incremental::{load_edited, run_incremental, IncrementalOutcome};
 pub use journal::{Journal, JournalState};
-pub use runner::{run_cell_jobs, CellCrash, Runner};
+pub use runner::{CellCrash, Runner};

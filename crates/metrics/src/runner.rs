@@ -4,8 +4,8 @@
 //! hash of (model, theorem, query, candidate) and every worker holds its
 //! own [`SimulatedModel`](proof_oracle::SimulatedModel) clone and an
 //! [`Arc`]-shared environment snapshot, so evaluating them on a
-//! work-stealing pool is *bit-identical* to the serial loop (enforced by
-//! `tests/runner_tests.rs`). On top of the pool sits a content-hashed
+//! work-stealing pool is *bit-identical* to one worker's inline loop
+//! (enforced by `tests/runner_tests.rs`). On top of the pool sits a content-hashed
 //! on-disk cell cache: a completed [`CellResult`] is stored under
 //! `target/cells/<hash>.json`, keyed by every input that affects the
 //! outcomes (profile, setting, scope, search configuration, tuning,
@@ -26,6 +26,7 @@ use proof_chaos::{FaultKind, FaultPlan};
 use proof_oracle::prompt::PromptCache;
 use proof_oracle::split::hint_set;
 use proof_search::RecoveryConfig;
+use proof_trace::attempts::AttemptLog;
 use proof_trace::envelope::{fnv1a, seal, Record};
 use serde::{Deserialize, Serialize};
 
@@ -40,11 +41,6 @@ use crate::journal::Journal;
 /// Schema 5 follows `SearchConfig::premise_rank` becoming a three-arm
 /// enum (its `Debug` form feeds the key).
 const CACHE_SCHEMA: u32 = 5;
-
-/// Where cell caches live by default.
-pub fn default_cache_dir() -> PathBuf {
-    PathBuf::from("target/cells")
-}
 
 /// Resolves the worker count: `--jobs N` (or `--jobs=N`), then `JOBS=N`,
 /// then the machine's available parallelism.
@@ -118,121 +114,6 @@ fn panic_text(payload: Box<dyn Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Evaluates the given theorem indices under `cell` on `jobs` workers and
-/// returns the outcomes in the order of `indices` (corpus order when the
-/// caller passes a sorted eval set). Bit-identical to a serial loop.
-///
-/// Runs under an explicit recovery policy and with cell-level panic
-/// isolation: a panic anywhere in the evaluation — any worker, an oracle
-/// whose faults outlasted every retry, or an injected
-/// [`FaultKind::WorkerPanic`] — is caught at the cell boundary and
-/// returned as a typed [`CellCrash`].
-///
-/// `attempt` is how many evaluations of this cell already *began*
-/// (journal `start` entries); the worker-panic fault site is keyed on it,
-/// so a fault that fired on attempt 0 stays quiet on the resumed
-/// attempt 1 (`FaultPlan::should_fault_at`).
-pub fn run_indices_checked(
-    corpus: &Corpus,
-    cell: &CellConfig,
-    indices: &[usize],
-    jobs: usize,
-    recovery: &RecoveryConfig,
-    attempt: u32,
-) -> Result<Vec<TheoremOutcome>, CellCrash> {
-    let dev = &corpus.dev;
-    let hints = hint_set(dev);
-    let prompt_cfg = cell.prompt_config();
-    let prompt_cache = PromptCache::new();
-    // The injected worker panic fires while evaluating the first stolen
-    // index, whichever worker steals it — schedule-independent, so the
-    // crash point is deterministic under any `--jobs`.
-    let inject_panic = recovery.fault_plan.as_ref().is_some_and(|plan| {
-        plan.should_fault_at(FaultKind::WorkerPanic, &cell_cache_key(cell), attempt)
-    });
-    let crash = |payload: Box<dyn Any + Send>| CellCrash {
-        label: cell.label(),
-        panic: panic_text(payload),
-    };
-    // One worker body: steal the next index, evaluate it, repeat. A single
-    // worker runs inline on the caller's thread, so `JOBS=1` spawns
-    // nothing and its trace spans keep the caller's thread id.
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        let mut model = cell.model();
-        let mut out = Vec::new();
-        loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= indices.len() {
-                break;
-            }
-            if inject_panic && k == 0 {
-                panic!("injected: worker panic in cell `{}`", cell.label());
-            }
-            out.push((
-                k,
-                eval_theorem_with_recovery(
-                    dev,
-                    indices[k],
-                    &hints,
-                    &prompt_cfg,
-                    &cell.search,
-                    &mut model,
-                    &prompt_cache,
-                    recovery,
-                ),
-            ));
-        }
-        out
-    };
-    let workers = jobs.min(indices.len());
-    let joined: Vec<std::thread::Result<Vec<(usize, TheoremOutcome)>>> = if workers <= 1 {
-        vec![std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            worker,
-        ))]
-    } else {
-        // Each worker's spans nest under the caller's open span (the
-        // cell), and the caller books its join as `wait`, not as busy time.
-        let parent = proof_trace::collect::current_span();
-        let _wait = proof_trace::span(proof_trace::report::WAIT_PHASE, "join");
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(move || {
-                        let _adopted = proof_trace::collect::adopt_parent(parent);
-                        worker()
-                    })
-                })
-                .collect();
-            // Join every worker before deciding the cell's fate: a panic
-            // in one must not leave siblings detached (that was the
-            // `h.join().expect(...)` bug — the first panicking join took
-            // down the whole process).
-            handles.into_iter().map(|h| h.join()).collect()
-        })
-    };
-    let mut slots: Vec<Option<TheoremOutcome>> = indices.iter().map(|_| None).collect();
-    for part in joined {
-        for (k, o) in part.map_err(crash)? {
-            slots[k] = Some(o);
-        }
-    }
-    Ok(slots
-        .into_iter()
-        .map(|o| o.expect("every stolen index produced an outcome"))
-        .collect())
-}
-
-/// Runs one cell on `jobs` workers (no disk cache) under the default
-/// recovery policy. Panics if the evaluation crashes.
-pub fn run_cell_jobs(corpus: &Corpus, cell: &CellConfig, jobs: usize) -> CellResult {
-    let indices = cell.eval_indices(&corpus.dev);
-    match run_indices_checked(corpus, cell, &indices, jobs, &RecoveryConfig::default(), 0) {
-        Ok(outcomes) => finish_cell(cell, outcomes),
-        Err(crash) => panic!("{crash}"),
     }
 }
 
@@ -317,26 +198,28 @@ impl CellBench {
 }
 
 /// The evaluation engine: a work-stealing pool plus the on-disk cell cache
-/// and in-memory timing records. Every bench binary funnels its cells
-/// through one of these.
+/// and in-memory timing records. Every evaluation of a cell, or of a slice
+/// of one ([`crate::incremental`]), runs through one of these.
 pub struct Runner {
     jobs: usize,
     cache_dir: Option<PathBuf>,
     bench: Mutex<Vec<CellBench>>,
     recovery: RecoveryConfig,
     journal: Option<Journal>,
+    attempt_log: Option<AttemptLog>,
 }
 
 impl Runner {
     /// A runner with the environment-resolved worker count and the default
-    /// cache directory.
+    /// cache directory, `target/cells`.
     pub fn from_env() -> Runner {
         Runner {
             jobs: resolve_jobs(),
-            cache_dir: Some(default_cache_dir()),
+            cache_dir: Some(PathBuf::from("target/cells")),
             bench: Mutex::new(Vec::new()),
             recovery: RecoveryConfig::default(),
             journal: None,
+            attempt_log: None,
         }
     }
 
@@ -346,13 +229,14 @@ impl Runner {
         self
     }
 
-    /// Overrides the cache directory.
+    /// Overrides the cache directory. The cone-keyed per-theorem cache of
+    /// [`crate::incremental`] lives in its `cones` subdirectory.
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Runner {
         self.cache_dir = Some(dir.into());
         self
     }
 
-    /// Disables the disk cache (always recompute).
+    /// Disables the disk caches, cell and cone alike (always recompute).
     pub fn without_cache(mut self) -> Runner {
         self.cache_dir = None;
         self
@@ -381,6 +265,17 @@ impl Runner {
         self
     }
 
+    /// Appends every evaluated theorem's per-proposal attempt records to
+    /// the JSONL log at `path` (the raw material `rank` mines), as each
+    /// theorem finishes; one worker keeps the record order deterministic.
+    /// Cells served from the cache or the journal run no search and add
+    /// nothing. A side channel: outcomes, timing records and cache
+    /// contents are byte-identical with the log on or off.
+    pub fn with_attempt_log(mut self, path: impl Into<PathBuf>) -> Runner {
+        self.attempt_log = Some(AttemptLog::at(path));
+        self
+    }
+
     /// The resolved worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -389,11 +284,6 @@ impl Runner {
     /// The attached journal, if any.
     pub fn journal(&self) -> Option<&Journal> {
         self.journal.as_ref()
-    }
-
-    /// The active fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.recovery.fault_plan.as_ref()
     }
 
     /// Runs (or loads) one cell: consult the content-hashed cache, else
@@ -418,30 +308,46 @@ impl Runner {
         corpus: &Corpus,
         cell: &CellConfig,
     ) -> Result<CellResult, CellCrash> {
-        let label = cell.label();
-        let mut sw = proof_trace::Stopwatch::span("cell", &label);
+        let mut sw = proof_trace::Stopwatch::span("cell", &cell.label());
+        let (source, result) = self.obtain(corpus, cell);
+        sw.span_mut().field_str("source", source.label());
+        let theorems = result.as_ref().map_or(0, |r| r.outcomes.len());
+        proof_oracle::lock_recover(&self.bench).push(CellBench::new(
+            cell.label(),
+            theorems,
+            sw.elapsed_ms(),
+            self.jobs,
+            source,
+            cell.variant.clone().unwrap_or_default(),
+        ));
+        result
+    }
+
+    /// The cell's result and where it came from: the journal, the cache,
+    /// or an evaluation on the pool, keeping the journal and cache up to
+    /// date on the way.
+    fn obtain(
+        &self,
+        corpus: &Corpus,
+        cell: &CellConfig,
+    ) -> (CellSource, Result<CellResult, CellCrash>) {
         let key = cell_cache_key(cell);
         let journal_state = {
             let _sp = proof_trace::span("journal", "load");
             self.journal.as_ref().map(|j| j.load())
         };
-        if let Some(state) = &journal_state {
-            if let Some(done) = state.done.get(&key) {
-                proof_trace::event("journal", "hit");
-                sw.span_mut().field_str("source", "journal");
-                self.record(
-                    cell,
-                    done.outcomes.len(),
-                    sw.elapsed_ms(),
-                    CellSource::Journal,
-                );
-                return Ok(done.clone());
-            }
+        if let Some(done) = journal_state.as_ref().and_then(|s| s.done.get(&key)) {
+            proof_trace::event("journal", "hit");
+            return (CellSource::Journal, Ok(done.clone()));
         }
-        if let Some(path) = self.cache_path(cell) {
+        let cache_path = self
+            .cache_dir
+            .as_ref()
+            .map(|d| d.join(format!("{key}.json")));
+        if let Some(path) = &cache_path {
             let hit = {
                 let _sp = proof_trace::span("cache", "load");
-                load_envelope::<CellResult>(&path)
+                load_envelope::<CellResult>(path)
             };
             if let Some(hit) = hit {
                 proof_trace::event("cache", "hit");
@@ -449,57 +355,158 @@ impl Runner {
                     let _sp = proof_trace::span("journal", "done");
                     journal.record_done(&key, &hit);
                 }
-                sw.span_mut().field_str("source", "cache");
-                self.record(
-                    cell,
-                    hit.outcomes.len(),
-                    sw.elapsed_ms(),
-                    CellSource::CacheHit,
-                );
-                return Ok(hit);
+                return (CellSource::CacheHit, Ok(hit));
             }
             proof_trace::event("cache", "miss");
         }
-        let attempt = journal_state
-            .as_ref()
-            .map(|s| s.attempts_of(&key))
-            .unwrap_or(0);
+        let attempt = journal_state.map_or(0, |s| s.attempts_of(&key));
         if let Some(journal) = &self.journal {
             let _sp = proof_trace::span("journal", "start");
-            journal.record_start(&key, &label);
+            journal.record_start(&key, &cell.label());
         }
         let indices = cell.eval_indices(&corpus.dev);
-        match run_indices_checked(corpus, cell, &indices, self.jobs, &self.recovery, attempt) {
+        match self.run_indices(corpus, cell, &indices, attempt) {
             Ok(outcomes) => {
                 let result = finish_cell(cell, outcomes);
-                if let Some(path) = self.cache_path(cell) {
+                if let Some(path) = &cache_path {
                     let _sp = proof_trace::span("cache", "store");
-                    store_envelope(&path, &result);
-                    self.maybe_corrupt_cache(&path, &key);
+                    store_envelope(path, &result);
+                    self.maybe_corrupt_cache(path, &key);
                 }
                 if let Some(journal) = &self.journal {
                     let _sp = proof_trace::span("journal", "done");
                     journal.record_done(&key, &result);
                 }
-                sw.span_mut().field_str("source", "computed");
-                self.record(
-                    cell,
-                    result.outcomes.len(),
-                    sw.elapsed_ms(),
-                    CellSource::Computed,
-                );
-                Ok(result)
+                (CellSource::Computed, Ok(result))
             }
             Err(crash) => {
                 if let Some(journal) = &self.journal {
                     let _sp = proof_trace::span("journal", "crashed");
                     journal.record_crashed(&key, &crash.label, &crash.panic);
                 }
-                sw.span_mut().field_str("source", "crashed");
-                self.record(cell, 0, sw.elapsed_ms(), CellSource::Crashed);
-                Err(crash)
+                (CellSource::Crashed, Err(crash))
             }
         }
+    }
+
+    /// Evaluates the given theorem indices under `cell` on the runner's
+    /// workers and returns the outcomes in the order of `indices` (corpus
+    /// order when the caller passes a sorted eval set). Bit-identical to a
+    /// serial loop.
+    ///
+    /// Runs under the runner's recovery policy and with cell-level panic
+    /// isolation: a panic anywhere in the evaluation — any worker, an
+    /// oracle whose faults outlasted every retry, or an injected
+    /// [`FaultKind::WorkerPanic`] — is caught at the cell boundary and
+    /// returned as a typed [`CellCrash`].
+    ///
+    /// `attempt` is how many evaluations of this cell already *began*
+    /// (journal `start` entries); the worker-panic fault site is keyed on
+    /// it, so a fault that fired on attempt 0 stays quiet on the resumed
+    /// attempt 1 (`FaultPlan::should_fault_at`).
+    pub(crate) fn run_indices(
+        &self,
+        corpus: &Corpus,
+        cell: &CellConfig,
+        indices: &[usize],
+        attempt: u32,
+    ) -> Result<Vec<TheoremOutcome>, CellCrash> {
+        let dev = &corpus.dev;
+        let hints = hint_set(dev);
+        let prompt_cfg = cell.prompt_config();
+        let prompt_cache = PromptCache::new();
+        let attempt_log = self.attempt_log.as_ref();
+        // An attempt log switches on per-proposal collection (a transport
+        // knob: results are unchanged).
+        let recovery = &RecoveryConfig {
+            collect_attempts: self.recovery.collect_attempts || attempt_log.is_some(),
+            ..self.recovery.clone()
+        };
+        // The injected worker panic fires while evaluating the first stolen
+        // index, whichever worker steals it — schedule-independent, so the
+        // crash point is deterministic under any `--jobs`.
+        let inject_panic = recovery.fault_plan.as_ref().is_some_and(|plan| {
+            plan.should_fault_at(FaultKind::WorkerPanic, &cell_cache_key(cell), attempt)
+        });
+        let crash = |payload: Box<dyn Any + Send>| CellCrash {
+            label: cell.label(),
+            panic: panic_text(payload),
+        };
+        // One worker body: steal the next index, evaluate it, repeat. A
+        // single worker runs inline on the caller's thread, so `JOBS=1`
+        // spawns nothing and its trace spans keep the caller's thread id.
+        let next = AtomicUsize::new(0);
+        let worker = || {
+            let mut model = cell.model();
+            let mut out = Vec::new();
+            loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                if k >= indices.len() {
+                    break;
+                }
+                if inject_panic && k == 0 {
+                    panic!("injected: worker panic in cell `{}`", cell.label());
+                }
+                out.push((
+                    k,
+                    eval_theorem_with_recovery(
+                        dev,
+                        indices[k],
+                        &hints,
+                        &prompt_cfg,
+                        &cell.search,
+                        &mut model,
+                        &prompt_cache,
+                        recovery,
+                        attempt_log,
+                    ),
+                ));
+            }
+            out
+        };
+        let workers = self.jobs.min(indices.len());
+        let joined: Vec<std::thread::Result<Vec<(usize, TheoremOutcome)>>> = if workers <= 1 {
+            vec![std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                worker,
+            ))]
+        } else {
+            // Each worker's spans nest under the caller's open span (the
+            // cell), and the caller books its join as `wait`, not as busy
+            // time.
+            let parent = proof_trace::collect::current_span();
+            let _wait = proof_trace::span(proof_trace::report::WAIT_PHASE, "join");
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        s.spawn(move || {
+                            let _adopted = proof_trace::collect::adopt_parent(parent);
+                            worker()
+                        })
+                    })
+                    .collect();
+                // Join every worker before deciding the cell's fate: a
+                // panic in one must not leave siblings detached (that was
+                // the `h.join().expect(...)` bug — the first panicking
+                // join took down the whole process).
+                handles.into_iter().map(|h| h.join()).collect()
+            })
+        };
+        let mut slots: Vec<Option<TheoremOutcome>> = indices.iter().map(|_| None).collect();
+        for part in joined {
+            for (k, o) in part.map_err(crash)? {
+                slots[k] = Some(o);
+            }
+        }
+        Ok(slots
+            .into_iter()
+            .map(|o| o.expect("every stolen index produced an outcome"))
+            .collect())
+    }
+
+    /// The cone-keyed per-theorem cache directory of
+    /// [`crate::incremental`]: `cones` under the cell cache, off with it.
+    pub(crate) fn cone_cache_dir(&self) -> Option<PathBuf> {
+        self.cache_dir.as_ref().map(|d| d.join("cones"))
     }
 
     /// Injected cache corruption: truncate the just-written cell file in
@@ -517,23 +524,6 @@ impl Runner {
             let half = bytes.len() / 2;
             let _ = std::fs::write(path, &bytes[..half]);
         }
-    }
-
-    fn cache_path(&self, cell: &CellConfig) -> Option<PathBuf> {
-        self.cache_dir
-            .as_ref()
-            .map(|d| d.join(format!("{}.json", cell_cache_key(cell))))
-    }
-
-    fn record(&self, cell: &CellConfig, theorems: usize, wall_ms: f64, source: CellSource) {
-        proof_oracle::lock_recover(&self.bench).push(CellBench::new(
-            cell.label(),
-            theorems,
-            wall_ms,
-            self.jobs,
-            source,
-            cell.variant.clone().unwrap_or_default(),
-        ));
     }
 
     /// The timing records accumulated so far.
@@ -587,6 +577,23 @@ mod tests {
         assert_eq!(v(&["--jobs", "xyz"]), None);
         assert_eq!(v(&["--fresh"]), None);
         assert_eq!(v(&["--jobsx=2"]), None);
+    }
+
+    #[test]
+    fn slice_evaluation_preserves_request_order() {
+        let corpus = Corpus::load();
+        let mut cell = CellConfig::standard(ModelProfile::gpt4o(), PromptSetting::Hints);
+        cell.search.query_limit = 4;
+        let all = cell.eval_indices(&corpus.dev);
+        let slice: Vec<usize> = all.iter().rev().take(5).copied().collect();
+        let outcomes = Runner::from_env()
+            .with_jobs(3)
+            .run_indices(&corpus, &cell, &slice, 0)
+            .expect("a clean cell does not crash");
+        assert_eq!(outcomes.len(), slice.len());
+        for (o, &i) in outcomes.iter().zip(&slice) {
+            assert_eq!(o.name, corpus.dev.theorems[i].name);
+        }
     }
 
     #[test]

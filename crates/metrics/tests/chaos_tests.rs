@@ -13,11 +13,9 @@ use std::sync::Arc;
 
 use fscq_corpus::Corpus;
 use proof_chaos::{FaultConfig, FaultPlan};
-use proof_metrics::runner::run_indices_checked;
 use proof_metrics::{CellConfig, CellResult, Runner};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
-use proof_search::RecoveryConfig;
 
 static SCRATCH: AtomicU64 = AtomicU64::new(0);
 
@@ -122,13 +120,22 @@ fn worker_panic_returns_typed_crash_not_process_death() {
     // cell's completed outcomes).
     let corpus = Corpus::load();
     let cell = &small_cells()[0];
-    let recovery = RecoveryConfig::with_plan(Arc::new(FaultPlan::new(panic_only_plan(1))));
-    let indices = cell.eval_indices(&corpus.dev);
     assert!(
-        indices.len() >= 4,
+        cell.eval_indices(&corpus.dev).len() >= 4,
         "need a few theorems to exercise the pool"
     );
-    let err = run_indices_checked(&corpus, cell, &indices, 4, &recovery, 0)
+    let dir = scratch_dir("panic");
+    // A runner whose journal counts the cell's attempts; the panic fires
+    // on attempt 0 only.
+    let faulted = |jobs: usize, journal: &str| {
+        Runner::from_env()
+            .with_jobs(jobs)
+            .without_cache()
+            .with_fault_plan(Arc::new(FaultPlan::new(panic_only_plan(1))))
+            .with_journal(dir.join(journal))
+    };
+    let err = faulted(4, "pool.jsonl")
+        .run_cell_checked(&corpus, cell)
         .expect_err("the injected panic must surface as a crash");
     assert!(
         err.panic.contains("injected"),
@@ -136,20 +143,25 @@ fn worker_panic_returns_typed_crash_not_process_death() {
         err.panic
     );
     assert_eq!(err.label, cell.label());
-    // The serial path isolates the same way.
-    let err = run_indices_checked(&corpus, cell, &indices, 1, &recovery, 0)
+    // The inline single-worker path isolates the same way.
+    let err = faulted(1, "inline.jsonl")
+        .run_cell_checked(&corpus, cell)
         .expect_err("serial path must isolate too");
     assert!(err.panic.contains("injected"));
     // And attempt counts from the journal silence a spent fault: the
     // second attempt runs clean and matches the no-fault evaluation.
-    let recovered = run_indices_checked(&corpus, cell, &indices, 4, &recovery, 1)
+    let recovered = faulted(4, "pool.jsonl")
+        .run_cell_checked(&corpus, cell)
         .expect("attempt 1 is past the fault's max_trips");
-    let clean = run_indices_checked(&corpus, cell, &indices, 4, &RecoveryConfig::default(), 0)
-        .expect("clean run");
+    let clean = Runner::from_env()
+        .with_jobs(4)
+        .without_cache()
+        .run_cell(&corpus, cell);
     assert_eq!(
         serde_json::to_string(&recovered).unwrap(),
         serde_json::to_string(&clean).unwrap()
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

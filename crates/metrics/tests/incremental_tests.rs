@@ -15,12 +15,10 @@ use std::sync::Arc;
 use corpus_analysis::{ImpactReason, Snapshot};
 use fscq_corpus::Corpus;
 use proof_chaos::{FaultConfig, FaultPlan};
-use proof_metrics::incremental::{load_edited, run_incremental, IncrementalConfig};
-use proof_metrics::runner::run_cell_jobs;
-use proof_metrics::{CellConfig, CellResult};
+use proof_metrics::incremental::{load_edited, run_incremental};
+use proof_metrics::{CellConfig, CellResult, Runner};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
-use proof_search::RecoveryConfig;
 use proptest::prelude::*;
 
 static SCRATCH: AtomicU64 = AtomicU64::new(0);
@@ -200,7 +198,12 @@ fn result_json(r: &CellResult) -> String {
 fn cold_run(sources: &[(String, String)], cell: &CellConfig) -> (CellResult, Snapshot) {
     let (corpus, _graph) = load_edited(sources).expect("corpus elaborates");
     let snapshot = Snapshot::capture(&corpus.dev);
-    (run_cell_jobs(&corpus, cell, 1), snapshot)
+    (uncached().run_cell(&corpus, cell), snapshot)
+}
+
+/// One inline worker, no cell or cone cache.
+fn uncached() -> Runner {
+    Runner::from_env().with_jobs(1).without_cache()
 }
 
 proptest! {
@@ -219,11 +222,7 @@ proptest! {
         apply_edit(&edit, &mut edited);
         let (full, _) = cold_run(&edited, &cell);
 
-        let cfg = IncrementalConfig {
-            cone_cache_dir: None,
-            ..IncrementalConfig::new(cell)
-        };
-        let inc = run_incremental(Some(&baseline), &snapshot, &edited, &cfg)
+        let inc = run_incremental(&uncached(), &cell, Some(&baseline), &snapshot, &edited)
             .expect("incremental run completes");
 
         prop_assert!(!inc.fallback_full, "no edit here changes the theorem set");
@@ -327,11 +326,8 @@ fn missing_baseline_falls_back_to_full() {
     let cell = cheap_cell();
     let pristine = tiny_sources();
     let (full, snapshot) = cold_run(&pristine, &cell);
-    let cfg = IncrementalConfig {
-        cone_cache_dir: None,
-        ..IncrementalConfig::new(cell)
-    };
-    let inc = run_incremental(None, &snapshot, &pristine, &cfg).expect("fallback run completes");
+    let inc = run_incremental(&uncached(), &cell, None, &snapshot, &pristine)
+        .expect("fallback run completes");
     assert!(inc.fallback_full);
     assert_eq!(inc.served_baseline, 0);
     assert_eq!(result_json(&inc.result), result_json(&full));
@@ -348,11 +344,7 @@ fn mismatched_baseline_cell_is_rejected() {
 
     let mut other = cheap_cell();
     other.setting = PromptSetting::Hints;
-    let cfg = IncrementalConfig {
-        cone_cache_dir: None,
-        ..IncrementalConfig::new(other)
-    };
-    let err = match run_incremental(Some(&baseline), &snapshot, &pristine, &cfg) {
+    let err = match run_incremental(&uncached(), &other, Some(&baseline), &snapshot, &pristine) {
         Err(e) => e,
         Ok(_) => panic!("merging a vanilla baseline into a hints cell must fail"),
     };
@@ -403,11 +395,7 @@ Qed.
     );
     let (full, _) = cold_run(&edited, &cell);
 
-    let cfg = IncrementalConfig {
-        cone_cache_dir: None,
-        ..IncrementalConfig::new(cell)
-    };
-    let inc = run_incremental(Some(&baseline), &snapshot, &edited, &cfg)
+    let inc = run_incremental(&uncached(), &cell, Some(&baseline), &snapshot, &edited)
         .expect("incremental run completes");
     assert!(
         !inc.fallback_full,
@@ -456,11 +444,9 @@ fn embedded_corpus_single_module_edit_pins_the_cone() {
         .item_index;
 
     let dir = scratch_dir("cone");
-    let cfg = IncrementalConfig {
-        cone_cache_dir: Some(dir.clone()),
-        ..IncrementalConfig::new(cell.clone())
-    };
-    let inc = run_incremental(Some(&baseline), &snapshot, &edited, &cfg)
+    // The cone cache lives at `<cache dir>/cones`.
+    let runner = Runner::from_env().with_jobs(1).with_cache_dir(&dir);
+    let inc = run_incremental(&runner, &cell, Some(&baseline), &snapshot, &edited)
         .expect("incremental run completes");
     assert!(!inc.fallback_full);
     assert!(!inc.reverified.is_empty(), "the edit hits eval theorems");
@@ -494,7 +480,7 @@ fn embedded_corpus_single_module_edit_pins_the_cone() {
     );
 
     // Second run: the cone cache now holds every dirty outcome.
-    let again = run_incremental(Some(&baseline), &snapshot, &edited, &cfg)
+    let again = run_incremental(&runner, &cell, Some(&baseline), &snapshot, &edited)
         .expect("second incremental run completes");
     assert!(
         again.reverified.is_empty(),
@@ -538,12 +524,8 @@ fn incremental_is_byte_identical_under_chaos_seeds() {
             oracle_garbage: 0.15,
             ..FaultConfig::default()
         };
-        let cfg = IncrementalConfig {
-            recovery: RecoveryConfig::with_plan(Arc::new(FaultPlan::new(plan))),
-            cone_cache_dir: None,
-            ..IncrementalConfig::new(cell.clone())
-        };
-        let inc = run_incremental(Some(&baseline), &snapshot, &edited, &cfg)
+        let runner = uncached().with_fault_plan(Arc::new(FaultPlan::new(plan)));
+        let inc = run_incremental(&runner, &cell, Some(&baseline), &snapshot, &edited)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert!(!inc.fallback_full);
         assert_eq!(

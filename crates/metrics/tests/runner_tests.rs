@@ -1,12 +1,15 @@
-//! The parallel runner's two contracts: bit-identical results regardless of
-//! worker count, and a disk cache that round-trips a cell exactly.
+//! The parallel runner's contracts: bit-identical results regardless of
+//! worker count, a disk cache that round-trips a cell exactly, and an
+//! attempt log written only when asked for.
+
+use std::collections::BTreeSet;
 
 use fscq_corpus::Corpus;
-use proof_metrics::runner::{cell_cache_key, run_cell_jobs, run_indices_checked, Runner};
-use proof_metrics::{run_cell, CellConfig};
+use proof_metrics::runner::{cell_cache_key, Runner};
+use proof_metrics::CellConfig;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
-use proof_search::RecoveryConfig;
+use proof_trace::attempts::AttemptLog;
 
 /// A small-budget cell that still exercises every outcome class.
 fn small_cell() -> CellConfig {
@@ -23,9 +26,16 @@ fn as_json(r: &proof_metrics::CellResult) -> String {
 fn parallel_is_bit_identical_to_serial() {
     let corpus = Corpus::load();
     let cell = small_cell();
-    let serial = run_cell(&corpus, &cell);
-    for jobs in [1, 2, 4] {
-        let parallel = run_cell_jobs(&corpus, &cell, jobs);
+    // One worker runs the inline loop on the caller's thread.
+    let serial = Runner::from_env()
+        .with_jobs(1)
+        .without_cache()
+        .run_cell(&corpus, &cell);
+    for jobs in [2, 4] {
+        let parallel = Runner::from_env()
+            .with_jobs(jobs)
+            .without_cache()
+            .run_cell(&corpus, &cell);
         // Serialized equality is the strongest observable check: every
         // outcome field (scripts, similarities, query counts) and the
         // corpus order must survive the work-stealing schedule.
@@ -34,20 +44,6 @@ fn parallel_is_bit_identical_to_serial() {
             as_json(&parallel),
             "jobs={jobs} diverged from serial"
         );
-    }
-}
-
-#[test]
-fn slice_evaluation_preserves_request_order() {
-    let corpus = Corpus::load();
-    let cell = small_cell();
-    let all = cell.eval_indices(&corpus.dev);
-    let slice: Vec<usize> = all.iter().rev().take(5).copied().collect();
-    let outcomes = run_indices_checked(&corpus, &cell, &slice, 3, &RecoveryConfig::default(), 0)
-        .expect("a clean cell does not crash");
-    assert_eq!(outcomes.len(), slice.len());
-    for (o, &i) in outcomes.iter().zip(&slice) {
-        assert_eq!(o.name, corpus.dev.theorems[i].name);
     }
 }
 
@@ -79,4 +75,53 @@ fn cell_cache_round_trips() {
     assert_ne!(as_json(&first), as_json(&third));
 
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn attempt_log_records_the_searches_of_a_cell() {
+    let corpus = Corpus::load();
+    let cell = small_cell();
+    let dir = std::env::temp_dir().join(format!("runner-attempts-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let log = dir.join("attempts.jsonl");
+
+    let result = Runner::from_env()
+        .with_jobs(2)
+        .without_cache()
+        .with_attempt_log(&log)
+        .run_cell(&corpus, &cell);
+    let records = AttemptLog::at(&log).load();
+    assert!(!records.is_empty(), "the searches' attempts were logged");
+    let eval_set: BTreeSet<&str> = result.outcomes.iter().map(|o| o.name.as_str()).collect();
+    for r in &records {
+        assert!(
+            eval_set.contains(r.theorem.as_str()),
+            "`{}` is not in the cell's eval set",
+            r.theorem
+        );
+    }
+    let proved: Vec<&str> = result
+        .outcomes
+        .iter()
+        .filter(|o| o.outcome == "proved")
+        .map(|o| o.name.as_str())
+        .collect();
+    assert!(!proved.is_empty(), "the small cell proves something");
+    for name in proved {
+        assert!(
+            records.iter().any(|r| r.theorem == name && r.on_path),
+            "proved `{name}` has no on-path attempt"
+        );
+    }
+
+    // The log belongs to its runner: a later runner without one writes
+    // nothing there, and the log never changes the outcomes.
+    std::fs::remove_file(&log).expect("the log exists");
+    let plain = Runner::from_env()
+        .with_jobs(2)
+        .without_cache()
+        .run_cell(&corpus, &cell);
+    assert!(!log.exists(), "a runner without a log wrote one");
+    assert_eq!(as_json(&plain), as_json(&result));
+    let _ = std::fs::remove_dir_all(&dir);
 }

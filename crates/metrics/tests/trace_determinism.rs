@@ -8,12 +8,17 @@ use std::sync::Mutex;
 
 use fscq_corpus::Corpus;
 use proof_metrics::runner::{cell_cache_key, Runner};
-use proof_metrics::{run_cell, CellConfig};
+use proof_metrics::CellConfig;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
 
 /// Tracing's enabled flag is process-global; serialize the tests here.
 static LOCK: Mutex<()> = Mutex::new(());
+
+/// One inline worker on the caller's thread, no cache.
+fn serial() -> Runner {
+    Runner::from_env().with_jobs(1).without_cache()
+}
 
 fn small_cell() -> CellConfig {
     let mut cell = CellConfig::standard(ModelProfile::gpt4o(), PromptSetting::Hints);
@@ -28,12 +33,12 @@ fn traced_run_is_byte_identical_to_untraced() {
     let cell = small_cell();
 
     proof_trace::set_enabled(false);
-    let untraced = run_cell(&corpus, &cell);
+    let untraced = serial().run_cell(&corpus, &cell);
     let untraced_json = serde_json::to_string(&untraced).unwrap();
 
     proof_trace::set_enabled(true);
     let _ = proof_trace::drain();
-    let traced = run_cell(&corpus, &cell);
+    let traced = serial().run_cell(&corpus, &cell);
     let data = proof_trace::drain();
     proof_trace::set_enabled(false);
     let traced_json = serde_json::to_string(&traced).unwrap();
@@ -78,7 +83,7 @@ fn every_armed_add_records_a_span_that_parents_its_preflight() {
     proof_trace::set_enabled(true);
     let _ = proof_trace::drain();
     let before = counted_adds();
-    let _ = run_cell(&corpus, &cell);
+    let _ = serial().run_cell(&corpus, &cell);
     let adds = counted_adds() - before;
     let data = proof_trace::drain();
     proof_trace::set_enabled(false);

@@ -24,13 +24,15 @@
 
 use llm_fscq::analysis::Snapshot;
 use llm_fscq::corpus::Corpus;
-use llm_fscq::metrics::incremental::{run_incremental, IncrementalConfig};
+use llm_fscq::metrics::experiment::attempt_records;
+use llm_fscq::metrics::incremental::run_incremental;
 use llm_fscq::metrics::runner::cell_cache_key;
-use llm_fscq::metrics::{run_cell_jobs, CellConfig, CellResult};
+use llm_fscq::metrics::{CellConfig, CellResult, Runner};
 use llm_fscq::oracle::profiles::ModelProfile;
 use llm_fscq::oracle::prompt::{build_prompt, PromptSetting};
 use llm_fscq::oracle::split::hint_set;
 use llm_fscq::search::{search_with_recovery, PremiseRank, RecoveryConfig, SearchConfig, Strategy};
+use proof_trace::attempts::AttemptLog;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -208,6 +210,20 @@ fn cell_of(args: &Args) -> CellConfig {
     cell
 }
 
+/// The runner the incremental mode evaluates on: `--jobs` workers, the
+/// attempt log when `--attempt-log` is given, and the cell cache (and so
+/// the cone cache under it) only when `cached`.
+fn runner_of(args: &Args, cached: bool) -> Runner {
+    let mut runner = Runner::from_env().with_jobs(args.jobs);
+    if !cached {
+        runner = runner.without_cache();
+    }
+    match &args.attempt_log {
+        Some(path) => runner.with_attempt_log(path),
+        None => runner,
+    }
+}
+
 /// `--incremental`: baseline capture or dirty-cone re-verification.
 fn incremental_main(args: &Args) -> ExitCode {
     let fail = |msg: String| {
@@ -226,7 +242,8 @@ fn incremental_main(args: &Args) -> ExitCode {
             Err(e) => return fail(e),
         };
         let snapshot = Snapshot::capture(&corpus.dev);
-        let result = run_cell_jobs(&corpus, &cell, args.jobs);
+        // No cell cache: its key does not cover `--corpus` sources.
+        let result = runner_of(args, false).run_cell(&corpus, &cell);
         if let Err(e) = std::fs::create_dir_all(dir) {
             return fail(format!("{}: {e}", dir.display()));
         }
@@ -285,11 +302,8 @@ fn incremental_main(args: &Args) -> ExitCode {
             ));
         }
     }
-    let cfg = IncrementalConfig {
-        jobs: args.jobs,
-        ..IncrementalConfig::new(cell)
-    };
-    let inc = match run_incremental(Some(&baseline), &snapshot, &sources, &cfg) {
+    let runner = runner_of(args, true);
+    let inc = match run_incremental(&runner, &cell, Some(&baseline), &snapshot, &sources) {
         Ok(i) => i,
         Err(e) => return fail(e),
     };
@@ -330,9 +344,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-    if let Some(path) = &args.attempt_log {
-        llm_fscq::metrics::experiment::install_attempt_log(path.clone());
     }
     if args.incremental || args.save_baseline.is_some() {
         return incremental_main(&args);
@@ -392,8 +403,8 @@ fn main() -> ExitCode {
     let r = search_with_recovery(
         env, &thm.stmt, &thm.name, &mut model, &prompt, &args.cfg, &recovery,
     );
-    if args.attempt_log.is_some() {
-        llm_fscq::metrics::experiment::append_attempts(&thm.name, &r.stats);
+    if let Some(path) = &args.attempt_log {
+        AttemptLog::at(path).append_all(&attempt_records(&thm.name, &r.stats));
     }
     let outcome_name = match &r.outcome {
         llm_fscq::search::Outcome::Proved { .. } => "Proved",
