@@ -5,9 +5,10 @@
 //!
 //! * `mine` — evaluate the embedded corpus (and, with `--gen`, the pinned
 //!   generated corpus's hard tier) with per-proposal attempt collection
-//!   switched on, appending every attempt to a JSONL log. Runs on one
-//!   worker with the cell cache disabled so the mined log is complete and
-//!   deterministic.
+//!   switched on, appending every attempt to a JSONL log. Runs with the
+//!   cell cache disabled so the mined log is complete; the runner appends
+//!   each cell's records in theorem order, so the log is the same at any
+//!   `--jobs`.
 //! * `train` — mine features out of an attempt log (label = whether the
 //!   attempt sits on a successful proof path), fit the Laplace-smoothed
 //!   log-odds scorer, and write the versioned model artifact. Byte-stable:
@@ -23,7 +24,7 @@
 //!   `rank_ab.json` + `rank_report.md` under `target/experiments/`.
 //!
 //! Usage:
-//!   rank mine  [--out PATH] [--sampled] [--gen] [--spec PATH]
+//!   rank mine  [--out PATH] [--sampled] [--gen] [--spec PATH] [--jobs J]
 //!   rank train --log PATH [--out PATH] [--refine] [--spec PATH]
 //!   rank eval  --log PATH --model PATH [--spec PATH]
 //!   rank ab    [--model PATH | --log PATH] [--fresh] [--jobs J]
@@ -71,13 +72,9 @@ fn cmd_mine() {
     }
     std::fs::remove_file(&out).ok();
 
-    // One worker, no cache: cached cells never run a search, so a cached
-    // mine would produce an empty log; and a single worker keeps the
-    // record order deterministic.
-    let runner = Runner::from_env()
-        .with_jobs(1)
-        .without_cache()
-        .with_attempt_log(&out);
+    // No cache: cached cells never run a search, so a cached mine would
+    // produce an empty log.
+    let runner = Runner::from_env().without_cache().with_attempt_log(&out);
     let corpus = Corpus::load();
     let scope = if flag_present("--sampled") {
         EvalScope::Sampled

@@ -57,8 +57,8 @@ pub struct GridOpts {
     pub resume: bool,
     /// `--fault-seed` / `--fault-plan`: the armed fault-injection plan.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// `--trace-out PATH`: arm the tracing layer and write a Chrome
-    /// trace-event JSON at `PATH` plus a JSONL event stream next to it.
+    /// `--trace-out PATH`: arm the tracing layer and write the Chrome
+    /// trace-event file at `PATH` with a `.json` extension.
     pub trace_out: Option<PathBuf>,
 }
 
@@ -89,30 +89,24 @@ pub fn trace_out_flag() -> Option<PathBuf> {
     None
 }
 
-/// Drains the collector and writes both trace artifacts: Chrome
-/// trace-event JSON at `base` with a `.json` extension and the JSONL
-/// event stream beside it with `.jsonl`. Returns what the run ledger
-/// wants: the per-phase self time in milliseconds and
-/// the records dropped at the collector cap (empty and 0 when the write
-/// fails, which is reported on stderr).
+/// Drains the collector and writes the trace file, Chrome trace-event
+/// JSON with the metrics snapshot, at `base` with a `.json` extension.
+/// Returns what the run ledger wants: the per-phase self time in
+/// milliseconds and the spans dropped at the collector cap (empty and 0
+/// when the write fails, which is reported on stderr).
 pub fn write_trace_artifacts(base: &Path) -> (BTreeMap<String, f64>, u64) {
-    let chrome = base.with_extension("json");
-    let jsonl = base.with_extension("jsonl");
+    let path = base.with_extension("json");
     let data = proof_trace::drain();
     let snap = proof_trace::metrics::snapshot();
-    if let Err(e) = proof_trace::export::write_chrome(&chrome, &data)
-        .and_then(|()| proof_trace::export::write_jsonl(&jsonl, &data, &snap))
-    {
+    if let Err(e) = proof_trace::export::write_chrome(&path, &data, &snap) {
         eprintln!("trace export failed: {e}");
         return (BTreeMap::new(), 0);
     }
     eprintln!(
-        "trace: {} spans, {} events ({} dropped) -> {} + {}",
+        "trace: {} spans ({} dropped) -> {}",
         data.spans.len(),
-        data.events.len(),
         data.dropped,
-        chrome.display(),
-        jsonl.display()
+        path.display()
     );
     let report_spans: Vec<proof_trace::report::Span> = data.spans.iter().map(Into::into).collect();
     let bd = proof_trace::report::phase_breakdown(&report_spans);

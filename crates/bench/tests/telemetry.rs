@@ -1,13 +1,14 @@
 //! End-to-end telemetry contracts: the pinned two-run regression-radar
 //! demo (seed run, then an injected slowdown the radar must flag by
-//! name) and the radar's clean and missing-ledger exits.
+//! name), the radar's clean and missing-ledger exits, and `trace_report`
+//! over a real trace file and over malformed ones.
 
 use std::collections::BTreeMap;
 use std::process::Command;
 use std::sync::Mutex;
 
 use fscq_corpus::Corpus;
-use llm_fscq_bench::{ledger_append, LedgerRun};
+use llm_fscq_bench::{ledger_append, write_trace_artifacts, LedgerRun};
 use proof_metrics::runner::Runner;
 use proof_metrics::CellConfig;
 use proof_oracle::profiles::ModelProfile;
@@ -166,5 +167,75 @@ fn radar_check_clean_and_missing_ledger() {
         .output()
         .expect("radar spawns");
     assert_eq!(out.status.code(), Some(2), "missing ledger is exit 2");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A traced run writes one trace file, which `trace_report` renders; a
+/// file that does not parse or whose spans do not nest fails the report.
+#[test]
+fn trace_report_reads_the_trace_file_and_rejects_bad_ones() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("trace-report-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    proof_trace::set_enabled(true);
+    let _ = proof_trace::drain();
+    let _ = run_small_cell();
+    let (phase_self_ms, dropped) = write_trace_artifacts(&dir.join("trace"));
+    proof_trace::set_enabled(false);
+    assert!(phase_self_ms.contains_key("oracle") && dropped == 0);
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, ["trace.json"], "one trace artifact");
+
+    let report = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_trace_report"))
+            .args(args)
+            .output()
+            .expect("trace_report spawns")
+    };
+    let good = dir.join("trace.json");
+    let out = report(&[good.to_str().unwrap(), "--min-phase-pct", "50"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("Phase breakdown") && stdout.contains("Slowest cells"));
+
+    let thread = r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"t"}}"#;
+    let span = |id: u64, ts: &str, dur: &str| {
+        format!(
+            r#"{{"name":"cell","cat":"cell","ph":"X","ts":{ts},"dur":{dur},"pid":1,"tid":1,"args":{{"id":{id},"parent":0}}}}"#
+        )
+    };
+    let nested = format!(
+        r#"{{"dropped":0,"counters":{{}},"histograms":{{}},"traceEvents":[{thread},{},{}]}}"#,
+        span(1, "0", "10"),
+        span(2, "1", "5")
+    );
+    let overlapping = format!(
+        r#"{{"dropped":0,"counters":{{}},"histograms":{{}},"traceEvents":[{thread},{},{}]}}"#,
+        span(1, "0", "10"),
+        span(2, "5", "10")
+    );
+    for (name, text, ok) in [
+        ("nested.json", nested.as_str(), true),
+        ("overlapping.json", overlapping.as_str(), false),
+        ("truncated.json", &nested[..nested.len() / 2], false),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let out = report(&[path.to_str().unwrap()]);
+        assert_eq!(
+            out.status.success(),
+            ok,
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,7 +12,7 @@ use proof_oracle::split::{eval_set, eval_set_small};
 use proof_oracle::tokenizer::{bin_of, count_tokens};
 use proof_oracle::SimulatedModel;
 use proof_search::{search_with_recovery, Outcome, RecoveryConfig, SearchConfig, SearchStats};
-use proof_trace::attempts::{AttemptLog, AttemptRecord};
+use proof_trace::attempts::AttemptRecord;
 use serde::{Deserialize, Serialize};
 
 use crate::levenshtein::{canonical_script, similarity};
@@ -252,9 +252,9 @@ impl CellResult {
 /// `RecoveryConfig::default()` for none). The recovery layer never
 /// changes a successful evaluation's outcome — retried queries reuse
 /// their `query_index` and fault counters are not serialized — so the
-/// clean and recovered records are byte-identical. With an
-/// `attempt_log`, `recovery` must collect attempts; the finished search's
-/// records are appended to the log.
+/// clean and recovered records are byte-identical. Returns the outcome
+/// with the search's attempt records, which are empty unless `recovery`
+/// collects attempts.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_theorem_with_recovery(
     dev: &Development,
@@ -265,8 +265,7 @@ pub(crate) fn eval_theorem_with_recovery(
     model: &mut SimulatedModel,
     prompt_cache: &PromptCache,
     recovery: &RecoveryConfig,
-    attempt_log: Option<&AttemptLog>,
-) -> TheoremOutcome {
+) -> (TheoremOutcome, Vec<AttemptRecord>) {
     let thm = &dev.theorems[index];
     let mut thm_sp = proof_trace::span("theorem", &thm.name);
     let env = dev.env_before(thm);
@@ -277,9 +276,6 @@ pub(crate) fn eval_theorem_with_recovery(
             env, &thm.stmt, &thm.name, model, &prompt, search_cfg, recovery,
         )
     };
-    if let Some(log) = attempt_log {
-        log.append_all(&attempt_records(&thm.name, &result.stats));
-    }
     let _classify_sp = proof_trace::span("classify", &thm.name);
     let human = canonical_script(&thm.proof_text);
     let human_tokens = count_tokens(&thm.proof_text);
@@ -299,7 +295,7 @@ pub(crate) fn eval_theorem_with_recovery(
         }
         None => (None, None),
     };
-    TheoremOutcome {
+    let record = TheoremOutcome {
         name: thm.name.clone(),
         file: thm.file.clone(),
         category: Category::of_module(&thm.file).label().to_string(),
@@ -312,7 +308,8 @@ pub(crate) fn eval_theorem_with_recovery(
         queries: result.stats.queries,
         pruned: result.stats.preflight_pruned,
         pruned_reasons: result.stats.preflight_reasons.clone(),
-    }
+    };
+    (record, attempt_records(&thm.name, &result.stats))
 }
 
 /// Wraps a cell's outcomes into a [`CellResult`].

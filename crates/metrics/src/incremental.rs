@@ -146,7 +146,6 @@ pub fn run_incremental(
             });
         if let Some(path) = &cache_path {
             if let Some(hit) = load_envelope::<TheoremOutcome>(path) {
-                proof_trace::event("cache", "cone-hit");
                 slots[k] = Some(hit);
                 cone_cache_hits += 1;
                 continue;

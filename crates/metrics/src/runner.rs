@@ -26,7 +26,7 @@ use proof_chaos::{FaultKind, FaultPlan};
 use proof_oracle::prompt::PromptCache;
 use proof_oracle::split::hint_set;
 use proof_search::RecoveryConfig;
-use proof_trace::attempts::AttemptLog;
+use proof_trace::attempts::{AttemptLog, AttemptRecord};
 use proof_trace::envelope::{fnv1a, seal, Record};
 use serde::{Deserialize, Serialize};
 
@@ -266,10 +266,11 @@ impl Runner {
     }
 
     /// Appends every evaluated theorem's per-proposal attempt records to
-    /// the JSONL log at `path` (the raw material `rank` mines), as each
-    /// theorem finishes; one worker keeps the record order deterministic.
-    /// Cells served from the cache or the journal run no search and add
-    /// nothing. A side channel: outcomes, timing records and cache
+    /// the JSONL log at `path` (the raw material `rank` mines), in the
+    /// order of the evaluated indices once the cell is evaluated, so the
+    /// log is the same at any worker count. Cells served from the cache
+    /// or the journal run no search and add nothing, and neither does a
+    /// crashed cell. A side channel: outcomes, timing records and cache
     /// contents are byte-identical with the log on or off.
     pub fn with_attempt_log(mut self, path: impl Into<PathBuf>) -> Runner {
         self.attempt_log = Some(AttemptLog::at(path));
@@ -337,7 +338,6 @@ impl Runner {
             self.journal.as_ref().map(|j| j.load())
         };
         if let Some(done) = journal_state.as_ref().and_then(|s| s.done.get(&key)) {
-            proof_trace::event("journal", "hit");
             return (CellSource::Journal, Ok(done.clone()));
         }
         let cache_path = self
@@ -350,14 +350,12 @@ impl Runner {
                 load_envelope::<CellResult>(path)
             };
             if let Some(hit) = hit {
-                proof_trace::event("cache", "hit");
                 if let Some(journal) = &self.journal {
                     let _sp = proof_trace::span("journal", "done");
                     journal.record_done(&key, &hit);
                 }
                 return (CellSource::CacheHit, Ok(hit));
             }
-            proof_trace::event("cache", "miss");
         }
         let attempt = journal_state.map_or(0, |s| s.attempts_of(&key));
         if let Some(journal) = &self.journal {
@@ -392,7 +390,8 @@ impl Runner {
     /// Evaluates the given theorem indices under `cell` on the runner's
     /// workers and returns the outcomes in the order of `indices` (corpus
     /// order when the caller passes a sorted eval set). Bit-identical to a
-    /// serial loop.
+    /// serial loop. With an attempt log, appends the searches' attempt
+    /// records in the same order once every index is evaluated.
     ///
     /// Runs under the runner's recovery policy and with cell-level panic
     /// isolation: a panic anywhere in the evaluation — any worker, an
@@ -432,9 +431,7 @@ impl Runner {
             label: cell.label(),
             panic: panic_text(payload),
         };
-        // One worker body: steal the next index, evaluate it, repeat. A
-        // single worker runs inline on the caller's thread, so `JOBS=1`
-        // spawns nothing and its trace spans keep the caller's thread id.
+        // One worker body: steal the next index, evaluate it, repeat.
         let next = AtomicUsize::new(0);
         let worker = || {
             let mut model = cell.model();
@@ -447,60 +444,58 @@ impl Runner {
                 if inject_panic && k == 0 {
                     panic!("injected: worker panic in cell `{}`", cell.label());
                 }
-                out.push((
-                    k,
-                    eval_theorem_with_recovery(
-                        dev,
-                        indices[k],
-                        &hints,
-                        &prompt_cfg,
-                        &cell.search,
-                        &mut model,
-                        &prompt_cache,
-                        recovery,
-                        attempt_log,
-                    ),
-                ));
+                let (outcome, records) = eval_theorem_with_recovery(
+                    dev,
+                    indices[k],
+                    &hints,
+                    &prompt_cfg,
+                    &cell.search,
+                    &mut model,
+                    &prompt_cache,
+                    recovery,
+                );
+                out.push((k, outcome, records));
             }
             out
         };
-        let workers = self.jobs.min(indices.len());
-        let joined: Vec<std::thread::Result<Vec<(usize, TheoremOutcome)>>> = if workers <= 1 {
-            vec![std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                worker,
-            ))]
-        } else {
-            // Each worker's spans nest under the caller's open span (the
-            // cell), and the caller books its join as `wait`, not as busy
-            // time.
-            let parent = proof_trace::collect::current_span();
-            let _wait = proof_trace::span(proof_trace::report::WAIT_PHASE, "join");
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(move || {
-                            let _adopted = proof_trace::collect::adopt_parent(parent);
-                            worker()
-                        })
+        // The caller is worker 0; the helpers' spans nest under the
+        // caller's open span (the cell), and the caller books only its
+        // join after its own share as `wait`, not as busy time.
+        let helpers = self.jobs.min(indices.len()).saturating_sub(1);
+        let parent = proof_trace::collect::current_span();
+        let joined: Vec<std::thread::Result<_>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..helpers)
+                .map(|_| {
+                    s.spawn(move || {
+                        let _adopted = proof_trace::collect::adopt_parent(parent);
+                        worker()
                     })
-                    .collect();
-                // Join every worker before deciding the cell's fate: a
-                // panic in one must not leave siblings detached (that was
-                // the `h.join().expect(...)` bug — the first panicking
-                // join took down the whole process).
-                handles.into_iter().map(|h| h.join()).collect()
-            })
-        };
-        let mut slots: Vec<Option<TheoremOutcome>> = indices.iter().map(|_| None).collect();
+                })
+                .collect();
+            let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(worker));
+            let _wait =
+                (helpers > 0).then(|| proof_trace::span(proof_trace::report::WAIT_PHASE, "join"));
+            // Join every helper before deciding the cell's fate: a panic
+            // in one must not leave its siblings detached.
+            std::iter::once(own)
+                .chain(handles.into_iter().map(|h| h.join()))
+                .collect()
+        });
+        let mut slots: Vec<Option<(TheoremOutcome, Vec<AttemptRecord>)>> =
+            indices.iter().map(|_| None).collect();
         for part in joined {
-            for (k, o) in part.map_err(crash)? {
-                slots[k] = Some(o);
+            for (k, outcome, records) in part.map_err(crash)? {
+                slots[k] = Some((outcome, records));
             }
         }
-        Ok(slots
+        let (outcomes, records): (Vec<TheoremOutcome>, Vec<Vec<AttemptRecord>>) = slots
             .into_iter()
             .map(|o| o.expect("every stolen index produced an outcome"))
-            .collect())
+            .unzip();
+        if let Some(log) = attempt_log {
+            log.append_all(&records.concat());
+        }
+        Ok(outcomes)
     }
 
     /// The cone-keyed per-theorem cache directory of

@@ -1,6 +1,6 @@
 //! The parallel runner's contracts: bit-identical results regardless of
 //! worker count, a disk cache that round-trips a cell exactly, and an
-//! attempt log written only when asked for.
+//! attempt log written only when asked for, the same at any worker count.
 
 use std::collections::BTreeSet;
 
@@ -26,7 +26,7 @@ fn as_json(r: &proof_metrics::CellResult) -> String {
 fn parallel_is_bit_identical_to_serial() {
     let corpus = Corpus::load();
     let cell = small_cell();
-    // One worker runs the inline loop on the caller's thread.
+    // One worker is the caller alone.
     let serial = Runner::from_env()
         .with_jobs(1)
         .without_cache()
@@ -123,5 +123,26 @@ fn attempt_log_records_the_searches_of_a_cell() {
         .run_cell(&corpus, &cell);
     assert!(!log.exists(), "a runner without a log wrote one");
     assert_eq!(as_json(&plain), as_json(&result));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn attempt_logs_are_byte_equal_at_one_and_four_workers() {
+    let corpus = Corpus::load();
+    let cell = small_cell();
+    let dir = std::env::temp_dir().join(format!("runner-attempt-jobs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let log_at = |jobs: usize| {
+        let log = dir.join(format!("attempts.j{jobs}.jsonl"));
+        Runner::from_env()
+            .with_jobs(jobs)
+            .without_cache()
+            .with_attempt_log(&log)
+            .run_cell(&corpus, &cell);
+        std::fs::read(&log).expect("the log was written")
+    };
+    let (one, four) = (log_at(1), log_at(4));
+    assert!(!one.is_empty());
+    assert!(one == four, "the attempt log depends on the worker count");
     let _ = std::fs::remove_dir_all(&dir);
 }

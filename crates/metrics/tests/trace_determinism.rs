@@ -196,6 +196,44 @@ fn worker_spans_nest_under_their_cell_at_two_jobs() {
 }
 
 #[test]
+fn a_traced_cell_round_trips_through_the_trace_file() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let corpus = Corpus::load();
+    // Two workers, so helper spans adopt the cell across threads.
+    let runner = Runner::from_env().without_cache().with_jobs(2);
+    proof_trace::set_enabled(true);
+    let _ = proof_trace::drain();
+    let _ = runner.run_cell(&corpus, &small_cell());
+    let data = proof_trace::drain();
+    let snap = proof_trace::metrics::snapshot();
+    proof_trace::set_enabled(false);
+
+    let path = std::env::temp_dir().join(format!("trace_round_trip_{}.json", std::process::id()));
+    proof_trace::export::write_chrome(&path, &data, &snap).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let back = proof_trace::export::read_chrome(&text).expect("the trace file validates");
+
+    let spans: Vec<proof_trace::report::Span> = data.spans.iter().map(Into::into).collect();
+    assert!(
+        spans
+            .iter()
+            .any(|s| s.parent != 0 && spans.iter().any(|p| p.id == s.parent && p.tid != s.tid)),
+        "the cell nested spans across threads"
+    );
+    assert_eq!(
+        back.spans, spans,
+        "every span's id, parent, tid, kind, name, start and duration"
+    );
+    assert_eq!(back.metrics, snap);
+    assert_eq!(back.dropped, data.dropped);
+    assert_eq!(
+        proof_trace::report::render_report(&back.spans, &back.metrics, back.dropped, 10),
+        proof_trace::report::render_report(&spans, &snap, data.dropped, 10)
+    );
+}
+
+#[test]
 fn tracing_does_not_change_the_cell_cache_key() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cell = small_cell();

@@ -23,6 +23,7 @@
 //!   tactic predictor. No network access is available, so the simulator
 //!   stands in for the real models; DESIGN.md documents why this preserves
 //!   the behaviours the evaluation measures;
+//! * [`sip`] — the pinned SipHash-1-3 every simulator hash runs on;
 //! * [`chaos`] — [`chaos::ChaoticModel`]: a fault-injecting decorator
 //!   reproducing the failure channel of a *networked* client (transport
 //!   errors, garbage completions), driven by a seeded
@@ -34,6 +35,7 @@ pub mod profiles;
 pub mod prompt;
 pub mod retrieval;
 pub mod sim;
+pub mod sip;
 pub mod split;
 pub mod sync;
 pub mod tokenizer;

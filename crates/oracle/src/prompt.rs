@@ -94,7 +94,7 @@ fn prompt_fingerprint(
     tokens: usize,
 ) -> u64 {
     use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = crate::sip::SipHasher13::new();
     visible_lemmas.hash(&mut h);
     hint_scripts.hash(&mut h);
     tokens.hash(&mut h);

@@ -21,7 +21,6 @@
 //!
 //! All randomness is deterministic per (model, theorem, query, candidate).
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
@@ -33,6 +32,7 @@ use minicoq::term::Term;
 
 use crate::model::{Proposal, QueryCtx, TacticModel};
 use crate::profiles::ModelProfile;
+use crate::sip::SipHasher13;
 
 /// Global shape parameters of the simulator, shared by all profiles.
 /// Exposed for the calibration sweep; the defaults are the calibrated
@@ -232,7 +232,7 @@ impl SimulatedModel {
 }
 
 fn hash64(parts: &[&str]) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = SipHasher13::new();
     for p in parts {
         p.hash(&mut h);
     }

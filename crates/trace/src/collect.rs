@@ -1,13 +1,12 @@
 //! The sharded in-memory collector.
 //!
-//! Finished spans and events land in one of 16 mutex-guarded vectors,
-//! picked by the recording thread's id — workers on the runner's pool
-//! therefore almost never contend on a lock. The collector is bounded
-//! (4 million records, override with `TRACE_CAP`): past the cap,
-//! records are counted in `dropped` instead of being stored, so a
-//! pathological run degrades to a truncated trace with an explicit drop
-//! count, never to unbounded memory. [`drain`] empties every shard and
-//! returns the records sorted by start time, ready for the exporters.
+//! Finished spans land in one of 16 mutex-guarded vectors, picked by the
+//! recording thread's id — workers on the runner's pool therefore almost
+//! never contend on a lock. The collector is bounded ([`CAP`] spans):
+//! past the cap, spans are counted in `dropped` instead of being stored,
+//! so a pathological run degrades to a truncated trace with an explicit
+//! drop count, never to unbounded memory. [`drain`] empties every shard
+//! and returns the spans sorted by start time, ready for the exporter.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -18,8 +17,8 @@ use std::time::Instant;
 /// runner's worker pool spreads out, small enough to drain cheaply.
 const SHARDS: usize = 16;
 
-/// A span/event field value. Integers and strings cover every
-/// instrumentation site; keeping floats out keeps the exporters exact.
+/// A span field value. Integers and strings cover every
+/// instrumentation site; keeping floats out keeps the trace file exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Field {
     /// An integer value (counts, ids, sizes, indices).
@@ -50,61 +49,30 @@ pub struct SpanRec {
     pub fields: Vec<(&'static str, Field)>,
 }
 
-/// An instant event.
-#[derive(Debug, Clone)]
-pub struct EventRec {
-    /// Id of the span open on this thread when the event fired; 0 if none.
-    pub parent: u64,
-    /// Trace-local thread id.
-    pub tid: u64,
-    /// Phase taxonomy kind.
-    pub kind: &'static str,
-    /// Display name (`hit`, `miss`, `store`, …).
-    pub name: String,
-    /// Nanoseconds since the trace epoch.
-    pub ts_ns: u64,
-    /// Key/value fields.
-    pub fields: Vec<(&'static str, Field)>,
-}
-
-/// Everything a drain returns: the records plus the drop count.
+/// Everything a drain returns: the spans plus the drop count.
 #[derive(Debug, Default)]
 pub struct TraceData {
     /// Finished spans, sorted by (start, id).
     pub spans: Vec<SpanRec>,
-    /// Instant events, sorted by (timestamp, tid).
-    pub events: Vec<EventRec>,
-    /// Records discarded because the collector cap was reached.
+    /// Spans discarded because the collector cap was reached.
     pub dropped: u64,
-}
-
-struct Shard {
-    spans: Mutex<Vec<SpanRec>>,
-    events: Mutex<Vec<EventRec>>,
 }
 
 /// The process-wide collector. Created once, on first arm.
 pub(crate) struct Collector {
     epoch: Instant,
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<Vec<SpanRec>>>,
     next_id: AtomicU64,
     next_tid: AtomicU64,
     stored: AtomicUsize,
     dropped: AtomicU64,
-    cap: usize,
 }
 
 static COLLECTOR: OnceLock<Collector> = OnceLock::new();
 
-/// The record cap: `TRACE_CAP` env override, else 4 million. At roughly a
-/// hundred bytes per record that bounds collector memory to a few hundred
-/// MB on the most span-dense grid runs.
-fn default_cap() -> usize {
-    std::env::var("TRACE_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(4_000_000)
-}
+/// The span cap. At roughly a hundred bytes per span it bounds collector
+/// memory to a few hundred MB; a traced cold grid records about 85,000.
+pub const CAP: usize = 4_000_000;
 
 /// Locks a mutex, recovering from poisoning: a worker that panicked while
 /// recording leaves internally consistent shards (pushes are atomic), so
@@ -116,17 +84,11 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub(crate) fn collector() -> &'static Collector {
     COLLECTOR.get_or_init(|| Collector {
         epoch: Instant::now(),
-        shards: (0..SHARDS)
-            .map(|_| Shard {
-                spans: Mutex::new(Vec::new()),
-                events: Mutex::new(Vec::new()),
-            })
-            .collect(),
+        shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
         next_id: AtomicU64::new(1),
         next_tid: AtomicU64::new(1),
         stored: AtomicUsize::new(0),
         dropped: AtomicU64::new(0),
-        cap: default_cap(),
     })
 }
 
@@ -212,36 +174,19 @@ impl Collector {
         at.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
-    fn admit(&self) -> bool {
-        if self.stored.fetch_add(1, Ordering::Relaxed) >= self.cap {
+    pub(crate) fn record_span(&self, rec: SpanRec) {
+        if self.stored.fetch_add(1, Ordering::Relaxed) >= CAP {
             self.stored.fetch_sub(1, Ordering::Relaxed);
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return false;
+            return;
         }
-        true
-    }
-
-    fn shard(&self) -> &Shard {
-        &self.shards[(current_tid() as usize) % SHARDS]
-    }
-
-    pub(crate) fn record_span(&self, rec: SpanRec) {
-        if self.admit() {
-            lock_recover(&self.shard().spans).push(rec);
-        }
-    }
-
-    pub(crate) fn record_event(&self, rec: EventRec) {
-        if self.admit() {
-            lock_recover(&self.shard().events).push(rec);
-        }
+        lock_recover(&self.shards[(current_tid() as usize) % SHARDS]).push(rec);
     }
 }
 
-/// Empties every shard and returns the accumulated records, spans sorted
-/// by (start, id) and events by (timestamp, tid) so export order is a
-/// function of the recorded data alone, not of shard iteration order.
-/// Resets the drop counter.
+/// Empties every shard and returns the accumulated spans sorted by
+/// (start, id), so export order is a function of the recorded data alone,
+/// not of shard iteration order. Resets the drop counter.
 pub fn drain() -> TraceData {
     let Some(c) = COLLECTOR.get() else {
         return TraceData::default();
@@ -251,11 +196,9 @@ pub fn drain() -> TraceData {
         ..TraceData::default()
     };
     for shard in &c.shards {
-        data.spans.append(&mut lock_recover(&shard.spans));
-        data.events.append(&mut lock_recover(&shard.events));
+        data.spans.append(&mut lock_recover(shard));
     }
     c.stored.store(0, Ordering::Relaxed);
     data.spans.sort_by_key(|s| (s.start_ns, s.id));
-    data.events.sort_by_key(|e| (e.ts_ns, e.tid));
     data
 }

@@ -7,26 +7,26 @@
 //! primitives the evaluation needs on `std` (records go through the
 //! vendored `serde_json`, the workspace's one JSON implementation):
 //!
-//! * **Spans and events** ([`span`], [`event`]) — monotonic wall-clock
-//!   intervals carrying a *kind* (the phase taxonomy: `oracle`, `stm`,
-//!   `preflight`, `frontier`, `cache`, `journal`, …), a name, key/value
-//!   fields, and a parent id derived from a per-thread span stack. Every
-//!   span opened while the collector is armed is recorded; there is no
-//!   sampling, so each phase's self time is read straight off the spans.
-//! * **A sharded in-memory collector** ([`collect`]) — finished records go
+//! * **Spans** ([`span`]) — monotonic wall-clock intervals carrying a
+//!   *kind* (the phase taxonomy: `oracle`, `stm`, `preflight`,
+//!   `frontier`, `cache`, `journal`, …), a name, key/value fields, and a
+//!   parent id derived from a per-thread span stack. Every span opened
+//!   while the collector is armed is recorded; there is no sampling, so
+//!   each phase's self time is read straight off the spans.
+//! * **A sharded in-memory collector** ([`collect`]) — finished spans go
 //!   to one of a fixed set of mutex-guarded shards picked by thread id, so
 //!   parallel runner workers almost never contend. The collector is
-//!   bounded: past the cap records are counted as dropped, never silently
+//!   bounded: past the cap spans are counted as dropped, never silently
 //!   lost.
-//! * **A metrics registry** ([`metrics`]) — named counters, gauges, and
+//! * **A metrics registry** ([`metrics`]) — named counters and
 //!   log₂-bucketed latency histograms with *exact* merge semantics
 //!   (buckets are integer counts, so merging per-shard histograms is
 //!   byte-equal to recording serially; `tests/hist_props.rs` proves it).
 //!
-//! Two exporters ([`export`]) turn a drained collector into artifacts: a
-//! JSONL event stream (one self-describing object per line, the input to
-//! the `trace_report` binary) and a Chrome trace-event JSON loadable in
-//! Perfetto / `chrome://tracing`.
+//! The exporter ([`export`]) turns a drained collector and the registry
+//! snapshot into the one trace artifact, a Chrome trace-event JSON file
+//! loadable in Perfetto / `chrome://tracing`, and reads it back for the
+//! `trace_report` binary.
 //!
 //! # Determinism contract
 //!
@@ -62,7 +62,7 @@ pub mod report;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-pub use collect::{drain, EventRec, Field, SpanRec, TraceData};
+pub use collect::{drain, Field, SpanRec, TraceData};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -175,29 +175,6 @@ pub fn span(kind: &'static str, name: &str) -> SpanGuard {
     }
 }
 
-/// Records an instant event of the given kind under the currently open
-/// span (if any). No-op when tracing is disabled.
-pub fn event(kind: &'static str, name: &str) {
-    event_with(kind, name, Vec::new());
-}
-
-/// As [`event`], with fields. The field vector is only built by callers
-/// that already checked [`enabled`], or passed inline (cheap when empty).
-pub fn event_with(kind: &'static str, name: &str, fields: Vec<(&'static str, Field)>) {
-    if !enabled() {
-        return;
-    }
-    let c = collect::collector();
-    c.record_event(EventRec {
-        parent: collect::current_span(),
-        tid: collect::current_tid(),
-        kind,
-        name: name.to_string(),
-        ts_ns: c.ns_since_epoch(Instant::now()),
-        fields,
-    });
-}
-
 /// A stopwatch that *always* measures wall time, and additionally emits a
 /// span when tracing is enabled. This is the timing primitive for call
 /// sites whose measurements are load-bearing regardless of tracing — e.g.
@@ -239,7 +216,6 @@ mod tests {
         let mut g = span("test", "x");
         assert!(!g.is_armed());
         g.field_u64("k", 1); // no-op, must not panic
-        event("test", "e");
     }
 
     #[test]

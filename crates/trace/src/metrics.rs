@@ -1,13 +1,13 @@
-//! The metrics registry: named counters, gauges, and log₂-bucketed
-//! latency histograms.
+//! The metrics registry: named counters and log₂-bucketed latency
+//! histograms.
 //!
 //! Metrics are aggregates, not streams — they cost a fixed-size slot per
 //! name no matter how hot the site, which is why per-tactic latency lives
-//! here instead of in the span collector. All three metric types are
-//! lock-free once their [`Arc`] handle is resolved; resolving a handle
-//! takes the registry lock, so hot loops should resolve once ([`counter`],
-//! [`histogram`]) and hold the handle, while cold sites can use the
-//! name-at-call-site helpers ([`counter_add`], [`observe`], [`gauge_set`]).
+//! here instead of in the span collector. Both metric types are lock-free
+//! once their [`Arc`] handle is resolved; resolving a handle takes the
+//! registry lock, so hot sites with a fixed name hold a [`HotCounter`],
+//! while cold sites use the name-at-call-site helpers ([`counter_add`],
+//! [`observe`]).
 //!
 //! Histograms bucket by `floor(log2(v)) + 1` (bucket 0 holds exactly the
 //! value 0), so bucket `i ≥ 1` covers `[2^(i-1), 2^i - 1]`. Buckets are
@@ -17,7 +17,7 @@
 //! histogram serially. `tests/hist_props.rs` proves this by property test.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use serde::Deserialize;
@@ -69,22 +69,6 @@ impl Counter {
     }
 }
 
-/// A gauge: a value that goes up and down (frontier depth, live states).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// A log₂-bucketed histogram with an exact sum.
 #[derive(Debug)]
 pub struct Histogram {
@@ -124,9 +108,9 @@ impl Histogram {
     }
 }
 
-/// A plain-data histogram snapshot (what exporters and reports consume;
-/// `trace_report` reads it back from a JSONL `hist` line, where a missing
-/// field reads as its default).
+/// A plain-data histogram snapshot (what the exporter and reports
+/// consume; `trace_report` reads it back from the trace file's
+/// `histograms` object, where a missing field reads as its default).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Deserialize)]
 pub struct HistData {
     /// Per-bucket counts ([`HIST_BUCKETS`] entries).
@@ -186,8 +170,6 @@ impl HistData {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Histogram snapshots by name.
     pub hists: BTreeMap<String, HistData>,
 }
@@ -196,7 +178,6 @@ pub struct MetricsSnapshot {
 #[derive(Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     hists: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -222,15 +203,6 @@ impl Registry {
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = lock_recover(&self.gauges);
-        if let Some(g) = map.get(name) {
-            return Arc::clone(g);
-        }
-        Arc::clone(map.entry(name.to_string()).or_default())
-    }
-
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut map = lock_recover(&self.hists);
@@ -247,10 +219,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: lock_recover(&self.gauges)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
             hists: lock_recover(&self.hists)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
@@ -262,7 +230,6 @@ impl Registry {
     /// reset generation so every [`HotCounter`] re-resolves its handle.
     pub fn reset(&self) {
         lock_recover(&self.counters).clear();
-        lock_recover(&self.gauges).clear();
         lock_recover(&self.hists).clear();
         RESET_GEN.fetch_add(1, Ordering::Release);
     }
@@ -318,16 +285,6 @@ impl HotCounter {
     }
 }
 
-/// Resolves the counter named `name` (hold the handle in hot loops).
-pub fn counter(name: &str) -> Arc<Counter> {
-    registry().counter(name)
-}
-
-/// Resolves the histogram named `name` (hold the handle in hot loops).
-pub fn histogram(name: &str) -> Arc<Histogram> {
-    registry().histogram(name)
-}
-
 /// Adds `n` to the counter named `name`.
 pub fn counter_add(name: &str, n: u64) {
     registry().counter(name).add(n);
@@ -336,11 +293,6 @@ pub fn counter_add(name: &str, n: u64) {
 /// Adds 1 to the counter named `name`.
 pub fn counter_inc(name: &str) {
     counter_add(name, 1);
-}
-
-/// Sets the gauge named `name`.
-pub fn gauge_set(name: &str, v: i64) {
-    registry().gauge(name).set(v);
 }
 
 /// Records `v` into the histogram named `name`.

@@ -2,8 +2,8 @@
 //! behind the `trace_report` binary.
 //!
 //! The report operates on *parsed* spans ([`Span`], plain `String` kinds —
-//! the binary reads them back from a JSONL export) plus a metrics
-//! snapshot. The central quantity is **self time**: a span's duration
+//! the binary reads them back from the trace file,
+//! [`crate::export::read_chrome`]) plus a metrics snapshot. The central quantity is **self time**: a span's duration
 //! minus the durations of its direct children on the same thread,
 //! aggregated by *phase* (the span kind up to the first `.`, so
 //! `oracle.prompt` accounts under `oracle`). Because children nest inside
@@ -18,34 +18,24 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
-use serde::Deserialize;
-
 use crate::metrics::MetricsSnapshot;
 
-/// A parsed span, as read back from a JSONL export (a missing field reads
-/// as its default).
-#[derive(Debug, Clone, Deserialize)]
+/// A parsed span, as read back from the trace file.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Span id.
-    #[serde(default)]
     pub id: u64,
     /// Parent span id (0 = root).
-    #[serde(default)]
     pub parent: u64,
     /// Trace-local thread id.
-    #[serde(default)]
     pub tid: u64,
     /// Phase taxonomy kind.
-    #[serde(default)]
     pub kind: String,
     /// Display name.
-    #[serde(default)]
     pub name: String,
     /// Start, nanoseconds since the trace epoch.
-    #[serde(default)]
     pub start_ns: u64,
     /// Duration in nanoseconds.
-    #[serde(default)]
     pub dur_ns: u64,
 }
 
@@ -164,8 +154,8 @@ pub fn render_report(
     if dropped > 0 {
         let _ = writeln!(
             out,
-            "WARNING: {dropped} trace records dropped at the collector cap — \
-             phase attribution below is truncated (raise TRACE_CAP)."
+            "WARNING: {dropped} spans dropped at the collector cap — \
+             phase attribution below is truncated."
         );
     }
     let _ = writeln!(
@@ -174,7 +164,7 @@ pub fn render_report(
         ms(bd.total_busy_ns),
         spans.len(),
         if dropped > 0 {
-            format!(" ({dropped} records dropped at the collector cap)")
+            format!(" ({dropped} spans dropped at the collector cap)")
         } else {
             String::new()
         }

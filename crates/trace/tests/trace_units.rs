@@ -1,6 +1,7 @@
-//! Integration tests for the span collector and the two exporters: parent
-//! links, nesting, cross-thread attribution, drain semantics, and that
-//! both artifact formats are well-formed JSON with correct escaping.
+//! Integration tests for the span collector and the trace file: parent
+//! links, nesting, cross-thread attribution, drain semantics, and that the
+//! Chrome trace file is well-formed JSON with correct escaping that reads
+//! back to the recorded spans and metrics.
 //!
 //! The collector and the enabled flag are process-global, so every test
 //! serializes on one mutex and leaves tracing disabled on exit.
@@ -31,7 +32,6 @@ fn parent_links_and_nesting() {
             outer.field_u64("n", 7);
             {
                 let _inner = trace::span("oracle", "inner");
-                trace::event("cache", "hit");
             }
         }
         let data = trace::drain();
@@ -50,10 +50,6 @@ fn parent_links_and_nesting() {
             "child interval nests inside parent"
         );
         assert_eq!(outer.fields, vec![("n", trace::Field::U64(7))]);
-        // The instant event was recorded under the then-open inner span.
-        assert_eq!(data.events.len(), 1);
-        assert_eq!(data.events[0].parent, inner.id);
-        assert_eq!(data.events[0].kind, "cache");
     });
 }
 
@@ -116,7 +112,7 @@ fn drain_empties_the_collector() {
         }
         assert_eq!(trace::drain().spans.len(), 1);
         let again = trace::drain();
-        assert!(again.spans.is_empty() && again.events.is_empty());
+        assert!(again.spans.is_empty() && again.dropped == 0);
     });
 }
 
@@ -129,62 +125,35 @@ fn disabled_tracing_records_nothing() {
         let mut s = trace::span("cell", "ghost");
         assert!(!s.is_armed());
         s.field_str("k", "v");
-        trace::event("cache", "miss");
     }
     let data = trace::drain();
     assert!(data.spans.is_empty());
-    assert!(data.events.is_empty());
 }
 
 #[test]
-fn exporters_write_wellformed_json() {
+fn the_trace_file_is_wellformed_and_reads_back() {
     let (data, snap) = with_tracing(|| {
         trace::metrics::reset();
         trace::metrics::counter_inc("test.counter");
-        trace::metrics::gauge_set("test.gauge", -3);
         trace::metrics::observe("test.hist.ns", 5);
         {
             // Names with JSON-hostile characters exercise the escaper.
             let mut s = trace::span("oracle", "q\"uo\\te\n");
             s.field_str("k", "v\"w");
-            trace::event("journal", "hit");
+            let _child = trace::span("stm", "");
         }
         (trace::drain(), trace::metrics::snapshot())
     });
 
-    let dir = std::env::temp_dir();
-    let jsonl = dir.join(format!("trace_units_{}.jsonl", std::process::id()));
-    let chrome = dir.join(format!("trace_units_{}.json", std::process::id()));
-    trace::export::write_jsonl(&jsonl, &data, &snap).unwrap();
-    trace::export::write_chrome(&chrome, &data).unwrap();
+    let path = std::env::temp_dir().join(format!("trace_units_{}.json", std::process::id()));
+    trace::export::write_chrome(&path, &data, &snap).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
 
-    // Every JSONL line parses, and all record types appear.
-    let text = std::fs::read_to_string(&jsonl).unwrap();
-    let mut kinds = std::collections::BTreeSet::new();
-    for line in text.lines() {
-        let v: serde_json::Value = serde_json::from_str(line).expect("JSONL line parses");
-        kinds.insert(
-            v.get("t")
-                .and_then(|t| t.as_str())
-                .expect("record tag")
-                .to_string(),
-        );
-        if v.get("t").and_then(|t| t.as_str()) == Some("span") {
-            assert_eq!(
-                v.get("name").and_then(|n| n.as_str()),
-                Some("q\"uo\\te\n"),
-                "escaping round-trips"
-            );
-        }
-    }
-    for expected in ["meta", "span", "event", "counter", "gauge", "hist"] {
-        assert!(kinds.contains(expected), "JSONL has a {expected} record");
-    }
-
-    // The Chrome artifact parses and has the Perfetto essentials: a
-    // traceEvents array, thread_name metadata, and one X event per span.
-    let v: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&chrome).unwrap()).unwrap();
+    // The file parses and has the Perfetto essentials: a traceEvents
+    // array, thread_name metadata, and one X event per span, named
+    // `kind: name` and carrying the span's fields in `args`.
+    let v: serde_json::Value = serde_json::from_str(&text).unwrap();
     let events = v
         .get("traceEvents")
         .and_then(|e| e.as_array())
@@ -195,15 +164,31 @@ fn exporters_write_wellformed_json() {
             .unwrap_or("")
             .to_string()
     };
-    let complete = events.iter().filter(|e| phase(e) == "X").count();
-    assert_eq!(complete, data.spans.len());
+    let complete: Vec<&serde_json::Value> = events.iter().filter(|e| phase(e) == "X").collect();
+    assert_eq!(complete.len(), data.spans.len());
+    assert!(events
+        .iter()
+        .all(|e| ["M", "X"].contains(&phase(e).as_str())));
     assert!(events
         .iter()
         .any(|e| phase(e) == "M" && e.get("name").and_then(|n| n.as_str()) == Some("thread_name")));
-    assert!(events.iter().any(|e| phase(e) == "i"), "instant event");
+    let oracle = complete[0];
+    assert_eq!(
+        oracle.get("name").and_then(|n| n.as_str()),
+        Some("oracle: q\"uo\\te\n"),
+        "escaping round-trips"
+    );
+    let args = oracle.get("args").unwrap();
+    assert_eq!(args.get("k").and_then(|k| k.as_str()), Some("v\"w"));
 
-    let _ = std::fs::remove_file(&jsonl);
-    let _ = std::fs::remove_file(&chrome);
+    // Read back: the same spans, the same snapshot, no drops.
+    let back = trace::export::read_chrome(&text).expect("the file validates");
+    let want: Vec<trace::report::Span> = data.spans.iter().map(Into::into).collect();
+    assert_eq!(back.spans, want);
+    assert_eq!(back.spans[1].name, "", "an unnamed span reads back unnamed");
+    assert_eq!(back.spans[1].parent, back.spans[0].id);
+    assert_eq!(back.metrics, snap);
+    assert_eq!(back.dropped, 0);
 }
 
 #[test]

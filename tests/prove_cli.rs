@@ -76,3 +76,42 @@ fn show_query_prints_the_payload() {
     assert!(text.contains("Next tactic:"), "{text}");
     assert!(text.contains("Current proof state"), "{text}");
 }
+
+#[test]
+fn a_copied_corpus_is_served_from_an_embedded_baseline() {
+    let dir = std::env::temp_dir().join(format!("prove-cli-corpus-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (corpus, baseline) = (dir.join("corpus"), dir.join("baseline"));
+    std::fs::create_dir_all(&corpus).unwrap();
+    // Copy the modules in an order unrelated to their names or imports.
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/fscq/corpus");
+    let mut modules: Vec<std::path::PathBuf> = std::fs::read_dir(&src)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "v"))
+        .collect();
+    modules.sort_by_key(|p| std::cmp::Reverse(std::fs::metadata(p).unwrap().len()));
+    assert_eq!(modules.len(), 10);
+    for m in &modules {
+        std::fs::copy(m, corpus.join(m.file_name().unwrap())).unwrap();
+    }
+    let (ok, text) = prove(&[
+        "--incremental",
+        "--save-baseline",
+        baseline.to_str().unwrap(),
+    ]);
+    assert!(ok, "{text}");
+    let (ok, text) = prove(&[
+        "--incremental",
+        "--baseline",
+        baseline.to_str().unwrap(),
+        "--corpus",
+        corpus.to_str().unwrap(),
+    ]);
+    assert!(ok, "{text}");
+    assert!(
+        text.contains("58 theorems — 0 re-verified, 0 cone-cache hits, 58 from baseline"),
+        "{text}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
