@@ -16,6 +16,7 @@ fn empty_prompt() -> PromptInfo {
         tokens: 0,
         visible_lemmas: Vec::new(),
         hint_scripts: Vec::new(),
+        hint_facts: Vec::new(),
         truncated: false,
         fingerprint: 0,
     }

@@ -7,7 +7,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::error::KernelError;
 use crate::formula::Formula;
-use crate::refs::LemmaFacts;
+use crate::refs::{LemmaFacts, MatchFacts};
 use crate::rule::{Rule, RuleFacts};
 use crate::sort::Sort;
 use crate::term::{Pat, Term};
@@ -138,6 +138,9 @@ pub struct Lemma {
     pub stmt: Formula,
     /// Facts about `stmt`, filled on the first [`Lemma::facts`] call.
     facts: OnceLock<LemmaFacts>,
+    /// Match features of `stmt`, filled on the first
+    /// [`Lemma::match_facts`] call.
+    matching: OnceLock<MatchFacts>,
     /// Rule readings of `stmt`, each filled on first use through
     /// [`Lemma::rule`].
     rule: RuleFacts,
@@ -149,6 +152,7 @@ impl Lemma {
             name,
             stmt,
             facts: OnceLock::new(),
+            matching: OnceLock::new(),
             rule: RuleFacts::default(),
         }
     }
@@ -170,6 +174,19 @@ impl Lemma {
     /// change while this lemma lives and the readings never go stale.
     pub fn rule(&self) -> Rule<'_> {
         Rule::cached(&self.stmt, &self.rule)
+    }
+
+    /// The goal-independent match features of the statement, computed on
+    /// first use and shared, like [`Lemma::facts`], by every snapshot
+    /// holding this lemma. `env` is any environment holding the lemma:
+    /// the features read only which of the statement's symbols are
+    /// constructors. Every symbol was declared before the statement
+    /// elaborated, and [`Env`] rejects a constructor named like a declared
+    /// function (and the reverse), so the answer never changes while this
+    /// lemma lives and the features never go stale.
+    pub fn match_facts(&self, env: &Env) -> &MatchFacts {
+        self.matching
+            .get_or_init(|| MatchFacts::of(env, &self.stmt))
     }
 }
 
@@ -210,10 +227,11 @@ struct IndexedRule {
 /// costs correctness, but it starts that cache cold, so a cache keyed here
 /// is only free for environments that are not cloned per search. The
 /// `auto`/`eauto` hint index is therefore built per invocation instead.
-/// Per-lemma facts, ranking ([`Lemma::facts`]) and rule readings
-/// ([`Lemma::rule`]), are not keyed here: they live in the `Arc<Lemma>`,
-/// so every snapshot and clone that holds the lemma shares them whatever
-/// its uid, and a new uid never recomputes them.
+/// Per-lemma facts, ranking ([`Lemma::facts`]), match features
+/// ([`Lemma::match_facts`]) and rule readings ([`Lemma::rule`]), are not
+/// keyed here: they live in the `Arc<Lemma>`, so every snapshot and clone
+/// that holds the lemma shares them whatever its uid, and a new uid never
+/// recomputes them.
 #[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EnvUid(u64);
 
@@ -325,7 +343,7 @@ impl Env {
             return Err(KernelError::Redeclared(ind.name.clone()));
         }
         for (i, c) in ind.ctors.iter().enumerate() {
-            if self.ctors.contains_key(&c.name) {
+            if self.ctors.contains_key(&c.name) || self.funcs.contains_key(&c.name) {
                 return Err(KernelError::Redeclared(c.name.clone()));
             }
             Arc::make_mut(&mut self.ctors).insert(
@@ -844,6 +862,18 @@ mod tests {
             ctors: vec![],
         });
         assert!(err.is_err());
+        // A constructor may not take a function's name: match features
+        // (`Lemma::match_facts`) read which symbols are constructors.
+        let err = env.declare_inductive(Inductive {
+            name: "shadow".into(),
+            params: vec![],
+            ctors: vec![Ctor {
+                name: "add".into(),
+                args: vec![],
+            }],
+        });
+        assert!(err.is_err());
+        assert!(!env.ctors.contains_key("add"));
     }
 
     #[test]

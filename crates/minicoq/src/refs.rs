@@ -1,15 +1,17 @@
 //! The declared names a sort, term or formula references, and the static
 //! facts ranking reads off a lemma statement.
 //!
-//! [`LemmaFacts`] are computed on first use and cached in the lemma
-//! itself ([`crate::env::Lemma::facts`]). Lemmas are `Arc`-shared by every
+//! [`LemmaFacts`] and [`MatchFacts`] are computed on first use and cached
+//! in the lemma itself ([`crate::env::Lemma::facts`],
+//! [`crate::env::Lemma::match_facts`]). Lemmas are `Arc`-shared by every
 //! later environment snapshot, so a corpus computes each lemma's facts at
-//! most once, and only when something ranks premises.
+//! most once, and only when something reads them.
 
 use std::collections::BTreeSet;
 
 use proof_trace::envelope::fnv1a;
 
+use crate::env::Env;
 use crate::formula::Formula;
 use crate::sort::Sort;
 use crate::term::{Pat, Term};
@@ -182,5 +184,94 @@ impl LemmaFacts {
             head: ConclusionHead::of(stmt.peel().conclusion),
             fingerprint: fnv1a(format!("{stmt:?}").as_bytes()),
         }
+    }
+}
+
+/// The goal-independent features a goal matcher reads off a lemma
+/// statement: the simulated oracle compares them with the focused goal's
+/// [`head_feature`] to propose `apply`, `eapply` and `rewrite` with the
+/// lemma.
+#[derive(Debug, Clone)]
+pub struct MatchFacts {
+    /// [`head_feature`] of the peeled conclusion: its kind and symbols.
+    pub head: (String, Vec<String>),
+    /// The statement has binders and premises, so `eapply` also fits it.
+    pub eapply: bool,
+    /// For an equational conclusion: the function heads of its two sides.
+    pub eq_heads: Option<(Vec<String>, Vec<String>)>,
+    /// Head feature kind of the first premise (forward application).
+    pub first_premise_head: Option<String>,
+}
+
+impl MatchFacts {
+    /// Computes the features of `stmt`, reading constructors from `env`.
+    pub(crate) fn of(env: &Env, stmt: &Formula) -> MatchFacts {
+        let peeled = stmt.peel();
+        let eq_heads = if let Formula::Eq(_, l, r) = peeled.conclusion {
+            let mut lh = Vec::new();
+            collect_heads(env, l, &mut lh);
+            let mut rh = Vec::new();
+            collect_heads(env, r, &mut rh);
+            Some((lh, rh))
+        } else {
+            None
+        };
+        MatchFacts {
+            head: head_feature(env, peeled.conclusion),
+            eapply: !peeled.binders.is_empty() && !peeled.premises.is_empty(),
+            eq_heads,
+            first_premise_head: peeled.premises.first().map(|p| head_feature(env, p).0),
+        }
+    }
+}
+
+/// The head feature of a formula: what kind of goal it is (`eq`,
+/// `pred:<name>`, `and`, ...), and the function symbols that help match
+/// lemmas against it.
+pub fn head_feature(env: &Env, f: &Formula) -> (String, Vec<String>) {
+    match f {
+        Formula::Eq(_, a, b) => {
+            let mut syms = Vec::new();
+            collect_heads(env, a, &mut syms);
+            collect_heads(env, b, &mut syms);
+            ("eq".into(), syms)
+        }
+        Formula::Pred(p, _, args) => {
+            let mut syms = vec![p.clone()];
+            for a in args {
+                collect_heads(env, a, &mut syms);
+            }
+            (format!("pred:{p}"), syms)
+        }
+        Formula::And(..) => ("and".into(), vec![]),
+        Formula::Or(..) => ("or".into(), vec![]),
+        Formula::Iff(..) => ("iff".into(), vec![]),
+        Formula::Not(..) => ("not".into(), vec![]),
+        Formula::Implies(..) | Formula::Forall(..) | Formula::ForallSort(..) => {
+            ("arrow".into(), vec![])
+        }
+        Formula::Exists(..) => ("exists".into(), vec![]),
+        Formula::True => ("true".into(), vec![]),
+        Formula::False => ("false".into(), vec![]),
+        Formula::FMatch(..) => ("match".into(), vec![]),
+    }
+}
+
+/// Collects the function symbols heading `t` and its first three
+/// arguments, recursively, each once. Constructors (O, S, cons, ...)
+/// appear everywhere and would make every lemma look relevant, so they
+/// are skipped.
+fn collect_heads(env: &Env, t: &Term, out: &mut Vec<String>) {
+    match t {
+        Term::Var(_) | Term::Meta(_) => {}
+        Term::App(f, args) => {
+            if !env.ctors.contains_key(f) && !out.contains(f) {
+                out.push(f.clone());
+            }
+            for a in args.iter().take(3) {
+                collect_heads(env, a, out);
+            }
+        }
+        Term::Match(scrut, _) => collect_heads(env, scrut, out),
     }
 }

@@ -8,10 +8,12 @@
 //! are retained (the paper truncates the same way).
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use minicoq_vernac::{Development, ItemKind, TheoremInfo};
+use minicoq_vernac::loader::LoadedFile;
+use minicoq_vernac::{Development, Item, ItemKind, TheoremInfo};
 
+use crate::sim::HintFacts;
 use crate::tokenizer::count_tokens;
 
 /// Vanilla (statements only) or hints (plus hint-split proofs).
@@ -78,6 +80,9 @@ pub struct PromptInfo {
     pub visible_lemmas: Vec<String>,
     /// `(lemma, proof script)` pairs whose proofs survived into the prompt.
     pub hint_scripts: Vec<(String, String)>,
+    /// The simulator's reading of each script in `hint_scripts`, in the
+    /// same order, shared with every prompt of the cell that shows it.
+    pub hint_facts: Vec<Arc<HintFacts>>,
     /// True when window truncation dropped leading context.
     pub truncated: bool,
     /// Hash of the model-visible structure (`visible_lemmas`,
@@ -101,21 +106,42 @@ fn prompt_fingerprint(
     h.finish()
 }
 
-/// Memoizes rendered items and their token counts across the theorems of a
-/// cell. Rendering and tokenizing an item depends only on the item itself
-/// and on whether its proof is included, so one cache entry per
+/// Memoizes rendered items across the theorems of a cell. Rendering an
+/// item, counting its tokens and reading its proof as a hint depend only on
+/// the item itself and on whether its proof is included, so one slot per
 /// `(file, item index, with_proof)` serves every theorem that sees the
-/// item — which in a full-corpus cell is nearly all of them. The cache is
-/// internally synchronized so parallel runner workers can share one.
+/// item, which in a full-corpus cell is nearly all of them. The cache is
+/// internally synchronized so parallel runner workers can share one: a
+/// prompt takes the lock once per file, and each slot is filled once.
 #[derive(Debug, Default)]
 pub struct PromptCache {
-    rendered: Mutex<HashMap<RenderKey, Rendered>>,
+    files: Mutex<HashMap<String, Arc<FileSlots>>>,
 }
 
-/// `(file, item index, with_proof)`.
-type RenderKey = (String, usize, bool);
-/// Shared `(text, token count)` of one rendered item.
-type Rendered = Arc<(String, usize)>;
+/// One file's slots, by item index: `[statement only, with proof]`.
+type FileSlots = [[OnceLock<Rendered>; 2]];
+
+/// One item as a prompt shows it.
+#[derive(Debug)]
+struct Rendered {
+    text: String,
+    /// [`count_tokens`] of `text`.
+    tokens: usize,
+    /// The proof read as a hint, when the proof is shown.
+    hint: Option<Arc<HintFacts>>,
+}
+
+impl Rendered {
+    fn of(item: &Item, with_proof: bool) -> Rendered {
+        let text = item.render(with_proof);
+        Rendered {
+            tokens: count_tokens(&text),
+            text,
+            hint: with_proof
+                .then(|| Arc::new(HintFacts::of(item.proof.as_deref().unwrap_or_default()))),
+        }
+    }
+}
 
 impl PromptCache {
     /// An empty cache.
@@ -123,40 +149,21 @@ impl PromptCache {
         PromptCache::default()
     }
 
-    /// Rendered text and token count of `item`, computed at most once.
-    fn rendered(
-        &self,
-        file: &str,
-        index: usize,
-        with_proof: bool,
-        item: &minicoq_vernac::Item,
-    ) -> Arc<(String, usize)> {
-        let key = (file.to_string(), index, with_proof);
-        if let Some(hit) = crate::sync::lock_recover(&self.rendered).get(&key) {
-            if proof_trace::enabled() {
-                proof_trace::metrics::counter_inc("oracle.prompt_cache.hit");
-            }
-            return Arc::clone(hit);
+    /// The slots of `file`'s items.
+    fn file(&self, file: &LoadedFile) -> Arc<FileSlots> {
+        let mut files = crate::sync::lock_recover(&self.files);
+        if let Some(slots) = files.get(file.name.as_str()) {
+            assert_eq!(
+                slots.len(),
+                file.items.len(),
+                "one cache serves one development"
+            );
+            return Arc::clone(slots);
         }
-        if proof_trace::enabled() {
-            proof_trace::metrics::counter_inc("oracle.prompt_cache.miss");
-        }
-        // Render outside the lock: misses are the expensive path and two
-        // workers racing on the same item produce identical values.
-        let text = item.render(with_proof);
-        let tokens = count_tokens(&text);
-        let entry = Arc::new((text, tokens));
-        crate::sync::lock_recover(&self.rendered)
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&entry));
-        entry
+        let slots: Arc<FileSlots> = file.items.iter().map(|_| Default::default()).collect();
+        files.insert(file.name.clone(), Arc::clone(&slots));
+        slots
     }
-}
-
-struct Segment {
-    rendered: Arc<(String, usize)>,
-    lemma: Option<String>,
-    hint: Option<(String, String)>,
 }
 
 /// Builds the prompt for a theorem (uncached convenience wrapper around
@@ -170,9 +177,10 @@ pub fn build_prompt(
     build_prompt_cached(dev, thm, hint_set, cfg, &PromptCache::new())
 }
 
-/// Builds the prompt for a theorem, memoizing per-item rendering and token
-/// counts in `cache`. Callers evaluating many theorems under one setting
-/// (the experiment runner) share a cache across the whole cell.
+/// Builds the prompt for a theorem, memoizing per-item rendering, token
+/// counts and hint readings in `cache`. Callers evaluating many theorems
+/// under one setting (the experiment runner) share a cache across the
+/// whole cell.
 pub fn build_prompt_cached(
     dev: &Development,
     thm: &TheoremInfo,
@@ -188,45 +196,46 @@ pub fn build_prompt_cached(
             .map(|k| crate::retrieval::retrieval_set(dev, thm, k))
     };
 
-    let mut segments: Vec<Segment> = Vec::new();
-    let push_item =
-        |file: &str, index: usize, item: &minicoq_vernac::Item, segments: &mut Vec<Segment>| {
-            if let Some(deps) = &deps {
-                // Minimal prompts keep only the proof's dependencies (and all
-                // non-lemma declarations, which define the vocabulary).
-                if item.kind == ItemKind::Lemma && !deps.contains(&item.name) {
-                    return;
-                }
-            }
-            let with_proof = cfg.setting == PromptSetting::Hints
-                && item.kind == ItemKind::Lemma
-                && hint_set.contains(&item.name);
-            let rendered = cache.rendered(file, index, with_proof, item);
-            let lemma = (item.kind == ItemKind::Lemma).then(|| item.name.clone());
-            let hint =
-                (with_proof).then(|| (item.name.clone(), item.proof.clone().unwrap_or_default()));
-            segments.push(Segment {
-                rendered,
-                lemma,
-                hint,
-            });
-        };
+    // Every imported file whole, then the current file up to the goal.
+    let files: Vec<(&LoadedFile, usize, Arc<FileSlots>)> = dev
+        .import_closure(&thm.file)
+        .into_iter()
+        .map(|f| (f, f.items.len()))
+        .chain(dev.file(&thm.file).map(|f| (f, thm.item_index)))
+        .map(|(f, upto)| (f, upto, cache.file(f)))
+        .collect();
 
-    for file in dev.import_closure(&thm.file) {
-        for (index, item) in file.items.iter().enumerate() {
+    let (mut hits, mut misses) = (0u64, 0u64);
+    let mut segments: Vec<(&Item, &Rendered)> = Vec::new();
+    for (file, upto, slots) in &files {
+        for (item, slot) in file.items.iter().zip(slots.iter()).take(*upto) {
             if item.kind == ItemKind::Import {
                 continue;
             }
-            push_item(&file.name, index, item, &mut segments);
+            let lemma = item.kind == ItemKind::Lemma;
+            // Minimal prompts keep only the proof's dependencies (and all
+            // non-lemma declarations, which define the vocabulary).
+            if lemma && deps.as_ref().is_some_and(|d| !d.contains(&item.name)) {
+                continue;
+            }
+            let with_proof =
+                cfg.setting == PromptSetting::Hints && lemma && hint_set.contains(&item.name);
+            let mut missed = false;
+            let rendered = slot[usize::from(with_proof)].get_or_init(|| {
+                missed = true;
+                Rendered::of(item, with_proof)
+            });
+            if missed {
+                misses += 1;
+            } else {
+                hits += 1;
+            }
+            segments.push((item, rendered));
         }
     }
-    if let Some(file) = dev.file(&thm.file) {
-        for (index, item) in file.items.iter().take(thm.item_index).enumerate() {
-            if item.kind == ItemKind::Import {
-                continue;
-            }
-            push_item(&file.name, index, item, &mut segments);
-        }
+    if proof_trace::enabled() {
+        proof_trace::metrics::counter_add("oracle.prompt_cache.hit", hits);
+        proof_trace::metrics::counter_add("oracle.prompt_cache.miss", misses);
     }
 
     // The goal segment is always kept.
@@ -243,38 +252,48 @@ pub fn build_prompt_cached(
     if let Some(budget) = budget {
         let mut used = 0usize;
         let mut keep_from = segments.len();
-        for (i, seg) in segments.iter().enumerate().rev() {
-            if used + seg.rendered.1 > budget {
+        for (i, (_, r)) in segments.iter().enumerate().rev() {
+            if used + r.tokens > budget {
                 break;
             }
-            used += seg.rendered.1;
+            used += r.tokens;
             keep_from = i;
         }
         start = keep_from;
         truncated = start > 0;
     }
 
-    let mut text = String::new();
+    // Segments are joined by whitespace, which `count_tokens` never counts
+    // and never tokenizes across, so the prompt's count is the sum of its
+    // segments' counts.
+    let kept = &segments[start..];
+    let mut text = String::with_capacity(
+        kept.iter().map(|(_, r)| r.text.len() + 2).sum::<usize>() + goal_text.len(),
+    );
+    let mut tokens = goal_tokens;
     let mut visible_lemmas = Vec::new();
     let mut hint_scripts = Vec::new();
-    for seg in &segments[start..] {
-        text.push_str(&seg.rendered.0);
+    let mut hint_facts = Vec::new();
+    for (item, r) in kept {
+        text.push_str(&r.text);
         text.push_str("\n\n");
-        if let Some(l) = &seg.lemma {
-            visible_lemmas.push(l.clone());
+        tokens += r.tokens;
+        if item.kind == ItemKind::Lemma {
+            visible_lemmas.push(item.name.clone());
         }
-        if let Some(h) = &seg.hint {
-            hint_scripts.push(h.clone());
+        if let Some(facts) = &r.hint {
+            hint_scripts.push((item.name.clone(), item.proof.clone().unwrap_or_default()));
+            hint_facts.push(Arc::clone(facts));
         }
     }
     text.push_str(&goal_text);
-    let tokens = count_tokens(&text);
     let fingerprint = prompt_fingerprint(&visible_lemmas, &hint_scripts, tokens);
     PromptInfo {
         text,
         tokens,
         visible_lemmas,
         hint_scripts,
+        hint_facts,
         truncated,
         fingerprint,
     }
@@ -357,10 +376,23 @@ mod tests {
         assert!(cut.text.contains("Prove the following theorem"));
     }
 
+    /// Asserts that two builds of one prompt agree on everything a model
+    /// or the simulator reads.
+    fn assert_same_prompt(cold: &PromptInfo, warm: &PromptInfo, name: &str) {
+        assert_eq!(cold.text, warm.text, "{name}");
+        assert_eq!(cold.tokens, warm.tokens, "{name}");
+        assert_eq!(cold.visible_lemmas, warm.visible_lemmas, "{name}");
+        assert_eq!(cold.hint_scripts, warm.hint_scripts, "{name}");
+        assert_eq!(cold.hint_facts, warm.hint_facts, "{name}");
+        assert_eq!(cold.truncated, warm.truncated, "{name}");
+        assert_eq!(cold.fingerprint, warm.fingerprint, "{name}");
+    }
+
     #[test]
     fn shared_cache_changes_nothing() {
         // A cache shared across theorems and settings must be invisible:
-        // identical text, tokens, lemma lists, hints, truncation.
+        // identical text, tokens, lemma lists, hints and their facts,
+        // truncation and fingerprint.
         let dev = fscq_corpus::load_corpus(false).unwrap();
         let hints = hint_set(&dev);
         let cache = PromptCache::new();
@@ -375,12 +407,53 @@ mod tests {
             ] {
                 let cold = build_prompt(&dev, thm, &hints, &cfg);
                 let warm = build_prompt_cached(&dev, thm, &hints, &cfg, &cache);
-                assert_eq!(cold.text, warm.text, "{name}");
-                assert_eq!(cold.tokens, warm.tokens);
-                assert_eq!(cold.visible_lemmas, warm.visible_lemmas);
-                assert_eq!(cold.hint_scripts, warm.hint_scripts);
-                assert_eq!(cold.truncated, warm.truncated);
+                assert_same_prompt(&cold, &warm, name);
             }
+        }
+        // Each hint fact is read off its own script.
+        let p = build_prompt(
+            &dev,
+            dev.theorem("tnd_update").unwrap(),
+            &hints,
+            &PromptConfig::hints(),
+        );
+        assert!(!p.hint_facts.is_empty());
+        for ((_, script), facts) in p.hint_scripts.iter().zip(&p.hint_facts) {
+            assert_eq!(**facts, HintFacts::of(script));
+        }
+    }
+
+    #[test]
+    fn a_cache_filled_by_two_threads_at_once_changes_nothing() {
+        // Two workers fill one cache concurrently, each from the other
+        // end of the corpus, so they race on the same items: the first
+        // items of the base files open nearly every prompt.
+        let dev = fscq_corpus::load_corpus(false).unwrap();
+        let hints = hint_set(&dev);
+        let cache = PromptCache::new();
+        let cfg = PromptConfig::hints();
+        let start = std::sync::Barrier::new(2);
+        let build_all = |rev: bool| {
+            let mut order: Vec<&TheoremInfo> = dev.theorems.iter().collect();
+            if rev {
+                order.reverse();
+            }
+            start.wait();
+            order
+                .into_iter()
+                .map(|thm| build_prompt_cached(&dev, thm, &hints, &cfg, &cache))
+                .collect::<Vec<_>>()
+        };
+        let (fwd, mut back) = std::thread::scope(|s| {
+            let a = s.spawn(|| build_all(false));
+            let b = s.spawn(|| build_all(true));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        back.reverse();
+        for ((thm, a), b) in dev.theorems.iter().zip(&fwd).zip(&back) {
+            let cold = build_prompt(&dev, thm, &hints, &cfg);
+            assert_same_prompt(&cold, a, &thm.name);
+            assert_same_prompt(&cold, b, &thm.name);
         }
     }
 

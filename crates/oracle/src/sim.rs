@@ -21,12 +21,14 @@
 //!
 //! All randomness is deterministic per (model, theorem, query, candidate).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use minicoq::env::{Env, PredDef};
+use minicoq::env::{Env, Lemma, PredDef};
 use minicoq::formula::Formula;
 use minicoq::goal::Goal;
+use minicoq::refs::head_feature;
 use minicoq::sort::Sort;
 use minicoq::term::Term;
 
@@ -94,15 +96,20 @@ struct PrepEntry {
     prep: PromptPrep,
 }
 
-/// Everything the simulator derives from the prompt alone — recomputed
-/// per query before, but fixed for the whole proof search of one theorem:
-/// hint-script retrieval and imitation statistics, and the features of
-/// the lemmas the model keeps (the skill/attention gate plus the peel and
-/// head-feature analysis of each kept lemma's statement).
-#[derive(Debug, Clone, Default)]
+/// Everything the simulator derives from one theorem's prompt, fixed for
+/// the whole proof search of that theorem. It is merged from facts
+/// computed once per item or lemma: the hint scripts' [`HintFacts`] (once
+/// per cell, in the prompt cache) and the kept lemmas'
+/// [`MatchFacts`](minicoq::refs::MatchFacts) (once per lemma, in its
+/// `Arc<Lemma>`). The theorem's own part is the keep gate's draws and the
+/// hash prefix; only the bigram tables grow per query.
+#[derive(Debug, Clone)]
 struct PromptPrep {
+    /// The hash state after `(model name, theorem)`, the prefix of every
+    /// draw this theorem's queries make.
+    prefix: SipHasher13,
     /// Tactic sentences literally present in the hint proofs (retrieval).
-    seen: std::collections::BTreeSet<String>,
+    seen: BTreeSet<Arc<str>>,
     /// Head-word frequency across the hint proofs.
     freq: BTreeMap<&'static str, usize>,
     /// Total head-word count behind `freq`.
@@ -110,25 +117,54 @@ struct PromptPrep {
     /// Bigram follow-up tables, keyed by the previous tactic's head word
     /// (`None` at the proof start). Filled lazily: only head words the
     /// search actually reaches get a table.
-    bigram: std::collections::HashMap<Option<&'static str>, (BTreeMap<&'static str, usize>, usize)>,
-    /// Kept lemmas with their precomputed match features, in prompt order.
-    kept: Vec<LemmaFeat>,
+    bigram: HashMap<Option<&'static str>, (BTreeMap<&'static str, usize>, usize)>,
+    /// Kept lemmas, in prompt order.
+    kept: Vec<Arc<Lemma>>,
 }
 
-/// Goal-independent match features of one kept lemma.
-#[derive(Debug, Clone)]
-struct LemmaFeat {
-    name: String,
-    /// Head feature of the peeled conclusion.
-    lhead: String,
-    /// Symbols of the peeled conclusion.
-    lsyms: Vec<String>,
-    /// The lemma has binders and premises, so `eapply` is also offered.
-    eapply: bool,
-    /// For equational conclusions: function heads of the two sides.
-    eq_heads: Option<(Vec<String>, Vec<String>)>,
-    /// Head feature of the first premise (forward application).
-    first_premise_head: Option<String>,
+/// The simulator's reading of one hint proof: its tactic sentences and
+/// their head words. It depends on the script alone, so the prompt cache
+/// computes it once per cell and every prompt showing the proof shares it
+/// ([`PromptInfo::hint_facts`](crate::prompt::PromptInfo::hint_facts)).
+#[derive(Debug, PartialEq, Eq)]
+pub struct HintFacts {
+    /// The sentences with leading bullets and whitespace trimmed, blank
+    /// ones dropped (what retrieval matches proposals against).
+    pub sentences: Box<[Arc<str>]>,
+    /// The normalized head word of every sentence, in order; `None` where a
+    /// sentence has no head word (counted as `other` by the bigram tables,
+    /// not at all by the frequency table).
+    pub heads: Box<[Option<&'static str>]>,
+}
+
+impl HintFacts {
+    /// Reads `script`.
+    pub fn of(script: &str) -> HintFacts {
+        let split = minicoq::parse::split_sentences(script);
+        let sentences = split
+            .iter()
+            .map(|s| {
+                s.trim_start_matches(|c: char| matches!(c, '-' | '+' | '*') || c.is_whitespace())
+            })
+            .filter(|t| !t.is_empty())
+            .map(Arc::from)
+            .collect();
+        let heads = split
+            .iter()
+            .map(|s| {
+                Some(head_word(s))
+                    .filter(|hw| !hw.is_empty())
+                    .map(norm_head)
+            })
+            .collect();
+        HintFacts { sentences, heads }
+    }
+}
+
+/// A bigram table's reading of a head word: a sentence without one
+/// counts as `other`, as [`norm_head`] reads the empty word.
+fn bigram_head(head: Option<&'static str>) -> &'static str {
+    head.unwrap_or_else(|| norm_head(""))
 }
 
 /// Builds the per-theorem preparation. Free function (not a method) so the
@@ -139,21 +175,17 @@ fn build_prep(
     ctx: &QueryCtx<'_>,
     skill_eff: f64,
 ) -> PromptPrep {
-    let mut seen: std::collections::BTreeSet<String> = Default::default();
+    let mut prefix = SipHasher13::new();
+    display_name.hash(&mut prefix);
+    ctx.theorem.hash(&mut prefix);
+    let mut seen = BTreeSet::new();
     let mut freq: BTreeMap<&'static str, usize> = BTreeMap::new();
     let mut freq_total = 0usize;
-    for (_, script) in &ctx.prompt.hint_scripts {
-        for sentence in minicoq::parse::split_sentences(script) {
-            let t = sentence
-                .trim_start_matches(|c: char| matches!(c, '-' | '+' | '*') || c.is_whitespace());
-            if !t.is_empty() {
-                seen.insert(t.to_string());
-            }
-            let hw = head_word(&sentence);
-            if !hw.is_empty() {
-                *freq.entry(norm_head(hw)).or_insert(0) += 1;
-                freq_total += 1;
-            }
+    for facts in &ctx.prompt.hint_facts {
+        seen.extend(facts.sentences.iter().cloned());
+        for hw in facts.heads.iter().flatten() {
+            *freq.entry(*hw).or_insert(0) += 1;
+            freq_total += 1;
         }
     }
     let n = ctx.prompt.visible_lemmas.len().max(1);
@@ -161,7 +193,7 @@ fn build_prep(
     // Approximate each lemma's distance (in tokens) from the goal by its
     // position in the prompt.
     for (i, lname) in ctx.prompt.visible_lemmas.iter().enumerate() {
-        let Some(lemma) = ctx.env.lemma(lname) else {
+        let Some(&index) = ctx.env.lemma_index.get(lname.as_str()) else {
             continue;
         };
         let dist_frac = (n - 1 - i) as f64 / n as f64; // 0 = nearest.
@@ -172,36 +204,17 @@ fn build_prep(
             (profile.effective_context as f64 / approx_dist).max(0.05)
         };
         let keep_p = skill_eff * attention;
-        let h = hash64(&[display_name, ctx.theorem, "keep", lname]);
-        if unit(h) > keep_p {
+        if unit(hash_from(&prefix, &["keep", lname])) > keep_p {
             continue;
         }
-        let peeled = lemma.stmt.peel();
-        let (lhead, lsyms) = head_feature(ctx.env, peeled.conclusion);
-        let eq_heads = if let Formula::Eq(_, l, r) = peeled.conclusion {
-            let mut lh = Vec::new();
-            collect_heads(ctx.env, l, &mut lh);
-            let mut rh = Vec::new();
-            collect_heads(ctx.env, r, &mut rh);
-            Some((lh, rh))
-        } else {
-            None
-        };
-        let first_premise_head = peeled.premises.first().map(|p| head_feature(ctx.env, p).0);
-        kept.push(LemmaFeat {
-            name: lname.clone(),
-            lhead,
-            lsyms,
-            eapply: !peeled.binders.is_empty() && !peeled.premises.is_empty(),
-            eq_heads,
-            first_premise_head,
-        });
+        kept.push(Arc::clone(&ctx.env.lemmas[index]));
     }
     PromptPrep {
+        prefix,
         seen,
         freq,
         freq_total,
-        bigram: Default::default(),
+        bigram: HashMap::new(),
         kept,
     }
 }
@@ -231,8 +244,10 @@ impl SimulatedModel {
     }
 }
 
-fn hash64(parts: &[&str]) -> u64 {
-    let mut h = SipHasher13::new();
+/// The hash of `parts` continuing from `prefix`. SipHash streams, so this
+/// equals hashing the prefix's parts and `parts` in one go.
+fn hash_from(prefix: &SipHasher13, parts: &[&str]) -> u64 {
+    let mut h = prefix.clone();
     for p in parts {
         p.hash(&mut h);
     }
@@ -249,57 +264,6 @@ fn gaussian(h: u64) -> f64 {
     let u1 = unit(h).max(1e-12);
     let u2 = unit(h.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1));
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// The head feature of a formula: what kind of goal it is, and the leading
-/// symbol when that helps match lemmas.
-fn head_feature(env: &Env, f: &Formula) -> (String, Vec<String>) {
-    match f {
-        Formula::Eq(_, a, b) => {
-            let mut syms = Vec::new();
-            collect_heads(env, a, &mut syms);
-            collect_heads(env, b, &mut syms);
-            ("eq".into(), syms)
-        }
-        Formula::Pred(p, _, args) => {
-            let mut syms = vec![p.clone()];
-            for a in args {
-                collect_heads(env, a, &mut syms);
-            }
-            (format!("pred:{p}"), syms)
-        }
-        Formula::And(..) => ("and".into(), vec![]),
-        Formula::Or(..) => ("or".into(), vec![]),
-        Formula::Iff(..) => ("iff".into(), vec![]),
-        Formula::Not(..) => ("not".into(), vec![]),
-        Formula::Implies(..) | Formula::Forall(..) | Formula::ForallSort(..) => {
-            ("arrow".into(), vec![])
-        }
-        Formula::Exists(..) => ("exists".into(), vec![]),
-        Formula::True => ("true".into(), vec![]),
-        Formula::False => ("false".into(), vec![]),
-        Formula::FMatch(..) => {
-            let _ = env;
-            ("match".into(), vec![])
-        }
-    }
-}
-
-// Function symbols only: constructors (O, S, cons, ...) appear everywhere
-// and would make every lemma look relevant.
-fn collect_heads(env: &Env, t: &Term, out: &mut Vec<String>) {
-    match t {
-        Term::Var(_) | Term::Meta(_) => {}
-        Term::App(f, args) => {
-            if !env.ctors.contains_key(f) && !out.contains(f) {
-                out.push(f.clone());
-            }
-            for a in args.iter().take(3) {
-                collect_heads(env, a, out);
-            }
-        }
-        Term::Match(scrut, _) => collect_heads(env, scrut, out),
-    }
 }
 
 /// Exposes a formula's rule structure: weak-head unfolding under the
@@ -500,17 +464,22 @@ impl TacticModel for SimulatedModel {
                 self.tuning.vanilla_noise
             };
         // Everything derived from the prompt alone (retrieval set, hint
-        // statistics, kept-lemma features) is fixed across the hundreds of
-        // queries one theorem's search issues; build it once and reuse.
-        let prep_key = (
-            ctx.theorem.to_string(),
-            ctx.prompt.fingerprint,
-            ctx.env.uid.get(),
-        );
-        if self.prep.as_ref().map(|p| &p.key) != Some(&prep_key) {
+        // statistics, kept lemmas, hash prefix) is fixed across the
+        // hundreds of queries one theorem's search issues; build it once
+        // and reuse.
+        let fresh = self.prep.as_ref().is_some_and(|p| {
+            p.key.0 == ctx.theorem
+                && p.key.1 == ctx.prompt.fingerprint
+                && p.key.2 == ctx.env.uid.get()
+        });
+        if !fresh {
             let prep = build_prep(&self.display_name, &self.profile, ctx, skill_eff);
             self.prep = Some(PrepEntry {
-                key: prep_key,
+                key: (
+                    ctx.theorem.to_string(),
+                    ctx.prompt.fingerprint,
+                    ctx.env.uid.get(),
+                ),
                 prep,
             });
         }
@@ -523,21 +492,20 @@ impl TacticModel for SimulatedModel {
             if let std::collections::hash_map::Entry::Vacant(slot) = prep.bigram.entry(prev_head) {
                 let mut bigram: BTreeMap<&'static str, usize> = BTreeMap::new();
                 let mut bigram_total = 0usize;
-                for (_, script) in &ctx.prompt.hint_scripts {
-                    let sentences = minicoq::parse::split_sentences(script);
-                    match &prev_head {
+                for facts in &ctx.prompt.hint_facts {
+                    match prev_head {
                         Some(ph) => {
-                            for w in sentences.windows(2) {
-                                if norm_head(head_word(&w[0])) == *ph {
-                                    *bigram.entry(norm_head(head_word(&w[1]))).or_insert(0) += 1;
+                            for w in facts.heads.windows(2) {
+                                if bigram_head(w[0]) == ph {
+                                    *bigram.entry(bigram_head(w[1])).or_insert(0) += 1;
                                     bigram_total += 1;
                                 }
                             }
                         }
                         None => {
                             // At the proof start, imitate how hint proofs open.
-                            if let Some(first) = sentences.first() {
-                                *bigram.entry(norm_head(head_word(first))).or_insert(0) += 1;
+                            if let Some(&first) = facts.heads.first() {
+                                *bigram.entry(bigram_head(first)).or_insert(0) += 1;
                                 bigram_total += 1;
                             }
                         }
@@ -552,19 +520,19 @@ impl TacticModel for SimulatedModel {
         // capability into missing coverage rather than per-query jitter.
         // Tactic sentences the model has literally read in the hint proofs
         // are always available to it (retrieval).
-        let seen = &prep.seen;
+        let (seen, prefix) = (&prep.seen, &prep.prefix);
         let gate = |tag: &str, tactic: &str| -> bool {
             if tactic == "intros" {
                 return true;
             }
             // Retrieval is itself imperfect for weaker models.
             if seen.contains(tactic) {
-                let h = hash64(&[&self.display_name, ctx.theorem, "ret", tactic]);
+                let h = hash_from(prefix, &["ret", tactic]);
                 if unit(h) < 0.3 + 0.7 * skill_eff {
                     return true;
                 }
             }
-            let h = hash64(&[&self.display_name, ctx.theorem, tag, tactic]);
+            let h = hash_from(prefix, &[tag, tactic]);
             // Universal basics are part of any model's repertoire; lemma-
             // and hypothesis-directed moves require real context use.
             let basic = matches!(
@@ -595,6 +563,7 @@ impl TacticModel for SimulatedModel {
         self.structural_candidates(ctx.env, goal, &mut cands);
         self.hypothesis_candidates(ctx.env, goal, &mut cands);
         self.lemma_candidates(ctx, goal, &prep.kept, &mut cands);
+        self.distractors(ctx, prefix, &mut cands);
         cands.scored.retain(|t, _| gate("g", t));
 
         // Hint imitation: boost candidates whose head word is frequent in
@@ -626,12 +595,13 @@ impl TacticModel for SimulatedModel {
         // from the induced distribution, as the paper does with n-sample
         // API calls: duplicates collapse, so a noisy model wastes samples
         // on junk while a confident one concentrates on a few candidates.
-        let qtag = format!("{}", ctx.query_index);
+        let mut query = prefix.clone();
+        ctx.query_index.to_string().hash(&mut query);
         let mut scored: Vec<(f64, String)> = cands
             .scored
             .into_iter()
             .map(|(t, s)| {
-                let h = hash64(&[&self.display_name, ctx.theorem, &qtag, &t]);
+                let h = hash_from(&query, &[&t]);
                 let noise = gaussian(h) * self.tuning.noise_mult * noise_eff;
                 (s + boost(&t) + noise, t)
             })
@@ -652,13 +622,7 @@ impl TacticModel for SimulatedModel {
         let z: f64 = weights.iter().sum();
         let mut out: Vec<Proposal> = Vec::new();
         for k in 0..width {
-            let h = hash64(&[
-                &self.display_name,
-                ctx.theorem,
-                &qtag,
-                "draw",
-                &k.to_string(),
-            ]);
+            let h = hash_from(&query, &["draw", &k.to_string()]);
             let mut u = unit(h) * z;
             let mut idx = 0usize;
             for (i, w) in weights.iter().enumerate() {
@@ -857,6 +821,7 @@ impl SimulatedModel {
     }
 
     fn hypothesis_candidates(&self, env: &Env, goal: &Goal, cands: &mut Candidates) {
+        let (gh, _) = head_feature(env, &goal.concl);
         for (h, f) in &goal.hyps {
             // Read the hypothesis the way `apply` does: defined predicates
             // expose their rule structure.
@@ -925,7 +890,6 @@ impl SimulatedModel {
                 _ => {}
             }
             // Apply a hypothesis whose conclusion head matches the goal's.
-            let (gh, _) = head_feature(env, &goal.concl);
             let (hh, _) = head_feature(env, peeled.conclusion);
             if gh == hh && (gh.starts_with("pred:") || gh == "eq" || gh == "false") {
                 cands.add(format!("apply {h}"), 1.6);
@@ -947,7 +911,7 @@ impl SimulatedModel {
         &self,
         ctx: &QueryCtx<'_>,
         goal: &Goal,
-        kept: &[LemmaFeat],
+        kept: &[Arc<Lemma>],
         cands: &mut Candidates,
     ) {
         let (ghead, gsyms) = head_feature(ctx.env, &goal.concl);
@@ -963,13 +927,15 @@ impl SimulatedModel {
                 )
             })
             .collect();
-        for feat in kept {
-            let lname = &feat.name;
+        for lemma in kept {
+            let lname = &lemma.name;
+            let feat = lemma.match_facts(ctx.env);
+            let (lhead, lsyms) = &feat.head;
             // Backward application when the conclusions line up.
-            if feat.lhead == ghead && (ghead.starts_with("pred:") || ghead == "eq") {
-                let overlap = feat.lsyms.iter().filter(|s| gsyms.contains(s)).count();
+            if *lhead == ghead && (ghead.starts_with("pred:") || ghead == "eq") {
+                let overlap = lsyms.iter().filter(|s| gsyms.contains(s)).count();
                 if overlap > 0
-                    || (ghead.starts_with("pred:") && feat.lsyms.is_empty() == gsyms.is_empty())
+                    || (ghead.starts_with("pred:") && lsyms.is_empty() == gsyms.is_empty())
                 {
                     let base = 1.7 + 0.15 * overlap as f64;
                     cands.add(format!("apply {lname}"), base);
@@ -999,14 +965,13 @@ impl SimulatedModel {
                 }
             }
         }
-        self.distractors(ctx, cands);
     }
 
     /// Plausible-but-wrong proposals: a language model suggests lemmas that
     /// do not apply, or hallucinates names; the proof assistant rejects
     /// them. Their share grows as skill falls, which is what starves weak
     /// models' search trees (the paper's dominant "stuck" failures).
-    fn distractors(&self, ctx: &QueryCtx<'_>, cands: &mut Candidates) {
+    fn distractors(&self, ctx: &QueryCtx<'_>, prefix: &SipHasher13, cands: &mut Candidates) {
         let n = ctx.prompt.visible_lemmas.len();
         if n == 0 {
             return;
@@ -1015,7 +980,7 @@ impl SimulatedModel {
         let base = self.tuning.distractor_base + (1.0 - skill_eff) * self.tuning.distractor_slope;
         let qtag = format!("d{}", ctx.query_index);
         for k in 0..7u32 {
-            let h = hash64(&[&self.display_name, ctx.theorem, &qtag, &k.to_string()]);
+            let h = hash_from(prefix, &[&qtag, &k.to_string()]);
             let lname = &ctx.prompt.visible_lemmas[(h as usize) % n];
             let score = base + 0.38 * unit(h.rotate_left(17));
             match k % 3 {

@@ -9,6 +9,12 @@
 //! cost more, like BPE sub-words); whitespace is free.
 
 /// Counts the tokens of a source snippet.
+///
+/// Whitespace is a hard break: no token spans it and it is never counted.
+/// So the count is additive over whitespace-joined pieces:
+/// `count_tokens(a + ws + b) == count_tokens(a) + count_tokens(b)` for any
+/// non-empty whitespace `ws`. Prompt construction relies on this to sum
+/// its cached per-item counts instead of counting the whole prompt.
 pub fn count_tokens(src: &str) -> usize {
     let mut count = 0usize;
     let mut chars = src.chars().peekable();
@@ -96,6 +102,19 @@ mod tests {
         assert_eq!(bin_of(511), 5);
         assert_eq!(bin_of(512), 6);
         assert_eq!(bin_labels().len(), 7);
+    }
+
+    #[test]
+    fn counts_add_up_across_whitespace() {
+        let pieces = ["Lemma a_b : x :: y.", "::", "(* c *)", "intros.", "é'_1"];
+        for a in pieces {
+            for b in pieces {
+                for ws in ["\n\n", " ", "\t"] {
+                    let joined = format!("{a}{ws}{b}");
+                    assert_eq!(count_tokens(&joined), count_tokens(a) + count_tokens(b));
+                }
+            }
+        }
     }
 
     #[test]

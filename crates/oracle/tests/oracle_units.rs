@@ -7,7 +7,9 @@ use fscq_corpus::Corpus;
 use minicoq::goal::ProofState;
 use proof_oracle::model::{QueryCtx, TacticModel};
 use proof_oracle::profiles::ModelProfile;
-use proof_oracle::prompt::{build_prompt, proof_dependencies, PromptConfig};
+use proof_oracle::prompt::{
+    build_prompt, build_prompt_cached, proof_dependencies, PromptCache, PromptConfig,
+};
 use proof_oracle::sim::SimulatedModel;
 use proof_oracle::split::{eval_set, eval_set_small, hint_set};
 use proof_oracle::tokenizer::{bin_of, count_tokens};
@@ -332,6 +334,47 @@ fn token_bins_are_monotone_in_length() {
     assert_eq!(bin_of(15), 0);
     assert_eq!(bin_of(16), 1);
     assert_eq!(bin_of(512), 6);
+}
+
+#[test]
+fn prompt_tokens_are_the_sum_of_their_segments() {
+    // `tokens` is summed from the cached per-item counts; it must equal a
+    // count of the whole text for every theorem and every kind of prompt.
+    let c = corpus();
+    let hints = hint_set(&c.dev);
+    let windowed = PromptConfig {
+        window: Some(4_000),
+        ..PromptConfig::hints()
+    };
+    let minimal = PromptConfig {
+        minimal: true,
+        ..PromptConfig::vanilla()
+    };
+    let retrieval = PromptConfig {
+        retrieval: Some(16),
+        ..PromptConfig::hints()
+    };
+    let mut prompts = 0usize;
+    for cfg in [
+        PromptConfig::vanilla(),
+        PromptConfig::hints(),
+        windowed,
+        minimal,
+        retrieval,
+    ] {
+        let cache = PromptCache::new();
+        for thm in &c.dev.theorems {
+            let p = build_prompt_cached(&c.dev, thm, &hints, &cfg, &cache);
+            assert_eq!(
+                p.tokens,
+                count_tokens(&p.text),
+                "{} under {cfg:?}",
+                thm.name
+            );
+            prompts += 1;
+        }
+    }
+    assert_eq!(prompts, 5 * c.dev.theorems.len());
 }
 
 // --------------------------------------------------------------- retrieval

@@ -3,12 +3,81 @@
 //! mechanisms DESIGN.md credits for Figure 1b and the hint uplift, so they
 //! are pinned here independently of end-to-end coverage numbers.
 
+use std::hash::{Hash, Hasher};
+
 use llm_fscq::corpus::Corpus;
+use llm_fscq::minicoq::fuel::Fuel;
 use llm_fscq::minicoq::goal::ProofState;
+use llm_fscq::minicoq::parse::{parse_tactic, split_sentences};
+use llm_fscq::minicoq::tactic::apply_tactic;
 use llm_fscq::oracle::profiles::ModelProfile;
 use llm_fscq::oracle::prompt::{build_prompt, PromptConfig};
+use llm_fscq::oracle::sip::SipHasher13;
 use llm_fscq::oracle::split::hint_set;
 use llm_fscq::oracle::{QueryCtx, SimulatedModel, TacticModel};
+
+/// The digest of every proposal (tactic and logprob bits) the simulator
+/// makes over a fixed sample: twelve theorems spread over the corpus,
+/// queries 0..4 along each human proof, vanilla and hint prompts, and
+/// three models. Any change to a draw, a score or the candidate order
+/// changes it.
+const PROPOSAL_DIGEST: &str = "74985fe6b23467e8";
+
+#[test]
+fn proposals_match_the_pinned_digest() {
+    let corpus = Corpus::load();
+    let dev = &corpus.dev;
+    let hints = hint_set(dev);
+    let step = dev.theorems.len() / 12;
+    let mut digest = SipHasher13::new();
+    let mut proposals = 0usize;
+    for profile in [
+        ModelProfile::gpt4o_mini(),
+        ModelProfile::gpt4o(),
+        ModelProfile::gemini_pro_128k(),
+    ] {
+        for base in [PromptConfig::vanilla(), PromptConfig::hints()] {
+            let cfg = PromptConfig {
+                window: Some(profile.window),
+                ..base
+            };
+            let mut model = SimulatedModel::new(profile.clone());
+            for thm in dev.theorems.iter().step_by(step).take(12) {
+                let env = dev.env_before(thm);
+                let prompt = build_prompt(dev, thm, &hints, &cfg);
+                // Walk the human proof, so later queries see hypotheses
+                // and a non-empty path (the bigram channel).
+                let sentences = split_sentences(&thm.proof_text);
+                let mut state = ProofState::new(thm.stmt.clone());
+                for q in 0..4 {
+                    let ctx = QueryCtx {
+                        prompt: &prompt,
+                        state: &state,
+                        env,
+                        path: &sentences[..q],
+                        theorem: &thm.name,
+                        query_index: q as u32,
+                    };
+                    for p in model.propose(&ctx, 8) {
+                        p.tactic.hash(&mut digest);
+                        p.logprob.to_bits().hash(&mut digest);
+                        proposals += 1;
+                    }
+                    let next = sentences.get(q).and_then(|s| {
+                        let tac = parse_tactic(env, state.focused(), s).ok()?;
+                        apply_tactic(env, &state, &tac, &mut Fuel::default()).ok()
+                    });
+                    match next {
+                        Some(s) if s.focused().is_some() => state = s,
+                        _ => break,
+                    }
+                }
+            }
+        }
+    }
+    assert!(proposals > 500, "too few proposals to pin: {proposals}");
+    assert_eq!(format!("{:016x}", digest.finish()), PROPOSAL_DIGEST);
+}
 
 /// Counts lemma-directed proposals (apply/rewrite of a known lemma) whose
 /// target lemma sits in the given region of the prompt.
