@@ -3,7 +3,6 @@
 //! Appends one run-ledger record for the whole sweep.
 
 use fscq_corpus::Corpus;
-use proof_metrics::report::ResultSet;
 use proof_metrics::CellConfig;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -25,29 +24,39 @@ fn profile_of(name: &str) -> ModelProfile {
     }
 }
 
+const SLOPES: [f64; 3] = [1.2, 1.9, 2.6];
+const SKILLS: [f64; 2] = [0.6, 0.75];
+const SETTINGS: [PromptSetting; 2] = [PromptSetting::Vanilla, PromptSetting::Hints];
+
 fn main() {
-    let corpus = Corpus::load();
+    let mut cells = Vec::new();
+    for distractor_slope in SLOPES {
+        for vanilla_skill in SKILLS {
+            for (name, _, _) in TARGETS {
+                for setting in SETTINGS {
+                    let mut cell = CellConfig::standard(profile_of(name), setting);
+                    cell.tuning = Tuning {
+                        distractor_slope,
+                        vanilla_skill,
+                        ..Default::default()
+                    };
+                    cells.push(cell);
+                }
+            }
+        }
+    }
     let runner = llm_fscq_bench::runner(llm_fscq_bench::fresh_flag());
+    let runs = llm_fscq_bench::run_grid(&runner, &Corpus::load(), &cells);
+    let mut rates = llm_fscq_bench::completed(&runs)
+        .into_iter()
+        .map(|r| r.proved_rate() * 100.0);
     let mut results = Vec::new();
-    let mut rs = ResultSet::default();
-    for distractor_slope in [1.2, 1.9, 2.6] {
-        for vanilla_skill in [0.6, 0.75] {
-            let tuning = Tuning {
-                distractor_slope,
-                vanilla_skill,
-                ..Default::default()
-            };
+    for distractor_slope in SLOPES {
+        for vanilla_skill in SKILLS {
             let mut loss = 0.0;
             let mut detail = String::new();
             for (name, tv, th) in TARGETS {
-                let mut got = Vec::new();
-                for setting in [PromptSetting::Vanilla, PromptSetting::Hints] {
-                    let mut cell = CellConfig::standard(profile_of(name), setting);
-                    cell.tuning = tuning.clone();
-                    let r = runner.run_cell(&corpus, &cell);
-                    got.push(r.proved_rate() * 100.0);
-                    rs.cells.push(r);
-                }
+                let got: Vec<f64> = rates.by_ref().take(SETTINGS.len()).collect();
                 loss += (got[0] - tv).powi(2) + (got[1] - th).powi(2);
                 detail += &format!("{name}: {:.1}->{:.1} (want {tv}->{th}); ", got[0], got[1]);
             }
@@ -60,7 +69,7 @@ fn main() {
     llm_fscq_bench::ledger_append_cells(
         "calibration-sweep",
         &runner,
-        &rs,
+        &runs,
         Default::default(),
         None,
     );

@@ -44,8 +44,8 @@ fn cells() -> Vec<CellConfig> {
 fn grid(runner: &Runner, corpus: &Corpus) -> (ResultSet, usize) {
     let mut rs = ResultSet::default();
     let mut crashes = 0;
-    for cell in cells() {
-        match runner.run_cell_checked(corpus, &cell) {
+    for run in llm_fscq_bench::run_grid(runner, corpus, &cells()) {
+        match run.result {
             Ok(result) => rs.cells.push(result),
             Err(crash) => {
                 eprintln!("[chaos_smoke] {crash}");

@@ -25,17 +25,12 @@ use std::time::Instant;
 
 use corpus_gen::{generate, read_dir, validate, GenSpec, GeneratedCorpus};
 use llm_fscq_bench::{artifact_dir, flag_present, flag_value};
-use proof_metrics::runner::Runner;
-use proof_metrics::{elo_ladder, render_leaderboard, CellConfig, CellResult, EvalScope};
+use proof_metrics::{elo_ladder, render_leaderboard, CellConfig, EvalScope};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
 
 /// Default corpus directory.
 const DEFAULT_DIR: &str = "target/gen/corpus";
-/// Cell cache for generated-corpus grids, separate from the embedded
-/// corpus's `target/cells` (the cache key does not hash corpus content,
-/// the variant tag and directory do the separating).
-const GEN_CACHE_DIR: &str = "target/cells-gen";
 
 fn fail(msg: &str) -> ! {
     eprintln!("[gen] FAIL: {msg}");
@@ -138,17 +133,9 @@ fn cmd_grid() {
         .unwrap_or_else(|e| fail(&format!("generated corpus failed to load: {e}")));
     let fscq = fscq_corpus::Corpus { dev };
 
-    let mut runner = Runner::from_env().with_cache_dir(GEN_CACHE_DIR);
-    if flag_present("--fresh") {
-        runner = runner.without_cache();
-    }
-    let cells = ladder_cells(&fingerprint);
-    let mut results: Vec<CellResult> = Vec::new();
-    for cell in &cells {
-        eprintln!("[gen] grid: {}", cell.label());
-        results.push(runner.run_cell(&fscq, cell));
-    }
-    let refs: Vec<&CellResult> = results.iter().collect();
+    let runner = llm_fscq_bench::runner(flag_present("--fresh"));
+    let runs = llm_fscq_bench::run_grid(&runner, &fscq, &ladder_cells(&fingerprint));
+    let refs = llm_fscq_bench::completed(&runs);
     let board = elo_ladder(&refs);
     print!("{}", render_leaderboard(&board));
 
@@ -158,30 +145,20 @@ fn cmd_grid() {
         .unwrap_or_else(|e| fail(&format!("write gen_elo.txt: {e}")));
     std::fs::write(
         art.join("gen_grid.json"),
-        serde_json::to_string_pretty(&results).expect("cell results serialize"),
+        serde_json::to_string_pretty(&refs).expect("cell results serialize"),
     )
     .unwrap_or_else(|e| fail(&format!("write gen_grid.json: {e}")));
 
     // Fleet ledger: one run record for the whole ladder, keyed by the
     // generated corpus fingerprint so different corpora trend as
     // different series.
-    let records = runner.bench_records();
-    let proved: u64 = results
-        .iter()
-        .flat_map(|c| c.outcomes.iter())
-        .filter(|o| o.outcome == "proved")
-        .count() as u64;
-    let theorems: u64 = results.iter().map(|c| c.outcomes.len() as u64).sum();
     if let Some(path) = llm_fscq_bench::ledger_append(&llm_fscq_bench::LedgerRun {
         bin: "gen",
         label: "elo-ladder",
         variant: &format!("gen:{fingerprint}"),
         jobs: runner.jobs(),
-        records: &records,
-        theorems: Some(theorems),
-        proved,
         corpus_hash: fingerprint.clone(),
-        ..Default::default()
+        ..llm_fscq_bench::LedgerRun::of_runs(&runs)
     }) {
         eprintln!("[gen] ledger appended to {}", path.display());
     }

@@ -16,7 +16,6 @@ use std::time::Instant;
 use corpus_analysis::Snapshot;
 use llm_fscq_bench::artifact_dir;
 use proof_metrics::incremental::{load_edited, run_incremental};
-use proof_metrics::runner::{CellBench, CellSource};
 use proof_metrics::{CellConfig, CellResult, Runner};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -89,7 +88,9 @@ fn result_json(r: &CellResult) -> String {
 
 fn run_full(runner: &Runner, sources: &[(String, String)], cell: &CellConfig) -> CellResult {
     let (corpus, _) = load_edited(sources).expect("corpus loads");
-    runner.run_cell(&corpus, cell)
+    runner
+        .run_cell_checked(&corpus, cell)
+        .unwrap_or_else(|crash| fail(&crash.to_string()))
 }
 
 struct IncRun {
@@ -149,21 +150,14 @@ fn append_ledger(result: &CellResult, wall_ms: f64, jobs: usize) {
         .iter()
         .filter(|o| o.outcome == "proved")
         .count() as u64;
-    let record = CellBench::new(
-        "incr ci".to_string(),
-        result.outcomes.len(),
-        wall_ms,
-        jobs,
-        CellSource::Computed,
-        "ci".to_string(),
-    );
     if let Some(path) = llm_fscq_bench::ledger_append(&llm_fscq_bench::LedgerRun {
         bin: "incr",
         label: "ci",
         variant: "ci",
         jobs,
-        records: std::slice::from_ref(&record),
-        theorems: Some(result.outcomes.len() as u64),
+        cells: 1,
+        wall_ms,
+        theorems: result.outcomes.len() as u64,
         proved,
         ..Default::default()
     }) {

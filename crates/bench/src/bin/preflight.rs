@@ -16,8 +16,8 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use fscq_corpus::Corpus;
-use llm_fscq_bench::{fresh_flag, runner};
-use proof_metrics::report::{render_preflight, ResultSet};
+use llm_fscq_bench::{completed, fresh_flag, run_grid, runner};
+use proof_metrics::report::render_preflight;
 use proof_metrics::{CellConfig, EvalScope};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -27,7 +27,6 @@ fn main() -> ExitCode {
     if trace_out.is_some() {
         proof_trace::set_enabled(true);
     }
-    let corpus = Corpus::load();
     let runner = runner(fresh_flag());
 
     let mut on = CellConfig::standard(ModelProfile::gpt4o(), PromptSetting::Hints);
@@ -37,13 +36,14 @@ fn main() -> ExitCode {
     off.search.preflight = false;
 
     eprintln!(
-        "running cell: {} [preflight on] ({} jobs)",
+        "running cells: {} [preflight on, off] ({} jobs)",
         on.label(),
         runner.jobs()
     );
-    let r_on = runner.run_cell(&corpus, &on);
-    eprintln!("running cell: {} [preflight off]", off.label());
-    let r_off = runner.run_cell(&corpus, &off);
+    let runs = run_grid(&runner, &Corpus::load(), &[on, off]);
+    let [r_on, r_off] = completed(&runs)[..] else {
+        unreachable!("two cells in, two runs out")
+    };
 
     // The no-false-positive invariant, checked end-to-end: same theorems,
     // same outcomes, same proof scripts, same query counts.
@@ -62,7 +62,7 @@ fn main() -> ExitCode {
 
     let pruned: u64 = r_on.outcomes.iter().map(|o| u64::from(o.pruned)).sum();
     let queries: u64 = r_on.outcomes.iter().map(|o| u64::from(o.queries)).sum();
-    println!("{}", render_preflight(&[&r_on]));
+    println!("{}", render_preflight(&[r_on]));
 
     println!(
         "outcomes : {} theorems, proved {:.1}% (both runs identical: {})",
@@ -84,13 +84,10 @@ fn main() -> ExitCode {
                 .or_insert(0) += u64::from(*n);
         }
     }
-    let rs = ResultSet {
-        cells: vec![r_on, r_off],
-    };
     llm_fscq_bench::ledger_append_cells(
         "preflight-ab",
         &runner,
-        &rs,
+        &runs,
         counters,
         trace_out.as_deref(),
     );

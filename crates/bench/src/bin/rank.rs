@@ -50,8 +50,6 @@ use proof_trace::attempts::AttemptLog;
 const DEFAULT_LOG: &str = "target/experiments/attempts.jsonl";
 /// Default trained-model artifact location.
 const DEFAULT_MODEL: &str = "target/experiments/rank_model.bin";
-/// Cell cache for the A/B's cacheable arms, separate from `target/cells`.
-const RANK_CACHE_DIR: &str = "target/cells-rank";
 
 fn fail(msg: &str) -> ! {
     eprintln!("[rank] FAIL: {msg}");
@@ -81,25 +79,24 @@ fn cmd_mine() {
     } else {
         EvalScope::Full
     };
-    for profile in [ModelProfile::gpt4o(), ModelProfile::gpt4o_mini()] {
-        let mut cell = CellConfig::standard(profile, PromptSetting::Hints);
-        cell.scope = scope;
-        cell.variant = Some("rank-mine".to_string());
-        eprintln!("[rank] mine: {}", cell.label());
-        runner.run_cell(&corpus, &cell);
-    }
-    if flag_present("--gen") {
+    let cells: Vec<CellConfig> = [ModelProfile::gpt4o(), ModelProfile::gpt4o_mini()]
+        .into_iter()
+        .map(|profile| {
+            let mut cell = CellConfig::standard(profile, PromptSetting::Hints);
+            cell.scope = scope;
+            cell.variant = Some("rank-mine".to_string());
+            cell
+        })
+        .collect();
+    let gen = flag_present("--gen").then(|| {
         let gc = generate_pinned(&spec_path()).unwrap_or_else(|e| fail(&e));
-        let fscq = gen_dev(&gc).unwrap_or_else(|e| fail(&e));
         let mut cell = base_cell("rank-mine:genhard", PremiseRank::Off);
         cell.subset = Some(hard_tier(&gc));
-        eprintln!(
-            "[rank] mine: {} ({} theorems)",
-            cell.label(),
-            fscq.dev.theorems.len()
-        );
-        runner.run_cell(&fscq, &cell);
-    }
+        (gen_dev(&gc).unwrap_or_else(|e| fail(&e)), cell)
+    });
+    let mut pairs: Vec<(&Corpus, &CellConfig)> = cells.iter().map(|c| (&corpus, c)).collect();
+    pairs.extend(gen.as_ref().map(|(fscq, cell)| (fscq, cell)));
+    llm_fscq_bench::completed(&runner.run_cells(&pairs));
     let n = AttemptLog::at(&out).load().len();
     println!("[rank] mined {n} attempt record(s) -> {out}");
 }
@@ -229,14 +226,7 @@ fn cmd_ab() {
     };
     let model_hash = model.content_hash();
 
-    let cached = if flag_present("--fresh") {
-        Runner::from_env().without_cache()
-    } else {
-        Runner::from_env().with_cache_dir(RANK_CACHE_DIR)
-    };
-    // The learned arm never uses the cell cache: the model's content is
-    // not part of the cache key, so a cached cell could answer for a
-    // different model.
+    let cached = llm_fscq_bench::runner(flag_present("--fresh"));
     let uncached = Runner::from_env().without_cache();
 
     let embedded = Corpus::load();
@@ -254,36 +244,33 @@ fn cmd_ab() {
         ("rank-graph", PremiseRank::Graph),
         ("rank-learned", PremiseRank::Learned),
     ];
-    let mut results: Vec<ArmResult> = Vec::new();
-    for (arm, rank) in arms {
-        let runner: &Runner = if rank == PremiseRank::Learned {
-            install_model(model.clone());
-            &uncached
-        } else {
-            &cached
-        };
-        let cell = base_cell(arm, rank);
-        eprintln!("[rank] ab: {} (embedded)", cell.label());
-        results.push(summarize(
-            arm,
-            "embedded",
-            &runner.run_cell(&embedded, &cell),
-        ));
-
-        let mut gen_cell = base_cell(arm, rank);
-        gen_cell.variant = Some(format!("{arm}:genhard"));
-        gen_cell.subset = Some(tier.clone());
-        eprintln!("[rank] ab: {} (gen hard tier)", gen_cell.label());
-        results.push(summarize(
-            arm,
-            "genhard",
-            &runner.run_cell(&gen_fscq, &gen_cell),
-        ));
-
-        if rank == PremiseRank::Learned {
-            clear_model();
-        }
-    }
+    const CORPORA: [&str; 2] = ["embedded", "genhard"];
+    // Each arm's cells: the embedded corpus, then the gen hard tier. The
+    // tier's cells key on its theorem names, so their variant carries the
+    // pinned corpus fingerprint to keep another `--spec` from sharing them.
+    let cells: Vec<(&Corpus, CellConfig)> = arms
+        .iter()
+        .flat_map(|&(arm, rank)| {
+            let mut gen_cell = base_cell(arm, rank);
+            gen_cell.variant = Some(format!("{arm}:genhard:{}", gc.manifest.fingerprint));
+            gen_cell.subset = Some(tier.clone());
+            [(&embedded, base_cell(arm, rank)), (&gen_fscq, gen_cell)]
+        })
+        .collect();
+    let pairs: Vec<(&Corpus, &CellConfig)> = cells.iter().map(|(c, cell)| (*c, cell)).collect();
+    // The learned arm, last, never uses the cell cache: the model's
+    // content is not part of the cache key, so a cached cell could answer
+    // for a different model.
+    let (cacheable, learned) = pairs.split_at(pairs.len() - CORPORA.len());
+    let mut runs = cached.run_cells(cacheable);
+    install_model(model);
+    runs.extend(uncached.run_cells(learned));
+    clear_model();
+    let results: Vec<ArmResult> = llm_fscq_bench::completed(&runs)
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| summarize(arms[i / CORPORA.len()].0, CORPORA[i % CORPORA.len()], r))
+        .collect();
 
     // Render + persist the report.
     let mut report = String::from(
@@ -338,34 +325,25 @@ fn cmd_ab() {
     )
     .unwrap_or_else(|e| fail(&format!("write rank_ab.json: {e}")));
 
-    let mut records = cached.bench_records();
-    records.extend(uncached.bench_records());
-
     // Fleet ledger: one record per arm (both corpora folded in), with the
     // expansion total as a trended counter so `radar --check` flags
     // regressions in any arm.
-    for (arm, _) in arms {
-        let arm_results: Vec<&ArmResult> = results.iter().filter(|r| r.arm == arm).collect();
-        let arm_records: Vec<_> = records
-            .iter()
-            .filter(|c| c.variant == arm || c.variant == format!("{arm}:genhard"))
-            .cloned()
-            .collect();
-        let mut counters = BTreeMap::new();
-        counters.insert(
+    let per_arm = CORPORA.len();
+    for ((arm, _), (arm_runs, arm_results)) in arms
+        .iter()
+        .zip(runs.chunks(per_arm).zip(results.chunks(per_arm)))
+    {
+        let counters = BTreeMap::from([(
             "expansions".to_string(),
             arm_results.iter().map(|r| r.expansions).sum::<u64>(),
-        );
+        )]);
         if let Some(path) = ledger_append(&LedgerRun {
             bin: "rank",
             label: "premise-rank-ab",
             variant: arm,
             jobs: cached.jobs(),
-            records: &arm_records,
-            theorems: Some(arm_results.iter().map(|r| r.theorems as u64).sum()),
-            proved: arm_results.iter().map(|r| r.proved as u64).sum(),
             counters,
-            ..LedgerRun::default()
+            ..LedgerRun::of_runs(arm_runs)
         }) {
             eprintln!("[rank] ledger appended to {}", path.display());
         }

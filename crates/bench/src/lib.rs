@@ -24,8 +24,7 @@ use std::sync::Arc;
 use fscq_corpus::Corpus;
 use proof_chaos::FaultPlan;
 use proof_metrics::report::ResultSet;
-use proof_metrics::runner::CellBench;
-use proof_metrics::{CellConfig, Runner};
+use proof_metrics::{CellConfig, CellCrash, CellResult, CellRun, CellSource, Runner};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
 use proof_trace::ledger::{Ledger, RunRecord};
@@ -118,10 +117,9 @@ pub fn write_trace_artifacts(base: &Path) -> (BTreeMap<String, f64>, u64) {
     (phase_self_ms, data.dropped)
 }
 
-/// Aggregates a run's cell records plus context into a ledger
-/// [`RunRecord`] and appends it to the fleet ledger
-/// (`telemetry/RUNS.jsonl`, or `LEDGER_PATH`). Best-effort by design:
-/// telemetry must never fail a bench run.
+/// Aggregates a run plus context into a ledger [`RunRecord`] and appends
+/// it to the fleet ledger (`telemetry/RUNS.jsonl`, or `LEDGER_PATH`).
+/// Best-effort by design: telemetry must never fail a bench run.
 #[derive(Default)]
 pub struct LedgerRun<'a> {
     /// Bench binary name (`table2`, `incr`, …).
@@ -132,11 +130,14 @@ pub struct LedgerRun<'a> {
     pub variant: &'a str,
     /// Cell-level worker parallelism.
     pub jobs: usize,
-    /// Per-cell bench records for wall/cache aggregation.
-    pub records: &'a [CellBench],
-    /// Theorem evaluations (overrides the record sum when `Some`, for
-    /// bins whose records double-count replays).
-    pub theorems: Option<u64>,
+    /// Cells the run obtained.
+    pub cells: u64,
+    /// Cells served from the cell cache or the journal.
+    pub cache_hits: u64,
+    /// Wall-clock milliseconds summed over the run's cells.
+    pub wall_ms: f64,
+    /// Theorem evaluations.
+    pub theorems: u64,
     /// How many evaluations ended `proved`.
     pub proved: u64,
     /// Content hash of what was evaluated (defaults to the embedded
@@ -150,6 +151,30 @@ pub struct LedgerRun<'a> {
     pub dropped_spans: u64,
 }
 
+impl LedgerRun<'_> {
+    /// The cell-derived fields of a run of `runs`: cell and cache-hit
+    /// counts, summed wall time, and the theorem and proved counts of the
+    /// completed cells.
+    pub fn of_runs(runs: &[CellRun]) -> LedgerRun<'static> {
+        let outcomes = || {
+            runs.iter()
+                .filter_map(|r| r.result.as_ref().ok())
+                .flat_map(|c| &c.outcomes)
+        };
+        LedgerRun {
+            cells: runs.len() as u64,
+            cache_hits: runs
+                .iter()
+                .filter(|r| matches!(r.source, CellSource::CacheHit | CellSource::Journal))
+                .count() as u64,
+            wall_ms: runs.iter().map(|r| r.wall_ms).sum(),
+            theorems: outcomes().count() as u64,
+            proved: outcomes().filter(|o| o.outcome == "proved").count() as u64,
+            ..LedgerRun::default()
+        }
+    }
+}
+
 /// Builds the ledger record for a run. Fault/retry totals come from the
 /// always-on registry counters the search layer bumps — never from
 /// serialized cell results, which stay byte-identical between clean and
@@ -157,15 +182,11 @@ pub struct LedgerRun<'a> {
 pub fn ledger_record(run: &LedgerRun) -> RunRecord {
     let snap = proof_trace::metrics::snapshot();
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    let theorems_sum: u64 = run.records.iter().map(|r| r.theorems as u64).sum();
-    let wall_ms: f64 = run.records.iter().map(|r| r.wall_ms).sum();
-    let theorems = run.theorems.unwrap_or(theorems_sum);
-    let thm_per_sec = if wall_ms > 0.0 {
-        theorems as f64 * 1000.0 / wall_ms
+    let thm_per_sec = if run.wall_ms > 0.0 {
+        run.theorems as f64 * 1000.0 / run.wall_ms
     } else {
         0.0
     };
-    let cache_hits = run.records.iter().filter(|r| r.cache_hit).count() as u64;
     RunRecord {
         ts_unix: proof_trace::ledger::unix_now(),
         bin: run.bin.to_string(),
@@ -178,12 +199,12 @@ pub fn ledger_record(run: &LedgerRun) -> RunRecord {
             run.corpus_hash.clone()
         },
         jobs: run.jobs as u64,
-        theorems,
+        theorems: run.theorems,
         proved: run.proved,
-        wall_ms,
+        wall_ms: run.wall_ms,
         thm_per_sec,
-        cache_hits,
-        cache_misses: run.records.len() as u64 - cache_hits,
+        cache_hits: run.cache_hits,
+        cache_misses: run.cells - run.cache_hits,
         oracle_faults: counter("search.oracle_faults"),
         oracle_retries: counter("search.oracle_retries"),
         dropped_spans: run.dropped_spans,
@@ -217,46 +238,28 @@ pub fn corpus_content_hash() -> String {
     format!("{:016x}", proof_trace::envelope::fnv1a(text.as_bytes()))
 }
 
-/// Appends the ledger record of a run whose cells all went through
-/// `runner` and whose results are `rs`, after writing its trace artifacts
-/// when `trace_out` is set. The bin name is the running binary's.
+/// Appends the ledger record of a run whose cells `runs` all went
+/// through `runner`, after writing its trace artifacts when `trace_out` is
+/// set. The bin name is the running binary's.
 pub fn ledger_append_cells(
     label: &str,
     runner: &Runner,
-    rs: &ResultSet,
+    runs: &[CellRun],
     counters: BTreeMap<String, u64>,
     trace_out: Option<&Path>,
 ) {
     let (phase_self_ms, dropped_spans) = trace_out.map(write_trace_artifacts).unwrap_or_default();
-    let records = runner.bench_records();
     if let Some(ledger_path) = ledger_append(&LedgerRun {
         bin: &bin_name(),
         label,
         jobs: runner.jobs(),
-        records: &records,
-        theorems: Some(outcomes_in(rs)),
-        proved: proved_in(rs),
         counters,
         phase_self_ms,
         dropped_spans,
-        ..LedgerRun::default()
+        ..LedgerRun::of_runs(runs)
     }) {
         eprintln!("ledger: appended run to {}", ledger_path.display());
     }
-}
-
-/// Counts `proved` outcomes across a result set.
-pub fn proved_in(rs: &ResultSet) -> u64 {
-    rs.cells
-        .iter()
-        .flat_map(|c| c.outcomes.iter())
-        .filter(|o| o.outcome == "proved")
-        .count() as u64
-}
-
-/// Total outcomes across a result set.
-pub fn outcomes_in(rs: &ResultSet) -> u64 {
-    rs.cells.iter().map(|c| c.outcomes.len() as u64).sum()
 }
 
 /// The current binary's file stem (`table2`, `preflight`, …) for ledger
@@ -268,21 +271,28 @@ pub fn bin_name() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Runs the main experiment grid: the five model configurations of
-/// Table 2, each in the vanilla and hint settings. Each cell comes from the
-/// cell cache when its key matches; the grid is written to
-/// `target/experiments/main_grid.json` as an artifact, never read back.
-pub fn main_grid(fresh: bool) -> ResultSet {
-    main_grid_opts(&GridOpts {
-        fresh,
-        ..GridOpts::default()
-    })
+/// Runs `cells` over one corpus as a single [`Runner::run_cells`] grid.
+pub fn run_grid(runner: &Runner, corpus: &Corpus, cells: &[CellConfig]) -> Vec<CellRun> {
+    let pairs: Vec<(&Corpus, &CellConfig)> = cells.iter().map(|c| (corpus, c)).collect();
+    runner.run_cells(&pairs)
 }
 
-/// [`main_grid`] with full crash-safety plumbing: journaled progress,
-/// `--resume` replay, and optional fault injection. If any cell crashes
-/// (injected or real), the completed cells stay journaled and the process
-/// exits with status 2 after advising a `--resume` run.
+/// The results of `runs`, in order, for the bins that have no resume
+/// path: a crashed cell panics with its crash.
+pub fn completed(runs: &[CellRun]) -> Vec<&CellResult> {
+    runs.iter()
+        .map(|r| r.result.as_ref().unwrap_or_else(|crash| panic!("{crash}")))
+        .collect()
+}
+
+/// Runs the main experiment grid, the five model configurations of
+/// Table 2 each in the vanilla and hint settings, with full crash-safety
+/// plumbing: journaled progress, `--resume` replay, and optional fault
+/// injection. Each cell comes from the cell cache when its key matches;
+/// the grid is written to `target/experiments/main_grid.json` as an
+/// artifact, never read back. If any cell crashes (injected or real), the
+/// completed cells stay journaled and the process exits with status 2
+/// after advising a `--resume` run.
 pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
     if opts.trace_out.is_some() {
         proof_trace::set_enabled(true);
@@ -300,23 +310,23 @@ pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
         eprintln!("fault injection armed: {:?}", plan.config());
         runner = runner.with_fault_plan(Arc::clone(plan));
     }
-    let corpus = Corpus::load();
-    let mut rs = ResultSet::default();
-    let mut crashes = Vec::new();
-    for profile in ModelProfile::all_five() {
-        for setting in [PromptSetting::Vanilla, PromptSetting::Hints] {
-            let cell = CellConfig::standard(profile.clone(), setting);
-            eprintln!("running cell: {} ({} jobs)", cell.label(), runner.jobs());
-            match runner.run_cell_checked(&corpus, &cell) {
-                Ok(result) => rs.cells.push(result),
-                Err(crash) => {
-                    eprintln!("{crash}");
-                    crashes.push(crash);
-                }
-            }
-        }
-    }
+    let cells: Vec<CellConfig> = ModelProfile::all_five()
+        .into_iter()
+        .flat_map(|profile| {
+            [PromptSetting::Vanilla, PromptSetting::Hints]
+                .map(|setting| CellConfig::standard(profile.clone(), setting))
+        })
+        .collect();
+    eprintln!("running {} cells ({} jobs)", cells.len(), runner.jobs());
+    let runs = run_grid(&runner, &Corpus::load(), &cells);
+    let crashes: Vec<&CellCrash> = runs
+        .iter()
+        .filter_map(|r| r.result.as_ref().err())
+        .collect();
     if !crashes.is_empty() {
+        for crash in &crashes {
+            eprintln!("{crash}");
+        }
         eprintln!(
             "{} cell(s) crashed; completed cells are journaled at {} — re-run with --resume to finish without repeating them",
             crashes.len(),
@@ -324,15 +334,18 @@ pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
         );
         std::process::exit(2);
     }
-    let _ = std::fs::create_dir_all(artifact_dir());
-    let _ = std::fs::write(artifact_dir().join("main_grid.json"), rs.to_json());
     ledger_append_cells(
         "main-grid",
         &runner,
-        &rs,
+        &runs,
         BTreeMap::new(),
         opts.trace_out.as_deref(),
     );
+    let rs = ResultSet {
+        cells: runs.into_iter().filter_map(|r| r.result.ok()).collect(),
+    };
+    let _ = std::fs::create_dir_all(artifact_dir());
+    let _ = std::fs::write(artifact_dir().join("main_grid.json"), rs.to_json());
     rs
 }
 

@@ -38,7 +38,8 @@ fn learned_arm_on_the_embedded_corpus_is_pinned() {
     let result = Runner::from_env()
         .with_jobs(1)
         .without_cache()
-        .run_cell(&Corpus::load(), &cell);
+        .run_cell_checked(&Corpus::load(), &cell)
+        .expect("a clean cell does not crash");
     let proved = result
         .outcomes
         .iter()

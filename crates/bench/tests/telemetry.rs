@@ -3,13 +3,12 @@
 //! name), the radar's clean and missing-ledger exits, and `trace_report`
 //! over a real trace file and over malformed ones.
 
-use std::collections::BTreeMap;
 use std::process::Command;
 use std::sync::Mutex;
 
 use fscq_corpus::Corpus;
 use llm_fscq_bench::{ledger_append, write_trace_artifacts, LedgerRun};
-use proof_metrics::runner::Runner;
+use proof_metrics::runner::{CellRun, Runner};
 use proof_metrics::CellConfig;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -24,39 +23,21 @@ fn small_cell() -> CellConfig {
     cell
 }
 
-fn run_small_cell() -> (Vec<proof_metrics::runner::CellBench>, u64, u64) {
-    let corpus = Corpus::load();
-    let runner = Runner::from_env().with_jobs(1).without_cache();
-    let result = runner.run_cell(&corpus, &small_cell());
-    let proved = result
-        .outcomes
-        .iter()
-        .filter(|o| o.outcome == "proved")
-        .count() as u64;
-    let total = result.outcomes.len() as u64;
-    (runner.bench_records(), proved, total)
+fn run_small_cell() -> Vec<CellRun> {
+    Runner::from_env()
+        .with_jobs(1)
+        .without_cache()
+        .run_cells(&[(&Corpus::load(), &small_cell())])
 }
 
-fn append_demo_run(
-    ledger_path: &std::path::Path,
-    records: &[proof_metrics::runner::CellBench],
-    proved: u64,
-    total: u64,
-) {
+fn append_demo_run(ledger_path: &std::path::Path, runs: &[CellRun]) {
     // `ledger_append` honors LEDGER_PATH; route it to the temp ledger.
     std::env::set_var("LEDGER_PATH", ledger_path);
     let appended = ledger_append(&LedgerRun {
         bin: "radar-demo",
         label: "two-run-demo",
-        variant: "",
         jobs: 1,
-        records,
-        theorems: Some(total),
-        proved,
-        corpus_hash: String::new(),
-        counters: BTreeMap::new(),
-        phase_self_ms: BTreeMap::new(),
-        dropped_spans: 0,
+        ..LedgerRun::of_runs(runs)
     });
     std::env::remove_var("LEDGER_PATH");
     assert!(appended.is_some(), "ledger append failed");
@@ -74,14 +55,14 @@ fn two_run_demo_flags_injected_fault_regression() {
     let ledger_path = dir.join("RUNS.jsonl");
 
     // Run 1: a clean evaluation seeds the ledger.
-    let (records, proved, total) = run_small_cell();
-    append_demo_run(&ledger_path, &records, proved, total);
+    let runs = run_small_cell();
+    append_demo_run(&ledger_path, &runs);
 
     // Run 2: same evaluation, but the oracle fault counter jumps — the
     // same registry signal a chaos fault plan drives.
-    let (records, proved, total) = run_small_cell();
+    let runs = run_small_cell();
     proof_trace::metrics::counter_add("search.oracle_faults", 50);
-    append_demo_run(&ledger_path, &records, proved, total);
+    append_demo_run(&ledger_path, &runs);
 
     let out = Command::new(env!("CARGO_BIN_EXE_radar"))
         .args(["--ledger", ledger_path.to_str().unwrap(), "--check"])
@@ -137,9 +118,9 @@ fn radar_check_clean_and_missing_ledger() {
     std::fs::create_dir_all(&dir).unwrap();
     let ledger_path = dir.join("RUNS.jsonl");
 
-    let (records, proved, total) = run_small_cell();
-    append_demo_run(&ledger_path, &records, proved, total);
-    append_demo_run(&ledger_path, &records, proved, total);
+    let runs = run_small_cell();
+    append_demo_run(&ledger_path, &runs);
+    append_demo_run(&ledger_path, &runs);
 
     let out = Command::new(env!("CARGO_BIN_EXE_radar"))
         .args([

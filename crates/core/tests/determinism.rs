@@ -166,7 +166,9 @@ fn generated_grid_is_byte_identical_across_jobs() {
 
     let run = |jobs: usize| {
         let runner = Runner::from_env().with_jobs(jobs).without_cache();
-        let result = runner.run_cell(&fscq, &cell);
+        let result = runner
+            .run_cell_checked(&fscq, &cell)
+            .expect("a clean cell does not crash");
         serde_json::to_string_pretty(&result).expect("cell result serializes")
     };
 

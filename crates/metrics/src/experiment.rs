@@ -65,9 +65,9 @@ pub struct CellConfig {
     /// in the prompt (`None` = the paper's full-context protocol).
     pub retrieval: Option<usize>,
     /// Experiment-variant tag for A/B runs (e.g. `rank-learned`).
-    /// Flows into [`CellConfig::label`], the persisted [`CellResult`], and
-    /// the runner's timing records, so two cells that differ only
-    /// in a search knob no longer collapse onto one ambiguous label.
+    /// Flows into [`CellConfig::label`] and the persisted [`CellResult`],
+    /// so two cells that differ only in a search knob no longer collapse
+    /// onto one ambiguous label.
     /// `None` (every standard cell) adds nothing anywhere.
     pub variant: Option<String>,
     /// Restricts evaluation to these theorem names, intersected with the
@@ -339,7 +339,8 @@ mod tests {
         let r = crate::Runner::from_env()
             .with_jobs(1)
             .without_cache()
-            .run_cell(&corpus, &cell);
+            .run_cell_checked(&corpus, &cell)
+            .expect("a clean cell does not crash");
         assert!(!r.outcomes.is_empty());
         assert!(r.label.contains("hints"));
         for o in &r.outcomes {

@@ -51,6 +51,22 @@ impl JournalState {
     pub fn attempts_of(&self, key: &str) -> u32 {
         self.attempts.get(key).copied().unwrap_or(0)
     }
+
+    /// Applies a `start` entry for `key`.
+    pub(crate) fn note_start(&mut self, key: &str) {
+        *self.attempts.entry(key.to_string()).or_insert(0) += 1;
+    }
+
+    /// Applies a `done` entry: it supersedes any earlier crash of `key`.
+    pub(crate) fn note_done(&mut self, key: &str, result: CellResult) {
+        self.crashes.remove(key);
+        self.done.insert(key.to_string(), result);
+    }
+
+    /// Applies a `crashed` entry.
+    pub(crate) fn note_crashed(&mut self, key: &str, panic: &str) {
+        self.crashes.insert(key.to_string(), panic.to_string());
+    }
 }
 
 /// An append-only JSONL journal at a fixed path.
@@ -81,24 +97,21 @@ impl Journal {
     pub fn load(&self) -> JournalState {
         let mut state = JournalState::default();
         for entry in envelope::load(&self.path) {
-            let Some(key) = entry.str("key").map(str::to_string) else {
+            let Some(key) = entry.str("key") else {
                 continue;
             };
             match entry.str("ev") {
-                Some("start") => *state.attempts.entry(key).or_insert(0) += 1,
+                Some("start") => state.note_start(key),
                 Some("done") => {
-                    let Some(result) = entry
+                    if let Some(result) = entry
                         .payload()
                         .and_then(|p| serde_json::from_str::<CellResult>(p).ok())
-                    else {
-                        continue;
-                    };
-                    state.crashes.remove(&key);
-                    state.done.insert(key, result);
+                    {
+                        state.note_done(key, result);
+                    }
                 }
                 Some("crashed") => {
-                    let panic = entry.str("panic").unwrap_or("unknown panic");
-                    state.crashes.insert(key, panic.to_string());
+                    state.note_crashed(key, entry.str("panic").unwrap_or("unknown panic"));
                 }
                 _ => {}
             }

@@ -10,9 +10,9 @@
 //! * [`runner`] — the parallel, cache-aware engine every evaluation runs
 //!   through: a work-stealing pool (bit-identical at any worker count,
 //!   one worker running inline on the caller's thread) plus a
-//!   content-hashed, checksummed on-disk cell cache and per-cell timing
-//!   records, with cell-level panic isolation and optional seeded fault
-//!   injection ([`proof_chaos`]);
+//!   content-hashed, checksummed on-disk cell cache, with cell-level panic
+//!   isolation and optional seeded fault injection ([`proof_chaos`]); one
+//!   call serves a whole grid and returns each cell's provenance;
 //! * [`journal`] — the crash-safe JSONL progress journal behind
 //!   `--resume`: completed cells are appended as they finish and served
 //!   back without re-evaluation after an interrupted run;
@@ -38,4 +38,4 @@ pub use elo::{elo_ladder, render_leaderboard, EloEntry, EloLeaderboard};
 pub use experiment::{CellConfig, CellResult, EvalScope, TheoremOutcome};
 pub use incremental::{load_edited, run_incremental, IncrementalOutcome};
 pub use journal::{Journal, JournalState};
-pub use runner::{CellCrash, Runner};
+pub use runner::{CellCrash, CellRun, CellSource, Runner};

@@ -13,13 +13,17 @@
 //! configuration loads instead of recomputing — and *changing* any knob
 //! changes the hash, which is the cache-invalidation story.
 //!
+//! A grid is one [`Runner::run_cells`] call over its (corpus, cell)
+//! pairs. The runner keeps no state between calls: each cell's
+//! [`CellSource`] and wall time come back with its result.
+//!
 //! Worker count: `--jobs N` on the command line beats a `JOBS=N`
 //! environment variable beats [`std::thread::available_parallelism`].
 
 use std::any::Any;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use fscq_corpus::Corpus;
 use proof_chaos::{FaultKind, FaultPlan};
@@ -33,7 +37,7 @@ use serde::{Deserialize, Serialize};
 use crate::experiment::{
     eval_theorem_with_recovery, finish_cell, CellConfig, CellResult, TheoremOutcome,
 };
-use crate::journal::Journal;
+use crate::journal::{Journal, JournalState};
 
 /// Bump when the cached [`CellResult`] layout or the evaluation semantics
 /// change; old cache files then simply stop matching. Schema 3 wraps the
@@ -117,24 +121,23 @@ fn panic_text(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// How a cell's result was obtained — every path through
-/// [`Runner::run_cell_checked`] lands in exactly one of these, so the
-/// timing records cover computed, cached, resumed, *and* crashed cells
-/// consistently (crashed cells used to silently skip timing).
+/// How a cell's result was obtained: every cell [`Runner::run_cells`]
+/// serves lands in exactly one of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellSource {
     /// Evaluated on the pool this run.
     Computed,
     /// Served from the content-hashed disk cache.
     CacheHit,
-    /// Served from the crash-safe journal on a resumed run.
+    /// Served from the crash-safe journal: a resumed run, or a key that
+    /// appeared earlier in the same cell list.
     Journal,
     /// The evaluation panicked; the wall time covers work up to the crash.
     Crashed,
 }
 
 impl CellSource {
-    /// The `outcome` string recorded in [`CellBench`].
+    /// The `source` field of the cell's trace span.
     pub fn label(self) -> &'static str {
         match self {
             CellSource::Computed => "computed",
@@ -145,65 +148,25 @@ impl CellSource {
     }
 }
 
-/// Per-cell timing record, kept in memory by the [`Runner`]; the bench
-/// bins aggregate a run's records into one run-ledger line.
+/// One cell as [`Runner::run_cells`] served it: the result and its
+/// provenance.
 #[derive(Debug, Clone)]
-pub struct CellBench {
-    /// Cell display label.
-    pub label: String,
-    /// Number of theorems evaluated (or loaded).
-    pub theorems: usize,
-    /// Wall-clock milliseconds for this cell.
+pub struct CellRun {
+    /// The cell's result, or its crash.
+    pub result: Result<CellResult, CellCrash>,
+    /// Where the result came from.
+    pub source: CellSource,
+    /// Wall-clock milliseconds spent obtaining it.
     pub wall_ms: f64,
-    /// Theorems per second.
-    pub thm_per_sec: f64,
-    /// Worker count used.
-    pub jobs: usize,
-    /// True when the cell was served from the disk cache or the journal.
-    pub cache_hit: bool,
-    /// How the result was obtained ([`CellSource::label`]).
-    pub outcome: String,
-    /// Experiment-variant tag ([`CellConfig::variant`]). Disambiguates
-    /// A/B records that would otherwise share a label. Empty for standard
-    /// cells.
-    pub variant: String,
 }
 
-impl CellBench {
-    /// The record for `theorems` evaluations obtained via `source` in
-    /// `wall_ms` on `jobs` workers.
-    pub fn new(
-        label: String,
-        theorems: usize,
-        wall_ms: f64,
-        jobs: usize,
-        source: CellSource,
-        variant: String,
-    ) -> CellBench {
-        CellBench {
-            label,
-            theorems,
-            wall_ms,
-            thm_per_sec: if wall_ms > 0.0 {
-                theorems as f64 / (wall_ms / 1e3)
-            } else {
-                0.0
-            },
-            jobs,
-            cache_hit: matches!(source, CellSource::CacheHit | CellSource::Journal),
-            outcome: source.label().to_string(),
-            variant,
-        }
-    }
-}
-
-/// The evaluation engine: a work-stealing pool plus the on-disk cell cache
-/// and in-memory timing records. Every evaluation of a cell, or of a slice
-/// of one ([`crate::incremental`]), runs through one of these.
+/// The evaluation engine: a work-stealing pool plus the on-disk cell
+/// cache. It keeps no state between calls, so every evaluation of a cell,
+/// or of a slice of one ([`crate::incremental`]), runs through one of
+/// these and the caller gets each cell's provenance back with its result.
 pub struct Runner {
     jobs: usize,
     cache_dir: Option<PathBuf>,
-    bench: Mutex<Vec<CellBench>>,
     recovery: RecoveryConfig,
     journal: Option<Journal>,
     attempt_log: Option<AttemptLog>,
@@ -216,7 +179,6 @@ impl Runner {
         Runner {
             jobs: resolve_jobs(),
             cache_dir: Some(PathBuf::from("target/cells")),
-            bench: Mutex::new(Vec::new()),
             recovery: RecoveryConfig::default(),
             journal: None,
             attempt_log: None,
@@ -270,8 +232,8 @@ impl Runner {
     /// order of the evaluated indices once the cell is evaluated, so the
     /// log is the same at any worker count. Cells served from the cache
     /// or the journal run no search and add nothing, and neither does a
-    /// crashed cell. A side channel: outcomes, timing records and cache
-    /// contents are byte-identical with the log on or off.
+    /// crashed cell. A side channel: outcomes and cache contents are
+    /// byte-identical with the log on or off.
     pub fn with_attempt_log(mut self, path: impl Into<PathBuf>) -> Runner {
         self.attempt_log = Some(AttemptLog::at(path));
         self
@@ -287,59 +249,70 @@ impl Runner {
         self.journal.as_ref()
     }
 
-    /// Runs (or loads) one cell: consult the content-hashed cache, else
-    /// evaluate on the pool and populate it. Records a timing entry either
-    /// way. Panics if the cell evaluation panics; fault-aware callers
-    /// want [`Runner::run_cell_checked`].
-    pub fn run_cell(&self, corpus: &Corpus, cell: &CellConfig) -> CellResult {
-        match self.run_cell_checked(corpus, cell) {
-            Ok(result) => result,
-            Err(crash) => panic!("{crash}"),
-        }
+    /// Runs (or loads) a grid: each `(corpus, cell)` in list order comes
+    /// from the journal, else the content-hashed cache, else an evaluation
+    /// on the pool that populates both. The journal is replayed once per
+    /// call and kept current with every record this call appends, so a key
+    /// repeated in the list is served from this call's own `done` record.
+    ///
+    /// Each cell has panic isolation: a poisoned cell comes back as
+    /// `Err(CellCrash)` and every other cell's outcome survives. With a
+    /// journal attached, a `start` entry precedes each evaluation and a
+    /// `done`/`crashed` entry follows it, so a run killed at any point
+    /// resumes without repeating finished cells.
+    pub fn run_cells(&self, cells: &[(&Corpus, &CellConfig)]) -> Vec<CellRun> {
+        let mut journal_state = self.journal.as_ref().map(|j| {
+            let _sp = proof_trace::span("journal", "load");
+            j.load()
+        });
+        cells
+            .iter()
+            .map(|&(corpus, cell)| {
+                let mut sw = proof_trace::Stopwatch::span("cell", &cell.label());
+                let (source, result) = self.obtain(corpus, cell, journal_state.as_mut());
+                sw.span_mut().field_str("source", source.label());
+                CellRun {
+                    result,
+                    source,
+                    wall_ms: sw.elapsed_ms(),
+                }
+            })
+            .collect()
     }
 
-    /// As [`Runner::run_cell`], with cell-level panic isolation: a
-    /// poisoned cell comes back as `Err(CellCrash)` and every other
-    /// cell's outcome survives. With a journal attached, completed cells
-    /// are served from it (resume), a `start` entry precedes the work and
-    /// a `done`/`crashed` entry follows it, so a run killed at any point
-    /// resumes without repeating finished cells.
+    /// [`Runner::run_cells`] for one cell.
     pub fn run_cell_checked(
         &self,
         corpus: &Corpus,
         cell: &CellConfig,
     ) -> Result<CellResult, CellCrash> {
-        let mut sw = proof_trace::Stopwatch::span("cell", &cell.label());
-        let (source, result) = self.obtain(corpus, cell);
-        sw.span_mut().field_str("source", source.label());
-        let theorems = result.as_ref().map_or(0, |r| r.outcomes.len());
-        proof_oracle::lock_recover(&self.bench).push(CellBench::new(
-            cell.label(),
-            theorems,
-            sw.elapsed_ms(),
-            self.jobs,
-            source,
-            cell.variant.clone().unwrap_or_default(),
-        ));
-        result
+        self.run_cells(&[(corpus, cell)])
+            .pop()
+            .expect("one cell in, one run out")
+            .result
     }
 
     /// The cell's result and where it came from: the journal, the cache,
-    /// or an evaluation on the pool, keeping the journal and cache up to
-    /// date on the way.
+    /// or an evaluation on the pool, keeping the journal, its replayed
+    /// `state` and the cache up to date on the way.
     fn obtain(
         &self,
         corpus: &Corpus,
         cell: &CellConfig,
+        mut state: Option<&mut JournalState>,
     ) -> (CellSource, Result<CellResult, CellCrash>) {
         let key = cell_cache_key(cell);
-        let journal_state = {
-            let _sp = proof_trace::span("journal", "load");
-            self.journal.as_ref().map(|j| j.load())
-        };
-        if let Some(done) = journal_state.as_ref().and_then(|s| s.done.get(&key)) {
+        if let Some(done) = state.as_ref().and_then(|s| s.done.get(&key)) {
             return (CellSource::Journal, Ok(done.clone()));
         }
+        // Appends a `done` record to the journal and its replayed state.
+        let record_done = |state: Option<&mut JournalState>, result: &CellResult| {
+            if let (Some(journal), Some(state)) = (&self.journal, state) {
+                let _sp = proof_trace::span("journal", "done");
+                journal.record_done(&key, result);
+                state.note_done(&key, result.clone());
+            }
+        };
         let cache_path = self
             .cache_dir
             .as_ref()
@@ -350,17 +323,15 @@ impl Runner {
                 load_envelope::<CellResult>(path)
             };
             if let Some(hit) = hit {
-                if let Some(journal) = &self.journal {
-                    let _sp = proof_trace::span("journal", "done");
-                    journal.record_done(&key, &hit);
-                }
+                record_done(state, &hit);
                 return (CellSource::CacheHit, Ok(hit));
             }
         }
-        let attempt = journal_state.map_or(0, |s| s.attempts_of(&key));
-        if let Some(journal) = &self.journal {
+        let attempt = state.as_ref().map_or(0, |s| s.attempts_of(&key));
+        if let (Some(journal), Some(state)) = (&self.journal, state.as_mut()) {
             let _sp = proof_trace::span("journal", "start");
             journal.record_start(&key, &cell.label());
+            state.note_start(&key);
         }
         let indices = cell.eval_indices(&corpus.dev);
         match self.run_indices(corpus, cell, &indices, attempt) {
@@ -371,16 +342,14 @@ impl Runner {
                     store_envelope(path, &result);
                     self.maybe_corrupt_cache(path, &key);
                 }
-                if let Some(journal) = &self.journal {
-                    let _sp = proof_trace::span("journal", "done");
-                    journal.record_done(&key, &result);
-                }
+                record_done(state, &result);
                 (CellSource::Computed, Ok(result))
             }
             Err(crash) => {
-                if let Some(journal) = &self.journal {
+                if let (Some(journal), Some(state)) = (&self.journal, state) {
                     let _sp = proof_trace::span("journal", "crashed");
                     journal.record_crashed(&key, &crash.label, &crash.panic);
+                    state.note_crashed(&key, &crash.panic);
                 }
                 (CellSource::Crashed, Err(crash))
             }
@@ -519,11 +488,6 @@ impl Runner {
             let half = bytes.len() / 2;
             let _ = std::fs::write(path, &bytes[..half]);
         }
-    }
-
-    /// The timing records accumulated so far.
-    pub fn bench_records(&self) -> Vec<CellBench> {
-        proof_oracle::lock_recover(&self.bench).clone()
     }
 }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use fscq_corpus::Corpus;
 use proof_chaos::{FaultConfig, FaultPlan};
-use proof_metrics::{CellConfig, CellResult, Runner};
+use proof_metrics::{CellConfig, CellResult, CellSource, Runner};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
 
@@ -61,10 +61,13 @@ fn acceptance_faulted_then_resumed_run_is_byte_identical() {
     let journal = dir.join("journal.jsonl");
 
     // Clean reference: no cache, no journal, no faults.
-    let clean_runner = Runner::from_env().with_jobs(2).without_cache();
-    let clean: Vec<CellResult> = cells
-        .iter()
-        .map(|c| clean_runner.run_cell(&corpus, c))
+    let pairs: Vec<(&Corpus, &CellConfig)> = cells.iter().map(|c| (&corpus, c)).collect();
+    let clean: Vec<CellResult> = Runner::from_env()
+        .with_jobs(2)
+        .without_cache()
+        .run_cells(&pairs)
+        .into_iter()
+        .map(|r| r.result.expect("a clean cell does not crash"))
         .collect();
 
     // Faulted run: oracle errors + garbage (recovered by retry), cache
@@ -76,14 +79,11 @@ fn acceptance_faulted_then_resumed_run_is_byte_identical() {
         .with_cache_dir(dir.join("cells"))
         .with_fault_plan(plan)
         .with_journal(&journal);
-    let mut crashes = 0;
-    let mut partial = Vec::new();
-    for cell in &cells {
-        match faulted_runner.run_cell_checked(&corpus, cell) {
-            Ok(r) => partial.push(r),
-            Err(_) => crashes += 1,
-        }
-    }
+    let crashes = faulted_runner
+        .run_cells(&pairs)
+        .iter()
+        .filter(|r| r.source == CellSource::Crashed)
+        .count();
     assert!(crashes > 0, "the smoke plan must crash at least one cell");
 
     // Resume: a fresh plan with the same seed, as a restarted process
@@ -95,13 +95,10 @@ fn acceptance_faulted_then_resumed_run_is_byte_identical() {
         .with_cache_dir(dir.join("cells"))
         .with_fault_plan(resume_plan)
         .with_journal(&journal);
-    let resumed: Vec<CellResult> = cells
-        .iter()
-        .map(|c| {
-            resumed_runner
-                .run_cell_checked(&corpus, c)
-                .expect("resume must complete every cell")
-        })
+    let resumed: Vec<CellResult> = resumed_runner
+        .run_cells(&pairs)
+        .into_iter()
+        .map(|r| r.result.expect("resume must complete every cell"))
         .collect();
 
     assert_eq!(
@@ -156,7 +153,8 @@ fn worker_panic_returns_typed_crash_not_process_death() {
     let clean = Runner::from_env()
         .with_jobs(4)
         .without_cache()
-        .run_cell(&corpus, cell);
+        .run_cell_checked(&corpus, cell)
+        .expect("a clean cell does not crash");
     assert_eq!(
         serde_json::to_string(&recovered).unwrap(),
         serde_json::to_string(&clean).unwrap()
@@ -212,7 +210,9 @@ fn corrupted_cache_is_detected_and_recomputed() {
     let dir = scratch_dir("cache");
     // Populate the cache, then corrupt every cached file (torn half-write).
     let warm = Runner::from_env().with_jobs(2).with_cache_dir(&dir);
-    let original = warm.run_cell(&corpus, cell);
+    let original = warm
+        .run_cell_checked(&corpus, cell)
+        .expect("a clean cell does not crash");
     let mut corrupted = 0;
     for entry in std::fs::read_dir(&dir).unwrap().flatten() {
         let bytes = std::fs::read(entry.path()).unwrap();
@@ -221,26 +221,26 @@ fn corrupted_cache_is_detected_and_recomputed() {
     }
     assert!(corrupted > 0, "the warm run must have populated the cache");
     // The checksum envelope rejects the torn file: recompute, identical.
-    let cold = Runner::from_env().with_jobs(2).with_cache_dir(&dir);
-    let recomputed = cold.run_cell(&corpus, cell);
-    assert!(
-        !cold.bench_records()[0].cache_hit,
+    // The recompute repairs the cache, so the repeat hits.
+    let runs = Runner::from_env()
+        .with_jobs(2)
+        .with_cache_dir(&dir)
+        .run_cells(&[(&corpus, cell), (&corpus, cell)]);
+    assert_eq!(
+        runs[0].source,
+        CellSource::Computed,
         "corrupted cache must read as a miss"
     );
     assert_eq!(
-        serde_json::to_string(&original).unwrap(),
-        serde_json::to_string(&recomputed).unwrap()
-    );
-    // The recompute repaired the cache: the next run hits.
-    let third = Runner::from_env().with_jobs(2).with_cache_dir(&dir);
-    let hit = third.run_cell(&corpus, cell);
-    assert!(
-        third.bench_records()[0].cache_hit,
+        runs[1].source,
+        CellSource::CacheHit,
         "repaired cache must hit"
     );
-    assert_eq!(
-        serde_json::to_string(&original).unwrap(),
-        serde_json::to_string(&hit).unwrap()
-    );
+    for run in &runs {
+        assert_eq!(
+            serde_json::to_string(&original).unwrap(),
+            serde_json::to_string(run.result.as_ref().unwrap()).unwrap()
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

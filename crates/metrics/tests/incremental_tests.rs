@@ -198,7 +198,12 @@ fn result_json(r: &CellResult) -> String {
 fn cold_run(sources: &[(String, String)], cell: &CellConfig) -> (CellResult, Snapshot) {
     let (corpus, _graph) = load_edited(sources).expect("corpus elaborates");
     let snapshot = Snapshot::capture(&corpus.dev);
-    (uncached().run_cell(&corpus, cell), snapshot)
+    (
+        uncached()
+            .run_cell_checked(&corpus, cell)
+            .expect("a clean cell does not crash"),
+        snapshot,
+    )
 }
 
 /// One inline worker, no cell or cone cache.

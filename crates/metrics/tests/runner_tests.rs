@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 
 use fscq_corpus::Corpus;
-use proof_metrics::runner::{cell_cache_key, Runner};
+use proof_metrics::runner::{cell_cache_key, CellSource, Runner};
 use proof_metrics::CellConfig;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -30,12 +30,14 @@ fn parallel_is_bit_identical_to_serial() {
     let serial = Runner::from_env()
         .with_jobs(1)
         .without_cache()
-        .run_cell(&corpus, &cell);
+        .run_cell_checked(&corpus, &cell)
+        .expect("a clean cell does not crash");
     for jobs in [2, 4] {
         let parallel = Runner::from_env()
             .with_jobs(jobs)
             .without_cache()
-            .run_cell(&corpus, &cell);
+            .run_cell_checked(&corpus, &cell)
+            .expect("a clean cell does not crash");
         // Serialized equality is the strongest observable check: every
         // outcome field (scripts, similarities, query counts) and the
         // corpus order must survive the work-stealing schedule.
@@ -55,24 +57,29 @@ fn cell_cache_round_trips() {
     let _ = std::fs::remove_dir_all(dir);
 
     let runner = Runner::from_env().with_jobs(2).with_cache_dir(dir);
-    let first = runner.run_cell(&corpus, &cell);
-    let second = runner.run_cell(&corpus, &cell);
-    assert_eq!(as_json(&first), as_json(&second));
-
-    let records = runner.bench_records();
-    assert_eq!(records.len(), 2);
-    assert!(!records[0].cache_hit, "first run must compute");
-    assert!(records[1].cache_hit, "second run must load from disk");
-    assert!(dir
-        .join(format!("{}.json", cell_cache_key(&cell)))
-        .is_file());
-
     // A different configuration must miss.
     let mut other = small_cell();
     other.search.query_limit = 5;
-    let third = runner.run_cell(&corpus, &other);
-    assert!(!runner.bench_records()[2].cache_hit);
-    assert_ne!(as_json(&first), as_json(&third));
+    let runs = runner.run_cells(&[(&corpus, &cell), (&corpus, &cell), (&corpus, &other)]);
+    let sources: Vec<CellSource> = runs.iter().map(|r| r.source).collect();
+    assert_eq!(
+        sources,
+        [
+            CellSource::Computed,
+            CellSource::CacheHit,
+            CellSource::Computed
+        ],
+        "compute, load the repeat from disk, miss on another configuration"
+    );
+    let json: Vec<String> = runs
+        .iter()
+        .map(|r| as_json(r.result.as_ref().expect("a clean cell does not crash")))
+        .collect();
+    assert_eq!(json[0], json[1]);
+    assert_ne!(json[0], json[2]);
+    assert!(dir
+        .join(format!("{}.json", cell_cache_key(&cell)))
+        .is_file());
 
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -89,7 +96,8 @@ fn attempt_log_records_the_searches_of_a_cell() {
         .with_jobs(2)
         .without_cache()
         .with_attempt_log(&log)
-        .run_cell(&corpus, &cell);
+        .run_cell_checked(&corpus, &cell)
+        .expect("a clean cell does not crash");
     let records = AttemptLog::at(&log).load();
     assert!(!records.is_empty(), "the searches' attempts were logged");
     let eval_set: BTreeSet<&str> = result.outcomes.iter().map(|o| o.name.as_str()).collect();
@@ -120,7 +128,8 @@ fn attempt_log_records_the_searches_of_a_cell() {
     let plain = Runner::from_env()
         .with_jobs(2)
         .without_cache()
-        .run_cell(&corpus, &cell);
+        .run_cell_checked(&corpus, &cell)
+        .expect("a clean cell does not crash");
     assert!(!log.exists(), "a runner without a log wrote one");
     assert_eq!(as_json(&plain), as_json(&result));
     let _ = std::fs::remove_dir_all(&dir);
@@ -138,7 +147,8 @@ fn attempt_logs_are_byte_equal_at_one_and_four_workers() {
             .with_jobs(jobs)
             .without_cache()
             .with_attempt_log(&log)
-            .run_cell(&corpus, &cell);
+            .run_cell_checked(&corpus, &cell)
+            .expect("a clean cell does not crash");
         std::fs::read(&log).expect("the log was written")
     };
     let (one, four) = (log_at(1), log_at(4));

@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
 use fscq_corpus::Corpus;
-use proof_metrics::runner::{cell_cache_key, Runner};
+use proof_metrics::runner::{cell_cache_key, CellSource, Runner};
 use proof_metrics::CellConfig;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -33,12 +33,16 @@ fn traced_run_is_byte_identical_to_untraced() {
     let cell = small_cell();
 
     proof_trace::set_enabled(false);
-    let untraced = serial().run_cell(&corpus, &cell);
+    let untraced = serial()
+        .run_cell_checked(&corpus, &cell)
+        .expect("a clean cell does not crash");
     let untraced_json = serde_json::to_string(&untraced).unwrap();
 
     proof_trace::set_enabled(true);
     let _ = proof_trace::drain();
-    let traced = serial().run_cell(&corpus, &cell);
+    let traced = serial()
+        .run_cell_checked(&corpus, &cell)
+        .expect("a clean cell does not crash");
     let data = proof_trace::drain();
     proof_trace::set_enabled(false);
     let traced_json = serde_json::to_string(&traced).unwrap();
@@ -83,7 +87,9 @@ fn every_armed_add_records_a_span_that_parents_its_preflight() {
     proof_trace::set_enabled(true);
     let _ = proof_trace::drain();
     let before = counted_adds();
-    let _ = serial().run_cell(&corpus, &cell);
+    let _ = serial()
+        .run_cell_checked(&corpus, &cell)
+        .expect("a clean cell does not crash");
     let adds = counted_adds() - before;
     let data = proof_trace::drain();
     proof_trace::set_enabled(false);
@@ -124,7 +130,9 @@ fn traced_cell(
     proof_trace::set_enabled(true);
     let _ = proof_trace::drain();
     let before = add_counters();
-    let _ = runner.run_cell(corpus, cell);
+    let _ = runner
+        .run_cell_checked(corpus, cell)
+        .expect("a clean cell does not crash");
     let after = add_counters();
     let data = proof_trace::drain();
     proof_trace::set_enabled(false);
@@ -203,7 +211,9 @@ fn a_traced_cell_round_trips_through_the_trace_file() {
     let runner = Runner::from_env().without_cache().with_jobs(2);
     proof_trace::set_enabled(true);
     let _ = proof_trace::drain();
-    let _ = runner.run_cell(&corpus, &small_cell());
+    let _ = runner
+        .run_cell_checked(&corpus, &small_cell())
+        .expect("a clean cell does not crash");
     let data = proof_trace::drain();
     let snap = proof_trace::metrics::snapshot();
     proof_trace::set_enabled(false);
@@ -245,22 +255,52 @@ fn tracing_does_not_change_the_cell_cache_key() {
 }
 
 #[test]
-fn bench_records_label_computed_and_cached_cells() {
+fn a_journaled_grid_loads_its_journal_once_and_labels_each_cell() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let corpus = Corpus::load();
     let cell = small_cell();
-    let dir = std::path::Path::new("target/test-trace-bench");
-    let _ = std::fs::remove_dir_all(dir);
-    let runner = Runner::from_env().with_jobs(1).with_cache_dir(dir);
-    let _ = runner.run_cell(&corpus, &cell);
-    let _ = runner.run_cell(&corpus, &cell);
+    let mut other = small_cell();
+    other.search.query_limit = 3;
+    let dir = std::env::temp_dir().join(format!("trace-grid-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let runner = Runner::from_env()
+        .with_jobs(1)
+        .with_cache_dir(dir.join("cells"))
+        .with_journal(dir.join("journal.jsonl"));
+    proof_trace::set_enabled(true);
+    let _ = proof_trace::drain();
+    let runs = runner.run_cells(&[(&corpus, &cell), (&corpus, &other), (&corpus, &cell)]);
+    let data = proof_trace::drain();
+    proof_trace::set_enabled(false);
+    let _ = std::fs::remove_dir_all(&dir);
 
-    // Satellite contract: computed and cache-hit cells both carry a wall
-    // time and an explicit source label.
-    let records = runner.bench_records();
-    assert_eq!(records[0].outcome, "computed");
-    assert_eq!(records[1].outcome, "cache_hit");
-    assert!(records.iter().all(|r| r.wall_ms >= 0.0));
-
-    let _ = std::fs::remove_dir_all(dir);
+    let loads = data
+        .spans
+        .iter()
+        .filter(|s| s.kind == "journal" && s.name == "load")
+        .count();
+    assert_eq!(loads, 1, "one journal replay per grid");
+    // Computed, computed, then the repeat from this grid's own `done`
+    // record: each cell's span and run carry the same source and a wall
+    // time.
+    let sources: Vec<CellSource> = runs.iter().map(|r| r.source).collect();
+    assert_eq!(
+        sources,
+        [
+            CellSource::Computed,
+            CellSource::Computed,
+            CellSource::Journal
+        ]
+    );
+    let span_sources: Vec<String> = data
+        .spans
+        .iter()
+        .filter(|s| s.kind == "cell")
+        .map(|s| match s.fields.as_slice() {
+            [("source", proof_trace::Field::Str(v))] => v.clone(),
+            other => panic!("cell span fields {other:?}"),
+        })
+        .collect();
+    assert_eq!(span_sources, ["computed", "computed", "journal"]);
+    assert!(runs.iter().all(|r| r.wall_ms >= 0.0));
 }

@@ -7,7 +7,7 @@
 //!       [--show-query] [--preflight|--no-preflight]
 //!       [--premise-rank off|graph|learned] [--rank-model PATH]
 //!       [--attempt-log PATH]
-//! prove --incremental --save-baseline DIR [--corpus DIR] [cell flags]
+//! prove --incremental --save-baseline DIR [--corpus DIR] [cell flags] [--jobs N]
 //! prove --incremental --baseline DIR [--corpus DIR] [cell flags] [--jobs N]
 //! ```
 //!
@@ -52,7 +52,6 @@ struct Args {
     baseline: Option<PathBuf>,
     save_baseline: Option<PathBuf>,
     corpus_dir: Option<PathBuf>,
-    jobs: usize,
 }
 
 fn usage() -> ! {
@@ -61,7 +60,7 @@ fn usage() -> ! {
          \x20             [--retrieval K] [--limit N] [--width W] [--strategy best|greedy|bfs]\n\
          \x20             [--preflight|--no-preflight] [--premise-rank off|graph|learned]\n\
          \x20             [--rank-model PATH] [--attempt-log PATH]\n\
-         \x20      prove --incremental --save-baseline DIR [--corpus DIR]\n\
+         \x20      prove --incremental --save-baseline DIR [--corpus DIR] [--jobs N]\n\
          \x20      prove --incremental --baseline DIR [--corpus DIR] [--jobs N]"
     );
     std::process::exit(2)
@@ -81,7 +80,6 @@ fn parse_args() -> Args {
     let mut baseline = None;
     let mut save_baseline = None;
     let mut corpus_dir = None;
-    let mut jobs = 1usize;
     while let Some(a) = args.next() {
         let mut value = |name: &str| {
             args.next().unwrap_or_else(|| {
@@ -138,12 +136,15 @@ fn parse_args() -> Args {
             "--baseline" => baseline = Some(PathBuf::from(value("--baseline"))),
             "--save-baseline" => save_baseline = Some(PathBuf::from(value("--save-baseline"))),
             "--corpus" => corpus_dir = Some(PathBuf::from(value("--corpus"))),
+            // The runner resolves the worker count from these flags, then
+            // `JOBS` (`Runner::from_env`); here they are only validated.
             "--jobs" => {
-                jobs = value("--jobs")
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| usage())
-                    .max(1)
+                value("--jobs").parse::<usize>().unwrap_or_else(|_| usage());
             }
+            other
+                if other
+                    .strip_prefix("--jobs=")
+                    .is_some_and(|v| v.parse::<usize>().is_ok()) => {}
             "--help" | "-h" => usage(),
             other if theorem.is_none() && !other.starts_with('-') => {
                 theorem = Some(other.to_string())
@@ -167,7 +168,6 @@ fn parse_args() -> Args {
         baseline,
         save_baseline,
         corpus_dir,
-        jobs,
     }
 }
 
@@ -259,11 +259,13 @@ fn cell_of(args: &Args) -> CellConfig {
     cell
 }
 
-/// The runner the incremental mode evaluates on: `--jobs` workers, the
-/// attempt log when `--attempt-log` is given, and the cell cache (and so
-/// the cone cache under it) only when `cached`.
+/// The runner the incremental mode evaluates on: the worker count of
+/// `--jobs`, else `JOBS`, else the machine's parallelism, the attempt log
+/// when `--attempt-log` is given, and the cell cache (and so the cone
+/// cache under it) only when `cached`.
 fn runner_of(args: &Args, cached: bool) -> Runner {
-    let mut runner = Runner::from_env().with_jobs(args.jobs);
+    let mut runner = Runner::from_env();
+    eprintln!("prove --incremental: {} worker(s)", runner.jobs());
     if !cached {
         runner = runner.without_cache();
     }
@@ -292,7 +294,10 @@ fn incremental_main(args: &Args) -> ExitCode {
         };
         let snapshot = Snapshot::capture(&corpus.dev);
         // No cell cache: its key does not cover `--corpus` sources.
-        let result = runner_of(args, false).run_cell(&corpus, &cell);
+        let result = match runner_of(args, false).run_cell_checked(&corpus, &cell) {
+            Ok(r) => r,
+            Err(crash) => return fail(crash.to_string()),
+        };
         if let Err(e) = std::fs::create_dir_all(dir) {
             return fail(format!("{}: {e}", dir.display()));
         }

@@ -95,29 +95,6 @@ fn figure2_case_lemmas_exist() {
     }
 }
 
-#[test]
-fn cached_grid_if_present_parses_and_matches_the_corpus() {
-    // The experiment cache must stay readable by the current schema; a
-    // fresh clone (no cache) skips this check.
-    let path = std::path::Path::new("target/experiments/main_grid.json");
-    let Ok(json) = std::fs::read_to_string(path) else {
-        return;
-    };
-    let rs = llm_fscq::metrics::report::ResultSet::from_json(&json)
-        .expect("stale cache: delete target/experiments/main_grid.json");
-    let corpus = Corpus::load();
-    for cell in &rs.cells {
-        assert!(!cell.outcomes.is_empty(), "{}", cell.label);
-        for o in &cell.outcomes {
-            assert!(
-                corpus.dev.theorem(&o.name).is_some(),
-                "cached outcome for unknown theorem {}",
-                o.name
-            );
-        }
-    }
-}
-
 /// Corpus-agnostic check: the rendered form of every theorem statement
 /// must reparse to an alpha-equal formula in its own environment. The
 /// prompt builder and the goal display both lean on this. Returns the

@@ -4,8 +4,13 @@
 use std::process::Command;
 
 fn prove(args: &[&str]) -> (bool, String) {
+    prove_with_env(args, &[])
+}
+
+fn prove_with_env(args: &[&str], env: &[(&str, &str)]) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_prove"))
         .args(args)
+        .envs(env.iter().copied())
         .output()
         .expect("spawn prove");
     let text = format!(
@@ -113,5 +118,31 @@ fn a_copied_corpus_is_served_from_an_embedded_baseline() {
         text.contains("58 theorems — 0 re-verified, 0 cone-cache hits, 58 from baseline"),
         "{text}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn incremental_worker_count_follows_the_jobs_flag_then_the_environment() {
+    let dir = std::env::temp_dir().join(format!("prove-cli-jobs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let save = |jobs_flag: Option<&str>, env_jobs: &str, name: &str| {
+        let out = dir.join(name);
+        let mut args = vec![
+            "--incremental",
+            "--save-baseline",
+            out.to_str().unwrap(),
+            "--limit",
+            "2",
+        ];
+        args.extend(jobs_flag);
+        let (ok, text) = prove_with_env(&args, &[("JOBS", env_jobs)]);
+        assert!(ok, "{text}");
+        (text, std::fs::read(out.join("baseline.json")).unwrap())
+    };
+    let (flagged, two) = save(Some("--jobs=2"), "3", "j2");
+    assert!(flagged.contains("2 worker(s)"), "{flagged}");
+    let (from_env, one) = save(None, "1", "j1");
+    assert!(from_env.contains("1 worker(s)"), "{from_env}");
+    assert!(two == one, "the baseline depends on the worker count");
     let _ = std::fs::remove_dir_all(&dir);
 }

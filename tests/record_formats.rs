@@ -114,7 +114,9 @@ fn runner_writes_the_captured_cache_file() {
     assert_eq!(cell.label(), CELL_LABEL);
     let dir = scratch("runner");
     let runner = Runner::from_env().with_jobs(1).with_cache_dir(&dir);
-    runner.run_cell(&Corpus::load(), &cell);
+    runner
+        .run_cell_checked(&Corpus::load(), &cell)
+        .expect("a clean cell does not crash");
     assert_eq!(
         std::fs::read(dir.join(format!("{CELL_KEY}.json"))).unwrap(),
         std::fs::read(repo(&format!("fixtures/envelope/cell_{CELL_KEY}.json"))).unwrap()
