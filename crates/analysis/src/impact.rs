@@ -64,7 +64,6 @@ use minicoq_vernac::loader::Development;
 use serde::{Deserialize, Serialize};
 
 use crate::graph::{hint_symbol_name, parse_hint_symbol_name, DepGraph, SymbolKind};
-use crate::report::{AnalysisReport, Code, Finding};
 
 /// The hallucinated-variant suffixes the simulated oracle appends to
 /// visible lemma names when fabricating distractor tactics. A name formed
@@ -331,41 +330,6 @@ impl ImpactReport {
             ));
         }
         out
-    }
-
-    /// The dirty cone as analyzer findings (one [`Code::ImpactDirty`] per
-    /// dirty theorem), wrapped in an [`AnalysisReport`] so the standard
-    /// SARIF exporter renders it alongside the other reason codes.
-    pub fn to_analysis_report(&self, dev: &Development, graph: &DepGraph) -> AnalysisReport {
-        let findings = self
-            .dirty
-            .iter()
-            .map(|(thm, trace)| {
-                let (file, item_index, line) = dev
-                    .theorem(thm)
-                    .map(|t| {
-                        let line = graph
-                            .lookup(thm)
-                            .map(|id| graph.symbol(id).line)
-                            .unwrap_or(0);
-                        (t.file.clone(), t.item_index, line)
-                    })
-                    .unwrap_or_default();
-                Finding {
-                    code: Code::ImpactDirty,
-                    file,
-                    item: thm.clone(),
-                    item_index,
-                    line,
-                    message: format!("in the dirty cone: {}", trace.describe()),
-                }
-            })
-            .collect();
-        AnalysisReport {
-            findings,
-            symbols: graph.len(),
-            edges: graph.edge_count(),
-        }
     }
 }
 

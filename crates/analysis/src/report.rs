@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize, Value};
 
 /// The stable reason-code taxonomy of analyzer findings. Codes are part of
 /// the tool's output contract (CI greps them, SARIF `ruleId`s carry them),
-/// so variants are append-only.
+/// so a code's string never changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Code {
     /// A hint database admits a fuel-divergent backchaining cycle.
@@ -25,10 +25,6 @@ pub enum Code {
     Axiom,
     /// A reference did not resolve against the symbol table.
     UnknownRef,
-    /// A theorem is inside the dirty cone of a corpus edit: its
-    /// verification outcome could differ from the baseline snapshot's
-    /// (change-impact analysis; see [`crate::impact`]).
-    ImpactDirty,
     /// A hint-database entry never contributed to any successful proof
     /// in a supplied attempt log (log-driven audit; see
     /// [`crate::passes::cold`]).
@@ -36,7 +32,7 @@ pub enum Code {
 }
 
 /// Every code, in report order.
-pub const ALL_CODES: [Code; 9] = [
+pub const ALL_CODES: [Code; 8] = [
     Code::HintLoop,
     Code::NonPositive,
     Code::DeadSymbol,
@@ -44,7 +40,6 @@ pub const ALL_CODES: [Code; 9] = [
     Code::Admitted,
     Code::Axiom,
     Code::UnknownRef,
-    Code::ImpactDirty,
     Code::ColdHint,
 ];
 
@@ -59,7 +54,6 @@ impl Code {
             Code::Admitted => "admitted",
             Code::Axiom => "axiom",
             Code::UnknownRef => "unknown-ref",
-            Code::ImpactDirty => "impact-dirty",
             Code::ColdHint => "cold-hint",
         }
     }
@@ -78,9 +72,6 @@ impl Code {
             Code::Admitted => "lemma admitted without a checked proof",
             Code::Axiom => "statement assumed as an axiom",
             Code::UnknownRef => "reference does not resolve to any declared symbol",
-            Code::ImpactDirty => {
-                "theorem is in the dirty cone of a corpus edit and needs re-verification"
-            }
             Code::ColdHint => {
                 "hint entry never contributed to a successful proof in the supplied attempt log"
             }

@@ -20,10 +20,12 @@
 //!
 //! Exit codes: 0 = analysis clean, 1 = findings, 2 = load/usage error.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use corpus_analysis::{analyze_sources, passes, AnalysisConfig};
 use llm_fscq_bench::trace_out_flag;
+use minicoq_vernac::loader::dir_sources;
 use proof_trace::attempts::AttemptLog;
 
 /// Path prefix for SARIF artifact URIs: findings point into the embedded
@@ -95,31 +97,6 @@ fn parse_args() -> Args {
     }
 }
 
-/// Reads every `.v` module of an external corpus directory, sorted by
-/// file name so the analysis (and its SARIF artifact) is deterministic.
-fn dir_sources(dir: &str) -> Result<Vec<(String, String)>, String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .map_err(|e| format!("{dir}: {e}"))?
-        .filter_map(|entry| {
-            let name = entry.ok()?.file_name().into_string().ok()?;
-            name.strip_suffix(".v").map(str::to_string)
-        })
-        .collect();
-    names.sort();
-    if names.is_empty() {
-        return Err(format!("{dir}: no .v modules found"));
-    }
-    names
-        .into_iter()
-        .map(|name| {
-            let path = std::path::Path::new(dir).join(format!("{name}.v"));
-            std::fs::read_to_string(&path)
-                .map(|text| (name, text))
-                .map_err(|e| format!("{}: {e}", path.display()))
-        })
-        .collect()
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
     let trace_out = trace_out_flag();
@@ -128,7 +105,7 @@ fn main() -> ExitCode {
     }
 
     let sources: Vec<(String, String)> = match &args.dir {
-        Some(dir) => match dir_sources(dir) {
+        Some(dir) => match dir_sources(Path::new(dir)) {
             Ok(sources) => sources,
             Err(e) => {
                 eprintln!("corpus_analyze: {e}");

@@ -28,6 +28,7 @@ use llm_fscq_bench::{artifact_dir, flag_present, flag_value};
 use proof_metrics::{elo_ladder, render_leaderboard, CellConfig, EvalScope};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
+use proof_trace::ledger::RunRecord;
 
 /// Default corpus directory.
 const DEFAULT_DIR: &str = "target/gen/corpus";
@@ -152,13 +153,13 @@ fn cmd_grid() {
     // Fleet ledger: one run record for the whole ladder, keyed by the
     // generated corpus fingerprint so different corpora trend as
     // different series.
-    if let Some(path) = llm_fscq_bench::ledger_append(&llm_fscq_bench::LedgerRun {
-        bin: "gen",
-        label: "elo-ladder",
-        variant: &format!("gen:{fingerprint}"),
-        jobs: runner.jobs(),
-        corpus_hash: fingerprint.clone(),
-        ..llm_fscq_bench::LedgerRun::of_runs(&runs)
+    if let Some(path) = llm_fscq_bench::ledger_append(&RunRecord {
+        bin: "gen".to_string(),
+        label: "elo-ladder".to_string(),
+        variant: format!("gen:{fingerprint}"),
+        jobs: runner.jobs() as u64,
+        corpus_hash: fingerprint,
+        ..llm_fscq_bench::run_record(&runs)
     }) {
         eprintln!("[gen] ledger appended to {}", path.display());
     }

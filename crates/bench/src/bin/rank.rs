@@ -38,13 +38,14 @@ use corpus_analysis::score::{clear_model, install_model, Model};
 use corpus_gen::generate_pinned;
 use fscq_corpus::Corpus;
 use llm_fscq_bench::rank::{base_cell, features_of_log, gen_dev, hard_tier, PINNED_SPEC};
-use llm_fscq_bench::{artifact_dir, flag_present, flag_value, ledger_append, LedgerRun};
+use llm_fscq_bench::{artifact_dir, flag_present, flag_value, ledger_append, run_record};
 use proof_metrics::runner::Runner;
 use proof_metrics::{CellConfig, CellResult, EvalScope};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
 use proof_search::PremiseRank;
 use proof_trace::attempts::AttemptLog;
+use proof_trace::ledger::RunRecord;
 
 /// Default mined-attempt log location.
 const DEFAULT_LOG: &str = "target/experiments/attempts.jsonl";
@@ -337,13 +338,13 @@ fn cmd_ab() {
             "expansions".to_string(),
             arm_results.iter().map(|r| r.expansions).sum::<u64>(),
         )]);
-        if let Some(path) = ledger_append(&LedgerRun {
-            bin: "rank",
-            label: "premise-rank-ab",
-            variant: arm,
-            jobs: cached.jobs(),
+        if let Some(path) = ledger_append(&RunRecord {
+            bin: "rank".to_string(),
+            label: "premise-rank-ab".to_string(),
+            variant: arm.to_string(),
+            jobs: cached.jobs() as u64,
             counters,
-            ..LedgerRun::of_runs(arm_runs)
+            ..run_record(arm_runs)
         }) {
             eprintln!("[rank] ledger appended to {}", path.display());
         }

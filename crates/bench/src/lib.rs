@@ -75,17 +75,7 @@ impl GridOpts {
 
 /// The `--trace-out PATH` / `--trace-out=PATH` argument, if present.
 pub fn trace_out_flag() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            if let Some(v) = args.peek() {
-                return Some(PathBuf::from(v));
-            }
-        } else if let Some(v) = a.strip_prefix("--trace-out=") {
-            return Some(PathBuf::from(v));
-        }
-    }
-    None
+    flag_value("--trace-out").map(PathBuf::from)
 }
 
 /// Drains the collector and writes the trace file, Chrome trace-event
@@ -117,108 +107,54 @@ pub fn write_trace_artifacts(base: &Path) -> (BTreeMap<String, f64>, u64) {
     (phase_self_ms, data.dropped)
 }
 
-/// Aggregates a run plus context into a ledger [`RunRecord`] and appends
-/// it to the fleet ledger (`telemetry/RUNS.jsonl`, or `LEDGER_PATH`).
-/// Best-effort by design: telemetry must never fail a bench run.
-#[derive(Default)]
-pub struct LedgerRun<'a> {
-    /// Bench binary name (`table2`, `incr`, …).
-    pub bin: &'a str,
-    /// Run label (cell lineup / subcommand).
-    pub label: &'a str,
-    /// Series variant tag (empty for the default lineup).
-    pub variant: &'a str,
-    /// Cell-level worker parallelism.
-    pub jobs: usize,
-    /// Cells the run obtained.
-    pub cells: u64,
-    /// Cells served from the cell cache or the journal.
-    pub cache_hits: u64,
-    /// Wall-clock milliseconds summed over the run's cells.
-    pub wall_ms: f64,
-    /// Theorem evaluations.
-    pub theorems: u64,
-    /// How many evaluations ended `proved`.
-    pub proved: u64,
-    /// Content hash of what was evaluated (defaults to the embedded
-    /// corpus hash when empty).
-    pub corpus_hash: String,
-    /// Extra named counters worth trending.
-    pub counters: BTreeMap<String, u64>,
-    /// Per-phase self-time roll-up from [`write_trace_artifacts`].
-    pub phase_self_ms: BTreeMap<String, f64>,
-    /// Dropped trace records (0 when untraced).
-    pub dropped_spans: u64,
-}
-
-impl LedgerRun<'_> {
-    /// The cell-derived fields of a run of `runs`: cell and cache-hit
-    /// counts, summed wall time, and the theorem and proved counts of the
-    /// completed cells.
-    pub fn of_runs(runs: &[CellRun]) -> LedgerRun<'static> {
-        let outcomes = || {
-            runs.iter()
-                .filter_map(|r| r.result.as_ref().ok())
-                .flat_map(|c| &c.outcomes)
-        };
-        LedgerRun {
-            cells: runs.len() as u64,
-            cache_hits: runs
-                .iter()
-                .filter(|r| matches!(r.source, CellSource::CacheHit | CellSource::Journal))
-                .count() as u64,
-            wall_ms: runs.iter().map(|r| r.wall_ms).sum(),
-            theorems: outcomes().count() as u64,
-            proved: outcomes().filter(|o| o.outcome == "proved").count() as u64,
-            ..LedgerRun::default()
-        }
-    }
-}
-
-/// Builds the ledger record for a run. Fault/retry totals come from the
-/// always-on registry counters the search layer bumps — never from
+/// The ledger record of a run of `runs`, with every field the runs and
+/// the process determine: cell and cache-hit counts, summed wall time and
+/// throughput, the theorem and proved counts of the completed cells, the
+/// embedded corpus hash, and the fault/retry totals. Those totals come
+/// from the always-on registry counters the search layer bumps, never from
 /// serialized cell results, which stay byte-identical between clean and
-/// recovered runs.
-pub fn ledger_record(run: &LedgerRun) -> RunRecord {
+/// recovered runs. Bins set `bin`, `label`, `variant`, `jobs` and
+/// `counters` (and what else they know better) with struct-update syntax.
+pub fn run_record(runs: &[CellRun]) -> RunRecord {
     let snap = proof_trace::metrics::snapshot();
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    let thm_per_sec = if run.wall_ms > 0.0 {
-        run.theorems as f64 * 1000.0 / run.wall_ms
-    } else {
-        0.0
+    let outcomes = || {
+        runs.iter()
+            .filter_map(|r| r.result.as_ref().ok())
+            .flat_map(|c| &c.outcomes)
     };
+    let theorems = outcomes().count() as u64;
+    let wall_ms: f64 = runs.iter().map(|r| r.wall_ms).sum();
+    let cache_hits = runs
+        .iter()
+        .filter(|r| matches!(r.source, CellSource::CacheHit | CellSource::Journal))
+        .count() as u64;
     RunRecord {
         ts_unix: proof_trace::ledger::unix_now(),
-        bin: run.bin.to_string(),
-        label: run.label.to_string(),
-        variant: run.variant.to_string(),
         git_sha: proof_trace::ledger::git_sha(),
-        corpus_hash: if run.corpus_hash.is_empty() {
-            corpus_content_hash()
+        corpus_hash: corpus_content_hash(),
+        theorems,
+        proved: outcomes().filter(|o| o.outcome == "proved").count() as u64,
+        wall_ms,
+        thm_per_sec: if wall_ms > 0.0 {
+            theorems as f64 * 1000.0 / wall_ms
         } else {
-            run.corpus_hash.clone()
+            0.0
         },
-        jobs: run.jobs as u64,
-        theorems: run.theorems,
-        proved: run.proved,
-        wall_ms: run.wall_ms,
-        thm_per_sec,
-        cache_hits: run.cache_hits,
-        cache_misses: run.cells - run.cache_hits,
+        cache_hits,
+        cache_misses: runs.len() as u64 - cache_hits,
         oracle_faults: counter("search.oracle_faults"),
         oracle_retries: counter("search.oracle_retries"),
-        dropped_spans: run.dropped_spans,
-        counters: run.counters.clone(),
-        phase_self_ms: run.phase_self_ms.clone(),
+        ..RunRecord::default()
     }
 }
 
-/// Appends `run` to the fleet ledger; returns the ledger path on
-/// success.
-pub fn ledger_append(run: &LedgerRun) -> Option<PathBuf> {
+/// Appends `record` to the fleet ledger (`telemetry/RUNS.jsonl`, or
+/// `LEDGER_PATH`); returns the ledger path on success. Best-effort by
+/// design: telemetry must never fail a bench run.
+pub fn ledger_append(record: &RunRecord) -> Option<PathBuf> {
     let ledger = Ledger::from_env();
-    let record = ledger_record(run);
-    if ledger.append(&record) {
+    if ledger.append(record) {
         Some(ledger.path().to_path_buf())
     } else {
         None
@@ -249,14 +185,14 @@ pub fn ledger_append_cells(
     trace_out: Option<&Path>,
 ) {
     let (phase_self_ms, dropped_spans) = trace_out.map(write_trace_artifacts).unwrap_or_default();
-    if let Some(ledger_path) = ledger_append(&LedgerRun {
-        bin: &bin_name(),
-        label,
-        jobs: runner.jobs(),
+    if let Some(ledger_path) = ledger_append(&RunRecord {
+        bin: bin_name(),
+        label: label.to_string(),
+        jobs: runner.jobs() as u64,
         counters,
         phase_self_ms,
         dropped_spans,
-        ..LedgerRun::of_runs(runs)
+        ..run_record(runs)
     }) {
         eprintln!("ledger: appended run to {}", ledger_path.display());
     }
@@ -349,12 +285,10 @@ pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
     rs
 }
 
-/// The argument after the first `name` on the command line, if any.
+/// The value of the first `name V` or `name=V` on the command line
+/// ([`proof_chaos::value_arg`]), if any.
 pub fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+    proof_chaos::value_arg(std::env::args().skip(1), name)
 }
 
 /// True when `name` was passed on the command line.

@@ -7,11 +7,12 @@ use std::process::Command;
 use std::sync::Mutex;
 
 use fscq_corpus::Corpus;
-use llm_fscq_bench::{ledger_append, write_trace_artifacts, LedgerRun};
+use llm_fscq_bench::{ledger_append, run_record, write_trace_artifacts};
 use proof_metrics::runner::{CellRun, Runner};
 use proof_metrics::CellConfig;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
+use proof_trace::ledger::RunRecord;
 
 /// Tracing's enabled flag and the metrics registry are process-global;
 /// serialize the tests here.
@@ -33,11 +34,11 @@ fn run_small_cell() -> Vec<CellRun> {
 fn append_demo_run(ledger_path: &std::path::Path, runs: &[CellRun]) {
     // `ledger_append` honors LEDGER_PATH; route it to the temp ledger.
     std::env::set_var("LEDGER_PATH", ledger_path);
-    let appended = ledger_append(&LedgerRun {
-        bin: "radar-demo",
-        label: "two-run-demo",
+    let appended = ledger_append(&RunRecord {
+        bin: "radar-demo".to_string(),
+        label: "two-run-demo".to_string(),
         jobs: 1,
-        ..LedgerRun::of_runs(runs)
+        ..run_record(runs)
     });
     std::env::remove_var("LEDGER_PATH");
     assert!(appended.is_some(), "ledger append failed");

@@ -267,7 +267,11 @@ pub fn fault_plan_arg(args: impl Iterator<Item = String>) -> Option<String> {
     value_arg(args, "--fault-plan")
 }
 
-fn value_arg(args: impl Iterator<Item = String>, flag: &str) -> Option<String> {
+/// The value of the first `flag V` or `flag=V` in an argument list: the
+/// one command-line value parser of the workspace's binaries (fault
+/// flags, `--jobs`, `--trace-out` and the bench bins' path flags). A
+/// trailing `flag` with nothing after it has no value.
+pub fn value_arg(args: impl Iterator<Item = String>, flag: &str) -> Option<String> {
     let mut args = args.peekable();
     let prefix = format!("{flag}=");
     while let Some(a) = args.next() {
@@ -411,6 +415,23 @@ mod tests {
         assert!(FaultConfig::parse_spec("oracle_err=2").is_err());
         assert!(FaultConfig::parse_spec("oracle_err").is_err());
         assert_eq!(FaultConfig::parse_spec("").unwrap(), FaultConfig::default());
+    }
+
+    #[test]
+    fn value_arg_reads_both_spellings() {
+        let v = |xs: &[&str], flag: &str| value_arg(xs.iter().map(|s| s.to_string()), flag);
+        assert_eq!(
+            v(&["train", "--log", "a.jsonl"], "--log").as_deref(),
+            Some("a.jsonl")
+        );
+        assert_eq!(
+            v(&["train", "--log=b.jsonl"], "--log").as_deref(),
+            Some("b.jsonl")
+        );
+        assert_eq!(v(&["--log=", "x"], "--log").as_deref(), Some(""));
+        assert_eq!(v(&["--log=a", "--log", "b"], "--log").as_deref(), Some("a"));
+        assert_eq!(v(&["--out", "o", "--log"], "--log"), None);
+        assert_eq!(v(&["--logx=a", "--log-dir", "b"], "--log"), None);
     }
 
     #[test]

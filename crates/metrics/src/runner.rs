@@ -62,23 +62,9 @@ pub fn resolve_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// The value of the first parseable `--jobs N` or `--jobs=N` in `args`.
+/// The value of the first `--jobs N` or `--jobs=N` in `args`, if it parses.
 fn jobs_arg(args: impl Iterator<Item = String>) -> Option<usize> {
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        if a == "--jobs" {
-            if let Some(v) = args.peek() {
-                if let Ok(n) = v.parse::<usize>() {
-                    return Some(n);
-                }
-            }
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            if let Ok(n) = v.parse::<usize>() {
-                return Some(n);
-            }
-        }
-    }
-    None
+    proof_chaos::value_arg(args, "--jobs").and_then(|v| v.parse().ok())
 }
 
 /// The content hash a cell caches under: FNV-1a over a stable rendering of
@@ -251,9 +237,11 @@ impl Runner {
 
     /// Runs (or loads) a grid: each `(corpus, cell)` in list order comes
     /// from the journal, else the content-hashed cache, else an evaluation
-    /// on the pool that populates both. The journal is replayed once per
-    /// call and kept current with every record this call appends, so a key
-    /// repeated in the list is served from this call's own `done` record.
+    /// on the pool that populates both. The call keeps one journal state:
+    /// replayed from the attached journal, else empty, and kept current
+    /// with every `start`/`done`/`crashed` event of this call, so a key
+    /// repeated in the list is served from this call's own `done`, with or
+    /// without a journal file.
     ///
     /// Each cell has panic isolation: a poisoned cell comes back as
     /// `Err(CellCrash)` and every other cell's outcome survives. With a
@@ -261,15 +249,18 @@ impl Runner {
     /// `done`/`crashed` entry follows it, so a run killed at any point
     /// resumes without repeating finished cells.
     pub fn run_cells(&self, cells: &[(&Corpus, &CellConfig)]) -> Vec<CellRun> {
-        let mut journal_state = self.journal.as_ref().map(|j| {
-            let _sp = proof_trace::span("journal", "load");
-            j.load()
-        });
+        let mut state = self
+            .journal
+            .as_ref()
+            .map_or_else(JournalState::default, |j| {
+                let _sp = proof_trace::span("journal", "load");
+                j.load()
+            });
         cells
             .iter()
             .map(|&(corpus, cell)| {
                 let mut sw = proof_trace::Stopwatch::span("cell", &cell.label());
-                let (source, result) = self.obtain(corpus, cell, journal_state.as_mut());
+                let (source, result) = self.obtain(corpus, cell, &mut state);
                 sw.span_mut().field_str("source", source.label());
                 CellRun {
                     result,
@@ -293,25 +284,25 @@ impl Runner {
     }
 
     /// The cell's result and where it came from: the journal, the cache,
-    /// or an evaluation on the pool, keeping the journal, its replayed
-    /// `state` and the cache up to date on the way.
+    /// or an evaluation on the pool, keeping the journal state, the
+    /// journal file (when attached) and the cache up to date on the way.
     fn obtain(
         &self,
         corpus: &Corpus,
         cell: &CellConfig,
-        mut state: Option<&mut JournalState>,
+        state: &mut JournalState,
     ) -> (CellSource, Result<CellResult, CellCrash>) {
         let key = cell_cache_key(cell);
-        if let Some(done) = state.as_ref().and_then(|s| s.done.get(&key)) {
+        if let Some(done) = state.done.get(&key) {
             return (CellSource::Journal, Ok(done.clone()));
         }
-        // Appends a `done` record to the journal and its replayed state.
-        let record_done = |state: Option<&mut JournalState>, result: &CellResult| {
-            if let (Some(journal), Some(state)) = (&self.journal, state) {
+        // Notes a `done` event, appending it to the journal if attached.
+        let record_done = |state: &mut JournalState, result: &CellResult| {
+            if let Some(journal) = &self.journal {
                 let _sp = proof_trace::span("journal", "done");
                 journal.record_done(&key, result);
-                state.note_done(&key, result.clone());
             }
+            state.note_done(&key, result.clone());
         };
         let cache_path = self
             .cache_dir
@@ -327,12 +318,12 @@ impl Runner {
                 return (CellSource::CacheHit, Ok(hit));
             }
         }
-        let attempt = state.as_ref().map_or(0, |s| s.attempts_of(&key));
-        if let (Some(journal), Some(state)) = (&self.journal, state.as_mut()) {
+        let attempt = state.attempts_of(&key);
+        if let Some(journal) = &self.journal {
             let _sp = proof_trace::span("journal", "start");
             journal.record_start(&key, &cell.label());
-            state.note_start(&key);
         }
+        state.note_start(&key);
         let indices = cell.eval_indices(&corpus.dev);
         match self.run_indices(corpus, cell, &indices, attempt) {
             Ok(outcomes) => {
@@ -346,11 +337,11 @@ impl Runner {
                 (CellSource::Computed, Ok(result))
             }
             Err(crash) => {
-                if let (Some(journal), Some(state)) = (&self.journal, state) {
+                if let Some(journal) = &self.journal {
                     let _sp = proof_trace::span("journal", "crashed");
                     journal.record_crashed(&key, &crash.label, &crash.panic);
-                    state.note_crashed(&key, &crash.panic);
                 }
+                state.note_crashed(&key, &crash.panic);
                 (CellSource::Crashed, Err(crash))
             }
         }

@@ -26,14 +26,14 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Two small cells (tiny query budget: this suite tests the recovery
-/// stack, not the evaluation).
-fn small_cells() -> Vec<CellConfig> {
+/// Two small cells at `query_limit` queries per theorem (tiny: this
+/// suite tests the recovery stack, not the evaluation).
+fn small_cells(query_limit: u32) -> Vec<CellConfig> {
     [PromptSetting::Vanilla, PromptSetting::Hints]
         .into_iter()
         .map(|setting| {
             let mut cell = CellConfig::standard(ModelProfile::gpt4o(), setting);
-            cell.search.query_limit = 4;
+            cell.search.query_limit = query_limit;
             cell
         })
         .collect()
@@ -52,61 +52,64 @@ fn panic_only_plan(seed: u64) -> FaultConfig {
     }
 }
 
+/// The headline invariant over the pinned chaos seeds (101, 202, 303), at
+/// two and four workers and at query budgets 4 and 8: a faulted run, then
+/// a resumed one, gives the clean one-worker run's results byte for byte.
 #[test]
 fn acceptance_faulted_then_resumed_run_is_byte_identical() {
     let corpus = Corpus::load();
-    let cells = small_cells();
-    let seed = 101;
-    let dir = scratch_dir("acceptance");
-    let journal = dir.join("journal.jsonl");
+    for query_limit in [4, 8] {
+        let cells = small_cells(query_limit);
+        let pairs: Vec<(&Corpus, &CellConfig)> = cells.iter().map(|c| (&corpus, c)).collect();
+        // Clean reference: one worker, no cache, no journal, no faults.
+        let clean: Vec<CellResult> = Runner::from_env()
+            .with_jobs(1)
+            .without_cache()
+            .run_cells(&pairs)
+            .into_iter()
+            .map(|r| r.result.expect("a clean cell does not crash"))
+            .collect();
+        for seed in [101, 202, 303] {
+            for jobs in [2, 4] {
+                let case = format!("query_limit {query_limit}, seed {seed}, {jobs} workers");
+                let dir = scratch_dir("acceptance");
+                // A fresh plan per pass, as a restarted process would
+                // build, over one cache directory and one journal.
+                let runner = || {
+                    Runner::from_env()
+                        .with_jobs(jobs)
+                        .with_cache_dir(dir.join("cells"))
+                        .with_fault_plan(Arc::new(FaultPlan::new(FaultConfig::smoke(seed))))
+                        .with_journal(dir.join("journal.jsonl"))
+                };
 
-    // Clean reference: no cache, no journal, no faults.
-    let pairs: Vec<(&Corpus, &CellConfig)> = cells.iter().map(|c| (&corpus, c)).collect();
-    let clean: Vec<CellResult> = Runner::from_env()
-        .with_jobs(2)
-        .without_cache()
-        .run_cells(&pairs)
-        .into_iter()
-        .map(|r| r.result.expect("a clean cell does not crash"))
-        .collect();
+                // Faulted run: oracle errors + garbage (recovered by
+                // retry), cache corruption (detected by checksum), and a
+                // worker panic on every cell's first attempt (isolated,
+                // journaled).
+                let crashes = runner()
+                    .run_cells(&pairs)
+                    .iter()
+                    .filter(|r| r.source == CellSource::Crashed)
+                    .count();
+                assert!(crashes > 0, "{case}: the smoke plan must crash a cell");
 
-    // Faulted run: oracle errors + garbage (recovered by retry), cache
-    // corruption (detected by checksum), and a worker panic on every
-    // cell's first attempt (isolated, journaled).
-    let plan = Arc::new(FaultPlan::new(FaultConfig::smoke(seed)));
-    let faulted_runner = Runner::from_env()
-        .with_jobs(2)
-        .with_cache_dir(dir.join("cells"))
-        .with_fault_plan(plan)
-        .with_journal(&journal);
-    let crashes = faulted_runner
-        .run_cells(&pairs)
-        .iter()
-        .filter(|r| r.source == CellSource::Crashed)
-        .count();
-    assert!(crashes > 0, "the smoke plan must crash at least one cell");
-
-    // Resume: a fresh plan with the same seed, as a restarted process
-    // would build. Journal attempt counts silence the worker panic;
-    // oracle faults re-fire and are re-recovered.
-    let resume_plan = Arc::new(FaultPlan::new(FaultConfig::smoke(seed)));
-    let resumed_runner = Runner::from_env()
-        .with_jobs(2)
-        .with_cache_dir(dir.join("cells"))
-        .with_fault_plan(resume_plan)
-        .with_journal(&journal);
-    let resumed: Vec<CellResult> = resumed_runner
-        .run_cells(&pairs)
-        .into_iter()
-        .map(|r| r.result.expect("resume must complete every cell"))
-        .collect();
-
-    assert_eq!(
-        to_json(&clean),
-        to_json(&resumed),
-        "faulted-then-resumed output diverged from the clean run"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+                // Resume: journal attempt counts silence the worker panic;
+                // oracle faults re-fire and are re-recovered.
+                let resumed: Vec<CellResult> = runner()
+                    .run_cells(&pairs)
+                    .into_iter()
+                    .map(|r| r.result.expect("resume must complete every cell"))
+                    .collect();
+                assert_eq!(
+                    to_json(&clean),
+                    to_json(&resumed),
+                    "{case}: faulted-then-resumed output diverged from the clean run"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
 }
 
 #[test]
@@ -116,7 +119,7 @@ fn worker_panic_returns_typed_crash_not_process_death() {
     // parallel path, not take down the process (and with it every other
     // cell's completed outcomes).
     let corpus = Corpus::load();
-    let cell = &small_cells()[0];
+    let cell = &small_cells(4)[0];
     assert!(
         cell.eval_indices(&corpus.dev).len() >= 4,
         "need a few theorems to exercise the pool"
@@ -167,7 +170,7 @@ fn crash_in_one_cell_preserves_completed_cells() {
     // Grid-level survival: cell A completes, cell B crashes; A's outcome
     // must survive in both the caller's hands and the journal.
     let corpus = Corpus::load();
-    let cells = small_cells();
+    let cells = small_cells(4);
     let dir = scratch_dir("survival");
     let journal_path = dir.join("journal.jsonl");
     // worker_panic only fires on attempt 0; run A clean first by keying
@@ -206,7 +209,7 @@ fn crash_in_one_cell_preserves_completed_cells() {
 #[test]
 fn corrupted_cache_is_detected_and_recomputed() {
     let corpus = Corpus::load();
-    let cell = &small_cells()[0];
+    let cell = &small_cells(4)[0];
     let dir = scratch_dir("cache");
     // Populate the cache, then corrupt every cached file (torn half-write).
     let warm = Runner::from_env().with_jobs(2).with_cache_dir(&dir);
@@ -221,11 +224,15 @@ fn corrupted_cache_is_detected_and_recomputed() {
     }
     assert!(corrupted > 0, "the warm run must have populated the cache");
     // The checksum envelope rejects the torn file: recompute, identical.
-    // The recompute repairs the cache, so the repeat hits.
-    let runs = Runner::from_env()
-        .with_jobs(2)
-        .with_cache_dir(&dir)
-        .run_cells(&[(&corpus, cell), (&corpus, cell)]);
+    // The recompute repairs the cache, so the next run hits.
+    let run = || {
+        Runner::from_env()
+            .with_jobs(2)
+            .with_cache_dir(&dir)
+            .run_cells(&[(&corpus, cell)])
+            .remove(0)
+    };
+    let runs = [run(), run()];
     assert_eq!(
         runs[0].source,
         CellSource::Computed,

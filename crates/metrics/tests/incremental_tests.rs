@@ -420,20 +420,19 @@ Qed.
     assert_eq!(result_json(&inc.result), result_json(&full));
 }
 
-/// The pinned single-module cone on the embedded corpus: flipping one
-/// equation in `DirTree` must re-verify only theorems of that module from
-/// the edit onward plus its one importer (`FS`) — every other module is
-/// served from the baseline — and a second incremental run must serve the
-/// whole dirty cone from the cone-keyed cache.
+/// The pinned single-module cone on the embedded corpus, for the cheap
+/// cell and for the full-scope mini cell with hints at the default search:
+/// flipping one equation in `DirTree` must re-verify only theorems of that
+/// module from the edit onward plus its one importer (`FS`). Every other
+/// module is served from the baseline, the merged result equals a full
+/// cold run of the edited corpus byte for byte, and a second incremental
+/// run serves the whole dirty cone from the cone-keyed cache.
 #[test]
 fn embedded_corpus_single_module_edit_pins_the_cone() {
-    let cell = cheap_cell();
     let pristine = fscq_corpus::corpus_sources()
         .into_iter()
         .map(|(n, t)| (n.to_string(), t.to_string()))
         .collect::<Vec<_>>();
-    let (baseline, snapshot) = cold_run(&pristine, &cell);
-
     let mut edited = pristine.clone();
     replace_once(
         &mut edited,
@@ -448,55 +447,81 @@ fn embedded_corpus_single_module_edit_pins_the_cone() {
         .expect("pinned theorem")
         .item_index;
 
-    let dir = scratch_dir("cone");
-    // The cone cache lives at `<cache dir>/cones`.
-    let runner = Runner::from_env().with_jobs(1).with_cache_dir(&dir);
-    let inc = run_incremental(&runner, &cell, Some(&baseline), &snapshot, &edited)
-        .expect("incremental run completes");
-    assert!(!inc.fallback_full);
-    assert!(!inc.reverified.is_empty(), "the edit hits eval theorems");
-
-    // Cone precision: nothing outside DirTree-from-the-edit-onward and FS
-    // (the only module importing DirTree) is re-verified.
-    let by_name: std::collections::BTreeMap<&str, &str> = inc
-        .result
-        .outcomes
-        .iter()
-        .map(|o| (o.name.as_str(), o.file.as_str()))
-        .collect();
-    for name in &inc.reverified {
-        let file = by_name[name.as_str()];
+    let hints_cell = CellConfig::standard(ModelProfile::gpt4o_mini(), PromptSetting::Hints);
+    for cell in [cheap_cell(), hints_cell] {
+        let label = cell.label();
+        let (baseline, snapshot) = cold_run(&pristine, &cell);
+        let dir = scratch_dir("cone");
+        // The cone cache lives at `<cache dir>/cones`.
+        let runner = Runner::from_env().with_jobs(1).with_cache_dir(&dir);
+        let inc = run_incremental(&runner, &cell, Some(&baseline), &snapshot, &edited)
+            .expect("incremental run completes");
+        assert!(!inc.fallback_full, "{label}");
         assert!(
-            file == "DirTree" || file == "FS",
-            "{name} ({file}) is outside the pinned cone"
+            !inc.reverified.is_empty(),
+            "{label}: the edit hits eval theorems"
         );
-        if file == "DirTree" {
-            let idx = corpus.dev.theorem(name).unwrap().item_index;
-            assert!(
-                idx >= edited_idx,
-                "{name} precedes the edit in DirTree and must stay clean"
-            );
-        }
-    }
-    let reverified: BTreeSet<&str> = inc.reverified.iter().map(String::as_str).collect();
-    assert_eq!(
-        inc.served_baseline + inc.cone_cache_hits + reverified.len(),
-        inc.result.outcomes.len()
-    );
+        assert!(
+            inc.served_baseline > 0,
+            "{label}: nothing was served from the baseline"
+        );
 
-    // Second run: the cone cache now holds every dirty outcome.
-    let again = run_incremental(&runner, &cell, Some(&baseline), &snapshot, &edited)
-        .expect("second incremental run completes");
-    assert!(
-        again.reverified.is_empty(),
-        "cone cache must serve all dirty theorems"
-    );
-    assert_eq!(
-        again.cone_cache_hits,
-        reverified.len() + inc.cone_cache_hits
-    );
-    assert_eq!(result_json(&again.result), result_json(&inc.result));
-    let _ = std::fs::remove_dir_all(&dir);
+        // Cone precision: nothing outside DirTree-from-the-edit-onward and
+        // FS (the only module importing DirTree) is re-verified.
+        let by_name: std::collections::BTreeMap<&str, &str> = inc
+            .result
+            .outcomes
+            .iter()
+            .map(|o| (o.name.as_str(), o.file.as_str()))
+            .collect();
+        for name in &inc.reverified {
+            let file = by_name[name.as_str()];
+            assert!(
+                file == "DirTree" || file == "FS",
+                "{label}: {name} ({file}) is outside the pinned cone"
+            );
+            if file == "DirTree" {
+                let idx = corpus.dev.theorem(name).unwrap().item_index;
+                assert!(
+                    idx >= edited_idx,
+                    "{label}: {name} precedes the edit in DirTree and must stay clean"
+                );
+            }
+        }
+        let reverified: BTreeSet<&str> = inc.reverified.iter().map(String::as_str).collect();
+        assert_eq!(
+            inc.served_baseline + inc.cone_cache_hits + reverified.len(),
+            inc.result.outcomes.len(),
+            "{label}"
+        );
+
+        // Byte-identity: the merge equals a clean full cold run.
+        let (full, _) = cold_run(&edited, &cell);
+        assert_eq!(
+            result_json(&inc.result),
+            result_json(&full),
+            "{label}: the merged result diverged from the full cold run"
+        );
+
+        // Second run: the cone cache now holds every dirty outcome.
+        let again = run_incremental(&runner, &cell, Some(&baseline), &snapshot, &edited)
+            .expect("second incremental run completes");
+        assert!(
+            again.reverified.is_empty(),
+            "{label}: cone cache must serve all dirty theorems"
+        );
+        assert_eq!(
+            again.cone_cache_hits,
+            reverified.len() + inc.cone_cache_hits,
+            "{label}"
+        );
+        assert_eq!(
+            result_json(&again.result),
+            result_json(&inc.result),
+            "{label}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Acceptance: merged incremental output stays byte-identical to the clean

@@ -35,13 +35,13 @@ pub struct RunRecord {
     /// Seconds since the Unix epoch when the record was appended.
     #[serde(default)]
     pub ts_unix: u64,
-    /// The bench binary (`table2`, `gen`, `incr`, `preflight`, …).
+    /// The bench binary (`table2`, `gen`, `rank`, `preflight`, …).
     #[serde(default)]
     pub bin: String,
     /// Run label within the bin (cell lineup, subcommand).
     #[serde(default)]
     pub label: String,
-    /// Variant tag — the series key alongside `bin` (e.g. `ci`,
+    /// Variant tag — the series key alongside `bin` (e.g. `rank-learned`,
     /// `gen:<fingerprint>`); empty for the default lineup.
     #[serde(default)]
     pub variant: String,

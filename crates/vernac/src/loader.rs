@@ -1,6 +1,7 @@
 //! Loading a development: import resolution, elaboration, proof replay.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 use std::sync::Arc;
 
 use minicoq::env::Env;
@@ -300,6 +301,81 @@ fn topo_order(files: &[LoadedFile]) -> Result<Vec<usize>, LoadError> {
         visit(i, files, &index, &mut state, &mut out)?;
     }
     Ok(out)
+}
+
+/// Reads every `.v` module of a corpus directory as the (module name,
+/// source text) pairs a [`Loader`] takes, ordered by the modules' imports
+/// (`import_order`), so a copy of the embedded corpus loads in the
+/// embedded order.
+pub fn dir_sources(dir: &Path) -> Result<Vec<(String, String)>, String> {
+    let mut modules = BTreeMap::new();
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    for entry in entries {
+        let path = entry.map_err(|e| e.to_string())?.path();
+        if path.extension().and_then(|e| e.to_str()) != Some("v") {
+            continue;
+        }
+        let name = path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .ok_or_else(|| format!("bad module filename {}", path.display()))?
+            .to_string();
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        modules.insert(name, text);
+    }
+    if modules.is_empty() {
+        return Err(format!("no .v modules under {}", dir.display()));
+    }
+    import_order(modules)
+}
+
+/// Orders modules by their imports alone: a depth-first post-order over
+/// each module's `Require Import` list, in listed order, starting from the
+/// modules nothing imports, taken by name. The loader's topological sort
+/// keeps an order that already respects the imports, and the theorem
+/// order (and with it the hint and eval splits) follows the load order, so
+/// a copy of the embedded corpus loads exactly as the embedded one does.
+/// Unknown imports and cycles are left for the loader to report.
+fn import_order(modules: BTreeMap<String, String>) -> Result<Vec<(String, String)>, String> {
+    let mut imports: BTreeMap<&str, Vec<String>> = BTreeMap::new();
+    for (name, text) in &modules {
+        let items = group_items(text).map_err(|e| format!("{name}: {e}"))?;
+        imports.insert(
+            name,
+            (items.into_iter())
+                .filter(|i| i.kind == ItemKind::Import)
+                .map(|i| i.name)
+                .collect(),
+        );
+    }
+    fn visit<'a>(
+        name: &'a str,
+        imports: &'a BTreeMap<&str, Vec<String>>,
+        seen: &mut BTreeSet<&'a str>,
+        order: &mut Vec<&'a str>,
+    ) {
+        let Some(deps) = imports.get(name) else {
+            return;
+        };
+        if !seen.insert(name) {
+            return;
+        }
+        for dep in deps {
+            visit(dep, imports, seen, order);
+        }
+        order.push(name);
+    }
+    let imported: BTreeSet<&str> = imports.values().flatten().map(String::as_str).collect();
+    let roots = imports.keys().filter(|name| !imported.contains(*name));
+    let (mut seen, mut order) = (BTreeSet::new(), Vec::new());
+    for name in roots.chain(imports.keys()) {
+        visit(name, &imports, &mut seen, &mut order);
+    }
+    Ok(order
+        .into_iter()
+        .map(|name| (name.to_string(), modules[name].clone()))
+        .collect())
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! `Runner::run_cells`, the one grid entry point: a grid gives what its
-//! cells give one at a time, a journal serves every repeat, and an
+//! cells give one at a time, a repeated key is served from the call's own
+//! result (and a journal serves every repeat across calls), and an
 //! injected worker panic crashes only its own cell — at one worker and at
 //! two.
 
@@ -73,24 +74,29 @@ fn a_grid_equals_its_cells_run_one_at_a_time() {
 fn a_journaled_grid_serves_repeats_from_the_journal() {
     let corpus = Corpus::load();
     let cells = cells();
+    let mut pairs: Vec<(&Corpus, &CellConfig)> = cells.iter().map(|c| (&corpus, c)).collect();
+    pairs.push((&corpus, &cells[0]));
+    let repeat_served = [
+        CellSource::Computed,
+        CellSource::Computed,
+        CellSource::Computed,
+        CellSource::Journal,
+    ];
     for jobs in [1, 2] {
+        // A key repeated within one call is served from that call's own
+        // `done` event, with no journal file as with one.
+        let unjournaled = runner(jobs).run_cells(&pairs);
+        assert_eq!(
+            sources(&unjournaled),
+            repeat_served,
+            "jobs={jobs}, no journal"
+        );
+        assert_eq!(json(&unjournaled[3]), json(&unjournaled[0]), "jobs={jobs}");
+
         let dir = scratch(&format!("journal-j{jobs}"));
         let runner = runner(jobs).with_journal(dir.join("journal.jsonl"));
-        // A key repeated within one call is served from that call's own
-        // `done` record.
-        let mut pairs: Vec<(&Corpus, &CellConfig)> = cells.iter().map(|c| (&corpus, c)).collect();
-        pairs.push((&corpus, &cells[0]));
         let first = runner.run_cells(&pairs);
-        assert_eq!(
-            sources(&first),
-            [
-                CellSource::Computed,
-                CellSource::Computed,
-                CellSource::Computed,
-                CellSource::Journal
-            ],
-            "jobs={jobs}"
-        );
+        assert_eq!(sources(&first), repeat_served, "jobs={jobs}");
         assert_eq!(json(&first[3]), json(&first[0]), "jobs={jobs}");
         // A second call replays the journal: every cell, none evaluated.
         let second = runner.run_cells(&pairs);
