@@ -1,8 +1,11 @@
 //! Ablations called out in DESIGN.md: search strategy and duplicate-state
 //! detection, at equal query budgets. Appends one run-ledger record for
 //! all of its cells.
+//!
+//! Usage: `ablations [--fresh] [--jobs N] [--trace-out BASE]`
 
 use fscq_corpus::Corpus;
+use llm_fscq_bench::GridOpts;
 use proof_metrics::{CellConfig, CellResult};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -39,10 +42,11 @@ fn line(label: String, r: &CellResult, with_queries: bool) -> String {
 }
 
 fn main() {
-    let trace_out = llm_fscq_bench::trace_out_flag();
-    if trace_out.is_some() {
-        proof_trace::set_enabled(true);
-    }
+    let opts = GridOpts::parse(
+        "ablations",
+        &GridOpts::flags(&["--fresh", "--jobs", "--trace-out"]),
+    );
+    opts.arm_tracing();
     let tweaked = |tweak: &dyn Fn(&mut CellConfig)| {
         let mut cell = CellConfig::standard(ModelProfile::gpt4o(), PromptSetting::Hints);
         tweak(&mut cell);
@@ -58,7 +62,7 @@ fn main() {
         )
         .chain(CONTEXTS.iter().map(|&(_, k)| tweaked(&|c| c.retrieval = k)))
         .collect();
-    let runner = llm_fscq_bench::runner(llm_fscq_bench::fresh_flag());
+    let runner = opts.runner();
     let runs = llm_fscq_bench::run_grid(&runner, &Corpus::load(), &cells);
     let mut results = llm_fscq_bench::completed(&runs).into_iter();
 
@@ -79,6 +83,6 @@ fn main() {
         &runner,
         &runs,
         Default::default(),
-        trace_out.as_deref(),
+        opts.trace_out.as_deref(),
     );
 }

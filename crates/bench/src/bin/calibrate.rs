@@ -1,8 +1,11 @@
 //! Calibration sweep: explores the simulator's shape parameters against the
 //! paper's Table 2 proved-rates and prints the loss per configuration.
 //! Appends one run-ledger record for the whole sweep.
+//!
+//! Usage: `calibrate [--fresh] [--jobs N]`
 
 use fscq_corpus::Corpus;
+use llm_fscq_bench::GridOpts;
 use proof_metrics::CellConfig;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -29,6 +32,7 @@ const SKILLS: [f64; 2] = [0.6, 0.75];
 const SETTINGS: [PromptSetting; 2] = [PromptSetting::Vanilla, PromptSetting::Hints];
 
 fn main() {
+    let opts = GridOpts::parse("calibrate", &GridOpts::flags(&["--fresh", "--jobs"]));
     let mut cells = Vec::new();
     for distractor_slope in SLOPES {
         for vanilla_skill in SKILLS {
@@ -45,7 +49,7 @@ fn main() {
             }
         }
     }
-    let runner = llm_fscq_bench::runner(llm_fscq_bench::fresh_flag());
+    let runner = opts.runner();
     let runs = llm_fscq_bench::run_grid(&runner, &Corpus::load(), &cells);
     let mut rates = llm_fscq_bench::completed(&runs)
         .into_iter()

@@ -1,8 +1,8 @@
 //! `corpus_analyze` — the whole-corpus semantic analyzer.
 //!
-//! ```sh
-//! corpus_analyze [--check] [--dir PATH] [--sarif PATH]
-//!                [--attempt-log PATH] [--fresh] [--trace-out BASE]
+//! ```text
+//! corpus_analyze [--check] [--dir PATH] [--sarif PATH] [--attempt-log PATH]
+//!                [--trace-out BASE]
 //! ```
 //!
 //! Default mode loads every corpus module, builds the dependency graph,
@@ -24,87 +24,31 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use corpus_analysis::{analyze_sources, passes, AnalysisConfig};
-use llm_fscq_bench::trace_out_flag;
+use llm_fscq_bench::GridOpts;
 use minicoq_vernac::loader::dir_sources;
+use proof_chaos::cli::{Cli, Flag};
 use proof_trace::attempts::AttemptLog;
 
 /// Path prefix for SARIF artifact URIs: findings point into the embedded
 /// corpus; `--dir` runs point into that directory instead.
 const URI_PREFIX: &str = "crates/fscq/corpus/";
 
-struct Args {
-    sarif: Option<String>,
-    attempt_log: Option<String>,
-    dir: Option<String>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: corpus_analyze [--check] [--dir PATH] [--sarif PATH]\n\
-         \x20                     [--attempt-log PATH] [--fresh] [--trace-out BASE]"
-    );
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = std::env::args().skip(1);
-    let mut sarif = None;
-    let mut attempt_log = None;
-    let mut dir = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            // `--check` is the explicit CI spelling of the default mode.
-            "--check" => {}
-            "--sarif" => {
-                sarif = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--sarif needs a path");
-                    usage()
-                }))
-            }
-            "--attempt-log" => {
-                attempt_log = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--attempt-log needs a path");
-                    usage()
-                }))
-            }
-            "--dir" => {
-                dir = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--dir needs a path");
-                    usage()
-                }))
-            }
-            // Shared grid flags, parsed by the bench library.
-            "--fresh" | "--jobs" => {
-                if a == "--jobs" {
-                    args.next();
-                }
-            }
-            "--trace-out" => {
-                args.next();
-            }
-            "--help" | "-h" => usage(),
-            other if other.starts_with("--trace-out=") => {}
-            other => {
-                eprintln!("unexpected argument {other}");
-                usage()
-            }
-        }
-    }
-    Args {
-        sarif,
-        attempt_log,
-        dir,
-    }
-}
-
 fn main() -> ExitCode {
-    let args = parse_args();
-    let trace_out = trace_out_flag();
-    if trace_out.is_some() {
-        proof_trace::set_enabled(true);
-    }
+    let args = Cli::new("corpus_analyze")
+        .flags(&[
+            // The explicit CI spelling of the default mode.
+            Flag::switch("--check"),
+            Flag::value("--dir", "PATH"),
+            Flag::value("--sarif", "PATH"),
+            Flag::value("--attempt-log", "PATH"),
+        ])
+        .flags(&GridOpts::flags(&["--trace-out"]))
+        .parse();
+    let opts = GridOpts::from_args(&args);
+    opts.arm_tracing();
+    let dir = args.value("--dir");
 
-    let sources: Vec<(String, String)> = match &args.dir {
+    let sources: Vec<(String, String)> = match dir {
         Some(dir) => match dir_sources(Path::new(dir)) {
             Ok(sources) => sources,
             Err(e) => {
@@ -127,7 +71,7 @@ fn main() -> ExitCode {
 
     // The log-driven cold-hint audit only runs when a log is supplied, so
     // plain `--check` output is unchanged.
-    if let Some(path) = &args.attempt_log {
+    if let Some(path) = args.value("--attempt-log") {
         let log = AttemptLog::at(path).load();
         if log.is_empty() {
             eprintln!("corpus_analyze: {path}: no valid attempt records");
@@ -164,8 +108,8 @@ fn main() -> ExitCode {
         }
     );
 
-    if let Some(path) = &args.sarif {
-        let prefix = match &args.dir {
+    if let Some(path) = args.value("--sarif") {
+        let prefix = match dir {
             Some(dir) => format!("{}/", dir.trim_end_matches('/')),
             None => URI_PREFIX.to_string(),
         };
@@ -177,7 +121,7 @@ fn main() -> ExitCode {
         println!("sarif    : written to {path}");
     }
 
-    if let Some(base) = &trace_out {
+    if let Some(base) = &opts.trace_out {
         llm_fscq_bench::write_trace_artifacts(base);
     }
 

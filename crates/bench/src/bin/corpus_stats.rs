@@ -2,13 +2,16 @@
 //! paragraph: theorem counts per module and category, the human-proof
 //! length histogram over the Figure 1 bins, the hint/eval split sizes,
 //! and the share of short proofs the coverage analysis leans on.
+//! Usage: `corpus_stats`, no arguments.
 
 use fscq_corpus::{Category, Corpus};
+use proof_chaos::cli::Cli;
 use proof_oracle::split::{eval_set, eval_set_small, hint_set};
 use proof_oracle::tokenizer::{bin_labels, bin_of, count_tokens};
 use std::collections::BTreeMap;
 
 fn main() {
+    Cli::new("corpus_stats").parse();
     let corpus = Corpus::load();
     let dev = &corpus.dev;
 

@@ -2,11 +2,15 @@
 //!
 //! Panel (a): the four main models, vanilla and with hints.
 //! Panel (b): Gemini 1.5 Pro with 1M vs 128k context windows.
+//!
+//! Usage: `fig1 [--fresh] [--resume] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
+//! [--trace-out BASE]`
 
+use llm_fscq_bench::GridOpts;
 use proof_metrics::report::render_fig1;
 
 fn main() {
-    let rs = llm_fscq_bench::main_grid_opts(&llm_fscq_bench::GridOpts::from_env());
+    let rs = llm_fscq_bench::main_grid_opts(&GridOpts::parse("fig1", &GridOpts::ALL));
     let order_a = [
         "GPT-4o mini",
         "GPT-4o mini (w/ hints)",

@@ -1,7 +1,8 @@
 //! Figure 2: case studies comparing human proofs with LLM-generated proofs
-//! for the three lemmas the paper highlights.
+//! for the three lemmas the paper highlights. Usage: `fig2`, no arguments.
 
 use fscq_corpus::Corpus;
+use proof_chaos::cli::Cli;
 use proof_metrics::levenshtein::canonical_script;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::{build_prompt, PromptConfig};
@@ -11,6 +12,7 @@ use proof_oracle::SimulatedModel;
 use proof_search::{search, SearchConfig};
 
 fn main() {
+    Cli::new("fig2").parse();
     let corpus = Corpus::load();
     let dev = &corpus.dev;
     let hints = hint_set(dev);

@@ -14,17 +14,23 @@
 //!   ladder lineup, print the Elo leaderboard and append one run-ledger
 //!   record; artifacts land under `target/experiments/`.
 //!
-//! Usage:
-//!   gen generate --seed S --count N [--depth D] [--distractors K]
-//!                [--hints H] [--obfuscate] [--out DIR]
-//!   gen validate [--dir DIR]
-//!   gen grid --seed S [--count N] [--jobs J] [--fresh] [--dir DIR]
+//! With no subcommand, `gen` generates. `grid --dir` reads a written
+//! corpus, so it takes none of the generation flags.
+//!
+//! ```text
+//! gen generate [--seed S] [--count N] [--depth D] [--distractors K]
+//!              [--hints H] [--obfuscate] [--out DIR]
+//! gen validate [--dir DIR]
+//! gen grid [--seed S] [--count N] [--depth D] [--distractors K] [--hints H]
+//!          [--obfuscate] [--dir DIR] [--jobs N] [--fresh]
+//! ```
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use corpus_gen::{generate, read_dir, validate, GenSpec, GeneratedCorpus};
-use llm_fscq_bench::{artifact_dir, flag_present, flag_value};
+use llm_fscq_bench::{artifact_dir, GridOpts};
+use proof_chaos::cli::{parse_command, Args, Cli, Flag};
 use proof_metrics::{elo_ladder, render_leaderboard, CellConfig, EvalScope};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -38,38 +44,36 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1)
 }
 
-fn parse_u64(name: &str, default: u64) -> u64 {
-    match flag_value(name) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| fail(&format!("{name} expects an integer, got `{v}`"))),
-    }
-}
+/// The generation flags: the spec of a corpus.
+const SPEC_FLAGS: [Flag; 6] = [
+    Flag::parsed::<u64>("--seed", "S"),
+    Flag::parsed::<usize>("--count", "N"),
+    Flag::parsed::<usize>("--depth", "D"),
+    Flag::parsed::<usize>("--distractors", "K"),
+    Flag::parsed::<usize>("--hints", "H"),
+    Flag::switch("--obfuscate"),
+];
 
-fn parse_usize(name: &str, default: usize) -> usize {
-    parse_u64(name, default as u64) as usize
-}
-
-fn spec_from_args(default_count: usize) -> GenSpec {
+fn spec_of(args: &Args, default_count: usize) -> GenSpec {
     let mut spec = GenSpec::new(
-        parse_u64("--seed", 1),
-        parse_usize("--count", default_count),
+        args.get("--seed").unwrap_or(1),
+        args.get("--count").unwrap_or(default_count),
     );
-    spec.knobs.depth = parse_usize("--depth", spec.knobs.depth);
-    spec.knobs.distractor_lemmas = parse_usize("--distractors", spec.knobs.distractor_lemmas);
-    spec.knobs.hint_pollution = parse_usize("--hints", spec.knobs.hint_pollution);
-    spec.knobs.obfuscate_names = flag_present("--obfuscate");
+    let knobs = &mut spec.knobs;
+    knobs.depth = args.get("--depth").unwrap_or(knobs.depth);
+    knobs.distractor_lemmas = args.get("--distractors").unwrap_or(knobs.distractor_lemmas);
+    knobs.hint_pollution = args.get("--hints").unwrap_or(knobs.hint_pollution);
+    knobs.obfuscate_names = args.given("--obfuscate");
     spec
 }
 
-fn out_dir(flag: &str) -> PathBuf {
-    flag_value(flag).map_or_else(|| PathBuf::from(DEFAULT_DIR), PathBuf::from)
+fn dir_of(args: &Args, flag: &str) -> PathBuf {
+    PathBuf::from(args.value(flag).unwrap_or(DEFAULT_DIR))
 }
 
-fn cmd_generate() {
-    let spec = spec_from_args(1000);
-    let dir = out_dir("--out");
+fn cmd_generate(args: &Args) {
+    let spec = spec_of(args, 1000);
+    let dir = dir_of(args, "--out");
     let started = Instant::now();
     let corpus = generate(&spec);
     let gen_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -87,8 +91,8 @@ fn cmd_generate() {
     );
 }
 
-fn cmd_validate() {
-    let dir = out_dir("--dir");
+fn cmd_validate(args: &Args) {
+    let dir = dir_of(args, "--dir");
     let corpus = read_dir(&dir).unwrap_or_else(|e| fail(&format!("read {}: {e}", dir.display())));
     let started = Instant::now();
     let report = validate(&corpus);
@@ -122,11 +126,15 @@ fn ladder_cells(fingerprint: &str) -> Vec<CellConfig> {
         .collect()
 }
 
-fn cmd_grid() {
-    let dir = flag_value("--dir").map(PathBuf::from);
-    let corpus: GeneratedCorpus = match &dir {
-        Some(d) => read_dir(d).unwrap_or_else(|e| fail(&format!("read {}: {e}", d.display()))),
-        None => generate(&spec_from_args(300)),
+fn cmd_grid(args: &Args) {
+    let corpus: GeneratedCorpus = match args.value("--dir") {
+        Some(d) => {
+            if SPEC_FLAGS.iter().any(|f| args.given(f.name())) {
+                args.fail("gen grid: --dir reads a written corpus; drop the generation flags");
+            }
+            read_dir(d.as_ref()).unwrap_or_else(|e| fail(&format!("read {d}: {e}")))
+        }
+        None => generate(&spec_of(args, 300)),
     };
     let fingerprint = corpus.manifest.fingerprint.clone();
     let dev = corpus
@@ -134,7 +142,7 @@ fn cmd_grid() {
         .unwrap_or_else(|e| fail(&format!("generated corpus failed to load: {e}")));
     let fscq = fscq_corpus::Corpus { dev };
 
-    let runner = llm_fscq_bench::runner(flag_present("--fresh"));
+    let runner = GridOpts::from_args(args).runner();
     let runs = llm_fscq_bench::run_grid(&runner, &fscq, &ladder_cells(&fingerprint));
     let refs = llm_fscq_bench::completed(&runs);
     let board = elo_ladder(&refs);
@@ -166,21 +174,20 @@ fn cmd_grid() {
 }
 
 fn main() {
-    let mode = std::env::args()
-        .nth(1)
-        .filter(|a| !a.starts_with('-'))
-        .unwrap_or_else(|| "generate".to_string());
-    match mode.as_str() {
-        "generate" => cmd_generate(),
-        "validate" => cmd_validate(),
-        "grid" => cmd_grid(),
-        other => {
-            eprintln!(
-                "usage: gen [generate|validate|grid] [--seed S] [--count N] [--depth D] \
-                 [--distractors K] [--hints H] [--obfuscate] [--out DIR] [--dir DIR] \
-                 [--jobs J] [--fresh] (got `{other}`)"
-            );
-            std::process::exit(2);
-        }
+    let dir = Flag::value("--dir", "DIR");
+    let commands = [
+        Cli::new("gen generate")
+            .flags(&SPEC_FLAGS)
+            .flags(&[Flag::value("--out", "DIR")]),
+        Cli::new("gen validate").flags(&[dir]),
+        Cli::new("gen grid")
+            .flags(&SPEC_FLAGS)
+            .flags(&[dir])
+            .flags(&GridOpts::flags(&["--jobs", "--fresh"])),
+    ];
+    match parse_command(&commands, Some("generate")) {
+        ("generate", args) => cmd_generate(&args),
+        ("validate", args) => cmd_validate(&args),
+        (_, args) => cmd_grid(&args),
     }
 }

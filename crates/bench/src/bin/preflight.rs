@@ -11,23 +11,26 @@
 //! It prints no wall-time comparison: both arms share one process, so the
 //! second inherits the rule readings and ranking facts its lemmas filled
 //! during the first.
+//!
+//! Usage: `preflight [--fresh] [--jobs N] [--trace-out BASE]`
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use fscq_corpus::Corpus;
-use llm_fscq_bench::{completed, fresh_flag, run_grid, runner};
+use llm_fscq_bench::{completed, run_grid, GridOpts};
 use proof_metrics::report::render_preflight;
 use proof_metrics::{CellConfig, EvalScope};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
 
 fn main() -> ExitCode {
-    let trace_out = llm_fscq_bench::trace_out_flag();
-    if trace_out.is_some() {
-        proof_trace::set_enabled(true);
-    }
-    let runner = runner(fresh_flag());
+    let opts = GridOpts::parse(
+        "preflight",
+        &GridOpts::flags(&["--fresh", "--jobs", "--trace-out"]),
+    );
+    opts.arm_tracing();
+    let runner = opts.runner();
 
     let mut on = CellConfig::standard(ModelProfile::gpt4o(), PromptSetting::Hints);
     on.scope = EvalScope::Full;
@@ -89,7 +92,7 @@ fn main() -> ExitCode {
         &runner,
         &runs,
         counters,
-        trace_out.as_deref(),
+        opts.trace_out.as_deref(),
     );
 
     if divergences > 0 {

@@ -21,71 +21,9 @@
 
 use std::process::ExitCode;
 
+use proof_chaos::cli::{Cli, Flag};
 use proof_trace::ledger::Ledger;
-use proof_trace::radar::{assess, Assessment, RadarParams, METRICS};
-
-struct Args {
-    ledger: Option<String>,
-    check: bool,
-    params: RadarParams,
-    metrics: Vec<String>,
-    md_out: Option<String>,
-    html_out: Option<String>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: radar [--ledger PATH] [--check] [--last-k N] [--z Z] [--rel R] \
-         [--metrics a,b,c] [--md PATH] [--html PATH]"
-    );
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        ledger: None,
-        check: false,
-        params: RadarParams::default(),
-        metrics: Vec::new(),
-        md_out: None,
-        html_out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--ledger" => out.ledger = Some(value()),
-            "--check" => out.check = true,
-            "--last-k" => out.params.last_k = value().parse().unwrap_or_else(|_| usage()),
-            "--z" => out.params.z_max = value().parse().unwrap_or_else(|_| usage()),
-            "--rel" => out.params.rel_scale = value().parse().unwrap_or_else(|_| usage()),
-            "--metrics" => {
-                out.metrics = value()
-                    .split(',')
-                    .map(|m| m.trim().to_string())
-                    .filter(|m| !m.is_empty())
-                    .collect();
-                for m in &out.metrics {
-                    if proof_trace::radar::metric_def(m).is_none() {
-                        eprintln!(
-                            "radar: unknown metric `{m}` (known: {})",
-                            METRICS.iter().map(|d| d.key).collect::<Vec<_>>().join(", ")
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--md" => out.md_out = Some(value()),
-            "--html" => out.html_out = Some(value()),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("radar: unexpected argument {other}");
-                usage()
-            }
-        }
-    }
-    out
-}
+use proof_trace::radar::{assess, metric_def, Assessment, RadarParams, METRICS};
 
 fn fmt(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e12 {
@@ -251,8 +189,38 @@ fn render_html(assessments: &[Assessment], runs: usize, series: usize) -> String
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    let ledger = match &args.ledger {
+    let args = Cli::new("radar")
+        .flags(&[
+            Flag::value("--ledger", "PATH"),
+            Flag::switch("--check"),
+            Flag::parsed::<usize>("--last-k", "N"),
+            Flag::parsed::<f64>("--z", "Z"),
+            Flag::parsed::<f64>("--rel", "R"),
+            Flag::value("--metrics", "a,b,c"),
+            Flag::value("--md", "PATH"),
+            Flag::value("--html", "PATH"),
+        ])
+        .parse();
+    let defaults = RadarParams::default();
+    let params = RadarParams {
+        last_k: args.get("--last-k").unwrap_or(defaults.last_k),
+        z_max: args.get("--z").unwrap_or(defaults.z_max),
+        rel_scale: args.get("--rel").unwrap_or(defaults.rel_scale),
+    };
+    let list = args
+        .value("--metrics")
+        .unwrap_or("")
+        .split(',')
+        .map(str::trim);
+    let metrics: Vec<String> = list.filter(|m| !m.is_empty()).map(String::from).collect();
+    if let Some(m) = metrics.iter().find(|m| metric_def(m).is_none()) {
+        let known: Vec<&str> = METRICS.iter().map(|d| d.key).collect();
+        args.fail(&format!(
+            "radar: unknown metric `{m}` (known: {})",
+            known.join(", ")
+        ));
+    }
+    let ledger = match args.value("--ledger") {
         Some(p) => Ledger::at(p),
         None => Ledger::from_env(),
     };
@@ -265,17 +233,17 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let series: std::collections::BTreeSet<String> = records.iter().map(|r| r.series()).collect();
-    let assessments = assess(&records, &args.params, &args.metrics);
+    let assessments = assess(&records, &params, &metrics);
 
     let md = render_md(&assessments, records.len(), series.len());
     print!("{md}");
-    if let Some(path) = &args.md_out {
+    if let Some(path) = args.value("--md") {
         if let Err(e) = std::fs::write(path, &md) {
             eprintln!("radar: cannot write {path}: {e}");
             return ExitCode::from(2);
         }
     }
-    if let Some(path) = &args.html_out {
+    if let Some(path) = args.value("--html") {
         let html = render_html(&assessments, records.len(), series.len());
         if let Err(e) = std::fs::write(path, html) {
             eprintln!("radar: cannot write {path}: {e}");
@@ -284,7 +252,7 @@ fn main() -> ExitCode {
         eprintln!("radar: HTML dashboard -> {path}");
     }
 
-    if args.check {
+    if args.given("--check") {
         let bad: Vec<&Assessment> = assessments.iter().filter(|a| a.regressed).collect();
         if !bad.is_empty() {
             for a in &bad {

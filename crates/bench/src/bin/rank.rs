@@ -23,12 +23,16 @@
 //!   regression radar trends, and writing
 //!   `rank_ab.json` + `rank_report.md` under `target/experiments/`.
 //!
-//! Usage:
-//!   rank mine  [--out PATH] [--sampled] [--gen] [--spec PATH] [--jobs J]
-//!   rank train --log PATH [--out PATH] [--refine] [--spec PATH]
-//!   rank eval  --log PATH --model PATH [--spec PATH]
-//!   rank ab    [--model PATH | --log PATH] [--fresh] [--jobs J]
-//!              [--refine] [--spec PATH]
+//! `--log` and `--model` default to the paths `mine` and `train` write;
+//! `ab --model` takes none of the training flags (`--log`, `--refine`).
+//!
+//! ```text
+//! rank mine [--out PATH] [--sampled] [--gen] [--spec PATH] [--jobs N]
+//! rank train [--log PATH] [--out PATH] [--refine] [--spec PATH]
+//! rank eval [--log PATH] [--model PATH] [--spec PATH]
+//! rank ab [--model PATH] [--log PATH] [--refine] [--spec PATH] [--fresh]
+//!         [--jobs N]
+//! ```
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -38,13 +42,13 @@ use corpus_analysis::score::{clear_model, install_model, Model};
 use corpus_gen::generate_pinned;
 use fscq_corpus::Corpus;
 use llm_fscq_bench::rank::{base_cell, features_of_log, gen_dev, hard_tier, PINNED_SPEC};
-use llm_fscq_bench::{artifact_dir, flag_present, flag_value, ledger_append, run_record};
-use proof_metrics::runner::Runner;
+use llm_fscq_bench::{artifact_dir, ledger_append, run_record, GridOpts};
+use proof_chaos::cli::{parse_command, Args, Cli, Flag};
 use proof_metrics::{CellConfig, CellResult, EvalScope};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
 use proof_search::PremiseRank;
-use proof_trace::attempts::AttemptLog;
+use proof_trace::attempts::{AttemptLog, AttemptRecord};
 use proof_trace::ledger::RunRecord;
 
 /// Default mined-attempt log location.
@@ -58,24 +62,49 @@ fn fail(msg: &str) -> ! {
 }
 
 /// The pinned generated-corpus spec: `--spec`, or the checked-in fixture.
-fn spec_path() -> PathBuf {
-    PathBuf::from(flag_value("--spec").unwrap_or_else(|| PINNED_SPEC.to_string()))
+fn spec_path(args: &Args) -> PathBuf {
+    PathBuf::from(args.value("--spec").unwrap_or(PINNED_SPEC))
+}
+
+/// The attempt log at `--log`, or the mined one; fails when it holds no
+/// record.
+fn attempt_log(args: &Args) -> Vec<AttemptRecord> {
+    let path = args.value("--log").unwrap_or(DEFAULT_LOG);
+    let log = AttemptLog::at(path).load();
+    if log.is_empty() {
+        fail(&format!(
+            "{path}: no valid attempt records — run `rank mine` first"
+        ));
+    }
+    log
+}
+
+/// The labelled feature vectors of the attempt log's searches.
+fn training_samples(args: &Args) -> Vec<(FeatureVec, bool)> {
+    features_of_log(&attempt_log(args), &spec_path(args))
+        .unwrap_or_else(|e| fail(&e))
+        .into_values()
+        .flatten()
+        .collect()
 }
 
 // ---------------------------------------------------------------- mine
 
-fn cmd_mine() {
-    let out = flag_value("--out").unwrap_or_else(|| DEFAULT_LOG.to_string());
+fn cmd_mine(args: &Args) {
+    let out = args.value("--out").unwrap_or(DEFAULT_LOG);
     if let Some(parent) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(parent).ok();
     }
-    std::fs::remove_file(&out).ok();
+    std::fs::remove_file(out).ok();
 
     // No cache: cached cells never run a search, so a cached mine would
     // produce an empty log.
-    let runner = Runner::from_env().without_cache().with_attempt_log(&out);
+    let runner = GridOpts::from_args(args)
+        .runner()
+        .without_cache()
+        .with_attempt_log(out);
     let corpus = Corpus::load();
-    let scope = if flag_present("--sampled") {
+    let scope = if args.given("--sampled") {
         EvalScope::Sampled
     } else {
         EvalScope::Full
@@ -89,8 +118,8 @@ fn cmd_mine() {
             cell
         })
         .collect();
-    let gen = flag_present("--gen").then(|| {
-        let gc = generate_pinned(&spec_path()).unwrap_or_else(|e| fail(&e));
+    let gen = args.given("--gen").then(|| {
+        let gc = generate_pinned(&spec_path(args)).unwrap_or_else(|e| fail(&e));
         let mut cell = base_cell("rank-mine:genhard", PremiseRank::Off);
         cell.subset = Some(hard_tier(&gc));
         (gen_dev(&gc).unwrap_or_else(|e| fail(&e)), cell)
@@ -98,31 +127,22 @@ fn cmd_mine() {
     let mut pairs: Vec<(&Corpus, &CellConfig)> = cells.iter().map(|c| (&corpus, c)).collect();
     pairs.extend(gen.as_ref().map(|(fscq, cell)| (fscq, cell)));
     llm_fscq_bench::completed(&runner.run_cells(&pairs));
-    let n = AttemptLog::at(&out).load().len();
+    let n = AttemptLog::at(out).load().len();
     println!("[rank] mined {n} attempt record(s) -> {out}");
 }
 
 // --------------------------------------------------------------- train
 
-fn cmd_train() {
-    let log_path = flag_value("--log").unwrap_or_else(|| DEFAULT_LOG.to_string());
-    let out = flag_value("--out").unwrap_or_else(|| DEFAULT_MODEL.to_string());
-    let log = AttemptLog::at(&log_path).load();
-    if log.is_empty() {
-        fail(&format!("{log_path}: no valid attempt records"));
-    }
-    let samples: Vec<(FeatureVec, bool)> = features_of_log(&log, &spec_path())
-        .unwrap_or_else(|e| fail(&e))
-        .into_values()
-        .flatten()
-        .collect();
+fn cmd_train(args: &Args) {
+    let out = args.value("--out").unwrap_or(DEFAULT_MODEL);
+    let samples = training_samples(args);
     let positives = samples.iter().filter(|(_, y)| *y).count();
-    let model = Model::train(&samples, flag_present("--refine"));
-    if let Some(parent) = std::path::Path::new(&out).parent() {
+    let model = Model::train(&samples, args.given("--refine"));
+    if let Some(parent) = std::path::Path::new(out).parent() {
         std::fs::create_dir_all(parent).ok();
     }
     let bytes = model.to_bytes();
-    std::fs::write(&out, &bytes).unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
+    std::fs::write(out, &bytes).unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
     println!(
         "[rank] trained on {} sample(s) ({} on-path) -> {} bucket(s), {} bytes, hash {:016x} -> {out}",
         samples.len(),
@@ -135,20 +155,16 @@ fn cmd_train() {
 
 // ---------------------------------------------------------------- eval
 
-fn cmd_eval() {
-    let log_path = flag_value("--log").unwrap_or_else(|| DEFAULT_LOG.to_string());
-    let model_path = flag_value("--model").unwrap_or_else(|| DEFAULT_MODEL.to_string());
-    let log = AttemptLog::at(&log_path).load();
-    if log.is_empty() {
-        fail(&format!("{log_path}: no valid attempt records"));
-    }
+fn cmd_eval(args: &Args) {
+    let model_path = args.value("--model").unwrap_or(DEFAULT_MODEL);
+    let log = attempt_log(args);
     let bytes =
-        std::fs::read(&model_path).unwrap_or_else(|e| fail(&format!("read {model_path}: {e}")));
+        std::fs::read(model_path).unwrap_or_else(|e| fail(&format!("read {model_path}: {e}")));
     let model = Model::from_bytes(&bytes).unwrap_or_else(|e| fail(&e));
 
     // Within-theorem pairwise ranking accuracy: does the model put
     // on-path attempts above off-path ones for the same goal?
-    let grouped = features_of_log(&log, &spec_path()).unwrap_or_else(|e| fail(&e));
+    let grouped = features_of_log(&log, &spec_path(args)).unwrap_or_else(|e| fail(&e));
     let (mut correct, mut total) = (0u64, 0u64);
     for samples in grouped.values() {
         let scores: Vec<(i64, bool)> = samples
@@ -197,41 +213,27 @@ fn summarize(arm: &'static str, corpus: &'static str, r: &CellResult) -> ArmResu
     }
 }
 
-fn cmd_ab() {
+fn cmd_ab(args: &Args) {
     // The learned arm needs a model. Use --model when given; otherwise
-    // train one from --log (or the default mined log), mining it first if
-    // it does not exist yet.
-    let model = match flag_value("--model") {
+    // train one from --log (or the default mined log).
+    let model = match args.value("--model") {
         Some(path) => {
-            let bytes = std::fs::read(&path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
+            if args.given("--log") || args.given("--refine") {
+                args.fail("rank ab: --model takes no training flags (--log, --refine)");
+            }
+            let bytes = std::fs::read(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
             Model::from_bytes(&bytes).unwrap_or_else(|e| fail(&e))
         }
-        None => {
-            let log_path = flag_value("--log").unwrap_or_else(|| DEFAULT_LOG.to_string());
-            if !std::path::Path::new(&log_path).exists() {
-                fail(&format!(
-                    "{log_path} does not exist — run `rank mine` first or pass --model PATH"
-                ));
-            }
-            let log = AttemptLog::at(&log_path).load();
-            if log.is_empty() {
-                fail(&format!("{log_path}: no valid attempt records"));
-            }
-            let samples: Vec<(FeatureVec, bool)> = features_of_log(&log, &spec_path())
-                .unwrap_or_else(|e| fail(&e))
-                .into_values()
-                .flatten()
-                .collect();
-            Model::train(&samples, flag_present("--refine"))
-        }
+        None => Model::train(&training_samples(args), args.given("--refine")),
     };
     let model_hash = model.content_hash();
 
-    let cached = llm_fscq_bench::runner(flag_present("--fresh"));
-    let uncached = Runner::from_env().without_cache();
+    let opts = GridOpts::from_args(args);
+    let cached = opts.runner();
+    let uncached = opts.runner().without_cache();
 
     let embedded = Corpus::load();
-    let gc = generate_pinned(&spec_path()).unwrap_or_else(|e| fail(&e));
+    let gc = generate_pinned(&spec_path(args)).unwrap_or_else(|e| fail(&e));
     let tier = hard_tier(&gc);
     let gen_fscq = gen_dev(&gc).unwrap_or_else(|e| fail(&e));
     eprintln!(
@@ -352,21 +354,28 @@ fn cmd_ab() {
 }
 
 fn main() {
-    let mode = std::env::args()
-        .nth(1)
-        .filter(|a| !a.starts_with('-'))
-        .unwrap_or_default();
-    match mode.as_str() {
-        "mine" => cmd_mine(),
-        "train" => cmd_train(),
-        "eval" => cmd_eval(),
-        "ab" => cmd_ab(),
-        other => {
-            eprintln!(
-                "usage: rank [mine|train|eval|ab] [--out PATH] [--log PATH] [--model PATH] \
-                 [--spec PATH] [--sampled] [--gen] [--refine] [--fresh] [--jobs J] (got `{other}`)"
-            );
-            std::process::exit(2);
-        }
+    let path = |name| Flag::value(name, "PATH");
+    let (log, out, model, spec) = (
+        path("--log"),
+        path("--out"),
+        path("--model"),
+        path("--spec"),
+    );
+    let refine = Flag::switch("--refine");
+    let commands = [
+        Cli::new("rank mine")
+            .flags(&[out, Flag::switch("--sampled"), Flag::switch("--gen"), spec])
+            .flags(&GridOpts::flags(&["--jobs"])),
+        Cli::new("rank train").flags(&[log, out, refine, spec]),
+        Cli::new("rank eval").flags(&[log, model, spec]),
+        Cli::new("rank ab")
+            .flags(&[model, log, refine, spec])
+            .flags(&GridOpts::flags(&["--fresh", "--jobs"])),
+    ];
+    match parse_command(&commands, None) {
+        ("mine", args) => cmd_mine(&args),
+        ("train", args) => cmd_train(&args),
+        ("eval", args) => cmd_eval(&args),
+        (_, args) => cmd_ab(&args),
     }
 }

@@ -6,8 +6,12 @@
 //!
 //! Part 2 (reasoning models): whole-proof generation without checker
 //! interaction, reproducing the "assumes a subgoal is closed" failure mode.
+//!
+//! Usage: `sec43 [--fresh] [--resume] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
+//! [--trace-out BASE]`
 
 use fscq_corpus::Corpus;
+use llm_fscq_bench::GridOpts;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::{build_prompt, PromptConfig, PromptSetting};
 use proof_oracle::split::hint_set;
@@ -16,7 +20,7 @@ use proof_search::whole_proof::whole_proof_with_repair;
 use proof_search::{search, SearchConfig};
 
 fn main() {
-    let rs = llm_fscq_bench::main_grid_opts(&llm_fscq_bench::GridOpts::from_env());
+    let rs = llm_fscq_bench::main_grid_opts(&GridOpts::parse("sec43", &GridOpts::ALL));
     let corpus = Corpus::load();
     let dev = &corpus.dev;
     let hints = hint_set(dev);

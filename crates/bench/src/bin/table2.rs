@@ -1,11 +1,15 @@
 //! Table 2: proved / stuck / fuelout rates and qualitative metrics for the
 //! five model configurations, vanilla -> with hints.
+//!
+//! Usage: `table2 [--fresh] [--resume] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
+//! [--trace-out BASE]`
 
+use llm_fscq_bench::GridOpts;
 use proof_metrics::levenshtein::random_pair_baseline;
 use proof_metrics::report::render_table2;
 
 fn main() {
-    let rs = llm_fscq_bench::main_grid_opts(&llm_fscq_bench::GridOpts::from_env());
+    let rs = llm_fscq_bench::main_grid_opts(&GridOpts::parse("table2", &GridOpts::ALL));
     let names = [
         "GPT-4o mini",
         "GPT-4o",

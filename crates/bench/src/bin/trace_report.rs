@@ -17,35 +17,22 @@
 
 use std::process::ExitCode;
 
+use proof_chaos::cli::{Cli, Flag};
 use proof_trace::export::{read_chrome, ChromeTrace};
 use proof_trace::report::{phase_breakdown, render_report};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut trace_path = None;
-    let mut flame_path = None;
-    let mut top_n = 10usize;
-    let mut min_phase_pct: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--flame" => flame_path = it.next().cloned(),
-            "--top" => top_n = it.next().and_then(|v| v.parse().ok()).unwrap_or(top_n),
-            "--min-phase-pct" => min_phase_pct = it.next().and_then(|v| v.parse().ok()),
-            other if !other.starts_with("--") => trace_path = Some(other.to_string()),
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(trace_path) = trace_path else {
-        eprintln!(
-            "usage: trace_report <trace.json> [--flame <out.folded>] [--top N] [--min-phase-pct P]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let text = match std::fs::read_to_string(&trace_path) {
+    let args = Cli::new("trace_report")
+        .positional("trace.json", true)
+        .flags(&[
+            Flag::value("--flame", "OUT"),
+            Flag::parsed::<usize>("--top", "N"),
+            Flag::parsed::<f64>("--min-phase-pct", "P"),
+        ])
+        .parse();
+    let trace_path = args.positional(0).expect("a required positional");
+    let top_n = args.get("--top").unwrap_or(10);
+    let text = match std::fs::read_to_string(trace_path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("cannot read {trace_path}: {e}");
@@ -71,7 +58,7 @@ fn main() -> ExitCode {
     }
     print!("{}", render_report(&spans, &metrics, dropped, top_n));
 
-    if let Some(path) = &flame_path {
+    if let Some(path) = args.value("--flame") {
         match proof_trace::export::write_collapsed(std::path::Path::new(path), &spans) {
             Ok(()) => println!("\nflamegraph collapsed stacks -> {path}"),
             Err(e) => {
@@ -81,7 +68,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(min) = min_phase_pct {
+    if let Some(min) = args.get::<f64>("--min-phase-pct") {
         let pct = phase_breakdown(&spans).named_phase_pct();
         if pct < min {
             eprintln!("named-phase attribution {pct:.1}% is below the required {min:.1}%");

@@ -6,12 +6,13 @@
 //! artifacts under `target/experiments/` but never read back. Delete the
 //! cell files (or pass `--fresh`) to recompute. Cells evaluate on the
 //! parallel runner; override the worker count with `--jobs N` or
-//! `JOBS=N`.
+//! `JOBS=N`. [`GridOpts`] is the group of flags the grid bins share;
+//! each bin declares the ones it honours.
 //!
-//! Grid runs are crash-safe: every completed cell is appended to a JSONL
-//! journal under `target/experiments/`, and `--resume` replays it, so a
-//! run killed mid-grid picks up where it left off instead of starting
-//! over. `--fault-seed N` / `--fault-plan SPEC` arm the seeded
+//! The main grid is crash-safe: every completed cell is appended to a
+//! JSONL journal under `target/experiments/`, and `--resume` replays it,
+//! so a run killed mid-grid picks up where it left off instead of
+//! starting over. `--fault-seed N` / `--fault-plan SPEC` arm the seeded
 //! fault-injection plan (chaos testing; see `proof_chaos`) — injected
 //! faults are recovered by retry, panic isolation, and the checksummed
 //! cell cache, so a faulted-then-resumed grid produces byte-identical
@@ -22,7 +23,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fscq_corpus::Corpus;
-use proof_chaos::FaultPlan;
+use proof_chaos::cli::{Args, Cli, Flag};
+use proof_chaos::{plan_from_flags, FaultPlan};
 use proof_metrics::report::ResultSet;
 use proof_metrics::{CellConfig, CellCrash, CellResult, CellRun, CellSource, Runner};
 use proof_oracle::profiles::ModelProfile;
@@ -36,46 +38,84 @@ pub fn artifact_dir() -> PathBuf {
     PathBuf::from("target/experiments")
 }
 
-/// The evaluation engine the bench binaries share: worker count from
-/// `--jobs`/`JOBS`, cell cache under `target/cells/`. `fresh` disables the
-/// cell cache so `--fresh` really recomputes.
-pub fn runner(fresh: bool) -> Runner {
-    if fresh {
-        Runner::from_env().without_cache()
-    } else {
-        Runner::from_env()
-    }
-}
-
-/// Command-line options shared by the grid-driving binaries.
+/// The options the grid-driving binaries share. A bin declares the ones
+/// it honours ([`GridOpts::ALL`] or [`GridOpts::flags`]); the rest read as
+/// unset.
 #[derive(Clone, Default)]
 pub struct GridOpts {
     /// `--fresh`: drop every cache level and recompute.
     pub fresh: bool,
     /// `--resume`: replay the progress journal of an interrupted run.
     pub resume: bool,
+    /// `--jobs N`: the worker count, over `JOBS` and the core count.
+    pub jobs: Option<usize>,
     /// `--fault-seed` / `--fault-plan`: the armed fault-injection plan.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// `--trace-out PATH`: arm the tracing layer and write the Chrome
-    /// trace-event file at `PATH` with a `.json` extension.
+    /// `--trace-out BASE`: arm the tracing layer and write the Chrome
+    /// trace-event file at `BASE` with a `.json` extension.
     pub trace_out: Option<PathBuf>,
 }
 
 impl GridOpts {
-    /// Parses the process arguments.
-    pub fn from_env() -> GridOpts {
+    /// Every shared flag: what the main-grid bins take.
+    pub const ALL: [Flag; 6] = [
+        Flag::switch("--fresh"),
+        Flag::switch("--resume"),
+        Flag::parsed::<usize>("--jobs", "N"),
+        Flag::parsed::<u64>("--fault-seed", "N"),
+        Flag::value("--fault-plan", "SPEC"),
+        Flag::value("--trace-out", "BASE"),
+    ];
+
+    /// The shared flags called `names`, in that order.
+    pub fn flags(names: &[&str]) -> Vec<Flag> {
+        let flag = |name| GridOpts::ALL.into_iter().find(|f| f.name() == name);
+        names
+            .iter()
+            .map(|&n| flag(n).expect("a shared flag"))
+            .collect()
+    }
+
+    /// The shared options among `args`. A malformed `--fault-plan` is a
+    /// usage error.
+    pub fn from_args(args: &Args) -> GridOpts {
         GridOpts {
-            fresh: fresh_flag(),
-            resume: resume_flag(),
-            fault_plan: proof_chaos::plan_from_env_args(),
-            trace_out: trace_out_flag(),
+            fresh: args.given("--fresh"),
+            resume: args.given("--resume"),
+            jobs: args.get("--jobs"),
+            fault_plan: plan_from_flags(args.get("--fault-seed"), args.value("--fault-plan"))
+                .unwrap_or_else(|e| args.fail(&format!("--fault-plan: {e}"))),
+            trace_out: args.value("--trace-out").map(PathBuf::from),
         }
     }
-}
 
-/// The `--trace-out PATH` / `--trace-out=PATH` argument, if present.
-pub fn trace_out_flag() -> Option<PathBuf> {
-    flag_value("--trace-out").map(PathBuf::from)
+    /// Parses the process arguments of a bin that takes the `flags`
+    /// among the shared ones and nothing else.
+    pub fn parse(bin: &'static str, flags: &[Flag]) -> GridOpts {
+        GridOpts::from_args(&Cli::new(bin).flags(flags).parse())
+    }
+
+    /// The evaluation engine: `--jobs` workers, else `JOBS`, else the core
+    /// count; the cell cache under `target/cells/` unless `--fresh`.
+    pub fn runner(&self) -> Runner {
+        let runner = Runner::from_env();
+        let runner = match self.jobs {
+            Some(jobs) => runner.with_jobs(jobs),
+            None => runner,
+        };
+        if self.fresh {
+            runner.without_cache()
+        } else {
+            runner
+        }
+    }
+
+    /// Arms the trace collector when `--trace-out` is set.
+    pub fn arm_tracing(&self) {
+        if self.trace_out.is_some() {
+            proof_trace::set_enabled(true);
+        }
+    }
 }
 
 /// Drains the collector and writes the trace file, Chrome trace-event
@@ -230,11 +270,9 @@ pub fn completed(runs: &[CellRun]) -> Vec<&CellResult> {
 /// completed cells stay journaled and the process exits with status 2
 /// after advising a `--resume` run.
 pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
-    if opts.trace_out.is_some() {
-        proof_trace::set_enabled(true);
-    }
+    opts.arm_tracing();
     let journal_path = artifact_dir().join("main_grid.journal.jsonl");
-    let mut runner = runner(opts.fresh).with_journal(&journal_path);
+    let mut runner = opts.runner().with_journal(&journal_path);
     if !opts.resume {
         // A fresh (non-resume) run starts a fresh journal; stale entries
         // from an older configuration would otherwise mask real work.
@@ -283,25 +321,4 @@ pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
     let _ = std::fs::create_dir_all(artifact_dir());
     let _ = std::fs::write(artifact_dir().join("main_grid.json"), rs.to_json());
     rs
-}
-
-/// The value of the first `name V` or `name=V` on the command line
-/// ([`proof_chaos::value_arg`]), if any.
-pub fn flag_value(name: &str) -> Option<String> {
-    proof_chaos::value_arg(std::env::args().skip(1), name)
-}
-
-/// True when `name` was passed on the command line.
-pub fn flag_present(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-/// True when `--fresh` was passed on the command line.
-pub fn fresh_flag() -> bool {
-    flag_present("--fresh")
-}
-
-/// True when `--resume` was passed on the command line.
-pub fn resume_flag() -> bool {
-    flag_present("--resume")
 }

@@ -21,7 +21,11 @@
 //! The consumers are `proof_oracle::chaos` (oracle errors / garbage
 //! output), `minicoq_stm::session` (spurious timeouts), and
 //! `proof_metrics::runner` (worker panics, cell-cache corruption). The
-//! bench binaries build a plan from `--fault-seed N` / `--fault-plan SPEC`.
+//! grid binaries build a plan from `--fault-seed N` / `--fault-plan SPEC`
+//! ([`plan_from_flags`]), parsed by [`cli`], the workspace's one
+//! command-line parser.
+
+pub mod cli;
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -256,61 +260,24 @@ impl FaultPlan {
     }
 }
 
-/// Parses `--fault-seed N` (or `--fault-seed=N`) from an argument list.
-pub fn fault_seed_arg(args: impl Iterator<Item = String>) -> Option<u64> {
-    value_arg(args, "--fault-seed").and_then(|v| v.parse().ok())
-}
-
-/// Parses `--fault-plan SPEC` (or `--fault-plan=SPEC`) from an argument
-/// list; the spec grammar is [`FaultConfig::parse_spec`]'s.
-pub fn fault_plan_arg(args: impl Iterator<Item = String>) -> Option<String> {
-    value_arg(args, "--fault-plan")
-}
-
-/// The value of the first `flag V` or `flag=V` in an argument list: the
-/// one command-line value parser of the workspace's binaries (fault
-/// flags, `--jobs`, `--trace-out` and the bench bins' path flags). A
-/// trailing `flag` with nothing after it has no value.
-pub fn value_arg(args: impl Iterator<Item = String>, flag: &str) -> Option<String> {
-    let mut args = args.peekable();
-    let prefix = format!("{flag}=");
-    while let Some(a) = args.next() {
-        if a == flag {
-            if let Some(v) = args.peek() {
-                return Some(v.clone());
-            }
-        } else if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-/// Builds the process's fault plan from `--fault-seed` / `--fault-plan`.
+/// The fault plan of a `--fault-seed` / `--fault-plan` pair.
 /// `--fault-plan` alone seeds 0; `--fault-seed` alone uses the standard
-/// smoke rates ([`FaultConfig::smoke`]). Neither flag means no plan — the
-/// stack runs clean. A malformed spec is a hard error (a chaos run that
+/// smoke rates ([`FaultConfig::smoke`]). Neither means no plan — the
+/// stack runs clean. A malformed spec is an error (a chaos run that
 /// silently ran clean would defeat its own point).
-pub fn plan_from_env_args() -> Option<Arc<FaultPlan>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    plan_from_args(args.into_iter())
-}
-
-/// As [`plan_from_env_args`], over an explicit argument list.
-pub fn plan_from_args(args: impl Iterator<Item = String> + Clone) -> Option<Arc<FaultPlan>> {
-    let seed = fault_seed_arg(args.clone());
-    let spec = fault_plan_arg(args);
-    let mut cfg = match &spec {
-        Some(s) => FaultConfig::parse_spec(s).unwrap_or_else(|e| panic!("--fault-plan: {e}")),
-        None => match seed {
-            Some(s) => FaultConfig::smoke(s),
-            None => return None,
-        },
+pub fn plan_from_flags(
+    seed: Option<u64>,
+    spec: Option<&str>,
+) -> Result<Option<Arc<FaultPlan>>, String> {
+    let mut cfg = match (spec, seed) {
+        (Some(spec), _) => FaultConfig::parse_spec(spec)?,
+        (None, Some(seed)) => FaultConfig::smoke(seed),
+        (None, None) => return Ok(None),
     };
-    if let Some(s) = seed {
-        cfg.seed = s;
+    if let Some(seed) = seed {
+        cfg.seed = seed;
     }
-    Some(Arc::new(FaultPlan::new(cfg)))
+    Ok(Some(Arc::new(FaultPlan::new(cfg))))
 }
 
 #[cfg(test)]
@@ -418,30 +385,15 @@ mod tests {
     }
 
     #[test]
-    fn value_arg_reads_both_spellings() {
-        let v = |xs: &[&str], flag: &str| value_arg(xs.iter().map(|s| s.to_string()), flag);
-        assert_eq!(
-            v(&["train", "--log", "a.jsonl"], "--log").as_deref(),
-            Some("a.jsonl")
-        );
-        assert_eq!(
-            v(&["train", "--log=b.jsonl"], "--log").as_deref(),
-            Some("b.jsonl")
-        );
-        assert_eq!(v(&["--log=", "x"], "--log").as_deref(), Some(""));
-        assert_eq!(v(&["--log=a", "--log", "b"], "--log").as_deref(), Some("a"));
-        assert_eq!(v(&["--out", "o", "--log"], "--log"), None);
-        assert_eq!(v(&["--logx=a", "--log-dir", "b"], "--log"), None);
-    }
-
-    #[test]
-    fn arg_parsing_builds_plans() {
-        let v = |xs: &[&str]| plan_from_args(xs.iter().map(|s| s.to_string()));
-        assert!(v(&["--fresh"]).is_none());
-        let p = v(&["--fault-seed", "42"]).unwrap();
+    fn flags_build_plans() {
+        assert!(plan_from_flags(None, None).unwrap().is_none());
+        let p = plan_from_flags(Some(42), None).unwrap().unwrap();
         assert_eq!(p.config().seed, 42);
         assert_eq!(p.config().worker_panic, 1.0, "bare seed uses smoke rates");
-        let p = v(&["--fault-seed=7", "--fault-plan=timeout=0.5,trips=2"]).unwrap();
+        assert!(plan_from_flags(Some(7), Some("bogus=1")).is_err());
+        let p = plan_from_flags(Some(7), Some("timeout=0.5,trips=2"))
+            .unwrap()
+            .unwrap();
         assert_eq!(p.config().seed, 7);
         assert_eq!(p.config().stm_timeout, 0.5);
         assert_eq!(p.config().max_trips, 2);

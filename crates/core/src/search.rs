@@ -100,10 +100,6 @@ pub struct RecoveryConfig {
     /// Retries per failed oracle call before giving up (on top of the
     /// initial attempt).
     pub oracle_retries: u32,
-    /// Base backoff before the first retry; doubles per retry.
-    pub backoff_ms: u64,
-    /// Ceiling on any single backoff sleep.
-    pub backoff_cap_ms: u64,
     /// Seeded fault plan to inject oracle faults and prover stalls;
     /// `None` runs clean (and then the retry loop never engages).
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -120,8 +116,6 @@ impl Default for RecoveryConfig {
     fn default() -> RecoveryConfig {
         RecoveryConfig {
             oracle_retries: 3,
-            backoff_ms: 10,
-            backoff_cap_ms: 200,
             fault_plan: None,
             collect_attempts: false,
         }
@@ -129,8 +123,8 @@ impl Default for RecoveryConfig {
 }
 
 impl RecoveryConfig {
-    /// A recovery layer driving the given fault plan, with default retry
-    /// and backoff parameters.
+    /// A recovery layer driving the given fault plan, with the default
+    /// retry count.
     pub fn with_plan(plan: Arc<FaultPlan>) -> RecoveryConfig {
         RecoveryConfig {
             fault_plan: Some(plan),
@@ -423,13 +417,6 @@ fn propose_with_retry(
                 }
                 attempt += 1;
                 proof_trace::metrics::counter_inc("search.oracle_retries");
-                let backoff = recovery
-                    .backoff_ms
-                    .saturating_mul(1u64 << (attempt - 1).min(16))
-                    .min(recovery.backoff_cap_ms);
-                if backoff > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(backoff));
-                }
             }
         }
     };
@@ -650,13 +637,13 @@ pub fn search(
 /// As [`search`], with an explicit transport layer.
 ///
 /// **Oracle recovery.** Failed oracle calls ([`proof_oracle::OracleFault`])
-/// are retried with exponential backoff up to `recovery.oracle_retries`
-/// times. A retried query keeps its `query_index` and does not count
-/// against the query limit, so a recovered run is indistinguishable from a
-/// clean one. When the plan's faults outlast every retry the oracle is
-/// genuinely down; the search panics with a diagnostic, which the cell
-/// runner's panic isolation converts into a typed crashed-cell record for
-/// journaled resume.
+/// are retried at once, up to `recovery.oracle_retries` times. A retried
+/// query keeps its `query_index` and does not count against the query
+/// limit, so a recovered run is indistinguishable from a clean one. When
+/// the plan's faults outlast every retry the oracle is genuinely down; the
+/// search panics with a diagnostic, which the cell runner's panic
+/// isolation converts into a typed crashed-cell record for journaled
+/// resume.
 pub fn search_with_recovery(
     env: &Arc<Env>,
     stmt: &Formula,

@@ -105,10 +105,7 @@ fn recovered_faulted_run_matches_clean_transcript() {
     // results and belong to the havoc plan only). Bounded retry must
     // recover every one of them invisibly.
     let plan = Arc::new(FaultPlan::new(FaultConfig::smoke(7)));
-    let faulted = RecoveryConfig {
-        backoff_ms: 0, // keep the suite fast; backoff timing is not under test
-        ..RecoveryConfig::with_plan(Arc::clone(&plan))
-    };
+    let faulted = RecoveryConfig::with_plan(Arc::clone(&plan));
     let clean = RecoveryConfig::default();
     let mut total_faults = 0;
     for &name in SLICE {
@@ -182,10 +179,8 @@ fn havoc_plan_terminates_without_panic() {
     // With spurious STM timeouts armed the *results* may legitimately
     // shift (a timed-out tactic is a lost branch), but the search must
     // stay deterministic under the same seed and never panic.
-    let recovery = |seed| RecoveryConfig {
-        backoff_ms: 0,
-        ..RecoveryConfig::with_plan(Arc::new(FaultPlan::new(FaultConfig::havoc(seed))))
-    };
+    let recovery =
+        |seed| RecoveryConfig::with_plan(Arc::new(FaultPlan::new(FaultConfig::havoc(seed))));
     for &name in &SLICE[..3] {
         let a = run_one(name, Strategy::BestFirst, &recovery(11));
         let b = run_one(name, Strategy::BestFirst, &recovery(11));

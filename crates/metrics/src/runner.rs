@@ -17,8 +17,9 @@
 //! pairs. The runner keeps no state between calls: each cell's
 //! [`CellSource`] and wall time come back with its result.
 //!
-//! Worker count: `--jobs N` on the command line beats a `JOBS=N`
-//! environment variable beats [`std::thread::available_parallelism`].
+//! Worker count: a bin's parsed `--jobs N`, applied with
+//! [`Runner::with_jobs`], beats a `JOBS=N` environment variable beats
+//! [`std::thread::available_parallelism`].
 
 use std::any::Any;
 use std::path::{Path, PathBuf};
@@ -45,27 +46,6 @@ use crate::journal::{Journal, JournalState};
 /// Schema 5 follows `SearchConfig::premise_rank` becoming a three-arm
 /// enum (its `Debug` form feeds the key).
 const CACHE_SCHEMA: u32 = 5;
-
-/// Resolves the worker count: `--jobs N` (or `--jobs=N`), then `JOBS=N`,
-/// then the machine's available parallelism.
-pub fn resolve_jobs() -> usize {
-    if let Some(n) = jobs_arg(std::env::args().skip(1)) {
-        return n.max(1);
-    }
-    if let Ok(v) = std::env::var("JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// The value of the first `--jobs N` or `--jobs=N` in `args`, if it parses.
-fn jobs_arg(args: impl Iterator<Item = String>) -> Option<usize> {
-    proof_chaos::value_arg(args, "--jobs").and_then(|v| v.parse().ok())
-}
 
 /// The content hash a cell caches under: FNV-1a over a stable rendering of
 /// every outcome-affecting field, plus the schema version.
@@ -159,11 +139,15 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// A runner with the environment-resolved worker count and the default
-    /// cache directory, `target/cells`.
+    /// A runner with `JOBS` workers (else the machine's available
+    /// parallelism) and the default cache directory, `target/cells`.
     pub fn from_env() -> Runner {
+        let jobs = std::env::var("JOBS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         Runner {
-            jobs: resolve_jobs(),
+            jobs: jobs.max(1),
             cache_dir: Some(PathBuf::from("target/cells")),
             recovery: RecoveryConfig::default(),
             journal: None,
@@ -190,7 +174,7 @@ impl Runner {
         self
     }
 
-    /// Overrides the oracle-recovery policy (retry counts, backoff).
+    /// Overrides the oracle-recovery policy (retry count, attempt collection).
     pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Runner {
         self.recovery = recovery;
         self
@@ -198,7 +182,7 @@ impl Runner {
 
     /// Arms a fault plan: oracle faults, spurious STM timeouts, worker
     /// panics and cache corruption are injected per the plan's seeded
-    /// rates. Recovery (retry/backoff, panic isolation, checksummed
+    /// rates. Recovery (retry, panic isolation, checksummed
     /// cache) keeps every *recoverable* fault invisible in the results.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Runner {
         self.recovery.fault_plan = Some(plan);
@@ -517,17 +501,6 @@ mod tests {
     use super::*;
     use proof_oracle::profiles::ModelProfile;
     use proof_oracle::prompt::PromptSetting;
-
-    #[test]
-    fn jobs_flag_parsing() {
-        let v = |xs: &[&str]| jobs_arg(xs.iter().map(|s| s.to_string()));
-        assert_eq!(v(&["--jobs", "4"]), Some(4));
-        assert_eq!(v(&["--fresh", "--jobs=2"]), Some(2));
-        assert_eq!(v(&["--jobs"]), None);
-        assert_eq!(v(&["--jobs", "xyz"]), None);
-        assert_eq!(v(&["--fresh"]), None);
-        assert_eq!(v(&["--jobsx=2"]), None);
-    }
 
     #[test]
     fn slice_evaluation_preserves_request_order() {

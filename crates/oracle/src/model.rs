@@ -58,7 +58,7 @@ pub fn render_query(ctx: &QueryCtx<'_>) -> String {
 
 /// A failed oracle call, as a real LLM client observes it. Both variants
 /// are transient from the caller's perspective: the search layer retries
-/// with backoff ([`RecoveryConfig`]) rather than treating them as a proof
+/// them ([`RecoveryConfig`]) rather than treating them as a proof
 /// outcome, because neither says anything about the theorem.
 ///
 /// [`RecoveryConfig`]: https://docs.rs/proof-search

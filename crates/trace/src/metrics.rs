@@ -67,6 +67,10 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+
+    fn zero(&self) {
+        self.0.store(0, Ordering::Relaxed);
+    }
 }
 
 /// A log₂-bucketed histogram with an exact sum.
@@ -105,6 +109,13 @@ impl Histogram {
             count,
             sum: self.sum.load(Ordering::Relaxed),
         }
+    }
+
+    fn zero(&self) {
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
+        }
+        self.sum.store(0, Ordering::Relaxed);
     }
 }
 
@@ -226,23 +237,22 @@ impl Registry {
         }
     }
 
-    /// Drops every metric (tests and between-grid resets). Bumps the
-    /// reset generation so every [`HotCounter`] re-resolves its handle.
+    /// Zeroes every metric in place (tests and between-grid resets). The
+    /// slots stay registered, so every resolved handle, a [`HotCounter`]'s
+    /// included, keeps counting into the live registry.
     pub fn reset(&self) {
-        lock_recover(&self.counters).clear();
-        lock_recover(&self.hists).clear();
-        RESET_GEN.fetch_add(1, Ordering::Release);
+        for c in lock_recover(&self.counters).values() {
+            c.zero();
+        }
+        for h in lock_recover(&self.hists).values() {
+            h.zero();
+        }
     }
 }
 
-/// Bumped on every [`Registry::reset`]; [`HotCounter`] compares it to
-/// decide whether a cached handle still points into the live registry.
-static RESET_GEN: AtomicU64 = AtomicU64::new(0);
-
 /// A counter handle cached at the call site: the registry lookup (global
-/// lock + map walk) runs once per process, not once per increment, while
-/// [`Registry::reset`] still invalidates the cache so counts never land in
-/// an orphaned slot. Declare `static` at hot sites whose label is fixed:
+/// lock + map walk) runs once per process, and every increment after it
+/// is one atomic add. Declare `static` at hot sites whose label is fixed:
 ///
 /// ```
 /// use proof_trace::metrics::HotCounter;
@@ -252,7 +262,7 @@ static RESET_GEN: AtomicU64 = AtomicU64::new(0);
 /// ```
 pub struct HotCounter {
     name: &'static str,
-    slot: Mutex<Option<(u64, Arc<Counter>)>>,
+    slot: OnceLock<Arc<Counter>>,
 }
 
 impl HotCounter {
@@ -260,23 +270,15 @@ impl HotCounter {
     pub const fn new(name: &'static str) -> HotCounter {
         HotCounter {
             name,
-            slot: Mutex::new(None),
+            slot: OnceLock::new(),
         }
     }
 
-    /// Adds `n` to the named counter, resolving (or re-resolving after a
-    /// registry reset) the handle if needed.
+    /// Adds `n` to the named counter, resolving the handle on first use.
     pub fn add(&self, n: u64) {
-        let generation = RESET_GEN.load(Ordering::Acquire);
-        let mut slot = lock_recover(&self.slot);
-        match slot.as_ref() {
-            Some((cached_gen, c)) if *cached_gen == generation => c.add(n),
-            _ => {
-                let c = registry().counter(self.name);
-                c.add(n);
-                *slot = Some((generation, c));
-            }
-        }
+        self.slot
+            .get_or_init(|| registry().counter(self.name))
+            .add(n);
     }
 
     /// Adds 1.
@@ -305,7 +307,7 @@ pub fn snapshot() -> MetricsSnapshot {
     registry().snapshot()
 }
 
-/// Clears the global registry.
+/// Zeroes the global registry.
 pub fn reset() {
     registry().reset();
 }

@@ -1,6 +1,6 @@
 //! `lint` — audit the bundled FSCQ-lite corpus for hygiene problems.
 //!
-//! ```sh
+//! ```text
 //! lint [--local-only]
 //! ```
 //!
@@ -19,10 +19,14 @@
 use llm_fscq::analysis::{analyze_development, AnalysisConfig};
 use llm_fscq::corpus::Corpus;
 use llm_fscq::vernac::lint_development;
+use proof_chaos::cli::{Cli, Flag};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let local_only = std::env::args().skip(1).any(|a| a == "--local-only");
+    let local_only = Cli::new("lint")
+        .flags(&[Flag::switch("--local-only")])
+        .parse()
+        .given("--local-only");
     let corpus = match Corpus::try_load() {
         Ok(c) => c,
         Err(e) => {

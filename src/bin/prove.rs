@@ -1,23 +1,24 @@
 //! `prove` — run the LLM-guided best-first search on one corpus theorem,
 //! or re-verify an edited corpus incrementally.
 //!
-//! ```sh
-//! prove <theorem> [--model mini|gpt4o|flash|pro|pro128k] [--vanilla]
+//! ```text
+//! prove [<theorem>] [--model mini|gpt4o|flash|pro|pro128k] [--vanilla]
 //!       [--retrieval K] [--limit N] [--width W] [--strategy best|greedy|bfs]
-//!       [--show-query] [--preflight|--no-preflight]
+//!       [--show-query] [--preflight] [--no-preflight]
 //!       [--premise-rank off|graph|learned] [--rank-model PATH]
-//!       [--attempt-log PATH]
-//! prove --incremental --save-baseline DIR [--corpus DIR] [cell flags] [--jobs N]
-//! prove --incremental --baseline DIR [--corpus DIR] [cell flags] [--jobs N]
+//!       [--attempt-log PATH] [--incremental] [--save-baseline DIR]
+//!       [--baseline DIR] [--corpus DIR] [--jobs N]
 //! ```
 //!
-//! Single-theorem mode prints the outcome, the search statistics, and
-//! (when proved) the found script together with its kernel replay check.
+//! Single-theorem mode (`prove <theorem> [cell flags]`) prints the
+//! outcome, the search statistics, and (when proved) the found script
+//! together with its kernel replay check.
 //!
-//! `--incremental` runs the change-impact workflow instead: with
-//! `--save-baseline DIR` it evaluates the whole cell cold and writes the
-//! baseline artifacts (`snapshot.json` + `baseline.json`) to `DIR`; with
-//! `--baseline DIR` it diffs the baseline snapshot against the corpus
+//! `--incremental` runs the change-impact workflow instead, on `--jobs`
+//! workers and without a theorem: with `--save-baseline DIR` (which
+//! implies `--incremental`) it evaluates the whole cell cold and writes
+//! the baseline artifacts (`snapshot.json` + `baseline.json`) to `DIR`;
+//! with `--baseline DIR` it diffs the baseline snapshot against the corpus
 //! (the embedded one, or a directory of `.v` modules via `--corpus DIR`),
 //! prints the impact report, re-verifies only the dirty cone, and merges
 //! the baseline results for the clean remainder.
@@ -31,142 +32,33 @@ use llm_fscq::metrics::{CellConfig, CellResult, Runner};
 use llm_fscq::oracle::profiles::ModelProfile;
 use llm_fscq::oracle::prompt::{build_prompt, PromptSetting};
 use llm_fscq::oracle::split::hint_set;
-use llm_fscq::search::{search_with_recovery, PremiseRank, RecoveryConfig, SearchConfig, Strategy};
+use llm_fscq::search::{search_with_recovery, PremiseRank, RecoveryConfig, Strategy};
 use llm_fscq::vernac::loader::dir_sources;
+use proof_chaos::cli::{Args, Cli, Flag};
 use proof_trace::attempts::AttemptLog;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
-struct Args {
-    theorem: Option<String>,
-    profile: ModelProfile,
-    setting: PromptSetting,
-    retrieval: Option<usize>,
-    cfg: SearchConfig,
-    rank_model: Option<PathBuf>,
-    attempt_log: Option<PathBuf>,
-    show_query: bool,
-    incremental: bool,
-    baseline: Option<PathBuf>,
-    save_baseline: Option<PathBuf>,
-    corpus_dir: Option<PathBuf>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: prove <theorem> [--model mini|gpt4o|flash|pro|pro128k] [--vanilla]\n\
-         \x20             [--retrieval K] [--limit N] [--width W] [--strategy best|greedy|bfs]\n\
-         \x20             [--preflight|--no-preflight] [--premise-rank off|graph|learned]\n\
-         \x20             [--rank-model PATH] [--attempt-log PATH]\n\
-         \x20      prove --incremental --save-baseline DIR [--corpus DIR] [--jobs N]\n\
-         \x20      prove --incremental --baseline DIR [--corpus DIR] [--jobs N]"
-    );
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = std::env::args().skip(1);
-    let mut theorem = None;
-    let mut profile = ModelProfile::gpt4o();
-    let mut setting = PromptSetting::Hints;
-    let mut retrieval = None;
-    let mut cfg = SearchConfig::default();
-    let mut rank_model = None;
-    let mut attempt_log = None;
-    let mut show_query = false;
-    let mut incremental = false;
-    let mut baseline = None;
-    let mut save_baseline = None;
-    let mut corpus_dir = None;
-    while let Some(a) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
-        };
-        match a.as_str() {
-            "--model" => {
-                profile = match value("--model").as_str() {
-                    "mini" => ModelProfile::gpt4o_mini(),
-                    "gpt4o" => ModelProfile::gpt4o(),
-                    "flash" => ModelProfile::gemini_flash(),
-                    "pro" => ModelProfile::gemini_pro(),
-                    "pro128k" => ModelProfile::gemini_pro_128k(),
-                    other => {
-                        eprintln!("unknown model {other}");
-                        usage()
-                    }
-                }
-            }
-            "--vanilla" => setting = PromptSetting::Vanilla,
-            "--preflight" => cfg.preflight = true,
-            "--no-preflight" => cfg.preflight = false,
-            "--premise-rank" => {
-                cfg.premise_rank = match value("--premise-rank").as_str() {
-                    "off" => PremiseRank::Off,
-                    "graph" => PremiseRank::Graph,
-                    "learned" => PremiseRank::Learned,
-                    other => {
-                        eprintln!("unknown premise-rank mode {other}");
-                        usage()
-                    }
-                }
-            }
-            "--rank-model" => rank_model = Some(PathBuf::from(value("--rank-model"))),
-            "--attempt-log" => attempt_log = Some(PathBuf::from(value("--attempt-log"))),
-            "--show-query" => show_query = true,
-            "--retrieval" => retrieval = value("--retrieval").parse().ok(),
-            "--limit" => cfg.query_limit = value("--limit").parse().unwrap_or_else(|_| usage()),
-            "--width" => cfg.width = value("--width").parse().unwrap_or_else(|_| usage()),
-            "--strategy" => {
-                cfg.strategy = match value("--strategy").as_str() {
-                    "best" => Strategy::BestFirst,
-                    "greedy" => Strategy::Greedy,
-                    "bfs" => Strategy::BreadthFirst,
-                    other => {
-                        eprintln!("unknown strategy {other}");
-                        usage()
-                    }
-                }
-            }
-            "--incremental" => incremental = true,
-            "--baseline" => baseline = Some(PathBuf::from(value("--baseline"))),
-            "--save-baseline" => save_baseline = Some(PathBuf::from(value("--save-baseline"))),
-            "--corpus" => corpus_dir = Some(PathBuf::from(value("--corpus"))),
-            // The runner resolves the worker count from these flags, then
-            // `JOBS` (`Runner::from_env`); here they are only validated.
-            "--jobs" => {
-                value("--jobs").parse::<usize>().unwrap_or_else(|_| usage());
-            }
-            other
-                if other
-                    .strip_prefix("--jobs=")
-                    .is_some_and(|v| v.parse::<usize>().is_ok()) => {}
-            "--help" | "-h" => usage(),
-            other if theorem.is_none() && !other.starts_with('-') => {
-                theorem = Some(other.to_string())
-            }
-            other => {
-                eprintln!("unexpected argument {other}");
-                usage()
-            }
-        }
-    }
-    Args {
-        theorem,
-        profile,
-        setting,
-        retrieval,
-        cfg,
-        rank_model,
-        attempt_log,
-        show_query,
-        incremental,
-        baseline,
-        save_baseline,
-        corpus_dir,
-    }
+fn cli() -> Cli {
+    Cli::new("prove").positional("theorem", false).flags(&[
+        Flag::one_of("--model", "mini|gpt4o|flash|pro|pro128k"),
+        Flag::switch("--vanilla"),
+        Flag::parsed::<usize>("--retrieval", "K"),
+        Flag::parsed::<u32>("--limit", "N"),
+        Flag::parsed::<usize>("--width", "W"),
+        Flag::one_of("--strategy", "best|greedy|bfs"),
+        Flag::switch("--show-query"),
+        Flag::switch("--preflight"),
+        Flag::switch("--no-preflight"),
+        Flag::one_of("--premise-rank", "off|graph|learned"),
+        Flag::value("--rank-model", "PATH"),
+        Flag::value("--attempt-log", "PATH"),
+        Flag::switch("--incremental"),
+        Flag::value("--save-baseline", "DIR"),
+        Flag::value("--baseline", "DIR"),
+        Flag::value("--corpus", "DIR"),
+        Flag::parsed::<usize>("--jobs", "N"),
+    ])
 }
 
 /// The corpus sources: the embedded benchmark, or every `.v` module in a
@@ -184,9 +76,34 @@ fn corpus_sources_from(dir: Option<&Path>) -> Result<Vec<(String, String)>, Stri
 /// The cell configuration both modes evaluate, assembled from the
 /// model/setting/search flags.
 fn cell_of(args: &Args) -> CellConfig {
-    let mut cell = CellConfig::standard(args.profile.clone(), args.setting);
-    cell.search = args.cfg.clone();
-    cell.retrieval = args.retrieval;
+    let profile = match args.value("--model").unwrap_or("gpt4o") {
+        "mini" => ModelProfile::gpt4o_mini(),
+        "flash" => ModelProfile::gemini_flash(),
+        "pro" => ModelProfile::gemini_pro(),
+        "pro128k" => ModelProfile::gemini_pro_128k(),
+        _ => ModelProfile::gpt4o(),
+    };
+    let setting = if args.given("--vanilla") {
+        PromptSetting::Vanilla
+    } else {
+        PromptSetting::Hints
+    };
+    let mut cell = CellConfig::standard(profile, setting);
+    let search = &mut cell.search;
+    search.query_limit = args.get("--limit").unwrap_or(search.query_limit);
+    search.width = args.get("--width").unwrap_or(search.width);
+    search.preflight = !args.given("--no-preflight");
+    search.strategy = match args.value("--strategy") {
+        Some("greedy") => Strategy::Greedy,
+        Some("bfs") => Strategy::BreadthFirst,
+        _ => Strategy::BestFirst,
+    };
+    search.premise_rank = match args.value("--premise-rank") {
+        Some("graph") => PremiseRank::Graph,
+        Some("learned") => PremiseRank::Learned,
+        _ => PremiseRank::Off,
+    };
+    cell.retrieval = args.get("--retrieval");
     cell
 }
 
@@ -196,11 +113,14 @@ fn cell_of(args: &Args) -> CellConfig {
 /// cache under it) only when `cached`.
 fn runner_of(args: &Args, cached: bool) -> Runner {
     let mut runner = Runner::from_env();
+    if let Some(jobs) = args.get("--jobs") {
+        runner = runner.with_jobs(jobs);
+    }
     eprintln!("prove --incremental: {} worker(s)", runner.jobs());
     if !cached {
         runner = runner.without_cache();
     }
-    match &args.attempt_log {
+    match args.value("--attempt-log") {
         Some(path) => runner.with_attempt_log(path),
         None => runner,
     }
@@ -212,13 +132,13 @@ fn incremental_main(args: &Args) -> ExitCode {
         eprintln!("prove --incremental: {msg}");
         ExitCode::FAILURE
     };
-    let sources = match corpus_sources_from(args.corpus_dir.as_deref()) {
+    let sources = match corpus_sources_from(args.value("--corpus").map(Path::new)) {
         Ok(s) => s,
         Err(e) => return fail(e),
     };
     let cell = cell_of(args);
 
-    if let Some(dir) = &args.save_baseline {
+    if let Some(dir) = args.value("--save-baseline").map(Path::new) {
         let (corpus, _graph) = match llm_fscq::metrics::incremental::load_edited(&sources) {
             Ok(v) => v,
             Err(e) => return fail(e),
@@ -251,7 +171,7 @@ fn incremental_main(args: &Args) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let Some(dir) = &args.baseline else {
+    let Some(dir) = args.value("--baseline").map(Path::new) else {
         return fail("need --baseline DIR (or --save-baseline DIR to create one)".to_string());
     };
     let read = |name: &str| {
@@ -317,10 +237,24 @@ fn incremental_main(args: &Args) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    if let Some(path) = &args.rank_model {
+    let args = cli().parse();
+    if args.given("--preflight") && args.given("--no-preflight") {
+        args.fail("prove: --preflight and --no-preflight exclude each other");
+    }
+    let incremental = args.given("--incremental") || args.given("--save-baseline");
+    if incremental && (args.positional(0).is_some() || args.given("--show-query")) {
+        args.fail("prove --incremental: takes no <theorem> and no --show-query");
+    }
+    if !incremental
+        && ["--baseline", "--corpus", "--jobs"]
+            .iter()
+            .any(|f| args.given(f))
+    {
+        args.fail("prove: --baseline, --corpus and --jobs need --incremental");
+    }
+    if let Some(path) = args.value("--rank-model") {
         let model = std::fs::read(path)
-            .map_err(|e| format!("{}: {e}", path.display()))
+            .map_err(|e| format!("{path}: {e}"))
             .and_then(|bytes| llm_fscq::analysis::score::Model::from_bytes(&bytes));
         match model {
             Ok(m) => llm_fscq::analysis::score::install_model(m),
@@ -330,14 +264,14 @@ fn main() -> ExitCode {
             }
         }
     }
-    if args.incremental || args.save_baseline.is_some() {
+    if incremental {
         return incremental_main(&args);
     }
-    let Some(theorem) = args.theorem.clone() else {
-        usage();
+    let Some(theorem) = args.positional(0) else {
+        args.fail("prove: missing <theorem>");
     };
     let corpus = Corpus::load();
-    let Some(thm) = corpus.dev.theorem(&theorem) else {
+    let Some(thm) = corpus.dev.theorem(theorem) else {
         eprintln!("unknown theorem `{theorem}`; try one of:");
         for t in corpus.dev.theorems.iter().take(10) {
             eprintln!("  {}", t.name);
@@ -354,8 +288,8 @@ fn main() -> ExitCode {
     println!("theorem : {}", thm.statement_text.replace('\n', " "));
     println!(
         "model   : {} ({}), prompt {} tokens / {} lemmas{}",
-        args.profile.name,
-        match args.setting {
+        cell.profile.name,
+        match cell.setting {
             PromptSetting::Hints => "w/ hints",
             PromptSetting::Vanilla => "vanilla",
         },
@@ -364,7 +298,7 @@ fn main() -> ExitCode {
         if prompt.truncated { " (truncated)" } else { "" },
     );
 
-    if args.show_query {
+    if args.given("--show-query") {
         // The exact first-query payload a real LLM client would send.
         let st = llm_fscq::minicoq::goal::ProofState::new(thm.stmt.clone());
         let ctx = llm_fscq::oracle::model::QueryCtx {
@@ -382,13 +316,19 @@ fn main() -> ExitCode {
 
     let mut model = cell.model();
     let recovery = RecoveryConfig {
-        collect_attempts: args.attempt_log.is_some(),
+        collect_attempts: args.given("--attempt-log"),
         ..RecoveryConfig::default()
     };
     let r = search_with_recovery(
-        env, &thm.stmt, &thm.name, &mut model, &prompt, &args.cfg, &recovery,
+        env,
+        &thm.stmt,
+        &thm.name,
+        &mut model,
+        &prompt,
+        &cell.search,
+        &recovery,
     );
-    if let Some(path) = &args.attempt_log {
+    if let Some(path) = args.value("--attempt-log") {
         AttemptLog::at(path).append_all(&attempt_records(&thm.name, &r.stats));
     }
     let outcome_name = match &r.outcome {
@@ -431,7 +371,7 @@ fn main() -> ExitCode {
         None => {
             println!(
                 "outcome : not proved ({})",
-                if r.stats.queries >= args.cfg.query_limit {
+                if r.stats.queries >= cell.search.query_limit {
                     "query limit exhausted"
                 } else {
                     "search stuck"

@@ -11,6 +11,12 @@
 //! (Script 2)                         ->  (Script "intros n" ...)
 //! ```
 //!
+//! ```text
+//! serapi [<theorem>] [--stmt FORMULA]
+//! ```
+//!
+//! Exactly one of the two names the statement:
+//!
 //! ```sh
 //! serapi add_0_r
 //! serapi --stmt "forall n : nat, n = n"
@@ -22,17 +28,17 @@ use llm_fscq::minicoq::env::Env;
 use llm_fscq::minicoq::parse::parse_formula;
 use llm_fscq::stm::protocol::handle_line;
 use llm_fscq::stm::{ProofSession, SessionConfig};
+use proof_chaos::cli::{Cli, Flag};
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut session = match args.first().map(String::as_str) {
-        Some("--stmt") => {
-            let Some(src) = args.get(1) else {
-                eprintln!("--stmt needs a formula");
-                return ExitCode::from(2);
-            };
+    let args = Cli::new("serapi")
+        .positional("theorem", false)
+        .flags(&[Flag::value("--stmt", "FORMULA")])
+        .parse();
+    let mut session = match (args.positional(0), args.value("--stmt")) {
+        (None, Some(src)) => {
             let env = Env::with_prelude();
             match parse_formula(&env, src) {
                 Ok(f) => ProofSession::new(env, f, SessionConfig::default()),
@@ -42,7 +48,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some(name) if !name.starts_with('-') => {
+        (Some(name), None) => {
             let corpus = Corpus::load();
             let Some(thm) = corpus.dev.theorem(name) else {
                 eprintln!("unknown theorem `{name}`");
@@ -54,10 +60,7 @@ fn main() -> ExitCode {
                 SessionConfig::default(),
             )
         }
-        _ => {
-            eprintln!("usage: serapi <theorem> | serapi --stmt \"<formula>\"");
-            return ExitCode::from(2);
-        }
+        _ => args.fail("serapi: give a <theorem> or --stmt FORMULA, not both"),
     };
 
     let stdin = std::io::stdin();

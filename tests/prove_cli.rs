@@ -146,3 +146,52 @@ fn incremental_worker_count_follows_the_jobs_flag_then_the_environment() {
     assert!(two == one, "the baseline depends on the worker count");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn an_unknown_flag_exits_2_with_the_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_prove"))
+        .args(["add_0_l", "--no-such-flag"])
+        .output()
+        .expect("spawn prove");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(out.stdout.is_empty());
+    assert!(err.contains("usage:"), "{err}");
+}
+
+#[test]
+fn incremental_value_flags_take_both_spellings() {
+    let dir = std::env::temp_dir().join(format!("prove-cli-spelling-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let corpus = dir.join("corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/fscq/corpus");
+    for entry in std::fs::read_dir(src).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "v") {
+            std::fs::copy(&path, corpus.join(path.file_name().unwrap())).unwrap();
+        }
+    }
+    let save = |name: &str, corpus_flags: &[String]| {
+        let out = dir.join(name);
+        let mut args = vec![
+            "--incremental".to_string(),
+            "--save-baseline".to_string(),
+            out.to_str().unwrap().to_string(),
+            "--limit=2".to_string(),
+        ];
+        args.extend_from_slice(corpus_flags);
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let (ok, text) = prove(&args);
+        assert!(ok, "{text}");
+        std::fs::read(out.join("baseline.json")).unwrap()
+    };
+    let corpus = corpus.to_str().unwrap();
+    let joined = save("joined", &[format!("--corpus={corpus}")]);
+    let split = save("split", &["--corpus".to_string(), corpus.to_string()]);
+    assert!(
+        joined == split,
+        "the two spellings saved different baselines"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
