@@ -20,6 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use minicoq::env::Env;
 use minicoq::formula::Formula;
 use minicoq::term::Term;
+use minicoq::walk::Node;
 
 use crate::graph::DepGraph;
 use crate::report::{Code, Finding};
@@ -40,62 +41,28 @@ fn head_of(f: &Formula) -> Option<(&str, Vec<&Term>)> {
 /// are all walked: an atom anywhere inside the premise can become a
 /// subgoal after destruction.
 fn premise_atoms<'a>(f: &'a Formula, out: &mut Vec<(&'a str, Vec<&'a Term>)>) {
-    match f {
-        Formula::Pred(..) | Formula::Eq(..) => {
-            if let Some(h) = head_of(f) {
-                out.push(h);
-            }
+    Node::Formula(f).for_each(|n| {
+        if let Node::Formula(g) = n {
+            out.extend(head_of(g));
         }
-        Formula::True | Formula::False => {}
-        Formula::Not(a) => premise_atoms(a, out),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            premise_atoms(a, out);
-            premise_atoms(b, out);
-        }
-        Formula::Forall(_, _, b) | Formula::Exists(_, _, b) | Formula::ForallSort(_, b) => {
-            premise_atoms(b, out)
-        }
-        Formula::FMatch(_, arms) => {
-            for (_, rhs) in arms {
-                premise_atoms(rhs, out);
-            }
-        }
-    }
-}
-
-fn term_size(t: &Term) -> usize {
-    match t {
-        Term::Var(_) | Term::Meta(_) => 1,
-        Term::App(_, args) => 1 + args.iter().map(term_size).sum::<usize>(),
-        Term::Match(s, arms) => {
-            1 + term_size(s) + arms.iter().map(|(_, r)| term_size(r)).sum::<usize>()
-        }
-    }
+    });
 }
 
 fn var_counts<'a>(args: &[&'a Term], out: &mut BTreeMap<&'a str, usize>) {
-    for t in args {
-        match t {
-            Term::Var(v) => *out.entry(v.as_str()).or_insert(0) += 1,
-            Term::Meta(_) => {}
-            Term::App(_, inner) => {
-                let inner: Vec<&Term> = inner.iter().collect();
-                var_counts(&inner, out);
+    for &t in args {
+        Node::Term(t).for_each(|n| {
+            if let Node::Term(Term::Var(v)) = n {
+                *out.entry(v.as_str()).or_insert(0) += 1;
             }
-            Term::Match(s, arms) => {
-                var_counts(&[s.as_ref()], out);
-                let rhs: Vec<&Term> = arms.iter().map(|(_, r)| r).collect();
-                var_counts(&rhs, out);
-            }
-        }
+        });
     }
 }
 
 /// True when backchaining from the conclusion to this premise strictly
 /// shrinks the goal under every substitution.
 fn decreasing(prem_args: &[&Term], concl_args: &[&Term]) -> bool {
-    let psize: usize = prem_args.iter().map(|t| term_size(t)).sum();
-    let csize: usize = concl_args.iter().map(|t| term_size(t)).sum();
+    let psize: usize = prem_args.iter().map(|t| t.size()).sum();
+    let csize: usize = concl_args.iter().map(|t| t.size()).sum();
     if psize >= csize {
         return false;
     }

@@ -5,12 +5,15 @@
 //!
 //! Usage: `fig1 [--fresh] [--resume] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
 //! [--trace-out BASE]`
+//!
+//! Exits 3 when a cell crashed; its finished cells are journaled, and a
+//! re-run with `--resume` completes the grid.
 
 use llm_fscq_bench::GridOpts;
 use proof_metrics::report::render_fig1;
 
 fn main() {
-    let rs = llm_fscq_bench::main_grid_opts(&GridOpts::parse("fig1", &GridOpts::ALL));
+    let (rs, _) = llm_fscq_bench::main_grid_opts(&GridOpts::parse("fig1", &GridOpts::ALL));
     let order_a = [
         "GPT-4o mini",
         "GPT-4o mini (w/ hints)",

@@ -9,8 +9,10 @@
 //!
 //! Usage: `sec43 [--fresh] [--resume] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
 //! [--trace-out BASE]`
+//!
+//! Exits 3 when a cell crashed; its finished cells are journaled, and a
+//! re-run with `--resume` completes the grid.
 
-use fscq_corpus::Corpus;
 use llm_fscq_bench::GridOpts;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::{build_prompt, PromptConfig, PromptSetting};
@@ -20,8 +22,7 @@ use proof_search::whole_proof::whole_proof_with_repair;
 use proof_search::{search, SearchConfig};
 
 fn main() {
-    let rs = llm_fscq_bench::main_grid_opts(&GridOpts::parse("sec43", &GridOpts::ALL));
-    let corpus = Corpus::load();
+    let (rs, corpus) = llm_fscq_bench::main_grid_opts(&GridOpts::parse("sec43", &GridOpts::ALL));
     let dev = &corpus.dev;
     let hints = hint_set(dev);
 

@@ -3,13 +3,16 @@
 //!
 //! Usage: `table2 [--fresh] [--resume] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
 //! [--trace-out BASE]`
+//!
+//! Exits 3 when a cell crashed; its finished cells are journaled, and a
+//! re-run with `--resume` completes the grid.
 
 use llm_fscq_bench::GridOpts;
 use proof_metrics::levenshtein::random_pair_baseline;
 use proof_metrics::report::render_table2;
 
 fn main() {
-    let rs = llm_fscq_bench::main_grid_opts(&GridOpts::parse("table2", &GridOpts::ALL));
+    let (rs, corpus) = llm_fscq_bench::main_grid_opts(&GridOpts::parse("table2", &GridOpts::ALL));
     let names = [
         "GPT-4o mini",
         "GPT-4o",
@@ -25,7 +28,6 @@ fn main() {
             pairs.push((v, h));
         }
     }
-    let corpus = fscq_corpus::Corpus::load();
     let proofs: Vec<String> = corpus
         .dev
         .theorems

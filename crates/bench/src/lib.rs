@@ -16,7 +16,9 @@
 //! fault-injection plan (chaos testing; see `proof_chaos`) — injected
 //! faults are recovered by retry, panic isolation, and the checksummed
 //! cell cache, so a faulted-then-resumed grid produces byte-identical
-//! results to a clean one.
+//! results to a clean one. A main-grid run in which a cell crashed exits
+//! with status [`EXIT_RESUMABLE`] (3), apart from the usage-error status
+//! 2, so a script can tell a bad command line from a run to `--resume`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -32,6 +34,10 @@ use proof_oracle::prompt::PromptSetting;
 use proof_trace::ledger::{Ledger, RunRecord};
 
 pub mod rank;
+
+/// The exit status of a main-grid run in which a cell crashed: its
+/// completed cells are journaled and `--resume` finishes the grid.
+pub const EXIT_RESUMABLE: i32 = 3;
 
 /// Where cached experiment artifacts live.
 pub fn artifact_dir() -> PathBuf {
@@ -267,9 +273,10 @@ pub fn completed(runs: &[CellRun]) -> Vec<&CellResult> {
 /// injection. Each cell comes from the cell cache when its key matches;
 /// the grid is written to `target/experiments/main_grid.json` as an
 /// artifact, never read back. If any cell crashes (injected or real), the
-/// completed cells stay journaled and the process exits with status 2
-/// after advising a `--resume` run.
-pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
+/// completed cells stay journaled and the process exits with status
+/// [`EXIT_RESUMABLE`] after advising a `--resume` run. Returns the grid
+/// and the embedded corpus it ran on.
+pub fn main_grid_opts(opts: &GridOpts) -> (ResultSet, Corpus) {
     opts.arm_tracing();
     let journal_path = artifact_dir().join("main_grid.journal.jsonl");
     let mut runner = opts.runner().with_journal(&journal_path);
@@ -292,7 +299,8 @@ pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
         })
         .collect();
     eprintln!("running {} cells ({} jobs)", cells.len(), runner.jobs());
-    let runs = run_grid(&runner, &Corpus::load(), &cells);
+    let corpus = Corpus::load();
+    let runs = run_grid(&runner, &corpus, &cells);
     let crashes: Vec<&CellCrash> = runs
         .iter()
         .filter_map(|r| r.result.as_ref().err())
@@ -306,7 +314,7 @@ pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
             crashes.len(),
             journal_path.display()
         );
-        std::process::exit(2);
+        std::process::exit(EXIT_RESUMABLE);
     }
     ledger_append_cells(
         "main-grid",
@@ -320,5 +328,5 @@ pub fn main_grid_opts(opts: &GridOpts) -> ResultSet {
     };
     let _ = std::fs::create_dir_all(artifact_dir());
     let _ = std::fs::write(artifact_dir().join("main_grid.json"), rs.to_json());
-    rs
+    (rs, corpus)
 }

@@ -898,7 +898,7 @@ mod tests {
                 proved += 1;
                 let thm = dev.theorem(name).unwrap();
                 let env = dev.env_before(thm);
-                minicoq_vernac::loader::replay_proof(env, &thm.stmt, &script)
+                minicoq::replay::replay_script(env, &thm.stmt, &script)
                     .unwrap_or_else(|e| panic!("{name}: found script does not replay: {e}"));
             }
         }
@@ -992,7 +992,7 @@ mod tests {
                 proved += 1;
                 let thm = dev.theorem(name).unwrap();
                 let env = dev.env_before(thm);
-                minicoq_vernac::loader::replay_proof(env, &thm.stmt, &script)
+                minicoq::replay::replay_script(env, &thm.stmt, &script)
                     .unwrap_or_else(|e| panic!("{name}: ranked-run script does not replay: {e}"));
             }
         }
@@ -1058,7 +1058,7 @@ mod tests {
                 proved += 1;
                 let on_path = r.stats.attempts.iter().filter(|a| a.on_path).count();
                 assert!(on_path > 0, "{name}: proved but no on-path attempts");
-                minicoq_vernac::loader::replay_proof(dev.env_before(thm), &thm.stmt, &script)
+                minicoq::replay::replay_script(dev.env_before(thm), &thm.stmt, &script)
                     .unwrap_or_else(|e| panic!("{name}: learned-run script does not replay: {e}"));
             }
         }

@@ -16,8 +16,8 @@
 //! Every step is *committed only after the candidate witness replays to
 //! `Qed` through the real kernel* ([`minicoq::replay::replay_script`]).
 //! Inversion gets the proposal right nearly always (the safety filters
-//! below simulate the kernel's first-match-then-replace-all rewrite
-//! semantics), but replay is the referee — a proposal that fails simply
+//! below run the kernel's own first-match-then-replace-all `rewrite`
+//! scan and replacement), but replay is the referee — a proposal that fails simply
 //! isn't committed, so emitted theorems are provable by construction.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,6 +26,7 @@ use minicoq::env::Env;
 use minicoq::formula::Formula;
 use minicoq::replay::replay_script;
 use minicoq::sort::Sort;
+use minicoq::tactic::{candidate_subterms, replace_in_formula};
 use minicoq::term::Term;
 
 use crate::pool::PoolLemma;
@@ -223,32 +224,6 @@ fn subst_pat(pat: &Term, sub: &BTreeMap<String, Term>) -> Term {
     }
 }
 
-/// Collects every subterm of the formula outside binders, left to right —
-/// the same candidate order the kernel's `rewrite` scans.
-fn candidate_subterms(f: &Formula, out: &mut Vec<Term>) {
-    fn subterms(t: &Term, out: &mut Vec<Term>) {
-        out.push(t.clone());
-        if let Term::App(_, args) = t {
-            args.iter().for_each(|a| subterms(a, out));
-        }
-    }
-    match f {
-        Formula::True | Formula::False => {}
-        Formula::Eq(_, a, b) => {
-            subterms(a, out);
-            subterms(b, out);
-        }
-        Formula::Pred(_, _, args) => args.iter().for_each(|a| subterms(a, out)),
-        Formula::Not(g) => candidate_subterms(g, out),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            candidate_subterms(a, out);
-            candidate_subterms(b, out);
-        }
-        Formula::Forall(..) | Formula::Exists(..) | Formula::ForallSort(..) => {}
-        Formula::FMatch(scrut, _) => subterms(scrut, out),
-    }
-}
-
 /// Replaces the `n`-th (0-based, candidate order) occurrence of `from` by
 /// `to` in the formula; counts exact matches only.
 fn replace_nth(f: &Formula, from: &Term, to: &Term, n: &mut isize) -> Formula {
@@ -294,44 +269,6 @@ fn replace_nth(f: &Formula, from: &Term, to: &Term, n: &mut isize) -> Formula {
             Box::new(replace_nth(b, from, to, n)),
         ),
         // Conclusions built here never nest quantifiers; leave them be.
-        Formula::Forall(..) | Formula::Exists(..) | Formula::ForallSort(..) => f.clone(),
-        Formula::FMatch(..) => f.clone(),
-    }
-}
-
-/// Replaces every occurrence of `from` by `to` (terms outside binders).
-fn replace_all(f: &Formula, from: &Term, to: &Term) -> Formula {
-    fn in_term(t: &Term, from: &Term, to: &Term) -> Term {
-        if t == from {
-            return to.clone();
-        }
-        match t {
-            Term::Var(_) | Term::Meta(_) => t.clone(),
-            Term::App(g, args) => Term::App(
-                g.clone(),
-                args.iter().map(|a| in_term(a, from, to)).collect(),
-            ),
-            Term::Match(..) => t.clone(),
-        }
-    }
-    match f {
-        Formula::True | Formula::False => f.clone(),
-        Formula::Eq(s, a, b) => Formula::Eq(s.clone(), in_term(a, from, to), in_term(b, from, to)),
-        Formula::Pred(p, sorts, args) => Formula::Pred(
-            p.clone(),
-            sorts.clone(),
-            args.iter().map(|a| in_term(a, from, to)).collect(),
-        ),
-        Formula::Not(g) => Formula::Not(Box::new(replace_all(g, from, to))),
-        Formula::And(a, b) => Formula::and(replace_all(a, from, to), replace_all(b, from, to)),
-        Formula::Or(a, b) => Formula::or(replace_all(a, from, to), replace_all(b, from, to)),
-        Formula::Implies(a, b) => {
-            Formula::implies(replace_all(a, from, to), replace_all(b, from, to))
-        }
-        Formula::Iff(a, b) => Formula::Iff(
-            Box::new(replace_all(a, from, to)),
-            Box::new(replace_all(b, from, to)),
-        ),
         Formula::Forall(..) | Formula::Exists(..) | Formula::ForallSort(..) => f.clone(),
         Formula::FMatch(..) => f.clone(),
     }
@@ -427,7 +364,7 @@ fn propose_rewrite(
     if first != planted {
         return None;
     }
-    if replace_all(&new_concl, &planted, &instance) != *concl {
+    if replace_in_formula(&new_concl, &planted, &instance) != *concl {
         return None;
     }
     let sentence = if forward {

@@ -9,8 +9,9 @@
 //! on-disk cell cache: a completed [`CellResult`] is stored under
 //! `target/cells/<hash>.json`, keyed by every input that affects the
 //! outcomes (profile, setting, scope, search configuration, tuning,
-//! retrieval), so re-running a bench binary with an unchanged
-//! configuration loads instead of recomputing — and *changing* any knob
+//! retrieval, and the content of the corpus it ran on; [`store_key`]), so
+//! re-running a bench binary with an unchanged configuration and corpus
+//! loads instead of recomputing — and *changing* any knob or proof
 //! changes the hash, which is the cache-invalidation story.
 //!
 //! A grid is one [`Runner::run_cells`] call over its (corpus, cell)
@@ -53,6 +54,21 @@ pub fn cell_cache_key(cell: &CellConfig) -> String {
     // `Debug` of the config is a stable function of its fields (floats
     // render shortest-roundtrip), which is exactly the keying we want.
     let repr = format!("v{CACHE_SCHEMA}:{cell:?}");
+    format!("{:016x}", fnv1a(repr.as_bytes()))
+}
+
+/// The key a cell's result is stored under, as its cache file name and in
+/// a call's journal state: FNV-1a over [`cell_cache_key`] and the content
+/// hash of the development the cell runs on, so a result is served only
+/// for the corpus that produced it. The cone cache, `prove`'s saved
+/// `cell_key.txt` and the worker-panic fault site key on
+/// [`cell_cache_key`] alone, which a corpus edit leaves unchanged.
+pub fn store_key(corpus: &Corpus, cell: &CellConfig) -> String {
+    let repr = format!(
+        "{}:{:016x}",
+        cell_cache_key(cell),
+        corpus.dev.content_hash()
+    );
     format!("{:016x}", fnv1a(repr.as_bytes()))
 }
 
@@ -223,9 +239,9 @@ impl Runner {
     /// from the journal, else the content-hashed cache, else an evaluation
     /// on the pool that populates both. The call keeps one journal state:
     /// replayed from the attached journal, else empty, and kept current
-    /// with every `start`/`done`/`crashed` event of this call, so a key
-    /// repeated in the list is served from this call's own `done`, with or
-    /// without a journal file.
+    /// with every `start`/`done`/`crashed` event of this call, so a
+    /// [`store_key`] repeated in the list is served from this call's own
+    /// `done`, with or without a journal file.
     ///
     /// Each cell has panic isolation: a poisoned cell comes back as
     /// `Err(CellCrash)` and every other cell's outcome survives. With a
@@ -276,7 +292,7 @@ impl Runner {
         cell: &CellConfig,
         state: &mut JournalState,
     ) -> (CellSource, Result<CellResult, CellCrash>) {
-        let key = cell_cache_key(cell);
+        let key = store_key(corpus, cell);
         if let Some(done) = state.done.get(&key) {
             return (CellSource::Journal, Ok(done.clone()));
         }

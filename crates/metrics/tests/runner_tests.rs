@@ -5,7 +5,8 @@
 use std::collections::BTreeSet;
 
 use fscq_corpus::Corpus;
-use proof_metrics::runner::{cell_cache_key, CellSource, Runner};
+use proof_metrics::incremental::load_edited;
+use proof_metrics::runner::{store_key, CellRun, CellSource, Runner};
 use proof_metrics::CellConfig;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -80,10 +81,62 @@ fn cell_cache_round_trips() {
     assert_eq!(json[0], json[2]);
     assert_ne!(json[0], json[1]);
     assert!(dir
-        .join(format!("{}.json", cell_cache_key(&cell)))
+        .join(format!("{}.json", store_key(&corpus, &cell)))
         .is_file());
 
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_cell_is_never_served_for_another_corpus() {
+    let embedded = Corpus::load();
+    // The embedded corpus with one proof edited.
+    let mut sources: Vec<(String, String)> = fscq_corpus::corpus_sources()
+        .into_iter()
+        .map(|(n, t)| (n.to_string(), t.to_string()))
+        .collect();
+    let (_, text) = sources
+        .iter_mut()
+        .find(|(_, t)| t.contains("intros. reflexivity."))
+        .expect("a proof to edit");
+    *text = text.replacen("intros. reflexivity.", "intros. simpl. reflexivity.", 1);
+    let (edited, _) = load_edited(&sources).expect("the edited corpus loads");
+    let cell = small_cell();
+    let sources_of =
+        |runs: Vec<CellRun>| -> Vec<CellSource> { runs.iter().map(|r| r.source).collect() };
+
+    let dir = std::env::temp_dir().join(format!("runner-corpus-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cached = Runner::from_env().with_jobs(2).with_cache_dir(&dir);
+    let calls: Vec<CellSource> = [&embedded, &edited, &embedded]
+        .into_iter()
+        .flat_map(|corpus| sources_of(cached.run_cells(&[(corpus, &cell)])))
+        .collect();
+    assert_eq!(
+        calls,
+        [
+            CellSource::Computed,
+            CellSource::Computed,
+            CellSource::CacheHit
+        ],
+        "across calls, the edited corpus misses the embedded corpus's cache file"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let one_call = Runner::from_env().with_jobs(2).without_cache().run_cells(&[
+        (&embedded, &cell),
+        (&edited, &cell),
+        (&embedded, &cell),
+    ]);
+    assert_eq!(
+        sources_of(one_call),
+        [
+            CellSource::Computed,
+            CellSource::Computed,
+            CellSource::Journal
+        ],
+        "within a call, only a repeat on the same corpus is served"
+    );
 }
 
 #[test]

@@ -26,7 +26,7 @@ use crate::goal::{Goal, ProofState};
 use crate::rule::{Rule, RuleForm};
 use crate::sort::Sort;
 use crate::subst::{subst_formula1, subst_sorts_formula, SortSubst};
-use crate::tactic::{candidate_subterms, stmt_of, whnf_formula, DestructTarget, Loc, Tactic};
+use crate::tactic::{candidate_subterms, stmt_of, whnf_prop, DestructTarget, Loc, Tactic};
 use crate::term::Term;
 use crate::unify::{InstantiatedRule, Unifier};
 
@@ -215,7 +215,7 @@ pub fn preflight_goal(env: &Env, goal: &Goal, tac: &Tactic, fuel_budget: u64) ->
             _ => reject(ReasonCode::GoalShape, "goal is not a disjunction"),
         },
         Tactic::ExistsTac(witness) => check_exists(env, goal, witness),
-        Tactic::Reflexivity => match whnf_formula(env, &goal.concl) {
+        Tactic::Reflexivity => match whnf_prop(env, &goal.concl) {
             Formula::Eq(..) | Formula::Iff(..) | Formula::True => Accept,
             _ => reject(ReasonCode::GoalShape, "goal is not an equality"),
         },
@@ -366,7 +366,7 @@ fn success_goal_count(env: &Env, goal: &Goal, tac: &Tactic) -> Option<usize> {
             ..
         } => {
             if let Some(hf) = goal.hyp(n) {
-                match whnf_formula(env, hf) {
+                match whnf_prop(env, hf) {
                     Formula::And(..) | Formula::Exists(..) | Formula::Iff(..) | Formula::True => {
                         Some(1)
                     }
@@ -394,7 +394,7 @@ fn success_goal_count(env: &Env, goal: &Goal, tac: &Tactic) -> Option<usize> {
 fn check_intro(env: &Env, goal: &Goal, name: Option<&str>) -> PreflightVerdict {
     match name {
         Some(n) => check_intros(env, goal, std::slice::from_ref(&n.to_string())),
-        None => match whnf_formula(env, &goal.concl) {
+        None => match whnf_prop(env, &goal.concl) {
             Formula::Forall(..)
             | Formula::ForallSort(..)
             | Formula::Implies(..)
@@ -416,7 +416,7 @@ fn check_intros(env: &Env, goal: &Goal, names: &[String]) -> PreflightVerdict {
     let mut sort_vars: BTreeSet<String> = goal.sort_vars.iter().cloned().collect();
     let mut cur = goal.concl.clone();
     for n in names {
-        match whnf_formula(env, &cur) {
+        match whnf_prop(env, &cur) {
             Formula::Forall(v, _, body) => {
                 if scope.contains(n) {
                     return reject(ReasonCode::NameInUse, format!("name {n} already used"));
@@ -533,7 +533,7 @@ fn check_revert(goal: &Goal, names: &[String]) -> PreflightVerdict {
 // Goal-shape tactics
 
 fn check_exists(env: &Env, goal: &Goal, witness: &Term) -> PreflightVerdict {
-    if !matches!(whnf_formula(env, &goal.concl), Formula::Exists(..)) {
+    if !matches!(whnf_prop(env, &goal.concl), Formula::Exists(..)) {
         return reject(ReasonCode::GoalShape, "goal is not an existential");
     }
     let mut fv = BTreeSet::new();
@@ -548,13 +548,13 @@ fn check_exists(env: &Env, goal: &Goal, witness: &Term) -> PreflightVerdict {
 
 fn check_symmetry(env: &Env, goal: &Goal, loc: Option<&str>) -> PreflightVerdict {
     match loc {
-        None => match whnf_formula(env, &goal.concl) {
+        None => match whnf_prop(env, &goal.concl) {
             Formula::Eq(..) | Formula::Iff(..) => PreflightVerdict::Accept,
             _ => reject(ReasonCode::GoalShape, "goal is not an equality"),
         },
         Some(h) => match goal.hyp(h) {
             None => reject(ReasonCode::UnknownName, format!("no hypothesis {h}")),
-            Some(f) => match whnf_formula(env, f) {
+            Some(f) => match whnf_prop(env, f) {
                 Formula::Eq(..) | Formula::Iff(..) => PreflightVerdict::Accept,
                 _ => reject(ReasonCode::NonEquation, "hypothesis is not an equality"),
             },
@@ -611,7 +611,7 @@ enum Head {
 }
 
 fn head_of(env: &Env, f: &Formula) -> Head {
-    match whnf_formula(env, f) {
+    match whnf_prop(env, f) {
         Formula::True => Head::True,
         Formula::False => Head::False,
         Formula::Eq(..) => Head::Eq,
@@ -702,7 +702,7 @@ fn check_apply_forward(env: &Env, rule: &Rule) -> PreflightVerdict {
 }
 
 fn check_constructor(env: &Env, goal: &Goal) -> PreflightVerdict {
-    match whnf_formula(env, &goal.concl) {
+    match whnf_prop(env, &goal.concl) {
         Formula::True | Formula::And(..) | Formula::Iff(..) | Formula::Or(..) | Formula::Eq(..) => {
             PreflightVerdict::Accept
         }
@@ -733,7 +733,7 @@ fn check_instantiate_first(env: &Env, goal: &Goal, stmt: &Formula, arg: &Term) -
                 cur = subst_sorts_formula(&body, &map);
             }
             Formula::Pred(..) => {
-                let exposed = whnf_formula(env, &cur);
+                let exposed = whnf_prop(env, &cur);
                 if exposed == cur {
                     break;
                 }
@@ -799,7 +799,7 @@ fn check_pose_proof(
 /// variable and `destruct`/`induction` fail immediately.
 fn intro_can_step(env: &Env, goal: &Goal) -> bool {
     matches!(
-        whnf_formula(env, &goal.concl),
+        whnf_prop(env, &goal.concl),
         Formula::Forall(..) | Formula::ForallSort(..) | Formula::Implies(..) | Formula::Not(..)
     )
 }
@@ -821,7 +821,7 @@ fn check_destruct(env: &Env, goal: &Goal, target: &DestructTarget) -> PreflightV
 
 fn check_destruct_name(env: &Env, goal: &Goal, n: &str) -> PreflightVerdict {
     if let Some(hf) = goal.hyp(n) {
-        return match whnf_formula(env, hf) {
+        return match whnf_prop(env, hf) {
             Formula::And(..)
             | Formula::Or(..)
             | Formula::Exists(..)
@@ -890,7 +890,7 @@ fn check_inversion(env: &Env, goal: &Goal, h: &str) -> PreflightVerdict {
     let Some(hf) = goal.hyp(h) else {
         return reject(ReasonCode::UnknownName, format!("no hypothesis {h}"));
     };
-    match whnf_formula(env, hf) {
+    match whnf_prop(env, hf) {
         Formula::Pred(p, _, _) => match env.preds.get(p.as_str()) {
             Some(PredDef::Inductive(_)) => PreflightVerdict::Accept,
             _ => reject(
@@ -909,7 +909,7 @@ fn check_injection(env: &Env, goal: &Goal, h: &str) -> PreflightVerdict {
     let Some(hf) = goal.hyp(h) else {
         return reject(ReasonCode::UnknownName, format!("no hypothesis {h}"));
     };
-    match whnf_formula(env, hf) {
+    match whnf_prop(env, hf) {
         Formula::Eq(..) => PreflightVerdict::Accept,
         _ => reject(ReasonCode::NonEquation, "hypothesis is not an equality"),
     }
@@ -924,7 +924,7 @@ fn check_discriminate(env: &Env, goal: &Goal, h: Option<&str>) -> PreflightVerdi
             }
             // With no hypotheses, only a `a <> b` conclusion can
             // discriminate.
-            if let Formula::Not(inner) = whnf_formula(env, &goal.concl) {
+            if let Formula::Not(inner) = whnf_prop(env, &goal.concl) {
                 if matches!(*inner, Formula::Eq(..)) {
                     return PreflightVerdict::Accept;
                 }

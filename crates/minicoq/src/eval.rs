@@ -66,6 +66,15 @@ pub fn ctor_head<'a>(env: &Env, t: &'a Term) -> Option<&'a str> {
     }
 }
 
+/// True when a recursive definition whose decreasing parameter is
+/// `struct_arg` unfolds at `args`: that argument is constructor-headed, so
+/// one step of structural recursion can fire.
+pub fn fix_unfolds(env: &Env, struct_arg: Option<usize>, args: &[Term]) -> bool {
+    struct_arg
+        .and_then(|i| args.get(i))
+        .is_some_and(|a| ctor_head(env, a).is_some())
+}
+
 /// Normalizes a term under the given mode.
 pub fn normalize_term(
     env: &Env,
@@ -91,11 +100,7 @@ pub fn normalize_term(
                 return Ok(Term::App(f.clone(), args));
             }
             let should_unfold = if def.recursive {
-                mode.unfold_fix
-                    && match def.struct_arg {
-                        Some(i) => ctor_head(env, &args[i]).is_some(),
-                        None => false,
-                    }
+                mode.unfold_fix && fix_unfolds(env, def.struct_arg, &args)
             } else if mode.unfold_defs {
                 true
             } else {
@@ -268,11 +273,7 @@ pub fn normalize_formula(
             let unfold = match env.preds.get(p) {
                 Some(PredDef::Defined(d)) => {
                     if d.recursive {
-                        mode.unfold_fix
-                            && match d.struct_arg {
-                                Some(i) if i < args.len() => ctor_head(env, &args[i]).is_some(),
-                                _ => false,
-                            }
+                        mode.unfold_fix && fix_unfolds(env, d.struct_arg, &args)
                     } else {
                         mode.unfold_defs
                     }

@@ -5,6 +5,7 @@ use std::fmt;
 
 use crate::sort::Sort;
 use crate::term::{Pat, Term};
+use crate::walk::Node;
 use crate::Ident;
 
 /// A formula (proposition) of the object logic.
@@ -129,45 +130,19 @@ impl Formula {
 
     /// Returns true if the formula contains no metavariables.
     pub fn is_ground(&self) -> bool {
-        match self {
-            Formula::True | Formula::False => true,
-            Formula::Eq(s, a, b) => s.is_ground_or_var() && a.is_ground() && b.is_ground(),
-            Formula::Pred(_, sorts, args) => {
-                sorts.iter().all(Sort::is_ground_or_var) && args.iter().all(Term::is_ground)
-            }
-            Formula::Not(f) => f.is_ground(),
-            Formula::And(a, b)
-            | Formula::Or(a, b)
-            | Formula::Implies(a, b)
-            | Formula::Iff(a, b) => a.is_ground() && b.is_ground(),
-            Formula::Forall(_, s, body) | Formula::Exists(_, s, body) => {
-                s.is_ground_or_var() && body.is_ground()
-            }
-            Formula::ForallSort(_, body) => body.is_ground(),
-            Formula::FMatch(scrut, arms) => {
-                scrut.is_ground() && arms.iter().all(|(_, rhs)| rhs.is_ground())
-            }
-        }
+        !Node::Formula(self).any(|n| match n {
+            Node::Formula(Formula::Eq(s, ..))
+            | Node::Formula(Formula::Forall(_, s, _))
+            | Node::Formula(Formula::Exists(_, s, _)) => !s.is_ground_or_var(),
+            Node::Formula(Formula::Pred(_, sorts, _)) => !sorts.iter().all(Sort::is_ground_or_var),
+            Node::Term(Term::Meta(_)) => true,
+            _ => false,
+        })
     }
 
     /// Structural size; used for fuel accounting.
     pub fn size(&self) -> usize {
-        match self {
-            Formula::True | Formula::False => 1,
-            Formula::Eq(_, a, b) => 1 + a.size() + b.size(),
-            Formula::Pred(_, _, args) => 1 + args.iter().map(Term::size).sum::<usize>(),
-            Formula::Not(f) => 1 + f.size(),
-            Formula::And(a, b)
-            | Formula::Or(a, b)
-            | Formula::Implies(a, b)
-            | Formula::Iff(a, b) => 1 + a.size() + b.size(),
-            Formula::Forall(_, _, body)
-            | Formula::Exists(_, _, body)
-            | Formula::ForallSort(_, body) => 1 + body.size(),
-            Formula::FMatch(scrut, arms) => {
-                1 + scrut.size() + arms.iter().map(|(_, rhs)| rhs.size()).sum::<usize>()
-            }
-        }
+        Node::Formula(self).size()
     }
 
     /// Peels the leading universal quantifiers and implications, returning

@@ -58,6 +58,7 @@ pub mod tactic;
 pub mod term;
 pub mod typing;
 pub mod unify;
+pub mod walk;
 
 /// Interned-by-convention identifier type used throughout the kernel.
 pub type Ident = String;

@@ -1,12 +1,15 @@
-//! Parsing: lexer, surface grammar, elaboration, and tactic scripts.
+//! Parsing: sentence splitting, lexer, surface grammar, elaboration, and
+//! tactic scripts.
 
 pub mod ast;
 pub mod elab;
 pub mod lex;
+mod sentence;
 mod tactic;
 
 pub use lex::{lex, Cursor, ParseError, Tok};
-pub use tactic::{parse_tactic, split_sentences};
+pub use sentence::{split_sentences, split_with_spans, Sentence};
+pub use tactic::parse_tactic;
 
 use crate::env::Env;
 use crate::formula::Formula;

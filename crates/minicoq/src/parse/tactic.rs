@@ -19,58 +19,6 @@ use super::ast::{parse_expr, Expr};
 use super::elab::{ElabCtx, Elaborator};
 use super::lex::{lex, Cursor, ParseError, Tok};
 
-/// Splits a proof script into sentences on top-level `.`, dropping comments.
-/// `Proof.` and `Qed.` markers are removed.
-pub fn split_sentences(script: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth: i32 = 0; // Comment nesting.
-    let mut cur = String::new();
-    let b = script.as_bytes();
-    let mut i = 0;
-    while i < b.len() {
-        let c = b[i] as char;
-        if depth > 0 {
-            if c == '(' && i + 1 < b.len() && b[i + 1] == b'*' {
-                depth += 1;
-                i += 2;
-                continue;
-            }
-            if c == '*' && i + 1 < b.len() && b[i + 1] == b')' {
-                depth -= 1;
-                i += 2;
-                continue;
-            }
-            i += 1;
-            continue;
-        }
-        if c == '(' && i + 1 < b.len() && b[i + 1] == b'*' {
-            depth += 1;
-            i += 2;
-            continue;
-        }
-        if c == '.' {
-            // A sentence terminator must be followed by whitespace or EOF.
-            let ends = i + 1 >= b.len() || (b[i + 1] as char).is_whitespace();
-            if ends {
-                let s = cur.trim().to_string();
-                if !s.is_empty() && s != "Proof" && s != "Qed" && s != "Defined" {
-                    out.push(s);
-                }
-                cur.clear();
-                i += 1;
-                continue;
-            }
-        }
-        cur.push(c);
-        i += 1;
-    }
-    let s = cur.trim().to_string();
-    if !s.is_empty() && s != "Proof" && s != "Qed" && s != "Defined" {
-        out.push(s);
-    }
-    out
-}
-
 /// Parses one tactic sentence, elaborating any term or formula arguments
 /// against the focused goal's context.
 pub fn parse_tactic(env: &Env, goal: Option<&Goal>, src: &str) -> Result<Tactic, TacticError> {
@@ -475,18 +423,6 @@ fn parse_simple(env: &Env, goal: Option<&Goal>, cur: &mut Cursor) -> Result<Tact
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splits_sentences() {
-        let s = split_sentences("Proof. intros x. (* c. *) simpl. auto. Qed.");
-        assert_eq!(s, vec!["intros x", "simpl", "auto"]);
-    }
-
-    #[test]
-    fn dot_inside_word_not_split() {
-        let s = split_sentences("intros. reflexivity.");
-        assert_eq!(s.len(), 2);
-    }
 
     #[test]
     fn parses_tacticals() {

@@ -15,6 +15,7 @@ use crate::env::Env;
 use crate::formula::Formula;
 use crate::sort::Sort;
 use crate::term::{Pat, Term};
+use crate::walk::Node;
 use crate::Ident;
 
 /// Calls `visit` on every declared name a sort references.
@@ -34,64 +35,31 @@ pub fn sort_names<'a>(s: &'a Sort, visit: &mut impl FnMut(&'a str)) {
 /// Calls `visit` on every declared name a term references (variables and
 /// pattern binders excluded; constructor patterns included).
 pub fn term_names<'a>(t: &'a Term, visit: &mut impl FnMut(&'a str)) {
-    match t {
-        Term::Var(_) | Term::Meta(_) => {}
-        Term::App(f, args) => {
-            visit(f);
-            for a in args {
-                term_names(a, visit);
-            }
-        }
-        Term::Match(scrut, arms) => {
-            term_names(scrut, visit);
-            for (pat, rhs) in arms {
-                if let Pat::Ctor(c, _) = pat {
-                    visit(c);
-                }
-                term_names(rhs, visit);
-            }
-        }
-    }
+    node_names(Node::Term(t), visit);
 }
 
 /// Calls `visit` on every declared name a formula references.
 pub fn formula_names<'a>(f: &'a Formula, visit: &mut impl FnMut(&'a str)) {
-    match f {
-        Formula::True | Formula::False => {}
-        Formula::Eq(s, a, b) => {
-            sort_names(s, visit);
-            term_names(a, visit);
-            term_names(b, visit);
+    node_names(Node::Formula(f), visit);
+}
+
+/// The names of [`term_names`] and [`formula_names`], in pre-order: a
+/// node's own names (predicate, sorts, function, constructor pattern)
+/// before those below it.
+fn node_names<'a>(n: Node<'a>, visit: &mut impl FnMut(&'a str)) {
+    n.for_each(|n| match n {
+        Node::Formula(Formula::Eq(s, ..) | Formula::Forall(_, s, _) | Formula::Exists(_, s, _)) => {
+            sort_names(s, visit)
         }
-        Formula::Pred(p, sorts, args) => {
+        Node::Formula(Formula::Pred(p, sorts, _)) => {
             visit(p);
             for s in sorts {
                 sort_names(s, visit);
             }
-            for a in args {
-                term_names(a, visit);
-            }
         }
-        Formula::Not(a) => formula_names(a, visit),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            formula_names(a, visit);
-            formula_names(b, visit);
-        }
-        Formula::Forall(_, s, b) | Formula::Exists(_, s, b) => {
-            sort_names(s, visit);
-            formula_names(b, visit);
-        }
-        Formula::ForallSort(_, b) => formula_names(b, visit),
-        Formula::FMatch(scrut, arms) => {
-            term_names(scrut, visit);
-            for (pat, rhs) in arms {
-                if let Pat::Ctor(c, _) = pat {
-                    visit(c);
-                }
-                formula_names(rhs, visit);
-            }
-        }
-    }
+        Node::Term(Term::App(f, _)) | Node::Pat(Pat::Ctor(f, _)) => visit(f),
+        _ => {}
+    });
 }
 
 /// Collects every declared name a sort references.

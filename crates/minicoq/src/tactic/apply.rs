@@ -205,7 +205,9 @@ pub fn apply(
 
 /// Weak-head-unfolds a statement so that leading defined predicates expose
 /// their quantifier/implication structure; recurses under the rule prefix.
-pub(crate) fn expose_rule(env: &Env, stmt: &Formula) -> Formula {
+/// This is the reading `apply` falls back to, and the one the simulated
+/// oracle reads hypotheses through.
+pub fn expose_rule(env: &Env, stmt: &Formula) -> Formula {
     let head = super::basic::whnf_prop(env, stmt);
     match head {
         Formula::Forall(v, s, body) => Formula::Forall(v, s, Box::new(expose_rule(env, &body))),

@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 
 use crate::env::{Env, PredDef};
 use crate::error::TacticError;
-use crate::eval::{conv_eq_formula, conv_eq_term, ctor_head, unfold_pred, EvalMode};
+use crate::eval::{conv_eq_formula, conv_eq_term, fix_unfolds, unfold_pred, EvalMode};
 use crate::formula::Formula;
 use crate::fuel::Fuel;
 use crate::goal::Goal;
@@ -23,14 +23,7 @@ pub(crate) fn whnf_prop(env: &Env, f: &Formula) -> Formula {
             Formula::Pred(p, sorts, args) => {
                 let unfoldable = match env.preds.get(p.as_str()) {
                     Some(PredDef::Defined(d)) => {
-                        if d.recursive {
-                            match d.struct_arg {
-                                Some(i) if i < args.len() => ctor_head(env, &args[i]).is_some(),
-                                _ => false,
-                            }
-                        } else {
-                            true
-                        }
+                        !d.recursive || fix_unfolds(env, d.struct_arg, args)
                     }
                     _ => false,
                 };

@@ -17,23 +17,19 @@ mod rewrite;
 
 pub use auto::AUTO_DEFAULT_DEPTH;
 
-// The pre-flight analyzer mirrors exact prefixes of the evaluator; it
-// borrows the same helpers so the two can never drift apart.
-pub(crate) use apply::{expose_rule, stmt_of};
-pub(crate) use rewrite::candidate_subterms;
+// The pre-flight analyzer mirrors exact prefixes of the evaluator, and
+// the simulated oracle and the generator read formulas the way the
+// tactics do; they borrow the same helpers so none can drift apart.
+pub use apply::expose_rule;
+pub(crate) use apply::stmt_of;
+pub(crate) use basic::whnf_prop;
+pub use rewrite::{candidate_subterms, replace_in_formula};
 
 /// Weak-head exposure of a goal's conclusion (unfolds defined predicates);
 /// used by the parser to elaborate `exists` witnesses against the expected
 /// sort.
 pub fn whnf_concl(env: &crate::env::Env, goal: &crate::goal::Goal) -> crate::formula::Formula {
     basic::whnf_prop(env, &goal.concl)
-}
-
-/// Weak-head exposure of an arbitrary formula (public counterpart of the
-/// engine-internal helper, used by the tactic oracle to read hypotheses the
-/// way `apply` does).
-pub fn whnf_formula(env: &crate::env::Env, f: &crate::formula::Formula) -> crate::formula::Formula {
-    basic::whnf_prop(env, f)
 }
 
 use crate::env::Env;

@@ -53,8 +53,9 @@ fn binders_interfere(binders: &[String], from: &Term, to: &Term) -> bool {
 
 /// Replaces occurrences of `from` by `to` in a formula. Replacement does
 /// not descend under quantifiers or match binders that shadow any involved
-/// variable (plain `rewrite` in Coq similarly fails under binders).
-pub(crate) fn replace_in_formula(f: &Formula, from: &Term, to: &Term) -> Formula {
+/// variable (plain `rewrite` in Coq similarly fails under binders). The
+/// corpus generator checks its inverted rewrites with it.
+pub fn replace_in_formula(f: &Formula, from: &Term, to: &Term) -> Formula {
     match f {
         Formula::True | Formula::False => f.clone(),
         Formula::Eq(s, a, b) => Formula::Eq(
@@ -128,8 +129,9 @@ pub(crate) fn replace_in_formula(f: &Formula, from: &Term, to: &Term) -> Formula
 
 /// Enumerates candidate subterms of a formula for rewriting, outside
 /// binders, in left-to-right order. Shared with `analysis::preflight`,
-/// whose no-match check replays the same candidate scan.
-pub(crate) fn candidate_subterms(f: &Formula, out: &mut Vec<Term>) {
+/// whose no-match check replays the same candidate scan, and with the
+/// corpus generator, which inverts `rewrite` over the same scan.
+pub fn candidate_subterms(f: &Formula, out: &mut Vec<Term>) {
     match f {
         Formula::True | Formula::False => {}
         Formula::Eq(_, a, b) => {

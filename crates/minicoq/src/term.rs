@@ -3,6 +3,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+use crate::walk::Node;
 use crate::Ident;
 
 /// A pattern in a `match` arm: a constructor applied to distinct variables,
@@ -82,26 +83,7 @@ impl Term {
 
     /// Returns true if the term contains no metavariables.
     pub fn is_ground(&self) -> bool {
-        match self {
-            Term::Var(_) => true,
-            Term::Meta(_) => false,
-            Term::App(_, args) => args.iter().all(Term::is_ground),
-            Term::Match(scrut, arms) => {
-                scrut.is_ground() && arms.iter().all(|(_, rhs)| rhs.is_ground())
-            }
-        }
-    }
-
-    /// Returns true if the metavariable `m` occurs in the term.
-    pub fn contains_meta(&self, m: u32) -> bool {
-        match self {
-            Term::Var(_) => false,
-            Term::Meta(k) => *k == m,
-            Term::App(_, args) => args.iter().any(|t| t.contains_meta(m)),
-            Term::Match(scrut, arms) => {
-                scrut.contains_meta(m) || arms.iter().any(|(_, rhs)| rhs.contains_meta(m))
-            }
-        }
+        !Node::Term(self).any(|n| matches!(n, Node::Term(Term::Meta(_))))
     }
 
     /// Collects the free variables of the term into `out`.
@@ -147,13 +129,7 @@ impl Term {
 
     /// Structural size of the term; used for fuel accounting.
     pub fn size(&self) -> usize {
-        match self {
-            Term::Var(_) | Term::Meta(_) => 1,
-            Term::App(_, args) => 1 + args.iter().map(Term::size).sum::<usize>(),
-            Term::Match(scrut, arms) => {
-                1 + scrut.size() + arms.iter().map(|(_, rhs)| rhs.size()).sum::<usize>()
-            }
-        }
+        Node::Term(self).size()
     }
 }
 

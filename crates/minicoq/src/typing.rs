@@ -8,6 +8,7 @@ use crate::goal::Goal;
 use crate::sort::Sort;
 use crate::term::Term;
 use crate::unify::Unifier;
+use crate::walk::Node;
 use crate::Ident;
 
 /// Infers the sort of `t` in the context of `goal`, extending `uni` with
@@ -105,9 +106,8 @@ pub fn repair_formula_sorts(
 ) {
     use crate::formula::Formula;
     let lookup = |v: &str| goal.var_sort(v).cloned();
-    match f {
-        Formula::True | Formula::False => {}
-        Formula::Eq(s, a, b) => {
+    Node::Formula(f).for_each(|n| match n {
+        Node::Formula(Formula::Eq(s, a, b)) => {
             let s = s.subst_metas(&uni.sort_metas);
             if !s.is_ground_or_var() {
                 let a = uni.resolve_term(a);
@@ -119,7 +119,7 @@ pub fn repair_formula_sorts(
                 }
             }
         }
-        Formula::Pred(p, sorts, args) => {
+        Node::Formula(Formula::Pred(p, sorts, args)) => {
             if sorts
                 .iter()
                 .all(|s| s.subst_metas(&uni.sort_metas).is_ground_or_var())
@@ -151,20 +151,8 @@ pub fn repair_formula_sorts(
                 }
             }
         }
-        Formula::Not(g) => repair_formula_sorts(env, goal, g, uni),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            repair_formula_sorts(env, goal, a, uni);
-            repair_formula_sorts(env, goal, b, uni);
-        }
-        Formula::Forall(_, _, body)
-        | Formula::Exists(_, _, body)
-        | Formula::ForallSort(_, body) => repair_formula_sorts(env, goal, body, uni),
-        Formula::FMatch(_, arms) => {
-            for (_, rhs) in arms {
-                repair_formula_sorts(env, goal, rhs, uni);
-            }
-        }
-    }
+        _ => {}
+    });
 }
 
 #[cfg(test)]

@@ -37,7 +37,6 @@ pub mod retrieval;
 pub mod sim;
 pub mod sip;
 pub mod split;
-pub mod sync;
 pub mod tokenizer;
 
 pub use chaos::ChaoticModel;
@@ -45,4 +44,3 @@ pub use model::{OracleFault, Proposal, QueryCtx, TacticModel};
 pub use profiles::ModelProfile;
 pub use prompt::{PromptInfo, PromptSetting};
 pub use sim::SimulatedModel;
-pub use sync::lock_recover;

@@ -151,7 +151,7 @@ impl PromptCache {
 
     /// The slots of `file`'s items.
     fn file(&self, file: &LoadedFile) -> Arc<FileSlots> {
-        let mut files = crate::sync::lock_recover(&self.files);
+        let mut files = proof_trace::lock_recover(&self.files);
         if let Some(slots) = files.get(file.name.as_str()) {
             assert_eq!(
                 slots.len(),

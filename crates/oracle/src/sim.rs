@@ -26,11 +26,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use minicoq::env::{Env, Lemma, PredDef};
+use minicoq::eval::fix_unfolds;
 use minicoq::formula::Formula;
 use minicoq::goal::Goal;
 use minicoq::refs::head_feature;
 use minicoq::sort::Sort;
+use minicoq::tactic::expose_rule;
 use minicoq::term::Term;
+use minicoq::walk::Node;
 
 use crate::model::{Proposal, QueryCtx, TacticModel};
 use crate::profiles::ModelProfile;
@@ -266,125 +269,40 @@ fn gaussian(h: u64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Exposes a formula's rule structure: weak-head unfolding under the
-/// leading binders and premises (mirrors the tactic engine's `apply`).
-fn expose(env: &Env, f: &Formula) -> Formula {
-    let head = minicoq::tactic::whnf_formula(env, f);
-    match head {
-        Formula::Forall(v, s, body) => Formula::Forall(v, s, Box::new(expose(env, &body))),
-        Formula::ForallSort(v, body) => Formula::ForallSort(v, Box::new(expose(env, &body))),
-        Formula::Implies(p, q) => Formula::Implies(p, Box::new(expose(env, &q))),
-        other => other,
-    }
+/// Variables occupying the structural-recursion argument of a recursive
+/// function application in the formula, each once, in pre-order.
+fn struct_rec_vars(env: &Env, f: &Formula) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    Node::Formula(f).for_each(|n| {
+        let Node::Term(Term::App(fname, args)) = n else {
+            return;
+        };
+        let def = env.funcs.get(fname).filter(|d| d.recursive);
+        if let Some(Term::Var(v)) = def.and_then(|d| d.struct_arg).and_then(|i| args.get(i)) {
+            if !out.contains(v) {
+                out.push(v.clone());
+            }
+        }
+    });
+    out
 }
 
-/// True when the formula is a recursive defined predicate applied at a
-/// constructor-headed structural argument (so `simpl` will unfold it).
-fn reducible_pred(env: &Env, f: &Formula) -> bool {
-    let Formula::Pred(p, _, args) = f else {
-        return false;
-    };
-    match env.preds.get(p.as_str()) {
-        Some(PredDef::Defined(d)) if d.recursive => match d.struct_arg {
-            Some(i) if i < args.len() => minicoq::eval::ctor_head(env, &args[i]).is_some(),
-            _ => false,
-        },
-        _ => false,
-    }
-}
-
-/// Collects variables occupying the structural-recursion argument of a
-/// recursive function application in the formula.
-fn collect_struct_rec_vars(env: &Env, f: &Formula, out: &mut Vec<String>) {
-    fn in_term(env: &Env, t: &Term, out: &mut Vec<String>) {
-        match t {
-            Term::Var(_) | Term::Meta(_) => {}
-            Term::App(fname, args) => {
-                if let Some(def) = env.funcs.get(fname) {
-                    if def.recursive {
-                        if let Some(i) = def.struct_arg {
-                            if let Some(Term::Var(v)) = args.get(i) {
-                                if !out.contains(v) {
-                                    out.push(v.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-                args.iter().for_each(|a| in_term(env, a, out));
-            }
-            Term::Match(scrut, arms) => {
-                in_term(env, scrut, out);
-                arms.iter().for_each(|(_, r)| in_term(env, r, out));
+/// Variables that appear as `match` scrutinees in a formula, each once, in
+/// pre-order.
+fn match_scrutinee_vars(f: &Formula) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    Node::Formula(f).for_each(|n| {
+        let (Node::Term(Term::Match(scrut, _)) | Node::Formula(Formula::FMatch(scrut, _))) = n
+        else {
+            return;
+        };
+        if let Term::Var(v) = &**scrut {
+            if !out.contains(v) {
+                out.push(v.clone());
             }
         }
-    }
-    match f {
-        Formula::True | Formula::False => {}
-        Formula::Eq(_, a, b) => {
-            in_term(env, a, out);
-            in_term(env, b, out);
-        }
-        Formula::Pred(_, _, args) => args.iter().for_each(|a| in_term(env, a, out)),
-        Formula::Not(g) => collect_struct_rec_vars(env, g, out),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            collect_struct_rec_vars(env, a, out);
-            collect_struct_rec_vars(env, b, out);
-        }
-        Formula::Forall(_, _, b) | Formula::Exists(_, _, b) | Formula::ForallSort(_, b) => {
-            collect_struct_rec_vars(env, b, out)
-        }
-        Formula::FMatch(scrut, arms) => {
-            in_term(env, scrut, out);
-            arms.iter()
-                .for_each(|(_, r)| collect_struct_rec_vars(env, r, out));
-        }
-    }
-}
-
-/// Collects variables that appear as `match` scrutinees in a formula.
-fn collect_match_scrutinee_vars(f: &Formula, out: &mut Vec<String>) {
-    fn in_term(t: &Term, out: &mut Vec<String>) {
-        match t {
-            Term::Var(_) | Term::Meta(_) => {}
-            Term::App(_, args) => args.iter().for_each(|a| in_term(a, out)),
-            Term::Match(scrut, arms) => {
-                if let Term::Var(v) = &**scrut {
-                    if !out.contains(v) {
-                        out.push(v.clone());
-                    }
-                }
-                in_term(scrut, out);
-                arms.iter().for_each(|(_, r)| in_term(r, out));
-            }
-        }
-    }
-    match f {
-        Formula::True | Formula::False => {}
-        Formula::Eq(_, a, b) => {
-            in_term(a, out);
-            in_term(b, out);
-        }
-        Formula::Pred(_, _, args) => args.iter().for_each(|a| in_term(a, out)),
-        Formula::Not(g) => collect_match_scrutinee_vars(g, out),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            collect_match_scrutinee_vars(a, out);
-            collect_match_scrutinee_vars(b, out);
-        }
-        Formula::Forall(_, _, b) | Formula::Exists(_, _, b) | Formula::ForallSort(_, b) => {
-            collect_match_scrutinee_vars(b, out)
-        }
-        Formula::FMatch(scrut, arms) => {
-            if let Term::Var(v) = &**scrut {
-                if !out.contains(v) {
-                    out.push(v.clone());
-                }
-            }
-            in_term(scrut, out);
-            arms.iter()
-                .for_each(|(_, r)| collect_match_scrutinee_vars(r, out));
-        }
-    }
+    });
+    out
 }
 
 /// Normalizes a tactic head word to a small closed vocabulary.
@@ -665,8 +583,7 @@ impl SimulatedModel {
                 // boost when one is the structural argument of a recursive
                 // function in the statement.
                 let peeled = concl.peel();
-                let mut sv = Vec::new();
-                collect_struct_rec_vars(env, concl, &mut sv);
+                let sv = struct_rec_vars(env, concl);
                 let mut proposed = 0;
                 for (v, s) in &peeled.binders {
                     if proposed >= 2 {
@@ -703,31 +620,35 @@ impl SimulatedModel {
                     cands.add("lia", 1.4);
                 }
             }
-            Formula::Pred(p, _, _) => {
+            Formula::Pred(p, _, args) => {
                 match p.as_str() {
                     "le" | "lt" | "ge" | "gt" => {
                         cands.add("lia", 2.0);
                         cands.add("auto", 1.0);
                     }
-                    _ => {
-                        if matches!(env.preds.get(p.as_str()), Some(PredDef::Inductive(_))) {
+                    _ => match env.preds.get(p.as_str()) {
+                        Some(PredDef::Inductive(_)) => {
                             cands.add("constructor", 1.2);
                             cands.add("econstructor", 0.5);
                             cands.add("auto", 1.1);
                             cands.add("eauto", 0.9);
-                        } else if reducible_pred(env, concl) {
-                            // `In x (a :: l)` and friends: simpl exposes the
-                            // connective underneath.
+                        }
+                        // `In x (a :: l)` and friends: simpl exposes the
+                        // connective underneath.
+                        Some(PredDef::Defined(d))
+                            if d.recursive && fix_unfolds(env, d.struct_arg, args) =>
+                        {
                             cands.add("simpl", 1.8);
                             cands.add("auto", 0.8);
                             cands.add("eauto", 0.7);
-                        } else {
+                        }
+                        _ => {
                             cands.add(format!("unfold {p}"), 1.3);
                             cands.add("auto", 0.7);
                             cands.add("eauto", 0.7);
                             cands.add("simpl", 0.6);
                         }
-                    }
+                    },
                 }
             }
             Formula::And(..) | Formula::Iff(..) | Formula::True => {
@@ -772,8 +693,7 @@ impl SimulatedModel {
         // Induction on the structural argument of a recursive function in
         // the conclusion — the signature move of these proofs.
         let has_ih = goal.hyps.iter().any(|(h, _)| h.starts_with("IH"));
-        let mut struct_vars = Vec::new();
-        collect_struct_rec_vars(env, &goal.concl, &mut struct_vars);
+        let struct_vars = struct_rec_vars(env, &goal.concl);
         for v in struct_vars.iter().take(1) {
             if goal.var_sort(v).is_some() && !has_ih {
                 cands.add(format!("induction {v}"), 1.9);
@@ -793,9 +713,7 @@ impl SimulatedModel {
         }
         // A conclusion stuck on a match over a variable begs for case
         // analysis on that variable.
-        let mut scrut_vars = Vec::new();
-        collect_match_scrutinee_vars(&goal.concl, &mut scrut_vars);
-        for v in scrut_vars.into_iter().take(2) {
+        for v in match_scrutinee_vars(&goal.concl).into_iter().take(2) {
             if goal.var_sort(&v).is_some() {
                 cands.add(format!("destruct {v}; simpl"), 2.6);
                 cands.add(format!("destruct {v}"), 1.2);
@@ -823,9 +741,9 @@ impl SimulatedModel {
     fn hypothesis_candidates(&self, env: &Env, goal: &Goal, cands: &mut Candidates) {
         let (gh, _) = head_feature(env, &goal.concl);
         for (h, f) in &goal.hyps {
-            // Read the hypothesis the way `apply` does: defined predicates
+            // Read the hypothesis as `apply` does: defined predicates
             // expose their rule structure.
-            let exposed = expose(env, f);
+            let exposed = expose_rule(env, f);
             let peeled = exposed.peel();
             match peeled.conclusion {
                 Formula::Eq(..) => {

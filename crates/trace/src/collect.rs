@@ -10,8 +10,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::lock_recover;
 
 /// Number of collector shards. A small power of two: enough that the
 /// runner's worker pool spreads out, small enough to drain cheaply.
@@ -73,13 +75,6 @@ static COLLECTOR: OnceLock<Collector> = OnceLock::new();
 /// The span cap. At roughly a hundred bytes per span it bounds collector
 /// memory to a few hundred MB; a traced cold grid records about 85,000.
 pub const CAP: usize = 4_000_000;
-
-/// Locks a mutex, recovering from poisoning: a worker that panicked while
-/// recording leaves internally consistent shards (pushes are atomic), so
-/// the data is always safe to reuse.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 pub(crate) fn collector() -> &'static Collector {
     COLLECTOR.get_or_init(|| Collector {

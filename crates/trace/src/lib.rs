@@ -60,11 +60,25 @@ pub mod radar;
 pub mod report;
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 pub use collect::{drain, Field, SpanRec, TraceData};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+
+/// Locks a mutex, recovering from poisoning.
+///
+/// A mutex is poisoned when a panicking thread held it; the data is still
+/// there, the panic just happened while the guard was alive. Everything
+/// the workspace protects this way (trace shards, the metrics registry,
+/// prompt caches) stays internally consistent across a panic, since
+/// entries are inserted atomically, so recovering the inner value is
+/// always safe, and one crashed worker does not cascade into
+/// `PoisonError` panics across the rest of the pool.
+pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// True when the collector is armed. One relaxed atomic load — cheap
 /// enough to guard every instrumentation site in release builds.
@@ -209,6 +223,20 @@ impl Stopwatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn recovers_a_poisoned_mutex() {
+        let m = Mutex::new(7);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = m.lock().unwrap();
+            panic!("poison it");
+        }));
+        assert!(r.is_err());
+        assert!(m.is_poisoned());
+        assert_eq!(*lock_recover(&m), 7);
+        *lock_recover(&m) += 1;
+        assert_eq!(*lock_recover(&m), 8);
+    }
 
     #[test]
     fn disabled_span_is_inert() {

@@ -18,9 +18,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::Deserialize;
+
+use crate::lock_recover;
 
 /// Number of histogram buckets: one for zero plus one per power of two of
 /// a `u64` value.
@@ -197,10 +199,6 @@ static REGISTRY: OnceLock<Registry> = OnceLock::new();
 /// The process-wide registry.
 pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::default)
-}
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl Registry {

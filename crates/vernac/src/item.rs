@@ -1,6 +1,6 @@
 //! Grouping sentences into declaration items.
 
-use crate::split::{head_word, split_with_spans, Sentence};
+use minicoq::parse::split_with_spans;
 
 /// The kind of a top-level declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,6 +70,38 @@ impl std::fmt::Display for GroupError {
 }
 
 impl std::error::Error for GroupError {}
+
+/// The first word of a sentence (skipping leading comments).
+fn head_word(text: &str) -> &str {
+    let mut rest = text.trim_start();
+    // Skip leading comments.
+    while rest.starts_with("(*") {
+        let mut depth = 0i32;
+        let b = rest.as_bytes();
+        let mut i = 0usize;
+        while i < b.len() {
+            if b[i] == b'(' && i + 1 < b.len() && b[i + 1] == b'*' {
+                depth += 1;
+                i += 2;
+                continue;
+            }
+            if b[i] == b'*' && i + 1 < b.len() && b[i + 1] == b')' {
+                depth -= 1;
+                i += 2;
+                if depth == 0 {
+                    break;
+                }
+                continue;
+            }
+            i += 1;
+        }
+        rest = rest[i..].trim_start();
+    }
+    let end = rest
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    &rest[..end]
+}
 
 fn second_word(text: &str) -> String {
     let head = head_word(text);
@@ -210,12 +242,6 @@ fn truncate(s: &str) -> String {
     }
 }
 
-/// Re-exported for convenience in tests.
-pub use crate::split::Sentence as RawSentence;
-
-#[allow(unused)]
-fn _assert_sentence_used(_: &Sentence) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,6 +297,12 @@ mod tests {
         assert_eq!(items[0].kind, ItemKind::Axiom);
         assert_eq!(items[0].name, "choice");
         assert!(!items[0].admitted);
+    }
+
+    #[test]
+    fn head_word_skips_comments() {
+        assert_eq!(head_word("(* doc *) Lemma foo : True"), "Lemma");
+        assert_eq!(head_word("Fixpoint f"), "Fixpoint");
     }
 
     #[test]

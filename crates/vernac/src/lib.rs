@@ -26,7 +26,6 @@ pub mod item;
 pub mod lint;
 pub mod loader;
 pub mod parser;
-pub mod split;
 
 pub use emit::ModuleBuilder;
 pub use item::{Item, ItemKind};

@@ -2,10 +2,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use minicoq::env::Env;
 use minicoq::formula::Formula;
+use minicoq::replay::replay_script;
+use proof_trace::envelope::fnv1a;
 
 use crate::item::{group_items, Item, ItemKind};
 use crate::parser::{apply_decl, parse_item, Decl};
@@ -53,6 +55,8 @@ pub struct Development {
     envs: Vec<Arc<Env>>,
     /// All theorems in load order.
     pub theorems: Vec<TheoremInfo>,
+    /// [`Development::content_hash`], computed on first use.
+    content_hash: OnceLock<u64>,
 }
 
 impl Development {
@@ -85,6 +89,23 @@ impl Development {
                 .iter()
                 .enumerate()
                 .map(move |(idx, item)| (f.name.as_str(), idx, item.render(true)))
+        })
+    }
+
+    /// FNV-1a over the FNV-1a digests of every item's canonical rendering
+    /// ([`rendered_items`], proofs included) and its module name: two
+    /// developments hash alike when they declare and prove the same things
+    /// in the same order. Computed once per development.
+    ///
+    /// [`rendered_items`]: Development::rendered_items
+    pub fn content_hash(&self) -> u64 {
+        *self.content_hash.get_or_init(|| {
+            let mut digests = Vec::new();
+            for (module, _, item) in self.rendered_items() {
+                digests.extend(fnv1a(module.as_bytes()).to_le_bytes());
+                digests.extend(fnv1a(item.as_bytes()).to_le_bytes());
+            }
+            fnv1a(&digests)
         })
     }
 
@@ -128,16 +149,6 @@ impl std::fmt::Display for LoadError {
 }
 
 impl std::error::Error for LoadError {}
-
-/// Replays a proof script against a statement in the given environment.
-/// Returns the sentence count on success (useful for metrics) or a
-/// message describing the first failure. Thin wrapper over the kernel's
-/// witness-replay API ([`minicoq::replay::replay_script`]).
-pub fn replay_proof(env: &Env, stmt: &Formula, script: &str) -> Result<usize, String> {
-    minicoq::replay::replay_script(env, stmt, script)
-        .map(|r| r.sentences)
-        .map_err(|e| e.message)
-}
 
 /// Loads developments from in-memory sources.
 #[derive(Debug, Default)]
@@ -211,10 +222,10 @@ impl Loader {
                     // statement enters the environment on trust (and the
                     // analyzer's axiom/admit audit reports them).
                     if self.check_proofs && !item.admitted {
-                        replay_proof(&env, stmt, &proof).map_err(|e| LoadError {
+                        replay_script(&env, stmt, &proof).map_err(|e| LoadError {
                             file: file.name.clone(),
                             item: name.clone(),
-                            message: e,
+                            message: e.message,
                         })?;
                     }
                     // Cheap: Env's collections are Arc-shared, so this
@@ -252,6 +263,7 @@ impl Loader {
             env,
             envs,
             theorems,
+            content_hash: OnceLock::new(),
         })
     }
 }

@@ -7,6 +7,7 @@ use minicoq::parse::elab::{ElabCtx, Elaborator, ExtraFunc, ExtraPred};
 use minicoq::parse::{lex, Cursor, ParseError, Tok};
 use minicoq::sort::Sort;
 use minicoq::term::Term;
+use minicoq::walk::Node;
 
 use crate::item::{Item, ItemKind};
 
@@ -448,7 +449,7 @@ fn parse_def(env: &Env, text: &str, recursive: bool) -> Result<Decl, ParseError>
         });
         let f = el.elab_formula(&ctx, &e)?;
         let body = el.finish_formula(&f)?;
-        let is_recursive = formula_mentions_pred(&body, &name);
+        let is_recursive = mentions_symbol(Node::Formula(&body), &name);
         if recursive != is_recursive {
             return Err(ParseError(format!(
                 "{name}: use Fixpoint if and only if the body is recursive"
@@ -458,7 +459,7 @@ fn parse_def(env: &Env, text: &str, recursive: bool) -> Result<Decl, ParseError>
             resolve_struct_arg(
                 &params.term_params,
                 struct_name.as_deref(),
-                |p| formula_has_match_on(&body, p),
+                |p| has_match_on(Node::Formula(&body), p),
                 &name,
             )?
         } else {
@@ -492,7 +493,7 @@ fn parse_def(env: &Env, text: &str, recursive: bool) -> Result<Decl, ParseError>
         ret: ret.clone(),
     });
     let body = el.elab_term(&ctx, &e, &ret)?;
-    let is_recursive = term_mentions_symbol(&body, &name);
+    let is_recursive = mentions_symbol(Node::Term(&body), &name);
     if recursive != is_recursive {
         return Err(ParseError(format!(
             "{name}: use Fixpoint if and only if the body is recursive"
@@ -502,7 +503,7 @@ fn parse_def(env: &Env, text: &str, recursive: bool) -> Result<Decl, ParseError>
         resolve_struct_arg(
             &params.term_params,
             struct_name.as_deref(),
-            |p| term_has_match_on(&body, p),
+            |p| has_match_on(Node::Term(&body), p),
             &name,
         )?
     } else {
@@ -542,67 +543,19 @@ fn resolve_struct_arg(
     )))
 }
 
-fn term_mentions_symbol(t: &Term, name: &str) -> bool {
-    match t {
-        Term::Var(_) | Term::Meta(_) => false,
-        Term::App(f, args) => f == name || args.iter().any(|a| term_mentions_symbol(a, name)),
-        Term::Match(s, arms) => {
-            term_mentions_symbol(s, name) || arms.iter().any(|(_, r)| term_mentions_symbol(r, name))
-        }
-    }
+/// True when a predicate or function application in `n` names `name`.
+fn mentions_symbol(n: Node, name: &str) -> bool {
+    n.any(|n| {
+        matches!(n, Node::Formula(Formula::Pred(f, ..)) | Node::Term(Term::App(f, _)) if f == name)
+    })
 }
 
-fn formula_mentions_pred(f: &Formula, name: &str) -> bool {
-    match f {
-        Formula::True | Formula::False => false,
-        Formula::Eq(_, a, b) => term_mentions_symbol(a, name) || term_mentions_symbol(b, name),
-        Formula::Pred(p, _, args) => {
-            p == name || args.iter().any(|a| term_mentions_symbol(a, name))
-        }
-        Formula::Not(g) => formula_mentions_pred(g, name),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            formula_mentions_pred(a, name) || formula_mentions_pred(b, name)
-        }
-        Formula::Forall(_, _, b) | Formula::Exists(_, _, b) | Formula::ForallSort(_, b) => {
-            formula_mentions_pred(b, name)
-        }
-        Formula::FMatch(s, arms) => {
-            term_mentions_symbol(s, name)
-                || arms.iter().any(|(_, r)| formula_mentions_pred(r, name))
-        }
-    }
-}
-
-fn term_has_match_on(t: &Term, var: &str) -> bool {
-    match t {
-        Term::Var(_) | Term::Meta(_) => false,
-        Term::App(_, args) => args.iter().any(|a| term_has_match_on(a, var)),
-        Term::Match(s, arms) => {
-            matches!(&**s, Term::Var(v) if v == var)
-                || term_has_match_on(s, var)
-                || arms.iter().any(|(_, r)| term_has_match_on(r, var))
-        }
-    }
-}
-
-fn formula_has_match_on(f: &Formula, var: &str) -> bool {
-    match f {
-        Formula::True | Formula::False => false,
-        Formula::Eq(_, a, b) => term_has_match_on(a, var) || term_has_match_on(b, var),
-        Formula::Pred(_, _, args) => args.iter().any(|a| term_has_match_on(a, var)),
-        Formula::Not(g) => formula_has_match_on(g, var),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            formula_has_match_on(a, var) || formula_has_match_on(b, var)
-        }
-        Formula::Forall(_, _, b) | Formula::Exists(_, _, b) | Formula::ForallSort(_, b) => {
-            formula_has_match_on(b, var)
-        }
-        Formula::FMatch(s, arms) => {
-            matches!(&**s, Term::Var(v) if v == var)
-                || term_has_match_on(s, var)
-                || arms.iter().any(|(_, r)| formula_has_match_on(r, var))
-        }
-    }
+/// True when a `match` in `n` scrutinizes the variable `var` itself.
+fn has_match_on(n: Node, var: &str) -> bool {
+    n.any(|n| {
+        matches!(n, Node::Formula(Formula::FMatch(s, _)) | Node::Term(Term::Match(s, _))
+            if matches!(&**s, Term::Var(v) if v == var))
+    })
 }
 
 /// Applies a declaration to an environment (registering hints, datatypes,

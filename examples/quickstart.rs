@@ -63,7 +63,7 @@ fn main() {
         Some(script) => {
             println!("found proof: {script}");
             // Soundness check: replay through the kernel.
-            llm_fscq::vernac::loader::replay_proof(env, &thm.stmt, &script)
+            llm_fscq::minicoq::replay::replay_script(env, &thm.stmt, &script)
                 .expect("found proofs always replay");
             println!("replayed through the kernel: QED");
         }

@@ -4,7 +4,7 @@
 //! ```text
 //! prove [<theorem>] [--model mini|gpt4o|flash|pro|pro128k] [--vanilla]
 //!       [--retrieval K] [--limit N] [--width W] [--strategy best|greedy|bfs]
-//!       [--show-query] [--preflight] [--no-preflight]
+//!       [--show-query] [--no-preflight]
 //!       [--premise-rank off|graph|learned] [--rank-model PATH]
 //!       [--attempt-log PATH] [--incremental] [--save-baseline DIR]
 //!       [--baseline DIR] [--corpus DIR] [--jobs N]
@@ -16,8 +16,9 @@
 //!
 //! `--incremental` runs the change-impact workflow instead, on `--jobs`
 //! workers and without a theorem: with `--save-baseline DIR` (which
-//! implies `--incremental`) it evaluates the whole cell cold and writes
-//! the baseline artifacts (`snapshot.json` + `baseline.json`) to `DIR`;
+//! implies `--incremental`) it evaluates the whole cell (or loads it from
+//! the cell cache, keyed on the corpus content too) and writes the
+//! baseline artifacts (`snapshot.json` + `baseline.json`) to `DIR`;
 //! with `--baseline DIR` it diffs the baseline snapshot against the corpus
 //! (the embedded one, or a directory of `.v` modules via `--corpus DIR`),
 //! prints the impact report, re-verifies only the dirty cone, and merges
@@ -48,7 +49,6 @@ fn cli() -> Cli {
         Flag::parsed::<usize>("--width", "W"),
         Flag::one_of("--strategy", "best|greedy|bfs"),
         Flag::switch("--show-query"),
-        Flag::switch("--preflight"),
         Flag::switch("--no-preflight"),
         Flag::one_of("--premise-rank", "off|graph|learned"),
         Flag::value("--rank-model", "PATH"),
@@ -108,18 +108,14 @@ fn cell_of(args: &Args) -> CellConfig {
 }
 
 /// The runner the incremental mode evaluates on: the worker count of
-/// `--jobs`, else `JOBS`, else the machine's parallelism, the attempt log
-/// when `--attempt-log` is given, and the cell cache (and so the cone
-/// cache under it) only when `cached`.
-fn runner_of(args: &Args, cached: bool) -> Runner {
+/// `--jobs`, else `JOBS`, else the machine's parallelism, and the attempt
+/// log when `--attempt-log` is given.
+fn runner_of(args: &Args) -> Runner {
     let mut runner = Runner::from_env();
     if let Some(jobs) = args.get("--jobs") {
         runner = runner.with_jobs(jobs);
     }
     eprintln!("prove --incremental: {} worker(s)", runner.jobs());
-    if !cached {
-        runner = runner.without_cache();
-    }
     match args.value("--attempt-log") {
         Some(path) => runner.with_attempt_log(path),
         None => runner,
@@ -144,8 +140,7 @@ fn incremental_main(args: &Args) -> ExitCode {
             Err(e) => return fail(e),
         };
         let snapshot = Snapshot::capture(&corpus.dev);
-        // No cell cache: its key does not cover `--corpus` sources.
-        let result = match runner_of(args, false).run_cell_checked(&corpus, &cell) {
+        let result = match runner_of(args).run_cell_checked(&corpus, &cell) {
             Ok(r) => r,
             Err(crash) => return fail(crash.to_string()),
         };
@@ -207,7 +202,7 @@ fn incremental_main(args: &Args) -> ExitCode {
             ));
         }
     }
-    let runner = runner_of(args, true);
+    let runner = runner_of(args);
     let inc = match run_incremental(&runner, &cell, Some(&baseline), &snapshot, &sources) {
         Ok(i) => i,
         Err(e) => return fail(e),
@@ -238,9 +233,6 @@ fn incremental_main(args: &Args) -> ExitCode {
 
 fn main() -> ExitCode {
     let args = cli().parse();
-    if args.given("--preflight") && args.given("--no-preflight") {
-        args.fail("prove: --preflight and --no-preflight exclude each other");
-    }
     let incremental = args.given("--incremental") || args.given("--save-baseline");
     if incremental && (args.positional(0).is_some() || args.given("--show-query")) {
         args.fail("prove --incremental: takes no <theorem> and no --show-query");
@@ -357,7 +349,7 @@ fn main() -> ExitCode {
     match r.script_text() {
         Some(script) => {
             println!("proof   : {script}");
-            match llm_fscq::vernac::loader::replay_proof(env, &thm.stmt, &script) {
+            match llm_fscq::minicoq::replay::replay_script(env, &thm.stmt, &script) {
                 Ok(_) => {
                     println!("replay  : QED (kernel-checked)");
                     ExitCode::SUCCESS

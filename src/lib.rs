@@ -46,7 +46,7 @@
 //! let result = search(env, &thm.stmt, &thm.name, &mut model, &prompt, &SearchConfig::default());
 //! if let Some(script) = result.script_text() {
 //!     // Every found proof replays through the kernel.
-//!     llm_fscq::vernac::loader::replay_proof(env, &thm.stmt, &script).unwrap();
+//!     llm_fscq::minicoq::replay::replay_script(env, &thm.stmt, &script).unwrap();
 //! }
 //! ```
 

@@ -42,7 +42,7 @@ fn pipeline_proves_and_replays() {
         if let Some(script) = r.script_text() {
             proved += 1;
             // Every found proof must replay through the kernel.
-            llm_fscq::vernac::loader::replay_proof(env, &thm.stmt, &script)
+            llm_fscq::minicoq::replay::replay_script(env, &thm.stmt, &script)
                 .unwrap_or_else(|e| panic!("{name}: unsound search result: {e}"));
         }
     }

@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 
 use fscq_corpus::Corpus;
 use proof_metrics::journal::Journal;
-use proof_metrics::runner::{cell_cache_key, load_envelope, store_envelope};
+use proof_metrics::runner::{cell_cache_key, load_envelope, store_envelope, store_key};
 use proof_metrics::{CellConfig, CellResult, Runner};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -114,11 +114,12 @@ fn runner_writes_the_captured_cache_file() {
     assert_eq!(cell.label(), CELL_LABEL);
     let dir = scratch("runner");
     let runner = Runner::from_env().with_jobs(1).with_cache_dir(&dir);
+    let corpus = Corpus::load();
     runner
-        .run_cell_checked(&Corpus::load(), &cell)
+        .run_cell_checked(&corpus, &cell)
         .expect("a clean cell does not crash");
     assert_eq!(
-        std::fs::read(dir.join(format!("{CELL_KEY}.json"))).unwrap(),
+        std::fs::read(dir.join(format!("{}.json", store_key(&corpus, &cell)))).unwrap(),
         std::fs::read(repo(&format!("fixtures/envelope/cell_{CELL_KEY}.json"))).unwrap()
     );
     let _ = std::fs::remove_dir_all(&dir);
