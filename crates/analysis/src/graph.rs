@@ -20,8 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use minicoq::env::{Env, PredDef};
-use minicoq_vernac::item::ItemKind;
-use minicoq_vernac::lint::hint_targets;
+use minicoq_vernac::item::{Item, ItemKind};
 use minicoq_vernac::loader::Development;
 
 pub use minicoq::refs::{formula_refs, sort_refs, term_refs};
@@ -154,7 +153,7 @@ impl DepGraph {
     }
 
     fn add_symbol(&mut self, sym: Symbol) -> usize {
-        // First declaration wins; the lint layer reports cross-namespace
+        // First declaration wins; the hygiene pass reports cross-namespace
         // name collisions separately.
         if let Some(&id) = self.by_name.get(&sym.name) {
             return id;
@@ -172,15 +171,9 @@ impl DepGraph {
         }
     }
 
-    /// Builds the graph for a loaded development. `sources` maps module
-    /// names to their source text (used only to turn item byte offsets
-    /// into line numbers); modules missing from it get line 0.
-    pub fn build(dev: &Development, sources: &[(String, String)]) -> DepGraph {
+    /// Builds the graph for a loaded development.
+    pub fn build(dev: &Development) -> DepGraph {
         let _sp = proof_trace::span("analysis", "graph");
-        let src: BTreeMap<&str, &str> = sources
-            .iter()
-            .map(|(n, t)| (n.as_str(), t.as_str()))
-            .collect();
         let mut g = DepGraph::default();
         let prelude = Env::with_prelude();
         g.add_env_symbols(&prelude);
@@ -188,16 +181,14 @@ impl DepGraph {
         // mutual groups (and hints ahead of us in an unrelated file) all
         // resolve during phase 2.
         for file in &dev.files {
-            let text = src.get(file.name.as_str()).copied().unwrap_or("");
             for (idx, item) in file.items.iter().enumerate() {
-                g.declare_item(dev, &file.name, idx, item, line_of(text, item.start));
+                g.declare_item(dev, &file.name, idx, item);
             }
         }
         // Phase 2: reference edges.
         for file in &dev.files {
-            let text = src.get(file.name.as_str()).copied().unwrap_or("");
             for (idx, item) in file.items.iter().enumerate() {
-                g.link_item(dev, &file.name, idx, item, line_of(text, item.start));
+                g.link_item(dev, &file.name, idx, item);
             }
         }
         g
@@ -251,20 +242,13 @@ impl DepGraph {
         }
     }
 
-    fn declare_item(
-        &mut self,
-        dev: &Development,
-        file: &str,
-        idx: usize,
-        item: &minicoq_vernac::item::Item,
-        line: usize,
-    ) {
+    fn declare_item(&mut self, dev: &Development, file: &str, idx: usize, item: &Item) {
         let sym = |name: &str, kind| Symbol {
             name: name.to_string(),
             kind,
             file: file.to_string(),
             item_index: idx,
-            line,
+            line: item.line,
         };
         match item.kind {
             ItemKind::Import => {}
@@ -310,14 +294,8 @@ impl DepGraph {
         }
     }
 
-    fn link_item(
-        &mut self,
-        dev: &Development,
-        file: &str,
-        idx: usize,
-        item: &minicoq_vernac::item::Item,
-        line: usize,
-    ) {
+    fn link_item(&mut self, dev: &Development, file: &str, idx: usize, item: &Item) {
+        let line = item.line;
         match item.kind {
             ItemKind::Import | ItemKind::SortDecl => {}
             ItemKind::Inductive => {
@@ -395,15 +373,12 @@ impl DepGraph {
             }
             ItemKind::Hint => {
                 let hint_name = hint_symbol_name(file, idx);
-                let Some((class, names)) = hint_targets(&item.text) else {
-                    return;
-                };
-                let refs: BTreeSet<String> = names.into_iter().collect();
                 // `Hint Constructors p` references the predicate; `Hint
                 // Resolve l` references the lemma or rule directly. Either
                 // way the targets are plain names against the table.
-                let _ = class;
-                self.link_refs(&hint_name, file, idx, line, &refs);
+                if let Some(refs) = hint_targets(&item.text) {
+                    self.link_refs(&hint_name, file, idx, line, &refs);
+                }
             }
         }
     }
@@ -452,16 +427,21 @@ pub fn parse_hint_symbol_name(name: &str) -> Option<(&str, usize)> {
     Some((file, idx.parse().ok()?))
 }
 
-/// 1-based line number of byte offset `start` in `text`.
-fn line_of(text: &str, start: usize) -> usize {
-    if text.is_empty() {
-        return 0;
+/// The target names of a `Hint Resolve a b` / `Hint Constructors p`
+/// sentence (the words after the class keyword). Returns `None` for
+/// non-hint text.
+fn hint_targets(text: &str) -> Option<BTreeSet<String>> {
+    let mut words = text.split_whitespace();
+    if words.next()? != "Hint" {
+        return None;
     }
-    let end = start.min(text.len());
-    1 + text.as_bytes()[..end]
-        .iter()
-        .filter(|&&b| b == b'\n')
-        .count()
+    words.next()?;
+    let names = words
+        .map(|w| w.trim_matches(|c: char| !c.is_ascii_alphanumeric() && c != '_'))
+        .filter(|w| !w.is_empty())
+        .map(str::to_string)
+        .collect();
+    Some(names)
 }
 
 /// The member names an `Inductive` item declares: the head name plus every
@@ -483,7 +463,23 @@ fn group_members(dev: &Development, text: &str, first: &str) -> Vec<String> {
 }
 
 /// The identifier tokens of a source fragment.
-fn ident_tokens(s: &str) -> impl Iterator<Item = &str> {
+pub(crate) fn ident_tokens(s: &str) -> impl Iterator<Item = &str> {
     s.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
         .filter(|t| !t.is_empty())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hint_targets_parse() {
+        let names = |ns: &[&str]| Some(ns.iter().map(|n| n.to_string()).collect());
+        assert_eq!(
+            hint_targets("Hint Resolve app_nil_l app_nil_r"),
+            names(&["app_nil_l", "app_nil_r"])
+        );
+        assert_eq!(hint_targets("Hint Constructors even"), names(&["even"]));
+        assert_eq!(hint_targets("Lemma x : 0 = 0"), None);
+    }
 }

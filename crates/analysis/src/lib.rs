@@ -16,9 +16,12 @@
 //! 5. **admitted/axiom** — unproved assumptions ([`passes::axioms`]).
 //!
 //! Unresolved references discovered while building the graph are reported
-//! as a sixth, structural finding (`unknown-ref`), and a log-driven audit
-//! ([`passes::cold`], reason code `cold-hint`) flags hint entries that
-//! never contributed to a successful proof in a supplied attempt log.
+//! as a sixth, structural finding (`unknown-ref`). Two audits run apart
+//! from [`analyze_development`], in `corpus_analyze`: the per-item
+//! hygiene rules ([`passes::hygiene`]: `duplicate-name`,
+//! `shadowed-binder`, `unused-hypothesis`), and a log-driven audit
+//! ([`passes::cold`], reason code `cold-hint`) that flags hint entries
+//! that never contributed to a successful proof in a supplied attempt log.
 //! Findings carry a stable reason-code taxonomy ([`report::Code`]) and
 //! render as SARIF 2.1.0 ([`report::AnalysisReport::to_sarif`]).
 //!
@@ -63,30 +66,32 @@ impl Default for AnalysisConfig {
     }
 }
 
-/// Loads `sources` (without replaying proofs), builds the dependency
-/// graph, and runs every pass. Returns `Err` with a load diagnostic when
-/// the development itself does not elaborate.
+/// Loads `(module, text)` sources without replaying proofs. Returns `Err`
+/// with a load diagnostic when the development does not elaborate.
+pub fn load_sources(sources: &[(String, String)]) -> Result<Development, String> {
+    let mut loader = Loader::new().check_proofs(false);
+    for (name, text) in sources {
+        loader.add_source(name.clone(), text.clone());
+    }
+    loader.load().map_err(|e| e.to_string())
+}
+
+/// [`load_sources`], then [`analyze_development`].
 pub fn analyze_sources(
     sources: &[(String, String)],
     config: &AnalysisConfig,
 ) -> Result<(AnalysisReport, DepGraph), String> {
     let _sp = proof_trace::span("analysis", "run");
-    let mut loader = Loader::new().check_proofs(false);
-    for (name, text) in sources {
-        loader.add_source(name.clone(), text.clone());
-    }
-    let dev = loader.load().map_err(|e| e.to_string())?;
-    Ok(analyze_development(&dev, sources, config))
+    Ok(analyze_development(&load_sources(sources)?, config))
 }
 
-/// Runs every pass over an already-loaded development. `sources` is used
-/// only to compute line numbers.
+/// Builds the dependency graph of an already-loaded development and runs
+/// every pass over it.
 pub fn analyze_development(
     dev: &Development,
-    sources: &[(String, String)],
     config: &AnalysisConfig,
 ) -> (AnalysisReport, DepGraph) {
-    let graph = DepGraph::build(dev, sources);
+    let graph = DepGraph::build(dev);
     let mut findings = Vec::new();
     passes::hints::run(&dev.env, &graph, &mut findings);
     passes::positivity::run(&dev.env, &graph, &mut findings);
@@ -111,10 +116,5 @@ pub fn analyze_development(
         symbols: graph.len(),
         edges: graph.edge_count(),
     };
-    for (code, n) in report.pass_counts() {
-        proof_trace::metrics::counter_add(&format!("analysis.pass.{code}"), n as u64);
-    }
-    proof_trace::metrics::counter_add("analysis.graph.symbols", graph.len() as u64);
-    proof_trace::metrics::counter_add("analysis.graph.edges", graph.edge_count() as u64);
     (report, graph)
 }

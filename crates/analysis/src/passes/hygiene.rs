@@ -1,87 +1,31 @@
-//! The corpus linter: local, per-item hygiene checks.
+//! Per-item hygiene: declarations that collide, binders that shadow,
+//! hypotheses introduced and then ignored.
 //!
 //! Where the loader rejects developments that are *wrong* (unparseable
-//! items, broken proofs, unknown imports), the linter flags developments
-//! that are *untidy*: declarations that collide, binders that shadow,
-//! hypotheses introduced and then ignored. Every diagnostic carries a
-//! file/item span so CI can point at the offending declaration.
+//! items, broken proofs, unknown imports), this pass flags developments
+//! that are *untidy*. Each rule fires only when the problem is certain
+//! from one item of the loaded development.
 //!
-//! Development-*global* checks (dead symbols, unresolved references, hint
-//! cycles, positivity, axioms) live in the `corpus-analysis` crate, which
-//! builds the whole-corpus dependency graph; the `lint` CLI composes both
-//! so the two tools cannot disagree. The linter never mutates anything and
-//! is intentionally conservative: each rule only fires when the problem is
-//! certain from the loaded development alone.
+//! It is not part of [`crate::analyze_development`]: the unused-hypothesis
+//! rule fires on generated corpora, whose analysis is required to be
+//! clean, so `corpus_analyze` runs this pass after the analysis, as it
+//! runs [`super::cold`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use minicoq::formula::Formula;
 use minicoq::parse::split_sentences;
+use minicoq_vernac::item::ItemKind;
+use minicoq_vernac::loader::{Development, TheoremInfo};
 
-use crate::item::ItemKind;
-use crate::loader::Development;
+use crate::graph::ident_tokens;
+use crate::report::{Code, Finding};
 
-/// The category of a lint diagnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LintKind {
-    /// Two items declare the same top-level name.
-    DuplicateName,
-    /// A quantifier rebinds a name already bound in an enclosing scope.
-    ShadowedBinder,
-    /// A proof introduces a named hypothesis it never mentions again.
-    UnusedHypothesis,
-}
-
-impl LintKind {
-    /// Stable machine-readable code for the diagnostic kind.
-    pub fn code(self) -> &'static str {
-        match self {
-            LintKind::DuplicateName => "duplicate-name",
-            LintKind::ShadowedBinder => "shadowed-binder",
-            LintKind::UnusedHypothesis => "unused-hypothesis",
-        }
-    }
-}
-
-impl std::fmt::Display for LintKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.code())
-    }
-}
-
-/// One lint finding, anchored to a file and item.
-#[derive(Debug, Clone)]
-pub struct LintDiagnostic {
-    /// Diagnostic category.
-    pub kind: LintKind,
-    /// Module the finding is in.
-    pub file: String,
-    /// Item name (empty for unnamed items such as hints).
-    pub item: String,
-    /// Index of the item within its file.
-    pub item_index: usize,
-    /// Human-readable explanation.
-    pub message: String,
-}
-
-impl std::fmt::Display for LintDiagnostic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let item = if self.item.is_empty() {
-            format!("item {}", self.item_index)
-        } else {
-            self.item.clone()
-        };
-        write!(f, "{}:{}: {}: {}", self.file, item, self.kind, self.message)
-    }
-}
-
-/// Runs every lint pass over a loaded development.
-pub fn lint_development(dev: &Development) -> Vec<LintDiagnostic> {
-    let mut out = Vec::new();
-    duplicate_names(dev, &mut out);
-    shadowed_binders(dev, &mut out);
-    unused_hypotheses(dev, &mut out);
-    out
+/// Runs the three hygiene rules, appending their findings in rule order.
+pub fn run(dev: &Development, out: &mut Vec<Finding>) {
+    duplicate_names(dev, out);
+    shadowed_binders(dev, out);
+    unused_hypotheses(dev, out);
 }
 
 /// True for items that introduce a top-level name.
@@ -97,7 +41,7 @@ fn declares_name(kind: &ItemKind) -> bool {
     )
 }
 
-fn duplicate_names(dev: &Development, out: &mut Vec<LintDiagnostic>) {
+fn duplicate_names(dev: &Development, out: &mut Vec<Finding>) {
     let mut first: BTreeMap<&str, (&str, usize)> = BTreeMap::new();
     for file in &dev.files {
         for (idx, item) in file.items.iter().enumerate() {
@@ -105,18 +49,34 @@ fn duplicate_names(dev: &Development, out: &mut Vec<LintDiagnostic>) {
                 continue;
             }
             match first.get(item.name.as_str()) {
-                Some((f0, i0)) => out.push(LintDiagnostic {
-                    kind: LintKind::DuplicateName,
+                Some((f0, line0)) => out.push(Finding {
+                    code: Code::DuplicateName,
                     file: file.name.clone(),
                     item: item.name.clone(),
                     item_index: idx,
-                    message: format!("`{}` is already declared at {}:{}", item.name, f0, i0),
+                    line: item.line,
+                    message: format!("`{}` is already declared at {f0}:{line0}", item.name),
                 }),
                 None => {
-                    first.insert(item.name.as_str(), (file.name.as_str(), idx));
+                    first.insert(item.name.as_str(), (file.name.as_str(), item.line));
                 }
             }
         }
+    }
+}
+
+/// A finding about theorem `thm`, on its item's line.
+fn theorem_finding(dev: &Development, thm: &TheoremInfo, code: Code, message: String) -> Finding {
+    let line = dev
+        .file(&thm.file)
+        .map_or(0, |f| f.items[thm.item_index].line);
+    Finding {
+        code,
+        file: thm.file.clone(),
+        item: thm.name.clone(),
+        item_index: thm.item_index,
+        line,
+        message,
     }
 }
 
@@ -129,15 +89,9 @@ fn walk_shadowing(f: &Formula, scope: &mut Vec<String>, report: &mut impl FnMut(
             walk_shadowing(a, scope, report);
             walk_shadowing(b, scope, report);
         }
-        Formula::Forall(v, _, body) | Formula::Exists(v, _, body) => {
-            if scope.iter().any(|s| s == v.as_str()) {
-                report(v);
-            }
-            scope.push(v.to_string());
-            walk_shadowing(body, scope, report);
-            scope.pop();
-        }
-        Formula::ForallSort(v, body) => {
+        Formula::Forall(v, _, body)
+        | Formula::Exists(v, _, body)
+        | Formula::ForallSort(v, body) => {
             if scope.iter().any(|s| s == v.as_str()) {
                 report(v);
             }
@@ -155,47 +109,23 @@ fn walk_shadowing(f: &Formula, scope: &mut Vec<String>, report: &mut impl FnMut(
                     scope.push(b.to_string());
                 }
                 walk_shadowing(arm, scope, report);
-                for _ in &binders {
-                    scope.pop();
-                }
+                scope.truncate(scope.len() - binders.len());
             }
         }
     }
 }
 
-fn shadowed_binders(dev: &Development, out: &mut Vec<LintDiagnostic>) {
+fn shadowed_binders(dev: &Development, out: &mut Vec<Finding>) {
     for thm in &dev.theorems {
         let mut shadowed: BTreeSet<String> = BTreeSet::new();
-        let mut scope = Vec::new();
-        walk_shadowing(&thm.stmt, &mut scope, &mut |v| {
+        walk_shadowing(&thm.stmt, &mut Vec::new(), &mut |v| {
             shadowed.insert(v.to_string());
         });
         for v in shadowed {
-            out.push(LintDiagnostic {
-                kind: LintKind::ShadowedBinder,
-                file: thm.file.clone(),
-                item: thm.name.clone(),
-                item_index: thm.item_index,
-                message: format!("binder `{v}` shadows an enclosing binder"),
-            });
+            let message = format!("binder `{v}` shadows an enclosing binder");
+            out.push(theorem_finding(dev, thm, Code::ShadowedBinder, message));
         }
     }
-}
-
-/// Splits a `Hint Resolve a b` / `Hint Constructors p` sentence into its
-/// class keyword and target names. Returns `None` for non-hint text.
-pub fn hint_targets(text: &str) -> Option<(String, Vec<String>)> {
-    let mut words = text.split_whitespace();
-    if words.next()? != "Hint" {
-        return None;
-    }
-    let class = words.next()?.to_string();
-    let names = words
-        .map(|w| w.trim_matches(|c: char| !c.is_ascii_alphanumeric() && c != '_'))
-        .filter(|w| !w.is_empty())
-        .map(str::to_string)
-        .collect();
-    Some((class, names))
 }
 
 /// Tactics that can discharge a goal using hypotheses or goal structure
@@ -230,17 +160,10 @@ const WILDCARD_TACTICS: &[&str] = &[
     "firstorder",
 ];
 
-/// The identifier tokens of a sentence.
-fn tokens(s: &str) -> Vec<&str> {
-    s.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|t| !t.is_empty())
-        .collect()
-}
-
-fn unused_hypotheses(dev: &Development, out: &mut Vec<LintDiagnostic>) {
+fn unused_hypotheses(dev: &Development, out: &mut Vec<Finding>) {
     for thm in &dev.theorems {
-        let stmt_names: BTreeSet<&str> = tokens(&thm.statement_text).into_iter().collect();
-        let sentences: Vec<String> = split_sentences(&thm.proof_text);
+        let stmt_names: BTreeSet<&str> = ident_tokens(&thm.statement_text).collect();
+        let sentences = split_sentences(&thm.proof_text);
         for (i, sentence) in sentences.iter().enumerate() {
             // Only plain `intros a b c` sentences: intro patterns
             // (`[x|y]`, `(a, b)`) destructure, so their binders are
@@ -248,15 +171,15 @@ fn unused_hypotheses(dev: &Development, out: &mut Vec<LintDiagnostic>) {
             if sentence.contains(['[', '(', ']', ')']) {
                 continue;
             }
-            let toks = tokens(sentence);
+            let toks: Vec<&str> = ident_tokens(sentence).collect();
             if toks.first() != Some(&"intros") || toks.len() < 2 {
                 continue;
             }
             let rest = &sentences[i + 1..];
-            let wildcard = rest
+            if rest
                 .iter()
-                .any(|s| tokens(s).iter().any(|t| WILDCARD_TACTICS.contains(t)));
-            if wildcard {
+                .any(|s| ident_tokens(s).any(|t| WILDCARD_TACTICS.contains(&t)))
+            {
                 continue;
             }
             for name in &toks[1..] {
@@ -266,15 +189,9 @@ fn unused_hypotheses(dev: &Development, out: &mut Vec<LintDiagnostic>) {
                 if stmt_names.contains(name) {
                     continue;
                 }
-                let used = rest.iter().any(|s| tokens(s).contains(name));
-                if !used {
-                    out.push(LintDiagnostic {
-                        kind: LintKind::UnusedHypothesis,
-                        file: thm.file.clone(),
-                        item: thm.name.clone(),
-                        item_index: thm.item_index,
-                        message: format!("hypothesis `{name}` is introduced but never used"),
-                    });
+                if !rest.iter().any(|s| ident_tokens(s).any(|t| t == *name)) {
+                    let message = format!("hypothesis `{name}` is introduced but never used");
+                    out.push(theorem_finding(dev, thm, Code::UnusedHypothesis, message));
                 }
             }
         }
@@ -284,7 +201,7 @@ fn unused_hypotheses(dev: &Development, out: &mut Vec<LintDiagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loader::Loader;
+    use minicoq_vernac::loader::Loader;
 
     fn load(sources: &[(&str, &str)]) -> Development {
         let mut loader = Loader::new();
@@ -294,6 +211,12 @@ mod tests {
         loader.load().expect("test development loads")
     }
 
+    fn hygiene(dev: &Development) -> Vec<Finding> {
+        let mut out = Vec::new();
+        run(dev, &mut out);
+        out
+    }
+
     #[test]
     fn clean_development_has_no_diagnostics() {
         let dev = load(&[(
@@ -301,13 +224,13 @@ mod tests {
             "Fixpoint double (n : nat) : nat := match n with | 0 => 0 | S p => S (S (double p)) end.\n\
              Lemma double_0 : double 0 = 0.\nProof. reflexivity. Qed.",
         )]);
-        assert!(lint_development(&dev).is_empty());
+        assert!(hygiene(&dev).is_empty());
     }
 
     #[test]
     fn duplicate_names_are_flagged() {
         // The kernel already rejects same-namespace duplicates at load
-        // time; the lint rule additionally catches collisions *across*
+        // time; the rule additionally catches collisions *across*
         // namespaces (a definition and a lemma sharing a name), which
         // load fine but make prompts and hint references ambiguous.
         let dev = load(&[(
@@ -315,11 +238,11 @@ mod tests {
             "Definition t : nat := 0.\n\
              Lemma t : 0 = 0.\nProof. reflexivity. Qed.",
         )]);
-        let diags = lint_development(&dev);
+        let diags = hygiene(&dev);
         assert!(
             diags
                 .iter()
-                .any(|d| d.kind == LintKind::DuplicateName && d.item == "t"),
+                .any(|d| d.code == Code::DuplicateName && d.item == "t" && d.line == 2),
             "{diags:?}"
         );
     }
@@ -331,11 +254,11 @@ mod tests {
             "Lemma s : forall n : nat, forall n : nat, n = n.\n\
              Proof. intros a b. reflexivity. Qed.",
         )]);
-        let diags = lint_development(&dev);
+        let diags = hygiene(&dev);
         assert!(
             diags
                 .iter()
-                .any(|d| d.kind == LintKind::ShadowedBinder && d.message.contains("`n`")),
+                .any(|d| d.code == Code::ShadowedBinder && d.message.contains("`n`")),
             "{diags:?}"
         );
     }
@@ -351,11 +274,11 @@ mod tests {
              Lemma w : forall n : nat, n = 0 -> n = 0.\n\
              Proof. intros n H. rewrite H. reflexivity. Qed.",
         )]);
-        let diags = lint_development(&dev);
+        let diags = hygiene(&dev);
         assert!(
             diags
                 .iter()
-                .any(|d| d.kind == LintKind::UnusedHypothesis && d.item == "u"),
+                .any(|d| d.code == Code::UnusedHypothesis && d.item == "u"),
             "{diags:?}"
         );
         // `trivial` may consume anything, so `v` is not flagged; `w`
@@ -368,21 +291,5 @@ mod tests {
             !diags.iter().any(|d| d.message.contains("`n`")),
             "{diags:?}"
         );
-    }
-
-    #[test]
-    fn hint_targets_parse() {
-        assert_eq!(
-            hint_targets("Hint Resolve app_nil_l app_nil_r"),
-            Some((
-                "Resolve".into(),
-                vec!["app_nil_l".into(), "app_nil_r".into()]
-            ))
-        );
-        assert_eq!(
-            hint_targets("Hint Constructors even"),
-            Some(("Constructors".into(), vec!["even".into()]))
-        );
-        assert_eq!(hint_targets("Lemma x : 0 = 0"), None);
     }
 }

@@ -6,6 +6,7 @@ pub mod axioms;
 pub mod cold;
 pub mod dead;
 pub mod hints;
+pub mod hygiene;
 pub mod positivity;
 pub mod rewrite;
 

@@ -25,6 +25,13 @@ pub enum Code {
     Axiom,
     /// A reference did not resolve against the symbol table.
     UnknownRef,
+    /// Two items declare the same top-level name (hygiene; see
+    /// [`crate::passes::hygiene`]).
+    DuplicateName,
+    /// A quantifier rebinds a name already bound in an enclosing scope.
+    ShadowedBinder,
+    /// A proof introduces a named hypothesis it never mentions again.
+    UnusedHypothesis,
     /// A hint-database entry never contributed to any successful proof
     /// in a supplied attempt log (log-driven audit; see
     /// [`crate::passes::cold`]).
@@ -32,7 +39,7 @@ pub enum Code {
 }
 
 /// Every code, in report order.
-pub const ALL_CODES: [Code; 8] = [
+pub const ALL_CODES: [Code; 11] = [
     Code::HintLoop,
     Code::NonPositive,
     Code::DeadSymbol,
@@ -40,6 +47,9 @@ pub const ALL_CODES: [Code; 8] = [
     Code::Admitted,
     Code::Axiom,
     Code::UnknownRef,
+    Code::DuplicateName,
+    Code::ShadowedBinder,
+    Code::UnusedHypothesis,
     Code::ColdHint,
 ];
 
@@ -54,6 +64,9 @@ impl Code {
             Code::Admitted => "admitted",
             Code::Axiom => "axiom",
             Code::UnknownRef => "unknown-ref",
+            Code::DuplicateName => "duplicate-name",
+            Code::ShadowedBinder => "shadowed-binder",
+            Code::UnusedHypothesis => "unused-hypothesis",
             Code::ColdHint => "cold-hint",
         }
     }
@@ -72,6 +85,9 @@ impl Code {
             Code::Admitted => "lemma admitted without a checked proof",
             Code::Axiom => "statement assumed as an axiom",
             Code::UnknownRef => "reference does not resolve to any declared symbol",
+            Code::DuplicateName => "two items declare the same top-level name",
+            Code::ShadowedBinder => "a quantifier rebinds a name bound in an enclosing scope",
+            Code::UnusedHypothesis => "proof introduces a named hypothesis it never uses",
             Code::ColdHint => {
                 "hint entry never contributed to a successful proof in the supplied attempt log"
             }

@@ -75,7 +75,7 @@ fn all_hot_hints_yield_no_findings() {
 
 #[test]
 fn cold_hint_is_a_first_class_reason_code() {
-    assert_eq!(ALL_CODES.len(), 8);
+    assert_eq!(ALL_CODES.len(), 11);
     assert!(ALL_CODES.contains(&Code::ColdHint));
     // Reason codes must stay pairwise distinct.
     for (i, a) in ALL_CODES.iter().enumerate() {

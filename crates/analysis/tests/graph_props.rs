@@ -117,11 +117,7 @@ fn graph_attributes_symbols_to_their_files() {
     loader.add_source("A", a);
     loader.add_source("B", b);
     let dev = loader.load().unwrap();
-    let sources = vec![
-        ("A".to_string(), a.to_string()),
-        ("B".to_string(), b.to_string()),
-    ];
-    let graph = DepGraph::build(&dev, &sources);
+    let graph = DepGraph::build(&dev);
     let base = graph.symbol(graph.lookup("base").unwrap());
     assert_eq!(base.file, "A");
     assert_eq!(base.line, 1);

@@ -1,18 +1,21 @@
-//! `corpus_analyze` — the whole-corpus semantic analyzer.
+//! `corpus_analyze` — the corpus audit: whole-corpus semantic analysis
+//! plus per-item hygiene.
 //!
 //! ```text
 //! corpus_analyze [--check] [--dir PATH] [--sarif PATH] [--attempt-log PATH]
 //!                [--trace-out BASE]
 //! ```
 //!
-//! Default mode loads every corpus module, builds the dependency graph,
-//! runs the five analysis passes (hint-loop, positivity, dead-symbol,
-//! rewrite-orientation, axiom/admit), and prints the findings with
-//! per-pass counts. `--check` is the CI entry point (same run; the name
-//! marks intent). `--sarif PATH` additionally writes the SARIF 2.1.0
-//! report. `--attempt-log PATH` feeds a mined attempt log (see the
-//! `rank` bin) to the cold-hint audit, flagging hint entries that never
-//! contributed to a successful proof.
+//! Default mode loads every corpus module (the embedded corpus, or the
+//! `.v` files of `--dir`), builds the dependency graph, runs the five
+//! analysis passes (hint-loop, positivity, dead-symbol,
+//! rewrite-orientation, axiom/admit) and the hygiene rules
+//! (duplicate-name, shadowed-binder, unused-hypothesis), and prints the
+//! findings with per-code counts. `--check` is the CI entry point (same
+//! run; the name marks intent). `--sarif PATH` additionally writes the
+//! SARIF 2.1.0 report. `--attempt-log PATH` feeds a mined attempt log
+//! (see the `rank` bin) to the cold-hint audit, flagging hint entries that
+//! never contributed to a successful proof.
 //!
 //! The premise-rank A/B experiment that used to live here (`--premise-ab`)
 //! moved to the dedicated `rank` bin, which runs the three-arm
@@ -23,7 +26,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use corpus_analysis::{analyze_sources, passes, AnalysisConfig};
+use corpus_analysis::{analyze_development, load_sources, passes, AnalysisConfig};
 use llm_fscq_bench::GridOpts;
 use minicoq_vernac::loader::dir_sources;
 use proof_chaos::cli::{Cli, Flag};
@@ -61,7 +64,17 @@ fn main() -> ExitCode {
             .map(|(n, t)| (n.to_string(), t.to_string()))
             .collect(),
     };
-    let (mut report, graph) = match analyze_sources(&sources, &AnalysisConfig::default()) {
+    // Hygiene runs after the analysis, not inside it: generated corpora
+    // must analyze clean, and the unused-hypothesis rule fires on them.
+    let analyzed = {
+        let _sp = proof_trace::span("analysis", "run");
+        load_sources(&sources).map(|dev| {
+            let (mut report, graph) = analyze_development(&dev, &AnalysisConfig::default());
+            passes::hygiene::run(&dev, &mut report.findings);
+            (report, graph)
+        })
+    };
+    let (mut report, graph) = match analyzed {
         Ok(r) => r,
         Err(e) => {
             eprintln!("corpus_analyze: load error: {e}");
@@ -93,6 +106,11 @@ fn main() -> ExitCode {
         sources.len()
     );
     let counts = report.pass_counts();
+    for (code, n) in &counts {
+        proof_trace::metrics::counter_add(&format!("analysis.pass.{code}"), *n as u64);
+    }
+    proof_trace::metrics::counter_add("analysis.graph.symbols", report.symbols as u64);
+    proof_trace::metrics::counter_add("analysis.graph.edges", report.edges as u64);
     let rendered: Vec<String> = counts.iter().map(|(c, n)| format!("{c}={n}")).collect();
     println!("passes   : {}", rendered.join(", "));
     for f in &report.findings {

@@ -207,17 +207,10 @@ pub fn ledger_append(record: &RunRecord) -> Option<PathBuf> {
     }
 }
 
-/// FNV-1a over every embedded corpus source, formatted like the ledger's
-/// other hashes. Pins "what was evaluated" for cross-run comparability.
+/// The generator's [`corpus_gen::fingerprint`] of the embedded corpus
+/// sources. Pins "what was evaluated" for cross-run comparability.
 pub fn corpus_content_hash() -> String {
-    let mut text = String::new();
-    for (name, src) in fscq_corpus::corpus_sources() {
-        text.push_str(name);
-        text.push('\0');
-        text.push_str(src);
-        text.push('\0');
-    }
-    format!("{:016x}", proof_trace::envelope::fnv1a(text.as_bytes()))
+    corpus_gen::fingerprint(&fscq_corpus::corpus_sources())
 }
 
 /// Appends the ledger record of a run whose cells `runs` all went

@@ -88,3 +88,33 @@ fn corpus_analyze_reads_both_spellings_of_dir() {
     assert_eq!(joined.stdout, split.stdout);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn corpus_analyze_reports_each_hygiene_code() {
+    let dir = scratch("hygiene");
+    std::fs::create_dir_all(dir.join("corpus")).unwrap();
+    std::fs::write(
+        dir.join("corpus/Hygiene.v"),
+        "Definition t : nat := 0.\n\
+         Lemma t : 0 = 0.\nProof. reflexivity. Qed.\n\
+         Lemma s : forall n : nat, forall n : nat, n = n.\nProof. intros. reflexivity. Qed.\n\
+         Lemma u : forall n : nat, n = n -> 0 = 0.\nProof. intros n H. reflexivity. Qed.\n",
+    )
+    .unwrap();
+    let out = run(
+        env!("CARGO_BIN_EXE_corpus_analyze"),
+        &["--dir", "corpus"],
+        &dir,
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{text}");
+    for code in ["duplicate-name", "shadowed-binder", "unused-hypothesis"] {
+        let findings = text
+            .lines()
+            .filter(|l| l.starts_with("finding") && l.ends_with(&format!("[{code}]")))
+            .count();
+        assert_eq!(findings, 1, "{code}: {text}");
+    }
+    assert!(text.contains("Hygiene:2: t: "), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -148,12 +148,12 @@ pub struct GeneratedCorpus {
 
 /// Content fingerprint over module names and sources (order-sensitive —
 /// emission order is itself deterministic).
-pub fn fingerprint(modules: &[(String, String)]) -> String {
+pub fn fingerprint<N: AsRef<str>, S: AsRef<str>>(modules: &[(N, S)]) -> String {
     let mut buf = Vec::new();
     for (name, src) in modules {
-        buf.extend_from_slice(name.as_bytes());
+        buf.extend_from_slice(name.as_ref().as_bytes());
         buf.push(0);
-        buf.extend_from_slice(src.as_bytes());
+        buf.extend_from_slice(src.as_ref().as_bytes());
         buf.push(0);
     }
     format!("{:016x}", fnv1a(&buf))

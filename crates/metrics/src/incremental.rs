@@ -29,13 +29,12 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use corpus_analysis::{
-    cone_fingerprint_in, diff_and_cone, ConeIndex, DepGraph, ImpactReport, Snapshot,
+    cone_fingerprint_in, diff_and_cone, load_sources, ConeIndex, DepGraph, ImpactReport, Snapshot,
 };
 use fscq_corpus::Corpus;
-use minicoq_vernac::Loader;
 
 use crate::experiment::{finish_cell, CellConfig, CellResult, TheoremOutcome};
-use crate::runner::{cell_cache_key, load_envelope, store_envelope, Runner};
+use crate::runner::{cell_cache_key, load_envelope, replay_proved, store_envelope, Runner};
 
 /// What an incremental run did, alongside the merged result.
 pub struct IncrementalOutcome {
@@ -59,12 +58,8 @@ pub struct IncrementalOutcome {
 /// exactly the workflow where human proofs may be stale) and builds its
 /// dependency graph.
 pub fn load_edited(sources: &[(String, String)]) -> Result<(Corpus, DepGraph), String> {
-    let mut loader = Loader::new().check_proofs(false);
-    for (name, text) in sources {
-        loader.add_source(name.clone(), text.clone());
-    }
-    let dev = loader.load().map_err(|e| e.to_string())?;
-    let graph = DepGraph::build(&dev, sources);
+    let dev = load_sources(sources)?;
+    let graph = DepGraph::build(&dev);
     Ok((Corpus { dev }, graph))
 }
 
@@ -173,6 +168,9 @@ pub fn run_incremental(
         .into_iter()
         .map(|o| o.expect("every eval slot filled"))
         .collect();
+    // Outcomes merged from the baseline and the cone cache are reported
+    // too, so they replay against the edited corpus like computed ones.
+    replay_proved(&corpus.dev, cell, &merged).map_err(|crash| crash.to_string())?;
     proof_trace::metrics::counter_add("incremental.reverified", reverified.len() as u64);
     proof_trace::metrics::counter_add("incremental.cone_cache_hits", cone_cache_hits as u64);
     proof_trace::metrics::counter_add("incremental.served_baseline", served_baseline as u64);

@@ -28,6 +28,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use fscq_corpus::Corpus;
+use minicoq::replay::replay_script;
+use minicoq_vernac::Development;
 use proof_chaos::{FaultKind, FaultPlan};
 use proof_oracle::prompt::PromptCache;
 use proof_oracle::split::hint_set;
@@ -91,6 +93,39 @@ impl std::fmt::Display for CellCrash {
 
 impl std::error::Error for CellCrash {}
 
+/// Replays every proved outcome's script in the kernel against the
+/// environment its theorem was stated in. The first outcome that names no
+/// theorem of `dev`, or whose script does not reach `Qed`, becomes a crash
+/// of `cell` naming the theorem.
+pub(crate) fn replay_proved(
+    dev: &Development,
+    cell: &CellConfig,
+    outcomes: &[TheoremOutcome],
+) -> Result<(), CellCrash> {
+    for o in outcomes.iter().filter(|o| o.outcome == "proved") {
+        let failure = match dev
+            .theorems
+            .iter()
+            .find(|t| t.name == o.name && t.file == o.file)
+        {
+            None => "is not in the corpus".to_string(),
+            Some(thm) => match replay_script(
+                dev.env_before(thm),
+                &thm.stmt,
+                o.script.as_deref().unwrap_or(""),
+            ) {
+                Ok(_) => continue,
+                Err(e) => format!("has a proved script that fails kernel replay: {e}"),
+            },
+        };
+        return Err(CellCrash {
+            label: cell.label(),
+            panic: format!("theorem `{}` ({}) {failure}", o.name, o.file),
+        });
+    }
+    Ok(())
+}
+
 /// Renders a caught panic payload as text (panics carry `&str` or
 /// `String` in practice; anything else gets a placeholder).
 fn panic_text(payload: Box<dyn Any + Send>) -> String {
@@ -114,7 +149,8 @@ pub enum CellSource {
     /// Served from the crash-safe journal: a resumed run, or a key that
     /// appeared earlier in the same cell list.
     Journal,
-    /// The evaluation panicked; the wall time covers work up to the crash.
+    /// The evaluation panicked, or a proved script it reported failed
+    /// kernel replay; the wall time covers work up to the crash.
     Crashed,
 }
 
@@ -243,6 +279,11 @@ impl Runner {
     /// [`store_key`] repeated in the list is served from this call's own
     /// `done`, with or without a journal file.
     ///
+    /// Every proved script is replayed in the kernel, against the
+    /// environment its theorem was stated in, before its cell is reported,
+    /// whatever the cell's source: a script that fails turns the cell into
+    /// a [`CellCrash`] naming the theorem.
+    ///
     /// Each cell has panic isolation: a poisoned cell comes back as
     /// `Err(CellCrash)` and every other cell's outcome survives. With a
     /// journal attached, a `start` entry precedes each evaluation and a
@@ -260,7 +301,15 @@ impl Runner {
             .iter()
             .map(|&(corpus, cell)| {
                 let mut sw = proof_trace::Stopwatch::span("cell", &cell.label());
-                let (source, result) = self.obtain(corpus, cell, &mut state);
+                let (source, result) = match self.obtain(corpus, cell, &mut state) {
+                    (source, Ok(result)) => {
+                        match replay_proved(&corpus.dev, cell, &result.outcomes) {
+                            Ok(()) => (source, Ok(result)),
+                            Err(crash) => (CellSource::Crashed, Err(crash)),
+                        }
+                    }
+                    crashed => crashed,
+                };
                 sw.span_mut().field_str("source", source.label());
                 CellRun {
                     result,

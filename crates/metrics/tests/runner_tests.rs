@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use fscq_corpus::Corpus;
 use proof_metrics::incremental::load_edited;
-use proof_metrics::runner::{store_key, CellRun, CellSource, Runner};
+use proof_metrics::runner::{store_envelope, store_key, CellRun, CellSource, Runner};
 use proof_metrics::CellConfig;
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -85,6 +85,50 @@ fn cell_cache_round_trips() {
         .is_file());
 
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_cached_proof_that_fails_replay_is_a_crash_not_a_result() {
+    let corpus = Corpus::load();
+    let cell = small_cell();
+    let mut result = Runner::from_env()
+        .with_jobs(2)
+        .without_cache()
+        .run_cell_checked(&corpus, &cell)
+        .expect("a clean cell does not crash");
+    // Cut a proved script down to its first sentence, which leaves goals
+    // open, and store the doctored result under the cell's own key.
+    let proved = result
+        .outcomes
+        .iter_mut()
+        .find(|o| o.outcome == "proved" && o.script.as_ref().is_some_and(|s| s.contains(". ")))
+        .expect("a proved multi-sentence script");
+    let script = proved.script.clone().unwrap();
+    proved.script = Some(format!("{}.", script.split(". ").next().unwrap()));
+    let name = proved.name.clone();
+    let dir = std::env::temp_dir().join(format!("runner-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    store_envelope(
+        &dir.join(format!("{}.json", store_key(&corpus, &cell))),
+        &result,
+    );
+
+    let run = Runner::from_env()
+        .with_jobs(2)
+        .with_cache_dir(&dir)
+        .run_cells(&[(&corpus, &cell)])
+        .pop()
+        .unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(run.source, CellSource::Crashed);
+    let crash = run
+        .result
+        .expect_err("a proof that fails replay is never reported");
+    assert!(
+        crash.panic.contains(&format!("`{name}`")) && crash.panic.contains("kernel replay"),
+        "{crash}"
+    );
 }
 
 #[test]

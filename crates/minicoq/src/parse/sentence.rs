@@ -1,12 +1,14 @@
 //! Splitting source text into sentences: the one splitter for proof
 //! scripts and vernacular files alike.
 
-/// A sentence: its text (without the terminating `.`) and its byte span in
-/// the original source (including the `.`).
+/// A sentence: its text (without the terminating `.`), that text outside
+/// comments, and its byte span in the original source (including the `.`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sentence {
     /// Trimmed sentence text, comments preserved.
     pub text: String,
+    /// The text outside `(* *)` comments, trimmed.
+    pub code: String,
     /// Start byte offset in the source.
     pub start: usize,
     /// End byte offset (exclusive, past the `.`).
@@ -83,8 +85,8 @@ fn pieces(src: &str) -> Vec<Piece> {
 
 /// Splits a source file into sentences terminated by `.` followed by
 /// whitespace or end of input. `(* *)` comments never terminate sentences
-/// and are preserved in the text; a piece that is only whitespace is no
-/// sentence.
+/// and are preserved in `text` (`code` drops them); a piece that is only
+/// whitespace is no sentence.
 pub fn split_with_spans(src: &str) -> Vec<Sentence> {
     pieces(src)
         .into_iter()
@@ -92,6 +94,7 @@ pub fn split_with_spans(src: &str) -> Vec<Sentence> {
             let text = src[p.start..p.dot].trim();
             (!text.is_empty()).then(|| Sentence {
                 text: text.to_string(),
+                code: p.code,
                 start: p.start,
                 end: p.end,
             })

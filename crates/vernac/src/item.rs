@@ -39,9 +39,9 @@ pub struct Item {
     /// True for lemmas closed with `Admitted.` instead of `Qed.`: the
     /// statement is trusted without a checked proof.
     pub admitted: bool,
-    /// Byte offset of the item's first sentence in the source file, for
-    /// line-accurate diagnostics.
-    pub start: usize,
+    /// 1-based source line of the item's first sentence (where its first
+    /// non-whitespace byte sits), for line-accurate diagnostics.
+    pub line: usize,
 }
 
 impl Item {
@@ -71,46 +71,20 @@ impl std::fmt::Display for GroupError {
 
 impl std::error::Error for GroupError {}
 
-/// The first word of a sentence (skipping leading comments).
-fn head_word(text: &str) -> &str {
-    let mut rest = text.trim_start();
-    // Skip leading comments.
-    while rest.starts_with("(*") {
-        let mut depth = 0i32;
-        let b = rest.as_bytes();
-        let mut i = 0usize;
-        while i < b.len() {
-            if b[i] == b'(' && i + 1 < b.len() && b[i + 1] == b'*' {
-                depth += 1;
-                i += 2;
-                continue;
-            }
-            if b[i] == b'*' && i + 1 < b.len() && b[i + 1] == b')' {
-                depth -= 1;
-                i += 2;
-                if depth == 0 {
-                    break;
-                }
-                continue;
-            }
-            i += 1;
-        }
-        rest = rest[i..].trim_start();
-    }
+/// The leading identifier of `code`, after whitespace.
+fn first_word(code: &str) -> &str {
+    let rest = code.trim_start();
     let end = rest
         .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
         .unwrap_or(rest.len());
     &rest[..end]
 }
 
-fn second_word(text: &str) -> String {
-    let head = head_word(text);
-    let rest = text.trim_start();
-    let rest = match rest.find(head) {
-        Some(i) => &rest[i + head.len()..],
-        None => rest,
-    };
-    head_word(rest).to_string()
+/// The word after the first word of a sentence's comment-free text: the
+/// name a declaration introduces.
+fn second_word(code: &str) -> &str {
+    let rest = code.trim_start();
+    first_word(&rest[first_word(rest).len()..])
 }
 
 /// Groups the sentences of a source file into items.
@@ -118,20 +92,28 @@ pub fn group_items(src: &str) -> Result<Vec<Item>, GroupError> {
     let sentences = split_with_spans(src);
     let mut out = Vec::new();
     let mut i = 0usize;
+    // Lines are counted forward from the previous item's first byte, so
+    // the whole file is scanned once.
+    let (mut line, mut counted) = (1usize, 0usize);
     while i < sentences.len() {
         let s = &sentences[i];
-        let head = head_word(&s.text);
+        let head = first_word(&s.code);
         // The sentence span starts at the previous `.`+1, which includes
         // inter-sentence whitespace; diagnostics want the first real byte.
-        let ws = src[s.start..s.end].len() - src[s.start..s.end].trim_start().len();
-        let start = s.start + ws;
-        let simple = |kind: ItemKind, name: String| Item {
+        let span = &src[s.start..s.end];
+        let start = s.start + span.len() - span.trim_start().len();
+        line += src.as_bytes()[counted..start]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count();
+        counted = start;
+        let simple = |kind: ItemKind, name: &str| Item {
             kind,
-            name,
+            name: name.to_string(),
             text: s.text.clone(),
             proof: None,
             admitted: false,
-            start,
+            line,
         };
         match head {
             // Comment-only trailing text.
@@ -139,39 +121,39 @@ pub fn group_items(src: &str) -> Result<Vec<Item>, GroupError> {
                 i += 1;
             }
             "Require" => {
-                out.push(simple(ItemKind::Import, last_word(&s.text)));
+                out.push(simple(ItemKind::Import, last_word(&s.code)));
                 i += 1;
             }
             "Sort" => {
-                out.push(simple(ItemKind::SortDecl, second_word(&s.text)));
+                out.push(simple(ItemKind::SortDecl, second_word(&s.code)));
                 i += 1;
             }
             "Inductive" => {
-                out.push(simple(ItemKind::Inductive, second_word(&s.text)));
+                out.push(simple(ItemKind::Inductive, second_word(&s.code)));
                 i += 1;
             }
             "Definition" => {
-                out.push(simple(ItemKind::Definition, second_word(&s.text)));
+                out.push(simple(ItemKind::Definition, second_word(&s.code)));
                 i += 1;
             }
             "Fixpoint" => {
-                out.push(simple(ItemKind::Fixpoint, second_word(&s.text)));
+                out.push(simple(ItemKind::Fixpoint, second_word(&s.code)));
                 i += 1;
             }
             "Axiom" => {
-                out.push(simple(ItemKind::Axiom, second_word(&s.text)));
+                out.push(simple(ItemKind::Axiom, second_word(&s.code)));
                 i += 1;
             }
             "Hint" => {
-                out.push(simple(ItemKind::Hint, String::new()));
+                out.push(simple(ItemKind::Hint, ""));
                 i += 1;
             }
             "Lemma" | "Theorem" | "Corollary" | "Remark" => {
-                let name = second_word(&s.text);
+                let name = second_word(&s.code).to_string();
                 let stmt = s.text.clone();
                 i += 1;
                 // Optional `Proof` sentence.
-                if i < sentences.len() && head_word(&sentences[i].text) == "Proof" {
+                if i < sentences.len() && first_word(&sentences[i].code) == "Proof" {
                     i += 1;
                 }
                 let mut proof_sentences: Vec<String> = Vec::new();
@@ -179,7 +161,7 @@ pub fn group_items(src: &str) -> Result<Vec<Item>, GroupError> {
                 let mut admitted = false;
                 while i < sentences.len() {
                     let t = &sentences[i].text;
-                    let h = head_word(t);
+                    let h = first_word(&sentences[i].code);
                     if h == "Qed" || h == "Defined" {
                         i += 1;
                         closed = true;
@@ -206,7 +188,7 @@ pub fn group_items(src: &str) -> Result<Vec<Item>, GroupError> {
                     text: stmt,
                     proof,
                     admitted,
-                    start,
+                    line,
                 });
             }
             other => {
@@ -220,12 +202,10 @@ pub fn group_items(src: &str) -> Result<Vec<Item>, GroupError> {
     Ok(out)
 }
 
-fn last_word(text: &str) -> String {
-    text.trim_end()
-        .rsplit(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+fn last_word(code: &str) -> &str {
+    code.rsplit(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
         .find(|w| !w.is_empty())
         .unwrap_or("")
-        .to_string()
 }
 
 fn truncate(s: &str) -> String {
@@ -240,6 +220,14 @@ fn truncate(s: &str) -> String {
     } else {
         s.to_string()
     }
+}
+
+/// The first word of a sentence, read outside its comments.
+#[cfg(test)]
+fn head_word(text: &str) -> String {
+    split_with_spans(text)
+        .first()
+        .map_or_else(String::new, |s| first_word(&s.code).to_string())
 }
 
 #[cfg(test)]
@@ -306,10 +294,17 @@ mod tests {
     }
 
     #[test]
-    fn items_carry_source_offsets() {
+    fn items_carry_source_lines() {
         let src = "Sort T.\nLemma a : 1 = 1.\nProof. reflexivity. Qed.";
         let items = group_items(src).unwrap();
-        assert_eq!(items[0].start, 0);
-        assert_eq!(items[1].start, src.find("Lemma").unwrap());
+        assert_eq!(items[0].line, 1);
+        assert_eq!(items[1].line, 2);
+    }
+
+    #[test]
+    fn lines_count_past_proofs_blank_lines_and_comments() {
+        let src = "Lemma a : 1 = 1.\nProof.\n  reflexivity.\nQed.\n\n(* doc *)\nSort T.\nSort U.";
+        let lines: Vec<usize> = group_items(src).unwrap().iter().map(|i| i.line).collect();
+        assert_eq!(lines, vec![1, 6, 8]);
     }
 }

@@ -18,16 +18,15 @@
 //!
 //! The [`loader::Loader`] elaborates files in import order, replays every
 //! proof through the kernel (so the corpus's "human" proofs are *checked*,
-//! not trusted), and records per-item source text so the oracle can build
-//! prompts that mirror the original files.
+//! not trusted), and records per-item source text and line so the oracle
+//! can build prompts that mirror the original files and audits (the
+//! `corpus-analysis` crate) can point at a declaration.
 
 pub mod emit;
 pub mod item;
-pub mod lint;
 pub mod loader;
 pub mod parser;
 
 pub use emit::ModuleBuilder;
 pub use item::{Item, ItemKind};
-pub use lint::{lint_development, LintDiagnostic, LintKind};
 pub use loader::{Development, LoadError, Loader, TheoremInfo};
