@@ -206,11 +206,11 @@ pub fn preflight_goal(env: &Env, goal: &Goal, tac: &Tactic, fuel_budget: u64) ->
         Tactic::Revert(names) => check_revert(goal, names),
 
         // Goal-shape tactics.
-        Tactic::Split => match goal.concl {
+        Tactic::Split => match *goal.concl {
             Formula::And(..) | Formula::Iff(..) | Formula::True => Accept,
             _ => reject(ReasonCode::GoalShape, "goal is not a conjunction"),
         },
-        Tactic::Left | Tactic::Right => match goal.concl {
+        Tactic::Left | Tactic::Right => match *goal.concl {
             Formula::Or(..) => Accept,
             _ => reject(ReasonCode::GoalShape, "goal is not a disjunction"),
         },
@@ -342,12 +342,12 @@ fn success_goal_count(env: &Env, goal: &Goal, tac: &Tactic) -> Option<usize> {
         | Tactic::ExistsTac(_)
         | Tactic::Injection(_) => Some(1),
         Tactic::Assert(..) => Some(2),
-        Tactic::Split => match goal.concl {
+        Tactic::Split => match *goal.concl {
             Formula::And(..) | Formula::Iff(..) => Some(2),
             Formula::True => Some(0),
             _ => None,
         },
-        Tactic::Left | Tactic::Right => match goal.concl {
+        Tactic::Left | Tactic::Right => match *goal.concl {
             Formula::Or(..) => Some(1),
             _ => None,
         },
@@ -414,7 +414,7 @@ fn check_intros(env: &Env, goal: &Goal, names: &[String]) -> PreflightVerdict {
     }
     let mut scope = goal.names_in_scope();
     let mut sort_vars: BTreeSet<String> = goal.sort_vars.iter().cloned().collect();
-    let mut cur = goal.concl.clone();
+    let mut cur = Formula::clone(&goal.concl);
     for n in names {
         match whnf_prop(env, &cur) {
             Formula::Forall(v, _, body) => {
@@ -563,7 +563,7 @@ fn check_symmetry(env: &Env, goal: &Goal, loc: Option<&str>) -> PreflightVerdict
 }
 
 fn check_f_equal(goal: &Goal) -> PreflightVerdict {
-    let Formula::Eq(_, a, b) = &goal.concl else {
+    let Formula::Eq(_, a, b) = &*goal.concl else {
         return reject(ReasonCode::GoalShape, "goal is not an equality");
     };
     let (Term::App(f, fargs), Term::App(g, gargs)) = (a, b) else {
@@ -962,7 +962,7 @@ fn check_rewrite(
         );
     };
     let target = match in_hyp {
-        None => goal.concl.clone(),
+        None => Formula::clone(&goal.concl),
         Some(h) => match goal.hyp(h) {
             Some(f) => f.clone(),
             None => return reject(ReasonCode::UnknownName, format!("no hypothesis {h}")),

@@ -1,9 +1,30 @@
 //! Sequents (goals) and in-progress proof states.
+//!
+//! A goal's conclusion is a [`Target`]: the formula, plus a slot for its
+//! conversion-normal form that `apply`, `eapply` and `constructor` fill the
+//! first time they fall back to conversion and replay afterwards (see
+//! [`crate::rule`] for why replay keeps fuel exact). Clones share the slot,
+//! so every proposal tried on one goal, and every goal a tactic derives
+//! without touching the conclusion, normalizes it at most once. The slot
+//! cannot go stale: `Target` has no mutable access to its formula, and a
+//! conclusion changes only by assigning a new `Target`, which starts empty.
+//! The normal form is only valid under the [`Env`] that
+//! built it; a goal never crosses environments.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
+use proof_trace::metrics::HotCounter;
+
+use crate::env::Env;
+use crate::error::TacticError;
 use crate::formula::Formula;
+use crate::fuel::Fuel;
+use crate::rule::{normalize_conv, NormalForm};
 use crate::sort::Sort;
 use crate::subst::fresh_name;
 use crate::Ident;
@@ -19,7 +40,93 @@ pub struct Goal {
     /// Named hypotheses, in introduction order.
     pub hyps: Vec<(Ident, Formula)>,
     /// The conclusion.
-    pub concl: Formula,
+    pub concl: Target,
+}
+
+/// A goal's conclusion: a formula and its shared normal-form slot.
+/// Equality and hashing look at the formula only.
+#[derive(Clone)]
+pub struct Target {
+    formula: Formula,
+    normal: Arc<NormalForm>,
+}
+
+impl Target {
+    /// The formula, moved out.
+    pub fn into_formula(self) -> Formula {
+        self.formula
+    }
+
+    /// This conclusion normalized up to conversion against `fuel`: the
+    /// slot's normal form with its cost replayed (computed the first time
+    /// any clone asks), or a live normalization when the slot's private
+    /// budget ran out.
+    pub(crate) fn normalize(
+        &self,
+        env: &Env,
+        fuel: &mut Fuel,
+    ) -> Result<Cow<'_, Formula>, TacticError> {
+        if proof_trace::enabled() {
+            static COMPUTED: HotCounter = HotCounter::new("minicoq.target_nf.computed");
+            static REPLAYED: HotCounter = HotCounter::new("minicoq.target_nf.replayed");
+            let counter = if self.normal.is_filled() {
+                &REPLAYED
+            } else {
+                &COMPUTED
+            };
+            counter.inc();
+        }
+        normalize_conv(env, &self.formula, Some(&self.normal), fuel)
+    }
+}
+
+impl From<Formula> for Target {
+    fn from(formula: Formula) -> Target {
+        Target {
+            formula,
+            normal: Arc::default(),
+        }
+    }
+}
+
+impl Deref for Target {
+    type Target = Formula;
+
+    fn deref(&self) -> &Formula {
+        &self.formula
+    }
+}
+
+impl fmt::Debug for Target {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.formula.fmt(f)
+    }
+}
+
+impl PartialEq for Target {
+    fn eq(&self, other: &Target) -> bool {
+        self.formula == other.formula
+    }
+}
+
+impl Eq for Target {}
+
+impl PartialEq<Formula> for Target {
+    fn eq(&self, other: &Formula) -> bool {
+        self.formula == *other
+    }
+}
+
+impl PartialEq<Target> for Formula {
+    fn eq(&self, other: &Target) -> bool {
+        *self == other.formula
+    }
+}
+
+impl Hash for Target {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.formula.hash(state);
+    }
 }
 
 impl Goal {
@@ -29,7 +136,7 @@ impl Goal {
             sort_vars: Vec::new(),
             vars: Vec::new(),
             hyps: Vec::new(),
-            concl,
+            concl: concl.into(),
         }
     }
 
@@ -181,6 +288,24 @@ mod tests {
         let st = ProofState::from_goals(vec![Goal::new(trivial()), Goal::new(Formula::True)]);
         let st2 = st.replace_focused(vec![Goal::new(Formula::False)]);
         assert!(Arc::ptr_eq(&st2.goals[1], &st.goals[1]));
+    }
+
+    #[test]
+    fn clones_share_the_normal_form_slot_until_the_conclusion_changes() {
+        let env = Env::with_prelude();
+        let g = Goal::new(trivial());
+        g.concl.normalize(&env, &mut Fuel::unlimited()).unwrap();
+        assert!(g.concl.normal.is_filled());
+        // A clone, and a goal derived without touching the conclusion,
+        // read the same slot.
+        let mut derived = g.clone();
+        derived.hyps.push(("H".into(), Formula::True));
+        assert!(Arc::ptr_eq(&derived.concl.normal, &g.concl.normal));
+        // A new conclusion, even an equal one, starts an empty slot.
+        derived.concl = trivial().into();
+        assert_eq!(derived.concl, g.concl);
+        assert!(!Arc::ptr_eq(&derived.concl.normal, &g.concl.normal));
+        assert!(!derived.concl.normal.is_filled());
     }
 
     #[test]

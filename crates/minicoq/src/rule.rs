@@ -6,13 +6,17 @@
 //! *plain* reading). When a defined predicate heads its conclusion, it is
 //! also read after `expose_rule` unfolds that predicate (the *exposed*
 //! reading: `incl l m` as `forall x, In x l -> In x m`). When a syntactic
-//! match fails, `apply` retries with the instantiated conclusion normalized
-//! up to conversion.
+//! match fails, `apply` retries with both sides normalized up to
+//! conversion: the instance's conclusion (or, for `apply … in`, a
+//! premise; for an `Iff` conclusion, one side) and the goal's conclusion
+//! (or the hypothesis).
 //!
 //! All of these depend only on the statement and on the definitions it
 //! mentions, so a lemma (or an inductive-predicate rule) builds them once
 //! and keeps them in its shared `Arc<Lemma>` ([`Lemma::rule`]); a
-//! hypothesis gets them built for the one call ([`Rule::fresh`]).
+//! hypothesis gets them built for the one call ([`Rule::fresh`]). Each
+//! normal form sits in a `NormalForm` slot, the same helper a goal's
+//! conclusion keeps its own in ([`Target`](crate::goal::Target)).
 //!
 //! Fuel stays exact. Normalization charges single ticks only, so a cached
 //! normal form's cost is replayed with [`Fuel::replay`], which matches a
@@ -22,6 +26,7 @@ use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use crate::env::{Env, Lemma};
+use crate::error::TacticError;
 use crate::eval::{normalize_formula, EvalMode};
 use crate::formula::Formula;
 use crate::fuel::{Fuel, DEFAULT_TACTIC_FUEL};
@@ -42,26 +47,37 @@ pub(crate) struct RuleFacts {
     exposed: OnceLock<Option<Box<(Formula, RuleForm)>>>,
 }
 
-/// One reading of a statement: its instance, and the unifier that
-/// instantiating it left.
+/// One reading of a statement: its instance, the unifier that
+/// instantiating it left, and the conversion-normal forms `apply` replays.
 #[derive(Debug, Clone)]
 pub struct RuleForm {
     inst: InstantiatedRule,
     uni: Unifier,
-    /// The conversion-normal conclusion, kept only when it differs from
-    /// the instance's, and the ticks normalizing it cost; `None` inside
-    /// when that ran out of [`DEFAULT_TACTIC_FUEL`].
-    normal: OnceLock<Option<(Option<Formula>, u64)>>,
+    /// The instance's conclusion's normal form.
+    conclusion: NormalForm,
+    /// One normal form per premise of the instance, in order.
+    premises: Box<[NormalForm]>,
+    /// The normal forms of an `Iff` conclusion's two sides, left then
+    /// right; empty for any other conclusion.
+    iff: Box<[NormalForm]>,
 }
 
 impl RuleForm {
     fn of(stmt: &Formula) -> RuleForm {
         let mut uni = Unifier::new();
         let inst = instantiate_rule(stmt, &mut uni);
+        let slots = |n| {
+            std::iter::repeat_with(NormalForm::default)
+                .take(n)
+                .collect()
+        };
+        let iff = usize::from(matches!(inst.conclusion, Formula::Iff(..))) * 2;
         RuleForm {
+            premises: slots(inst.premises.len()),
+            iff: slots(iff),
+            conclusion: NormalForm::default(),
             inst,
             uni,
-            normal: OnceLock::new(),
         }
     }
 
@@ -83,18 +99,85 @@ impl RuleForm {
     /// [`DEFAULT_TACTIC_FUEL`]. `None` when that budget runs out: the caller
     /// then normalizes live, against its own budget.
     pub fn normal_conclusion(&self, env: &Env) -> Option<(&Formula, u64)> {
+        self.conclusion.get(env, &self.inst.conclusion)
+    }
+
+    /// The slot of the instance's conclusion.
+    pub(crate) fn conclusion_slot(&self) -> &NormalForm {
+        &self.conclusion
+    }
+
+    /// The slot of the instance's premise `i`.
+    pub(crate) fn premise_slot(&self, i: usize) -> &NormalForm {
+        &self.premises[i]
+    }
+
+    /// The slot of one side of the instance's `Iff` conclusion (`right`
+    /// picks the right-hand side); `None` for any other conclusion.
+    pub(crate) fn iff_slot(&self, right: bool) -> Option<&NormalForm> {
+        self.iff.get(usize::from(right))
+    }
+}
+
+/// One formula's conversion-normal form, computed the first time a caller
+/// asks for it, on a private budget of [`DEFAULT_TACTIC_FUEL`], together
+/// with the ticks that cost. The normal form is kept, boxed, only when it
+/// differs from the formula, so an empty or unchanged slot stays small
+/// (every goal carries one); the slot holds `None` when the private budget
+/// ran out (or normalization failed), and every caller then normalizes
+/// live.
+///
+/// A slot must only ever be read with the one formula it was made for, and
+/// under environments that agree on that formula's definitions. Rule forms
+/// and goal conclusions ([`Target`](crate::goal::Target)) own their slots,
+/// so both hold by construction.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NormalForm(OnceLock<Option<(Option<Box<Formula>>, u64)>>);
+
+impl NormalForm {
+    /// `f` normalized up to conversion, and the fuel that cost; `None` when
+    /// the private budget runs out, and the caller then normalizes live
+    /// against its own.
+    pub(crate) fn get<'a>(&'a self, env: &Env, f: &'a Formula) -> Option<(&'a Formula, u64)> {
         #[cfg(test)]
         if tests::live() {
             return None;
         }
-        let concl = &self.inst.conclusion;
-        let normal = self.normal.get_or_init(|| {
+        let normal = self.0.get_or_init(|| {
             let mut fuel = Fuel::new(DEFAULT_TACTIC_FUEL);
-            let nf = normalize_formula(env, concl, EvalMode::conversion(), &mut fuel).ok()?;
-            Some(((nf != *concl).then_some(nf), fuel.spent()))
+            let nf = normalize_formula(env, f, EvalMode::conversion(), &mut fuel).ok()?;
+            Some(((nf != *f).then(|| Box::new(nf)), fuel.spent()))
         });
         let (nf, cost) = normal.as_ref()?;
-        Some((nf.as_ref().unwrap_or(concl), *cost))
+        Some((nf.as_deref().unwrap_or(f), *cost))
+    }
+
+    /// Whether the slot has been filled (successfully or not).
+    pub(crate) fn is_filled(&self) -> bool {
+        self.0.get().is_some()
+    }
+}
+
+/// Normalizes `f` up to conversion against `fuel`: with a `slot` that holds
+/// `f`'s normal form, that form, its cost replayed with [`Fuel::replay`];
+/// otherwise live.
+pub(crate) fn normalize_conv<'a>(
+    env: &Env,
+    f: &'a Formula,
+    slot: Option<&'a NormalForm>,
+    fuel: &mut Fuel,
+) -> Result<Cow<'a, Formula>, TacticError> {
+    match slot.and_then(|slot| slot.get(env, f)) {
+        Some((nf, cost)) => {
+            fuel.replay(cost)?;
+            Ok(Cow::Borrowed(nf))
+        }
+        None => Ok(Cow::Owned(normalize_formula(
+            env,
+            f,
+            EvalMode::conversion(),
+            fuel,
+        )?)),
     }
 }
 
@@ -193,8 +276,10 @@ pub(crate) mod tests {
     }
 
     /// Runs `f` as the kernel ran before rule facts: every name resolves
-    /// to facts built for the call, and every conclusion normalizes live.
-    /// The reference the fuel-equivalence suite checks the cache against.
+    /// to facts built for the call, and every [`NormalForm`](super::NormalForm)
+    /// slot, a rule's or a goal's, is bypassed, so both sides of every
+    /// conversion fallback normalize live. The reference the
+    /// fuel-equivalence suites check the caches against.
     pub(crate) fn live_path<T>(f: impl FnOnce() -> T) -> T {
         LIVE.with(|l| l.set(true));
         let out = f();

@@ -429,7 +429,7 @@ mod tests {
     fn different_conclusions_differ() {
         let a = eq_goal("x");
         let mut b = eq_goal("x");
-        b.concl = Formula::True;
+        b.concl = Formula::True.into();
         assert_ne!(goal_key(&a), goal_key(&b));
     }
 

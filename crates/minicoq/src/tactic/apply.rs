@@ -8,8 +8,8 @@ use crate::error::TacticError;
 use crate::eval::{normalize_formula, EvalMode};
 use crate::formula::Formula;
 use crate::fuel::Fuel;
-use crate::goal::Goal;
-use crate::rule::{Rule, RuleForm};
+use crate::goal::{Goal, Target};
+use crate::rule::{normalize_conv, NormalForm, Rule, RuleForm};
 use crate::subst::{subst_formula1, subst_sorts_formula, SortSubst};
 use crate::term::Term;
 use crate::typing::infer_sort;
@@ -25,31 +25,57 @@ pub(crate) fn stmt_of(env: &Env, goal: &Goal, name: &str) -> Option<Formula> {
     }
 }
 
+/// One side of [`unify_concl`]: a formula and where its conversion-normal
+/// form comes from.
+#[derive(Clone, Copy)]
+enum Side<'a> {
+    /// A formula with the slot of its normal form (a rule form's
+    /// conclusion, premise or `Iff` side), or `None` to normalize it live.
+    Formula(&'a Formula, Option<&'a NormalForm>),
+    /// The goal's conclusion, which carries its own slot.
+    Goal(&'a Target),
+}
+
+impl<'a> Side<'a> {
+    fn formula(self) -> &'a Formula {
+        match self {
+            Side::Formula(f, _) => f,
+            Side::Goal(t) => t,
+        }
+    }
+
+    /// The formula normalized up to conversion: a slot's normal form with
+    /// its cost replayed, or a live normalization.
+    fn normalize(self, env: &Env, fuel: &mut Fuel) -> Result<Cow<'a, Formula>, TacticError> {
+        match self {
+            Side::Formula(f, slot) => normalize_conv(env, f, slot, fuel),
+            Side::Goal(t) => t.normalize(env, fuel),
+        }
+    }
+}
+
 /// Attempts to unify an instantiated conclusion with a target formula,
-/// first syntactically, then up to conversion. When `concl` is the
-/// conclusion of `form`'s instance, `form`'s cached normal form stands in
-/// for normalizing `concl`, charged the fuel that normalization costs.
+/// first syntactically, then up to conversion: the conclusion's normal
+/// form, then the target's, then a second unification. A side that keeps
+/// its normal form in a slot stands that in for normalizing live, charged
+/// the fuel the normalization costs.
 fn unify_concl(
     env: &Env,
     uni: &mut Unifier,
-    concl: &Formula,
-    form: Option<&RuleForm>,
-    target: &Formula,
+    concl: Side,
+    target: Side,
     fuel: &mut Fuel,
 ) -> Result<(), TacticError> {
     let snapshot = uni.clone();
-    if uni.unify_formulas(concl, target, fuel).is_ok() {
+    if uni
+        .unify_formulas(concl.formula(), target.formula(), fuel)
+        .is_ok()
+    {
         return Ok(());
     }
     *uni = snapshot;
-    let nc = match form.and_then(|form| form.normal_conclusion(env)) {
-        Some((nc, cost)) => {
-            fuel.replay(cost)?;
-            Cow::Borrowed(nc)
-        }
-        None => Cow::Owned(normalize_formula(env, concl, EvalMode::conversion(), fuel)?),
-    };
-    let nt = normalize_formula(env, target, EvalMode::conversion(), fuel)?;
+    let nc = concl.normalize(env, fuel)?;
+    let nt = target.normalize(env, fuel)?;
     let snapshot = uni.clone();
     if uni.unify_formulas(&nc, &nt, fuel).is_ok() {
         return Ok(());
@@ -70,16 +96,11 @@ fn apply_backward(
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
     let (inst, mut uni) = (form.instance(), form.unifier().clone());
+    let target = Side::Goal(&goal.concl);
     // Try the conclusion as-is; for a bi-implication conclusion, also try
     // each direction (Coq's `apply` on an iff lemma).
-    let direct = unify_concl(
-        env,
-        &mut uni,
-        &inst.conclusion,
-        Some(form),
-        &goal.concl,
-        fuel,
-    );
+    let concl = Side::Formula(&inst.conclusion, Some(form.conclusion_slot()));
+    let direct = unify_concl(env, &mut uni, concl, target, fuel);
     let mut extra_premise: Option<Formula> = None;
     if let Err(direct_err) = direct {
         // `~P` applies to a `False` goal as `P -> False`.
@@ -94,18 +115,19 @@ fn apply_backward(
         let Formula::Iff(a, b) = &inst.conclusion else {
             return Err(direct_err);
         };
-        let mut try_dir = |lhs: &Formula, rhs: &Formula, uni: &mut Unifier| -> bool {
+        // Unifies one side of the iff with the goal; `right` picks `b`.
+        let mut try_side = |side: &Formula, right: bool, uni: &mut Unifier| -> bool {
             let snapshot = uni.clone();
-            if unify_concl(env, uni, rhs, None, &goal.concl, fuel).is_ok() {
+            let concl = Side::Formula(side, form.iff_slot(right));
+            if unify_concl(env, uni, concl, target, fuel).is_ok() {
                 return true;
             }
             *uni = snapshot;
-            let _ = lhs;
             false
         };
-        if try_dir(a, b, &mut uni) {
+        if try_side(b, true, &mut uni) {
             extra_premise = Some((**a).clone());
-        } else if try_dir(b, a, &mut uni) {
+        } else if try_side(a, false, &mut uni) {
             extra_premise = Some((**b).clone());
         } else {
             return Err(TacticError::rejected(
@@ -168,7 +190,7 @@ fn finish_backward(
             ));
         }
         let mut g = goal.clone();
-        g.concl = resolved;
+        g.concl = resolved.into();
         out.push(g);
     }
     Ok(out)
@@ -230,31 +252,41 @@ fn apply_forward(
     let Some(hf) = goal.hyp(h).cloned() else {
         return Err(TacticError::rejected(format!("no hypothesis {h}")));
     };
-    let (inst, base_uni) = (form.instance(), form.unifier());
+    let inst = form.instance();
     // Candidate (premises, conclusion) readings: the rule itself, and for a
-    // bi-implication conclusion, each direction of the iff.
-    let mut candidates: Vec<(Vec<Formula>, Formula)> = Vec::new();
+    // bi-implication conclusion, each direction of the iff. The third
+    // field is the slot of a premise taken from the iff, which follows the
+    // rule's own.
+    let mut candidates: Vec<(Vec<Formula>, Formula, Option<&NormalForm>)> = Vec::new();
     if !inst.premises.is_empty() {
-        candidates.push((inst.premises.clone(), inst.conclusion.clone()));
+        candidates.push((inst.premises.clone(), inst.conclusion.clone(), None));
     }
     if let Formula::Iff(a, b) = &inst.conclusion {
         let mut fwd = inst.premises.clone();
         fwd.push((**a).clone());
-        candidates.push((fwd, (**b).clone()));
+        candidates.push((fwd, (**b).clone(), form.iff_slot(false)));
         let mut bwd = inst.premises.clone();
         bwd.push((**b).clone());
-        candidates.push((bwd, (**a).clone()));
+        candidates.push((bwd, (**a).clone(), form.iff_slot(true)));
     }
     if candidates.is_empty() {
         return Err(TacticError::rejected("the lemma has no premise"));
     }
-    for (premises, conclusion) in &candidates {
+    for (premises, conclusion, iff_slot) in &candidates {
+        let slot = |i: usize| {
+            if i < inst.premises.len() {
+                Some(form.premise_slot(i))
+            } else {
+                *iff_slot
+            }
+        };
         if let Some(out) = apply_forward_candidate(
             env,
             goal,
             premises,
+            slot,
             conclusion,
-            base_uni,
+            form.unifier(),
             h,
             &hf,
             existential,
@@ -268,12 +300,14 @@ fn apply_forward(
     ))
 }
 
-/// Tries one (premises, conclusion) reading of a rule for `apply ... in`.
+/// Tries one (premises, conclusion) reading of a rule for `apply ... in`;
+/// `slot(i)` is the normal-form slot of premise `i`, if it has one.
 #[allow(clippy::too_many_arguments)]
-fn apply_forward_candidate(
+fn apply_forward_candidate<'a>(
     env: &Env,
     goal: &Goal,
     premises: &[Formula],
+    slot: impl Fn(usize) -> Option<&'a NormalForm>,
     conclusion: &Formula,
     base_uni: &Unifier,
     h: &str,
@@ -283,7 +317,8 @@ fn apply_forward_candidate(
 ) -> Result<Option<Vec<Goal>>, TacticError> {
     for i in 0..premises.len() {
         let mut uni = base_uni.clone();
-        if unify_concl(env, &mut uni, &premises[i], None, hf, fuel).is_err() {
+        let premise = Side::Formula(&premises[i], slot(i));
+        if unify_concl(env, &mut uni, premise, Side::Formula(hf, None), fuel).is_err() {
             continue;
         }
         // Side premises.
@@ -328,7 +363,7 @@ fn apply_forward_candidate(
                 break;
             }
             let mut g = goal.clone();
-            g.concl = resolved;
+            g.concl = resolved.into();
             out.push(g);
         }
         if ok {
@@ -351,7 +386,7 @@ pub fn constructor(
         Formula::And(..) | Formula::Iff(..) => super::basic::split_in(goal, &concl),
         Formula::Or(..) => super::basic::left(&{
             let mut g = goal.clone();
-            g.concl = concl.clone();
+            g.concl = concl.clone().into();
             g
         }),
         Formula::Eq(..) => super::basic::reflexivity(env, goal, fuel),
@@ -361,12 +396,16 @@ pub fn constructor(
                     "{p} is not an inductive predicate"
                 )));
             };
+            // One goal for every rule, so they share its conclusion's
+            // normal form.
+            let mut g = goal.clone();
+            if concl != *goal.concl {
+                g.concl = concl.clone().into();
+            }
             for (rn, _) in &ip.rules {
                 let rule = env
                     .rule_or_lemma(rn)
                     .expect("rule registered in environment");
-                let mut g = goal.clone();
-                g.concl = concl.clone();
                 match apply_backward(env, &g, rule.rule().plain(), existential, fuel) {
                     Ok(gs) => return Ok(gs),
                     Err(TacticError::Timeout) => return Err(TacticError::Timeout),
@@ -515,8 +554,9 @@ pub fn pose_proof(
 #[cfg(test)]
 mod tests {
     use crate::env::Env;
+    use crate::formula::Formula;
     use crate::fuel::Fuel;
-    use crate::goal::ProofState;
+    use crate::goal::{Goal, ProofState};
     use crate::parse::{parse_formula, parse_tactic};
     use crate::rule::tests::live_path;
     use crate::tactic::{apply_tactic, Tactic};
@@ -531,6 +571,11 @@ mod tests {
             ("le_iff", "forall n m : nat, le (S n) (S m) <-> le n m"),
             ("le_pred", "forall n m : nat, le (S n) (S m) -> le n m"),
             ("add_0_l", "forall n : nat, add 0 n = n"),
+            ("le_add_0_in", "forall n m : nat, le (add 0 n) m -> le n m"),
+            (
+                "le_add_iff",
+                "forall n m : nat, le (add 0 (add 0 n)) m <-> le n (add 0 m)",
+            ),
         ] {
             let stmt = parse_formula(&env, src).unwrap();
             env.add_lemma(name, stmt).unwrap();
@@ -640,6 +685,18 @@ mod tests {
                 "intros x l H",
                 "apply add_0_r in H",
             ),
+            // Each side of an iff, up to conversion: backward through its
+            // right side, forward through its left.
+            case(env, "le 2 3", "", "apply le_add_iff"),
+            case(env, "le 2 3 -> False", "intros H", "apply le_add_iff in H"),
+            // A premise that meets the hypothesis only up to conversion.
+            case(env, "le 2 3 -> False", "intros H", "apply le_add_0_in in H"),
+            case(
+                env,
+                "In 2 [] -> False",
+                "intros H",
+                "apply le_add_0_in in H",
+            ),
             // `rewrite`, both directions, in a hypothesis, shadowed.
             case(env, "add 2 0 = 2", "", "rewrite add_0_r"),
             case(env, "2 = add 0 2", "", "rewrite add_0_l"),
@@ -663,9 +720,73 @@ mod tests {
     /// What a caller observes of one call under `budget`: the result, and
     /// the fuel's spent and remaining counts.
     fn observe(env: &Env, case: &Case, budget: u64) -> (String, u64, u64) {
+        observe_on(env, &case.state, &case.tactic, budget)
+    }
+
+    fn observe_on(env: &Env, state: &ProofState, tac: &Tactic, budget: u64) -> (String, u64, u64) {
         let mut fuel = Fuel::new(budget);
-        let r = apply_tactic(env, &case.state, &case.tactic, &mut fuel);
+        let r = apply_tactic(env, state, tac, &mut fuel);
         (format!("{r:?}"), fuel.spent(), fuel.remaining())
+    }
+
+    /// `state` with every conclusion rebuilt, so no normal form is filled.
+    fn unfilled(state: &ProofState) -> ProofState {
+        let goals = state.goals.iter().map(|g| Goal {
+            concl: Formula::clone(&g.concl).into(),
+            ..Goal::clone(g)
+        });
+        ProofState::from_goals(goals.collect())
+    }
+
+    #[test]
+    fn a_goal_replays_the_normal_form_an_earlier_tactic_left_in_it() {
+        let env = env();
+        // (statement, setup, first tactic, second tactic): the first
+        // normalizes the goal's conclusion (or the lemma's premise), the
+        // second then reads that slot on the same state.
+        let pairs = [
+            ("le 3 4", "", "apply le_n", "apply le_add_0"),
+            ("le 3 3", "", "apply le_iff", "apply le_add_0"),
+            ("le 3 3", "", "apply le_add_0", "eapply le_add_0"),
+            ("le (add 1 2) 3", "", "apply le_add_0", "constructor"),
+            ("le 1 2", "", "constructor", "apply le_iff"),
+            ("In 1 (0 :: 1 :: [])", "", "apply in_eq", "apply incl_tl"),
+            ("le 1 2", "", "apply in_cons", "apply le_iff"),
+            (
+                "le 2 3 -> False",
+                "intros H",
+                "apply le_add_0_in in H",
+                "apply le_add_0_in in H",
+            ),
+            (
+                "le 2 3 -> False",
+                "intros H",
+                "apply le_iff in H",
+                "apply le_iff in H",
+            ),
+            ("le 2 3", "", "apply le_add_iff", "apply le_add_0"),
+        ];
+        let mut ok = 0;
+        for (stmt, setup, first, second) in pairs {
+            let first = case(&env, stmt, setup, first);
+            let second = case(&env, stmt, setup, second);
+            // The reference runs the second tactic on a state no cached
+            // call has touched: the live path never fills a slot.
+            let (result, full, _) = live_path(|| observe(&env, &second, u64::MAX / 2));
+            ok += usize::from(result.starts_with("Ok"));
+            for budget in (0..=full + 1).chain([u64::MAX / 2]) {
+                let state = unfilled(&first.state);
+                observe_on(&env, &state, &first.tactic, u64::MAX / 2);
+                assert_eq!(
+                    observe_on(&env, &state, &second.tactic, budget),
+                    live_path(|| observe(&env, &second, budget)),
+                    "{} after {}: budget {budget} of {full}",
+                    second.text,
+                    first.text
+                );
+            }
+        }
+        assert!(ok >= 4, "{ok} ok");
     }
 
     #[test]

@@ -11,9 +11,19 @@
 //! target's. A skipped candidate is charged exactly the fuel its failed
 //! unification would have cost, so budgets, timeouts and every search
 //! outcome are the same as a scan that tries every candidate.
+//!
+//! `auto`, `eauto` and `trivial` also remember, for the one call, the ground
+//! sub-goals they failed: a failure depends only on the goal's context, the
+//! remaining depth and the target, so a second visit replays the ticks the
+//! first one spent instead of searching again (see [`Search::failures`]).
+//! `backchain` keeps no such table: whether it fails also depends on the
+//! caller's metavariables, through [`leaks`].
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell, RefCell};
+use std::collections::HashMap;
 use std::mem::discriminant;
+
+use proof_trace::metrics::HotCounter;
 
 use crate::env::{Env, Lemma};
 use crate::error::TacticError;
@@ -114,10 +124,43 @@ struct Search<'a> {
     /// [`expose_rule`] form ([`Lemma::rule`]), so nothing is cloned or
     /// exposed per invocation.
     hints: Vec<OnceCell<Option<Rule<'a>>>>,
+    /// The failure table, kept only when the watermark is 0 (`auto_tactic`
+    /// and `trivial`): the ticks each failed node spent, keyed by its
+    /// [`Scope`] id, its depth and its resolved target, for ground targets
+    /// in ground scopes. Within one search such a node's outcome and cost
+    /// depend on nothing else, so a revisit replays the cost with
+    /// [`Fuel::charge`] when the budget covers it and searches live
+    /// otherwise (a skip tick can run dry without timing out, so a replay
+    /// near exhaustion would not be equivalent). Successes and timeouts
+    /// are never recorded. It is the one map in the kernel keyed on a
+    /// formula: a hit saves a whole sub-search (about 51 ticks on the
+    /// Table 2 grid), and the table is dropped when the call returns.
+    failures: Option<RefCell<Failures>>,
+    /// The last [`Scope`] id handed out.
+    scopes: Cell<u32>,
     /// Test builds can run the pre-index linear scan instead: the reference
     /// the fuel-equivalence suite checks the head filter against.
     #[cfg(test)]
     linear: bool,
+    /// Test builds count failure-table hits.
+    #[cfg(test)]
+    hits: Cell<u32>,
+}
+
+/// A failure table: (scope id, depth, resolved target) to the ticks the
+/// failed node spent.
+type Failures = HashMap<(u32, u32, Formula), u64>;
+
+/// A search node's goal, with an id for it. The goal only grows through
+/// the pushes of `Forall`, `Implies` and `Not`, and each push opens a new
+/// scope, so an id names one goal without hashing its hypotheses.
+#[derive(Clone, Copy)]
+struct Scope<'g> {
+    goal: &'g Goal,
+    id: u32,
+    /// Every hypothesis in the goal is ground: no search-time
+    /// metavariable can change what it says.
+    ground: bool,
 }
 
 impl<'a> Search<'a> {
@@ -130,8 +173,23 @@ impl<'a> Search<'a> {
             hints: std::iter::repeat_with(OnceCell::new)
                 .take(extra_hints.len() + env.hint_db("core").len())
                 .collect(),
+            failures: (watermark == 0).then(RefCell::default),
+            scopes: Cell::new(0),
             #[cfg(test)]
             linear: false,
+            #[cfg(test)]
+            hits: Cell::new(0),
+        }
+    }
+
+    /// A scope with a fresh id for `goal`, whose hypotheses are all
+    /// ground when `ground` says so.
+    fn scope<'g>(&self, goal: &'g Goal, ground: bool) -> Scope<'g> {
+        self.scopes.set(self.scopes.get() + 1);
+        Scope {
+            goal,
+            id: self.scopes.get(),
+            ground,
         }
     }
 
@@ -150,83 +208,131 @@ impl<'a> Search<'a> {
         })
     }
 
-    /// The recursive search. Returns `Ok(Some(uni))` on success, `Ok(None)`
-    /// on exhausted search, and `Err(Timeout)` when fuel runs out.
+    /// The search from `goal`'s own context. Returns `Ok(Some(uni))` on
+    /// success, `Ok(None)` on exhausted search, and `Err(Timeout)` when
+    /// fuel runs out.
     fn solve(
         &self,
         goal: &Goal,
         target: &Formula,
-        mut uni: Unifier,
+        uni: Unifier,
+        depth: u32,
+        fuel: &mut Fuel,
+    ) -> Result<Option<Unifier>, TacticError> {
+        let ground = goal.hyps.iter().all(|(_, h)| h.is_ground());
+        self.solve_in(self.scope(goal, ground), target, uni, depth, fuel)
+    }
+
+    /// [`Search::solve`] in `scope`, through the failure table.
+    fn solve_in(
+        &self,
+        scope: Scope,
+        target: &Formula,
+        uni: Unifier,
+        depth: u32,
+        fuel: &mut Fuel,
+    ) -> Result<Option<Unifier>, TacticError> {
+        let target = uni.resolve_formula(target);
+        let table = self.failures.as_ref();
+        let Some(table) = table.filter(|_| scope.ground && target.is_ground()) else {
+            return self.expand(scope, &target, uni, depth, fuel);
+        };
+        let key = (scope.id, depth, target);
+        let known = table.borrow().get(&key).copied();
+        if let Some(cost) = known.filter(|&cost| fuel.remaining() >= cost) {
+            count(&HITS);
+            #[cfg(test)]
+            self.hits.set(self.hits.get() + 1);
+            fuel.charge(cost)?;
+            return Ok(None);
+        }
+        let before = fuel.spent();
+        let out = self.expand(scope, &key.2, uni, depth, fuel)?;
+        if out.is_none() {
+            count(&RECORDED);
+            table.borrow_mut().insert(key, fuel.spent() - before);
+        }
+        Ok(out)
+    }
+
+    /// One search node on a resolved target.
+    fn expand(
+        &self,
+        scope: Scope,
+        target: &Formula,
+        uni: Unifier,
         depth: u32,
         fuel: &mut Fuel,
     ) -> Result<Option<Unifier>, TacticError> {
         fuel.charge(4)?;
-        let target = uni.resolve_formula(target);
         // For a defined-predicate target, try candidates against the
         // *folded* form first (hint lemmas and hypotheses state things about
         // `incl`, not its unfolding), then fall back to the unfolded form.
-        if let Formula::Pred(..) = &target {
-            if let Some(u) = self.search_candidates(goal, &target, uni.clone(), depth, fuel)? {
+        if let Formula::Pred(..) = target {
+            if let Some(u) = self.search_candidates(scope, target, uni.clone(), depth, fuel)? {
                 return Ok(Some(u));
             }
-            let unfolded = super::basic::whnf_prop(self.env, &target);
-            if unfolded != target {
-                return self.solve(goal, &unfolded, uni, depth, fuel);
+            let unfolded = super::basic::whnf_prop(self.env, target);
+            if unfolded != *target {
+                return self.solve_in(scope, &unfolded, uni, depth, fuel);
             }
             return Ok(None);
         }
-        let target = super::basic::whnf_prop(self.env, &target);
+        let target = super::basic::whnf_prop(self.env, target);
         match &target {
             Formula::True => Ok(Some(uni)),
             Formula::And(a, b) => {
-                let Some(u1) = self.solve(goal, a, uni, depth, fuel)? else {
+                let Some(u1) = self.solve_in(scope, a, uni, depth, fuel)? else {
                     return Ok(None);
                 };
-                self.solve(goal, b, u1, depth, fuel)
+                self.solve_in(scope, b, u1, depth, fuel)
             }
             Formula::Or(a, b) => {
-                if let Some(u) = self.solve(goal, a, uni.clone(), depth, fuel)? {
+                if let Some(u) = self.solve_in(scope, a, uni.clone(), depth, fuel)? {
                     return Ok(Some(u));
                 }
-                self.solve(goal, b, uni, depth, fuel)
+                self.solve_in(scope, b, uni, depth, fuel)
             }
             Formula::Iff(a, b) => {
                 let fwd = Formula::implies((**a).clone(), (**b).clone());
                 let bwd = Formula::implies((**b).clone(), (**a).clone());
-                let Some(u1) = self.solve(goal, &fwd, uni, depth, fuel)? else {
+                let Some(u1) = self.solve_in(scope, &fwd, uni, depth, fuel)? else {
                     return Ok(None);
                 };
-                self.solve(goal, &bwd, u1, depth, fuel)
+                self.solve_in(scope, &bwd, u1, depth, fuel)
             }
             Formula::Forall(v, s, body) => {
                 // The `#bc` prefix marks search-local variables so the
                 // backchain wrapper can reject solutions that would leak
                 // them.
-                let mut g = goal.clone();
+                let mut g = scope.goal.clone();
                 let fresh = g.fresh(&format!("#bc{v}"));
                 g.vars.push((fresh.clone(), s.clone()));
                 let body = subst_formula1(body, v, &Term::var(fresh));
-                self.solve(&g, &body, uni, depth, fuel)
+                self.solve_in(self.scope(&g, scope.ground), &body, uni, depth, fuel)
             }
             Formula::Implies(p, q) => {
-                let mut g = goal.clone();
+                let mut g = scope.goal.clone();
                 let h = g.fresh("H");
                 g.hyps.push((h, (**p).clone()));
-                self.solve(&g, q, uni, depth, fuel)
+                let ground = scope.ground && p.is_ground();
+                self.solve_in(self.scope(&g, ground), q, uni, depth, fuel)
             }
             Formula::Not(p) => {
-                let mut g = goal.clone();
+                let mut g = scope.goal.clone();
                 let h = g.fresh("H");
                 g.hyps.push((h, (**p).clone()));
-                self.solve(&g, &Formula::False, uni, depth, fuel)
+                let ground = scope.ground && p.is_ground();
+                self.solve_in(self.scope(&g, ground), &Formula::False, uni, depth, fuel)
             }
             Formula::Exists(v, _, body) => {
                 if !self.e_mode {
                     return Ok(None);
                 }
+                let mut uni = uni;
                 let m = uni.fresh_term_meta();
                 let body = subst_formula1(body, v, &m);
-                self.solve(goal, &body, uni, depth, fuel)
+                self.solve_in(scope, &body, uni, depth, fuel)
             }
             Formula::Eq(_, a, b) => {
                 // Reflexivity attempt (unification handles metavariables;
@@ -238,16 +344,16 @@ impl<'a> Search<'a> {
                 if a.is_ground() && b.is_ground() && conv_eq_term(self.env, a, b, fuel)? {
                     return Ok(Some(uni));
                 }
-                self.search_candidates(goal, &target, uni, depth, fuel)
+                self.search_candidates(scope, &target, uni, depth, fuel)
             }
-            _ => self.search_candidates(goal, &target, uni, depth, fuel),
+            _ => self.search_candidates(scope, &target, uni, depth, fuel),
         }
     }
 
     /// Tries hypotheses and hint lemmas against an atomic target.
     fn search_candidates(
         &self,
-        goal: &Goal,
+        scope: Scope,
         target: &Formula,
         uni: Unifier,
         depth: u32,
@@ -255,10 +361,10 @@ impl<'a> Search<'a> {
     ) -> Result<Option<Unifier>, TacticError> {
         #[cfg(test)]
         if self.linear {
-            return self.search_candidates_linear(goal, target, uni, depth, fuel);
+            return self.search_candidates_linear(scope, target, uni, depth, fuel);
         }
         // Hypotheses first: direct match, then as rules.
-        for (_, hf) in &goal.hyps {
+        for (_, hf) in &scope.goal.hyps {
             fuel.charge(2)?;
             if !same_head(hf, target) {
                 skip(fuel);
@@ -281,14 +387,14 @@ impl<'a> Search<'a> {
                 if !concludes(form, target) {
                     skip(fuel);
                 } else if let Some(u) =
-                    self.try_rule_exact(goal, form, target, &uni, depth, fuel)?
+                    self.try_rule_exact(scope, form, target, &uni, depth, fuel)?
                 {
                     return Ok(Some(u));
                 }
             }
             Ok(None)
         };
-        for (_, hf) in &goal.hyps {
+        for (_, hf) in &scope.goal.hyps {
             if let Some(u) = try_rule(hf, exposed_form(self.env, hf).as_ref(), fuel)? {
                 return Ok(Some(u));
             }
@@ -303,7 +409,7 @@ impl<'a> Search<'a> {
 
     fn try_rule_exact(
         &self,
-        goal: &Goal,
+        scope: Scope,
         stmt: &Formula,
         target: &Formula,
         uni: &Unifier,
@@ -341,7 +447,7 @@ impl<'a> Search<'a> {
         }
         let mut cur = u2;
         for p in &premises {
-            match self.solve(goal, p, cur, depth - 1, fuel)? {
+            match self.solve_in(scope, p, cur, depth - 1, fuel)? {
                 Some(next) => cur = next,
                 None => return Ok(None),
             }
@@ -350,6 +456,17 @@ impl<'a> Search<'a> {
             return Ok(None);
         }
         Ok(Some(cur))
+    }
+}
+
+/// Failure-table replays, counted when tracing is armed.
+static HITS: HotCounter = HotCounter::new("minicoq.auto_fail.hit");
+/// Failures recorded into a table, counted when tracing is armed.
+static RECORDED: HotCounter = HotCounter::new("minicoq.auto_fail.recorded");
+
+fn count(counter: &HotCounter) {
+    if proof_trace::enabled() {
+        counter.inc();
     }
 }
 
@@ -493,13 +610,13 @@ pub(super) mod tests {
         /// resolved, instantiated and unified at every node.
         pub(super) fn search_candidates_linear(
             &self,
-            goal: &Goal,
+            scope: Scope,
             target: &Formula,
             uni: Unifier,
             depth: u32,
             fuel: &mut Fuel,
         ) -> Result<Option<Unifier>, TacticError> {
-            for (_, hf) in &goal.hyps {
+            for (_, hf) in &scope.goal.hyps {
                 fuel.charge(2)?;
                 let mut u2 = uni.clone();
                 if u2.unify_formulas(hf, target, fuel).is_ok() && !leaks(&u2, self.watermark) {
@@ -509,20 +626,20 @@ pub(super) mod tests {
             if depth == 0 {
                 return Ok(None);
             }
-            let hyp_stmts = goal.hyps.iter().map(|(_, f)| f.clone());
+            let hyp_stmts = scope.goal.hyps.iter().map(|(_, f)| f.clone());
             let hints = self
                 .hint_names()
                 .filter_map(|name| self.env.rule_or_lemma(name))
                 .map(|rule| rule.stmt.clone());
             for stmt in hyp_stmts.chain(hints) {
                 fuel.charge(4)?;
-                if let Some(u) = self.try_rule_exact(goal, &stmt, target, &uni, depth, fuel)? {
+                if let Some(u) = self.try_rule_exact(scope, &stmt, target, &uni, depth, fuel)? {
                     return Ok(Some(u));
                 }
                 let exposed = expose_rule(self.env, &stmt);
                 if exposed != stmt {
                     if let Some(u) =
-                        self.try_rule_exact(goal, &exposed, target, &uni, depth, fuel)?
+                        self.try_rule_exact(scope, &exposed, target, &uni, depth, fuel)?
                     {
                         return Ok(Some(u));
                     }
@@ -813,6 +930,95 @@ pub(super) mod tests {
             proved >= 5 && exhausted >= 5,
             "{proved} proved, {exhausted} exhausted"
         );
+    }
+
+    /// [`observe`] on the indexed scan, with the failure table on or off;
+    /// also how many times the table answered.
+    fn observe_table(
+        env: &Env,
+        case: &Case,
+        table: bool,
+        budget: u64,
+    ) -> ((String, u64, u64), u32) {
+        let mut search = Search::new(env, &case.using, case.e_mode, case.watermark);
+        if !table {
+            search.failures = None;
+        }
+        let mut fuel = Fuel::new(budget);
+        let r = search.solve(
+            &case.goal,
+            &case.target,
+            case.uni.clone(),
+            case.depth,
+            &mut fuel,
+        );
+        (
+            (format!("{r:?}"), fuel.spent(), fuel.remaining()),
+            search.hits.get(),
+        )
+    }
+
+    #[test]
+    fn auto_failure_table_charges_fuel_like_a_search_without_it() {
+        let env = list_env();
+        let mut cases = cases(&env);
+        cases.extend([
+            // The second disjunct is the first again: same scope, depth
+            // and ground target.
+            auto_case(&env, "repeated disjunct", "le 0 9 \\/ le 0 9", &[], false),
+            // `In 3 (2 :: [])` fails under `in_cons`, then again once `In`
+            // unfolds to its `match`.
+            Case {
+                depth: 3,
+                ..auto_case(
+                    &env,
+                    "In, folded then unfolded",
+                    "In 3 (1 :: 2 :: [])",
+                    &[],
+                    false,
+                )
+            },
+            Case {
+                depth: 2,
+                ..auto_case(
+                    &env,
+                    "eauto, repeated",
+                    "In 3 (1 :: []) \\/ In 3 (1 :: [])",
+                    &[],
+                    true,
+                )
+            },
+            // A hypothesis over an existential witness: its scope is not
+            // ground, so nothing under it is recorded. `le 7 2` fails once
+            // the first disjunct binds the witness to 0, and then holds by
+            // the hypothesis with the witness free.
+            auto_case(
+                &env,
+                "non-ground scope",
+                "exists n : nat, (le n 2 -> ((n = 0 /\\ le 7 2) \\/ le 7 2))",
+                &[],
+                true,
+            ),
+        ]);
+        let mut hits = 0;
+        for case in &cases {
+            let ((_, full, _), n) = observe_table(&env, case, true, u64::MAX / 2);
+            hits += n;
+            for budget in (0..=full + 1).chain([u64::MAX / 2]) {
+                assert_eq!(
+                    observe_table(&env, case, true, budget).0,
+                    observe_table(&env, case, false, budget).0,
+                    "{}: budget {budget} of {full}",
+                    case.name
+                );
+            }
+        }
+        assert!(hits >= 10, "only {hits} table hits");
+        // `backchain` never keeps a table.
+        let bc = cases.iter().find(|c| c.watermark > 0).unwrap();
+        assert!(Search::new(&env, &[], true, bc.watermark)
+            .failures
+            .is_none());
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub fn intro(env: &Env, goal: &Goal, name: Option<&str>) -> Result<Vec<Goal>, Ta
                 }
                 None => g.fresh(&v),
             };
-            g.concl = subst_formula1(&body, &v, &Term::var(name.clone()));
+            g.concl = subst_formula1(&body, &v, &Term::var(name.clone())).into();
             g.vars.push((name, s));
             Ok(vec![g])
         }
@@ -82,9 +82,9 @@ pub fn intro(env: &Env, goal: &Goal, name: Option<&str>) -> Result<Vec<Goal>, Ta
             if name != v {
                 let mut map = crate::subst::SortSubst::new();
                 map.insert(v, Sort::Var(name.clone()));
-                g.concl = crate::subst::subst_sorts_formula(&body, &map);
+                g.concl = crate::subst::subst_sorts_formula(&body, &map).into();
             } else {
-                g.concl = *body;
+                g.concl = (*body).into();
             }
             g.sort_vars.push(name);
             Ok(vec![g])
@@ -100,7 +100,7 @@ pub fn intro(env: &Env, goal: &Goal, name: Option<&str>) -> Result<Vec<Goal>, Ta
                 None => g.fresh("H"),
             };
             g.hyps.push((name, *p));
-            g.concl = *q;
+            g.concl = (*q).into();
             Ok(vec![g])
         }
         Formula::Not(p) => {
@@ -109,7 +109,7 @@ pub fn intro(env: &Env, goal: &Goal, name: Option<&str>) -> Result<Vec<Goal>, Ta
                 None => g.fresh("H"),
             };
             g.hyps.push((name, *p));
-            g.concl = Formula::False;
+            g.concl = Formula::False.into();
             Ok(vec![g])
         }
         _ => Err(TacticError::rejected("nothing to introduce")),
@@ -126,7 +126,7 @@ pub fn intros(env: &Env, goal: &Goal, names: &[String]) -> Result<Vec<Goal>, Tac
             // Plain `intros` stops at defined predicates rather than
             // unfolding them.
             let stop = !matches!(
-                g.concl,
+                *g.concl,
                 Formula::Forall(..)
                     | Formula::ForallSort(..)
                     | Formula::Implies(..)
@@ -187,16 +187,16 @@ pub(crate) fn split_in(goal: &Goal, concl: &Formula) -> Result<Vec<Goal>, Tactic
     match concl {
         Formula::And(a, b) => {
             let mut g1 = goal.clone();
-            g1.concl = (**a).clone();
+            g1.concl = (**a).clone().into();
             let mut g2 = goal.clone();
-            g2.concl = (**b).clone();
+            g2.concl = (**b).clone().into();
             Ok(vec![g1, g2])
         }
         Formula::Iff(a, b) => {
             let mut g1 = goal.clone();
-            g1.concl = Formula::implies((**a).clone(), (**b).clone());
+            g1.concl = Formula::implies((**a).clone(), (**b).clone()).into();
             let mut g2 = goal.clone();
-            g2.concl = Formula::implies((**b).clone(), (**a).clone());
+            g2.concl = Formula::implies((**b).clone(), (**a).clone()).into();
             Ok(vec![g1, g2])
         }
         Formula::True => Ok(vec![]),
@@ -206,10 +206,10 @@ pub(crate) fn split_in(goal: &Goal, concl: &Formula) -> Result<Vec<Goal>, Tactic
 
 /// `left`.
 pub fn left(goal: &Goal) -> Result<Vec<Goal>, TacticError> {
-    match &goal.concl {
+    match &*goal.concl {
         Formula::Or(a, _) => {
             let mut g = goal.clone();
-            g.concl = (**a).clone();
+            g.concl = (**a).clone().into();
             Ok(vec![g])
         }
         _ => Err(TacticError::rejected("goal is not a disjunction")),
@@ -218,10 +218,10 @@ pub fn left(goal: &Goal) -> Result<Vec<Goal>, TacticError> {
 
 /// `right`.
 pub fn right(goal: &Goal) -> Result<Vec<Goal>, TacticError> {
-    match &goal.concl {
+    match &*goal.concl {
         Formula::Or(_, b) => {
             let mut g = goal.clone();
-            g.concl = (**b).clone();
+            g.concl = (**b).clone().into();
             Ok(vec![g])
         }
         _ => Err(TacticError::rejected("goal is not a disjunction")),
@@ -247,14 +247,14 @@ pub fn exists_tac(
         }
     }
     let mut g = goal.clone();
-    g.concl = subst_formula1(&body, &v, witness);
+    g.concl = subst_formula1(&body, &v, witness).into();
     Ok(vec![g])
 }
 
 /// `exfalso`.
 pub fn exfalso(goal: &Goal) -> Vec<Goal> {
     let mut g = goal.clone();
-    g.concl = Formula::False;
+    g.concl = Formula::False.into();
     vec![g]
 }
 
@@ -307,7 +307,7 @@ pub fn revert(goal: &Goal, names: &[String]) -> Result<Vec<Goal>, TacticError> {
     for n in names.iter().rev() {
         if let Some(f) = g.hyp(n).cloned() {
             g.remove_hyp(n);
-            g.concl = Formula::implies(f, g.concl);
+            g.concl = Formula::implies(f, g.concl.into_formula()).into();
             continue;
         }
         if let Some(s) = g.var_sort(n).cloned() {
@@ -320,10 +320,10 @@ pub fn revert(goal: &Goal, names: &[String]) -> Result<Vec<Goal>, TacticError> {
                 .collect();
             for (hn, hf) in deps.iter().rev() {
                 g.remove_hyp(hn);
-                g.concl = Formula::implies(hf.clone(), g.concl.clone());
+                g.concl = Formula::implies(hf.clone(), Formula::clone(&g.concl)).into();
             }
             g.remove_var(n);
-            g.concl = Formula::Forall(n.clone(), s, Box::new(g.concl));
+            g.concl = Formula::Forall(n.clone(), s, Box::new(g.concl.into_formula())).into();
             continue;
         }
         return Err(TacticError::rejected(format!("no such name: {n}")));
@@ -362,11 +362,11 @@ pub fn symmetry(env: &Env, goal: &Goal, loc: Option<&str>) -> Result<Vec<Goal>, 
             let concl = whnf_prop(env, &g.concl);
             match concl {
                 Formula::Eq(s, a, b) => {
-                    g.concl = Formula::Eq(s, b, a);
+                    g.concl = Formula::Eq(s, b, a).into();
                     Ok(vec![g])
                 }
                 Formula::Iff(a, b) => {
-                    g.concl = Formula::Iff(b, a);
+                    g.concl = Formula::Iff(b, a).into();
                     Ok(vec![g])
                 }
                 _ => Err(TacticError::rejected("goal is not an equality")),
@@ -393,7 +393,7 @@ pub fn symmetry(env: &Env, goal: &Goal, loc: Option<&str>) -> Result<Vec<Goal>, 
 
 /// `f_equal`.
 pub fn f_equal(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, TacticError> {
-    let Formula::Eq(s, a, b) = &goal.concl else {
+    let Formula::Eq(s, a, b) = &*goal.concl else {
         return Err(TacticError::rejected("goal is not an equality"));
     };
     let (Term::App(f, fargs), Term::App(g2, gargs)) = (a, b) else {
@@ -409,7 +409,7 @@ pub fn f_equal(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, Tac
             continue;
         }
         let mut g = goal.clone();
-        g.concl = Formula::Eq(s, x.clone(), y.clone());
+        g.concl = Formula::Eq(s, x.clone(), y.clone()).into();
         out.push(g);
     }
     Ok(out)
@@ -465,7 +465,7 @@ pub fn assert_tac(goal: &Goal, name: Option<&str>, f: &Formula) -> Result<Vec<Go
         None => goal.fresh("H"),
     };
     let mut side = goal.clone();
-    side.concl = f.clone();
+    side.concl = f.clone().into();
     let mut main = goal.clone();
     main.hyps.push((name, f.clone()));
     Ok(vec![side, main])

@@ -227,7 +227,7 @@ fn destruct_var(
         for (_, f) in g.hyps.iter_mut() {
             *f = subst_formula1(f, x, &cterm);
         }
-        g.concl = subst_formula1(&g.concl, x, &cterm);
+        g.concl = subst_formula1(&g.concl, x, &cterm).into();
         if let Some(e) = eqn {
             let ename = if e.is_empty() {
                 fresh_name("Heq", &avoid)
@@ -299,7 +299,7 @@ fn destruct_term(
         g.vars.extend(args.iter().cloned());
         // Like Coq, only the goal is abstracted; hypotheses keep the
         // original term (use `rewrite E in H` to propagate).
-        g.concl = replace_in_formula(&g.concl, t, &cterm);
+        g.concl = replace_in_formula(&g.concl, t, &cterm).into();
         if let Some(e) = eqn {
             let ename = if e.is_empty() {
                 fresh_name("Heq", &avoid)
@@ -339,7 +339,7 @@ pub fn induction(
         .filter(|(_, f)| f.mentions(x))
         .cloned()
         .collect();
-    let mut motive = goal.concl.clone();
+    let mut motive = Formula::clone(&goal.concl);
     for (_, f) in deps.iter().rev() {
         motive = Formula::implies(f.clone(), motive);
     }
@@ -408,7 +408,7 @@ pub fn induction(
             cname.clone(),
             args.iter().map(|(n, _)| Term::var(n.clone())).collect(),
         );
-        g.concl = subst_formula1(&motive, x, &cterm);
+        g.concl = subst_formula1(&motive, x, &cterm).into();
         out.push(g);
     }
     Ok(out)
@@ -558,7 +558,7 @@ pub fn inversion(
                 for (_, f) in g.hyps.iter_mut() {
                     *f = subst_formula1(f, &v, &t);
                 }
-                g.concl = subst_formula1(&g.concl, &v, &t);
+                g.concl = subst_formula1(&g.concl, &v, &t).into();
                 g.remove_var(&v);
                 continue;
             }
@@ -714,7 +714,7 @@ pub fn subst_tac(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, T
         for (_, f) in g.hyps.iter_mut() {
             *f = subst_formula1(f, &v, &t);
         }
-        g.concl = subst_formula1(&g.concl, &v, &t);
+        g.concl = subst_formula1(&g.concl, &v, &t).into();
         g.remove_var(&v);
     }
     Ok(vec![g])

@@ -183,7 +183,7 @@ pub fn rewrite(
     let (pat, repl) = if forward { (l, r) } else { (r, l) };
 
     let target: Formula = match in_hyp {
-        None => goal.concl.clone(),
+        None => Formula::clone(&goal.concl),
         Some(h) => goal
             .hyp(h)
             .cloned()
@@ -221,7 +221,7 @@ pub fn rewrite(
 
     let mut main = goal.clone();
     match in_hyp {
-        None => main.concl = new_target,
+        None => main.concl = new_target.into(),
         Some(h) => {
             main.set_hyp(h, new_target);
         }
@@ -236,7 +236,7 @@ pub fn rewrite(
             ));
         }
         let mut g = goal.clone();
-        g.concl = resolved;
+        g.concl = resolved.into();
         out.push(g);
     }
     Ok(out)
@@ -267,7 +267,7 @@ pub fn unfold(
     };
     match loc {
         Loc::Goal => {
-            g.concl = apply_to(&g.concl, fuel)?;
+            g.concl = apply_to(&g.concl, fuel)?.into();
         }
         Loc::Hyp(h) => {
             let Some(f) = g.hyp(h).cloned() else {
@@ -282,7 +282,7 @@ pub fn unfold(
                 let nf = apply_to(&f, fuel)?;
                 g.set_hyp(&n, nf);
             }
-            g.concl = apply_to(&g.concl, fuel)?;
+            g.concl = apply_to(&g.concl, fuel)?.into();
         }
     }
     Ok(vec![g])
@@ -402,7 +402,7 @@ pub fn simpl(env: &Env, goal: &Goal, loc: &Loc, fuel: &mut Fuel) -> Result<Vec<G
     let mut g = goal.clone();
     match loc {
         Loc::Goal => {
-            g.concl = normalize_formula(env, &g.concl, EvalMode::simpl(), fuel)?;
+            g.concl = normalize_formula(env, &g.concl, EvalMode::simpl(), fuel)?.into();
         }
         Loc::Hyp(h) => {
             let Some(f) = g.hyp(h).cloned() else {
@@ -417,7 +417,7 @@ pub fn simpl(env: &Env, goal: &Goal, loc: &Loc, fuel: &mut Fuel) -> Result<Vec<G
                 let nf = normalize_formula(env, &f, EvalMode::simpl(), fuel)?;
                 g.set_hyp(&n, nf);
             }
-            g.concl = normalize_formula(env, &g.concl, EvalMode::simpl(), fuel)?;
+            g.concl = normalize_formula(env, &g.concl, EvalMode::simpl(), fuel)?.into();
         }
     }
     Ok(vec![g])

@@ -571,7 +571,7 @@ impl TacticModel for SimulatedModel {
 
 impl SimulatedModel {
     fn structural_candidates(&self, env: &Env, goal: &Goal, cands: &mut Candidates) {
-        let concl = &goal.concl;
+        let concl: &Formula = &goal.concl;
         match concl {
             Formula::Forall(..)
             | Formula::Implies(..)

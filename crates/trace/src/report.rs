@@ -141,7 +141,9 @@ fn ms(ns: u64) -> f64 {
 }
 
 /// Renders the full report: phase breakdown, slowest cells, per-tactic
-/// latency/outcome table, and the oracle fault-recovery summary.
+/// latency/outcome table, the oracle fault-recovery summary, and what the
+/// kernel replayed instead of recomputing (goal normal forms computed and
+/// replayed, `auto` failures recorded and hit).
 pub fn render_report(
     spans: &[Span],
     metrics: &MetricsSnapshot,
@@ -253,6 +255,19 @@ pub fn render_report(
             depth.count,
             depth.mean(),
             depth.quantile_upper(0.95)
+        );
+    }
+    let _ = writeln!(out, "\n== Kernel replay counters ==");
+    for key in [
+        "minicoq.target_nf.computed",
+        "minicoq.target_nf.replayed",
+        "minicoq.auto_fail.recorded",
+        "minicoq.auto_fail.hit",
+    ] {
+        let _ = writeln!(
+            out,
+            "  {key:32} {}",
+            metrics.counters.get(key).copied().unwrap_or(0)
         );
     }
     let stm: Vec<(&String, &u64)> = metrics
