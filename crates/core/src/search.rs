@@ -4,12 +4,14 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
+use minicoq::analysis::ReasonCode;
 use minicoq::env::Env;
 use minicoq::formula::Formula;
 use minicoq::goal::ProofState;
 use minicoq_stm::{AddError, ProofSession, SessionConfig, StateId};
 use proof_chaos::FaultPlan;
 use proof_oracle::{ChaoticModel, PromptInfo, Proposal, QueryCtx, TacticModel};
+use proof_trace::metrics::HotCounter;
 use serde::Serialize;
 
 /// Search strategies; `BestFirst` is the paper's, the others are ablation
@@ -87,6 +89,10 @@ impl Default for SearchConfig {
     }
 }
 
+/// Retries per failed oracle call before giving up (on top of the initial
+/// attempt).
+pub const ORACLE_RETRIES: u32 = 3;
+
 /// How the search recovers from oracle-layer failure, and which fault
 /// plan (if any) is injecting failures to recover from.
 ///
@@ -95,11 +101,8 @@ impl Default for SearchConfig {
 /// results (a retried query reuses its `query_index`, so the recovered
 /// answer is the one a clean run gets) and therefore must not enter the
 /// cell cache key, which is derived from `SearchConfig`'s `Debug` form.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct RecoveryConfig {
-    /// Retries per failed oracle call before giving up (on top of the
-    /// initial attempt).
-    pub oracle_retries: u32,
     /// Seeded fault plan to inject oracle faults and prover stalls;
     /// `None` runs clean (and then the retry loop never engages).
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -112,19 +115,8 @@ pub struct RecoveryConfig {
     pub collect_attempts: bool,
 }
 
-impl Default for RecoveryConfig {
-    fn default() -> RecoveryConfig {
-        RecoveryConfig {
-            oracle_retries: 3,
-            fault_plan: None,
-            collect_attempts: false,
-        }
-    }
-}
-
 impl RecoveryConfig {
-    /// A recovery layer driving the given fault plan, with the default
-    /// retry count.
+    /// A recovery layer driving the given fault plan.
     pub fn with_plan(plan: Arc<FaultPlan>) -> RecoveryConfig {
         RecoveryConfig {
             fault_plan: Some(plan),
@@ -395,7 +387,6 @@ fn propose_with_retry(
     model: &mut dyn TacticModel,
     ctx: &QueryCtx<'_>,
     width: usize,
-    recovery: &RecoveryConfig,
 ) -> (Vec<Proposal>, u32, u32) {
     let mut faults = 0u32;
     let mut attempt = 0u32;
@@ -409,10 +400,10 @@ fn propose_with_retry(
                 // from the registry), and faults are rare enough that a
                 // counter bump is free.
                 proof_trace::metrics::counter_inc("search.oracle_faults");
-                if attempt >= recovery.oracle_retries {
+                if attempt >= ORACLE_RETRIES {
                     panic!(
-                        "oracle failed after {} retries at {} q{}: {fault}",
-                        recovery.oracle_retries, ctx.theorem, ctx.query_index
+                        "oracle failed after {ORACLE_RETRIES} retries at {} q{}: {fault}",
+                        ctx.theorem, ctx.query_index
                     );
                 }
                 attempt += 1;
@@ -481,10 +472,7 @@ fn commit_proposals(
                 record(stats, &prop.tactic, None, AttemptOutcome::Preflight);
                 stats.preflight_pruned += 1;
                 if proof_trace::enabled() {
-                    proof_trace::metrics::counter_inc(&format!(
-                        "search.preflight.{}",
-                        r.code.code()
-                    ));
+                    PRUNED[r.code as usize].inc();
                 }
                 *stats
                     .preflight_reasons
@@ -499,6 +487,22 @@ fn commit_proposals(
     }
     None
 }
+
+/// The `search.preflight.<code>` counters, one per [`ReasonCode`] in
+/// declaration order, resolved once instead of looked up per prune.
+static PRUNED: [HotCounter; ReasonCode::ALL.len()] = [
+    HotCounter::new("search.preflight.unknown-name"),
+    HotCounter::new("search.preflight.name-in-use"),
+    HotCounter::new("search.preflight.head-mismatch"),
+    HotCounter::new("search.preflight.non-equation"),
+    HotCounter::new("search.preflight.not-inductive"),
+    HotCounter::new("search.preflight.atomic-conclusion"),
+    HotCounter::new("search.preflight.goal-shape"),
+    HotCounter::new("search.preflight.arity-mismatch"),
+    HotCounter::new("search.preflight.malformed-tactical"),
+    HotCounter::new("search.preflight.empty-context"),
+    HotCounter::new("search.preflight.always-fails"),
+];
 
 /// Marks the attempts forming the proved script's root-to-QED chain. The
 /// chain is reconstructed from the records themselves: starting at the
@@ -585,7 +589,7 @@ impl Asker<'_> {
             query_index,
         };
         let mut sp = proof_trace::span("oracle", self.theorem);
-        let answer = propose_with_retry(model, &ctx, self.width, self.recovery);
+        let answer = propose_with_retry(model, &ctx, self.width);
         if sp.is_armed() {
             sp.field_u64("query", query_index as u64);
             sp.field_u64("proposals", answer.0.len() as u64);
@@ -637,7 +641,7 @@ pub fn search(
 /// As [`search`], with an explicit transport layer.
 ///
 /// **Oracle recovery.** Failed oracle calls ([`proof_oracle::OracleFault`])
-/// are retried at once, up to `recovery.oracle_retries` times. A retried
+/// are retried at once, up to [`ORACLE_RETRIES`] times. A retried
 /// query keeps its `query_index` and does not count against the query
 /// limit, so a recovered run is indistinguishable from a clean one. When
 /// the plan's faults outlast every retry the oracle is genuinely down; the
@@ -755,12 +759,24 @@ pub fn search_with_recovery(
     };
     stats.fuel_spent = session.fuel_spent();
     stats.tree_size = session.live_states();
+    // Freeing the state tree is STM work, a sizeable share of a short
+    // search: give it a span so the trace books it there.
+    let _sp = proof_trace::span("stm", "drop");
+    drop(session);
     SearchResult { outcome, stats }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_reason_code_bumps_its_own_prune_counter() {
+        for code in ReasonCode::ALL {
+            let name = format!("search.preflight.{}", code.code());
+            assert_eq!(PRUNED[code as usize].name(), name);
+        }
+    }
 
     /// The original drain-and-scan pop, kept verbatim as the order oracle
     /// for the indexed frontier.

@@ -6,27 +6,33 @@
 //! `Err` (any error: rejection or timeout both mean the search discards the
 //! proposal). The checks fall into three families:
 //!
-//! * **exact mirrors** of deterministic, fuel-free evaluator prefixes
-//!   (name resolution, `whnf` goal shapes, the `rewrite` equality check on
-//!   the very same cached rule readings, [`crate::rule`], the evaluator
-//!   reads);
+//! * **exact** verdicts on deterministic, fuel-free evaluator steps. The
+//!   whole steps `intro`, `intros`, `clear`, `revert`, `exists`,
+//!   `symmetry` and `assert` are the kernel's own functions, called here:
+//!   they fail with a [`PreflightRejection`], so the checker rejects
+//!   exactly when the evaluator does. For the remaining fuel-free
+//!   prefixes (name resolution, `whnf` goal shapes, the `rewrite` equality
+//!   check on the very same cached rule readings, [`crate::rule`], the
+//!   evaluator reads) the checks mirror the evaluator;
 //! * **under-approximations** where the evaluator's behaviour depends on
 //!   unification or fuel (the `apply` head-symbol analysis treats any head
 //!   that conversion could still change as a wildcard);
 //! * **tactical reasoning** (`;`-dispatch arity, `first` with every branch
 //!   rejected) justified by the tactical semantics in `apply_tactic`.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::env::{Env, PredDef};
+use crate::error::TacticError;
 use crate::formula::Formula;
 use crate::fuel::Fuel;
 use crate::goal::{Goal, ProofState};
 use crate::rule::{Rule, RuleForm};
-use crate::sort::Sort;
-use crate::subst::{subst_formula1, subst_sorts_formula, SortSubst};
-use crate::tactic::{candidate_subterms, stmt_of, whnf_prop, DestructTarget, Loc, Tactic};
+use crate::subst::{subst_sorts_formula, SortSubst};
+use crate::tactic::{
+    assert_tac, candidate_subterms, clear, exists_tac, intro, intros, revert, stmt_of, symmetry,
+    whnf_prop, DestructTarget, Loc, Tactic,
+};
 use crate::term::Term;
 use crate::unify::{InstantiatedRule, Unifier};
 
@@ -106,13 +112,32 @@ impl fmt::Display for ReasonCode {
     }
 }
 
-/// A static rejection: the reason class plus a human-readable detail.
+/// A static rejection: the reason class plus a human-readable detail. The
+/// fuel-free kernel steps (`intro`, `intros`, `clear`, `revert`, `exists`,
+/// `symmetry`, `assert`) fail with one, so the checker reports exactly
+/// their verdict; the evaluator reports its detail as a
+/// [`TacticError::Rejected`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreflightRejection {
     /// The taxonomy class.
     pub code: ReasonCode,
     /// Human-readable specifics (names, shapes).
     pub detail: String,
+}
+
+impl PreflightRejection {
+    pub(crate) fn new(code: ReasonCode, detail: impl Into<String>) -> PreflightRejection {
+        PreflightRejection {
+            code,
+            detail: detail.into(),
+        }
+    }
+}
+
+impl From<PreflightRejection> for TacticError {
+    fn from(r: PreflightRejection) -> TacticError {
+        TacticError::Rejected(r.detail)
+    }
 }
 
 impl fmt::Display for PreflightRejection {
@@ -138,10 +163,15 @@ impl PreflightVerdict {
 }
 
 fn reject(code: ReasonCode, detail: impl Into<String>) -> PreflightVerdict {
-    PreflightVerdict::Reject(PreflightRejection {
-        code,
-        detail: detail.into(),
-    })
+    PreflightVerdict::Reject(PreflightRejection::new(code, detail))
+}
+
+/// The verdict of running a fuel-free kernel step.
+fn verdict<T>(step: Result<T, PreflightRejection>) -> PreflightVerdict {
+    match step {
+        Ok(_) => PreflightVerdict::Accept,
+        Err(r) => PreflightVerdict::Reject(r),
+    }
 }
 
 /// Pre-flight check against a proof state: the tactic will run on the
@@ -196,14 +226,16 @@ pub fn preflight_goal(env: &Env, goal: &Goal, tac: &Tactic, fuel_budget: u64) ->
         }
         Tactic::SeqDispatch(t1, ts) => check_dispatch(env, goal, t1, ts, fuel_budget),
 
-        // Introduction and context management.
-        Tactic::Intro(name) => check_intro(env, goal, name.as_deref()),
-        Tactic::Intros(names) => check_intros(env, goal, names),
+        // Introduction and context management: the kernel's own steps.
+        // Plain `intros` never fails, so it is not worth running twice.
+        Tactic::Intros(names) if names.is_empty() => Accept,
+        Tactic::Intro(name) => verdict(intro(env, goal, name.as_deref())),
+        Tactic::Intros(names) => verdict(intros(env, goal, names)),
         Tactic::Exact(h) => check_hyp_exists(goal, h),
         Tactic::Assumption => check_nonempty_context(goal, "assumption"),
         Tactic::Contradiction => check_nonempty_context(goal, "contradiction"),
-        Tactic::Clear(names) => check_clear(goal, names),
-        Tactic::Revert(names) => check_revert(goal, names),
+        Tactic::Clear(names) => verdict(clear(goal, names)),
+        Tactic::Revert(names) => verdict(revert(goal, names)),
 
         // Goal-shape tactics.
         Tactic::Split => match *goal.concl {
@@ -214,14 +246,14 @@ pub fn preflight_goal(env: &Env, goal: &Goal, tac: &Tactic, fuel_budget: u64) ->
             Formula::Or(..) => Accept,
             _ => reject(ReasonCode::GoalShape, "goal is not a disjunction"),
         },
-        Tactic::ExistsTac(witness) => check_exists(env, goal, witness),
+        Tactic::ExistsTac(witness) => verdict(exists_tac(env, goal, witness)),
         Tactic::Reflexivity => match whnf_prop(env, &goal.concl) {
             Formula::Eq(..) | Formula::Iff(..) | Formula::True => Accept,
             _ => reject(ReasonCode::GoalShape, "goal is not an equality"),
         },
-        Tactic::Symmetry(loc) => check_symmetry(env, goal, loc.as_deref()),
+        Tactic::Symmetry(loc) => verdict(symmetry(env, goal, loc.as_deref())),
         Tactic::FEqual => check_f_equal(goal),
-        Tactic::Assert(_, f) => check_formula_vars(goal, f),
+        Tactic::Assert(name, f) => verdict(assert_tac(goal, name.as_deref(), f)),
 
         // Chaining.
         Tactic::Apply {
@@ -391,78 +423,6 @@ fn success_goal_count(env: &Env, goal: &Goal, tac: &Tactic) -> Option<usize> {
 // ---------------------------------------------------------------------------
 // Introduction and context management
 
-fn check_intro(env: &Env, goal: &Goal, name: Option<&str>) -> PreflightVerdict {
-    match name {
-        Some(n) => check_intros(env, goal, std::slice::from_ref(&n.to_string())),
-        None => match whnf_prop(env, &goal.concl) {
-            Formula::Forall(..)
-            | Formula::ForallSort(..)
-            | Formula::Implies(..)
-            | Formula::Not(..) => PreflightVerdict::Accept,
-            _ => reject(ReasonCode::AtomicConclusion, "nothing to introduce"),
-        },
-    }
-}
-
-/// Exact simulation of `intros names`: the evaluator's per-step scope is
-/// the initial scope plus the names introduced so far, and the conclusion
-/// evolves by the same substitutions the evaluator performs.
-fn check_intros(env: &Env, goal: &Goal, names: &[String]) -> PreflightVerdict {
-    if names.is_empty() {
-        // Plain `intros` is a no-op when there is nothing to introduce.
-        return PreflightVerdict::Accept;
-    }
-    let mut scope = goal.names_in_scope();
-    let mut sort_vars: BTreeSet<String> = goal.sort_vars.iter().cloned().collect();
-    let mut cur = Formula::clone(&goal.concl);
-    for n in names {
-        match whnf_prop(env, &cur) {
-            Formula::Forall(v, _, body) => {
-                if scope.contains(n) {
-                    return reject(ReasonCode::NameInUse, format!("name {n} already used"));
-                }
-                cur = subst_formula1(&body, &v, &Term::var(n.clone()));
-                scope.insert(n.clone());
-            }
-            Formula::ForallSort(v, body) => {
-                if sort_vars.contains(n) {
-                    return reject(
-                        ReasonCode::NameInUse,
-                        format!("sort variable {n} already used"),
-                    );
-                }
-                cur = if *n != v {
-                    let mut map = SortSubst::new();
-                    map.insert(v, Sort::Var(n.clone()));
-                    subst_sorts_formula(&body, &map)
-                } else {
-                    *body
-                };
-                sort_vars.insert(n.clone());
-                scope.insert(n.clone());
-            }
-            Formula::Implies(_, q) => {
-                if scope.contains(n) {
-                    return reject(ReasonCode::NameInUse, format!("name {n} already used"));
-                }
-                cur = *q;
-                scope.insert(n.clone());
-            }
-            Formula::Not(_) => {
-                cur = Formula::False;
-                scope.insert(n.clone());
-            }
-            _ => {
-                return reject(
-                    ReasonCode::AtomicConclusion,
-                    format!("nothing to introduce for {n}"),
-                )
-            }
-        }
-    }
-    PreflightVerdict::Accept
-}
-
 fn check_hyp_exists(goal: &Goal, h: &str) -> PreflightVerdict {
     if goal.hyp(h).is_none() {
         reject(ReasonCode::UnknownName, format!("no hypothesis {h}"))
@@ -482,85 +442,8 @@ fn check_nonempty_context(goal: &Goal, tactic: &str) -> PreflightVerdict {
     }
 }
 
-/// Exact mirror of `clear`'s (pure, fuel-free) name loop.
-fn check_clear(goal: &Goal, names: &[String]) -> PreflightVerdict {
-    let mut g = goal.clone();
-    for n in names {
-        if g.remove_hyp(n) {
-            continue;
-        }
-        if g.var_sort(n).is_some() {
-            let used = g.hyps.iter().any(|(_, f)| f.mentions(n)) || g.concl.mentions(n);
-            if used {
-                return reject(ReasonCode::NameInUse, format!("{n} is used in the goal"));
-            }
-            g.remove_var(n);
-            continue;
-        }
-        return reject(ReasonCode::UnknownName, format!("no such hypothesis: {n}"));
-    }
-    PreflightVerdict::Accept
-}
-
-/// Exact mirror of `revert`'s name-resolution loop (the conclusion rebuilt
-/// by `revert` never affects which names resolve).
-fn check_revert(goal: &Goal, names: &[String]) -> PreflightVerdict {
-    let mut g = goal.clone();
-    for n in names.iter().rev() {
-        if g.hyp(n).is_some() {
-            g.remove_hyp(n);
-            continue;
-        }
-        if g.var_sort(n).is_some() {
-            let deps: Vec<String> = g
-                .hyps
-                .iter()
-                .filter(|(_, f)| f.mentions(n))
-                .map(|(hn, _)| hn.clone())
-                .collect();
-            for hn in &deps {
-                g.remove_hyp(hn);
-            }
-            g.remove_var(n);
-            continue;
-        }
-        return reject(ReasonCode::UnknownName, format!("no such name: {n}"));
-    }
-    PreflightVerdict::Accept
-}
-
 // ---------------------------------------------------------------------------
 // Goal-shape tactics
-
-fn check_exists(env: &Env, goal: &Goal, witness: &Term) -> PreflightVerdict {
-    if !matches!(whnf_prop(env, &goal.concl), Formula::Exists(..)) {
-        return reject(ReasonCode::GoalShape, "goal is not an existential");
-    }
-    let mut fv = BTreeSet::new();
-    witness.free_vars(&mut fv);
-    for x in &fv {
-        if goal.var_sort(x).is_none() {
-            return reject(ReasonCode::UnknownName, format!("unknown variable {x}"));
-        }
-    }
-    PreflightVerdict::Accept
-}
-
-fn check_symmetry(env: &Env, goal: &Goal, loc: Option<&str>) -> PreflightVerdict {
-    match loc {
-        None => match whnf_prop(env, &goal.concl) {
-            Formula::Eq(..) | Formula::Iff(..) => PreflightVerdict::Accept,
-            _ => reject(ReasonCode::GoalShape, "goal is not an equality"),
-        },
-        Some(h) => match goal.hyp(h) {
-            None => reject(ReasonCode::UnknownName, format!("no hypothesis {h}")),
-            Some(f) => match whnf_prop(env, f) {
-                Formula::Eq(..) | Formula::Iff(..) => PreflightVerdict::Accept,
-                _ => reject(ReasonCode::NonEquation, "hypothesis is not an equality"),
-            },
-        },
-    }
-}
 
 fn check_f_equal(goal: &Goal) -> PreflightVerdict {
     let Formula::Eq(_, a, b) = &*goal.concl else {
@@ -571,17 +454,6 @@ fn check_f_equal(goal: &Goal) -> PreflightVerdict {
     };
     if f != g || fargs.len() != gargs.len() {
         return reject(ReasonCode::HeadMismatch, "head symbols differ");
-    }
-    PreflightVerdict::Accept
-}
-
-fn check_formula_vars(goal: &Goal, f: &Formula) -> PreflightVerdict {
-    let mut fv = BTreeSet::new();
-    f.free_vars(&mut fv);
-    for x in &fv {
-        if goal.var_sort(x).is_none() {
-            return reject(ReasonCode::UnknownName, format!("unknown variable {x}"));
-        }
     }
     PreflightVerdict::Accept
 }
@@ -794,16 +666,6 @@ fn check_pose_proof(
 // ---------------------------------------------------------------------------
 // Case analysis
 
-/// Can `intro_until_var` make at least one step? If the conclusion's weak
-/// head has no binder or premise, the target can never become a context
-/// variable and `destruct`/`induction` fail immediately.
-fn intro_can_step(env: &Env, goal: &Goal) -> bool {
-    matches!(
-        whnf_prop(env, &goal.concl),
-        Formula::Forall(..) | Formula::ForallSort(..) | Formula::Implies(..) | Formula::Not(..)
-    )
-}
-
 fn check_destruct(env: &Env, goal: &Goal, target: &DestructTarget) -> PreflightVerdict {
     match target {
         DestructTarget::Name(n) => check_destruct_name(env, goal, n),
@@ -851,7 +713,9 @@ fn check_destruct_name(env: &Env, goal: &Goal, n: &str) -> PreflightVerdict {
             PreflightVerdict::Accept
         };
     }
-    if intro_can_step(env, goal) {
+    // Otherwise `destruct` introduces binders until `n` is a variable;
+    // it fails if it cannot make the first step.
+    if intro(env, goal, None).is_ok() {
         PreflightVerdict::Accept
     } else {
         reject(ReasonCode::UnknownName, format!("no such name: {n}"))
@@ -879,7 +743,7 @@ fn check_induction(env: &Env, goal: &Goal, x: &str) -> PreflightVerdict {
             format!("{x} is a hypothesis, not an inducible variable"),
         );
     }
-    if intro_can_step(env, goal) {
+    if intro(env, goal, None).is_ok() {
         PreflightVerdict::Accept
     } else {
         reject(ReasonCode::UnknownName, format!("{x} is not a variable"))

@@ -145,35 +145,45 @@ impl Formula {
         Node::Formula(self).size()
     }
 
+    /// The formula under its leading `ForallSort`/`Forall`/`Implies`
+    /// prefix, borrowed: the conclusion a rule stated this way proves.
+    pub fn conclusion(&self) -> &Formula {
+        let mut cur = self;
+        loop {
+            match cur {
+                Formula::ForallSort(_, body) | Formula::Forall(_, _, body) => cur = body,
+                Formula::Implies(_, q) => cur = q,
+                _ => return cur,
+            }
+        }
+    }
+
     /// Peels the leading universal quantifiers and implications, returning
-    /// `(sort binders, term binders, premises, conclusion)`.
+    /// `(sort binders, term binders, premises, conclusion)`. Use
+    /// [`Formula::conclusion`] when only the conclusion is wanted.
     pub fn peel(&self) -> PeeledFormula<'_> {
-        let mut sort_binders = Vec::new();
-        let mut binders = Vec::new();
-        let mut premises = Vec::new();
+        let mut peeled = PeeledFormula {
+            sort_binders: Vec::new(),
+            binders: Vec::new(),
+            premises: Vec::new(),
+            conclusion: self.conclusion(),
+        };
         let mut cur = self;
         loop {
             match cur {
                 Formula::ForallSort(v, body) => {
-                    sort_binders.push(v.clone());
+                    peeled.sort_binders.push(v.clone());
                     cur = body;
                 }
                 Formula::Forall(v, s, body) => {
-                    binders.push((v.clone(), s.clone()));
+                    peeled.binders.push((v.clone(), s.clone()));
                     cur = body;
                 }
                 Formula::Implies(p, q) => {
-                    premises.push(p.as_ref());
+                    peeled.premises.push(p.as_ref());
                     cur = q;
                 }
-                _ => {
-                    return PeeledFormula {
-                        sort_binders,
-                        binders,
-                        premises,
-                        conclusion: cur,
-                    }
-                }
+                _ => return peeled,
             }
         }
     }

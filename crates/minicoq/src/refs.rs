@@ -149,7 +149,7 @@ impl LemmaFacts {
         LemmaFacts {
             refs: refs.into_iter().map(str::to_owned).collect(),
             size: stmt.size(),
-            head: ConclusionHead::of(stmt.peel().conclusion),
+            head: ConclusionHead::of(stmt.conclusion()),
             fingerprint: fnv1a(format!("{stmt:?}").as_bytes()),
         }
     }

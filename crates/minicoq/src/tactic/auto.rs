@@ -392,7 +392,7 @@ impl<'a> Search<'a> {
                     return Ok(Some(u));
                 }
             }
-            Ok(None)
+            Ok::<_, TacticError>(None)
         };
         for (_, hf) in &scope.goal.hyps {
             if let Some(u) = try_rule(hf, exposed_form(self.env, hf).as_ref(), fuel)? {
@@ -486,24 +486,13 @@ fn same_head(a: &Formula, b: &Formula) -> bool {
     }
 }
 
-/// `stmt` without the `ForallSort`/`Forall`/`Implies` prefix that
-/// [`instantiate_rule`] strips. Instantiation only substitutes, so this has
-/// the head of the instantiated conclusion.
-fn conclusion(mut stmt: &Formula) -> &Formula {
-    loop {
-        match stmt {
-            Formula::ForallSort(_, body) | Formula::Forall(_, _, body) => stmt = body,
-            Formula::Implies(_, q) => stmt = q,
-            _ => return stmt,
-        }
-    }
-}
-
 /// Whether a rule stated as `stmt` can get past unifying its conclusion
 /// with `target`: the heads agree, or a `~P` conclusion meets a `False`
 /// target (proved from premise `P`).
 fn concludes(stmt: &Formula, target: &Formula) -> bool {
-    let concl = conclusion(stmt);
+    // Instantiation only substitutes, so the instantiated conclusion has
+    // the head of `stmt`'s own.
+    let concl = stmt.conclusion();
     same_head(concl, target) || matches!((concl, target), (Formula::Not(_), Formula::False))
 }
 
@@ -511,7 +500,7 @@ fn concludes(stmt: &Formula, target: &Formula) -> bool {
 /// only changes a conclusion that weak-head unfolds, so any other
 /// conclusion skips the unfolding.
 fn exposed_form(env: &Env, stmt: &Formula) -> Option<Formula> {
-    if !matches!(conclusion(stmt), Formula::Pred(..) | Formula::FMatch(..)) {
+    if !matches!(stmt.conclusion(), Formula::Pred(..) | Formula::FMatch(..)) {
         return None;
     }
     let exposed = expose_rule(env, stmt);

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeSet;
 
+use crate::analysis::{PreflightRejection, ReasonCode};
 use crate::env::{Env, PredDef};
 use crate::error::TacticError;
 use crate::eval::{conv_eq_formula, conv_eq_term, fix_unfolds, unfold_pred, EvalMode};
@@ -9,9 +10,10 @@ use crate::formula::Formula;
 use crate::fuel::Fuel;
 use crate::goal::Goal;
 use crate::sort::Sort;
-use crate::subst::subst_formula1;
+use crate::subst::{fresh_name, subst_formula1};
 use crate::term::Term;
 use crate::unify::Unifier;
+use crate::Ident;
 
 /// Weak-head exposure of a proposition: unfolds defined predicates and
 /// reduces decidable formula-matches until a logical connective (or an
@@ -50,110 +52,110 @@ pub(crate) fn whnf_prop(env: &Env, f: &Formula) -> Formula {
     cur
 }
 
-/// `intro [name]`.
-pub fn intro(env: &Env, goal: &Goal, name: Option<&str>) -> Result<Vec<Goal>, TacticError> {
-    let concl = whnf_prop(env, &goal.concl);
-    let mut g = goal.clone();
-    match concl {
+/// One introduction step, the only one: moves the binder or premise at the
+/// head of `exposed` (the conclusion, read through [`whnf_prop`] unless the
+/// caller wants no unfolding) into the context as `name`, or as a name
+/// fresh against `scope`. `scope` is `g.names_in_scope()` and stays so, so
+/// a run of steps never rebuilds it. On failure `g` is untouched.
+pub(crate) fn intro_binder(
+    g: &mut Goal,
+    scope: &mut BTreeSet<Ident>,
+    exposed: Formula,
+    name: Option<&str>,
+) -> Result<(), PreflightRejection> {
+    let unused = |n: &str| -> Result<Ident, PreflightRejection> {
+        if scope.contains(n) {
+            return Err(PreflightRejection::new(
+                ReasonCode::NameInUse,
+                format!("name {n} already used"),
+            ));
+        }
+        Ok(n.to_string())
+    };
+    let (name, concl) = match exposed {
         Formula::Forall(v, s, body) => {
             let name = match name {
-                Some(n) => {
-                    if goal.names_in_scope().contains(n) {
-                        return Err(TacticError::rejected(format!("name {n} already used")));
-                    }
-                    n.to_string()
-                }
-                None => g.fresh(&v),
+                Some(n) => unused(n)?,
+                None => fresh_name(&v, scope),
             };
-            g.concl = subst_formula1(&body, &v, &Term::var(name.clone())).into();
-            g.vars.push((name, s));
-            Ok(vec![g])
+            let concl = subst_formula1(&body, &v, &Term::var(name.clone()));
+            g.vars.push((name.clone(), s));
+            (name, concl)
         }
         Formula::ForallSort(v, body) => {
-            let name = match name {
-                Some(n) => n.to_string(),
-                None => v.clone(),
-            };
+            let name = name.map_or_else(|| v.clone(), str::to_string);
             if g.sort_vars.contains(&name) {
-                return Err(TacticError::rejected(format!(
-                    "sort variable {name} already used"
-                )));
+                return Err(PreflightRejection::new(
+                    ReasonCode::NameInUse,
+                    format!("sort variable {name} already used"),
+                ));
             }
-            if name != v {
+            let concl = if name != v {
                 let mut map = crate::subst::SortSubst::new();
                 map.insert(v, Sort::Var(name.clone()));
-                g.concl = crate::subst::subst_sorts_formula(&body, &map).into();
+                crate::subst::subst_sorts_formula(&body, &map)
             } else {
-                g.concl = (*body).into();
-            }
-            g.sort_vars.push(name);
-            Ok(vec![g])
+                *body
+            };
+            g.sort_vars.push(name.clone());
+            (name, concl)
         }
         Formula::Implies(p, q) => {
             let name = match name {
-                Some(n) => {
-                    if goal.names_in_scope().contains(n) {
-                        return Err(TacticError::rejected(format!("name {n} already used")));
-                    }
-                    n.to_string()
-                }
-                None => g.fresh("H"),
+                Some(n) => unused(n)?,
+                None => fresh_name("H", scope),
             };
-            g.hyps.push((name, *p));
-            g.concl = (*q).into();
-            Ok(vec![g])
+            g.hyps.push((name.clone(), *p));
+            (name, *q)
         }
         Formula::Not(p) => {
-            let name = match name {
-                Some(n) => n.to_string(),
-                None => g.fresh("H"),
-            };
-            g.hyps.push((name, *p));
-            g.concl = Formula::False.into();
-            Ok(vec![g])
+            let name = name.map_or_else(|| fresh_name("H", scope), str::to_string);
+            g.hyps.push((name.clone(), *p));
+            (name, Formula::False)
         }
-        _ => Err(TacticError::rejected("nothing to introduce")),
-    }
+        _ => {
+            return Err(PreflightRejection::new(
+                ReasonCode::AtomicConclusion,
+                "nothing to introduce",
+            ))
+        }
+    };
+    g.concl = concl.into();
+    scope.insert(name);
+    Ok(())
+}
+
+/// `intro [name]`.
+pub fn intro(env: &Env, goal: &Goal, name: Option<&str>) -> Result<Goal, PreflightRejection> {
+    let mut g = goal.clone();
+    intro_binder(
+        &mut g,
+        &mut goal.names_in_scope(),
+        whnf_prop(env, &goal.concl),
+        name,
+    )?;
+    Ok(g)
 }
 
 /// `intros [names]`. With no names, introduces greedily but does not unfold
-/// definitions to find more products.
-pub fn intros(env: &Env, goal: &Goal, names: &[String]) -> Result<Vec<Goal>, TacticError> {
+/// definitions to find more products, and like Coq succeeds as a no-op when
+/// there is nothing to introduce.
+pub fn intros(env: &Env, goal: &Goal, names: &[String]) -> Result<Goal, PreflightRejection> {
+    let mut g = goal.clone();
+    let mut scope = goal.names_in_scope();
     if names.is_empty() {
-        let mut g = goal.clone();
-        let mut introduced = false;
         loop {
-            // Plain `intros` stops at defined predicates rather than
-            // unfolding them.
-            let stop = !matches!(
-                *g.concl,
-                Formula::Forall(..)
-                    | Formula::ForallSort(..)
-                    | Formula::Implies(..)
-                    | Formula::Not(..)
-            );
-            if stop {
+            let exposed = Formula::clone(&g.concl);
+            if intro_binder(&mut g, &mut scope, exposed, None).is_err() {
                 break;
             }
-            match intro(env, &g, None) {
-                Ok(mut v) => {
-                    g = v.pop().expect("intro returns one goal");
-                    introduced = true;
-                }
-                Err(_) => break,
-            }
         }
-        // Like Coq, plain `intros` succeeds as a no-op when there is
-        // nothing to introduce.
-        let _ = introduced;
-        return Ok(vec![g]);
     }
-    let mut g = goal.clone();
     for n in names {
-        let mut v = intro(env, &g, Some(n))?;
-        g = v.pop().expect("intro returns one goal");
+        let exposed = whnf_prop(env, &g.concl);
+        intro_binder(&mut g, &mut scope, exposed, Some(n))?;
     }
-    Ok(vec![g])
+    Ok(g)
 }
 
 /// `exact H`.
@@ -229,26 +231,31 @@ pub fn right(goal: &Goal) -> Result<Vec<Goal>, TacticError> {
 }
 
 /// `exists t`.
-pub fn exists_tac(
-    env: &Env,
-    goal: &Goal,
-    witness: &Term,
-    _fuel: &mut Fuel,
-) -> Result<Vec<Goal>, TacticError> {
-    let concl = whnf_prop(env, &goal.concl);
-    let Formula::Exists(v, _, body) = concl else {
-        return Err(TacticError::rejected("goal is not an existential"));
+pub fn exists_tac(env: &Env, goal: &Goal, witness: &Term) -> Result<Goal, PreflightRejection> {
+    let Formula::Exists(v, _, body) = whnf_prop(env, &goal.concl) else {
+        return Err(PreflightRejection::new(
+            ReasonCode::GoalShape,
+            "goal is not an existential",
+        ));
     };
     let mut fv = BTreeSet::new();
     witness.free_vars(&mut fv);
-    for x in &fv {
-        if goal.var_sort(x).is_none() {
-            return Err(TacticError::rejected(format!("unknown variable {x}")));
-        }
-    }
+    in_context(goal, &fv)?;
     let mut g = goal.clone();
     g.concl = subst_formula1(&body, &v, witness).into();
-    Ok(vec![g])
+    Ok(g)
+}
+
+/// Fails with [`ReasonCode::UnknownName`] unless every variable of `fv` is
+/// a context variable of `goal`.
+fn in_context(goal: &Goal, fv: &BTreeSet<Ident>) -> Result<(), PreflightRejection> {
+    match fv.iter().find(|x| goal.var_sort(x).is_none()) {
+        Some(x) => Err(PreflightRejection::new(
+            ReasonCode::UnknownName,
+            format!("unknown variable {x}"),
+        )),
+        None => Ok(()),
+    }
 }
 
 /// `exfalso`.
@@ -280,7 +287,7 @@ pub fn contradiction(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal
 }
 
 /// `clear H ...`.
-pub fn clear(goal: &Goal, names: &[String]) -> Result<Vec<Goal>, TacticError> {
+pub fn clear(goal: &Goal, names: &[String]) -> Result<Goal, PreflightRejection> {
     let mut g = goal.clone();
     for n in names {
         if g.remove_hyp(n) {
@@ -289,20 +296,26 @@ pub fn clear(goal: &Goal, names: &[String]) -> Result<Vec<Goal>, TacticError> {
         if g.var_sort(n).is_some() {
             let used = g.hyps.iter().any(|(_, f)| f.mentions(n)) || g.concl.mentions(n);
             if used {
-                return Err(TacticError::rejected(format!("{n} is used in the goal")));
+                return Err(PreflightRejection::new(
+                    ReasonCode::NameInUse,
+                    format!("{n} is used in the goal"),
+                ));
             }
             g.remove_var(n);
             continue;
         }
-        return Err(TacticError::rejected(format!("no such hypothesis: {n}")));
+        return Err(PreflightRejection::new(
+            ReasonCode::UnknownName,
+            format!("no such hypothesis: {n}"),
+        ));
     }
-    Ok(vec![g])
+    Ok(g)
 }
 
 /// `revert x H ...`: moves hypotheses and variables back into the goal.
 /// Reverting a variable also reverts the hypotheses that mention it (the
 /// behaviour of `generalize dependent`).
-pub fn revert(goal: &Goal, names: &[String]) -> Result<Vec<Goal>, TacticError> {
+pub fn revert(goal: &Goal, names: &[String]) -> Result<Goal, PreflightRejection> {
     let mut g = goal.clone();
     for n in names.iter().rev() {
         if let Some(f) = g.hyp(n).cloned() {
@@ -326,9 +339,12 @@ pub fn revert(goal: &Goal, names: &[String]) -> Result<Vec<Goal>, TacticError> {
             g.concl = Formula::Forall(n.clone(), s, Box::new(g.concl.into_formula())).into();
             continue;
         }
-        return Err(TacticError::rejected(format!("no such name: {n}")));
+        return Err(PreflightRejection::new(
+            ReasonCode::UnknownName,
+            format!("no such name: {n}"),
+        ));
     }
-    Ok(vec![g])
+    Ok(g)
 }
 
 /// `reflexivity`.
@@ -355,40 +371,40 @@ pub fn reflexivity(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>,
 }
 
 /// `symmetry` / `symmetry in H`.
-pub fn symmetry(env: &Env, goal: &Goal, loc: Option<&str>) -> Result<Vec<Goal>, TacticError> {
+pub fn symmetry(env: &Env, goal: &Goal, loc: Option<&str>) -> Result<Goal, PreflightRejection> {
+    let flip = |f: &Formula| match whnf_prop(env, f) {
+        Formula::Eq(s, a, b) => Some(Formula::Eq(s, b, a)),
+        Formula::Iff(a, b) => Some(Formula::Iff(b, a)),
+        _ => None,
+    };
     let mut g = goal.clone();
     match loc {
         None => {
-            let concl = whnf_prop(env, &g.concl);
-            match concl {
-                Formula::Eq(s, a, b) => {
-                    g.concl = Formula::Eq(s, b, a).into();
-                    Ok(vec![g])
-                }
-                Formula::Iff(a, b) => {
-                    g.concl = Formula::Iff(b, a).into();
-                    Ok(vec![g])
-                }
-                _ => Err(TacticError::rejected("goal is not an equality")),
-            }
+            let Some(f) = flip(&goal.concl) else {
+                return Err(PreflightRejection::new(
+                    ReasonCode::GoalShape,
+                    "goal is not an equality",
+                ));
+            };
+            g.concl = f.into();
         }
         Some(h) => {
-            let Some(f) = g.hyp(h).cloned() else {
-                return Err(TacticError::rejected(format!("no hypothesis {h}")));
+            let Some(f) = goal.hyp(h) else {
+                return Err(PreflightRejection::new(
+                    ReasonCode::UnknownName,
+                    format!("no hypothesis {h}"),
+                ));
             };
-            match whnf_prop(env, &f) {
-                Formula::Eq(s, a, b) => {
-                    g.set_hyp(h, Formula::Eq(s, b, a));
-                    Ok(vec![g])
-                }
-                Formula::Iff(a, b) => {
-                    g.set_hyp(h, Formula::Iff(b, a));
-                    Ok(vec![g])
-                }
-                _ => Err(TacticError::rejected("hypothesis is not an equality")),
-            }
+            let Some(f) = flip(f) else {
+                return Err(PreflightRejection::new(
+                    ReasonCode::NonEquation,
+                    "hypothesis is not an equality",
+                ));
+            };
+            g.set_hyp(h, f);
         }
     }
+    Ok(g)
 }
 
 /// `f_equal`.
@@ -452,14 +468,14 @@ pub(crate) fn arg_sorts_of(
 }
 
 /// `assert (H : F)`.
-pub fn assert_tac(goal: &Goal, name: Option<&str>, f: &Formula) -> Result<Vec<Goal>, TacticError> {
+pub fn assert_tac(
+    goal: &Goal,
+    name: Option<&str>,
+    f: &Formula,
+) -> Result<Vec<Goal>, PreflightRejection> {
     let mut fv = BTreeSet::new();
     f.free_vars(&mut fv);
-    for x in &fv {
-        if goal.var_sort(x).is_none() {
-            return Err(TacticError::rejected(format!("unknown variable {x}")));
-        }
-    }
+    in_context(goal, &fv)?;
     let name = match name {
         Some(n) => n.to_string(),
         None => goal.fresh("H"),
@@ -469,4 +485,45 @@ pub fn assert_tac(goal: &Goal, name: Option<&str>, f: &Formula) -> Result<Vec<Go
     let mut main = goal.clone();
     main.hyps.push((name, f.clone()));
     Ok(vec![side, main])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse::parse_formula;
+
+    #[test]
+    fn intros_equals_one_intro_per_binder_names_included() {
+        let env = Env::with_prelude();
+        // Every binder kind, with an inner `x` whose fresh name must
+        // avoid the outer one.
+        let stmt = "forall x : nat, forall A : Sort, forall (x : A) (n : nat), n = n -> ~ (x = x)";
+        let goal = Goal::new(parse_formula(&env, stmt).unwrap());
+
+        let mut stepped = goal.clone();
+        for _ in 0..6 {
+            stepped = intro(&env, &stepped, None).unwrap();
+        }
+        assert_eq!(
+            intro(&env, &stepped, None).unwrap_err().code,
+            ReasonCode::AtomicConclusion
+        );
+        assert_eq!(intros(&env, &goal, &[]).unwrap(), stepped);
+        assert_eq!(stepped.sort_vars, ["A"]);
+        let vars: Vec<&str> = stepped.vars.iter().map(|(v, _)| v.as_str()).collect();
+        assert_eq!(vars, ["x", "x0", "n"]);
+        let hyps: Vec<&str> = stepped.hyps.iter().map(|(h, _)| h.as_str()).collect();
+        assert_eq!(hyps, ["H", "H0"]);
+        assert_eq!(*stepped.concl, Formula::False);
+
+        let names: Vec<String> = ["y", "B", "z", "m", "Hm", "Hz"].map(String::from).into();
+        let mut named = goal.clone();
+        for n in &names {
+            named = intro(&env, &named, Some(n)).unwrap();
+        }
+        assert_eq!(intros(&env, &goal, &names).unwrap(), named);
+        assert_eq!(named.sort_vars, ["B"]);
+        let hyps: Vec<&str> = named.hyps.iter().map(|(h, _)| h.as_str()).collect();
+        assert_eq!(hyps, ["Hm", "Hz"]);
+    }
 }

@@ -1,6 +1,9 @@
 //! Case analysis: `destruct`, `induction`, `inversion`, `injection`,
 //! `discriminate`, `subst`.
 
+use std::collections::BTreeSet;
+
+use crate::analysis::ReasonCode;
 use crate::env::{Env, PredDef};
 use crate::error::TacticError;
 use crate::eval::{ctor_head, normalize_term, EvalMode};
@@ -12,13 +15,14 @@ use crate::subst::{fresh_name, subst_formula1};
 use crate::term::Term;
 use crate::typing::infer_sort;
 use crate::unify::Unifier;
+use crate::Ident;
 
-use super::basic::whnf_prop;
+use super::basic::{intro_binder, whnf_prop};
 use super::rewrite::replace_in_formula;
 use super::{DestructPattern, DestructTarget};
 
 /// Derives a variable base name from a sort (`nat` → `n`, `list _` → `l`).
-fn base_name_for(sort: &Sort) -> &str {
+fn base_name_for(sort: &Sort) -> &'static str {
     match sort {
         Sort::Atom(n) | Sort::App(n, _) => match n.as_str() {
             "nat" => "n",
@@ -47,23 +51,23 @@ fn base_name_for(sort: &Sort) -> &str {
 
 /// Introduces leading binders until `x` is a context variable (Coq's
 /// `induction`/`destruct` intro up to the named variable automatically).
+/// A binder named `x` keeps its name; every other one gets a fresh name.
 fn intro_until_var(env: &Env, goal: &Goal, x: &str) -> Result<Goal, TacticError> {
+    let not_a_variable = || TacticError::rejected(format!("{x} is not a variable"));
     let mut g = goal.clone();
+    let mut scope = goal.names_in_scope();
     let mut steps = 0;
     while g.var_sort(x).is_none() {
         steps += 1;
         if steps > 256 {
-            return Err(TacticError::rejected(format!("{x} is not a variable")));
+            return Err(not_a_variable());
         }
-        let concl = whnf_prop(env, &g.concl);
-        let name = match &concl {
-            Formula::Forall(v, _, _) => Some(v.clone()),
-            Formula::ForallSort(_, _) | Formula::Implies(..) | Formula::Not(_) => None,
-            _ => return Err(TacticError::rejected(format!("{x} is not a variable"))),
-        };
-        let want = name.as_deref().filter(|v| *v == x);
-        let mut gs = super::basic::intro(env, &g, want)?;
-        g = gs.pop().expect("intro returns one goal");
+        let exposed = whnf_prop(env, &g.concl);
+        let want = matches!(&exposed, Formula::Forall(v, ..) if v == x).then_some(x);
+        intro_binder(&mut g, &mut scope, exposed, want).map_err(|r| match r.code {
+            ReasonCode::AtomicConclusion => not_a_variable(),
+            _ => r.into(),
+        })?;
     }
     Ok(g)
 }
@@ -182,6 +186,66 @@ fn destruct_hyp(
     }
 }
 
+/// One case of a split on a value of an inductive sort.
+struct Case {
+    /// The constructor's arguments, as new context variables.
+    args: Vec<(Ident, Sort)>,
+    /// The constructor applied to them.
+    term: Term,
+    /// The names to avoid from here on: the caller's and the arguments.
+    avoid: BTreeSet<Ident>,
+}
+
+/// The cases of a split on a value of `sort`, one per constructor, or
+/// `None` when `sort` is not an inductive datatype. An argument takes its
+/// name from the pattern's case, else a name fresh against `avoid` and the
+/// earlier arguments, based on `rec` for an argument of `sort` itself (when
+/// given) and on its own sort otherwise.
+fn ctor_cases(
+    env: &Env,
+    sort: &Sort,
+    pattern: Option<&DestructPattern>,
+    avoid: &BTreeSet<Ident>,
+    rec: Option<&str>,
+) -> Option<Vec<Case>> {
+    let (ind, _) = env.sort_inductive(sort)?;
+    let cases = ind.ctors.iter().enumerate().map(|(ci, ctor)| {
+        let arg_sorts = env
+            .ctor_arg_sorts(&ctor.name, sort)
+            .expect("constructor of the matched inductive");
+        let names = pattern_names(pattern, ci);
+        let mut avoid = avoid.clone();
+        let mut args = Vec::new();
+        for (ai, asort) in arg_sorts.into_iter().enumerate() {
+            let base = match rec {
+                Some(r) if asort == *sort => r,
+                _ => base_name_for(&asort),
+            };
+            let name = names
+                .get(ai)
+                .cloned()
+                .unwrap_or_else(|| fresh_name(base, &avoid));
+            avoid.insert(name.clone());
+            args.push((name, asort));
+        }
+        let term = Term::App(
+            ctor.name.clone(),
+            args.iter().map(|(n, _)| Term::var(n.clone())).collect(),
+        );
+        Case { args, term, avoid }
+    });
+    Some(cases.collect())
+}
+
+/// The `eqn:` hypothesis of a case: the given name, or a fresh `Heq`.
+fn eqn_name(e: &str, avoid: &BTreeSet<Ident>) -> Ident {
+    if e.is_empty() {
+        fresh_name("Heq", avoid)
+    } else {
+        e.to_string()
+    }
+}
+
 /// `destruct x [eqn:E]` on a context variable: one goal per constructor.
 fn destruct_var(
     env: &Env,
@@ -191,51 +255,29 @@ fn destruct_var(
     eqn: Option<&str>,
 ) -> Result<Vec<Goal>, TacticError> {
     let sort = goal.var_sort(x).cloned().expect("checked by caller");
-    let Some((ind, _)) = env.sort_inductive(&sort) else {
+    let Some(cases) = ctor_cases(env, &sort, pattern, &goal.names_in_scope(), None) else {
         return Err(TacticError::rejected(format!(
             "{x} is not of an inductive datatype sort"
         )));
     };
-    let ctor_names: Vec<String> = ind.ctors.iter().map(|c| c.name.clone()).collect();
     let mut out = Vec::new();
-    for (ci, cname) in ctor_names.iter().enumerate() {
-        let arg_sorts = env
-            .ctor_arg_sorts(cname, &sort)
-            .expect("constructor of the matched inductive");
+    for Case { args, term, avoid } in cases {
         let mut g = goal.clone();
-        let mut avoid = g.names_in_scope();
-        let names = pattern_names(pattern, ci);
-        let mut args = Vec::new();
-        for (ai, asort) in arg_sorts.iter().enumerate() {
-            let name = names
-                .get(ai)
-                .cloned()
-                .unwrap_or_else(|| fresh_name(base_name_for(asort), &avoid));
-            avoid.insert(name.clone());
-            args.push((name, asort.clone()));
-        }
-        let cterm = Term::App(
-            cname.clone(),
-            args.iter().map(|(n, _)| Term::var(n.clone())).collect(),
-        );
         if eqn.is_none() {
             g.remove_var(x);
         }
-        g.vars.extend(args.iter().cloned());
+        g.vars.extend(args);
         // Full capture-avoiding substitution: the variable is being
         // replaced, so every occurrence (also under binders) is rewritten.
         for (_, f) in g.hyps.iter_mut() {
-            *f = subst_formula1(f, x, &cterm);
+            *f = subst_formula1(f, x, &term);
         }
-        g.concl = subst_formula1(&g.concl, x, &cterm).into();
+        g.concl = subst_formula1(&g.concl, x, &term).into();
         if let Some(e) = eqn {
-            let ename = if e.is_empty() {
-                fresh_name("Heq", &avoid)
-            } else {
-                e.to_string()
-            };
-            g.hyps
-                .push((ename, Formula::Eq(sort.clone(), Term::var(x), cterm)));
+            g.hyps.push((
+                eqn_name(e, &avoid),
+                Formula::Eq(sort.clone(), Term::var(x), term),
+            ));
         }
         out.push(g);
     }
@@ -269,45 +311,23 @@ fn destruct_term(
     if !sort.is_ground_or_var() {
         return Err(TacticError::rejected("cannot infer the sort of the term"));
     }
-    let Some((ind, _)) = env.sort_inductive(&sort) else {
+    let Some(cases) = ctor_cases(env, &sort, pattern, &goal.names_in_scope(), None) else {
         return Err(TacticError::rejected(
             "the term is not of an inductive datatype sort",
         ));
     };
-    let ctor_names: Vec<String> = ind.ctors.iter().map(|c| c.name.clone()).collect();
     let mut out = Vec::new();
-    for (ci, cname) in ctor_names.iter().enumerate() {
-        let arg_sorts = env
-            .ctor_arg_sorts(cname, &sort)
-            .expect("constructor of the matched inductive");
+    for Case { args, term, avoid } in cases {
         let mut g = goal.clone();
-        let mut avoid = g.names_in_scope();
-        let names = pattern_names(pattern, ci);
-        let mut args = Vec::new();
-        for (ai, asort) in arg_sorts.iter().enumerate() {
-            let name = names
-                .get(ai)
-                .cloned()
-                .unwrap_or_else(|| fresh_name(base_name_for(asort), &avoid));
-            avoid.insert(name.clone());
-            args.push((name, asort.clone()));
-        }
-        let cterm = Term::App(
-            cname.clone(),
-            args.iter().map(|(n, _)| Term::var(n.clone())).collect(),
-        );
-        g.vars.extend(args.iter().cloned());
+        g.vars.extend(args);
         // Like Coq, only the goal is abstracted; hypotheses keep the
         // original term (use `rewrite E in H` to propagate).
-        g.concl = replace_in_formula(&g.concl, t, &cterm).into();
+        g.concl = replace_in_formula(&g.concl, t, &term).into();
         if let Some(e) = eqn {
-            let ename = if e.is_empty() {
-                fresh_name("Heq", &avoid)
-            } else {
-                e.to_string()
-            };
-            g.hyps
-                .push((ename, Formula::Eq(sort.clone(), t.clone(), cterm)));
+            g.hyps.push((
+                eqn_name(e, &avoid),
+                Formula::Eq(sort.clone(), t.clone(), term),
+            ));
         }
         out.push(g);
     }
@@ -325,12 +345,6 @@ pub fn induction(
     let Some(sort) = goal.var_sort(x).cloned() else {
         return Err(TacticError::rejected(format!("{x} is not a variable")));
     };
-    let Some((ind, _)) = env.sort_inductive(&sort) else {
-        return Err(TacticError::rejected(format!(
-            "{x} is not of an inductive datatype sort"
-        )));
-    };
-    let ctor_names: Vec<String> = ind.ctors.iter().map(|c| c.name.clone()).collect();
 
     // Revert hypotheses that mention x into the motive.
     let deps: Vec<(String, Formula)> = goal
@@ -348,67 +362,43 @@ pub fn induction(
         base.remove_hyp(n);
     }
     base.remove_var(x);
+    // `x` itself is cleared, so constructor arguments may reuse its name:
+    // like Coq, recursive arguments are named after the inducted variable
+    // (`induction l1` names the tail l1). The motive mentions `x`, so
+    // names_in_scope would otherwise reserve it.
+    let mut avoid = base.names_in_scope();
+    motive.free_vars(&mut avoid);
+    avoid.remove(x);
+    let Some(cases) = ctor_cases(env, &sort, pattern, &avoid, Some(x)) else {
+        return Err(TacticError::rejected(format!(
+            "{x} is not of an inductive datatype sort"
+        )));
+    };
 
     let mut out = Vec::new();
-    for (ci, cname) in ctor_names.iter().enumerate() {
-        let arg_sorts = env
-            .ctor_arg_sorts(cname, &sort)
-            .expect("constructor of the matched inductive");
+    for (ci, case) in cases.into_iter().enumerate() {
+        let mut avoid = case.avoid;
         let mut g = base.clone();
-        // `x` itself is cleared, so constructor arguments may reuse its
-        // name (Coq names the recursive argument of `S` after the variable
-        // being inducted on). The motive mentions `x`, so names_in_scope
-        // would otherwise reserve it.
-        let mut avoid = g.names_in_scope();
-        let mut motive_names = std::collections::BTreeSet::new();
-        motive.free_vars(&mut motive_names);
-        avoid.extend(motive_names);
-        avoid.remove(x);
-        let names = pattern_names(pattern, ci);
-        let rec_count = arg_sorts.iter().filter(|s| **s == sort).count();
-        let arg_count = arg_sorts.len();
-        let mut args = Vec::new();
-        for (ai, asort) in arg_sorts.iter().enumerate() {
-            // Recursive arguments reuse the inducted variable's name, like
-            // Coq (`induction l1` names the tail l1).
-            let base = if *asort == sort {
-                x
-            } else {
-                base_name_for(asort)
-            };
-            let name = names
-                .get(ai)
-                .cloned()
-                .unwrap_or_else(|| fresh_name(base, &avoid));
-            avoid.insert(name.clone());
-            args.push((name, asort.clone()));
-        }
-        g.vars.extend(args.iter().cloned());
         // Induction hypotheses for recursive arguments.
-        let mut ih_index = 0usize;
-        for (ai, asort) in arg_sorts.iter().enumerate() {
-            if *asort != sort {
-                continue;
-            }
+        let names = pattern_names(pattern, ci);
+        let recursive = || case.args.iter().filter(|(_, s)| *s == sort);
+        let rec_count = recursive().count();
+        for (ih_index, (arg, _)) in recursive().enumerate() {
             let default = if rec_count == 1 {
                 format!("IH{x}")
             } else {
                 format!("IH{x}{ih_index}")
             };
             let name = names
-                .get(arg_count + ih_index)
+                .get(case.args.len() + ih_index)
                 .cloned()
                 .unwrap_or_else(|| fresh_name(&default, &avoid));
             avoid.insert(name.clone());
-            let ih = subst_formula1(&motive, x, &Term::var(args[ai].0.clone()));
+            let ih = subst_formula1(&motive, x, &Term::var(arg.clone()));
             g.hyps.push((name, ih));
-            ih_index += 1;
         }
-        let cterm = Term::App(
-            cname.clone(),
-            args.iter().map(|(n, _)| Term::var(n.clone())).collect(),
-        );
-        g.concl = subst_formula1(&motive, x, &cterm).into();
+        g.vars.extend(case.args);
+        g.concl = subst_formula1(&motive, x, &case.term).into();
         out.push(g);
     }
     Ok(out)
@@ -545,21 +535,8 @@ pub fn inversion(
             if l == r {
                 continue;
             }
-            let auto_subst = match (&l, &r) {
-                (Term::Var(v), t) if g.var_sort(v).is_some() && !t.mentions(v) => {
-                    Some((v.clone(), t.clone()))
-                }
-                (t, Term::Var(v)) if g.var_sort(v).is_some() && !t.mentions(v) => {
-                    Some((v.clone(), t.clone()))
-                }
-                _ => None,
-            };
-            if let Some((v, t)) = auto_subst {
-                for (_, f) in g.hyps.iter_mut() {
-                    *f = subst_formula1(f, &v, &t);
-                }
-                g.concl = subst_formula1(&g.concl, &v, &t).into();
-                g.remove_var(&v);
+            if let Some((v, t)) = var_equation(&g, &l, &r) {
+                subst_var(&mut g, &v, &t);
                 continue;
             }
             let mut u2 = Unifier::new();
@@ -685,37 +662,40 @@ pub fn discriminate(
     Err(TacticError::rejected("no discriminable equality"))
 }
 
+/// The variable an equation `a = b` can eliminate: a side (the left one
+/// first) that is a context variable `v` not occurring in the other side
+/// `t`, as `(v, t)`.
+fn var_equation(g: &Goal, a: &Term, b: &Term) -> Option<(Ident, Term)> {
+    match (a, b) {
+        (Term::Var(v), t) | (t, Term::Var(v)) if g.var_sort(v).is_some() && !t.mentions(v) => {
+            Some((v.clone(), t.clone()))
+        }
+        _ => None,
+    }
+}
+
+/// Replaces the context variable `v` by `t` in every hypothesis and the
+/// conclusion, and drops `v`.
+fn subst_var(g: &mut Goal, v: &str, t: &Term) {
+    for (_, f) in g.hyps.iter_mut() {
+        *f = subst_formula1(f, v, t);
+    }
+    g.concl = subst_formula1(&g.concl, v, t).into();
+    g.remove_var(v);
+}
+
 /// `subst`.
-pub fn subst_tac(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, TacticError> {
-    let _ = env;
+pub fn subst_tac(goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, TacticError> {
     let mut g = goal.clone();
     loop {
         fuel.tick()?;
-        let mut found: Option<(String, String, Term)> = None;
-        for (hn, f) in &g.hyps {
-            if let Formula::Eq(_, a, b) = f {
-                let cand = match (a, b) {
-                    (Term::Var(v), t) if g.var_sort(v).is_some() && !t.mentions(v) => {
-                        Some((v.clone(), t.clone()))
-                    }
-                    (t, Term::Var(v)) if g.var_sort(v).is_some() && !t.mentions(v) => {
-                        Some((v.clone(), t.clone()))
-                    }
-                    _ => None,
-                };
-                if let Some((v, t)) = cand {
-                    found = Some((hn.clone(), v, t));
-                    break;
-                }
-            }
-        }
-        let Some((hn, v, t)) = found else { break };
+        let found = g.hyps.iter().find_map(|(hn, f)| match f {
+            Formula::Eq(_, a, b) => Some((hn.clone(), var_equation(&g, a, b)?)),
+            _ => None,
+        });
+        let Some((hn, (v, t))) = found else { break };
         g.remove_hyp(&hn);
-        for (_, f) in g.hyps.iter_mut() {
-            *f = subst_formula1(f, &v, &t);
-        }
-        g.concl = subst_formula1(&g.concl, &v, &t).into();
-        g.remove_var(&v);
+        subst_var(&mut g, &v, &t);
     }
     Ok(vec![g])
 }

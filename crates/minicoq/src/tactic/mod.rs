@@ -17,12 +17,13 @@ mod rewrite;
 
 pub use auto::AUTO_DEFAULT_DEPTH;
 
-// The pre-flight analyzer mirrors exact prefixes of the evaluator, and
-// the simulated oracle and the generator read formulas the way the
-// tactics do; they borrow the same helpers so none can drift apart.
+// The pre-flight analyzer runs the evaluator's fuel-free steps and mirrors
+// exact prefixes of the rest, and the simulated oracle and the generator
+// read formulas the way the tactics do; they borrow the same helpers so
+// none can drift apart.
 pub use apply::expose_rule;
 pub(crate) use apply::stmt_of;
-pub(crate) use basic::whnf_prop;
+pub(crate) use basic::{assert_tac, clear, exists_tac, intro, intros, revert, symmetry, whnf_prop};
 pub use rewrite::{candidate_subterms, replace_in_formula};
 
 /// Weak-head exposure of a goal's conclusion (unfolds defined predicates);
@@ -386,20 +387,20 @@ fn dispatch_goal_tactic(
 ) -> Result<ProofState, TacticError> {
     let goal: &crate::goal::Goal = &st.goals[0];
     let new_goals = match tac {
-        Tactic::Intro(name) => basic::intro(env, goal, name.as_deref())?,
-        Tactic::Intros(names) => basic::intros(env, goal, names)?,
+        Tactic::Intro(name) => vec![basic::intro(env, goal, name.as_deref())?],
+        Tactic::Intros(names) => vec![basic::intros(env, goal, names)?],
         Tactic::Exact(h) => basic::exact(env, goal, h, fuel)?,
         Tactic::Assumption => basic::assumption(env, goal, fuel)?,
         Tactic::Split => basic::split(goal)?,
         Tactic::Left => basic::left(goal)?,
         Tactic::Right => basic::right(goal)?,
-        Tactic::ExistsTac(t) => basic::exists_tac(env, goal, t, fuel)?,
+        Tactic::ExistsTac(t) => vec![basic::exists_tac(env, goal, t)?],
         Tactic::Exfalso => basic::exfalso(goal),
         Tactic::Contradiction => basic::contradiction(env, goal, fuel)?,
-        Tactic::Clear(names) => basic::clear(goal, names)?,
-        Tactic::Revert(names) => basic::revert(goal, names)?,
+        Tactic::Clear(names) => vec![basic::clear(goal, names)?],
+        Tactic::Revert(names) => vec![basic::revert(goal, names)?],
         Tactic::Reflexivity => basic::reflexivity(env, goal, fuel)?,
-        Tactic::Symmetry(loc) => basic::symmetry(env, goal, loc.as_deref())?,
+        Tactic::Symmetry(loc) => vec![basic::symmetry(env, goal, loc.as_deref())?],
         Tactic::FEqual => basic::f_equal(env, goal, fuel)?,
         Tactic::Assert(name, f) => basic::assert_tac(goal, name.as_deref(), f)?,
         Tactic::Apply {
@@ -422,7 +423,7 @@ fn dispatch_goal_tactic(
         Tactic::Inversion(h) => case::inversion(env, goal, h, fuel)?,
         Tactic::Injection(h) => case::injection(env, goal, h, fuel)?,
         Tactic::Discriminate(h) => case::discriminate(env, goal, h.as_deref(), fuel)?,
-        Tactic::Subst => case::subst_tac(env, goal, fuel)?,
+        Tactic::Subst => case::subst_tac(goal, fuel)?,
         Tactic::Congruence => congruence::congruence(env, goal, fuel)?,
         Tactic::Simpl(loc) => rewrite::simpl(env, goal, loc, fuel)?,
         Tactic::Unfold(names, loc) => rewrite::unfold(env, goal, names, loc, fuel)?,

@@ -2,14 +2,16 @@
 //! the no-false-positive property: every statically rejected tactic must
 //! also fail in the real evaluator. A reject that the evaluator would have
 //! accepted would silently change search results; a missed reject only
-//! costs time, so `Accept` is never asserted against here.
+//! costs time, so `Accept` is asserted against only for `intro`, `intros`,
+//! `clear` and `revert`, which the checker answers by running the
+//! kernel's own step.
 
 use minicoq::analysis::{preflight_state, PreflightVerdict, ReasonCode};
 use minicoq::env::Env;
 use minicoq::fuel::Fuel;
 use minicoq::goal::ProofState;
 use minicoq::parse::{parse_formula, parse_tactic};
-use minicoq::tactic::apply_tactic;
+use minicoq::tactic::{apply_tactic, Tactic};
 use proptest::prelude::*;
 
 const FUEL: u64 = 1_000_000;
@@ -175,6 +177,8 @@ fn tactic_soup() -> impl Strategy<Value = String> {
         Just("simpl".to_string()),
         "(apply|rewrite|destruct|induction|clear|revert|exact|specialize) (H|H0|n|m|x|ghost|conj_intro|le_n)".prop_map(|s| s),
         "intros [a-z]{1,2} [a-z]{1,2}",
+        "intro (H|n|x|A|ghost)",
+        "(clear|revert) (H|n|x) (H0|m|x)",
         "(split|intros|apply le_n); \\[(reflexivity)?\\]",
     ]
 }
@@ -196,8 +200,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The no-false-positive invariant: whatever the soup throws at it,
-    /// a static `Reject` implies the evaluator also fails. (The converse
-    /// is not required — the checker is allowed to miss failures.)
+    /// a static `Reject` implies the evaluator also fails. The converse
+    /// holds for `intro`, `intros`, `clear` and `revert`, whose verdict is
+    /// the kernel step's own; elsewhere the checker may miss failures.
     #[test]
     fn statically_rejected_tactics_also_fail_dynamically(
         stmt in goal_pool(),
@@ -218,6 +223,16 @@ proptest! {
                     result.is_err(),
                     "false positive: `{}` statically rejected ({}) but evaluator accepted it on:\n{}",
                     text, r, st.display()
+                );
+            }
+            if matches!(
+                tac,
+                Tactic::Intro(_) | Tactic::Intros(_) | Tactic::Clear(_) | Tactic::Revert(_)
+            ) {
+                prop_assert!(
+                    verdict.is_reject() || result.is_ok(),
+                    "missed: `{}` statically accepted but the evaluator rejects it on:\n{}",
+                    text, st.display()
                 );
             }
             // Keep walking through whatever actually succeeded, so later

@@ -374,6 +374,22 @@ fn induction_gives_base_and_inductive_hypothesis() {
 }
 
 #[test]
+fn induction_names_the_recursive_argument_after_the_variable() {
+    // Like Coq: `induction l1` calls the tail `l1` and its hypothesis
+    // `IHl1`; the head takes its sort's base name.
+    let env = Env::with_prelude();
+    let st = state_after(
+        &env,
+        "forall (l1 : list nat), l1 = l1",
+        "intros l1. induction l1.",
+    );
+    let step = &st.goals[1];
+    let vars: Vec<&str> = step.vars.iter().map(|(v, _)| v.as_str()).collect();
+    assert_eq!(vars, ["n", "l1"], "{}", step.display());
+    assert!(step.hyp("IHl1").is_some(), "{}", step.display());
+}
+
+#[test]
 fn induction_auto_introduces_up_to_the_target() {
     // Coq introduces goal-bound binders up to the induction variable.
     let env = Env::with_prelude();

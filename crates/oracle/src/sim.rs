@@ -838,12 +838,7 @@ impl SimulatedModel {
         let hyp_heads: Vec<(&str, String)> = goal
             .hyps
             .iter()
-            .map(|(hname, hf)| {
-                (
-                    hname.as_str(),
-                    head_feature(ctx.env, hf.peel().conclusion).0,
-                )
-            })
+            .map(|(hname, hf)| (hname.as_str(), head_feature(ctx.env, hf.conclusion()).0))
             .collect();
         for lemma in kept {
             let lname = &lemma.name;

@@ -272,6 +272,11 @@ impl HotCounter {
         }
     }
 
+    /// The counter's name.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
     /// Adds `n` to the named counter, resolving the handle on first use.
     pub fn add(&self, n: u64) {
         self.slot
