@@ -8,8 +8,9 @@
 //! the checker may say [`PreflightVerdict::Accept`] for a tactic that later
 //! fails (a false negative costs only the evaluation the filter was meant
 //! to save), but it must never reject a tactic the evaluator would accept.
-//! Every check therefore either mirrors a deterministic prefix of the
-//! evaluator exactly, or under-approximates it.
+//! Every check therefore either calls the evaluator's own fuel-free code
+//! (a whole step, whose goals it hands on as [`PreflightVerdict::Ran`], or
+//! a step's fuel-free prefix), or under-approximates it.
 
 mod preflight;
 

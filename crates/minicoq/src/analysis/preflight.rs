@@ -6,17 +6,19 @@
 //! `Err` (any error: rejection or timeout both mean the search discards the
 //! proposal). The checks fall into three families:
 //!
-//! * **exact** verdicts on deterministic, fuel-free evaluator steps. The
-//!   whole steps `intro`, `intros`, `clear`, `revert`, `exists`,
-//!   `symmetry` and `assert` are the kernel's own functions, called here:
-//!   they fail with a [`PreflightRejection`], so the checker rejects
-//!   exactly when the evaluator does. For the remaining fuel-free
-//!   prefixes (name resolution, `whnf` goal shapes, the `rewrite` equality
-//!   check on the very same cached rule readings, [`crate::rule`], the
-//!   evaluator reads) the checks mirror the evaluator;
+//! * **the kernel's own fuel-free code.** The whole steps `intro`,
+//!   `intros`, `clear`, `revert`, `exists`, `symmetry`, `assert`, `split`,
+//!   `left`, `right` and `exfalso` run here, and their goals are handed on
+//!   ([`PreflightVerdict::Ran`]), so the caller commits them instead of
+//!   running the step again. Every other tactic's fuel-free prefix (name
+//!   resolution, the goal or hypothesis shape, the `rewrite` equation) is
+//!   one `*_prefix` function in [`crate::tactic`] that the evaluator calls
+//!   too. All of them fail with a [`PreflightRejection`], so the verdict
+//!   is exactly the evaluator's;
 //! * **under-approximations** where the evaluator's behaviour depends on
 //!   unification or fuel (the `apply` head-symbol analysis treats any head
-//!   that conversion could still change as a wildcard);
+//!   that conversion could still change as a wildcard, the `rewrite`
+//!   candidate scan runs with at least the evaluator's budget);
 //! * **tactical reasoning** (`;`-dispatch arity, `first` with every branch
 //!   rejected) justified by the tactical semantics in `apply_tactic`.
 
@@ -30,8 +32,10 @@ use crate::goal::{Goal, ProofState};
 use crate::rule::{Rule, RuleForm};
 use crate::subst::{subst_sorts_formula, SortSubst};
 use crate::tactic::{
-    assert_tac, candidate_subterms, clear, exists_tac, intro, intros, revert, stmt_of, symmetry,
-    whnf_prop, DestructTarget, Loc, Tactic,
+    apply_prefix, candidate_subterms, constructor_prefix, destruct_hyp_prefix, f_equal_prefix,
+    fuel_free_step, hyp, inductive_sort_prefix, injection_prefix, intro, inversion_prefix,
+    loc_prefix, pose_proof_prefix, reflexivity_prefix, specialize_prefix, unfold_prefix,
+    unused_name, whnf_prop, DestructTarget, RewriteSite, Tactic,
 };
 use crate::term::Term;
 use crate::unify::{InstantiatedRule, Unifier};
@@ -104,6 +108,13 @@ impl ReasonCode {
             ReasonCode::AlwaysFails => "always-fails",
         }
     }
+    /// A rejection of this class, with `detail`.
+    pub(crate) fn because(self, detail: impl Into<String>) -> PreflightRejection {
+        PreflightRejection {
+            code: self,
+            detail: detail.into(),
+        }
+    }
 }
 
 impl fmt::Display for ReasonCode {
@@ -113,25 +124,15 @@ impl fmt::Display for ReasonCode {
 }
 
 /// A static rejection: the reason class plus a human-readable detail. The
-/// fuel-free kernel steps (`intro`, `intros`, `clear`, `revert`, `exists`,
-/// `symmetry`, `assert`) fail with one, so the checker reports exactly
-/// their verdict; the evaluator reports its detail as a
-/// [`TacticError::Rejected`].
+/// kernel's whole fuel-free steps and fuel-free prefixes fail with one, so
+/// the checker reports exactly their verdict; the evaluator reports its
+/// detail as a [`TacticError::Rejected`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreflightRejection {
     /// The taxonomy class.
     pub code: ReasonCode,
     /// Human-readable specifics (names, shapes).
     pub detail: String,
-}
-
-impl PreflightRejection {
-    pub(crate) fn new(code: ReasonCode, detail: impl Into<String>) -> PreflightRejection {
-        PreflightRejection {
-            code,
-            detail: detail.into(),
-        }
-    }
 }
 
 impl From<PreflightRejection> for TacticError {
@@ -151,6 +152,11 @@ impl fmt::Display for PreflightRejection {
 pub enum PreflightVerdict {
     /// The tactic may succeed; run it.
     Accept,
+    /// The tactic is a whole fuel-free step and succeeded: these goals
+    /// replace the focused goal. That is the evaluator's result, so the
+    /// caller can commit it with [`crate::tactic::apply_ran`] instead of
+    /// running the step again.
+    Ran(Vec<Goal>),
     /// The tactic is guaranteed to fail; the evaluation can be skipped.
     Reject(PreflightRejection),
 }
@@ -160,18 +166,22 @@ impl PreflightVerdict {
     pub fn is_reject(&self) -> bool {
         matches!(self, PreflightVerdict::Reject(_))
     }
+
+    /// The verdict on the same tactic inside a tactical, which charges its
+    /// own fuel around the step: a ran step is only accepted.
+    fn in_tactical(self) -> PreflightVerdict {
+        match self {
+            PreflightVerdict::Ran(_) => PreflightVerdict::Accept,
+            v => v,
+        }
+    }
 }
+
+/// The outcome of a check that runs no step: passed, or rejected.
+type Checked = Result<(), PreflightRejection>;
 
 fn reject(code: ReasonCode, detail: impl Into<String>) -> PreflightVerdict {
-    PreflightVerdict::Reject(PreflightRejection::new(code, detail))
-}
-
-/// The verdict of running a fuel-free kernel step.
-fn verdict<T>(step: Result<T, PreflightRejection>) -> PreflightVerdict {
-    match step {
-        Ok(_) => PreflightVerdict::Accept,
-        Err(r) => PreflightVerdict::Reject(r),
-    }
+    PreflightVerdict::Reject(code.because(detail))
 }
 
 /// Pre-flight check against a proof state: the tactic will run on the
@@ -197,19 +207,6 @@ pub fn preflight_state(
 pub fn preflight_goal(env: &Env, goal: &Goal, tac: &Tactic, fuel_budget: u64) -> PreflightVerdict {
     use PreflightVerdict::Accept;
     match tac {
-        // Unconditional no-ops and always-dynamic tactics. `auto`-family
-        // tactics silently skip unknown `using` names, so even those are
-        // not statically checkable.
-        Tactic::Idtac
-        | Tactic::Subst
-        | Tactic::Exfalso
-        | Tactic::Lia
-        | Tactic::Congruence
-        | Tactic::Auto(_)
-        | Tactic::EAuto(_)
-        | Tactic::Trivial => Accept,
-        Tactic::Fail => reject(ReasonCode::AlwaysFails, "`fail` fails unconditionally"),
-
         // Tacticals. `try`/`repeat` swallow every non-timeout error.
         Tactic::Try(_) | Tactic::Repeat(_) => Accept,
         Tactic::First(ts) => check_first(env, goal, ts, fuel_budget),
@@ -220,71 +217,64 @@ pub fn preflight_goal(env: &Env, goal: &Goal, tac: &Tactic, fuel_budget: u64) ->
             }
             if matches!(**t1, Tactic::Idtac) {
                 // `idtac; t` runs `t` on the unchanged goal.
-                return preflight_goal(env, goal, t2, fuel_budget);
+                return preflight_goal(env, goal, t2, fuel_budget).in_tactical();
             }
             Accept
         }
         Tactic::SeqDispatch(t1, ts) => check_dispatch(env, goal, t1, ts, fuel_budget),
+        // The kernel's whole fuel-free steps run here, and their goals are
+        // handed on; every other tactic is checked.
+        _ => match fuel_free_step(env, goal, tac) {
+            Some(Ok(goals)) => PreflightVerdict::Ran(goals),
+            Some(Err(r)) => PreflightVerdict::Reject(r),
+            None => match check(env, goal, tac, fuel_budget) {
+                Ok(()) => Accept,
+                Err(r) => PreflightVerdict::Reject(r),
+            },
+        },
+    }
+}
 
-        // Introduction and context management: the kernel's own steps.
-        // Plain `intros` never fails, so it is not worth running twice.
-        Tactic::Intros(names) if names.is_empty() => Accept,
-        Tactic::Intro(name) => verdict(intro(env, goal, name.as_deref())),
-        Tactic::Intros(names) => verdict(intros(env, goal, names)),
-        Tactic::Exact(h) => check_hyp_exists(goal, h),
+/// The check of a tactic that is neither a tactical nor a whole step.
+fn check(env: &Env, goal: &Goal, tac: &Tactic, fuel_budget: u64) -> Checked {
+    match tac {
+        Tactic::Fail => Err(ReasonCode::AlwaysFails.because("`fail` fails unconditionally")),
+
+        // The kernel's fuel-free prefixes.
+        Tactic::Exact(h) => hyp(goal, h).map(drop),
+        Tactic::Reflexivity => reflexivity_prefix(env, goal).map(drop),
+        Tactic::FEqual => f_equal_prefix(goal).map(drop),
+        Tactic::Constructor | Tactic::EConstructor => constructor_prefix(env, goal).map(drop),
+        Tactic::Inversion(h) => inversion_prefix(env, goal, h).map(drop),
+        Tactic::Injection(h) => injection_prefix(env, goal, h).map(drop),
+        Tactic::Unfold(names, loc) => unfold_prefix(env, goal, names, loc),
+        Tactic::Simpl(loc) => loc_prefix(goal, loc),
+
+        // Prefixes, then under-approximations of the rest.
         Tactic::Assumption => check_nonempty_context(goal, "assumption"),
         Tactic::Contradiction => check_nonempty_context(goal, "contradiction"),
-        Tactic::Clear(names) => verdict(clear(goal, names)),
-        Tactic::Revert(names) => verdict(revert(goal, names)),
-
-        // Goal-shape tactics.
-        Tactic::Split => match *goal.concl {
-            Formula::And(..) | Formula::Iff(..) | Formula::True => Accept,
-            _ => reject(ReasonCode::GoalShape, "goal is not a conjunction"),
-        },
-        Tactic::Left | Tactic::Right => match *goal.concl {
-            Formula::Or(..) => Accept,
-            _ => reject(ReasonCode::GoalShape, "goal is not a disjunction"),
-        },
-        Tactic::ExistsTac(witness) => verdict(exists_tac(env, goal, witness)),
-        Tactic::Reflexivity => match whnf_prop(env, &goal.concl) {
-            Formula::Eq(..) | Formula::Iff(..) | Formula::True => Accept,
-            _ => reject(ReasonCode::GoalShape, "goal is not an equality"),
-        },
-        Tactic::Symmetry(loc) => verdict(symmetry(env, goal, loc.as_deref())),
-        Tactic::FEqual => check_f_equal(goal),
-        Tactic::Assert(name, f) => verdict(assert_tac(goal, name.as_deref(), f)),
-
-        // Chaining.
-        Tactic::Apply {
-            name,
-            in_hyp,
-            existential: _,
-        } => check_apply(env, goal, name, in_hyp.as_deref()),
-        Tactic::Constructor | Tactic::EConstructor => check_constructor(env, goal),
-        Tactic::Specialize(h, args) => check_specialize(env, goal, h, args),
+        Tactic::Apply { name, in_hyp, .. } => check_apply(env, goal, name, in_hyp.as_deref()),
+        Tactic::Specialize(h, args) => {
+            let hf = specialize_prefix(goal, h, args)?;
+            check_instantiate_first(env, goal, hf, &args[0])
+        }
         Tactic::PoseProof(name, args, as_name) => {
             check_pose_proof(env, goal, name, args, as_name.as_deref())
         }
-
-        // Case analysis.
         Tactic::Destruct { target, .. } => check_destruct(env, goal, target),
         Tactic::Induction(x, _) => check_induction(env, goal, x),
-        Tactic::Inversion(h) => check_inversion(env, goal, h),
-        Tactic::Injection(h) => check_injection(env, goal, h),
         Tactic::Discriminate(h) => check_discriminate(env, goal, h.as_deref()),
-
-        // Equational tactics.
         Tactic::Rewrite {
             name,
             forward,
             in_hyp,
         } => check_rewrite(env, goal, name, *forward, in_hyp.as_deref(), fuel_budget),
-        Tactic::Unfold(names, loc) => check_unfold(env, goal, names, loc),
-        Tactic::Simpl(loc) => match loc {
-            Loc::Hyp(h) => check_hyp_exists(goal, h),
-            _ => Accept,
-        },
+
+        // No-ops and always-dynamic tactics (`auto`-family tactics silently
+        // skip unknown `using` names, so even those are not statically
+        // checkable), and the tacticals and whole steps `preflight_goal`
+        // handles.
+        _ => Ok(()),
     }
 }
 
@@ -301,12 +291,12 @@ fn check_first(env: &Env, goal: &Goal, ts: &[Tactic], fuel_budget: u64) -> Prefl
     let mut first_rejection = None;
     for t in ts {
         match preflight_goal(env, goal, t, fuel_budget) {
-            PreflightVerdict::Accept => return PreflightVerdict::Accept,
-            r => {
+            r @ PreflightVerdict::Reject(_) => {
                 if first_rejection.is_none() {
                     first_rejection = Some(r);
                 }
             }
+            _ => return PreflightVerdict::Accept,
         }
     }
     // Every alternative is guaranteed to fail, so `first` is too.
@@ -321,13 +311,16 @@ fn check_dispatch(
     fuel_budget: u64,
 ) -> PreflightVerdict {
     let v1 = preflight_goal(env, goal, t1, fuel_budget);
-    if v1.is_reject() {
-        return v1;
-    }
-    // If the head tactic's success goal count is statically known and
-    // differs from the branch count, the dispatch errors whenever the head
-    // succeeds — and the whole tactical fails whenever the head fails.
-    if let Some(k) = success_goal_count(env, goal, t1) {
+    // If the head tactic's success goal count is known (it ran, or it is
+    // statically certain) and differs from the branch count, the dispatch
+    // errors whenever the head succeeds — and the whole tactical fails
+    // whenever the head fails.
+    let count = match &v1 {
+        PreflightVerdict::Reject(_) => return v1,
+        PreflightVerdict::Ran(goals) => Some(goals.len()),
+        PreflightVerdict::Accept => success_goal_count(env, goal, t1),
+    };
+    if let Some(k) = count {
         if k != ts.len() {
             return reject(
                 ReasonCode::MalformedTactical,
@@ -336,7 +329,7 @@ fn check_dispatch(
         }
         if matches!(t1, Tactic::Idtac) && ts.len() == 1 {
             // `idtac; [t]` runs `t` on the unchanged goal.
-            return preflight_goal(env, goal, &ts[0], fuel_budget);
+            return preflight_goal(env, goal, &ts[0], fuel_budget).in_tactical();
         }
     }
     PreflightVerdict::Accept
@@ -344,7 +337,8 @@ fn check_dispatch(
 
 /// The number of goals `tac` leaves behind *if it succeeds*, when that
 /// count is statically certain. Used only for dispatch-arity reasoning, so
-/// `None` (unknown) is always safe.
+/// `None` (unknown) is always safe. Whole steps are counted by running
+/// them, in `check_dispatch`.
 fn success_goal_count(env: &Env, goal: &Goal, tac: &Tactic) -> Option<usize> {
     match tac {
         // Goal closers: success returns zero subgoals.
@@ -360,29 +354,12 @@ fn success_goal_count(env: &Env, goal: &Goal, tac: &Tactic) -> Option<usize> {
         | Tactic::Discriminate(_) => Some(0),
         // Single-goal transformers.
         Tactic::Idtac
-        | Tactic::Intro(_)
-        | Tactic::Intros(_)
-        | Tactic::Exfalso
-        | Tactic::Symmetry(_)
         | Tactic::Subst
         | Tactic::Simpl(_)
         | Tactic::Unfold(..)
-        | Tactic::Clear(_)
-        | Tactic::Revert(_)
         | Tactic::Specialize(..)
         | Tactic::PoseProof(..)
-        | Tactic::ExistsTac(_)
         | Tactic::Injection(_) => Some(1),
-        Tactic::Assert(..) => Some(2),
-        Tactic::Split => match *goal.concl {
-            Formula::And(..) | Formula::Iff(..) => Some(2),
-            Formula::True => Some(0),
-            _ => None,
-        },
-        Tactic::Left | Tactic::Right => match *goal.concl {
-            Formula::Or(..) => Some(1),
-            _ => None,
-        },
         // `rewrite` success yields the rewritten goal plus one side goal per
         // premise of the (exposed, instantiated) equation.
         Tactic::Rewrite { name, .. } => {
@@ -421,45 +398,14 @@ fn success_goal_count(env: &Env, goal: &Goal, tac: &Tactic) -> Option<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// Introduction and context management
+// Prefixes, then under-approximations
 
-fn check_hyp_exists(goal: &Goal, h: &str) -> PreflightVerdict {
-    if goal.hyp(h).is_none() {
-        reject(ReasonCode::UnknownName, format!("no hypothesis {h}"))
-    } else {
-        PreflightVerdict::Accept
-    }
-}
-
-fn check_nonempty_context(goal: &Goal, tactic: &str) -> PreflightVerdict {
+fn check_nonempty_context(goal: &Goal, tactic: &str) -> Checked {
     if goal.hyps.is_empty() {
-        reject(
-            ReasonCode::EmptyContext,
-            format!("`{tactic}` with no hypotheses"),
-        )
-    } else {
-        PreflightVerdict::Accept
+        return Err(ReasonCode::EmptyContext.because(format!("`{tactic}` with no hypotheses")));
     }
+    Ok(())
 }
-
-// ---------------------------------------------------------------------------
-// Goal-shape tactics
-
-fn check_f_equal(goal: &Goal) -> PreflightVerdict {
-    let Formula::Eq(_, a, b) = &*goal.concl else {
-        return reject(ReasonCode::GoalShape, "goal is not an equality");
-    };
-    let (Term::App(f, fargs), Term::App(g, gargs)) = (a, b) else {
-        return reject(ReasonCode::GoalShape, "both sides must be applications");
-    };
-    if f != g || fargs.len() != gargs.len() {
-        return reject(ReasonCode::HeadMismatch, "head symbols differ");
-    }
-    PreflightVerdict::Accept
-}
-
-// ---------------------------------------------------------------------------
-// apply / constructor / specialize / pose proof
 
 /// The weak-head symbol of a formula for unification purposes. `Wild`
 /// covers every head that conversion-time normalization could still change
@@ -523,25 +469,18 @@ fn conclusion_heads(env: &Env, inst: &InstantiatedRule, out: &mut Vec<Head>) {
     }
 }
 
-fn check_apply(env: &Env, goal: &Goal, name: &str, in_hyp: Option<&str>) -> PreflightVerdict {
-    let Some(rule) = Rule::resolve(env, goal, name) else {
-        return reject(ReasonCode::UnknownName, format!("unknown lemma {name}"));
-    };
+fn check_apply(env: &Env, goal: &Goal, name: &str, in_hyp: Option<&str>) -> Checked {
+    let rule = apply_prefix(env, goal, name, in_hyp)?;
     match in_hyp {
         None => check_apply_backward(env, goal, name, &rule),
-        Some(h) => {
-            if goal.hyp(h).is_none() {
-                return reject(ReasonCode::UnknownName, format!("no hypothesis {h}"));
-            }
-            check_apply_forward(env, &rule)
-        }
+        Some(_) => check_apply_forward(env, &rule),
     }
 }
 
-fn check_apply_backward(env: &Env, goal: &Goal, name: &str, rule: &Rule) -> PreflightVerdict {
+fn check_apply_backward(env: &Env, goal: &Goal, name: &str, rule: &Rule) -> Checked {
     let goal_head = head_of(env, &goal.concl);
     if goal_head == Head::Wild {
-        return PreflightVerdict::Accept;
+        return Ok(());
     }
     // The evaluator tries the statement as parsed and, on failure, its
     // exposed reading; collect candidate conclusion heads from both.
@@ -551,49 +490,31 @@ fn check_apply_backward(env: &Env, goal: &Goal, name: &str, rule: &Rule) -> Pref
         conclusion_heads(env, exposed.instance(), &mut heads);
     }
     if heads.iter().any(|h| *h == Head::Wild || *h == goal_head) {
-        return PreflightVerdict::Accept;
+        return Ok(());
     }
-    reject(
-        ReasonCode::HeadMismatch,
-        format!("the conclusion of {name} can never match the goal"),
-    )
+    Err(ReasonCode::HeadMismatch
+        .because(format!("the conclusion of {name} can never match the goal")))
 }
 
 /// Forward `apply L in H` needs at least one premise reading; mirrors the
 /// candidate construction in `apply_forward` for both the raw and exposed
 /// statement.
-fn check_apply_forward(env: &Env, rule: &Rule) -> PreflightVerdict {
+fn check_apply_forward(env: &Env, rule: &Rule) -> Checked {
     let has_candidates = |form: &RuleForm| {
         let inst = form.instance();
         !inst.premises.is_empty() || matches!(inst.conclusion, Formula::Iff(..))
     };
     if has_candidates(rule.plain()) || rule.exposed(env).is_some_and(has_candidates) {
-        return PreflightVerdict::Accept;
+        return Ok(());
     }
-    reject(ReasonCode::ArityMismatch, "the lemma has no premise")
-}
-
-fn check_constructor(env: &Env, goal: &Goal) -> PreflightVerdict {
-    match whnf_prop(env, &goal.concl) {
-        Formula::True | Formula::And(..) | Formula::Iff(..) | Formula::Or(..) | Formula::Eq(..) => {
-            PreflightVerdict::Accept
-        }
-        Formula::Pred(p, _, _) => match env.preds.get(p.as_str()) {
-            Some(PredDef::Inductive(_)) => PreflightVerdict::Accept,
-            _ => reject(
-                ReasonCode::NotInductive,
-                format!("{p} is not an inductive predicate"),
-            ),
-        },
-        _ => reject(ReasonCode::GoalShape, "no constructor applies"),
-    }
+    Err(ReasonCode::ArityMismatch.because("the lemma has no premise"))
 }
 
 /// Mirrors the first iteration of `instantiate_with_args`: exposes the next
 /// binder or premise, then checks the first argument can be consumed at
 /// all. Later iterations depend on term substitution, so only the first is
 /// statically certain.
-fn check_instantiate_first(env: &Env, goal: &Goal, stmt: &Formula, arg: &Term) -> PreflightVerdict {
+fn check_instantiate_first(env: &Env, goal: &Goal, stmt: &Formula, arg: &Term) -> Checked {
     let mut uni = Unifier::new();
     let mut cur = stmt.clone();
     loop {
@@ -616,23 +537,13 @@ fn check_instantiate_first(env: &Env, goal: &Goal, stmt: &Formula, arg: &Term) -
     }
     let names_a_hyp = matches!(arg, Term::Var(v) if goal.hyp(v).is_some());
     match (&cur, names_a_hyp) {
-        (Formula::Forall(..), _) | (Formula::Implies(..), true) => PreflightVerdict::Accept,
-        (Formula::Implies(..), false) => reject(
-            ReasonCode::ArityMismatch,
-            "expected a hypothesis name to discharge a premise",
-        ),
-        _ => reject(ReasonCode::ArityMismatch, "too many arguments"),
+        (Formula::Forall(..), _) | (Formula::Implies(..), true) => Ok(()),
+        (Formula::Implies(..), false) => {
+            Err(ReasonCode::ArityMismatch
+                .because("expected a hypothesis name to discharge a premise"))
+        }
+        _ => Err(ReasonCode::ArityMismatch.because("too many arguments")),
     }
-}
-
-fn check_specialize(env: &Env, goal: &Goal, h: &str, args: &[Term]) -> PreflightVerdict {
-    let Some(hf) = goal.hyp(h) else {
-        return reject(ReasonCode::UnknownName, format!("no hypothesis {h}"));
-    };
-    if args.is_empty() {
-        return reject(ReasonCode::ArityMismatch, "specialize needs arguments");
-    }
-    check_instantiate_first(env, goal, hf, &args[0])
 }
 
 fn check_pose_proof(
@@ -641,164 +552,80 @@ fn check_pose_proof(
     name: &str,
     args: &[Term],
     as_name: Option<&str>,
-) -> PreflightVerdict {
-    let Some(stmt) = stmt_of(env, goal, name) else {
-        return reject(ReasonCode::UnknownName, format!("unknown lemma {name}"));
-    };
-    if args.is_empty() {
-        if !stmt.is_ground() {
-            return reject(ReasonCode::GoalShape, "statement is not ground");
-        }
-    } else {
-        let v = check_instantiate_first(env, goal, &stmt, &args[0]);
-        if v.is_reject() {
-            return v;
-        }
+) -> Checked {
+    let stmt = pose_proof_prefix(env, goal, name, args)?;
+    if let Some(arg) = args.first() {
+        check_instantiate_first(env, goal, &stmt, arg)?;
     }
     if let Some(n) = as_name {
-        if goal.names_in_scope().contains(n) {
-            return reject(ReasonCode::NameInUse, format!("name {n} already used"));
-        }
+        unused_name(&goal.names_in_scope(), n)?;
     }
-    PreflightVerdict::Accept
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Case analysis
 
-fn check_destruct(env: &Env, goal: &Goal, target: &DestructTarget) -> PreflightVerdict {
+fn check_destruct(env: &Env, goal: &Goal, target: &DestructTarget) -> Checked {
     match target {
         DestructTarget::Name(n) => check_destruct_name(env, goal, n),
-        DestructTarget::Term(t) => {
-            if let Term::Var(v) = t {
-                if goal.hyp(v).is_some() || goal.var_sort(v).is_some() {
-                    return check_destruct_name(env, goal, v);
-                }
-            }
-            // Sort inference on arbitrary terms is dynamic.
-            PreflightVerdict::Accept
+        DestructTarget::Term(Term::Var(v))
+            if goal.hyp(v).is_some() || goal.var_sort(v).is_some() =>
+        {
+            check_destruct_name(env, goal, v)
         }
+        // Sort inference on arbitrary terms is dynamic.
+        DestructTarget::Term(_) => Ok(()),
     }
 }
 
-fn check_destruct_name(env: &Env, goal: &Goal, n: &str) -> PreflightVerdict {
-    if let Some(hf) = goal.hyp(n) {
-        return match whnf_prop(env, hf) {
-            Formula::And(..)
-            | Formula::Or(..)
-            | Formula::Exists(..)
-            | Formula::Iff(..)
-            | Formula::True
-            | Formula::False => PreflightVerdict::Accept,
-            Formula::Pred(p, _, _) => match env.preds.get(p.as_str()) {
-                Some(PredDef::Inductive(_)) => PreflightVerdict::Accept,
-                _ => reject(
-                    ReasonCode::NotInductive,
-                    format!("hypothesis {n} cannot be destructed"),
-                ),
-            },
-            _ => reject(
-                ReasonCode::NotInductive,
-                format!("hypothesis {n} cannot be destructed"),
-            ),
-        };
+fn check_destruct_name(env: &Env, goal: &Goal, n: &str) -> Checked {
+    if goal.hyp(n).is_some() {
+        return destruct_hyp_prefix(env, goal, n).map(drop);
     }
     if let Some(sort) = goal.var_sort(n) {
-        return if env.sort_inductive(sort).is_none() {
-            reject(
-                ReasonCode::NotInductive,
-                format!("{n} is not of an inductive datatype sort"),
-            )
-        } else {
-            PreflightVerdict::Accept
-        };
+        return inductive_sort_prefix(env, n, sort);
     }
     // Otherwise `destruct` introduces binders until `n` is a variable;
     // it fails if it cannot make the first step.
-    if intro(env, goal, None).is_ok() {
-        PreflightVerdict::Accept
-    } else {
-        reject(ReasonCode::UnknownName, format!("no such name: {n}"))
+    match intro(env, goal, None) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(ReasonCode::UnknownName.because(format!("no such name: {n}"))),
     }
 }
 
-fn check_induction(env: &Env, goal: &Goal, x: &str) -> PreflightVerdict {
+fn check_induction(env: &Env, goal: &Goal, x: &str) -> Checked {
     if let Some(sort) = goal.var_sort(x) {
-        return if env.sort_inductive(sort).is_none() {
-            reject(
-                ReasonCode::NotInductive,
-                format!("{x} is not of an inductive datatype sort"),
-            )
-        } else {
-            PreflightVerdict::Accept
-        };
+        return inductive_sort_prefix(env, x, sort);
     }
     if goal.hyp(x).is_some() {
         // `intro_until_var` can never turn a hypothesis name into a
         // context variable: fresh names avoid the scope, and a binder that
         // happens to be named `x` collides with the hypothesis. The loop is
         // bounded and fuel-free, so the failure is guaranteed.
-        return reject(
-            ReasonCode::NotInductive,
-            format!("{x} is a hypothesis, not an inducible variable"),
-        );
+        return Err(ReasonCode::NotInductive
+            .because(format!("{x} is a hypothesis, not an inducible variable")));
     }
-    if intro(env, goal, None).is_ok() {
-        PreflightVerdict::Accept
-    } else {
-        reject(ReasonCode::UnknownName, format!("{x} is not a variable"))
+    match intro(env, goal, None) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(ReasonCode::UnknownName.because(format!("{x} is not a variable"))),
     }
 }
 
-fn check_inversion(env: &Env, goal: &Goal, h: &str) -> PreflightVerdict {
-    let Some(hf) = goal.hyp(h) else {
-        return reject(ReasonCode::UnknownName, format!("no hypothesis {h}"));
-    };
-    match whnf_prop(env, hf) {
-        Formula::Pred(p, _, _) => match env.preds.get(p.as_str()) {
-            Some(PredDef::Inductive(_)) => PreflightVerdict::Accept,
-            _ => reject(
-                ReasonCode::NotInductive,
-                format!("{p} is not an inductive predicate"),
-            ),
-        },
-        _ => reject(
-            ReasonCode::NotInductive,
-            "hypothesis is not an inductive predicate application",
-        ),
+fn check_discriminate(env: &Env, goal: &Goal, h: Option<&str>) -> Checked {
+    if let Some(h) = h {
+        return hyp(goal, h).map(drop);
     }
-}
-
-fn check_injection(env: &Env, goal: &Goal, h: &str) -> PreflightVerdict {
-    let Some(hf) = goal.hyp(h) else {
-        return reject(ReasonCode::UnknownName, format!("no hypothesis {h}"));
-    };
-    match whnf_prop(env, hf) {
-        Formula::Eq(..) => PreflightVerdict::Accept,
-        _ => reject(ReasonCode::NonEquation, "hypothesis is not an equality"),
+    if !goal.hyps.is_empty() {
+        return Ok(());
     }
-}
-
-fn check_discriminate(env: &Env, goal: &Goal, h: Option<&str>) -> PreflightVerdict {
-    match h {
-        Some(h) => check_hyp_exists(goal, h),
-        None => {
-            if !goal.hyps.is_empty() {
-                return PreflightVerdict::Accept;
-            }
-            // With no hypotheses, only a `a <> b` conclusion can
-            // discriminate.
-            if let Formula::Not(inner) = whnf_prop(env, &goal.concl) {
-                if matches!(*inner, Formula::Eq(..)) {
-                    return PreflightVerdict::Accept;
-                }
-            }
-            reject(
-                ReasonCode::EmptyContext,
-                "no hypotheses and the goal is not a disequality",
-            )
+    // With no hypotheses, only a `a <> b` conclusion can discriminate.
+    if let Formula::Not(inner) = whnf_prop(env, &goal.concl) {
+        if matches!(*inner, Formula::Eq(..)) {
+            return Ok(());
         }
     }
+    Err(ReasonCode::EmptyContext.because("no hypotheses and the goal is not a disequality"))
 }
 
 // ---------------------------------------------------------------------------
@@ -811,61 +638,28 @@ fn check_rewrite(
     forward: bool,
     in_hyp: Option<&str>,
     fuel_budget: u64,
-) -> PreflightVerdict {
-    let Some(rule) = Rule::resolve(env, goal, name) else {
-        return reject(ReasonCode::UnknownName, format!("unknown equation {name}"));
-    };
-    // Identical to the evaluator: the exposed reading of the statement,
-    // which must conclude with a syntactic equation.
-    let form = rule.exposed_or_plain(env);
-    let (inst, uni) = (form.instance(), form.unifier());
-    let Formula::Eq(_, l, r) = &inst.conclusion else {
-        return reject(
-            ReasonCode::NonEquation,
-            format!("{name} does not conclude with an equality"),
-        );
-    };
-    let target = match in_hyp {
-        None => Formula::clone(&goal.concl),
-        Some(h) => match goal.hyp(h) {
-            Some(f) => f.clone(),
-            None => return reject(ReasonCode::UnknownName, format!("no hypothesis {h}")),
-        },
-    };
+) -> Checked {
+    let site = RewriteSite::read(env, goal, name, in_hyp)?;
+    let (form, l, r) = site.equation(env);
     // Replay the candidate scan with at least the evaluator's fuel budget:
     // a smaller budget can only find fewer matches, so a complete scan with
     // no match means the real one rejects or times out — both failures. If
     // *our* budget runs out first, the result is unknown: accept.
-    let (pat, _) = if forward { (l, r) } else { (r, l) };
+    let pat = if forward { l } else { r };
     let mut cands = Vec::new();
-    candidate_subterms(&target, &mut cands);
+    candidate_subterms(&site.target, &mut cands);
     let mut fuel = Fuel::new(fuel_budget);
     for cand in &cands {
         if fuel.tick().is_err() {
-            return PreflightVerdict::Accept;
+            return Ok(());
         }
-        let mut u2 = uni.clone();
+        let mut u2 = form.unifier().clone();
         if u2.unify_terms(pat, cand, &mut fuel).is_ok() {
-            return PreflightVerdict::Accept;
+            return Ok(());
         }
     }
-    reject(
-        ReasonCode::GoalShape,
-        format!(
-            "found no subterm matching the {} side of {name}",
-            if forward { "left" } else { "right" }
-        ),
-    )
-}
-
-fn check_unfold(env: &Env, goal: &Goal, names: &[String], loc: &Loc) -> PreflightVerdict {
-    for n in names {
-        if !env.preds.contains_key(n) && !env.funcs.contains_key(n) {
-            return reject(ReasonCode::UnknownName, format!("unknown definition {n}"));
-        }
-    }
-    if let Loc::Hyp(h) = loc {
-        return check_hyp_exists(goal, h);
-    }
-    PreflightVerdict::Accept
+    let side = if forward { "left" } else { "right" };
+    Err(ReasonCode::GoalShape.because(format!(
+        "found no subterm matching the {side} side of {name}"
+    )))
 }

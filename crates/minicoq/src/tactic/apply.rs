@@ -3,6 +3,7 @@
 
 use std::borrow::Cow;
 
+use crate::analysis::{PreflightRejection, ReasonCode};
 use crate::env::{Env, PredDef};
 use crate::error::TacticError;
 use crate::eval::{normalize_formula, EvalMode};
@@ -16,9 +17,10 @@ use crate::typing::infer_sort;
 use crate::unify::Unifier;
 
 use super::auto::backchain;
+use super::basic::{hyp, left_or_right, reflexivity, split_in, unused_name, whnf_prop};
 
 /// Resolves a name to a statement: hypotheses shadow lemmas and rules.
-pub(crate) fn stmt_of(env: &Env, goal: &Goal, name: &str) -> Option<Formula> {
+fn stmt_of(env: &Env, goal: &Goal, name: &str) -> Option<Formula> {
     match goal.hyp(name) {
         Some(h) => Some(h.clone()),
         None => env.rule_or_lemma(name).map(|l| l.stmt.clone()),
@@ -105,7 +107,7 @@ fn apply_backward(
     if let Err(direct_err) = direct {
         // `~P` applies to a `False` goal as `P -> False`.
         if let Formula::Not(p) = &inst.conclusion {
-            if matches!(super::basic::whnf_prop(env, &goal.concl), Formula::False) {
+            if matches!(whnf_prop(env, &goal.concl), Formula::False) {
                 let p = (**p).clone();
                 let mut premises: Vec<Formula> = inst.premises.clone();
                 premises.push(p);
@@ -196,6 +198,22 @@ fn finish_backward(
     Ok(out)
 }
 
+/// The fuel-free prefix of `apply L [in H]`: `L` resolves to a rule, and
+/// `H` is a hypothesis.
+pub(crate) fn apply_prefix<'a>(
+    env: &'a Env,
+    goal: &'a Goal,
+    name: &str,
+    in_hyp: Option<&str>,
+) -> Result<Rule<'a>, PreflightRejection> {
+    let rule = Rule::resolve(env, goal, name)
+        .ok_or_else(|| ReasonCode::UnknownName.because(format!("unknown lemma {name}")))?;
+    if let Some(h) = in_hyp {
+        hyp(goal, h)?;
+    }
+    Ok(rule)
+}
+
 /// `apply name` / `eapply name` / `apply name in H`.
 pub fn apply(
     env: &Env,
@@ -205,9 +223,7 @@ pub fn apply(
     existential: bool,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
-    let Some(rule) = Rule::resolve(env, goal, name) else {
-        return Err(TacticError::rejected(format!("unknown lemma {name}")));
-    };
+    let rule = apply_prefix(env, goal, name, in_hyp)?;
     let attempt = |form: &RuleForm, fuel: &mut Fuel| match in_hyp {
         None => apply_backward(env, goal, form, existential, fuel),
         Some(h) => apply_forward(env, goal, form, h, existential, fuel),
@@ -230,7 +246,7 @@ pub fn apply(
 /// This is the reading `apply` falls back to, and the one the simulated
 /// oracle reads hypotheses through.
 pub fn expose_rule(env: &Env, stmt: &Formula) -> Formula {
-    let head = super::basic::whnf_prop(env, stmt);
+    let head = whnf_prop(env, stmt);
     match head {
         Formula::Forall(v, s, body) => Formula::Forall(v, s, Box::new(expose_rule(env, &body))),
         Formula::ForallSort(v, body) => Formula::ForallSort(v, Box::new(expose_rule(env, &body))),
@@ -249,9 +265,7 @@ fn apply_forward(
     existential: bool,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
-    let Some(hf) = goal.hyp(h).cloned() else {
-        return Err(TacticError::rejected(format!("no hypothesis {h}")));
-    };
+    let hf = hyp(goal, h)?.clone();
     let inst = form.instance();
     // Candidate (premises, conclusion) readings: the rule itself, and for a
     // bi-implication conclusion, each direction of the iff. The third
@@ -380,21 +394,18 @@ pub fn constructor(
     existential: bool,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
-    let concl = super::basic::whnf_prop(env, &goal.concl);
+    let concl = constructor_prefix(env, goal)?;
     match &concl {
         Formula::True => Ok(vec![]),
-        Formula::And(..) | Formula::Iff(..) => super::basic::split_in(goal, &concl),
-        Formula::Or(..) => super::basic::left(&{
+        Formula::Eq(..) => reflexivity(env, goal, fuel),
+        Formula::Or(..) => {
             let mut g = goal.clone();
             g.concl = concl.clone().into();
-            g
-        }),
-        Formula::Eq(..) => super::basic::reflexivity(env, goal, fuel),
+            Ok(left_or_right(&g, false)?)
+        }
         Formula::Pred(p, _, _) => {
             let Some(PredDef::Inductive(ip)) = env.preds.get(p.as_str()) else {
-                return Err(TacticError::rejected(format!(
-                    "{p} is not an inductive predicate"
-                )));
+                unreachable!("constructor_prefix checked {p}");
             };
             // One goal for every rule, so they share its conclusion's
             // normal form.
@@ -414,8 +425,28 @@ pub fn constructor(
             }
             Err(TacticError::rejected("no constructor applies"))
         }
-        _ => Err(TacticError::rejected("no constructor applies")),
+        // A conjunction or a bi-implication.
+        _ => Ok(split_in(goal, &concl)?),
     }
+}
+
+/// The fuel-free prefix of `constructor`: the exposed conclusion, which
+/// must be `True`, a conjunction, a bi-implication, a disjunction, an
+/// equation or an inductive predicate's application.
+pub(crate) fn constructor_prefix(env: &Env, goal: &Goal) -> Result<Formula, PreflightRejection> {
+    let concl = whnf_prop(env, &goal.concl);
+    match &concl {
+        Formula::True | Formula::And(..) | Formula::Iff(..) | Formula::Or(..) | Formula::Eq(..) => {
+        }
+        Formula::Pred(p, _, _) => {
+            if !matches!(env.preds.get(p.as_str()), Some(PredDef::Inductive(_))) {
+                let detail = format!("{p} is not an inductive predicate");
+                return Err(ReasonCode::NotInductive.because(detail));
+            }
+        }
+        _ => return Err(ReasonCode::GoalShape.because("no constructor applies")),
+    }
+    Ok(concl)
 }
 
 /// Walks a statement, instantiating binders with the given arguments. A bare
@@ -442,7 +473,7 @@ pub(crate) fn instantiate_with_args(
                     cur = subst_sorts_formula(&body, &map);
                 }
                 Formula::Pred(..) => {
-                    let exposed = super::basic::whnf_prop(env, &cur);
+                    let exposed = whnf_prop(env, &cur);
                     if exposed == cur {
                         break;
                     }
@@ -497,6 +528,20 @@ pub(crate) fn instantiate_with_args(
     Ok(resolved)
 }
 
+/// The fuel-free prefix of `specialize (H args)`: `H` is a hypothesis,
+/// and there is an argument.
+pub(crate) fn specialize_prefix<'g>(
+    goal: &'g Goal,
+    h: &str,
+    args: &[Term],
+) -> Result<&'g Formula, PreflightRejection> {
+    let hf = hyp(goal, h)?;
+    if args.is_empty() {
+        return Err(ReasonCode::ArityMismatch.because("specialize needs arguments"));
+    }
+    Ok(hf)
+}
+
 /// `specialize (H a1 .. an)`.
 pub fn specialize(
     env: &Env,
@@ -505,16 +550,27 @@ pub fn specialize(
     args: &[Term],
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
-    let Some(hf) = goal.hyp(h).cloned() else {
-        return Err(TacticError::rejected(format!("no hypothesis {h}")));
-    };
-    if args.is_empty() {
-        return Err(TacticError::rejected("specialize needs arguments"));
-    }
-    let new = instantiate_with_args(env, goal, &hf, args, fuel)?;
+    let hf = specialize_prefix(goal, h, args)?;
+    let new = instantiate_with_args(env, goal, hf, args, fuel)?;
     let mut g = goal.clone();
     g.set_hyp(h, new);
     Ok(vec![g])
+}
+
+/// The fuel-free prefix of `pose proof (L args)`: `L`'s statement, which
+/// must be ground when there are no arguments.
+pub(crate) fn pose_proof_prefix(
+    env: &Env,
+    goal: &Goal,
+    name: &str,
+    args: &[Term],
+) -> Result<Formula, PreflightRejection> {
+    let stmt = stmt_of(env, goal, name)
+        .ok_or_else(|| ReasonCode::UnknownName.because(format!("unknown lemma {name}")))?;
+    if args.is_empty() && !stmt.is_ground() {
+        return Err(ReasonCode::GoalShape.because("statement is not ground"));
+    }
+    Ok(stmt)
 }
 
 /// `pose proof (name a1 .. an) as H`.
@@ -526,25 +582,15 @@ pub fn pose_proof(
     as_name: Option<&str>,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
-    let Some(stmt) = stmt_of(env, goal, name) else {
-        return Err(TacticError::rejected(format!("unknown lemma {name}")));
-    };
+    let stmt = pose_proof_prefix(env, goal, name, args)?;
     let new = if args.is_empty() {
-        if !stmt.is_ground() {
-            return Err(TacticError::rejected("statement is not ground"));
-        }
         stmt
     } else {
         instantiate_with_args(env, goal, &stmt, args, fuel)?
     };
     let mut g = goal.clone();
     let hname = match as_name {
-        Some(n) => {
-            if goal.names_in_scope().contains(n) {
-                return Err(TacticError::rejected(format!("name {n} already used")));
-            }
-            n.to_string()
-        }
+        Some(n) => unused_name(&goal.names_in_scope(), n)?,
         None => g.fresh("H"),
     };
     g.hyps.push((hname, new));

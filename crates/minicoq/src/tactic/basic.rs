@@ -52,6 +52,21 @@ pub(crate) fn whnf_prop(env: &Env, f: &Formula) -> Formula {
     cur
 }
 
+/// The hypothesis `h` of `goal`, the lookup every tactic naming a
+/// hypothesis starts with.
+pub(crate) fn hyp<'g>(goal: &'g Goal, h: &str) -> Result<&'g Formula, PreflightRejection> {
+    goal.hyp(h)
+        .ok_or_else(|| ReasonCode::UnknownName.because(format!("no hypothesis {h}")))
+}
+
+/// `n`, unless `scope` already binds it.
+pub(crate) fn unused_name(scope: &BTreeSet<Ident>, n: &str) -> Result<Ident, PreflightRejection> {
+    if scope.contains(n) {
+        return Err(ReasonCode::NameInUse.because(format!("name {n} already used")));
+    }
+    Ok(n.to_string())
+}
+
 /// One introduction step, the only one: moves the binder or premise at the
 /// head of `exposed` (the conclusion, read through [`whnf_prop`] unless the
 /// caller wants no unfolding) into the context as `name`, or as a name
@@ -63,19 +78,10 @@ pub(crate) fn intro_binder(
     exposed: Formula,
     name: Option<&str>,
 ) -> Result<(), PreflightRejection> {
-    let unused = |n: &str| -> Result<Ident, PreflightRejection> {
-        if scope.contains(n) {
-            return Err(PreflightRejection::new(
-                ReasonCode::NameInUse,
-                format!("name {n} already used"),
-            ));
-        }
-        Ok(n.to_string())
-    };
     let (name, concl) = match exposed {
         Formula::Forall(v, s, body) => {
             let name = match name {
-                Some(n) => unused(n)?,
+                Some(n) => unused_name(scope, n)?,
                 None => fresh_name(&v, scope),
             };
             let concl = subst_formula1(&body, &v, &Term::var(name.clone()));
@@ -85,10 +91,9 @@ pub(crate) fn intro_binder(
         Formula::ForallSort(v, body) => {
             let name = name.map_or_else(|| v.clone(), str::to_string);
             if g.sort_vars.contains(&name) {
-                return Err(PreflightRejection::new(
-                    ReasonCode::NameInUse,
-                    format!("sort variable {name} already used"),
-                ));
+                return Err(
+                    ReasonCode::NameInUse.because(format!("sort variable {name} already used"))
+                );
             }
             let concl = if name != v {
                 let mut map = crate::subst::SortSubst::new();
@@ -102,7 +107,7 @@ pub(crate) fn intro_binder(
         }
         Formula::Implies(p, q) => {
             let name = match name {
-                Some(n) => unused(n)?,
+                Some(n) => unused_name(scope, n)?,
                 None => fresh_name("H", scope),
             };
             g.hyps.push((name.clone(), *p));
@@ -113,12 +118,7 @@ pub(crate) fn intro_binder(
             g.hyps.push((name.clone(), *p));
             (name, Formula::False)
         }
-        _ => {
-            return Err(PreflightRejection::new(
-                ReasonCode::AtomicConclusion,
-                "nothing to introduce",
-            ))
-        }
+        _ => return Err(ReasonCode::AtomicConclusion.because("nothing to introduce")),
     };
     g.concl = concl.into();
     scope.insert(name);
@@ -160,10 +160,7 @@ pub fn intros(env: &Env, goal: &Goal, names: &[String]) -> Result<Goal, Prefligh
 
 /// `exact H`.
 pub fn exact(env: &Env, goal: &Goal, h: &str, fuel: &mut Fuel) -> Result<Vec<Goal>, TacticError> {
-    let Some(f) = goal.hyp(h) else {
-        return Err(TacticError::rejected(format!("no hypothesis {h}")));
-    };
-    if conv_eq_formula(env, f, &goal.concl, fuel)? {
+    if conv_eq_formula(env, hyp(goal, h)?, &goal.concl, fuel)? {
         Ok(vec![])
     } else {
         Err(TacticError::rejected("hypothesis does not match the goal"))
@@ -181,11 +178,12 @@ pub fn assumption(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, 
 }
 
 /// `split`.
-pub fn split(goal: &Goal) -> Result<Vec<Goal>, TacticError> {
-    split_in(goal, &goal.concl.clone())
+pub fn split(goal: &Goal) -> Result<Vec<Goal>, PreflightRejection> {
+    split_in(goal, &goal.concl)
 }
 
-pub(crate) fn split_in(goal: &Goal, concl: &Formula) -> Result<Vec<Goal>, TacticError> {
+/// `split` on `goal` read as `concl`.
+pub(crate) fn split_in(goal: &Goal, concl: &Formula) -> Result<Vec<Goal>, PreflightRejection> {
     match concl {
         Formula::And(a, b) => {
             let mut g1 = goal.clone();
@@ -202,41 +200,24 @@ pub(crate) fn split_in(goal: &Goal, concl: &Formula) -> Result<Vec<Goal>, Tactic
             Ok(vec![g1, g2])
         }
         Formula::True => Ok(vec![]),
-        _ => Err(TacticError::rejected("goal is not a conjunction")),
+        _ => Err(ReasonCode::GoalShape.because("goal is not a conjunction")),
     }
 }
 
-/// `left`.
-pub fn left(goal: &Goal) -> Result<Vec<Goal>, TacticError> {
-    match &*goal.concl {
-        Formula::Or(a, _) => {
-            let mut g = goal.clone();
-            g.concl = (**a).clone().into();
-            Ok(vec![g])
-        }
-        _ => Err(TacticError::rejected("goal is not a disjunction")),
-    }
-}
-
-/// `right`.
-pub fn right(goal: &Goal) -> Result<Vec<Goal>, TacticError> {
-    match &*goal.concl {
-        Formula::Or(_, b) => {
-            let mut g = goal.clone();
-            g.concl = (**b).clone().into();
-            Ok(vec![g])
-        }
-        _ => Err(TacticError::rejected("goal is not a disjunction")),
-    }
+/// `left` (`right` with `right` set): the chosen side of a disjunction.
+pub fn left_or_right(goal: &Goal, right: bool) -> Result<Vec<Goal>, PreflightRejection> {
+    let Formula::Or(a, b) = &*goal.concl else {
+        return Err(ReasonCode::GoalShape.because("goal is not a disjunction"));
+    };
+    let mut g = goal.clone();
+    g.concl = Formula::clone(if right { b } else { a }).into();
+    Ok(vec![g])
 }
 
 /// `exists t`.
 pub fn exists_tac(env: &Env, goal: &Goal, witness: &Term) -> Result<Goal, PreflightRejection> {
     let Formula::Exists(v, _, body) = whnf_prop(env, &goal.concl) else {
-        return Err(PreflightRejection::new(
-            ReasonCode::GoalShape,
-            "goal is not an existential",
-        ));
+        return Err(ReasonCode::GoalShape.because("goal is not an existential"));
     };
     let mut fv = BTreeSet::new();
     witness.free_vars(&mut fv);
@@ -250,10 +231,7 @@ pub fn exists_tac(env: &Env, goal: &Goal, witness: &Term) -> Result<Goal, Prefli
 /// a context variable of `goal`.
 fn in_context(goal: &Goal, fv: &BTreeSet<Ident>) -> Result<(), PreflightRejection> {
     match fv.iter().find(|x| goal.var_sort(x).is_none()) {
-        Some(x) => Err(PreflightRejection::new(
-            ReasonCode::UnknownName,
-            format!("unknown variable {x}"),
-        )),
+        Some(x) => Err(ReasonCode::UnknownName.because(format!("unknown variable {x}"))),
         None => Ok(()),
     }
 }
@@ -296,18 +274,12 @@ pub fn clear(goal: &Goal, names: &[String]) -> Result<Goal, PreflightRejection> 
         if g.var_sort(n).is_some() {
             let used = g.hyps.iter().any(|(_, f)| f.mentions(n)) || g.concl.mentions(n);
             if used {
-                return Err(PreflightRejection::new(
-                    ReasonCode::NameInUse,
-                    format!("{n} is used in the goal"),
-                ));
+                return Err(ReasonCode::NameInUse.because(format!("{n} is used in the goal")));
             }
             g.remove_var(n);
             continue;
         }
-        return Err(PreflightRejection::new(
-            ReasonCode::UnknownName,
-            format!("no such hypothesis: {n}"),
-        ));
+        return Err(ReasonCode::UnknownName.because(format!("no such hypothesis: {n}")));
     }
     Ok(g)
 }
@@ -339,34 +311,31 @@ pub fn revert(goal: &Goal, names: &[String]) -> Result<Goal, PreflightRejection>
             g.concl = Formula::Forall(n.clone(), s, Box::new(g.concl.into_formula())).into();
             continue;
         }
-        return Err(PreflightRejection::new(
-            ReasonCode::UnknownName,
-            format!("no such name: {n}"),
-        ));
+        return Err(ReasonCode::UnknownName.because(format!("no such name: {n}")));
     }
     Ok(g)
 }
 
+/// The fuel-free prefix of `reflexivity`: the exposed conclusion, which
+/// must be an equation, a bi-implication or `True`.
+pub(crate) fn reflexivity_prefix(env: &Env, goal: &Goal) -> Result<Formula, PreflightRejection> {
+    match whnf_prop(env, &goal.concl) {
+        concl @ (Formula::Eq(..) | Formula::Iff(..) | Formula::True) => Ok(concl),
+        _ => Err(ReasonCode::GoalShape.because("goal is not an equality")),
+    }
+}
+
 /// `reflexivity`.
 pub fn reflexivity(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, TacticError> {
-    let concl = whnf_prop(env, &goal.concl);
-    match concl {
-        Formula::Eq(_, a, b) => {
-            if conv_eq_term(env, &a, &b, fuel)? {
-                Ok(vec![])
-            } else {
-                Err(TacticError::rejected("the two sides are not convertible"))
-            }
-        }
-        Formula::Iff(a, b) => {
-            if conv_eq_formula(env, &a, &b, fuel)? {
-                Ok(vec![])
-            } else {
-                Err(TacticError::rejected("the two sides are not convertible"))
-            }
-        }
-        Formula::True => Ok(vec![]),
-        _ => Err(TacticError::rejected("goal is not an equality")),
+    let convertible = match reflexivity_prefix(env, goal)? {
+        Formula::Eq(_, a, b) => conv_eq_term(env, &a, &b, fuel)?,
+        Formula::Iff(a, b) => conv_eq_formula(env, &a, &b, fuel)?,
+        _ => true,
+    };
+    if convertible {
+        Ok(vec![])
+    } else {
+        Err(TacticError::rejected("the two sides are not convertible"))
     }
 }
 
@@ -381,25 +350,13 @@ pub fn symmetry(env: &Env, goal: &Goal, loc: Option<&str>) -> Result<Goal, Prefl
     match loc {
         None => {
             let Some(f) = flip(&goal.concl) else {
-                return Err(PreflightRejection::new(
-                    ReasonCode::GoalShape,
-                    "goal is not an equality",
-                ));
+                return Err(ReasonCode::GoalShape.because("goal is not an equality"));
             };
             g.concl = f.into();
         }
         Some(h) => {
-            let Some(f) = goal.hyp(h) else {
-                return Err(PreflightRejection::new(
-                    ReasonCode::UnknownName,
-                    format!("no hypothesis {h}"),
-                ));
-            };
-            let Some(f) = flip(f) else {
-                return Err(PreflightRejection::new(
-                    ReasonCode::NonEquation,
-                    "hypothesis is not an equality",
-                ));
+            let Some(f) = flip(hyp(goal, h)?) else {
+                return Err(ReasonCode::NonEquation.because("hypothesis is not an equality"));
             };
             g.set_hyp(h, f);
         }
@@ -407,17 +364,28 @@ pub fn symmetry(env: &Env, goal: &Goal, loc: Option<&str>) -> Result<Goal, Prefl
     Ok(g)
 }
 
+/// The two sides of an `f_equal` goal: the equation's sort, the common
+/// head symbol and the argument lists, which have equal lengths.
+type FEqualSides<'g> = (&'g Sort, &'g str, &'g [Term], &'g [Term]);
+
+/// The fuel-free prefix of `f_equal`: the conclusion must equate two
+/// applications of the same symbol to as many arguments.
+pub(crate) fn f_equal_prefix(goal: &Goal) -> Result<FEqualSides<'_>, PreflightRejection> {
+    let Formula::Eq(s, a, b) = &*goal.concl else {
+        return Err(ReasonCode::GoalShape.because("goal is not an equality"));
+    };
+    let (Term::App(f, fargs), Term::App(g, gargs)) = (a, b) else {
+        return Err(ReasonCode::GoalShape.because("both sides must be applications"));
+    };
+    if f != g || fargs.len() != gargs.len() {
+        return Err(ReasonCode::HeadMismatch.because("head symbols differ"));
+    }
+    Ok((s, f, fargs, gargs))
+}
+
 /// `f_equal`.
 pub fn f_equal(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, TacticError> {
-    let Formula::Eq(s, a, b) = &*goal.concl else {
-        return Err(TacticError::rejected("goal is not an equality"));
-    };
-    let (Term::App(f, fargs), Term::App(g2, gargs)) = (a, b) else {
-        return Err(TacticError::rejected("both sides must be applications"));
-    };
-    if f != g2 || fargs.len() != gargs.len() {
-        return Err(TacticError::rejected("head symbols differ"));
-    }
+    let (s, f, fargs, gargs) = f_equal_prefix(goal)?;
     let arg_sorts = arg_sorts_of(env, f, fargs.len(), s)?;
     let mut out = Vec::new();
     for ((x, y), s) in fargs.iter().zip(gargs).zip(arg_sorts) {

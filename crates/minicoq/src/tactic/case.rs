@@ -3,8 +3,8 @@
 
 use std::collections::BTreeSet;
 
-use crate::analysis::ReasonCode;
-use crate::env::{Env, PredDef};
+use crate::analysis::{PreflightRejection, ReasonCode};
+use crate::env::{Env, IndPred, PredDef};
 use crate::error::TacticError;
 use crate::eval::{ctor_head, normalize_term, EvalMode};
 use crate::formula::Formula;
@@ -17,7 +17,7 @@ use crate::typing::infer_sort;
 use crate::unify::Unifier;
 use crate::Ident;
 
-use super::basic::{intro_binder, whnf_prop};
+use super::basic::{hyp, intro_binder, unused_name, whnf_prop};
 use super::rewrite::replace_in_formula;
 use super::{DestructPattern, DestructTarget};
 
@@ -104,6 +104,30 @@ fn pattern_names(pattern: Option<&DestructPattern>, case: usize) -> &[String] {
     }
 }
 
+/// The fuel-free prefix of `destruct H`: `H`, exposed, is a connective
+/// case analysis splits, or an inductive predicate's application.
+pub(crate) fn destruct_hyp_prefix(
+    env: &Env,
+    goal: &Goal,
+    h: &str,
+) -> Result<Formula, PreflightRejection> {
+    let hf = whnf_prop(env, hyp(goal, h)?);
+    match &hf {
+        Formula::And(..)
+        | Formula::Or(..)
+        | Formula::Exists(..)
+        | Formula::Iff(..)
+        | Formula::True
+        | Formula::False => Ok(hf),
+        Formula::Pred(p, _, _)
+            if matches!(env.preds.get(p.as_str()), Some(PredDef::Inductive(_))) =>
+        {
+            Ok(hf)
+        }
+        _ => Err(ReasonCode::NotInductive.because(format!("hypothesis {h} cannot be destructed"))),
+    }
+}
+
 /// `destruct H` on a hypothesis.
 fn destruct_hyp(
     env: &Env,
@@ -112,8 +136,7 @@ fn destruct_hyp(
     pattern: Option<&DestructPattern>,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
-    let hf = goal.hyp(h).cloned().expect("checked by caller");
-    let hf = whnf_prop(env, &hf);
+    let hf = destruct_hyp_prefix(env, goal, h)?;
     let pos = goal
         .hyps
         .iter()
@@ -149,9 +172,7 @@ fn destruct_hyp(
             let mut g = goal.clone();
             let names = pattern_names(pattern, 0);
             let vname = names.first().cloned().unwrap_or_else(|| g.fresh(&v));
-            if g.names_in_scope().contains(&vname) {
-                return Err(TacticError::rejected(format!("name {vname} already used")));
-            }
+            let vname = unused_name(&g.names_in_scope(), &vname)?;
             g.vars.push((vname.clone(), s));
             let hname = names.get(1).cloned().unwrap_or_else(|| h.to_string());
             g.hyps[pos] = (hname, subst_formula1(&body, &v, &Term::var(vname)));
@@ -175,14 +196,26 @@ fn destruct_hyp(
             Ok(vec![g])
         }
         Formula::False => Ok(vec![]),
-        Formula::Pred(ref p, _, _)
-            if matches!(env.preds.get(p.as_str()), Some(PredDef::Inductive(_))) =>
-        {
-            // Case analysis on an inductive-predicate hypothesis is routed
-            // through inversion (a mild strengthening of Coq's destruct).
-            inversion(env, goal, h, fuel)
+        // Case analysis on an inductive-predicate hypothesis is routed
+        // through inversion (a mild strengthening of Coq's destruct).
+        Formula::Pred(..) => inversion(env, goal, h, fuel),
+        _ => unreachable!("destruct_hyp_prefix checked the shape"),
+    }
+}
+
+/// The fuel-free prefix of case analysis on the variable `x` of `sort`: an
+/// inductive datatype sort.
+pub(crate) fn inductive_sort_prefix(
+    env: &Env,
+    x: &str,
+    sort: &Sort,
+) -> Result<(), PreflightRejection> {
+    match env.sort_inductive(sort) {
+        Some(_) => Ok(()),
+        None => {
+            Err(ReasonCode::NotInductive
+                .because(format!("{x} is not of an inductive datatype sort")))
         }
-        _ => Err(TacticError::rejected("hypothesis cannot be destructed")),
     }
 }
 
@@ -255,11 +288,9 @@ fn destruct_var(
     eqn: Option<&str>,
 ) -> Result<Vec<Goal>, TacticError> {
     let sort = goal.var_sort(x).cloned().expect("checked by caller");
-    let Some(cases) = ctor_cases(env, &sort, pattern, &goal.names_in_scope(), None) else {
-        return Err(TacticError::rejected(format!(
-            "{x} is not of an inductive datatype sort"
-        )));
-    };
+    inductive_sort_prefix(env, x, &sort)?;
+    let cases = ctor_cases(env, &sort, pattern, &goal.names_in_scope(), None);
+    let cases = cases.expect("an inductive sort");
     let mut out = Vec::new();
     for Case { args, term, avoid } in cases {
         let mut g = goal.clone();
@@ -345,6 +376,7 @@ pub fn induction(
     let Some(sort) = goal.var_sort(x).cloned() else {
         return Err(TacticError::rejected(format!("{x} is not a variable")));
     };
+    inductive_sort_prefix(env, x, &sort)?;
 
     // Revert hypotheses that mention x into the motive.
     let deps: Vec<(String, Formula)> = goal
@@ -369,11 +401,7 @@ pub fn induction(
     let mut avoid = base.names_in_scope();
     motive.free_vars(&mut avoid);
     avoid.remove(x);
-    let Some(cases) = ctor_cases(env, &sort, pattern, &avoid, Some(x)) else {
-        return Err(TacticError::rejected(format!(
-            "{x} is not of an inductive datatype sort"
-        )));
-    };
+    let cases = ctor_cases(env, &sort, pattern, &avoid, Some(x)).expect("an inductive sort");
 
     let mut out = Vec::new();
     for (ci, case) in cases.into_iter().enumerate() {
@@ -404,6 +432,27 @@ pub fn induction(
     Ok(out)
 }
 
+/// An inductive-predicate application: the predicate's definition and
+/// the application's name, sort arguments and term arguments.
+type IndApp<'e> = (&'e IndPred, Ident, Vec<Sort>, Vec<Term>);
+
+/// The fuel-free prefix of `inversion H`: `H`, exposed, must apply an
+/// inductive predicate.
+pub(crate) fn inversion_prefix<'e>(
+    env: &'e Env,
+    goal: &Goal,
+    h: &str,
+) -> Result<IndApp<'e>, PreflightRejection> {
+    let Formula::Pred(p, sorts, args) = whnf_prop(env, hyp(goal, h)?) else {
+        return Err(ReasonCode::NotInductive
+            .because("hypothesis is not an inductive predicate application"));
+    };
+    let Some(PredDef::Inductive(ip)) = env.preds.get(p.as_str()) else {
+        return Err(ReasonCode::NotInductive.because(format!("{p} is not an inductive predicate")));
+    };
+    Ok((ip, p, sorts, args))
+}
+
 /// `inversion H` on an inductive-predicate hypothesis.
 pub fn inversion(
     env: &Env,
@@ -411,20 +460,7 @@ pub fn inversion(
     h: &str,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
-    let Some(hf) = goal.hyp(h) else {
-        return Err(TacticError::rejected(format!("no hypothesis {h}")));
-    };
-    let hf = whnf_prop(env, hf);
-    let Formula::Pred(p, sorts, args) = &hf else {
-        return Err(TacticError::rejected(
-            "hypothesis is not an inductive predicate application",
-        ));
-    };
-    let Some(PredDef::Inductive(ip)) = env.preds.get(p.as_str()) else {
-        return Err(TacticError::rejected(format!(
-            "{p} is not an inductive predicate"
-        )));
-    };
+    let (ip, p, sorts, args) = inversion_prefix(env, goal, h)?;
     let mut out = Vec::new();
     for (rn, _) in &ip.rules {
         let rule = env.rule_or_lemma(rn).expect("registered rule").rule();
@@ -432,11 +468,11 @@ pub fn inversion(
         let Formula::Pred(cp, csorts, cargs) = &inst.conclusion else {
             continue;
         };
-        if cp != p || csorts.len() != sorts.len() || cargs.len() != args.len() {
+        if *cp != p || csorts.len() != sorts.len() || cargs.len() != args.len() {
             continue;
         }
         let mut ok = true;
-        for (a, b) in csorts.iter().zip(sorts) {
+        for (a, b) in csorts.iter().zip(&sorts) {
             if uni.unify_sorts(a, b).is_err() {
                 ok = false;
                 break;
@@ -552,6 +588,19 @@ pub fn inversion(
     Ok(out)
 }
 
+/// The fuel-free prefix of `injection H`: `H`, exposed, must be an
+/// equation; its sort and sides.
+pub(crate) fn injection_prefix(
+    env: &Env,
+    goal: &Goal,
+    h: &str,
+) -> Result<(Sort, Term, Term), PreflightRejection> {
+    match whnf_prop(env, hyp(goal, h)?) {
+        Formula::Eq(s, a, b) => Ok((s, a, b)),
+        _ => Err(ReasonCode::NonEquation.because("hypothesis is not an equality")),
+    }
+}
+
 /// `injection H`.
 pub fn injection(
     env: &Env,
@@ -559,12 +608,7 @@ pub fn injection(
     h: &str,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
-    let Some(hf) = goal.hyp(h) else {
-        return Err(TacticError::rejected(format!("no hypothesis {h}")));
-    };
-    let Formula::Eq(s, a, b) = whnf_prop(env, hf) else {
-        return Err(TacticError::rejected("hypothesis is not an equality"));
-    };
+    let (s, a, b) = injection_prefix(env, goal, h)?;
     let a = normalize_term(env, &a, EvalMode::simpl(), fuel)?;
     let b = normalize_term(env, &b, EvalMode::simpl(), fuel)?;
     let (Some(ha), Some(hb)) = (ctor_head(env, &a), ctor_head(env, &b)) else {
@@ -633,10 +677,7 @@ pub fn discriminate(
     };
     match h {
         Some(h) => {
-            let Some(hf) = goal.hyp(h) else {
-                return Err(TacticError::rejected(format!("no hypothesis {h}")));
-            };
-            if check(&hf.clone(), fuel)? {
+            if check(hyp(goal, h)?, fuel)? {
                 return Ok(vec![]);
             }
         }

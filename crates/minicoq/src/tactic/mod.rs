@@ -17,14 +17,18 @@ mod rewrite;
 
 pub use auto::AUTO_DEFAULT_DEPTH;
 
-// The pre-flight analyzer runs the evaluator's fuel-free steps and mirrors
-// exact prefixes of the rest, and the simulated oracle and the generator
-// read formulas the way the tactics do; they borrow the same helpers so
-// none can drift apart.
+// The pre-flight analyzer runs the evaluator's whole fuel-free steps and
+// its fuel-free prefixes of the rest, and the simulated oracle and the
+// generator read formulas the way the tactics do; they borrow the same
+// helpers so none can drift apart.
 pub use apply::expose_rule;
-pub(crate) use apply::stmt_of;
-pub(crate) use basic::{assert_tac, clear, exists_tac, intro, intros, revert, symmetry, whnf_prop};
+pub(crate) use apply::{apply_prefix, constructor_prefix, pose_proof_prefix, specialize_prefix};
+pub(crate) use basic::{f_equal_prefix, hyp, intro, reflexivity_prefix, unused_name, whnf_prop};
+pub(crate) use case::{
+    destruct_hyp_prefix, inductive_sort_prefix, injection_prefix, inversion_prefix,
+};
 pub use rewrite::{candidate_subterms, replace_in_formula};
+pub(crate) use rewrite::{loc_prefix, unfold_prefix, RewriteSite};
 
 /// Weak-head exposure of a goal's conclusion (unfolds defined predicates);
 /// used by the parser to elaborate `exists` witnesses against the expected
@@ -33,11 +37,12 @@ pub fn whnf_concl(env: &crate::env::Env, goal: &crate::goal::Goal) -> crate::for
     basic::whnf_prop(env, &goal.concl)
 }
 
+use crate::analysis::PreflightRejection;
 use crate::env::Env;
 use crate::error::TacticError;
 use crate::formula::Formula;
 use crate::fuel::Fuel;
-use crate::goal::ProofState;
+use crate::goal::{Goal, ProofState};
 use crate::term::Term;
 use crate::Ident;
 
@@ -329,12 +334,37 @@ pub fn apply_tactic_timed(
     tac: &Tactic,
     fuel: &mut Fuel,
 ) -> Result<ProofState, TacticError> {
+    timed(tac, || apply_tactic(env, st, tac, fuel))
+}
+
+/// What [`apply_tactic_timed`] returns for a whole fuel-free step that the
+/// pre-flight checker already ran on `st`'s focused goal
+/// ([`PreflightVerdict::Ran`](crate::analysis::PreflightVerdict::Ran)):
+/// `goals` replace that goal, for the one tick the evaluator charges.
+pub fn apply_ran(
+    st: &ProofState,
+    tac: &Tactic,
+    goals: Vec<Goal>,
+    fuel: &mut Fuel,
+) -> Result<ProofState, TacticError> {
+    timed(tac, || {
+        fuel.tick()?;
+        Ok(st.replace_focused(goals))
+    })
+}
+
+/// Runs one top-level evaluation of `tac`, recording it as
+/// [`apply_tactic_timed`] documents when tracing is armed.
+fn timed(
+    tac: &Tactic,
+    run: impl FnOnce() -> Result<ProofState, TacticError>,
+) -> Result<ProofState, TacticError> {
     if !proof_trace::enabled() {
-        return apply_tactic(env, st, tac, fuel);
+        return run();
     }
     let head = tac.head();
     let start = std::time::Instant::now();
-    let result = apply_tactic(env, st, tac, fuel);
+    let result = run();
     let ns = start.elapsed().as_nanos() as u64;
     proof_trace::metrics::observe(&format!("minicoq.tactic.{head}.ns"), ns);
     let outcome = match &result {
@@ -385,24 +415,16 @@ fn dispatch_goal_tactic(
     tac: &Tactic,
     fuel: &mut Fuel,
 ) -> Result<ProofState, TacticError> {
-    let goal: &crate::goal::Goal = &st.goals[0];
+    let goal: &Goal = &st.goals[0];
+    if let Some(step) = fuel_free_step(env, goal, tac) {
+        return Ok(st.replace_focused(step?));
+    }
     let new_goals = match tac {
-        Tactic::Intro(name) => vec![basic::intro(env, goal, name.as_deref())?],
-        Tactic::Intros(names) => vec![basic::intros(env, goal, names)?],
         Tactic::Exact(h) => basic::exact(env, goal, h, fuel)?,
         Tactic::Assumption => basic::assumption(env, goal, fuel)?,
-        Tactic::Split => basic::split(goal)?,
-        Tactic::Left => basic::left(goal)?,
-        Tactic::Right => basic::right(goal)?,
-        Tactic::ExistsTac(t) => vec![basic::exists_tac(env, goal, t)?],
-        Tactic::Exfalso => basic::exfalso(goal),
         Tactic::Contradiction => basic::contradiction(env, goal, fuel)?,
-        Tactic::Clear(names) => vec![basic::clear(goal, names)?],
-        Tactic::Revert(names) => vec![basic::revert(goal, names)?],
         Tactic::Reflexivity => basic::reflexivity(env, goal, fuel)?,
-        Tactic::Symmetry(loc) => vec![basic::symmetry(env, goal, loc.as_deref())?],
         Tactic::FEqual => basic::f_equal(env, goal, fuel)?,
-        Tactic::Assert(name, f) => basic::assert_tac(goal, name.as_deref(), f)?,
         Tactic::Apply {
             name,
             in_hyp,
@@ -436,8 +458,34 @@ fn dispatch_goal_tactic(
         Tactic::Auto(using) => auto::auto_tactic(env, goal, using, false, fuel)?,
         Tactic::EAuto(using) => auto::auto_tactic(env, goal, using, true, fuel)?,
         Tactic::Trivial => auto::trivial(env, goal, fuel)?,
-        // Tacticals and no-ops are handled by the caller.
+        // Tacticals and no-ops are handled by the caller, whole steps
+        // above.
         _ => unreachable!("tactical reached goal dispatch"),
     };
     Ok(st.replace_focused(new_goals))
+}
+
+/// The tactics that are whole fuel-free steps on a goal — they read no
+/// fuel and fail only with a [`PreflightRejection`] — run on `goal`:
+/// the goals that replace it, or `None` for every other tactic.
+pub(crate) fn fuel_free_step(
+    env: &Env,
+    goal: &Goal,
+    tac: &Tactic,
+) -> Option<Result<Vec<Goal>, PreflightRejection>> {
+    let one = |step: Result<Goal, PreflightRejection>| step.map(|g| vec![g]);
+    Some(match tac {
+        Tactic::Intro(name) => one(basic::intro(env, goal, name.as_deref())),
+        Tactic::Intros(names) => one(basic::intros(env, goal, names)),
+        Tactic::Split => basic::split(goal),
+        Tactic::Left => basic::left_or_right(goal, false),
+        Tactic::Right => basic::left_or_right(goal, true),
+        Tactic::ExistsTac(t) => one(basic::exists_tac(env, goal, t)),
+        Tactic::Exfalso => Ok(basic::exfalso(goal)),
+        Tactic::Clear(names) => one(basic::clear(goal, names)),
+        Tactic::Revert(names) => one(basic::revert(goal, names)),
+        Tactic::Symmetry(loc) => one(basic::symmetry(env, goal, loc.as_deref())),
+        Tactic::Assert(name, f) => basic::assert_tac(goal, name.as_deref(), f),
+        _ => return None,
+    })
 }

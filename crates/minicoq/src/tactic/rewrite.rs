@@ -2,17 +2,19 @@
 
 use std::collections::BTreeSet;
 
+use crate::analysis::{PreflightRejection, ReasonCode};
 use crate::env::Env;
 use crate::error::TacticError;
 use crate::eval::{normalize_formula, unfold_pred, EvalMode};
 use crate::formula::Formula;
 use crate::fuel::Fuel;
 use crate::goal::Goal;
-use crate::rule::Rule;
+use crate::rule::{Rule, RuleForm};
 use crate::subst::{subst_term, TermSubst};
 use crate::term::Term;
 use crate::unify::Unifier;
 
+use super::basic::hyp;
 use super::Loc;
 
 /// Replaces every occurrence of `from` by `to` in a term, skipping match
@@ -159,6 +161,52 @@ fn subterms(t: &Term, out: &mut Vec<Term>) {
     }
 }
 
+/// What `rewrite L [in H]` reads before it spends fuel: `L`'s rule and the
+/// formula to rewrite.
+pub(crate) struct RewriteSite<'a> {
+    rule: Rule<'a>,
+    /// The conclusion, or `H`.
+    pub(crate) target: Formula,
+}
+
+impl<'a> RewriteSite<'a> {
+    /// The fuel-free prefix of `rewrite L [in H]`: `L` resolves to a rule
+    /// whose exposed reading concludes with an equation, and `H` is a
+    /// hypothesis.
+    pub(crate) fn read(
+        env: &'a Env,
+        goal: &'a Goal,
+        name: &str,
+        in_hyp: Option<&str>,
+    ) -> Result<RewriteSite<'a>, PreflightRejection> {
+        let rule = Rule::resolve(env, goal, name)
+            .ok_or_else(|| ReasonCode::UnknownName.because(format!("unknown equation {name}")))?;
+        if !matches!(
+            rule.exposed_or_plain(env).instance().conclusion,
+            Formula::Eq(..)
+        ) {
+            return Err(ReasonCode::NonEquation
+                .because(format!("{name} does not conclude with an equality")));
+        }
+        let target = match in_hyp {
+            None => Formula::clone(&goal.concl),
+            Some(h) => hyp(goal, h)?.clone(),
+        };
+        Ok(RewriteSite { rule, target })
+    }
+
+    /// The reading `rewrite` matches, which exposes defined predicates
+    /// (so a `meq m1 m2` hypothesis rewrites as its unfolding
+    /// `forall a, mfind m1 a = mfind m2 a`), and its equation's sides.
+    pub(crate) fn equation(&self, env: &Env) -> (&RuleForm, &Term, &Term) {
+        let form = self.rule.exposed_or_plain(env);
+        match &form.instance().conclusion {
+            Formula::Eq(_, l, r) => (form, l, r),
+            _ => unreachable!("`read` checked the equation"),
+        }
+    }
+}
+
 /// `rewrite [<-] name [in H]`.
 pub fn rewrite(
     env: &Env,
@@ -168,31 +216,15 @@ pub fn rewrite(
     in_hyp: Option<&str>,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
-    let Some(rule) = Rule::resolve(env, goal, name) else {
-        return Err(TacticError::rejected(format!("unknown equation {name}")));
-    };
-    // Expose defined predicates so e.g. a `meq m1 m2` hypothesis rewrites
-    // as its unfolding `forall a, mfind m1 a = mfind m2 a`.
-    let form = rule.exposed_or_plain(env);
+    let site = RewriteSite::read(env, goal, name, in_hyp)?;
+    let (form, l, r) = site.equation(env);
     let (inst, uni) = (form.instance(), form.unifier());
-    let Formula::Eq(_, l, r) = &inst.conclusion else {
-        return Err(TacticError::rejected(
-            "the statement does not conclude with an equality",
-        ));
-    };
     let (pat, repl) = if forward { (l, r) } else { (r, l) };
-
-    let target: Formula = match in_hyp {
-        None => Formula::clone(&goal.concl),
-        Some(h) => goal
-            .hyp(h)
-            .cloned()
-            .ok_or_else(|| TacticError::rejected(format!("no hypothesis {h}")))?,
-    };
+    let target = &site.target;
 
     // Find the first subterm the pattern matches.
     let mut cands = Vec::new();
-    candidate_subterms(&target, &mut cands);
+    candidate_subterms(target, &mut cands);
     let mut matched: Option<Unifier> = None;
     for cand in &cands {
         fuel.tick()?;
@@ -217,7 +249,7 @@ pub fn rewrite(
             "cannot infer the full instantiation of the equation",
         ));
     }
-    let new_target = replace_in_formula(&target, &from, &to);
+    let new_target = replace_in_formula(target, &from, &to);
 
     let mut main = goal.clone();
     match in_hyp {
@@ -242,6 +274,30 @@ pub fn rewrite(
     Ok(out)
 }
 
+/// The fuel-free prefix of `simpl` and `unfold` at `loc`: an `in H` names
+/// a hypothesis.
+pub(crate) fn loc_prefix(goal: &Goal, loc: &Loc) -> Result<(), PreflightRejection> {
+    if let Loc::Hyp(h) = loc {
+        hyp(goal, h)?;
+    }
+    Ok(())
+}
+
+/// The fuel-free prefix of `unfold names [in loc]`: every name is a
+/// definition, and [`loc_prefix`] holds.
+pub(crate) fn unfold_prefix(
+    env: &Env,
+    goal: &Goal,
+    names: &[String],
+    loc: &Loc,
+) -> Result<(), PreflightRejection> {
+    let defined = |n: &String| env.preds.contains_key(n) || env.funcs.contains_key(n);
+    if let Some(n) = names.iter().find(|n| !defined(n)) {
+        return Err(ReasonCode::UnknownName.because(format!("unknown definition {n}")));
+    }
+    loc_prefix(goal, loc)
+}
+
 /// `unfold f, g [in H | in *]`.
 pub fn unfold(
     env: &Env,
@@ -250,11 +306,7 @@ pub fn unfold(
     loc: &Loc,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
-    for n in names {
-        if !env.preds.contains_key(n) && !env.funcs.contains_key(n) {
-            return Err(TacticError::rejected(format!("unknown definition {n}")));
-        }
-    }
+    unfold_prefix(env, goal, names, loc)?;
     let mut g = goal.clone();
     let apply_to = |f: &Formula, fuel: &mut Fuel| -> Result<Formula, TacticError> {
         let mut cur = f.clone();
@@ -270,10 +322,7 @@ pub fn unfold(
             g.concl = apply_to(&g.concl, fuel)?.into();
         }
         Loc::Hyp(h) => {
-            let Some(f) = g.hyp(h).cloned() else {
-                return Err(TacticError::rejected(format!("no hypothesis {h}")));
-            };
-            let nf = apply_to(&f, fuel)?;
+            let nf = apply_to(hyp(goal, h)?, fuel)?;
             g.set_hyp(h, nf);
         }
         Loc::Everywhere => {
@@ -405,10 +454,7 @@ pub fn simpl(env: &Env, goal: &Goal, loc: &Loc, fuel: &mut Fuel) -> Result<Vec<G
             g.concl = normalize_formula(env, &g.concl, EvalMode::simpl(), fuel)?.into();
         }
         Loc::Hyp(h) => {
-            let Some(f) = g.hyp(h).cloned() else {
-                return Err(TacticError::rejected(format!("no hypothesis {h}")));
-            };
-            let nf = normalize_formula(env, &f, EvalMode::simpl(), fuel)?;
+            let nf = normalize_formula(env, hyp(goal, h)?, EvalMode::simpl(), fuel)?;
             g.set_hyp(h, nf);
         }
         Loc::Everywhere => {

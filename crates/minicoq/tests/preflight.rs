@@ -1,17 +1,19 @@
 //! Per-reason regression tests for the static pre-flight checker, plus
-//! the no-false-positive property: every statically rejected tactic must
-//! also fail in the real evaluator. A reject that the evaluator would have
-//! accepted would silently change search results; a missed reject only
-//! costs time, so `Accept` is asserted against only for `intro`, `intros`,
-//! `clear` and `revert`, which the checker answers by running the
-//! kernel's own step.
+//! its contract with the evaluator as a property: every statically
+//! rejected tactic also fails in the real evaluator (a reject the
+//! evaluator would have accepted would silently change search results),
+//! and every whole fuel-free step (`intro`, `intros`, `clear`, `revert`,
+//! `exists`, `symmetry`, `assert`, `split`, `left`, `right`, `exfalso`)
+//! is run, not just accepted: its handed-on goals, committed through
+//! `apply_ran`, are the evaluator's state at the evaluator's fuel. A
+//! missed reject of any other tactic only costs time.
 
 use minicoq::analysis::{preflight_state, PreflightVerdict, ReasonCode};
 use minicoq::env::Env;
 use minicoq::fuel::Fuel;
 use minicoq::goal::ProofState;
 use minicoq::parse::{parse_formula, parse_tactic};
-use minicoq::tactic::{apply_tactic, Tactic};
+use minicoq::tactic::{apply_ran, apply_tactic, Tactic};
 use proptest::prelude::*;
 
 const FUEL: u64 = 1_000_000;
@@ -40,7 +42,7 @@ fn assert_rejects(env: &Env, st: &ProofState, tactic: &str, expect: ReasonCode) 
                 "`{tactic}` rejected for the wrong reason: {r}"
             );
         }
-        PreflightVerdict::Accept => panic!("`{tactic}` was not statically rejected"),
+        v => panic!("`{tactic}` was not statically rejected: {v:?}"),
     }
     let mut fuel = Fuel::new(FUEL);
     assert!(
@@ -180,7 +182,29 @@ fn tactic_soup() -> impl Strategy<Value = String> {
         "intro (H|n|x|A|ghost)",
         "(clear|revert) (H|n|x) (H0|m|x)",
         "(split|intros|apply le_n); \\[(reflexivity)?\\]",
+        "(exists|assert) \\((0|n|x|ghost)\\)",
+        "assert \\(H : (0|n) = 0\\)",
+        "symmetry( in (H|H0))?",
+        Just("exfalso".to_string()),
     ]
+}
+
+/// Whether the checker runs `tac` whole instead of only screening it.
+fn runs_whole(tac: &Tactic) -> bool {
+    matches!(
+        tac,
+        Tactic::Intro(_)
+            | Tactic::Intros(_)
+            | Tactic::Clear(_)
+            | Tactic::Revert(_)
+            | Tactic::ExistsTac(_)
+            | Tactic::Symmetry(_)
+            | Tactic::Assert(..)
+            | Tactic::Split
+            | Tactic::Left
+            | Tactic::Right
+            | Tactic::Exfalso
+    )
 }
 
 /// Goals of assorted shapes so every checker branch gets exercised.
@@ -193,6 +217,8 @@ fn goal_pool() -> impl Strategy<Value = &'static str> {
         Just("0 = 0 \\/ 1 = 2"),
         Just("True"),
         Just("forall A : Sort, forall x : A, x = x"),
+        Just("exists n : nat, n = 0"),
+        Just("forall n m : nat, n = m -> m = n \\/ False"),
     ]
 }
 
@@ -200,9 +226,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The no-false-positive invariant: whatever the soup throws at it,
-    /// a static `Reject` implies the evaluator also fails. The converse
-    /// holds for `intro`, `intros`, `clear` and `revert`, whose verdict is
-    /// the kernel step's own; elsewhere the checker may miss failures.
+    /// a static `Reject` implies the evaluator also fails. A whole step is
+    /// never merely accepted, and the goals it hands on give the
+    /// evaluator's state for the fuel the evaluator spends; elsewhere the
+    /// checker may miss failures.
     #[test]
     fn statically_rejected_tactics_also_fail_dynamically(
         stmt in goal_pool(),
@@ -218,22 +245,34 @@ proptest! {
             let verdict = preflight_state(&env, &st, &tac, FUEL);
             let mut fuel = Fuel::new(FUEL);
             let result = apply_tactic(&env, &st, &tac, &mut fuel);
-            if let PreflightVerdict::Reject(r) = &verdict {
-                prop_assert!(
+            match verdict {
+                PreflightVerdict::Reject(r) => prop_assert!(
                     result.is_err(),
                     "false positive: `{}` statically rejected ({}) but evaluator accepted it on:\n{}",
                     text, r, st.display()
-                );
-            }
-            if matches!(
-                tac,
-                Tactic::Intro(_) | Tactic::Intros(_) | Tactic::Clear(_) | Tactic::Revert(_)
-            ) {
-                prop_assert!(
-                    verdict.is_reject() || result.is_ok(),
-                    "missed: `{}` statically accepted but the evaluator rejects it on:\n{}",
+                ),
+                PreflightVerdict::Ran(goals) => {
+                    let mut charged = Fuel::new(FUEL);
+                    let handed = apply_ran(&st, &tac, goals, &mut charged);
+                    prop_assert_eq!(
+                        handed.as_ref().ok(),
+                        result.as_ref().ok(),
+                        "`{}` handed on other goals than the evaluator's on:\n{}",
+                        text,
+                        st.display()
+                    );
+                    prop_assert_eq!(
+                        charged.spent(),
+                        fuel.spent(),
+                        "`{}` handed on at other fuel than the evaluator's",
+                        text
+                    );
+                }
+                PreflightVerdict::Accept => prop_assert!(
+                    !runs_whole(&tac),
+                    "missed: whole step `{}` only accepted on:\n{}",
                     text, st.display()
-                );
+                ),
             }
             // Keep walking through whatever actually succeeded, so later
             // iterations see intermediate states too.

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! (Added <id> <Proved|Open>)
-//! (Error <Rejected|Parse|Timeout|NoSuchState> "<msg>")
+//! (Error <Rejected|Parse|Timeout|Preflight|NoSuchState> "<msg>")
 //! (Duplicate <id>)
 //! (Canceled)
 //! (Goals "<rendered goals>")

@@ -12,7 +12,7 @@ use minicoq::fuel::Fuel;
 use minicoq::goal::ProofState;
 use minicoq::parse::parse_tactic;
 use minicoq::statehash::{state_stamp, state_stamp_from_parent};
-use minicoq::tactic::apply_tactic_timed;
+use minicoq::tactic::{apply_ran, apply_tactic_timed};
 use proof_chaos::{FaultKind, FaultPlan};
 
 /// Identifier of a proof state within a session.
@@ -31,9 +31,11 @@ pub struct SessionConfig {
     pub dedupe_states: bool,
     /// Statically pre-screen tactics with [`minicoq::analysis`] before
     /// executing them; guaranteed failures surface as
-    /// [`AddError::Preflight`] without spending any tactic fuel. Off by
-    /// default so a bare session reports the evaluator's own taxonomy;
-    /// the search layer turns it on.
+    /// [`AddError::Preflight`] without spending any tactic fuel, and a
+    /// whole fuel-free step the checker ran is committed as it ran, for
+    /// the one tick the evaluator would charge, instead of running twice.
+    /// Off by default so a bare session reports the evaluator's own
+    /// taxonomy; the search layer turns it on.
     pub preflight: bool,
     /// Chaos-testing hook: a seeded fault plan injecting spurious
     /// [`AddError::Timeout`]s for plan-selected tactics, simulating a
@@ -292,16 +294,19 @@ impl ProofSession {
         if self.injected_stall(at, tactic_src) {
             return Err(AddError::Timeout);
         }
-        if self.config.preflight {
+        let verdict = if self.config.preflight {
             let _sp = proof_trace::span("preflight", "");
-            if let PreflightVerdict::Reject(r) =
-                preflight_state(&self.env, base, &tac, self.config.tactic_fuel)
-            {
-                return Err(AddError::Preflight(r));
-            }
-        }
+            preflight_state(&self.env, base, &tac, self.config.tactic_fuel)
+        } else {
+            PreflightVerdict::Accept
+        };
         let mut fuel = Fuel::new(self.config.tactic_fuel);
-        let result = apply_tactic_timed(&self.env, base, &tac, &mut fuel);
+        let result = match verdict {
+            PreflightVerdict::Reject(r) => return Err(AddError::Preflight(r)),
+            // Pre-flight ran the whole step: commit its goals, not a rerun.
+            PreflightVerdict::Ran(goals) => apply_ran(base, &tac, goals, &mut fuel),
+            PreflightVerdict::Accept => apply_tactic_timed(&self.env, base, &tac, &mut fuel),
+        };
         self.fuel_spent += fuel.spent();
         let new_state = match result {
             Ok(s) => s,
@@ -504,6 +509,38 @@ mod tests {
         // Accepted tactics run as usual.
         let a = s.add(s.root(), "intros n").unwrap();
         assert!(s.add(a.id, "reflexivity").unwrap().proved);
+    }
+
+    #[test]
+    fn a_step_preflight_ran_costs_the_evaluators_tick() {
+        let session = |tactic_fuel, preflight| {
+            let env = Env::with_prelude();
+            let f = parse_formula(&env, "forall n : nat, n = n /\\ True").unwrap();
+            let config = SessionConfig {
+                tactic_fuel,
+                preflight,
+                ..Default::default()
+            };
+            ProofSession::new(env, f, config)
+        };
+        // At a zero budget the first step times out; at one, both run.
+        for (tactic_fuel, spent) in [(0, 1), (1, 2)] {
+            let (mut on, mut off) = (session(tactic_fuel, true), session(tactic_fuel, false));
+            let mut at = on.root();
+            for tactic in ["intros n", "split"] {
+                let out = on.add(at, tactic);
+                assert_eq!(out, off.add(at, tactic), "{tactic} at fuel {tactic_fuel}");
+                assert_eq!(on.fuel_spent(), off.fuel_spent(), "{tactic}");
+                match out {
+                    Ok(o) => at = o.id,
+                    Err(e) => {
+                        assert_eq!((e, tactic_fuel), (AddError::Timeout, 0));
+                        break;
+                    }
+                }
+            }
+            assert_eq!(on.fuel_spent(), spent);
+        }
     }
 
     #[test]
