@@ -9,8 +9,12 @@
 //! fails (a false negative costs only the evaluation the filter was meant
 //! to save), but it must never reject a tactic the evaluator would accept.
 //! Every check therefore either calls the evaluator's own fuel-free code
-//! (a whole step, whose goals it hands on as [`PreflightVerdict::Ran`], or
-//! a step's fuel-free prefix), or under-approximates it.
+//! (a whole step, or a step's fuel-free prefix), or under-approximates it.
+//! When the first goal step the evaluator will reach is a whole step that
+//! ran, the checker hands its goals on as [`PreflightVerdict::Ran`]; they
+//! go back into the one evaluator path
+//! ([`crate::tactic::apply_tactic_timed`]), which commits them there, so
+//! no step runs twice.
 
 mod preflight;
 

@@ -8,13 +8,17 @@
 //!
 //! * **the kernel's own fuel-free code.** The whole steps `intro`,
 //!   `intros`, `clear`, `revert`, `exists`, `symmetry`, `assert`, `split`,
-//!   `left`, `right` and `exfalso` run here, and their goals are handed on
-//!   ([`PreflightVerdict::Ran`]), so the caller commits them instead of
-//!   running the step again. Every other tactic's fuel-free prefix (name
-//!   resolution, the goal or hypothesis shape, the `rewrite` equation) is
-//!   one `*_prefix` function in [`crate::tactic`] that the evaluator calls
-//!   too. All of them fail with a [`PreflightRejection`], so the verdict
-//!   is exactly the evaluator's;
+//!   `left`, `right` and `exfalso` run here. Where the step is the first
+//!   goal step the evaluator reaches — the sentence itself, the head of `;`
+//!   or of `; [..]` (once the arity check passes), the first alternative
+//!   of `first`/`||`, or the body of `idtac; t` and `idtac; [t]` — its
+//!   goals are handed on ([`PreflightVerdict::Ran`]) and the caller passes
+//!   them to `apply_tactic_timed`, whose evaluation commits them there
+//!   instead of running the step again. Every other tactic's fuel-free
+//!   prefix (name resolution, the goal or hypothesis shape, the `rewrite`
+//!   equation) is one `*_prefix` function in [`crate::tactic`] that the
+//!   evaluator calls too. All of them fail with a [`PreflightRejection`],
+//!   so the verdict is exactly the evaluator's;
 //! * **under-approximations** where the evaluator's behaviour depends on
 //!   unification or fuel (the `apply` head-symbol analysis treats any head
 //!   that conversion could still change as a wildcard, the `rewrite`
@@ -152,29 +156,14 @@ impl fmt::Display for PreflightRejection {
 pub enum PreflightVerdict {
     /// The tactic may succeed; run it.
     Accept,
-    /// The tactic is a whole fuel-free step and succeeded: these goals
-    /// replace the focused goal. That is the evaluator's result, so the
-    /// caller can commit it with [`crate::tactic::apply_ran`] instead of
-    /// running the step again.
+    /// The first goal step the evaluator reaches on the focused goal is a
+    /// whole fuel-free step, and it ran: these goals replace that goal.
+    /// That is the evaluator's own step, so the caller hands them to
+    /// [`crate::tactic::apply_tactic_timed`], which commits them there
+    /// instead of running the step again.
     Ran(Vec<Goal>),
     /// The tactic is guaranteed to fail; the evaluation can be skipped.
     Reject(PreflightRejection),
-}
-
-impl PreflightVerdict {
-    /// True for [`PreflightVerdict::Reject`].
-    pub fn is_reject(&self) -> bool {
-        matches!(self, PreflightVerdict::Reject(_))
-    }
-
-    /// The verdict on the same tactic inside a tactical, which charges its
-    /// own fuel around the step: a ran step is only accepted.
-    fn in_tactical(self) -> PreflightVerdict {
-        match self {
-            PreflightVerdict::Ran(_) => PreflightVerdict::Accept,
-            v => v,
-        }
-    }
 }
 
 /// The outcome of a check that runs no step: passed, or rejected.
@@ -210,17 +199,12 @@ pub fn preflight_goal(env: &Env, goal: &Goal, tac: &Tactic, fuel_budget: u64) ->
         // Tacticals. `try`/`repeat` swallow every non-timeout error.
         Tactic::Try(_) | Tactic::Repeat(_) => Accept,
         Tactic::First(ts) => check_first(env, goal, ts, fuel_budget),
-        Tactic::Seq(t1, t2) => {
-            let v1 = preflight_goal(env, goal, t1, fuel_budget);
-            if v1.is_reject() {
-                return v1;
-            }
-            if matches!(**t1, Tactic::Idtac) {
-                // `idtac; t` runs `t` on the unchanged goal.
-                return preflight_goal(env, goal, t2, fuel_budget).in_tactical();
-            }
-            Accept
-        }
+        // `t1; t2` fails when `t1` does, and reaches `t1`'s first goal
+        // step first; `idtac; t` runs `t` on the unchanged goal.
+        Tactic::Seq(t1, t2) => match **t1 {
+            Tactic::Idtac => preflight_goal(env, goal, t2, fuel_budget),
+            _ => preflight_goal(env, goal, t1, fuel_budget),
+        },
         Tactic::SeqDispatch(t1, ts) => check_dispatch(env, goal, t1, ts, fuel_budget),
         // The kernel's whole fuel-free steps run here, and their goals are
         // handed on; every other tactic is checked.
@@ -289,13 +273,16 @@ fn check_first(env: &Env, goal: &Goal, ts: &[Tactic], fuel_budget: u64) -> Prefl
         );
     }
     let mut first_rejection = None;
-    for t in ts {
+    for (i, t) in ts.iter().enumerate() {
         match preflight_goal(env, goal, t, fuel_budget) {
             r @ PreflightVerdict::Reject(_) => {
                 if first_rejection.is_none() {
                     first_rejection = Some(r);
                 }
             }
+            // Only the first alternative's first goal step is the
+            // evaluator's first: a rejected one still runs and fails.
+            ran @ PreflightVerdict::Ran(_) if i == 0 => return ran,
             _ => return PreflightVerdict::Accept,
         }
     }
@@ -311,14 +298,19 @@ fn check_dispatch(
     fuel_budget: u64,
 ) -> PreflightVerdict {
     let v1 = preflight_goal(env, goal, t1, fuel_budget);
-    // If the head tactic's success goal count is known (it ran, or it is
-    // statically certain) and differs from the branch count, the dispatch
-    // errors whenever the head succeeds — and the whole tactical fails
-    // whenever the head fails.
+    // If the head tactic's success goal count is known (it ran whole, or
+    // it is statically certain) and differs from the branch count, the
+    // dispatch errors whenever the head succeeds — and the whole tactical
+    // fails whenever the head fails. A tactical head hands on its first
+    // step's goals, not its own.
+    let tactical = matches!(
+        t1,
+        Tactic::Seq(..) | Tactic::SeqDispatch(..) | Tactic::First(_)
+    );
     let count = match &v1 {
         PreflightVerdict::Reject(_) => return v1,
-        PreflightVerdict::Ran(goals) => Some(goals.len()),
-        PreflightVerdict::Accept => success_goal_count(env, goal, t1),
+        PreflightVerdict::Ran(goals) if !tactical => Some(goals.len()),
+        _ => success_goal_count(env, goal, t1),
     };
     if let Some(k) = count {
         if k != ts.len() {
@@ -329,10 +321,10 @@ fn check_dispatch(
         }
         if matches!(t1, Tactic::Idtac) && ts.len() == 1 {
             // `idtac; [t]` runs `t` on the unchanged goal.
-            return preflight_goal(env, goal, &ts[0], fuel_budget).in_tactical();
+            return preflight_goal(env, goal, &ts[0], fuel_budget);
         }
     }
-    PreflightVerdict::Accept
+    v1
 }
 
 /// The number of goals `tac` leaves behind *if it succeeds*, when that
@@ -362,13 +354,10 @@ fn success_goal_count(env: &Env, goal: &Goal, tac: &Tactic) -> Option<usize> {
         | Tactic::Injection(_) => Some(1),
         // `rewrite` success yields the rewritten goal plus one side goal per
         // premise of the (exposed, instantiated) equation.
-        Tactic::Rewrite { name, .. } => {
-            let rule = Rule::resolve(env, goal, name)?;
-            let inst = rule.exposed_or_plain(env).instance();
-            match inst.conclusion {
-                Formula::Eq(..) => Some(1 + inst.premises.len()),
-                _ => None,
-            }
+        Tactic::Rewrite { name, in_hyp, .. } => {
+            let site = RewriteSite::read(env, goal, name, in_hyp.as_deref()).ok()?;
+            let (form, _, _) = site.equation(env);
+            Some(1 + form.instance().premises.len())
         }
         Tactic::Destruct {
             target: DestructTarget::Name(n),

@@ -256,115 +256,35 @@ pub fn apply_tactic(
     tac: &Tactic,
     fuel: &mut Fuel,
 ) -> Result<ProofState, TacticError> {
-    fuel.tick()?;
-    match tac {
-        Tactic::Idtac => Ok(st.clone()),
-        Tactic::Fail => Err(TacticError::rejected("fail tactic")),
-        Tactic::Seq(t1, t2) => {
-            let rest = st.goals.len().saturating_sub(1);
-            let st1 = apply_tactic(env, st, t1, fuel)?;
-            let produced = st1.goals.len() - rest;
-            let mut out = Vec::new();
-            for g in st1.goals.iter().take(produced) {
-                let sub = ProofState {
-                    goals: vec![g.clone()],
-                };
-                let sub = apply_tactic(env, &sub, t2, fuel)?;
-                out.extend(sub.goals);
-            }
-            out.extend(st1.goals.into_iter().skip(produced));
-            Ok(ProofState { goals: out })
-        }
-        Tactic::SeqDispatch(t1, ts) => {
-            let rest = st.goals.len().saturating_sub(1);
-            let st1 = apply_tactic(env, st, t1, fuel)?;
-            let produced = st1.goals.len() - rest;
-            if produced != ts.len() {
-                return Err(TacticError::rejected(format!(
-                    "dispatch expects {} goals, got {produced}",
-                    ts.len()
-                )));
-            }
-            let mut out = Vec::new();
-            for (g, t) in st1.goals.iter().take(produced).zip(ts) {
-                let sub = ProofState {
-                    goals: vec![g.clone()],
-                };
-                let sub = apply_tactic(env, &sub, t, fuel)?;
-                out.extend(sub.goals);
-            }
-            out.extend(st1.goals.into_iter().skip(produced));
-            Ok(ProofState { goals: out })
-        }
-        Tactic::Try(t) => match apply_tactic(env, st, t, fuel) {
-            Ok(st2) => Ok(st2),
-            Err(TacticError::Timeout) => Err(TacticError::Timeout),
-            Err(_) => Ok(st.clone()),
-        },
-        Tactic::Repeat(t) => repeat_tactic(env, st, t, fuel),
-        Tactic::First(ts) => {
-            for t in ts {
-                match apply_tactic(env, st, t, fuel) {
-                    Ok(st2) => return Ok(st2),
-                    Err(TacticError::Timeout) => return Err(TacticError::Timeout),
-                    Err(_) => continue,
-                }
-            }
-            Err(TacticError::rejected("no tactic in `first` applied"))
-        }
-        _ => {
-            if st.goals.is_empty() {
-                return Err(TacticError::NoGoals);
-            }
-            dispatch_goal_tactic(env, st, tac, fuel)
-        }
-    }
+    eval(env, st, tac, &mut None, fuel)
 }
 
 /// [`apply_tactic`], instrumented: when tracing is armed, records the
 /// evaluation into the `minicoq.tactic.<head>.ns` latency histogram and
 /// bumps the matching outcome counter (`ok` / `rejected` / `parse` /
-/// `timeout`). The non-recursive entry point — tactical bodies still go
-/// through plain [`apply_tactic`], so each top-level evaluation is counted
-/// exactly once. With tracing off this is one atomic load over the plain
-/// call.
+/// `timeout`). The non-recursive entry point — tactical bodies do not come
+/// back through it, so each top-level evaluation is counted exactly once.
+/// With tracing off this is one atomic load over the plain call.
+///
+/// `ran` is what the pre-flight checker handed on
+/// ([`PreflightVerdict::Ran`](crate::analysis::PreflightVerdict::Ran)):
+/// the goals of the whole fuel-free step it ran on `st`'s focused goal,
+/// which is the first goal step this evaluation reaches. That step
+/// commits them instead of running again; every tick is charged as
+/// without them.
 pub fn apply_tactic_timed(
     env: &Env,
     st: &ProofState,
     tac: &Tactic,
+    mut ran: Option<Vec<Goal>>,
     fuel: &mut Fuel,
-) -> Result<ProofState, TacticError> {
-    timed(tac, || apply_tactic(env, st, tac, fuel))
-}
-
-/// What [`apply_tactic_timed`] returns for a whole fuel-free step that the
-/// pre-flight checker already ran on `st`'s focused goal
-/// ([`PreflightVerdict::Ran`](crate::analysis::PreflightVerdict::Ran)):
-/// `goals` replace that goal, for the one tick the evaluator charges.
-pub fn apply_ran(
-    st: &ProofState,
-    tac: &Tactic,
-    goals: Vec<Goal>,
-    fuel: &mut Fuel,
-) -> Result<ProofState, TacticError> {
-    timed(tac, || {
-        fuel.tick()?;
-        Ok(st.replace_focused(goals))
-    })
-}
-
-/// Runs one top-level evaluation of `tac`, recording it as
-/// [`apply_tactic_timed`] documents when tracing is armed.
-fn timed(
-    tac: &Tactic,
-    run: impl FnOnce() -> Result<ProofState, TacticError>,
 ) -> Result<ProofState, TacticError> {
     if !proof_trace::enabled() {
-        return run();
+        return eval(env, st, tac, &mut ran, fuel);
     }
     let head = tac.head();
     let start = std::time::Instant::now();
-    let result = run();
+    let result = eval(env, st, tac, &mut ran, fuel);
     let ns = start.elapsed().as_nanos() as u64;
     proof_trace::metrics::observe(&format!("minicoq.tactic.{head}.ns"), ns);
     let outcome = match &result {
@@ -377,16 +297,91 @@ fn timed(
     result
 }
 
+/// The evaluator. `ran`, until a goal step takes it, holds the goals that
+/// step commits (see [`apply_tactic_timed`]).
+fn eval(
+    env: &Env,
+    st: &ProofState,
+    tac: &Tactic,
+    ran: &mut Option<Vec<Goal>>,
+    fuel: &mut Fuel,
+) -> Result<ProofState, TacticError> {
+    fuel.tick()?;
+    match tac {
+        Tactic::Idtac => Ok(st.clone()),
+        Tactic::Fail => Err(TacticError::rejected("fail tactic")),
+        Tactic::Seq(t1, t2) => {
+            let st1 = eval(env, st, t1, ran, fuel)?;
+            focus_each(st, st1, None, |_, sub| eval(env, sub, t2, ran, fuel))
+        }
+        Tactic::SeqDispatch(t1, ts) => {
+            let st1 = eval(env, st, t1, ran, fuel)?;
+            focus_each(st, st1, Some(ts.len()), |i, sub| {
+                eval(env, sub, &ts[i], ran, fuel)
+            })
+        }
+        Tactic::Try(t) => match eval(env, st, t, ran, fuel) {
+            Ok(st2) => Ok(st2),
+            Err(TacticError::Timeout) => Err(TacticError::Timeout),
+            Err(_) => Ok(st.clone()),
+        },
+        Tactic::Repeat(t) => repeat_tactic(env, st, t, ran, fuel),
+        Tactic::First(ts) => {
+            for t in ts {
+                match eval(env, st, t, ran, fuel) {
+                    Ok(st2) => return Ok(st2),
+                    Err(TacticError::Timeout) => return Err(TacticError::Timeout),
+                    Err(_) => continue,
+                }
+            }
+            Err(TacticError::rejected("no tactic in `first` applied"))
+        }
+        _ => {
+            if st.goals.is_empty() {
+                return Err(TacticError::NoGoals);
+            }
+            dispatch_goal_tactic(env, st, tac, ran, fuel)
+        }
+    }
+}
+
+/// The focus loop of `;`, `; [..]` and `repeat`. `head` is what a tactic
+/// made of `st`: the goals it put in place of the focused goal, then
+/// `st`'s unfocused tail. Runs `then(i, sub)` on the `i`-th new goal alone
+/// in focus — after checking there are `arity` of them, when given — and
+/// appends the tail's goals untouched, so they stay shared with `st`.
+fn focus_each(
+    st: &ProofState,
+    head: ProofState,
+    arity: Option<usize>,
+    mut then: impl FnMut(usize, &ProofState) -> Result<ProofState, TacticError>,
+) -> Result<ProofState, TacticError> {
+    let produced = head.goals.len() - st.goals.len().saturating_sub(1);
+    if let Some(n) = arity.filter(|&n| n != produced) {
+        return Err(TacticError::rejected(format!(
+            "dispatch expects {n} goals, got {produced}"
+        )));
+    }
+    let mut goals = head.goals.into_iter();
+    let mut out = Vec::new();
+    for (i, g) in goals.by_ref().take(produced).enumerate() {
+        out.extend(then(i, &ProofState { goals: vec![g] })?.goals);
+    }
+    out.extend(goals);
+    Ok(ProofState { goals: out })
+}
+
 /// `repeat t`: applies `t` to the focused goal until it fails, recursing
 /// into generated subgoals, fuel-bounded.
 fn repeat_tactic(
     env: &Env,
     st: &ProofState,
     t: &Tactic,
+    ran: &mut Option<Vec<Goal>>,
     fuel: &mut Fuel,
 ) -> Result<ProofState, TacticError> {
     fuel.charge(4)?;
-    let st1 = match apply_tactic(env, st, t, fuel) {
+    let st1 = match eval(env, st, t, ran, fuel) {
         Ok(s) => s,
         Err(TacticError::Timeout) => return Err(TacticError::Timeout),
         Err(_) => return Ok(st.clone()),
@@ -395,28 +390,26 @@ fn repeat_tactic(
     if st1 == *st {
         return Ok(st1);
     }
-    let rest = st.goals.len().saturating_sub(1);
-    let produced = st1.goals.len() - rest;
-    let mut out = Vec::new();
-    for g in st1.goals.iter().take(produced) {
-        let sub = ProofState {
-            goals: vec![g.clone()],
-        };
-        let sub = repeat_tactic(env, &sub, t, fuel)?;
-        out.extend(sub.goals);
-    }
-    out.extend(st1.goals.into_iter().skip(produced));
-    Ok(ProofState { goals: out })
+    focus_each(st, st1, None, |_, sub| {
+        repeat_tactic(env, sub, t, ran, fuel)
+    })
 }
 
 fn dispatch_goal_tactic(
     env: &Env,
     st: &ProofState,
     tac: &Tactic,
+    ran: &mut Option<Vec<Goal>>,
     fuel: &mut Fuel,
 ) -> Result<ProofState, TacticError> {
     let goal: &Goal = &st.goals[0];
-    if let Some(step) = fuel_free_step(env, goal, tac) {
+    // Pre-flight hands on goals only where the first goal step reached is
+    // the whole step it ran.
+    let step = match ran.take() {
+        Some(goals) => Some(Ok(goals)),
+        None => fuel_free_step(env, goal, tac),
+    };
+    if let Some(step) = step {
         return Ok(st.replace_focused(step?));
     }
     let new_goals = match tac {

@@ -4,16 +4,17 @@
 //! evaluator would have accepted would silently change search results),
 //! and every whole fuel-free step (`intro`, `intros`, `clear`, `revert`,
 //! `exists`, `symmetry`, `assert`, `split`, `left`, `right`, `exfalso`)
-//! is run, not just accepted: its handed-on goals, committed through
-//! `apply_ran`, are the evaluator's state at the evaluator's fuel. A
-//! missed reject of any other tactic only costs time.
+//! is run, not just accepted, as the sentence or as the first step of a
+//! tactical: its handed-on goals, committed through `apply_tactic_timed`,
+//! give the evaluator's result at the evaluator's fuel, at every budget.
+//! A missed reject of any other tactic only costs time.
 
 use minicoq::analysis::{preflight_state, PreflightVerdict, ReasonCode};
 use minicoq::env::Env;
 use minicoq::fuel::Fuel;
 use minicoq::goal::ProofState;
 use minicoq::parse::{parse_formula, parse_tactic};
-use minicoq::tactic::{apply_ran, apply_tactic, Tactic};
+use minicoq::tactic::{apply_tactic, apply_tactic_timed, Tactic};
 use proptest::prelude::*;
 
 const FUEL: u64 = 1_000_000;
@@ -182,6 +183,17 @@ fn tactic_soup() -> impl Strategy<Value = String> {
         "intro (H|n|x|A|ghost)",
         "(clear|revert) (H|n|x) (H0|m|x)",
         "(split|intros|apply le_n); \\[(reflexivity)?\\]",
+        // Tacticals over whole-step and other heads.
+        "(intros|intro|split|left|right|exfalso|symmetry|reflexivity|simpl|constructor|destruct n|induction n); (intros|intro H|split|left|reflexivity|assumption|simpl)",
+        "first \\[(split|intros|left|reflexivity|fail) \\| (left|right|intro|assumption)\\]",
+        "(split|intro|left|fail) \\|\\| (right|intros|reflexivity)",
+        "idtac; (intros|intro H|split|left|exists 0|symmetry|reflexivity)",
+        "idtac; \\[(intros|split|right|reflexivity)\\]",
+        // Dispatch over heads whose goal count is known before they run,
+        // over closers, and over whole steps.
+        "(destruct (H|n)|induction (n|m)); \\[(reflexivity|assumption|intros|simpl)( \\| (reflexivity|assumption|simpl))?\\]",
+        "rewrite (H|H0|add_zero|add_zero_if); \\[(reflexivity|assumption|simpl)( \\| (reflexivity|assumption))?\\]",
+        "(reflexivity|assumption|split|intros); \\[(reflexivity|assumption|intros)( \\| (reflexivity|assumption)){0,2}\\]",
         "(exists|assert) \\((0|n|x|ghost)\\)",
         "assert \\(H : (0|n) = 0\\)",
         "symmetry( in (H|H0))?",
@@ -207,37 +219,73 @@ fn runs_whole(tac: &Tactic) -> bool {
     )
 }
 
-/// Goals of assorted shapes so every checker branch gets exercised.
-fn goal_pool() -> impl Strategy<Value = &'static str> {
+/// Whether the first goal step `tac` reaches is a whole step wherever
+/// the checker can tell: then it is run and handed on, not only accepted.
+/// (A `first` passes the verdict to a later alternative when its first is
+/// rejected, so it is left out.)
+fn hands_on(tac: &Tactic) -> bool {
+    match tac {
+        Tactic::Seq(t1, t2) => match **t1 {
+            Tactic::Idtac => hands_on(t2),
+            _ => hands_on(t1),
+        },
+        Tactic::SeqDispatch(t1, ts) => match (&**t1, ts.as_slice()) {
+            (Tactic::Idtac, [t]) => hands_on(t),
+            _ => hands_on(t1),
+        },
+        _ => runs_whole(tac),
+    }
+}
+
+/// Goals of assorted shapes so every checker branch gets exercised: a
+/// statement, and the steps that lead to the state the soup starts on.
+fn goal_pool() -> impl Strategy<Value = (&'static str, &'static [&'static str])> {
     prop_oneof![
-        Just("0 = 0"),
-        Just("forall n : nat, n = n"),
-        Just("forall n : nat, le 0 n -> le 0 n"),
-        Just("0 = 0 /\\ 1 = 1"),
-        Just("0 = 0 \\/ 1 = 2"),
-        Just("True"),
-        Just("forall A : Sort, forall x : A, x = x"),
-        Just("exists n : nat, n = 0"),
-        Just("forall n m : nat, n = m -> m = n \\/ False"),
+        Just(("0 = 0", &[][..])),
+        Just(("forall n : nat, n = n", &[][..])),
+        Just(("forall n : nat, le 0 n -> le 0 n", &[][..])),
+        Just(("0 = 0 /\\ 1 = 1", &[][..])),
+        Just(("0 = 0 \\/ 1 = 2", &[][..])),
+        Just(("True", &[][..])),
+        Just(("forall A : Sort, forall x : A, x = x", &[][..])),
+        Just(("exists n : nat, n = 0", &[][..])),
+        Just(("forall n m : nat, n = m -> m = n \\/ False", &[][..])),
+        // Equations to rewrite with, an inductive variable, and a
+        // disjunction to destruct, already in context.
+        Just((
+            "forall n m : nat, n = m -> add n 0 = m",
+            &["intros n m H"][..]
+        )),
+        Just((
+            "forall n : nat, add n 0 = n /\\ n = add n 0",
+            &["intros n"][..]
+        )),
+        Just((
+            "forall n : nat, (0 = 0 \\/ n = n) -> n = n",
+            &["intros n H"][..]
+        )),
     ]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    #![proptest_config(ProptestConfig::with_cases(2048))]
 
     /// The no-false-positive invariant: whatever the soup throws at it,
     /// a static `Reject` implies the evaluator also fails. A whole step is
-    /// never merely accepted, and the goals it hands on give the
-    /// evaluator's state for the fuel the evaluator spends; elsewhere the
-    /// checker may miss failures.
+    /// never merely accepted, and with the goals it hands on the evaluator
+    /// commits, at every budget, what it computes live for the same fuel;
+    /// elsewhere the checker may miss failures.
     #[test]
     fn statically_rejected_tactics_also_fail_dynamically(
-        stmt in goal_pool(),
+        start in goal_pool(),
         tactics in proptest::collection::vec(tactic_soup(), 1..8),
     ) {
-        let env = env_with(&[("conj_intro", "True /\\ True")]);
-        let f = parse_formula(&env, stmt).unwrap();
-        let mut st = ProofState::new(f);
+        let env = env_with(&[
+            ("conj_intro", "True /\\ True"),
+            ("add_zero", "forall n : nat, add n 0 = n"),
+            ("add_zero_if", "forall n : nat, le 0 n -> add n 0 = n"),
+        ]);
+        let mut st = state(&env, start.0, start.1);
         for text in tactics {
             let Ok(tac) = parse_tactic(&env, st.focused(), &text) else {
                 continue;
@@ -252,25 +300,30 @@ proptest! {
                     text, r, st.display()
                 ),
                 PreflightVerdict::Ran(goals) => {
-                    let mut charged = Fuel::new(FUEL);
-                    let handed = apply_ran(&st, &tac, goals, &mut charged);
-                    prop_assert_eq!(
-                        handed.as_ref().ok(),
-                        result.as_ref().ok(),
-                        "`{}` handed on other goals than the evaluator's on:\n{}",
-                        text,
-                        st.display()
-                    );
-                    prop_assert_eq!(
-                        charged.spent(),
-                        fuel.spent(),
-                        "`{}` handed on at other fuel than the evaluator's",
-                        text
-                    );
+                    for budget in 0..=fuel.spent() + 1 {
+                        let (mut charged, mut live) = (Fuel::new(budget), Fuel::new(budget));
+                        let handed =
+                            apply_tactic_timed(&env, &st, &tac, Some(goals.clone()), &mut charged);
+                        prop_assert_eq!(
+                            &handed,
+                            &apply_tactic(&env, &st, &tac, &mut live),
+                            "`{}` at fuel {}: handed on other than the evaluator's on:\n{}",
+                            text,
+                            budget,
+                            st.display()
+                        );
+                        prop_assert_eq!(
+                            charged.spent(),
+                            live.spent(),
+                            "`{}` at fuel {}: handed on at other fuel than the evaluator's",
+                            text,
+                            budget
+                        );
+                    }
                 }
                 PreflightVerdict::Accept => prop_assert!(
-                    !runs_whole(&tac),
-                    "missed: whole step `{}` only accepted on:\n{}",
+                    !hands_on(&tac),
+                    "missed: whole first step of `{}` only accepted on:\n{}",
                     text, st.display()
                 ),
             }

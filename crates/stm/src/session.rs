@@ -12,7 +12,7 @@ use minicoq::fuel::Fuel;
 use minicoq::goal::ProofState;
 use minicoq::parse::parse_tactic;
 use minicoq::statehash::{state_stamp, state_stamp_from_parent};
-use minicoq::tactic::{apply_ran, apply_tactic_timed};
+use minicoq::tactic::apply_tactic_timed;
 use proof_chaos::{FaultKind, FaultPlan};
 
 /// Identifier of a proof state within a session.
@@ -32,8 +32,9 @@ pub struct SessionConfig {
     /// Statically pre-screen tactics with [`minicoq::analysis`] before
     /// executing them; guaranteed failures surface as
     /// [`AddError::Preflight`] without spending any tactic fuel, and a
-    /// whole fuel-free step the checker ran is committed as it ran, for
-    /// the one tick the evaluator would charge, instead of running twice.
+    /// whole fuel-free step the checker ran — the sentence, or the head of
+    /// its tactical — is committed by the evaluator as it ran, at the
+    /// evaluator's fuel, instead of running twice.
     /// Off by default so a bare session reports the evaluator's own
     /// taxonomy; the search layer turns it on.
     pub preflight: bool,
@@ -294,19 +295,18 @@ impl ProofSession {
         if self.injected_stall(at, tactic_src) {
             return Err(AddError::Timeout);
         }
-        let verdict = if self.config.preflight {
+        let ran = if self.config.preflight {
             let _sp = proof_trace::span("preflight", "");
-            preflight_state(&self.env, base, &tac, self.config.tactic_fuel)
+            match preflight_state(&self.env, base, &tac, self.config.tactic_fuel) {
+                PreflightVerdict::Reject(r) => return Err(AddError::Preflight(r)),
+                PreflightVerdict::Ran(goals) => Some(goals),
+                PreflightVerdict::Accept => None,
+            }
         } else {
-            PreflightVerdict::Accept
+            None
         };
         let mut fuel = Fuel::new(self.config.tactic_fuel);
-        let result = match verdict {
-            PreflightVerdict::Reject(r) => return Err(AddError::Preflight(r)),
-            // Pre-flight ran the whole step: commit its goals, not a rerun.
-            PreflightVerdict::Ran(goals) => apply_ran(base, &tac, goals, &mut fuel),
-            PreflightVerdict::Accept => apply_tactic_timed(&self.env, base, &tac, &mut fuel),
-        };
+        let result = apply_tactic_timed(&self.env, base, &tac, ran, &mut fuel);
         self.fuel_spent += fuel.spent();
         let new_state = match result {
             Ok(s) => s,

@@ -2,11 +2,12 @@
 //! same interface the search uses — rather than through the tactic engine
 //! directly. Exercises session bookkeeping (ids, scripts, fuel accounting)
 //! at corpus scale, and checks that a session with pre-flight on, which
-//! commits the whole steps the checker ran instead of running them again,
-//! ends up exactly where one with it off does.
+//! commits the whole steps the checker ran instead of running them again
+//! (a sentence, or the first step of its tactical), ends up exactly where
+//! one with it off does.
 
 use llm_fscq::corpus::Corpus;
-use llm_fscq::minicoq::parse::split_sentences;
+use llm_fscq::minicoq::parse::{parse_tactic, split_sentences};
 use llm_fscq::stm::{AddError, ProofSession, SessionConfig, StateId};
 
 #[test]
@@ -44,8 +45,9 @@ fn full_corpus_replays_through_sessions() {
 }
 
 /// Tactics tried at every state of the replayed proofs, beside the human
-/// step: mostly whole fuel-free steps, which pre-flight runs and hands on.
-const PROBES: [&str; 14] = [
+/// step: mostly whole fuel-free steps, which pre-flight runs and hands on,
+/// alone or at the head of a tactical.
+const PROBES: [&str; 19] = [
     "intros",
     "intro",
     "intros x y",
@@ -60,13 +62,20 @@ const PROBES: [&str; 14] = [
     "assert (0 = 0)",
     "reflexivity",
     "assumption",
+    "intros; reflexivity",
+    "split; reflexivity",
+    "first [split | left]",
+    "idtac; intros",
+    "split; [reflexivity | reflexivity]",
 ];
 
 #[test]
 fn preflight_on_and_off_sessions_agree_add_for_add() {
     let corpus = Corpus::load();
     // A few theorems whose proofs take each of these steps.
-    let steps = ["intros ", "split.", "left.", "symmetry", "exists "];
+    let steps = [
+        "intros ", "split.", "left.", "symmetry", "exists ", "intros;",
+    ];
     let mut theorems = Vec::new();
     for step in steps {
         let using = corpus
@@ -110,9 +119,10 @@ fn preflight_on_and_off_sessions_agree_add_for_add() {
                 }
                 if let Ok(o) = &a {
                     assert_eq!(on.display(o.id), off.display(o.id), "{what}");
-                    let head = text.trim_end_matches('.').split(' ').next().unwrap();
-                    let named = head == "intros" && text.contains(' ');
-                    both_ok.insert(if named { "named intros" } else { head }.to_string());
+                    let focused = on.state(at).and_then(|s| s.focused());
+                    let head = parse_tactic(env, focused, text).unwrap().head();
+                    let named = head == "intros" && text.trim_end_matches('.') != "intros";
+                    both_ok.insert(if named { "named intros" } else { head });
                 }
                 // The human step leads on, to a new state or a known one.
                 if next.is_none() {
@@ -127,7 +137,7 @@ fn preflight_on_and_off_sessions_agree_add_for_add() {
         }
         assert!(on.is_proved(at), "{} did not finish", thm.name);
     }
-    for step in ["named intros", "split", "left", "symmetry", "exists"] {
+    for step in ["named intros", "split", "left", "symmetry", "exists", "seq"] {
         assert!(
             both_ok.contains(step),
             "no accepted `{step}` add: {both_ok:?}"
