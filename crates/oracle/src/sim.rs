@@ -20,8 +20,16 @@
 //!    proof patterns guide tactic generation.
 //!
 //! All randomness is deterministic per (model, theorem, query, candidate).
+//!
+//! A candidate is a value, a kind plus the names it mentions, that orders
+//! as its sentence and hashes as it (SipHash streams its pieces and the
+//! `str` terminator), so only the drawn proposals are rendered; what is
+//! fixed per theorem (hint sentences, boosts, a lemma index) is kept in
+//! its prep. Proposals are bit-identical to scoring rendered strings:
+//! `tests/oracle_mechanisms.rs` pins them on the corpus and on a generated
+//! corpus, and this module's tests check each candidate's order and hash.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -34,6 +42,7 @@ use minicoq::sort::Sort;
 use minicoq::tactic::expose_rule;
 use minicoq::term::Term;
 use minicoq::walk::Node;
+use proof_trace::metrics::HotCounter;
 
 use crate::model::{Proposal, QueryCtx, TacticModel};
 use crate::profiles::ModelProfile;
@@ -87,7 +96,6 @@ pub struct SimulatedModel {
     profile: ModelProfile,
     display_name: String,
     tuning: Tuning,
-    cur_skill_eff: f64,
     prep: Option<PrepEntry>,
 }
 
@@ -104,25 +112,36 @@ struct PrepEntry {
 /// computed once per item or lemma: the hint scripts' [`HintFacts`] (once
 /// per cell, in the prompt cache) and the kept lemmas'
 /// [`MatchFacts`](minicoq::refs::MatchFacts) (once per lemma, in its
-/// `Arc<Lemma>`). The theorem's own part is the keep gate's draws and the
-/// hash prefix; only the bigram tables grow per query.
+/// `Arc<Lemma>`). The theorem's own part is the keep gate's draws, the hash
+/// prefix and the two indexes; only the boost tables grow per query.
 #[derive(Debug, Clone)]
 struct PromptPrep {
     /// The hash state after `(model name, theorem)`, the prefix of every
     /// draw this theorem's queries make.
     prefix: SipHasher13,
-    /// Tactic sentences literally present in the hint proofs (retrieval).
-    seen: BTreeSet<Arc<str>>,
-    /// Head-word frequency across the hint proofs.
-    freq: BTreeMap<&'static str, usize>,
+    /// Tactic sentences literally present in the hint proofs (retrieval),
+    /// as (hint proof, sentence) indices into the prompt's hint facts,
+    /// filed under their [`fnv`] hash; sorted.
+    seen: Vec<(u64, (usize, usize))>,
+    /// Head-word counts across the hint proofs, by [`Head`].
+    freq: [usize; HEADS],
     /// Total head-word count behind `freq`.
     freq_total: usize,
-    /// Bigram follow-up tables, keyed by the previous tactic's head word
-    /// (`None` at the proof start). Filled lazily: only head words the
-    /// search actually reaches get a table.
-    bigram: HashMap<Option<&'static str>, (BTreeMap<&'static str, usize>, usize)>,
+    /// Head-word bigram counts across the hint proofs: row `h` counts the
+    /// head words that follow one headed `h`, row `HEADS` those that open
+    /// a proof.
+    bigram: [[usize; HEADS]; HEADS + 1],
+    /// Each head word's hint boost by the row of `bigram` it follows.
+    /// Filled lazily: only head words the search actually reaches get one.
+    boosts: [Option<[f64; HEADS]>; HEADS + 1],
     /// Kept lemmas, in prompt order.
     kept: Vec<Arc<Lemma>>,
+    /// Indices into `kept`, filed under the [`fnv`] hash of every name in
+    /// the lemma's match facts; sorted.
+    index: Vec<(u64, usize)>,
+    /// Each hypothesis with its reading by [`expose_rule`]. Filled lazily:
+    /// a search meets the same few hypotheses query after query.
+    rules: Vec<(Formula, Formula)>,
 }
 
 /// The simulator's reading of one hint proof: its tactic sentences and
@@ -134,10 +153,13 @@ pub struct HintFacts {
     /// The sentences with leading bullets and whitespace trimmed, blank
     /// ones dropped (what retrieval matches proposals against).
     pub sentences: Box<[Arc<str>]>,
+    /// Each sentence's FNV-1a hash, which the gate's retrieval check files
+    /// it under.
+    pub(crate) keys: Box<[u64]>,
     /// The normalized head word of every sentence, in order; `None` where a
-    /// sentence has no head word (counted as `other` by the bigram tables,
-    /// not at all by the frequency table).
-    pub heads: Box<[Option<&'static str>]>,
+    /// sentence has no head word (counted as [`Head::Other`] by the bigram
+    /// tables, not at all by the frequency table).
+    pub heads: Box<[Option<Head>]>,
 }
 
 impl HintFacts {
@@ -151,7 +173,8 @@ impl HintFacts {
             })
             .filter(|t| !t.is_empty())
             .map(Arc::from)
-            .collect();
+            .collect::<Box<[Arc<str>]>>();
+        let keys = sentences.iter().map(|s| fnv(s.bytes())).collect();
         let heads = split
             .iter()
             .map(|s| {
@@ -160,14 +183,18 @@ impl HintFacts {
                     .map(norm_head)
             })
             .collect();
-        HintFacts { sentences, heads }
+        HintFacts {
+            sentences,
+            keys,
+            heads,
+        }
     }
 }
 
 /// A bigram table's reading of a head word: a sentence without one
-/// counts as `other`, as [`norm_head`] reads the empty word.
-fn bigram_head(head: Option<&'static str>) -> &'static str {
-    head.unwrap_or_else(|| norm_head(""))
+/// counts as `Other`, as [`norm_head`] reads the empty word.
+fn bigram_head(head: Option<Head>) -> Head {
+    head.unwrap_or(Head::Other)
 }
 
 /// Builds the per-theorem preparation. Free function (not a method) so the
@@ -181,24 +208,31 @@ fn build_prep(
     let mut prefix = SipHasher13::new();
     display_name.hash(&mut prefix);
     ctx.theorem.hash(&mut prefix);
-    let mut seen = BTreeSet::new();
-    let mut freq: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let mut seen = Vec::new();
+    let mut freq = [0; HEADS];
     let mut freq_total = 0usize;
-    for facts in &ctx.prompt.hint_facts {
-        seen.extend(facts.sentences.iter().cloned());
+    let mut bigram = [[0; HEADS]; HEADS + 1];
+    for (i, facts) in ctx.prompt.hint_facts.iter().enumerate() {
+        seen.extend(facts.keys.iter().enumerate().map(|(j, &key)| (key, (i, j))));
         for hw in facts.heads.iter().flatten() {
-            *freq.entry(*hw).or_insert(0) += 1;
+            freq[*hw as usize] += 1;
             freq_total += 1;
         }
+        // At the proof start, imitate how hint proofs open.
+        let heads = facts.heads.iter().map(|&hw| bigram_head(hw) as usize);
+        if let Some(first) = heads.clone().next() {
+            bigram[HEADS][first] += 1;
+        }
+        for (prev, next) in heads.clone().zip(heads.skip(1)) {
+            bigram[prev][next] += 1;
+        }
     }
+    seen.sort_unstable_by_key(|e| e.0);
     let n = ctx.prompt.visible_lemmas.len().max(1);
     let mut kept = Vec::new();
     // Approximate each lemma's distance (in tokens) from the goal by its
     // position in the prompt.
     for (i, lname) in ctx.prompt.visible_lemmas.iter().enumerate() {
-        let Some(&index) = ctx.env.lemma_index.get(lname.as_str()) else {
-            continue;
-        };
         let dist_frac = (n - 1 - i) as f64 / n as f64; // 0 = nearest.
         let approx_dist = dist_frac * ctx.prompt.tokens as f64;
         let attention = if approx_dist <= profile.effective_context as f64 {
@@ -210,16 +244,103 @@ fn build_prep(
         if unit(hash_from(&prefix, &["keep", lname])) > keep_p {
             continue;
         }
-        kept.push(Arc::clone(&ctx.env.lemmas[index]));
+        if let Some(&index) = ctx.env.lemma_index.get(lname.as_str()) {
+            kept.push(Arc::clone(&ctx.env.lemmas[index]));
+        }
     }
+    let mut index = Vec::with_capacity(4 * kept.len());
+    for (i, lemma) in kept.iter().enumerate() {
+        let facts = lemma.match_facts(ctx.env);
+        let sides = facts.eq_heads.iter().flat_map(|(l, r)| l.iter().chain(r));
+        let names = sides
+            .chain([&facts.head.0])
+            .chain(&facts.first_premise_head);
+        index.extend(names.map(|name| (fnv(name.bytes()), i)));
+    }
+    index.sort_unstable();
+    index.dedup();
     PromptPrep {
         prefix,
         seen,
         freq,
         freq_total,
-        bigram: HashMap::new(),
+        bigram,
+        boosts: [None; HEADS + 1],
         kept,
+        index,
+        rules: Vec::new(),
     }
+}
+
+impl PromptPrep {
+    /// Each head word's hint boost after a tactic headed `prev`: how often
+    /// it appears in the hint proofs, and how often it follows `prev` there
+    /// (opens a proof, at the start).
+    fn boosts(&mut self, prev: Option<Head>) -> [f64; HEADS] {
+        let row = prev.map_or(HEADS, |h| h as usize);
+        let (freq, total, bigram) = (&self.freq, self.freq_total, &self.bigram[row]);
+        *self.boosts[row].get_or_insert_with(|| {
+            let bigram_total: usize = bigram.iter().sum();
+            std::array::from_fn(|hw| {
+                let mut b = 0.0;
+                if total > 0 {
+                    b += 0.35
+                        * ((1.0 + freq[hw] as f64) / (1.0 + total as f64) * 8.0)
+                            .ln_1p()
+                            .max(0.0);
+                }
+                if bigram_total > 0 {
+                    b += 0.9 * (bigram[hw] as f64 / bigram_total as f64);
+                }
+                b
+            })
+        })
+    }
+
+    /// Whether the model retrieves `cand` from the hint proofs: it is a
+    /// sentence there, and passes its retrieval draw at `retrieve_p`.
+    fn retrieves(&self, hints: &[Arc<HintFacts>], cand: Cand<'_>, retrieve_p: f64) -> bool {
+        let sentence = |&(i, j): &(usize, usize)| hints[i].sentences[j].bytes();
+        !self.seen.is_empty()
+            && filed(&self.seen, fnv(cand.bytes())).any(|at| cand.bytes().eq(sentence(at)))
+            && {
+                let mut h = self.prefix.clone();
+                "ret".hash(&mut h);
+                cand.hash(&mut h);
+                unit(h.finish()) < retrieve_p
+            }
+    }
+
+    /// Hypothesis `f` as [`expose_rule`] reads it, once read.
+    fn rule(&self, f: &Formula) -> Option<&Formula> {
+        self.rules
+            .iter()
+            .find(|(h, _)| h == f)
+            .map(|(_, rule)| rule)
+    }
+
+    /// The kept lemmas whose match facts may mention `name`.
+    fn lemmas(&self, name: &str) -> impl Iterator<Item = &Arc<Lemma>> {
+        filed(&self.index, fnv(name.bytes())).map(|&i| &self.kept[i])
+    }
+}
+
+/// FNV-1a, the hash the prep's two indexes file names under: a candidate
+/// streams its bytes into it without being rendered, and a lemma name's
+/// short hash and a sort beat a map of owned names (see DESIGN.md).
+fn fnv(bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The values filed under `key` in a list sorted by key.
+fn filed<K: Ord, V>(list: &[(K, V)], key: K) -> impl Iterator<Item = &V> {
+    let from = list.partition_point(|e| e.0 < key);
+    list[from..]
+        .iter()
+        .take_while(move |e| e.0 == key)
+        .map(|e| &e.1)
 }
 
 impl SimulatedModel {
@@ -229,7 +350,6 @@ impl SimulatedModel {
             display_name: profile.name.to_string(),
             profile,
             tuning: Tuning::default(),
-            cur_skill_eff: 0.5,
             prep: None,
         }
     }
@@ -271,16 +391,16 @@ fn gaussian(h: u64) -> f64 {
 
 /// Variables occupying the structural-recursion argument of a recursive
 /// function application in the formula, each once, in pre-order.
-fn struct_rec_vars(env: &Env, f: &Formula) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
+fn struct_rec_vars<'f>(env: &Env, f: &'f Formula) -> Vec<&'f str> {
+    let mut out: Vec<&str> = Vec::new();
     Node::Formula(f).for_each(|n| {
         let Node::Term(Term::App(fname, args)) = n else {
             return;
         };
         let def = env.funcs.get(fname).filter(|d| d.recursive);
         if let Some(Term::Var(v)) = def.and_then(|d| d.struct_arg).and_then(|i| args.get(i)) {
-            if !out.contains(v) {
-                out.push(v.clone());
+            if !out.contains(&v.as_str()) {
+                out.push(v);
             }
         }
     });
@@ -289,46 +409,103 @@ fn struct_rec_vars(env: &Env, f: &Formula) -> Vec<String> {
 
 /// Variables that appear as `match` scrutinees in a formula, each once, in
 /// pre-order.
-fn match_scrutinee_vars(f: &Formula) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
+fn match_scrutinee_vars(f: &Formula) -> Vec<&str> {
+    let mut out: Vec<&str> = Vec::new();
     Node::Formula(f).for_each(|n| {
         let (Node::Term(Term::Match(scrut, _)) | Node::Formula(Formula::FMatch(scrut, _))) = n
         else {
             return;
         };
         if let Term::Var(v) = &**scrut {
-            if !out.contains(v) {
-                out.push(v.clone());
+            if !out.contains(&v.as_str()) {
+                out.push(v);
             }
         }
     });
     out
 }
 
+/// A tactic head word as the hint statistics read it: the small closed
+/// vocabulary every head word is normalized to. Each variant is the head
+/// word it is named after.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Head {
+    Intros,
+    Rewrite,
+    Apply,
+    EApply,
+    Simpl,
+    Destruct,
+    Induction,
+    Lia,
+    Auto,
+    EAuto,
+    Reflexivity,
+    Assumption,
+    Inversion,
+    Unfold,
+    Exists,
+    Split,
+    Subst,
+    Exfalso,
+    Pose,
+    Specialize,
+    /// Every other head word.
+    Other,
+}
+
+/// The number of [`Head`]s: the length of a per-head table.
+const HEADS: usize = Head::Other as usize + 1;
+
+impl Head {
+    /// Universal basics are part of any model's repertoire, so the gate
+    /// keeps them at `basic_floor`; every other move needs real context use
+    /// (`lemma_floor`). `left`, `right`, `contradiction`, `constructor` and
+    /// `discriminate` head no basic, so they are gated as context moves.
+    fn is_basic(self) -> bool {
+        use Head::*;
+        matches!(
+            self,
+            Simpl
+                | Reflexivity
+                | Assumption
+                | Auto
+                | Lia
+                | Split
+                | Destruct
+                | Induction
+                | Subst
+                | Exists
+                | Inversion
+                | Unfold
+        )
+    }
+}
+
 /// Normalizes a tactic head word to a small closed vocabulary.
-fn norm_head(hw: &str) -> &'static str {
+fn norm_head(hw: &str) -> Head {
     match hw {
-        "intro" | "intros" => "intros",
-        "rewrite" => "rewrite",
-        "apply" => "apply",
-        "eapply" => "eapply",
-        "simpl" => "simpl",
-        "destruct" => "destruct",
-        "induction" => "induction",
-        "lia" | "omega" => "lia",
-        "auto" => "auto",
-        "eauto" => "eauto",
-        "reflexivity" => "reflexivity",
-        "assumption" => "assumption",
-        "inversion" => "inversion",
-        "unfold" => "unfold",
-        "exists" => "exists",
-        "split" => "split",
-        "subst" => "subst",
-        "exfalso" => "exfalso",
-        "pose" => "pose",
-        "specialize" => "specialize",
-        _ => "other",
+        "intro" | "intros" => Head::Intros,
+        "rewrite" => Head::Rewrite,
+        "apply" => Head::Apply,
+        "eapply" => Head::EApply,
+        "simpl" => Head::Simpl,
+        "destruct" => Head::Destruct,
+        "induction" => Head::Induction,
+        "lia" | "omega" => Head::Lia,
+        "auto" => Head::Auto,
+        "eauto" => Head::EAuto,
+        "reflexivity" => Head::Reflexivity,
+        "assumption" => Head::Assumption,
+        "inversion" => Head::Inversion,
+        "unfold" => Head::Unfold,
+        "exists" => Head::Exists,
+        "split" => Head::Split,
+        "subst" => Head::Subst,
+        "exfalso" => Head::Exfalso,
+        "pose" => Head::Pose,
+        "specialize" => Head::Specialize,
+        _ => Head::Other,
     }
 }
 
@@ -341,17 +518,126 @@ fn head_word(s: &str) -> &str {
     &s[..end]
 }
 
-#[derive(Default)]
-struct Candidates {
-    scored: BTreeMap<String, f64>,
+/// A candidate tactic as a value: a fixed sentence, or a tactic word and
+/// the names it mentions. It compares and hashes as its sentence does.
+#[derive(Debug, Clone, Copy)]
+enum Cand<'a> {
+    /// A fixed sentence: `intros`, `reflexivity`, `exists 0`.
+    Lit(&'static str),
+    /// A tactic word with its trailing space, a name and a fixed tail:
+    /// `rewrite <- H`, `induction n; intros; simpl`, the hallucinated
+    /// `apply L_weak`.
+    Named(&'static str, &'a str, &'static str),
+    /// `apply L in H`.
+    ApplyIn(&'a str, &'a str),
 }
 
-impl Candidates {
-    fn add(&mut self, tactic: impl Into<String>, score: f64) {
-        let t = tactic.into();
-        let e = self.scored.entry(t).or_insert(f64::NEG_INFINITY);
-        if score > *e {
-            *e = score;
+impl<'a> Cand<'a> {
+    /// The pieces the sentence concatenates.
+    fn pieces(self) -> [&'a str; 4] {
+        match self {
+            Cand::Lit(s) => [s, "", "", ""],
+            Cand::Named(word, name, tail) => [word, name, tail, ""],
+            Cand::ApplyIn(lemma, hyp) => ["apply ", lemma, " in ", hyp],
+        }
+    }
+
+    /// The sentence's bytes.
+    fn bytes(self) -> impl Iterator<Item = u8> + 'a {
+        self.pieces().into_iter().flat_map(str::bytes)
+    }
+
+    /// The sentence, built only for a drawn proposal.
+    fn render(self) -> String {
+        self.pieces().concat()
+    }
+
+    /// The sentence's head word: every `Named` word ends in a space.
+    fn head(self) -> Head {
+        norm_head(head_word(self.pieces()[0]))
+    }
+}
+
+impl From<&'static str> for Cand<'_> {
+    fn from(s: &'static str) -> Self {
+        Cand::Lit(s)
+    }
+}
+
+/// Hashes as `str` hashes the sentence: its bytes, then `0xff`.
+impl Hash for Cand<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for p in self.pieces() {
+            state.write(p.as_bytes());
+        }
+        state.write_u8(0xff);
+    }
+}
+
+impl PartialEq for Cand<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes().eq(other.bytes())
+    }
+}
+
+impl Eq for Cand<'_> {}
+
+impl PartialOrd for Cand<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Cand<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.bytes().cmp(other.bytes())
+    }
+}
+
+/// One query's candidates, each sentence once with its highest score.
+struct Candidates<'a> {
+    /// The theorem's hash prefix followed by the gate's tag.
+    gate: SipHasher13,
+    list: Vec<Entry<'a>>,
+}
+
+/// A candidate with its base score, its head word, and the hash its gate
+/// draw reads (which also tells sentences apart).
+struct Entry<'a> {
+    cand: Cand<'a>,
+    score: f64,
+    head: Head,
+    gate: u64,
+}
+
+impl<'a> Candidates<'a> {
+    fn new(prefix: &SipHasher13) -> Candidates<'a> {
+        let mut gate = prefix.clone();
+        "g".hash(&mut gate);
+        Candidates {
+            gate,
+            list: Vec::with_capacity(64),
+        }
+    }
+
+    fn add(&mut self, tactic: impl Into<Cand<'a>>, score: f64) {
+        let cand = tactic.into();
+        let mut h = self.gate.clone();
+        cand.hash(&mut h);
+        let gate = h.finish();
+        match self
+            .list
+            .iter_mut()
+            .find(|e| e.gate == gate && e.cand == cand)
+        {
+            Some(e) if score > e.score => e.score = score,
+            Some(_) => {}
+            None => self.list.push(Entry {
+                cand,
+                score,
+                head: cand.head(),
+                gate,
+            }),
         }
     }
 }
@@ -374,23 +660,23 @@ impl TacticModel for SimulatedModel {
         } else {
             (self.profile.skill - self.tuning.vanilla_skill).max(0.05)
         };
-        self.cur_skill_eff = skill_eff;
         let noise_eff = self.profile.noise
             * if hinted {
                 1.0
             } else {
                 self.tuning.vanilla_noise
             };
-        // Everything derived from the prompt alone (retrieval set, hint
-        // statistics, kept lemmas, hash prefix) is fixed across the
-        // hundreds of queries one theorem's search issues; build it once
-        // and reuse.
+        // Everything derived from the prompt alone (hint sentences and
+        // statistics, kept lemmas and their index, hash prefix) is
+        // fixed across the hundreds of queries one theorem's search
+        // issues; build it once and reuse.
         let fresh = self.prep.as_ref().is_some_and(|p| {
             p.key.0 == ctx.theorem
                 && p.key.1 == ctx.prompt.fingerprint
                 && p.key.2 == ctx.env.uid.get()
         });
         if !fresh {
+            let _span = proof_trace::span("oracle.prep", ctx.theorem);
             let prep = build_prep(&self.display_name, &self.profile, ctx, skill_eff);
             self.prep = Some(PrepEntry {
                 key: (
@@ -401,130 +687,75 @@ impl TacticModel for SimulatedModel {
                 prep,
             });
         }
-        // Bigram follow-ups: what head word tends to come after the head
-        // word of the last applied tactic, across the hint proofs. Filled
-        // lazily per previous-head value.
+        // Hint imitation: boost candidates whose head word is frequent in
+        // the visible hint proofs, or follows the last applied tactic's.
         let prev_head = ctx.path.last().map(|s| norm_head(head_word(s)));
-        {
-            let prep = &mut self.prep.as_mut().expect("prep just ensured").prep;
-            if let std::collections::hash_map::Entry::Vacant(slot) = prep.bigram.entry(prev_head) {
-                let mut bigram: BTreeMap<&'static str, usize> = BTreeMap::new();
-                let mut bigram_total = 0usize;
-                for facts in &ctx.prompt.hint_facts {
-                    match prev_head {
-                        Some(ph) => {
-                            for w in facts.heads.windows(2) {
-                                if bigram_head(w[0]) == ph {
-                                    *bigram.entry(bigram_head(w[1])).or_insert(0) += 1;
-                                    bigram_total += 1;
-                                }
-                            }
-                        }
-                        None => {
-                            // At the proof start, imitate how hint proofs open.
-                            if let Some(&first) = facts.heads.first() {
-                                *bigram.entry(bigram_head(first)).or_insert(0) += 1;
-                                bigram_total += 1;
-                            }
-                        }
-                    }
-                }
-                slot.insert((bigram, bigram_total));
+        let prep = &mut self.prep.as_mut().expect("prep just ensured").prep;
+        let boosts = prep.boosts(prev_head);
+        for (_, f) in &goal.hyps {
+            if prep.rule(f).is_none() {
+                prep.rules.push((f.clone(), expose_rule(ctx.env, f)));
             }
         }
         let prep = &self.prep.as_ref().expect("prep just ensured").prep;
+        let (feature, peeled) = (head_feature(ctx.env, &goal.concl), goal.concl.peel());
+        let distractor =
+            self.tuning.distractor_base + (1.0 - skill_eff) * self.tuning.distractor_slope;
+        let mut cands = Candidates::new(&prep.prefix);
+        self.structural_candidates(ctx.env, goal, (&feature.1, &peeled.binders), &mut cands);
+        self.hypothesis_candidates(ctx.env, goal, &feature.0, prep, &mut cands);
+        self.lemma_candidates(ctx.env, goal, &feature, prep, &mut cands);
+        self.distractors(ctx, &prep.prefix, distractor, &mut cands);
         // A candidate the model simply fails to surface for this theorem:
         // stable per (model, theorem, tactic), which is what turns missing
         // capability into missing coverage rather than per-query jitter.
         // Tactic sentences the model has literally read in the hint proofs
-        // are always available to it (retrieval).
-        let (seen, prefix) = (&prep.seen, &prep.prefix);
-        let gate = |tag: &str, tactic: &str| -> bool {
-            if tactic == "intros" {
-                return true;
-            }
-            // Retrieval is itself imperfect for weaker models.
-            if seen.contains(tactic) {
-                let h = hash_from(prefix, &["ret", tactic]);
-                if unit(h) < 0.3 + 0.7 * skill_eff {
-                    return true;
-                }
-            }
-            let h = hash_from(prefix, &[tag, tactic]);
-            // Universal basics are part of any model's repertoire; lemma-
-            // and hypothesis-directed moves require real context use.
-            let basic = matches!(
-                norm_head(head_word(tactic)),
-                "simpl"
-                    | "reflexivity"
-                    | "assumption"
-                    | "auto"
-                    | "lia"
-                    | "split"
-                    | "left"
-                    | "destruct"
-                    | "induction"
-                    | "subst"
-                    | "exists"
-                    | "inversion"
-                    | "contradiction"
-                    | "unfold"
-            );
-            let p = if basic {
-                self.tuning.basic_floor + (1.0 - self.tuning.basic_floor) * skill_eff
+        // are always available to it, though retrieval is itself imperfect
+        // for weaker models.
+        let keep_p = |head: Head| {
+            let t = &self.tuning;
+            let floor = if head.is_basic() {
+                t.basic_floor
             } else {
-                self.tuning.lemma_floor + (1.0 - self.tuning.lemma_floor) * skill_eff
+                t.lemma_floor
             };
-            unit(h) < p
+            floor + (1.0 - floor) * skill_eff
         };
-        let mut cands = Candidates::default();
-        self.structural_candidates(ctx.env, goal, &mut cands);
-        self.hypothesis_candidates(ctx.env, goal, &mut cands);
-        self.lemma_candidates(ctx, goal, &prep.kept, &mut cands);
-        self.distractors(ctx, prefix, &mut cands);
-        cands.scored.retain(|t, _| gate("g", t));
-
-        // Hint imitation: boost candidates whose head word is frequent in
-        // the visible hint proofs.
-        let (freq, total) = (&prep.freq, prep.freq_total);
-        let (bigram, bigram_total) = prep
-            .bigram
-            .get(&prev_head)
-            .map(|(b, t)| (b, *t))
-            .expect("bigram table just ensured");
-        let boost = |tactic: &str| -> f64 {
-            let hw = norm_head(head_word(tactic));
-            let mut b = 0.0;
-            if total > 0 {
-                let n = freq.get(hw).copied().unwrap_or(0);
-                b += 0.35
-                    * ((1.0 + n as f64) / (1.0 + total as f64) * 8.0)
-                        .ln_1p()
-                        .max(0.0);
-            }
-            if bigram_total > 0 {
-                let n = bigram.get(hw).copied().unwrap_or(0);
-                b += 0.9 * (n as f64 / bigram_total as f64);
-            }
-            b
-        };
+        let generated = cands.list.len();
+        cands.list.retain(|e| {
+            e.cand == Cand::Lit("intros")
+                || unit(e.gate) < keep_p(e.head)
+                || prep.retrieves(&ctx.prompt.hint_facts, e.cand, 0.3 + 0.7 * skill_eff)
+        });
+        if proof_trace::enabled() {
+            static CANDIDATES: HotCounter = HotCounter::new("oracle.candidates");
+            static GATED: HotCounter = HotCounter::new("oracle.candidates_gated");
+            CANDIDATES.add(generated as u64);
+            GATED.add(cands.list.len() as u64);
+        }
 
         // Score with deterministic noise, then *sample* `width` completions
         // from the induced distribution, as the paper does with n-sample
         // API calls: duplicates collapse, so a noisy model wastes samples
         // on junk while a confident one concentrates on a few candidates.
-        let mut query = prefix.clone();
+        let mut query = prep.prefix.clone();
         ctx.query_index.to_string().hash(&mut query);
-        let mut scored: Vec<(f64, String)> = cands
-            .scored
+        let mut scored: Vec<(f64, Cand<'_>)> = cands
+            .list
             .into_iter()
-            .map(|(t, s)| {
-                let h = hash_from(&query, &[&t]);
-                let noise = gaussian(h) * self.tuning.noise_mult * noise_eff;
-                (s + boost(&t) + noise, t)
+            .map(|e| {
+                let mut h = query.clone();
+                e.cand.hash(&mut h);
+                let noise = gaussian(h.finish()) * self.tuning.noise_mult * noise_eff;
+                (e.score + boosts[e.head as usize] + noise, e.cand)
             })
             .collect();
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        // Equal scores order by sentence, so the order is total.
+        scored.sort_unstable_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| a.1.cmp(&b.1))
+        });
         if scored.is_empty() {
             return Vec::new();
         }
@@ -538,7 +769,7 @@ impl TacticModel for SimulatedModel {
             .map(|(s, _)| ((s - max) * inv_temp).exp())
             .collect();
         let z: f64 = weights.iter().sum();
-        let mut out: Vec<Proposal> = Vec::new();
+        let mut drawn: Vec<usize> = Vec::new();
         for k in 0..width {
             let h = hash_from(&query, &["draw", &k.to_string()]);
             let mut u = unit(h) * z;
@@ -551,15 +782,17 @@ impl TacticModel for SimulatedModel {
                 u -= *w;
                 idx = i;
             }
-            let (score, tactic) = &scored[idx];
-            if out.iter().any(|p| p.tactic == *tactic) {
-                continue;
+            if !drawn.contains(&idx) {
+                drawn.push(idx);
             }
-            out.push(Proposal {
-                tactic: tactic.clone(),
-                logprob: (score - max) * inv_temp - z.ln(),
-            });
         }
+        let mut out: Vec<Proposal> = drawn
+            .into_iter()
+            .map(|idx| Proposal {
+                tactic: scored[idx].1.render(),
+                logprob: (scored[idx].0 - max) * inv_temp - z.ln(),
+            })
+            .collect();
         out.sort_by(|a, b| {
             b.logprob
                 .partial_cmp(&a.logprob)
@@ -570,8 +803,15 @@ impl TacticModel for SimulatedModel {
 }
 
 impl SimulatedModel {
-    fn structural_candidates(&self, env: &Env, goal: &Goal, cands: &mut Candidates) {
+    fn structural_candidates<'a>(
+        &self,
+        env: &Env,
+        goal: &'a Goal,
+        (syms, binders): (&'a [String], &'a [(String, Sort)]),
+        cands: &mut Candidates<'a>,
+    ) {
         let concl: &Formula = &goal.concl;
+        let struct_vars = struct_rec_vars(env, concl);
         match concl {
             Formula::Forall(..)
             | Formula::Implies(..)
@@ -582,18 +822,23 @@ impl SimulatedModel {
                 // Induction on the leading datatype-sorted binders, with a
                 // boost when one is the structural argument of a recursive
                 // function in the statement.
-                let peeled = concl.peel();
-                let sv = struct_rec_vars(env, concl);
                 let mut proposed = 0;
-                for (v, s) in &peeled.binders {
+                for (v, s) in binders {
                     if proposed >= 2 {
                         break;
                     }
                     if env.sort_inductive(s).is_some() {
-                        let boost = if sv.first() == Some(v) { 0.6 } else { 0.0 };
+                        let boost = if struct_vars.first() == Some(&v.as_str()) {
+                            0.6
+                        } else {
+                            0.0
+                        };
                         let base = if proposed == 0 { 1.6 } else { 1.0 };
-                        cands.add(format!("induction {v}"), base + boost);
-                        cands.add(format!("induction {v}; intros; simpl"), base - 0.3 + boost);
+                        cands.add(Cand::Named("induction ", v, ""), base + boost);
+                        cands.add(
+                            Cand::Named("induction ", v, "; intros; simpl"),
+                            base - 0.3 + boost,
+                        );
                         proposed += 1;
                     }
                 }
@@ -601,13 +846,12 @@ impl SimulatedModel {
             Formula::Eq(s, _, _) => {
                 // Plain definitions in the equation will not compute away:
                 // a model hedges reflexivity and reaches for unfold.
-                let (_, syms) = head_feature(env, concl);
                 let mut opaque = false;
                 for f in syms.iter().take(4) {
                     if let Some(def) = env.funcs.get(f.as_str()) {
                         if !def.recursive {
                             opaque = true;
-                            cands.add(format!("unfold {f}"), 1.9);
+                            cands.add(Cand::Named("unfold ", f, ""), 1.9);
                         }
                     }
                 }
@@ -643,7 +887,7 @@ impl SimulatedModel {
                             cands.add("eauto", 0.7);
                         }
                         _ => {
-                            cands.add(format!("unfold {p}"), 1.3);
+                            cands.add(Cand::Named("unfold ", p, ""), 1.3);
                             cands.add("auto", 0.7);
                             cands.add("eauto", 0.7);
                             cands.add("simpl", 0.6);
@@ -663,7 +907,7 @@ impl SimulatedModel {
                 cands.add("eauto", 0.9);
                 for (v, vs) in &goal.vars {
                     if vs == s {
-                        cands.add(format!("exists {v}"), 1.1);
+                        cands.add(Cand::Named("exists ", v, ""), 1.1);
                     }
                 }
                 if *s == Sort::nat() {
@@ -693,30 +937,29 @@ impl SimulatedModel {
         // Induction on the structural argument of a recursive function in
         // the conclusion — the signature move of these proofs.
         let has_ih = goal.hyps.iter().any(|(h, _)| h.starts_with("IH"));
-        let struct_vars = struct_rec_vars(env, &goal.concl);
-        for v in struct_vars.iter().take(1) {
+        for &v in struct_vars.iter().take(1) {
             if goal.var_sort(v).is_some() && !has_ih {
-                cands.add(format!("induction {v}"), 1.9);
-                cands.add(format!("induction {v}; intros; simpl"), 1.6);
+                cands.add(Cand::Named("induction ", v, ""), 1.9);
+                cands.add(Cand::Named("induction ", v, "; intros; simpl"), 1.6);
             }
         }
         // Fallback case analysis on the first inductive-sorted variable the
         // conclusion mentions.
         for (v, s) in &goal.vars {
             if env.sort_inductive(s).is_some() && goal.concl.mentions(v) {
-                if !has_ih && !struct_vars.contains(v) {
-                    cands.add(format!("induction {v}"), 0.9);
+                if !has_ih && !struct_vars.contains(&v.as_str()) {
+                    cands.add(Cand::Named("induction ", v, ""), 0.9);
                 }
-                cands.add(format!("destruct {v}; simpl"), 0.55);
+                cands.add(Cand::Named("destruct ", v, "; simpl"), 0.55);
                 break;
             }
         }
         // A conclusion stuck on a match over a variable begs for case
         // analysis on that variable.
-        for v in match_scrutinee_vars(&goal.concl).into_iter().take(2) {
-            if goal.var_sort(&v).is_some() {
-                cands.add(format!("destruct {v}; simpl"), 2.6);
-                cands.add(format!("destruct {v}"), 1.2);
+        for v in match_scrutinee_vars(concl).into_iter().take(2) {
+            if goal.var_sort(v).is_some() {
+                cands.add(Cand::Named("destruct ", v, "; simpl"), 2.6);
+                cands.add(Cand::Named("destruct ", v, ""), 1.2);
             }
         }
         // Arithmetic contexts invite lia.
@@ -738,18 +981,23 @@ impl SimulatedModel {
         cands.add("contradiction", 0.15);
     }
 
-    fn hypothesis_candidates(&self, env: &Env, goal: &Goal, cands: &mut Candidates) {
-        let (gh, _) = head_feature(env, &goal.concl);
+    fn hypothesis_candidates<'a>(
+        &self,
+        env: &Env,
+        goal: &'a Goal,
+        gh: &str,
+        prep: &PromptPrep,
+        cands: &mut Candidates<'a>,
+    ) {
         for (h, f) in &goal.hyps {
             // Read the hypothesis as `apply` does: defined predicates
             // expose their rule structure.
-            let exposed = expose_rule(env, f);
-            let peeled = exposed.peel();
+            let peeled = prep.rule(f).expect("read before the query").peel();
             match peeled.conclusion {
                 Formula::Eq(..) => {
                     if h.starts_with("IH") {
-                        cands.add(format!("rewrite {h}"), 2.3);
-                        cands.add(format!("apply {h}"), 1.4);
+                        cands.add(Cand::Named("rewrite ", h, ""), 2.3);
+                        cands.add(Cand::Named("apply ", h, ""), 1.4);
                     }
                     if peeled.premises.is_empty() && peeled.binders.is_empty() {
                         // A plain equation: subst / rewrite / injection.
@@ -763,15 +1011,15 @@ impl SimulatedModel {
                             let bh = minicoq::eval::ctor_head(env, b);
                             if let (Some(x), Some(y)) = (ah, bh) {
                                 if x == y {
-                                    cands.add(format!("injection {h}"), 1.2);
+                                    cands.add(Cand::Named("injection ", h, ""), 1.2);
                                 } else {
-                                    cands.add(format!("discriminate {h}"), 3.0);
+                                    cands.add(Cand::Named("discriminate ", h, ""), 3.0);
                                 }
                             }
                         }
                     }
-                    cands.add(format!("rewrite {h}"), 1.2);
-                    cands.add(format!("rewrite <- {h}"), 0.5);
+                    cands.add(Cand::Named("rewrite ", h, ""), 1.2);
+                    cands.add(Cand::Named("rewrite <- ", h, ""), 0.5);
                 }
                 Formula::False => {
                     cands.add("contradiction", 2.5);
@@ -790,7 +1038,7 @@ impl SimulatedModel {
                         _ => false,
                     };
                     cands.add(
-                        format!("inversion {h}"),
+                        Cand::Named("inversion ", h, ""),
                         if informative { 2.3 } else { 1.4 },
                     );
                 }
@@ -803,78 +1051,76 @@ impl SimulatedModel {
                     } else {
                         1.5
                     };
-                    cands.add(format!("destruct {h}"), score);
+                    cands.add(Cand::Named("destruct ", h, ""), score);
                 }
                 _ => {}
             }
             // Apply a hypothesis whose conclusion head matches the goal's.
             let (hh, _) = head_feature(env, peeled.conclusion);
             if gh == hh && (gh.starts_with("pred:") || gh == "eq" || gh == "false") {
-                cands.add(format!("apply {h}"), 1.6);
+                cands.add(Cand::Named("apply ", h, ""), 1.6);
                 if !peeled.binders.is_empty() {
-                    cands.add(format!("eapply {h}"), 1.2);
+                    cands.add(Cand::Named("eapply ", h, ""), 1.2);
                 }
             }
             if h.starts_with("IH") && !matches!(peeled.conclusion, Formula::Eq(..)) {
-                cands.add(format!("apply {h}"), 1.9);
-                cands.add(format!("eapply {h}"), 1.5);
+                cands.add(Cand::Named("apply ", h, ""), 1.9);
+                cands.add(Cand::Named("eapply ", h, ""), 1.5);
             }
         }
         for (h, _) in goal.hyps.iter().take(3) {
-            cands.add(format!("simpl in {h}"), 0.3);
+            cands.add(Cand::Named("simpl in ", h, ""), 0.3);
         }
     }
-
-    fn lemma_candidates(
+    fn lemma_candidates<'a>(
         &self,
-        ctx: &QueryCtx<'_>,
-        goal: &Goal,
-        kept: &[Arc<Lemma>],
-        cands: &mut Candidates,
+        env: &Env,
+        goal: &'a Goal,
+        (ghead, gsyms): &(String, Vec<String>),
+        prep: &'a PromptPrep,
+        cands: &mut Candidates<'a>,
     ) {
-        let (ghead, gsyms) = head_feature(ctx.env, &goal.concl);
-        // Hypothesis head features, once per query rather than once per
-        // (lemma, hypothesis) pair.
-        let hyp_heads: Vec<(&str, String)> = goal
-            .hyps
-            .iter()
-            .map(|(hname, hf)| (hname.as_str(), head_feature(ctx.env, hf.conclusion()).0))
-            .collect();
-        for lemma in kept {
-            let lname = &lemma.name;
-            let feat = lemma.match_facts(ctx.env);
-            let (lhead, lsyms) = &feat.head;
-            // Backward application when the conclusions line up.
-            if *lhead == ghead && (ghead.starts_with("pred:") || ghead == "eq") {
+        // Backward application when the conclusions line up.
+        if ghead.starts_with("pred:") || ghead == "eq" {
+            for lemma in prep.lemmas(ghead) {
+                let feat = lemma.match_facts(env);
+                let (lhead, lsyms) = &feat.head;
+                if lhead != ghead {
+                    continue;
+                }
                 let overlap = lsyms.iter().filter(|s| gsyms.contains(s)).count();
                 if overlap > 0
                     || (ghead.starts_with("pred:") && lsyms.is_empty() == gsyms.is_empty())
                 {
                     let base = 1.7 + 0.15 * overlap as f64;
-                    cands.add(format!("apply {lname}"), base);
+                    cands.add(Cand::Named("apply ", &lemma.name, ""), base);
                     if feat.eapply {
-                        cands.add(format!("eapply {lname}"), base - 0.4);
+                        cands.add(Cand::Named("eapply ", &lemma.name, ""), base - 0.4);
                     }
                 }
             }
-            // Rewriting with equational lemmas whose left side mentions a
-            // function symbol of the goal (nothing to rewrite otherwise).
-            if let Some((lh, rh)) = &feat.eq_heads {
-                if !gsyms.is_empty() {
-                    if lh.iter().any(|s| gsyms.contains(s)) {
-                        cands.add(format!("rewrite {lname}"), 1.75);
-                    }
-                    if rh.iter().any(|s| gsyms.contains(s)) {
-                        cands.add(format!("rewrite <- {lname}"), 0.9);
-                    }
+        }
+        // Rewriting with equational lemmas whose left side mentions a
+        // function symbol of the goal (nothing to rewrite otherwise).
+        for s in gsyms {
+            for lemma in prep.lemmas(s) {
+                let Some((lh, rh)) = &lemma.match_facts(env).eq_heads else {
+                    continue;
+                };
+                if lh.contains(s) {
+                    cands.add(Cand::Named("rewrite ", &lemma.name, ""), 1.75);
+                }
+                if rh.contains(s) {
+                    cands.add(Cand::Named("rewrite <- ", &lemma.name, ""), 0.9);
                 }
             }
-            // Forward application into a matching hypothesis.
-            if let Some(ph) = &feat.first_premise_head {
-                for (hname, hh) in &hyp_heads {
-                    if ph == hh {
-                        cands.add(format!("apply {lname} in {hname}"), 0.8);
-                    }
+        }
+        // Forward application into a matching hypothesis.
+        for (hname, hf) in &goal.hyps {
+            let hh = head_feature(env, hf.conclusion()).0;
+            for lemma in prep.lemmas(&hh) {
+                if lemma.match_facts(env).first_premise_head.as_ref() == Some(&hh) {
+                    cands.add(Cand::ApplyIn(&lemma.name, hname), 0.8);
                 }
             }
         }
@@ -884,25 +1130,29 @@ impl SimulatedModel {
     /// do not apply, or hallucinates names; the proof assistant rejects
     /// them. Their share grows as skill falls, which is what starves weak
     /// models' search trees (the paper's dominant "stuck" failures).
-    fn distractors(&self, ctx: &QueryCtx<'_>, prefix: &SipHasher13, cands: &mut Candidates) {
+    fn distractors<'a>(
+        &self,
+        ctx: &QueryCtx<'a>,
+        prefix: &SipHasher13,
+        base: f64,
+        cands: &mut Candidates<'a>,
+    ) {
         let n = ctx.prompt.visible_lemmas.len();
         if n == 0 {
             return;
         }
-        let skill_eff = self.cur_skill_eff;
-        let base = self.tuning.distractor_base + (1.0 - skill_eff) * self.tuning.distractor_slope;
         let qtag = format!("d{}", ctx.query_index);
         for k in 0..7u32 {
             let h = hash_from(prefix, &[&qtag, &k.to_string()]);
             let lname = &ctx.prompt.visible_lemmas[(h as usize) % n];
             let score = base + 0.38 * unit(h.rotate_left(17));
             match k % 3 {
-                0 => cands.add(format!("apply {lname}"), score),
-                1 => cands.add(format!("rewrite {lname}"), score),
+                0 => cands.add(Cand::Named("apply ", lname, ""), score),
+                1 => cands.add(Cand::Named("rewrite ", lname, ""), score),
                 _ => {
                     // A hallucinated variant of a real name.
                     let suffix = ["_l", "_r", "2", "_weak"][(h as usize >> 7) % 4];
-                    cands.add(format!("apply {lname}{suffix}"), score);
+                    cands.add(Cand::Named("apply ", lname, suffix), score);
                 }
             }
         }
@@ -1002,5 +1252,152 @@ mod tests {
             totals[1] >= totals[0],
             "GPT-4o should surface at least as many valid tactics: {totals:?}"
         );
+    }
+
+    /// `cand` with its names copied out of the query that made it.
+    fn owned(cand: Cand<'_>) -> Cand<'static> {
+        let own = |s: &str| &*Box::leak(Box::<str>::from(s));
+        match cand {
+            Cand::Lit(s) => Cand::Lit(s),
+            Cand::Named(word, name, tail) => Cand::Named(word, own(name), tail),
+            Cand::ApplyIn(lemma, hyp) => Cand::ApplyIn(own(lemma), own(hyp)),
+        }
+    }
+
+    /// Every candidate the simulator generates over the sample
+    /// `tests/oracle_mechanisms.rs` pins its proposal digest on: twelve
+    /// theorems, queries 0..4 along each human proof, vanilla and hint
+    /// prompts, three models.
+    fn sample_candidates() -> Vec<Cand<'static>> {
+        let (dev, _) = setup();
+        let hints = hint_set(&dev);
+        let step = dev.theorems.len() / 12;
+        let mut out = Vec::new();
+        for profile in [
+            ModelProfile::gpt4o_mini(),
+            ModelProfile::gpt4o(),
+            ModelProfile::gemini_pro_128k(),
+        ] {
+            for base in [PromptConfig::vanilla(), PromptConfig::hints()] {
+                let cfg = PromptConfig {
+                    window: Some(profile.window),
+                    ..base
+                };
+                let mut model = SimulatedModel::new(profile.clone());
+                for thm in dev.theorems.iter().step_by(step).take(12) {
+                    let env = dev.env_before(thm);
+                    let prompt = build_prompt(&dev, thm, &hints, &cfg);
+                    let sentences = minicoq::parse::split_sentences(&thm.proof_text);
+                    let mut state = ProofState::new(thm.stmt.clone());
+                    for q in 0..4 {
+                        let ctx = QueryCtx {
+                            prompt: &prompt,
+                            state: &state,
+                            env,
+                            path: &sentences[..q],
+                            theorem: &thm.name,
+                            query_index: q as u32,
+                        };
+                        model.propose(&ctx, 8);
+                        let goal = state.focused().expect("a query has a goal");
+                        let prep = &model.prep.as_ref().expect("propose built it").prep;
+                        let (feature, peeled) = (head_feature(env, &goal.concl), goal.concl.peel());
+                        let mut cands = Candidates::new(&prep.prefix);
+                        let view = (&feature.1[..], &peeled.binders[..]);
+                        model.structural_candidates(env, goal, view, &mut cands);
+                        model.hypothesis_candidates(env, goal, &feature.0, prep, &mut cands);
+                        model.lemma_candidates(env, goal, &feature, prep, &mut cands);
+                        model.distractors(&ctx, &prep.prefix, 1.0, &mut cands);
+                        out.extend(cands.list.iter().map(|e| owned(e.cand)));
+                        let next = sentences.get(q).and_then(|s| {
+                            let tac = minicoq::parse::parse_tactic(env, Some(goal), s).ok()?;
+                            let fuel = &mut minicoq::fuel::Fuel::default();
+                            minicoq::tactic::apply_tactic(env, &state, &tac, fuel).ok()
+                        });
+                        match next {
+                            Some(s) if s.focused().is_some() => state = s,
+                            _ => break,
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn candidates_order_and_hash_as_their_sentences() {
+        let mut cands = sample_candidates();
+        cands.sort_by_key(|c| c.render());
+        cands.dedup_by_key(|c| (c.render(), std::mem::discriminant(c)));
+        assert!(cands.len() > 500, "too few candidates: {}", cands.len());
+        // Names with every character class, and sentences two kinds render
+        // alike.
+        cands.extend([
+            Cand::Named("apply ", "_", ""),
+            Cand::Named("apply ", "x'", "_weak"),
+            Cand::Named("apply ", "x'_weak", ""),
+            Cand::Named("apply ", "l2", "2"),
+            Cand::Named("apply ", "l22", ""),
+            Cand::Named("apply ", "H_l", "_r"),
+            Cand::Named("apply ", "H", "_l"),
+            Cand::Named("apply ", "H in H0", ""),
+            Cand::ApplyIn("H", "H0"),
+            Cand::ApplyIn("H'", "_"),
+            Cand::Named("rewrite <- ", "IHn", ""),
+            Cand::Named("rewrite ", "<- IHn", ""),
+            Cand::Named("rewrite ", "IHn", ""),
+            Cand::Named("exists ", "0", ""),
+            Cand::Lit("exists 0"),
+            Cand::Named("destruct ", "n", "; simpl"),
+            Cand::Named("destruct ", "n;", " simpl"),
+            Cand::Named("simpl in ", "H1", ""),
+            Cand::Lit("simpl"),
+            Cand::Lit(""),
+        ]);
+        let rendered: Vec<String> = cands.iter().map(|c| c.render()).collect();
+        for (a, ra) in cands.iter().zip(&rendered) {
+            for (b, rb) in cands.iter().zip(&rendered) {
+                assert_eq!(a.cmp(b), ra.cmp(rb), "{ra:?} vs {rb:?}");
+            }
+            // Hashed from a fresh state and mid-word after a prefix.
+            for prefix in ["", "g"] {
+                let (mut by_value, mut by_string) = (SipHasher13::new(), SipHasher13::new());
+                prefix.hash(&mut by_value);
+                prefix.hash(&mut by_string);
+                a.hash(&mut by_value);
+                ra.as_str().hash(&mut by_string);
+                assert_eq!(by_value.finish(), by_string.finish(), "{ra:?}");
+            }
+            assert_eq!(a.head(), norm_head(head_word(ra)), "{ra:?}");
+        }
+    }
+
+    /// The gate keeps these five at `lemma_floor`, as context moves: their
+    /// head words are no universal basic's.
+    #[test]
+    fn context_moves_without_a_basic_head_get_the_lemma_floor() {
+        for s in [
+            "left",
+            "right",
+            "contradiction",
+            "constructor",
+            "discriminate",
+        ] {
+            assert_eq!(Cand::Lit(s).head(), Head::Other, "{s}");
+            assert!(!Cand::Lit(s).head().is_basic(), "{s}");
+        }
+        for s in [
+            "simpl",
+            "split",
+            "lia",
+            "auto",
+            "exists 0",
+            "subst",
+            "assumption",
+        ] {
+            assert!(Cand::Lit(s).head().is_basic(), "{s}");
+        }
+        assert!(!Cand::Named("apply ", "H", "").head().is_basic());
     }
 }

@@ -241,6 +241,8 @@ pub fn render_report(
         "oracle.fault.injected.garbage",
         "oracle.prompt_cache.hit",
         "oracle.prompt_cache.miss",
+        "oracle.candidates",
+        "oracle.candidates_gated",
     ] {
         let _ = writeln!(
             out,

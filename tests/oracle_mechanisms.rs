@@ -79,6 +79,66 @@ fn proposals_match_the_pinned_digest() {
     assert_eq!(format!("{:016x}", digest.finish()), PROPOSAL_DIGEST);
 }
 
+/// The digest of every proposal the simulator makes on a generated corpus
+/// (seed `0x5EED_D16E`, 51 theorems): all five Table 2 models, vanilla
+/// and hint prompts, one query per step along each theorem's witness.
+/// Generated goals reach lemma shapes, hint scripts and hallucinated names
+/// the human-proof sample above does not.
+const GENERATED_PROPOSAL_DIGEST: &str = "73a1720cf152810b";
+
+#[test]
+fn proposals_on_generated_goals_match_the_pinned_digest() {
+    let generated = llm_fscq::gen::generate(&llm_fscq::gen::GenSpec::new(0x5EED_D16E, 40));
+    let dev = generated
+        .development(false)
+        .expect("generated corpus loads");
+    let hints = hint_set(&dev);
+    let mut digest = SipHasher13::new();
+    let mut proposals = 0usize;
+    for profile in ModelProfile::all_five() {
+        for base in [PromptConfig::vanilla(), PromptConfig::hints()] {
+            let cfg = PromptConfig {
+                window: Some(profile.window),
+                ..base
+            };
+            let mut model = SimulatedModel::new(profile.clone());
+            for thm in &dev.theorems {
+                let env = dev.env_before(thm);
+                let prompt = build_prompt(&dev, thm, &hints, &cfg);
+                let sentences = split_sentences(&thm.proof_text);
+                let mut state = ProofState::new(thm.stmt.clone());
+                for q in 0..sentences.len() {
+                    let ctx = QueryCtx {
+                        prompt: &prompt,
+                        state: &state,
+                        env,
+                        path: &sentences[..q],
+                        theorem: &thm.name,
+                        query_index: q as u32,
+                    };
+                    for p in model.propose(&ctx, 8) {
+                        p.tactic.hash(&mut digest);
+                        p.logprob.to_bits().hash(&mut digest);
+                        proposals += 1;
+                    }
+                    let tac = parse_tactic(env, state.focused(), &sentences[q]).ok();
+                    let next =
+                        tac.and_then(|t| apply_tactic(env, &state, &t, &mut Fuel::default()).ok());
+                    match next {
+                        Some(s) if s.focused().is_some() => state = s,
+                        _ => break,
+                    }
+                }
+            }
+        }
+    }
+    assert!(proposals > 2000, "too few proposals to pin: {proposals}");
+    assert_eq!(
+        format!("{:016x}", digest.finish()),
+        GENERATED_PROPOSAL_DIGEST
+    );
+}
+
 /// Counts lemma-directed proposals (apply/rewrite of a known lemma) whose
 /// target lemma sits in the given region of the prompt.
 fn lemma_proposals_by_region(sample: usize) -> (usize, usize) {
