@@ -27,6 +27,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use minicoq::env::{Env, PredDef};
 use minicoq::formula::Formula;
 use minicoq::refs::{formula_names, sort_names, term_names, ConclusionHead};
+use minicoq::Ident;
 
 /// Version of the feature encoding. Bump on any change to slot layout,
 /// value bucketing, or the hash used for symbol-identity slots.
@@ -216,7 +217,7 @@ impl<'a> FeatureCtx<'a> {
             cx.declare(n, r, false);
         }
         for l in env.lemmas.iter() {
-            cx.declare(&l.name, l.facts().refs.iter().map(String::as_str), false);
+            cx.declare(&l.name, l.facts().refs.iter().map(Ident::as_str), false);
         }
         for db in env.hints.values() {
             for (pos, h) in db.iter().enumerate() {
@@ -266,7 +267,8 @@ impl<'a> FeatureCtx<'a> {
 
     /// Every premise name in scope: lemmas plus hint-db entries.
     pub fn premise_names(&self) -> BTreeSet<String> {
-        let mut names: BTreeSet<String> = self.env.lemmas.iter().map(|l| l.name.clone()).collect();
+        let mut names: BTreeSet<String> =
+            self.env.lemmas.iter().map(|l| l.name.to_string()).collect();
         for db in self.env.hints.values() {
             names.extend(db.iter().map(|h| h.to_string()));
         }
@@ -305,7 +307,7 @@ pub struct GoalCtx {
     /// (`u32::MAX` = unreachable).
     dist: Vec<u32>,
     /// The goal's symbols, in name order.
-    goal_syms: Vec<String>,
+    goal_syms: Vec<Ident>,
     goal_head: u16,
     goal_size: u16,
     goal_shape: u16,
@@ -337,7 +339,7 @@ impl GoalCtx {
         let peeled = goal.peel();
         GoalCtx {
             dist,
-            goal_syms: syms.into_iter().map(str::to_owned).collect(),
+            goal_syms: syms.into_iter().map(Ident::new).collect(),
             goal_head: head_code(ConclusionHead::of(peeled.conclusion)),
             goal_size: log2_bucket(goal.size()),
             goal_shape: (peeled.binders.len() + peeled.premises.len()).min(15) as u16,
@@ -397,7 +399,7 @@ fn premise_into(
         let facts = lemma.facts();
         v[slot::PREMISE_HEAD] = head_code(facts.head);
         v[slot::CONE_SIZE] = log2_bucket(fcx.cone_size(name));
-        let in_goal = |r: &&String| gcx.goal_syms.binary_search(r).is_ok();
+        let in_goal = |r: &&Ident| gcx.goal_syms.binary_search(r).is_ok();
         v[slot::OVERLAP] = facts.refs.iter().filter(in_goal).count().min(15) as u16;
         v[slot::PREMISE_SIZE] = log2_bucket(facts.size);
         v[slot::PREMISE_FP] = 1 + (facts.fingerprint % 254) as u16;

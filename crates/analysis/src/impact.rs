@@ -116,13 +116,13 @@ impl Snapshot {
         let env = &dev.env;
         let mut symbols = BTreeMap::new();
         for s in env.sorts.iter() {
-            symbols.insert(s.clone(), fp(b"(sort)"));
+            symbols.insert(s.to_string(), fp(b"(sort)"));
         }
         for (s, arity) in env.sort_ctors.iter() {
-            symbols.insert(s.clone(), fp(format!("(sortctor {arity})").as_bytes()));
+            symbols.insert(s.to_string(), fp(format!("(sortctor {arity})").as_bytes()));
         }
         for (n, ind) in env.inductives.iter() {
-            symbols.insert(n.clone(), fp(inductive_key(ind).as_bytes()));
+            symbols.insert(n.to_string(), fp(inductive_key(ind).as_bytes()));
             for c in &ind.ctors {
                 let mut key = format!("(ctor {n}");
                 for a in &c.args {
@@ -130,22 +130,22 @@ impl Snapshot {
                     key.push_str(&a.to_string());
                 }
                 key.push(')');
-                symbols.insert(c.name.clone(), fp(key.as_bytes()));
+                symbols.insert(c.name.to_string(), fp(key.as_bytes()));
             }
         }
         for (n, f) in env.funcs.iter() {
-            symbols.insert(n.clone(), fp(func_def_key(f).as_bytes()));
+            symbols.insert(n.to_string(), fp(func_def_key(f).as_bytes()));
         }
         for (n, p) in env.preds.iter() {
             match p {
                 PredDef::Defined(d) => {
-                    symbols.insert(n.clone(), fp(defined_pred_key(d).as_bytes()));
+                    symbols.insert(n.to_string(), fp(defined_pred_key(d).as_bytes()));
                 }
                 PredDef::Inductive(ip) => {
-                    symbols.insert(n.clone(), fp(ind_pred_key(ip).as_bytes()));
+                    symbols.insert(n.to_string(), fp(ind_pred_key(ip).as_bytes()));
                     for (rn, stmt) in &ip.rules {
                         symbols.insert(
-                            rn.clone(),
+                            rn.to_string(),
                             fp(format!("(rule {})", formula_key(stmt)).as_bytes()),
                         );
                     }
@@ -163,7 +163,7 @@ impl Snapshot {
         for l in env.lemmas.iter() {
             let proof = proofs.get(l.name.as_str()).copied().unwrap_or("");
             symbols.insert(
-                l.name.clone(),
+                l.name.to_string(),
                 fp(format!("(lemma {} {proof})", formula_key(&l.stmt)).as_bytes()),
             );
         }

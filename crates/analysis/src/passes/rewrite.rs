@@ -17,6 +17,7 @@ use minicoq::env::Env;
 use minicoq::formula::Formula;
 use minicoq::sort::Sort;
 use minicoq::term::Term;
+use minicoq::Ident;
 
 use crate::graph::DepGraph;
 use crate::report::{Code, Finding};
@@ -26,24 +27,24 @@ use super::strip_quantifiers;
 /// Variable-renaming state shared across the two sides of one key.
 #[derive(Default)]
 struct Canon {
-    terms: BTreeMap<String, String>,
-    sorts: BTreeMap<String, String>,
+    terms: BTreeMap<String, Ident>,
+    sorts: BTreeMap<String, Ident>,
 }
 
 impl Canon {
-    fn term_var(&mut self, v: &str) -> String {
+    fn term_var(&mut self, v: &str) -> Ident {
         let n = self.terms.len();
         self.terms
             .entry(v.to_string())
-            .or_insert_with(|| format!("v{n}"))
+            .or_insert_with(|| format!("v{n}").into())
             .clone()
     }
 
-    fn sort_var(&mut self, v: &str) -> String {
+    fn sort_var(&mut self, v: &str) -> Ident {
         let n = self.sorts.len();
         self.sorts
             .entry(v.to_string())
-            .or_insert_with(|| format!("s{n}"))
+            .or_insert_with(|| format!("s{n}").into())
             .clone()
     }
 

@@ -476,7 +476,7 @@ fn indexed_features_match_the_string_keyed_reference() {
 ///   still at distance 0.
 #[test]
 fn edge_cases_match_the_reference() {
-    let pred = |name: String| Formula::Pred(name, vec![], vec![]);
+    let pred = |name: String| Formula::Pred(name.into(), vec![], vec![]);
     let all = |prefix: &str, n: usize| {
         (0..n).fold(Formula::True, |f, i| {
             Formula::And(Box::new(f), Box::new(pred(format!("{prefix}{i}"))))

@@ -680,17 +680,21 @@ pub fn search_with_recovery(
             &ranked_env
         }
     };
-    let mut session = ProofSession::new(
-        Arc::clone(env),
-        stmt.clone(),
-        SessionConfig {
-            tactic_fuel: cfg.tactic_fuel,
-            dedupe_states: cfg.dedupe_states,
-            preflight: cfg.preflight,
-            fault_plan: recovery.fault_plan.clone(),
-            fault_scope: theorem.to_string(),
-        },
-    );
+    let mut session = {
+        // Opening the session stamps the root state: STM work.
+        let _sp = proof_trace::span("stm", "new");
+        ProofSession::new(
+            Arc::clone(env),
+            stmt.clone(),
+            SessionConfig {
+                tactic_fuel: cfg.tactic_fuel,
+                dedupe_states: cfg.dedupe_states,
+                preflight: cfg.preflight,
+                fault_plan: recovery.fault_plan.clone(),
+                fault_scope: theorem.to_string(),
+            },
+        )
+    };
     let asker = Asker {
         prompt,
         env: env.as_ref(),

@@ -28,6 +28,7 @@ use minicoq::replay::replay_script;
 use minicoq::sort::Sort;
 use minicoq::tactic::{candidate_subterms, replace_in_formula};
 use minicoq::term::Term;
+use minicoq::Ident;
 
 use crate::pool::PoolLemma;
 use crate::rng::GenRng;
@@ -190,8 +191,8 @@ fn make_terminal(rng: &mut GenRng, state: &mut ThmBuild, pool: &[PoolLemma]) -> 
 fn match_term(
     pat: &Term,
     t: &Term,
-    binders: &BTreeSet<String>,
-    sub: &mut BTreeMap<String, Term>,
+    binders: &BTreeSet<Ident>,
+    sub: &mut BTreeMap<Ident, Term>,
 ) -> bool {
     match pat {
         Term::Var(v) if binders.contains(v) => match sub.get(v) {
@@ -214,7 +215,7 @@ fn match_term(
 }
 
 /// Instantiates a pattern whose holes are all bound in `sub`.
-fn subst_pat(pat: &Term, sub: &BTreeMap<String, Term>) -> Term {
+fn subst_pat(pat: &Term, sub: &BTreeMap<Ident, Term>) -> Term {
     match pat {
         Term::Var(v) => sub.get(v).cloned().unwrap_or_else(|| pat.clone()),
         Term::App(f, args) => {
@@ -277,7 +278,7 @@ fn replace_nth(f: &Formula, from: &Term, to: &Term, n: &mut isize) -> Formula {
 /// The sides of a rewrite-safe pool equation, with its binder set.
 struct EqView<'a> {
     name: &'a str,
-    binders: BTreeSet<String>,
+    binders: BTreeSet<Ident>,
     lhs: Term,
     rhs: Term,
 }

@@ -102,6 +102,8 @@ pub(crate) fn replay_proved(
     cell: &CellConfig,
     outcomes: &[TheoremOutcome],
 ) -> Result<(), CellCrash> {
+    // Stepping every proved script through the kernel is STM work.
+    let _sp = proof_trace::span("stm", "replay");
     for o in outcomes.iter().filter(|o| o.outcome == "proved") {
         let failure = match dev
             .theorems

@@ -26,6 +26,7 @@
 //! * **tactical reasoning** (`;`-dispatch arity, `first` with every branch
 //!   rejected) justified by the tactical semantics in `apply_tactic`.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::env::{Env, PredDef};
@@ -43,6 +44,7 @@ use crate::tactic::{
 };
 use crate::term::Term;
 use crate::unify::{InstantiatedRule, Unifier};
+use crate::Ident;
 
 /// Machine-readable reason a tactic was statically rejected, aligned with
 /// the paper's invalid-tactic taxonomy (all of these refine "rejected by
@@ -364,7 +366,7 @@ fn success_goal_count(env: &Env, goal: &Goal, tac: &Tactic) -> Option<usize> {
             ..
         } => {
             if let Some(hf) = goal.hyp(n) {
-                match whnf_prop(env, hf) {
+                match *whnf_prop(env, hf) {
                     Formula::And(..) | Formula::Exists(..) | Formula::Iff(..) | Formula::True => {
                         Some(1)
                     }
@@ -413,12 +415,12 @@ enum Head {
     Forall,
     ForallSort,
     Exists,
-    Ind(String),
+    Ind(Ident),
     Wild,
 }
 
 fn head_of(env: &Env, f: &Formula) -> Head {
-    match whnf_prop(env, f) {
+    match &*whnf_prop(env, f) {
         Formula::True => Head::True,
         Formula::False => Head::False,
         Formula::Eq(..) => Head::Eq,
@@ -433,7 +435,7 @@ fn head_of(env: &Env, f: &Formula) -> Head {
         Formula::Pred(p, _, _) => match env.preds.get(p.as_str()) {
             // Inductive predicates are never unfolded by normalization, so
             // their head is rigid.
-            Some(PredDef::Inductive(_)) => Head::Ind(p),
+            Some(PredDef::Inductive(_)) => Head::Ind(p.clone()),
             // A whnf-stuck defined predicate may still unfold once
             // conversion normalizes its arguments; unknown predicates stay
             // conservative too.
@@ -514,13 +516,10 @@ fn check_instantiate_first(env: &Env, goal: &Goal, stmt: &Formula, arg: &Term) -
                 map.insert(v, m);
                 cur = subst_sorts_formula(&body, &map);
             }
-            Formula::Pred(..) => {
-                let exposed = whnf_prop(env, &cur);
-                if exposed == cur {
-                    break;
-                }
-                cur = exposed;
-            }
+            Formula::Pred(..) => match whnf_prop(env, &cur) {
+                Cow::Owned(exposed) if exposed != cur => cur = exposed,
+                _ => break,
+            },
             _ => break,
         }
     }
@@ -609,8 +608,8 @@ fn check_discriminate(env: &Env, goal: &Goal, h: Option<&str>) -> Checked {
         return Ok(());
     }
     // With no hypotheses, only a `a <> b` conclusion can discriminate.
-    if let Formula::Not(inner) = whnf_prop(env, &goal.concl) {
-        if matches!(*inner, Formula::Eq(..)) {
+    if let Formula::Not(inner) = &*whnf_prop(env, &goal.concl) {
+        if matches!(**inner, Formula::Eq(..)) {
             return Ok(());
         }
     }

@@ -340,11 +340,11 @@ impl Env {
     pub fn declare_inductive(&mut self, ind: Inductive) -> Result<(), KernelError> {
         self.uid = EnvUid::fresh();
         if self.inductives.contains_key(&ind.name) {
-            return Err(KernelError::Redeclared(ind.name.clone()));
+            return Err(KernelError::Redeclared(ind.name.to_string()));
         }
         for (i, c) in ind.ctors.iter().enumerate() {
             if self.ctors.contains_key(&c.name) || self.funcs.contains_key(&c.name) {
-                return Err(KernelError::Redeclared(c.name.clone()));
+                return Err(KernelError::Redeclared(c.name.to_string()));
             }
             Arc::make_mut(&mut self.ctors).insert(
                 c.name.clone(),
@@ -367,7 +367,7 @@ impl Env {
     pub fn declare_func(&mut self, f: FuncDef) -> Result<(), KernelError> {
         self.uid = EnvUid::fresh();
         if self.funcs.contains_key(&f.name) || self.ctors.contains_key(&f.name) {
-            return Err(KernelError::Redeclared(f.name.clone()));
+            return Err(KernelError::Redeclared(f.name.to_string()));
         }
         Arc::make_mut(&mut self.funcs).insert(f.name.clone(), f);
         Ok(())
@@ -378,7 +378,7 @@ impl Env {
         self.uid = EnvUid::fresh();
         let name = p.name().clone();
         if self.preds.contains_key(&name) {
-            return Err(KernelError::Redeclared(name));
+            return Err(KernelError::Redeclared(name.into()));
         }
         if let PredDef::Inductive(ip) = &p {
             let index = Arc::make_mut(&mut self.rule_index);
@@ -407,7 +407,7 @@ impl Env {
         self.uid = EnvUid::fresh();
         let name = name.into();
         if self.lemma_index.contains_key(name.as_str()) {
-            return Err(KernelError::Redeclared(name));
+            return Err(KernelError::Redeclared(name.into()));
         }
         Arc::make_mut(&mut self.lemma_index).insert(Arc::from(name.as_str()), self.lemmas.len());
         Arc::make_mut(&mut self.lemmas).push(Arc::new(Lemma::new(name, stmt)));
@@ -427,7 +427,7 @@ impl Env {
             .entry(Arc::from(db))
             .or_default();
         if !v.iter().any(|h| **h == *name) {
-            v.push(Arc::from(name));
+            v.push(Arc::from(name.as_str()));
         }
     }
 

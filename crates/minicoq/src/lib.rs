@@ -45,6 +45,7 @@ pub mod eval;
 pub mod formula;
 pub mod fuel;
 pub mod goal;
+pub mod ident;
 pub mod intern;
 pub mod parse;
 pub mod pretty;
@@ -60,5 +61,4 @@ pub mod typing;
 pub mod unify;
 pub mod walk;
 
-/// Interned-by-convention identifier type used throughout the kernel.
-pub type Ident = String;
+pub use ident::Ident;

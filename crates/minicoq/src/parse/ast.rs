@@ -6,12 +6,13 @@
 //! (`=`, `<>`, `<=`, `<`, `>=`, `>`); `::`; application; atoms.
 
 use super::lex::{Cursor, ParseError, Tok};
+use crate::Ident;
 
 /// A surface sort expression, e.g. `list (prod nat T)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortExpr {
     /// Head identifier.
-    pub head: String,
+    pub head: Ident,
     /// Applied sort arguments.
     pub args: Vec<SortExpr>,
 }
@@ -20,18 +21,18 @@ pub struct SortExpr {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Binder {
     /// `x y : s`.
-    Term(Vec<String>, SortExpr),
+    Term(Vec<Ident>, SortExpr),
     /// `A B : Sort`.
-    Sort(Vec<String>),
+    Sort(Vec<Ident>),
 }
 
 /// A surface pattern in a `match` arm.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PatAst {
     /// `c x y` or a bare identifier (constructor or binder, resolved later).
-    Apply(String, Vec<String>),
+    Apply(Ident, Vec<Ident>),
     /// `x :: xs`.
-    Cons(String, String),
+    Cons(Ident, Ident),
     /// `[]` or `nil`.
     Nil,
     /// `_`.
@@ -61,11 +62,11 @@ pub enum CmpOp {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expr {
     /// Identifier (variable, constant, nullary predicate, `True`/`False`).
-    Id(String),
+    Id(Ident),
     /// Numeral.
     Num(u64),
     /// Application `f a b`.
-    App(String, Vec<Expr>),
+    App(Ident, Vec<Expr>),
     /// `[a; b; c]` (possibly empty).
     ListLit(Vec<Expr>),
     /// `a :: b`.

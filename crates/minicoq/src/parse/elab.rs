@@ -282,7 +282,7 @@ impl<'e> Elaborator<'e> {
             for (a, want) in args.iter().zip(&want_sorts) {
                 targs.push(self.elab_term(ctx, a, want)?);
             }
-            return Ok(Term::App(f.to_string(), targs));
+            return Ok(Term::App(f.into(), targs));
         }
         // Function?
         if let Some((sort_params, want_args, ret)) = self.func_sig(f) {
@@ -301,7 +301,7 @@ impl<'e> Elaborator<'e> {
                 let want = want.subst_vars(&map);
                 targs.push(self.elab_term(ctx, a, &want)?);
             }
-            return Ok(Term::App(f.to_string(), targs));
+            return Ok(Term::App(f.into(), targs));
         }
         Err(ParseError(format!("unknown term symbol {f}")))
     }
@@ -334,7 +334,7 @@ impl<'e> Elaborator<'e> {
 
     fn fresh_wild(&mut self) -> Ident {
         self.fresh_binder += 1;
-        format!("_w{}", self.fresh_binder)
+        Ident::numbered("_w", self.fresh_binder.into())
     }
 
     fn elab_pattern(

@@ -2,11 +2,13 @@
 
 use std::fmt;
 
+use crate::Ident;
+
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tok {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(Ident),
     /// Decimal numeral.
     Num(u64),
     /// Punctuation or operator.
@@ -77,7 +79,7 @@ pub fn lex(src: &str) -> Result<Vec<Tok>, ParseError> {
                     break;
                 }
             }
-            out.push(Tok::Ident(src[start..i].to_string()));
+            out.push(Tok::Ident(Ident::new(&src[start..i])));
             continue;
         }
         if c.is_ascii_digit() {
@@ -164,7 +166,7 @@ impl Cursor {
     }
 
     /// Consumes an identifier.
-    pub fn expect_ident(&mut self) -> Result<String, ParseError> {
+    pub fn expect_ident(&mut self) -> Result<Ident, ParseError> {
         match self.next() {
             Some(Tok::Ident(t)) => Ok(t),
             other => Err(ParseError(format!("expected identifier, found {other:?}"))),

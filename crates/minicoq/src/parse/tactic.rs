@@ -14,6 +14,7 @@ use crate::formula::Formula;
 use crate::goal::Goal;
 use crate::tactic::{DestructPattern, DestructTarget, Loc, Tactic};
 use crate::term::Term;
+use crate::Ident;
 
 use super::ast::{parse_expr, Expr};
 use super::elab::{ElabCtx, Elaborator};
@@ -110,7 +111,7 @@ fn parse_prim(env: &Env, goal: Option<&Goal>, cur: &mut Cursor) -> Result<Tactic
     parse_simple(env, goal, cur)
 }
 
-fn ident_list(cur: &mut Cursor) -> Result<Vec<String>, ParseError> {
+fn ident_list(cur: &mut Cursor) -> Result<Vec<Ident>, ParseError> {
     let mut names = Vec::new();
     while let Some(Tok::Ident(_)) = cur.peek() {
         names.push(cur.expect_ident()?);

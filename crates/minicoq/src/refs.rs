@@ -8,6 +8,7 @@
 //! most once, and only when something reads them.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 use proof_trace::envelope::fnv1a;
 
@@ -147,7 +148,7 @@ impl LemmaFacts {
             refs.insert(n);
         });
         LemmaFacts {
-            refs: refs.into_iter().map(str::to_owned).collect(),
+            refs: refs.into_iter().map(Ident::new).collect(),
             size: stmt.size(),
             head: ConclusionHead::of(stmt.conclusion()),
             fingerprint: fnv1a(format!("{stmt:?}").as_bytes()),
@@ -162,11 +163,11 @@ impl LemmaFacts {
 #[derive(Debug, Clone)]
 pub struct MatchFacts {
     /// [`head_feature`] of the peeled conclusion: its kind and symbols.
-    pub head: (String, Vec<String>),
+    pub head: (String, Vec<Ident>),
     /// The statement has binders and premises, so `eapply` also fits it.
     pub eapply: bool,
     /// For an equational conclusion: the function heads of its two sides.
-    pub eq_heads: Option<(Vec<String>, Vec<String>)>,
+    pub eq_heads: Option<(Vec<Ident>, Vec<Ident>)>,
     /// Head feature kind of the first premise (forward application).
     pub first_premise_head: Option<String>,
 }
@@ -184,44 +185,109 @@ impl MatchFacts {
         } else {
             None
         };
+        let (kind, syms) = head_feature(env, peeled.conclusion);
         MatchFacts {
-            head: head_feature(env, peeled.conclusion),
+            head: (kind.to_string(), syms),
             eapply: !peeled.binders.is_empty() && !peeled.premises.is_empty(),
             eq_heads,
-            first_premise_head: peeled.premises.first().map(|p| head_feature(env, p).0),
+            first_premise_head: peeled.premises.first().map(|p| HeadKind::of(p).to_string()),
         }
     }
 }
 
-/// The head feature of a formula: what kind of goal it is (`eq`,
-/// `pred:<name>`, `and`, ...), and the function symbols that help match
-/// lemmas against it.
-pub fn head_feature(env: &Env, f: &Formula) -> (String, Vec<String>) {
+/// The head feature of a formula: what kind of goal it is, and the
+/// function symbols that help match lemmas against it.
+pub fn head_feature<'a>(env: &Env, f: &'a Formula) -> (HeadKind<'a>, Vec<Ident>) {
+    let mut syms = Vec::new();
     match f {
         Formula::Eq(_, a, b) => {
-            let mut syms = Vec::new();
             collect_heads(env, a, &mut syms);
             collect_heads(env, b, &mut syms);
-            ("eq".into(), syms)
         }
         Formula::Pred(p, _, args) => {
-            let mut syms = vec![p.clone()];
+            syms.push(p.clone());
             for a in args {
                 collect_heads(env, a, &mut syms);
             }
-            (format!("pred:{p}"), syms)
         }
-        Formula::And(..) => ("and".into(), vec![]),
-        Formula::Or(..) => ("or".into(), vec![]),
-        Formula::Iff(..) => ("iff".into(), vec![]),
-        Formula::Not(..) => ("not".into(), vec![]),
-        Formula::Implies(..) | Formula::Forall(..) | Formula::ForallSort(..) => {
-            ("arrow".into(), vec![])
+        _ => {}
+    }
+    (HeadKind::of(f), syms)
+}
+
+/// What kind of goal a formula is, the first half of [`head_feature`]. It
+/// borrows a predicate's name; its `Display` spells the kind as `eq`,
+/// `pred:<name>`, `and`, ..., as [`MatchFacts`] keeps it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeadKind<'a> {
+    Eq,
+    Pred(&'a str),
+    And,
+    Or,
+    Iff,
+    Not,
+    /// An implication or a universal binder.
+    Arrow,
+    Exists,
+    True,
+    False,
+    Match,
+}
+
+impl<'a> HeadKind<'a> {
+    /// The kind of `f` itself (not of its peeled conclusion).
+    pub fn of(f: &'a Formula) -> HeadKind<'a> {
+        match f {
+            Formula::Eq(..) => HeadKind::Eq,
+            Formula::Pred(p, _, _) => HeadKind::Pred(p),
+            Formula::And(..) => HeadKind::And,
+            Formula::Or(..) => HeadKind::Or,
+            Formula::Iff(..) => HeadKind::Iff,
+            Formula::Not(..) => HeadKind::Not,
+            Formula::Implies(..) | Formula::Forall(..) | Formula::ForallSort(..) => HeadKind::Arrow,
+            Formula::Exists(..) => HeadKind::Exists,
+            Formula::True => HeadKind::True,
+            Formula::False => HeadKind::False,
+            Formula::FMatch(..) => HeadKind::Match,
         }
-        Formula::Exists(..) => ("exists".into(), vec![]),
-        Formula::True => ("true".into(), vec![]),
-        Formula::False => ("false".into(), vec![]),
-        Formula::FMatch(..) => ("match".into(), vec![]),
+    }
+
+    /// The kind's spelling in two parts: a word, and the predicate's name
+    /// after `pred:` (empty for every other kind).
+    fn spelling(self) -> (&'static str, &'a str) {
+        match self {
+            HeadKind::Eq => ("eq", ""),
+            HeadKind::Pred(p) => ("pred:", p),
+            HeadKind::And => ("and", ""),
+            HeadKind::Or => ("or", ""),
+            HeadKind::Iff => ("iff", ""),
+            HeadKind::Not => ("not", ""),
+            HeadKind::Arrow => ("arrow", ""),
+            HeadKind::Exists => ("exists", ""),
+            HeadKind::True => ("true", ""),
+            HeadKind::False => ("false", ""),
+            HeadKind::Match => ("match", ""),
+        }
+    }
+
+    /// The bytes of the kind's spelling.
+    pub fn bytes(self) -> impl Iterator<Item = u8> + 'a {
+        let (word, name) = self.spelling();
+        word.bytes().chain(name.bytes())
+    }
+
+    /// True when `spelled` is this kind's spelling.
+    pub fn is(self, spelled: &str) -> bool {
+        let (word, name) = self.spelling();
+        spelled.strip_prefix(word) == Some(name)
+    }
+}
+
+impl fmt::Display for HeadKind<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (word, name) = self.spelling();
+        f.write_str(word)?;
+        f.write_str(name)
     }
 }
 
@@ -229,7 +295,7 @@ pub fn head_feature(env: &Env, f: &Formula) -> (String, Vec<String>) {
 /// arguments, recursively, each once. Constructors (O, S, cons, ...)
 /// appear everywhere and would make every lemma look relevant, so they
 /// are skipped.
-fn collect_heads(env: &Env, t: &Term, out: &mut Vec<String>) {
+fn collect_heads(env: &Env, t: &Term, out: &mut Vec<Ident>) {
     match t {
         Term::Var(_) | Term::Meta(_) => {}
         Term::App(f, args) => {

@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn var_substitution() {
         let mut map = BTreeMap::new();
-        map.insert("A".to_string(), Sort::nat());
+        map.insert("A".into(), Sort::nat());
         let s = Sort::list(Sort::Var("A".into()));
         assert_eq!(s.subst_vars(&map), Sort::list(Sort::nat()));
     }

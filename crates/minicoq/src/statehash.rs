@@ -5,6 +5,7 @@
 //! up to alpha-renaming of context variables, hypothesis names and bound
 //! variables, so `intros x` and `intros y` lead to the same canonical key.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
 use crate::formula::Formula;
@@ -56,8 +57,7 @@ fn term_key_rec<'a>(t: &'a Term, scope: &mut Scope<'a>, out: &mut String) {
     match t {
         Term::Var(v) => match scope.lookup(v) {
             Some(i) => {
-                out.push('v');
-                out.push_str(&i.to_string());
+                let _ = write!(out, "v{i}");
             }
             None => {
                 // Free variable not bound in this state; keep its name.
@@ -66,8 +66,7 @@ fn term_key_rec<'a>(t: &'a Term, scope: &mut Scope<'a>, out: &mut String) {
             }
         },
         Term::Meta(m) => {
-            out.push('?');
-            out.push_str(&m.to_string());
+            let _ = write!(out, "?{m}");
         }
         Term::App(f, args) => {
             out.push('(');
@@ -99,23 +98,20 @@ fn pat_key<'a>(pat: &'a Pat, scope: &mut Scope<'a>, out: &mut String) {
         Pat::Wild => out.push('_'),
         Pat::Var(v) => {
             let i = scope.bind(v);
-            out.push('v');
-            out.push_str(&i.to_string());
+            let _ = write!(out, "v{i}");
         }
         Pat::Ctor(c, vs) => {
             out.push_str(c);
             for v in vs {
                 let i = scope.bind(v);
-                out.push(' ');
-                out.push('v');
-                out.push_str(&i.to_string());
+                let _ = write!(out, " v{i}");
             }
         }
     }
 }
 
 fn sort_key(s: &Sort, out: &mut String) {
-    out.push_str(&s.to_string());
+    let _ = write!(out, "{s}");
 }
 
 fn formula_key_rec<'a>(f: &'a Formula, scope: &mut Scope<'a>, out: &mut String) {
@@ -174,7 +170,7 @@ fn formula_key_rec<'a>(f: &'a Formula, scope: &mut Scope<'a>, out: &mut String) 
             sort_key(s, out);
             let mark = scope.mark();
             let i = scope.bind(v);
-            out.push_str(&format!(" v{i} "));
+            let _ = write!(out, " v{i} ");
             formula_key_rec(body, scope, out);
             scope.reset(mark);
             out.push(')');
@@ -340,7 +336,7 @@ pub fn goal_key(g: &Goal) -> String {
     }
     for (v, s) in &g.vars {
         let i = scope.bind(v);
-        out.push_str(&format!("v{i}:"));
+        let _ = write!(out, "v{i}:");
         sort_key(s, &mut out);
         out.push(';');
     }
@@ -405,7 +401,7 @@ mod tests {
 
     fn eq_goal(v: &str) -> Goal {
         let mut g = Goal::new(Formula::Eq(Sort::nat(), Term::var(v), Term::var(v)));
-        g.vars.push((v.to_string(), Sort::nat()));
+        g.vars.push((v.into(), Sort::nat()));
         g
     }
 
@@ -468,7 +464,7 @@ mod tests {
         crate::env::FuncDef {
             name: "idnat".into(),
             sort_params: vec![],
-            params: vec![(param.to_string(), Sort::nat())],
+            params: vec![(param.into(), Sort::nat())],
             ret: Sort::nat(),
             body: Term::var(param),
             recursive: false,
@@ -501,7 +497,7 @@ mod tests {
         let pred = |v: &str| crate::env::DefinedPred {
             name: "isz".into(),
             sort_params: vec![],
-            params: vec![(v.to_string(), Sort::nat())],
+            params: vec![(v.into(), Sort::nat())],
             body: Formula::Eq(Sort::nat(), Term::var(v), Term::App("O".into(), vec![])),
             recursive: false,
             struct_arg: None,

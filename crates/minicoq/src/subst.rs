@@ -19,12 +19,12 @@ pub type SortSubst = BTreeMap<Ident, Sort>;
 pub fn fresh_name(base: &str, avoid: &BTreeSet<Ident>) -> Ident {
     // The requested name wins when free (so an `intros l2` binder stays l2).
     if !base.is_empty() && !avoid.contains(base) {
-        return base.to_string();
+        return base.into();
     }
     let stem = base.trim_end_matches(|c: char| c.is_ascii_digit());
     let stem = if stem.is_empty() { "x" } else { stem };
     for i in 0u64.. {
-        let cand = format!("{stem}{i}");
+        let cand = Ident::numbered(stem, i);
         if !avoid.contains(&cand) {
             return cand;
         }
@@ -200,14 +200,14 @@ fn rename_arm_binders_formula(pat: &Pat, rhs: &Formula, map: &TermSubst) -> (Pat
 /// Substitutes a single variable in a term.
 pub fn subst_term1(t: &Term, v: &str, r: &Term) -> Term {
     let mut m = TermSubst::new();
-    m.insert(v.to_string(), r.clone());
+    m.insert(v.into(), r.clone());
     subst_term(t, &m)
 }
 
 /// Substitutes a single variable in a formula.
 pub fn subst_formula1(f: &Formula, v: &str, r: &Term) -> Formula {
     let mut m = TermSubst::new();
-    m.insert(v.to_string(), r.clone());
+    m.insert(v.into(), r.clone());
     subst_formula(f, &m)
 }
 
@@ -344,8 +344,8 @@ mod tests {
     #[test]
     fn fresh_name_avoids() {
         let mut avoid = BTreeSet::new();
-        avoid.insert("x".to_string());
-        avoid.insert("x0".to_string());
+        avoid.insert("x".into());
+        avoid.insert("x0".into());
         assert_eq!(fresh_name("x", &avoid), "x1");
         assert_eq!(fresh_name("y", &avoid), "y");
     }

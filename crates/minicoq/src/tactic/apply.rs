@@ -107,7 +107,7 @@ fn apply_backward(
     if let Err(direct_err) = direct {
         // `~P` applies to a `False` goal as `P -> False`.
         if let Formula::Not(p) = &inst.conclusion {
-            if matches!(whnf_prop(env, &goal.concl), Formula::False) {
+            if matches!(*whnf_prop(env, &goal.concl), Formula::False) {
                 let p = (**p).clone();
                 let mut premises: Vec<Formula> = inst.premises.clone();
                 premises.push(p);
@@ -247,11 +247,15 @@ pub fn apply(
 /// oracle reads hypotheses through.
 pub fn expose_rule(env: &Env, stmt: &Formula) -> Formula {
     let head = whnf_prop(env, stmt);
-    match head {
-        Formula::Forall(v, s, body) => Formula::Forall(v, s, Box::new(expose_rule(env, &body))),
-        Formula::ForallSort(v, body) => Formula::ForallSort(v, Box::new(expose_rule(env, &body))),
-        Formula::Implies(p, q) => Formula::Implies(p, Box::new(expose_rule(env, &q))),
-        other => other,
+    match &*head {
+        Formula::Forall(v, s, body) => {
+            Formula::Forall(v.clone(), s.clone(), Box::new(expose_rule(env, body)))
+        }
+        Formula::ForallSort(v, body) => {
+            Formula::ForallSort(v.clone(), Box::new(expose_rule(env, body)))
+        }
+        Formula::Implies(p, q) => Formula::Implies(p.clone(), Box::new(expose_rule(env, q))),
+        _ => head.into_owned(),
     }
 }
 
@@ -395,12 +399,12 @@ pub fn constructor(
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
     let concl = constructor_prefix(env, goal)?;
-    match &concl {
+    match &*concl {
         Formula::True => Ok(vec![]),
         Formula::Eq(..) => reflexivity(env, goal, fuel),
         Formula::Or(..) => {
             let mut g = goal.clone();
-            g.concl = concl.clone().into();
+            g.concl = Formula::clone(&concl).into();
             Ok(left_or_right(&g, false)?)
         }
         Formula::Pred(p, _, _) => {
@@ -410,8 +414,8 @@ pub fn constructor(
             // One goal for every rule, so they share its conclusion's
             // normal form.
             let mut g = goal.clone();
-            if concl != *goal.concl {
-                g.concl = concl.clone().into();
+            if *concl != *goal.concl {
+                g.concl = Formula::clone(&concl).into();
             }
             for (rn, _) in &ip.rules {
                 let rule = env
@@ -433,9 +437,12 @@ pub fn constructor(
 /// The fuel-free prefix of `constructor`: the exposed conclusion, which
 /// must be `True`, a conjunction, a bi-implication, a disjunction, an
 /// equation or an inductive predicate's application.
-pub(crate) fn constructor_prefix(env: &Env, goal: &Goal) -> Result<Formula, PreflightRejection> {
+pub(crate) fn constructor_prefix<'g>(
+    env: &Env,
+    goal: &'g Goal,
+) -> Result<Cow<'g, Formula>, PreflightRejection> {
     let concl = whnf_prop(env, &goal.concl);
-    match &concl {
+    match &*concl {
         Formula::True | Formula::And(..) | Formula::Iff(..) | Formula::Or(..) | Formula::Eq(..) => {
         }
         Formula::Pred(p, _, _) => {
@@ -472,13 +479,10 @@ pub(crate) fn instantiate_with_args(
                     map.insert(v, m);
                     cur = subst_sorts_formula(&body, &map);
                 }
-                Formula::Pred(..) => {
-                    let exposed = whnf_prop(env, &cur);
-                    if exposed == cur {
-                        break;
-                    }
-                    cur = exposed;
-                }
+                Formula::Pred(..) => match whnf_prop(env, &cur) {
+                    Cow::Owned(exposed) if exposed != cur => cur = exposed,
+                    _ => break,
+                },
                 _ => break,
             }
         }

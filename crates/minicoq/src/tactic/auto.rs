@@ -19,6 +19,7 @@
 //! `backchain` keeps no such table: whether it fails also depends on the
 //! caller's metavariables, through [`leaks`].
 
+use std::borrow::Cow;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::mem::discriminant;
@@ -196,7 +197,7 @@ impl<'a> Search<'a> {
     /// The hint names in scan order: `using` extras, then `core`.
     fn hint_names(&self) -> impl Iterator<Item = &str> {
         let core = self.env.hint_db("core").iter().map(|h| &**h);
-        self.extra_hints.iter().map(String::as_str).chain(core)
+        self.extra_hints.iter().map(Ident::as_str).chain(core)
     }
 
     /// The hint candidates in scan order, each resolved on first use.
@@ -272,14 +273,14 @@ impl<'a> Search<'a> {
             if let Some(u) = self.search_candidates(scope, target, uni.clone(), depth, fuel)? {
                 return Ok(Some(u));
             }
-            let unfolded = super::basic::whnf_prop(self.env, target);
-            if unfolded != *target {
-                return self.solve_in(scope, &unfolded, uni, depth, fuel);
+            if let Cow::Owned(unfolded) = super::basic::whnf_prop(self.env, target) {
+                if unfolded != *target {
+                    return self.solve_in(scope, &unfolded, uni, depth, fuel);
+                }
             }
             return Ok(None);
         }
-        let target = super::basic::whnf_prop(self.env, target);
-        match &target {
+        match &*super::basic::whnf_prop(self.env, target) {
             Formula::True => Ok(Some(uni)),
             Formula::And(a, b) => {
                 let Some(u1) = self.solve_in(scope, a, uni, depth, fuel)? else {
@@ -656,7 +657,7 @@ pub(super) mod tests {
             PredDef::Defined(DefinedPred {
                 name: name.into(),
                 sort_params: vec!["A".into()],
-                params: params.map(|(v, s)| (v.to_string(), s)).to_vec(),
+                params: params.map(|(v, s)| (v.into(), s)).to_vec(),
                 body,
                 recursive,
                 struct_arg: recursive.then_some(1),
@@ -742,7 +743,7 @@ pub(super) mod tests {
             target: stmt,
             uni: Unifier::new(),
             depth: AUTO_DEFAULT_DEPTH,
-            using: using.iter().map(|u| u.to_string()).collect(),
+            using: using.iter().map(|&u| u.into()).collect(),
             e_mode,
             watermark: 0,
         }

@@ -1,5 +1,6 @@
 //! Structural tactics: introduction, closing, context management.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use crate::analysis::{PreflightRejection, ReasonCode};
@@ -17,11 +18,12 @@ use crate::Ident;
 
 /// Weak-head exposure of a proposition: unfolds defined predicates and
 /// reduces decidable formula-matches until a logical connective (or an
-/// opaque atom) is at the head. Bounded.
-pub(crate) fn whnf_prop(env: &Env, f: &Formula) -> Formula {
-    let mut cur = f.clone();
+/// opaque atom) is at the head. Bounded. Borrows `f` when nothing
+/// unfolds; the first unfolding step makes the first copy.
+pub(crate) fn whnf_prop<'f>(env: &Env, f: &'f Formula) -> Cow<'f, Formula> {
+    let mut cur = Cow::Borrowed(f);
     for _ in 0..64 {
-        match &cur {
+        match &*cur {
             Formula::Pred(p, sorts, args) => {
                 let unfoldable = match env.preds.get(p.as_str()) {
                     Some(PredDef::Defined(d)) => {
@@ -33,7 +35,7 @@ pub(crate) fn whnf_prop(env: &Env, f: &Formula) -> Formula {
                     return cur;
                 }
                 match unfold_pred(env, p, sorts, args) {
-                    Some(body) => cur = body,
+                    Some(body) => cur = Cow::Owned(body),
                     None => return cur,
                 }
             }
@@ -42,7 +44,7 @@ pub(crate) fn whnf_prop(env: &Env, f: &Formula) -> Formula {
                 // exactly the decidable match steps.
                 let mut fuel = Fuel::new(10_000);
                 match crate::eval::normalize_formula(env, &cur, EvalMode::simpl(), &mut fuel) {
-                    Ok(n) if n != cur => cur = n,
+                    Ok(n) if n != *cur => cur = Cow::Owned(n),
                     _ => return cur,
                 }
             }
@@ -64,7 +66,7 @@ pub(crate) fn unused_name(scope: &BTreeSet<Ident>, n: &str) -> Result<Ident, Pre
     if scope.contains(n) {
         return Err(ReasonCode::NameInUse.because(format!("name {n} already used")));
     }
-    Ok(n.to_string())
+    Ok(n.into())
 }
 
 /// One introduction step, the only one: moves the binder or premise at the
@@ -89,7 +91,7 @@ pub(crate) fn intro_binder(
             (name, concl)
         }
         Formula::ForallSort(v, body) => {
-            let name = name.map_or_else(|| v.clone(), str::to_string);
+            let name = name.map_or_else(|| v.clone(), Ident::from);
             if g.sort_vars.contains(&name) {
                 return Err(
                     ReasonCode::NameInUse.because(format!("sort variable {name} already used"))
@@ -114,7 +116,7 @@ pub(crate) fn intro_binder(
             (name, *q)
         }
         Formula::Not(p) => {
-            let name = name.map_or_else(|| fresh_name("H", scope), str::to_string);
+            let name = name.map_or_else(|| fresh_name("H", scope), Ident::from);
             g.hyps.push((name.clone(), *p));
             (name, Formula::False)
         }
@@ -131,7 +133,7 @@ pub fn intro(env: &Env, goal: &Goal, name: Option<&str>) -> Result<Goal, Preflig
     intro_binder(
         &mut g,
         &mut goal.names_in_scope(),
-        whnf_prop(env, &goal.concl),
+        whnf_prop(env, &goal.concl).into_owned(),
         name,
     )?;
     Ok(g)
@@ -140,7 +142,7 @@ pub fn intro(env: &Env, goal: &Goal, name: Option<&str>) -> Result<Goal, Preflig
 /// `intros [names]`. With no names, introduces greedily but does not unfold
 /// definitions to find more products, and like Coq succeeds as a no-op when
 /// there is nothing to introduce.
-pub fn intros(env: &Env, goal: &Goal, names: &[String]) -> Result<Goal, PreflightRejection> {
+pub fn intros(env: &Env, goal: &Goal, names: &[Ident]) -> Result<Goal, PreflightRejection> {
     let mut g = goal.clone();
     let mut scope = goal.names_in_scope();
     if names.is_empty() {
@@ -152,7 +154,7 @@ pub fn intros(env: &Env, goal: &Goal, names: &[String]) -> Result<Goal, Prefligh
         }
     }
     for n in names {
-        let exposed = whnf_prop(env, &g.concl);
+        let exposed = whnf_prop(env, &g.concl).into_owned();
         intro_binder(&mut g, &mut scope, exposed, Some(n))?;
     }
     Ok(g)
@@ -216,14 +218,14 @@ pub fn left_or_right(goal: &Goal, right: bool) -> Result<Vec<Goal>, PreflightRej
 
 /// `exists t`.
 pub fn exists_tac(env: &Env, goal: &Goal, witness: &Term) -> Result<Goal, PreflightRejection> {
-    let Formula::Exists(v, _, body) = whnf_prop(env, &goal.concl) else {
+    let Formula::Exists(v, _, body) = &*whnf_prop(env, &goal.concl) else {
         return Err(ReasonCode::GoalShape.because("goal is not an existential"));
     };
     let mut fv = BTreeSet::new();
     witness.free_vars(&mut fv);
     in_context(goal, &fv)?;
     let mut g = goal.clone();
-    g.concl = subst_formula1(&body, &v, witness).into();
+    g.concl = subst_formula1(body, v, witness).into();
     Ok(g)
 }
 
@@ -246,14 +248,13 @@ pub fn exfalso(goal: &Goal) -> Vec<Goal> {
 /// `contradiction`.
 pub fn contradiction(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, TacticError> {
     for (_, f) in &goal.hyps {
-        if matches!(whnf_prop(env, f), Formula::False) {
+        if matches!(*whnf_prop(env, f), Formula::False) {
             return Ok(vec![]);
         }
     }
     // Look for a complementary pair P / ~P.
     for (_, f) in &goal.hyps {
-        let nf = whnf_prop(env, f);
-        if let Formula::Not(p) = nf {
+        if let Formula::Not(p) = &*whnf_prop(env, f) {
             for (_, g2) in &goal.hyps {
                 if conv_eq_formula(env, g2, &p, fuel)? {
                     return Ok(vec![]);
@@ -265,7 +266,7 @@ pub fn contradiction(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal
 }
 
 /// `clear H ...`.
-pub fn clear(goal: &Goal, names: &[String]) -> Result<Goal, PreflightRejection> {
+pub fn clear(goal: &Goal, names: &[Ident]) -> Result<Goal, PreflightRejection> {
     let mut g = goal.clone();
     for n in names {
         if g.remove_hyp(n) {
@@ -287,7 +288,7 @@ pub fn clear(goal: &Goal, names: &[String]) -> Result<Goal, PreflightRejection> 
 /// `revert x H ...`: moves hypotheses and variables back into the goal.
 /// Reverting a variable also reverts the hypotheses that mention it (the
 /// behaviour of `generalize dependent`).
-pub fn revert(goal: &Goal, names: &[String]) -> Result<Goal, PreflightRejection> {
+pub fn revert(goal: &Goal, names: &[Ident]) -> Result<Goal, PreflightRejection> {
     let mut g = goal.clone();
     for n in names.iter().rev() {
         if let Some(f) = g.hyp(n).cloned() {
@@ -297,7 +298,7 @@ pub fn revert(goal: &Goal, names: &[String]) -> Result<Goal, PreflightRejection>
         }
         if let Some(s) = g.var_sort(n).cloned() {
             // First revert dependent hypotheses, innermost last.
-            let deps: Vec<(String, Formula)> = g
+            let deps: Vec<(Ident, Formula)> = g
                 .hyps
                 .iter()
                 .filter(|(_, f)| f.mentions(n))
@@ -318,18 +319,22 @@ pub fn revert(goal: &Goal, names: &[String]) -> Result<Goal, PreflightRejection>
 
 /// The fuel-free prefix of `reflexivity`: the exposed conclusion, which
 /// must be an equation, a bi-implication or `True`.
-pub(crate) fn reflexivity_prefix(env: &Env, goal: &Goal) -> Result<Formula, PreflightRejection> {
-    match whnf_prop(env, &goal.concl) {
-        concl @ (Formula::Eq(..) | Formula::Iff(..) | Formula::True) => Ok(concl),
+pub(crate) fn reflexivity_prefix<'g>(
+    env: &Env,
+    goal: &'g Goal,
+) -> Result<Cow<'g, Formula>, PreflightRejection> {
+    let concl = whnf_prop(env, &goal.concl);
+    match *concl {
+        Formula::Eq(..) | Formula::Iff(..) | Formula::True => Ok(concl),
         _ => Err(ReasonCode::GoalShape.because("goal is not an equality")),
     }
 }
 
 /// `reflexivity`.
 pub fn reflexivity(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, TacticError> {
-    let convertible = match reflexivity_prefix(env, goal)? {
-        Formula::Eq(_, a, b) => conv_eq_term(env, &a, &b, fuel)?,
-        Formula::Iff(a, b) => conv_eq_formula(env, &a, &b, fuel)?,
+    let convertible = match &*reflexivity_prefix(env, goal)? {
+        Formula::Eq(_, a, b) => conv_eq_term(env, a, b, fuel)?,
+        Formula::Iff(a, b) => conv_eq_formula(env, a, b, fuel)?,
         _ => true,
     };
     if convertible {
@@ -341,9 +346,9 @@ pub fn reflexivity(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>,
 
 /// `symmetry` / `symmetry in H`.
 pub fn symmetry(env: &Env, goal: &Goal, loc: Option<&str>) -> Result<Goal, PreflightRejection> {
-    let flip = |f: &Formula| match whnf_prop(env, f) {
-        Formula::Eq(s, a, b) => Some(Formula::Eq(s, b, a)),
-        Formula::Iff(a, b) => Some(Formula::Iff(b, a)),
+    let flip = |f: &Formula| match &*whnf_prop(env, f) {
+        Formula::Eq(s, a, b) => Some(Formula::Eq(s.clone(), b.clone(), a.clone())),
+        Formula::Iff(a, b) => Some(Formula::Iff(b.clone(), a.clone())),
         _ => None,
     };
     let mut g = goal.clone();
@@ -445,7 +450,7 @@ pub fn assert_tac(
     f.free_vars(&mut fv);
     in_context(goal, &fv)?;
     let name = match name {
-        Some(n) => n.to_string(),
+        Some(n) => n.into(),
         None => goal.fresh("H"),
     };
     let mut side = goal.clone();
@@ -484,7 +489,7 @@ mod tests {
         assert_eq!(hyps, ["H", "H0"]);
         assert_eq!(*stepped.concl, Formula::False);
 
-        let names: Vec<String> = ["y", "B", "z", "m", "Hm", "Hz"].map(String::from).into();
+        let names: Vec<Ident> = ["y", "B", "z", "m", "Hm", "Hz"].map(Ident::from).into();
         let mut named = goal.clone();
         for n in &names {
             named = intro(&env, &named, Some(n)).unwrap();

@@ -62,7 +62,7 @@ fn intro_until_var(env: &Env, goal: &Goal, x: &str) -> Result<Goal, TacticError>
         if steps > 256 {
             return Err(not_a_variable());
         }
-        let exposed = whnf_prop(env, &g.concl);
+        let exposed = whnf_prop(env, &g.concl).into_owned();
         let want = matches!(&exposed, Formula::Forall(v, ..) if v == x).then_some(x);
         intro_binder(&mut g, &mut scope, exposed, want).map_err(|r| match r.code {
             ReasonCode::AtomicConclusion => not_a_variable(),
@@ -97,7 +97,7 @@ pub fn destruct(
     }
 }
 
-fn pattern_names(pattern: Option<&DestructPattern>, case: usize) -> &[String] {
+fn pattern_names(pattern: Option<&DestructPattern>, case: usize) -> &[Ident] {
     match pattern {
         Some(p) if case < p.len() => p[case].as_slice(),
         _ => &[],
@@ -112,17 +112,17 @@ pub(crate) fn destruct_hyp_prefix(
     h: &str,
 ) -> Result<Formula, PreflightRejection> {
     let hf = whnf_prop(env, hyp(goal, h)?);
-    match &hf {
+    match &*hf {
         Formula::And(..)
         | Formula::Or(..)
         | Formula::Exists(..)
         | Formula::Iff(..)
         | Formula::True
-        | Formula::False => Ok(hf),
+        | Formula::False => Ok(hf.into_owned()),
         Formula::Pred(p, _, _)
             if matches!(env.preds.get(p.as_str()), Some(PredDef::Inductive(_))) =>
         {
-            Ok(hf)
+            Ok(hf.into_owned())
         }
         _ => Err(ReasonCode::NotInductive.because(format!("hypothesis {h} cannot be destructed"))),
     }
@@ -158,13 +158,13 @@ fn destruct_hyp(
             let n1 = pattern_names(pattern, 0)
                 .first()
                 .cloned()
-                .unwrap_or_else(|| h.to_string());
+                .unwrap_or_else(|| Ident::from(h));
             g1.hyps[pos] = (n1, (*a).clone());
             let mut g2 = goal.clone();
             let n2 = pattern_names(pattern, 1)
                 .first()
                 .cloned()
-                .unwrap_or_else(|| h.to_string());
+                .unwrap_or_else(|| Ident::from(h));
             g2.hyps[pos] = (n2, (*b).clone());
             Ok(vec![g1, g2])
         }
@@ -174,7 +174,7 @@ fn destruct_hyp(
             let vname = names.first().cloned().unwrap_or_else(|| g.fresh(&v));
             let vname = unused_name(&g.names_in_scope(), &vname)?;
             g.vars.push((vname.clone(), s));
-            let hname = names.get(1).cloned().unwrap_or_else(|| h.to_string());
+            let hname = names.get(1).cloned().unwrap_or_else(|| Ident::from(h));
             g.hyps[pos] = (hname, subst_formula1(&body, &v, &Term::var(vname)));
             Ok(vec![g])
         }
@@ -275,7 +275,7 @@ fn eqn_name(e: &str, avoid: &BTreeSet<Ident>) -> Ident {
     if e.is_empty() {
         fresh_name("Heq", avoid)
     } else {
-        e.to_string()
+        e.into()
     }
 }
 
@@ -379,7 +379,7 @@ pub fn induction(
     inductive_sort_prefix(env, x, &sort)?;
 
     // Revert hypotheses that mention x into the motive.
-    let deps: Vec<(String, Formula)> = goal
+    let deps: Vec<(Ident, Formula)> = goal
         .hyps
         .iter()
         .filter(|(_, f)| f.mentions(x))
@@ -443,14 +443,15 @@ pub(crate) fn inversion_prefix<'e>(
     goal: &Goal,
     h: &str,
 ) -> Result<IndApp<'e>, PreflightRejection> {
-    let Formula::Pred(p, sorts, args) = whnf_prop(env, hyp(goal, h)?) else {
+    let exposed = whnf_prop(env, hyp(goal, h)?);
+    let Formula::Pred(p, sorts, args) = &*exposed else {
         return Err(ReasonCode::NotInductive
             .because("hypothesis is not an inductive predicate application"));
     };
     let Some(PredDef::Inductive(ip)) = env.preds.get(p.as_str()) else {
         return Err(ReasonCode::NotInductive.because(format!("{p} is not an inductive predicate")));
     };
-    Ok((ip, p, sorts, args))
+    Ok((ip, p.clone(), sorts.clone(), args.clone()))
 }
 
 /// `inversion H` on an inductive-predicate hypothesis.
@@ -595,8 +596,8 @@ pub(crate) fn injection_prefix(
     goal: &Goal,
     h: &str,
 ) -> Result<(Sort, Term, Term), PreflightRejection> {
-    match whnf_prop(env, hyp(goal, h)?) {
-        Formula::Eq(s, a, b) => Ok((s, a, b)),
+    match &*whnf_prop(env, hyp(goal, h)?) {
+        Formula::Eq(s, a, b) => Ok((s.clone(), a.clone(), b.clone())),
         _ => Err(ReasonCode::NonEquation.because("hypothesis is not an equality")),
     }
 }
@@ -668,9 +669,9 @@ pub fn discriminate(
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
     let check = |f: &Formula, fuel: &mut Fuel| -> Result<bool, TacticError> {
-        if let Formula::Eq(_, a, b) = whnf_prop(env, f) {
-            let a = normalize_term(env, &a, EvalMode::simpl(), fuel)?;
-            let b = normalize_term(env, &b, EvalMode::simpl(), fuel)?;
+        if let Formula::Eq(_, a, b) = &*whnf_prop(env, f) {
+            let a = normalize_term(env, a, EvalMode::simpl(), fuel)?;
+            let b = normalize_term(env, b, EvalMode::simpl(), fuel)?;
             return Ok(clashes(env, &a, &b));
         }
         Ok(false)
@@ -689,8 +690,8 @@ pub fn discriminate(
                 }
             }
             // Goal of the shape `a <> b` with clashing sides.
-            if let Formula::Not(inner) = whnf_prop(env, &goal.concl) {
-                if let Formula::Eq(_, a, b) = &*inner {
+            if let Formula::Not(inner) = &*whnf_prop(env, &goal.concl) {
+                if let Formula::Eq(_, a, b) = &**inner {
                     let a = normalize_term(env, a, EvalMode::simpl(), fuel)?;
                     let b = normalize_term(env, b, EvalMode::simpl(), fuel)?;
                     if clashes(env, &a, &b) {

@@ -122,11 +122,11 @@ pub fn congruence(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, 
     let mut eqs: Vec<(Term, Term)> = Vec::new();
     let mut neqs: Vec<(Term, Term)> = Vec::new();
     for (_, f) in &goal.hyps {
-        match whnf_prop(env, f) {
-            Formula::Eq(_, a, b) => eqs.push((a, b)),
+        match &*whnf_prop(env, f) {
+            Formula::Eq(_, a, b) => eqs.push((a.clone(), b.clone())),
             Formula::Not(inner) => {
-                if let Formula::Eq(_, a, b) = *inner {
-                    neqs.push((a, b));
+                if let Formula::Eq(_, a, b) = &**inner {
+                    neqs.push((a.clone(), b.clone()));
                 }
             }
             _ => {}
@@ -134,11 +134,11 @@ pub fn congruence(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, 
     }
     // The goal contributes its negation.
     let mut goal_eq: Option<(Term, Term)> = None;
-    match whnf_prop(env, &goal.concl) {
-        Formula::Eq(_, a, b) => goal_eq = Some((a, b)),
+    match &*whnf_prop(env, &goal.concl) {
+        Formula::Eq(_, a, b) => goal_eq = Some((a.clone(), b.clone())),
         Formula::Not(inner) => {
-            if let Formula::Eq(_, a, b) = *inner {
-                eqs.push((a, b));
+            if let Formula::Eq(_, a, b) = &**inner {
+                eqs.push((a.clone(), b.clone()));
             } else {
                 return Err(TacticError::rejected("goal is not an equality"));
             }

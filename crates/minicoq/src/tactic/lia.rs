@@ -119,8 +119,7 @@ fn constraints_of(
     splits: &mut Vec<(Constraint, Constraint)>,
     fuel: &mut Fuel,
 ) -> Result<(), TacticError> {
-    let f = whnf_prop(env, f);
-    match &f {
+    match &*whnf_prop(env, f) {
         Formula::Pred(p, _, args) if p == "le" && args.len() == 2 => {
             let a = linearize(env, &args[0], fuel)?;
             let b = linearize(env, &args[1], fuel)?;
@@ -215,7 +214,7 @@ pub fn lia(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal>, TacticE
     }
     // Negate the goal.
     let concl = whnf_prop(env, &goal.concl);
-    match &concl {
+    match &*concl {
         Formula::False => {}
         _ => {
             let nb = base.len();
@@ -263,7 +262,7 @@ mod tests {
     fn nat_goal(f: Formula, vars: &[&str]) -> Goal {
         let mut g = Goal::new(f);
         for v in vars {
-            g.vars.push((v.to_string(), Sort::nat()));
+            g.vars.push(((*v).into(), Sort::nat()));
         }
         g
     }

@@ -34,7 +34,7 @@ pub(crate) use rewrite::{loc_prefix, unfold_prefix, RewriteSite};
 /// used by the parser to elaborate `exists` witnesses against the expected
 /// sort.
 pub fn whnf_concl(env: &crate::env::Env, goal: &crate::goal::Goal) -> crate::formula::Formula {
-    basic::whnf_prop(env, &goal.concl)
+    basic::whnf_prop(env, &goal.concl).into_owned()
 }
 
 use crate::analysis::PreflightRejection;

@@ -13,6 +13,7 @@ use crate::rule::{Rule, RuleForm};
 use crate::subst::{subst_term, TermSubst};
 use crate::term::Term;
 use crate::unify::Unifier;
+use crate::Ident;
 
 use super::basic::hyp;
 use super::Loc;
@@ -46,7 +47,7 @@ pub(crate) fn replace_in_term(t: &Term, from: &Term, to: &Term) -> Term {
     }
 }
 
-fn binders_interfere(binders: &[String], from: &Term, to: &Term) -> bool {
+fn binders_interfere(binders: &[Ident], from: &Term, to: &Term) -> bool {
     let mut fv = BTreeSet::new();
     from.free_vars(&mut fv);
     to.free_vars(&mut fv);
@@ -288,10 +289,10 @@ pub(crate) fn loc_prefix(goal: &Goal, loc: &Loc) -> Result<(), PreflightRejectio
 pub(crate) fn unfold_prefix(
     env: &Env,
     goal: &Goal,
-    names: &[String],
+    names: &[Ident],
     loc: &Loc,
 ) -> Result<(), PreflightRejection> {
-    let defined = |n: &String| env.preds.contains_key(n) || env.funcs.contains_key(n);
+    let defined = |n: &Ident| env.preds.contains_key(n) || env.funcs.contains_key(n);
     if let Some(n) = names.iter().find(|n| !defined(n)) {
         return Err(ReasonCode::UnknownName.because(format!("unknown definition {n}")));
     }
@@ -302,7 +303,7 @@ pub(crate) fn unfold_prefix(
 pub fn unfold(
     env: &Env,
     goal: &Goal,
-    names: &[String],
+    names: &[Ident],
     loc: &Loc,
     fuel: &mut Fuel,
 ) -> Result<Vec<Goal>, TacticError> {
@@ -326,7 +327,7 @@ pub fn unfold(
             g.set_hyp(h, nf);
         }
         Loc::Everywhere => {
-            let hyps: Vec<(String, Formula)> = g.hyps.clone();
+            let hyps: Vec<(Ident, Formula)> = g.hyps.clone();
             for (n, f) in hyps {
                 let nf = apply_to(&f, fuel)?;
                 g.set_hyp(&n, nf);
@@ -458,7 +459,7 @@ pub fn simpl(env: &Env, goal: &Goal, loc: &Loc, fuel: &mut Fuel) -> Result<Vec<G
             g.set_hyp(h, nf);
         }
         Loc::Everywhere => {
-            let hyps: Vec<(String, Formula)> = g.hyps.clone();
+            let hyps: Vec<(Ident, Formula)> = g.hyps.clone();
             for (n, f) in hyps {
                 let nf = normalize_formula(env, &f, EvalMode::simpl(), fuel)?;
                 g.set_hyp(&n, nf);

@@ -269,7 +269,7 @@ impl Unifier {
             (Formula::ForallSort(v1, b1), Formula::ForallSort(v2, b2)) => {
                 if v1 != v2 {
                     // Rename via sort substitution to a common fresh name.
-                    let fresh = format!("#S{}", self.next_meta);
+                    let fresh = Ident::numbered("#S", self.next_meta.into());
                     self.next_meta += 1;
                     let mut m1 = SortSubst::new();
                     m1.insert(v1.clone(), Sort::Var(fresh.clone()));

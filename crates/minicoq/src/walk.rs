@@ -144,8 +144,8 @@ mod tests {
         Node::Formula(&f).for_each(|n| {
             seen.push(match n {
                 Node::Formula(_) => "F".to_string(),
-                Node::Term(Term::Var(v)) => v.clone(),
-                Node::Term(Term::App(g, _)) => g.clone(),
+                Node::Term(Term::Var(v)) => v.to_string(),
+                Node::Term(Term::App(g, _)) => g.to_string(),
                 Node::Term(Term::Match(..)) => "match".to_string(),
                 Node::Term(Term::Meta(_)) => "?".to_string(),
                 Node::Pat(_) => "pat".to_string(),

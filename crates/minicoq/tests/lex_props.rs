@@ -27,7 +27,7 @@ proptest! {
         for w in &words {
             rendered.push_str(w);
             rendered.push(' ');
-            expected.push(Tok::Ident(w.clone()));
+            expected.push(Tok::Ident(w.as_str().into()));
         }
         for n in &nums {
             rendered.push_str(&n.to_string());

@@ -37,11 +37,12 @@ use minicoq::env::{Env, Lemma, PredDef};
 use minicoq::eval::fix_unfolds;
 use minicoq::formula::Formula;
 use minicoq::goal::Goal;
-use minicoq::refs::head_feature;
+use minicoq::refs::{head_feature, HeadKind};
 use minicoq::sort::Sort;
 use minicoq::tactic::expose_rule;
 use minicoq::term::Term;
 use minicoq::walk::Node;
+use minicoq::Ident;
 use proof_trace::metrics::HotCounter;
 
 use crate::model::{Proposal, QueryCtx, TacticModel};
@@ -253,8 +254,9 @@ fn build_prep(
         let facts = lemma.match_facts(ctx.env);
         let sides = facts.eq_heads.iter().flat_map(|(l, r)| l.iter().chain(r));
         let names = sides
-            .chain([&facts.head.0])
-            .chain(&facts.first_premise_head);
+            .map(Ident::as_str)
+            .chain([facts.head.0.as_str()])
+            .chain(facts.first_premise_head.as_deref());
         index.extend(names.map(|name| (fnv(name.bytes()), i)));
     }
     index.sort_unstable();
@@ -319,9 +321,10 @@ impl PromptPrep {
             .map(|(_, rule)| rule)
     }
 
-    /// The kept lemmas whose match facts may mention `name`.
-    fn lemmas(&self, name: &str) -> impl Iterator<Item = &Arc<Lemma>> {
-        filed(&self.index, fnv(name.bytes())).map(|&i| &self.kept[i])
+    /// The kept lemmas whose match facts may mention the name spelled by
+    /// `name`.
+    fn lemmas(&self, name: impl Iterator<Item = u8>) -> impl Iterator<Item = &Arc<Lemma>> {
+        filed(&self.index, fnv(name)).map(|&i| &self.kept[i])
     }
 }
 
@@ -703,7 +706,7 @@ impl TacticModel for SimulatedModel {
             self.tuning.distractor_base + (1.0 - skill_eff) * self.tuning.distractor_slope;
         let mut cands = Candidates::new(&prep.prefix);
         self.structural_candidates(ctx.env, goal, (&feature.1, &peeled.binders), &mut cands);
-        self.hypothesis_candidates(ctx.env, goal, &feature.0, prep, &mut cands);
+        self.hypothesis_candidates(ctx.env, goal, feature.0, prep, &mut cands);
         self.lemma_candidates(ctx.env, goal, &feature, prep, &mut cands);
         self.distractors(ctx, &prep.prefix, distractor, &mut cands);
         // A candidate the model simply fails to surface for this theorem:
@@ -739,7 +742,7 @@ impl TacticModel for SimulatedModel {
         // API calls: duplicates collapse, so a noisy model wastes samples
         // on junk while a confident one concentrates on a few candidates.
         let mut query = prep.prefix.clone();
-        ctx.query_index.to_string().hash(&mut query);
+        Ident::numbered("", ctx.query_index.into()).hash(&mut query);
         let mut scored: Vec<(f64, Cand<'_>)> = cands
             .list
             .into_iter()
@@ -771,7 +774,7 @@ impl TacticModel for SimulatedModel {
         let z: f64 = weights.iter().sum();
         let mut drawn: Vec<usize> = Vec::new();
         for k in 0..width {
-            let h = hash_from(&query, &["draw", &k.to_string()]);
+            let h = hash_from(&query, &["draw", &Ident::numbered("", k as u64)]);
             let mut u = unit(h) * z;
             let mut idx = 0usize;
             for (i, w) in weights.iter().enumerate() {
@@ -807,7 +810,7 @@ impl SimulatedModel {
         &self,
         env: &Env,
         goal: &'a Goal,
-        (syms, binders): (&'a [String], &'a [(String, Sort)]),
+        (syms, binders): (&'a [Ident], &'a [(Ident, Sort)]),
         cands: &mut Candidates<'a>,
     ) {
         let concl: &Formula = &goal.concl;
@@ -985,7 +988,7 @@ impl SimulatedModel {
         &self,
         env: &Env,
         goal: &'a Goal,
-        gh: &str,
+        gh: HeadKind<'_>,
         prep: &PromptPrep,
         cands: &mut Candidates<'a>,
     ) {
@@ -1056,8 +1059,8 @@ impl SimulatedModel {
                 _ => {}
             }
             // Apply a hypothesis whose conclusion head matches the goal's.
-            let (hh, _) = head_feature(env, peeled.conclusion);
-            if gh == hh && (gh.starts_with("pred:") || gh == "eq" || gh == "false") {
+            let hh = HeadKind::of(peeled.conclusion);
+            if gh == hh && matches!(gh, HeadKind::Pred(_) | HeadKind::Eq | HeadKind::False) {
                 cands.add(Cand::Named("apply ", h, ""), 1.6);
                 if !peeled.binders.is_empty() {
                     cands.add(Cand::Named("eapply ", h, ""), 1.2);
@@ -1076,21 +1079,21 @@ impl SimulatedModel {
         &self,
         env: &Env,
         goal: &'a Goal,
-        (ghead, gsyms): &(String, Vec<String>),
+        &(ghead, ref gsyms): &(HeadKind<'_>, Vec<Ident>),
         prep: &'a PromptPrep,
         cands: &mut Candidates<'a>,
     ) {
         // Backward application when the conclusions line up.
-        if ghead.starts_with("pred:") || ghead == "eq" {
-            for lemma in prep.lemmas(ghead) {
+        if matches!(ghead, HeadKind::Pred(_) | HeadKind::Eq) {
+            for lemma in prep.lemmas(ghead.bytes()) {
                 let feat = lemma.match_facts(env);
                 let (lhead, lsyms) = &feat.head;
-                if lhead != ghead {
+                if !ghead.is(lhead) {
                     continue;
                 }
                 let overlap = lsyms.iter().filter(|s| gsyms.contains(s)).count();
                 if overlap > 0
-                    || (ghead.starts_with("pred:") && lsyms.is_empty() == gsyms.is_empty())
+                    || (matches!(ghead, HeadKind::Pred(_)) && lsyms.is_empty() == gsyms.is_empty())
                 {
                     let base = 1.7 + 0.15 * overlap as f64;
                     cands.add(Cand::Named("apply ", &lemma.name, ""), base);
@@ -1103,7 +1106,7 @@ impl SimulatedModel {
         // Rewriting with equational lemmas whose left side mentions a
         // function symbol of the goal (nothing to rewrite otherwise).
         for s in gsyms {
-            for lemma in prep.lemmas(s) {
+            for lemma in prep.lemmas(s.bytes()) {
                 let Some((lh, rh)) = &lemma.match_facts(env).eq_heads else {
                     continue;
                 };
@@ -1117,9 +1120,10 @@ impl SimulatedModel {
         }
         // Forward application into a matching hypothesis.
         for (hname, hf) in &goal.hyps {
-            let hh = head_feature(env, hf.conclusion()).0;
-            for lemma in prep.lemmas(&hh) {
-                if lemma.match_facts(env).first_premise_head.as_ref() == Some(&hh) {
+            let hh = HeadKind::of(hf.conclusion());
+            for lemma in prep.lemmas(hh.bytes()) {
+                let first = lemma.match_facts(env).first_premise_head.as_deref();
+                if first.is_some_and(|k| hh.is(k)) {
                     cands.add(Cand::ApplyIn(&lemma.name, hname), 0.8);
                 }
             }
@@ -1141,9 +1145,9 @@ impl SimulatedModel {
         if n == 0 {
             return;
         }
-        let qtag = format!("d{}", ctx.query_index);
+        let qtag = Ident::numbered("d", ctx.query_index.into());
         for k in 0..7u32 {
-            let h = hash_from(prefix, &[&qtag, &k.to_string()]);
+            let h = hash_from(prefix, &[&qtag, &Ident::numbered("", k.into())]);
             let lname = &ctx.prompt.visible_lemmas[(h as usize) % n];
             let score = base + 0.38 * unit(h.rotate_left(17));
             match k % 3 {
@@ -1305,7 +1309,7 @@ mod tests {
                         let mut cands = Candidates::new(&prep.prefix);
                         let view = (&feature.1[..], &peeled.binders[..]);
                         model.structural_candidates(env, goal, view, &mut cands);
-                        model.hypothesis_candidates(env, goal, &feature.0, prep, &mut cands);
+                        model.hypothesis_candidates(env, goal, feature.0, prep, &mut cands);
                         model.lemma_candidates(env, goal, &feature, prep, &mut cands);
                         model.distractors(&ctx, &prep.prefix, 1.0, &mut cands);
                         out.extend(cands.list.iter().map(|e| owned(e.cand)));

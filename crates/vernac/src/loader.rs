@@ -224,7 +224,7 @@ impl Loader {
                     if self.check_proofs && !item.admitted {
                         replay_script(&env, stmt, &proof).map_err(|e| LoadError {
                             file: file.name.clone(),
-                            item: name.clone(),
+                            item: name.to_string(),
                             message: e.message,
                         })?;
                     }
@@ -235,7 +235,7 @@ impl Loader {
                     // shared, never cloned (see `Env`).
                     envs.push(Arc::new(env.clone()));
                     theorems.push(TheoremInfo {
-                        name: name.clone(),
+                        name: name.to_string(),
                         file: file.name.clone(),
                         item_index,
                         global_index: theorems.len(),
@@ -246,7 +246,7 @@ impl Loader {
                     env.add_lemma(name.clone(), stmt.clone())
                         .map_err(|e| LoadError {
                             file: file.name.clone(),
-                            item: name.clone(),
+                            item: name.to_string(),
                             message: e.to_string(),
                         })?;
                 } else {

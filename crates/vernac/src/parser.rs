@@ -8,6 +8,7 @@ use minicoq::parse::{lex, Cursor, ParseError, Tok};
 use minicoq::sort::Sort;
 use minicoq::term::Term;
 use minicoq::walk::Node;
+use minicoq::Ident;
 
 use crate::item::{Item, ItemKind};
 
@@ -17,7 +18,7 @@ pub enum Decl {
     /// An import edge (resolved by the loader).
     Import(String),
     /// An opaque sort.
-    SortDecl(String),
+    SortDecl(Ident),
     /// A group of (possibly mutual) inductive datatypes.
     Datatypes(Vec<Inductive>),
     /// A group of (possibly mutual) inductive predicates.
@@ -29,28 +30,28 @@ pub enum Decl {
     /// A lemma statement (proof is replayed by the loader).
     LemmaStmt {
         /// Lemma name.
-        name: String,
+        name: Ident,
         /// Closed statement.
         stmt: Formula,
     },
     /// An axiom: a statement assumed into the environment without proof.
     AxiomStmt {
         /// Axiom name.
-        name: String,
+        name: Ident,
         /// Closed statement.
         stmt: Formula,
     },
     /// `Hint Resolve` names.
-    HintResolve(Vec<String>),
+    HintResolve(Vec<Ident>),
     /// `Hint Constructors` predicate names.
-    HintConstructors(Vec<String>),
+    HintConstructors(Vec<Ident>),
 }
 
 /// Parses and elaborates one grouped item against the current environment.
 pub fn parse_item(env: &Env, item: &Item) -> Result<Decl, ParseError> {
     match item.kind {
         ItemKind::Import => Ok(Decl::Import(item.name.clone())),
-        ItemKind::SortDecl => Ok(Decl::SortDecl(item.name.clone())),
+        ItemKind::SortDecl => Ok(Decl::SortDecl(item.name.as_str().into())),
         ItemKind::Hint => parse_hint(&item.text),
         ItemKind::Inductive => parse_inductive(env, &item.text),
         ItemKind::Definition | ItemKind::Fixpoint => {
@@ -122,17 +123,17 @@ fn parse_lemma(env: &Env, text: &str) -> Result<Decl, ParseError> {
 /// Parses `(A : Sort)` and `(x y : sort)` parameter groups. Sort parameters
 /// must precede term parameters.
 struct Params {
-    sort_params: Vec<String>,
-    term_params: Vec<(String, Sort)>,
+    sort_params: Vec<Ident>,
+    term_params: Vec<(Ident, Sort)>,
 }
 
 fn parse_params(
     env: &Env,
     cur: &mut Cursor,
-    sort_scope: &mut Vec<String>,
+    sort_scope: &mut Vec<Ident>,
 ) -> Result<Params, ParseError> {
     let mut sort_params = Vec::new();
-    let mut term_params: Vec<(String, Sort)> = Vec::new();
+    let mut term_params: Vec<(Ident, Sort)> = Vec::new();
     let el = Elaborator::new(env);
     while cur.at_sym("(") {
         cur.expect_sym("(")?;
@@ -192,17 +193,17 @@ fn parse_inductive(env: &Env, text: &str) -> Result<Decl, ParseError> {
 
 fn parse_ind_pred(
     env: &Env,
-    name: String,
-    sort_params: Vec<String>,
+    name: Ident,
+    sort_params: Vec<Ident>,
     cur: &mut Cursor,
 ) -> Result<Decl, ParseError> {
     // Parse the (possibly `with`-chained) group: signatures and raw rule
     // expressions first, so rules of each member may reference the others.
     struct RawPred {
-        name: String,
-        sort_params: Vec<String>,
+        name: Ident,
+        sort_params: Vec<Ident>,
         arg_sorts: Vec<Sort>,
-        rules: Vec<(String, minicoq::parse::ast::Expr)>,
+        rules: Vec<(Ident, minicoq::parse::ast::Expr)>,
     }
     let mut raws: Vec<RawPred> = Vec::new();
     let mut name = name;
@@ -308,7 +309,7 @@ fn parse_ind_pred(
 
 fn parse_datatypes(
     env: &Env,
-    first_name: String,
+    first_name: Ident,
     first_params: Params,
     cur: &mut Cursor,
     _text: &str,
@@ -316,9 +317,9 @@ fn parse_datatypes(
     // Collect the raw bodies of the (possibly mutual) group first, so the
     // group's sorts can be registered before elaborating argument sorts.
     struct RawInd {
-        name: String,
-        params: Vec<String>,
-        ctors: Vec<(String, Vec<minicoq::parse::ast::SortExpr>)>,
+        name: Ident,
+        params: Vec<Ident>,
+        ctors: Vec<(Ident, Vec<minicoq::parse::ast::SortExpr>)>,
     }
     let mut raws = Vec::new();
     let mut name = first_name;
@@ -419,7 +420,7 @@ fn parse_def(env: &Env, text: &str, recursive: bool) -> Result<Decl, ParseError>
     let mut sort_scope = Vec::new();
     let params = parse_params(env, &mut cur, &mut sort_scope)?;
     // Optional `{struct x}`.
-    let mut struct_name: Option<String> = None;
+    let mut struct_name: Option<Ident> = None;
     if cur.eat_sym("{") {
         cur.expect_kw("struct")?;
         struct_name = Some(cur.expect_ident()?);
@@ -521,7 +522,7 @@ fn parse_def(env: &Env, text: &str, recursive: bool) -> Result<Decl, ParseError>
 }
 
 fn resolve_struct_arg(
-    params: &[(String, Sort)],
+    params: &[(Ident, Sort)],
     explicit: Option<&str>,
     has_match_on: impl Fn(&str) -> bool,
     name: &str,
@@ -608,7 +609,7 @@ pub fn apply_decl(env: &mut Env, decl: &Decl) -> Result<(), ParseError> {
                         "Hint Constructors: {p} is not an inductive predicate"
                     )));
                 };
-                let rules: Vec<String> = ip.rules.iter().map(|(n, _)| n.clone()).collect();
+                let rules: Vec<Ident> = ip.rules.iter().map(|(n, _)| n.clone()).collect();
                 for r in rules {
                     env.add_hint("core", r);
                 }
