@@ -96,7 +96,7 @@ fn split_item_key(key: &str) -> Option<(&str, usize)> {
 
 /// A two-layer content snapshot of a loaded development, diffable against
 /// a later snapshot of an edited corpus. Serializes to JSON so a baseline
-/// can be captured once and shipped alongside a result journal.
+/// can be captured once and shipped alongside a baseline result.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Semantic fingerprint per symbol (alpha-invariant canonical keys).

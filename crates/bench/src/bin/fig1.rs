@@ -3,11 +3,11 @@
 //! Panel (a): the four main models, vanilla and with hints.
 //! Panel (b): Gemini 1.5 Pro with 1M vs 128k context windows.
 //!
-//! Usage: `fig1 [--fresh] [--resume] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
+//! Usage: `fig1 [--fresh] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
 //! [--trace-out BASE]`
 //!
-//! Exits 3 when a cell crashed; its finished cells are journaled, and a
-//! re-run with `--resume` completes the grid.
+//! Exits 3 when a cell crashed; its finished cells are cached, and a
+//! re-run without `--fresh` completes the grid.
 
 use llm_fscq_bench::GridOpts;
 use proof_metrics::report::render_fig1;

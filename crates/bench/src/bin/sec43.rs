@@ -7,11 +7,11 @@
 //! Part 2 (reasoning models): whole-proof generation without checker
 //! interaction, reproducing the "assumes a subgoal is closed" failure mode.
 //!
-//! Usage: `sec43 [--fresh] [--resume] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
+//! Usage: `sec43 [--fresh] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
 //! [--trace-out BASE]`
 //!
-//! Exits 3 when a cell crashed; its finished cells are journaled, and a
-//! re-run with `--resume` completes the grid.
+//! Exits 3 when a cell crashed; its finished cells are cached, and a
+//! re-run without `--fresh` completes the grid.
 
 use llm_fscq_bench::GridOpts;
 use proof_oracle::profiles::ModelProfile;

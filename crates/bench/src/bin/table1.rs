@@ -1,11 +1,11 @@
 //! Table 1: proof coverage across theorem categories (actual / expected),
 //! GPT-4o with and without hints.
 //!
-//! Usage: `table1 [--fresh] [--resume] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
+//! Usage: `table1 [--fresh] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
 //! [--trace-out BASE]`
 //!
-//! Exits 3 when a cell crashed; its finished cells are journaled, and a
-//! re-run with `--resume` completes the grid.
+//! Exits 3 when a cell crashed; its finished cells are cached, and a
+//! re-run without `--fresh` completes the grid.
 
 use llm_fscq_bench::GridOpts;
 use proof_metrics::report::render_table1;

@@ -1,11 +1,11 @@
 //! Table 2: proved / stuck / fuelout rates and qualitative metrics for the
 //! five model configurations, vanilla -> with hints.
 //!
-//! Usage: `table2 [--fresh] [--resume] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
+//! Usage: `table2 [--fresh] [--jobs N] [--fault-seed N] [--fault-plan SPEC]
 //! [--trace-out BASE]`
 //!
-//! Exits 3 when a cell crashed; its finished cells are journaled, and a
-//! re-run with `--resume` completes the grid.
+//! Exits 3 when a cell crashed; its finished cells are cached, and a
+//! re-run without `--fresh` completes the grid.
 
 use llm_fscq_bench::GridOpts;
 use proof_metrics::levenshtein::random_pair_baseline;

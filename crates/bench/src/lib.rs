@@ -9,16 +9,16 @@
 //! `JOBS=N`. [`GridOpts`] is the group of flags the grid bins share;
 //! each bin declares the ones it honours.
 //!
-//! The main grid is crash-safe: every completed cell is appended to a
-//! JSONL journal under `target/experiments/`, and `--resume` replays it,
-//! so a run killed mid-grid picks up where it left off instead of
-//! starting over. `--fault-seed N` / `--fault-plan SPEC` arm the seeded
-//! fault-injection plan (chaos testing; see `proof_chaos`) — injected
-//! faults are recovered by retry, panic isolation, and the checksummed
-//! cell cache, so a faulted-then-resumed grid produces byte-identical
-//! results to a clean one. A main-grid run in which a cell crashed exits
-//! with status [`EXIT_RESUMABLE`] (3), apart from the usage-error status
-//! 2, so a script can tell a bad command line from a run to `--resume`.
+//! Grids are crash-safe: every finished cell is stored in the cell cache
+//! as it completes, `--fresh` included, so a run killed mid-grid picks up
+//! where it left off when the same command runs again without `--fresh`.
+//! `--fault-seed N` / `--fault-plan SPEC` arm the seeded fault-injection
+//! plan (chaos testing; see `proof_chaos`) — injected faults are
+//! recovered by retry, panic isolation, and the checksummed cell cache,
+//! so a faulted-then-rerun grid produces byte-identical results to a
+//! clean one. A main-grid run in which a cell crashed exits with status
+//! [`EXIT_RESUMABLE`] (3), apart from the usage-error status 2, so a
+//! script can tell a bad command line from a run to repeat.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -36,7 +36,8 @@ use proof_trace::ledger::{Ledger, RunRecord};
 pub mod rank;
 
 /// The exit status of a main-grid run in which a cell crashed: its
-/// completed cells are journaled and `--resume` finishes the grid.
+/// completed cells are cached and a rerun without `--fresh` finishes the
+/// grid.
 pub const EXIT_RESUMABLE: i32 = 3;
 
 /// Where cached experiment artifacts live.
@@ -49,10 +50,9 @@ pub fn artifact_dir() -> PathBuf {
 /// unset.
 #[derive(Clone, Default)]
 pub struct GridOpts {
-    /// `--fresh`: drop every cache level and recompute.
+    /// `--fresh`: serve nothing cached before this run; still cache
+    /// every finished cell.
     pub fresh: bool,
-    /// `--resume`: replay the progress journal of an interrupted run.
-    pub resume: bool,
     /// `--jobs N`: the worker count, over `JOBS` and the core count.
     pub jobs: Option<usize>,
     /// `--fault-seed` / `--fault-plan`: the armed fault-injection plan.
@@ -64,9 +64,8 @@ pub struct GridOpts {
 
 impl GridOpts {
     /// Every shared flag: what the main-grid bins take.
-    pub const ALL: [Flag; 6] = [
+    pub const ALL: [Flag; 5] = [
         Flag::switch("--fresh"),
-        Flag::switch("--resume"),
         Flag::parsed::<usize>("--jobs", "N"),
         Flag::parsed::<u64>("--fault-seed", "N"),
         Flag::value("--fault-plan", "SPEC"),
@@ -87,7 +86,6 @@ impl GridOpts {
     pub fn from_args(args: &Args) -> GridOpts {
         GridOpts {
             fresh: args.given("--fresh"),
-            resume: args.given("--resume"),
             jobs: args.get("--jobs"),
             fault_plan: plan_from_flags(args.get("--fault-seed"), args.value("--fault-plan"))
                 .unwrap_or_else(|e| args.fail(&format!("--fault-plan: {e}"))),
@@ -102,18 +100,21 @@ impl GridOpts {
     }
 
     /// The evaluation engine: `--jobs` workers, else `JOBS`, else the core
-    /// count; the cell cache under `target/cells/` unless `--fresh`.
+    /// count; the cell cache under `target/cells/`, write-only under
+    /// `--fresh`; the fault plan, if one is armed.
     pub fn runner(&self) -> Runner {
-        let runner = Runner::from_env();
-        let runner = match self.jobs {
-            Some(jobs) => runner.with_jobs(jobs),
-            None => runner,
-        };
-        if self.fresh {
-            runner.without_cache()
-        } else {
-            runner
+        let mut runner = Runner::from_env();
+        if let Some(jobs) = self.jobs {
+            runner = runner.with_jobs(jobs);
         }
+        if self.fresh {
+            runner = runner.fresh();
+        }
+        if let Some(plan) = &self.fault_plan {
+            eprintln!("fault injection armed: {:?}", plan.config());
+            runner = runner.with_fault_plan(Arc::clone(plan));
+        }
+        runner
     }
 
     /// Arms the trace collector when `--trace-out` is set.
@@ -173,7 +174,7 @@ pub fn run_record(runs: &[CellRun]) -> RunRecord {
     let wall_ms: f64 = runs.iter().map(|r| r.wall_ms).sum();
     let cache_hits = runs
         .iter()
-        .filter(|r| matches!(r.source, CellSource::CacheHit | CellSource::Journal))
+        .filter(|r| matches!(r.source, CellSource::CacheHit | CellSource::Repeat))
         .count() as u64;
     RunRecord {
         ts_unix: proof_trace::ledger::unix_now(),
@@ -252,8 +253,8 @@ pub fn run_grid(runner: &Runner, corpus: &Corpus, cells: &[CellConfig]) -> Vec<C
     runner.run_cells(&pairs)
 }
 
-/// The results of `runs`, in order, for the bins that have no resume
-/// path: a crashed cell panics with its crash.
+/// The results of `runs`, in order, for the bins that do not exit
+/// [`EXIT_RESUMABLE`]: a crashed cell panics with its crash.
 pub fn completed(runs: &[CellRun]) -> Vec<&CellResult> {
     runs.iter()
         .map(|r| r.result.as_ref().unwrap_or_else(|crash| panic!("{crash}")))
@@ -261,29 +262,17 @@ pub fn completed(runs: &[CellRun]) -> Vec<&CellResult> {
 }
 
 /// Runs the main experiment grid, the five model configurations of
-/// Table 2 each in the vanilla and hint settings, with full crash-safety
-/// plumbing: journaled progress, `--resume` replay, and optional fault
-/// injection. Each cell comes from the cell cache when its key matches;
-/// the grid is written to `target/experiments/main_grid.json` as an
-/// artifact, never read back. If any cell crashes (injected or real), the
-/// completed cells stay journaled and the process exits with status
-/// [`EXIT_RESUMABLE`] after advising a `--resume` run. Returns the grid
-/// and the embedded corpus it ran on.
+/// Table 2 each in the vanilla and hint settings, with optional fault
+/// injection. Each cell comes from the cell cache when its key matches
+/// (not under `--fresh`); the grid is written to
+/// `target/experiments/main_grid.json` as an artifact, never read back.
+/// If any cell crashes (injected or real), the completed cells stay
+/// cached and the process exits with status [`EXIT_RESUMABLE`] after
+/// advising a rerun without `--fresh`. Returns the grid and the embedded
+/// corpus it ran on.
 pub fn main_grid_opts(opts: &GridOpts) -> (ResultSet, Corpus) {
     opts.arm_tracing();
-    let journal_path = artifact_dir().join("main_grid.journal.jsonl");
-    let mut runner = opts.runner().with_journal(&journal_path);
-    if !opts.resume {
-        // A fresh (non-resume) run starts a fresh journal; stale entries
-        // from an older configuration would otherwise mask real work.
-        if let Some(journal) = runner.journal() {
-            journal.clear();
-        }
-    }
-    if let Some(plan) = &opts.fault_plan {
-        eprintln!("fault injection armed: {:?}", plan.config());
-        runner = runner.with_fault_plan(Arc::clone(plan));
-    }
+    let runner = opts.runner();
     let cells: Vec<CellConfig> = ModelProfile::all_five()
         .into_iter()
         .flat_map(|profile| {
@@ -303,9 +292,8 @@ pub fn main_grid_opts(opts: &GridOpts) -> (ResultSet, Corpus) {
             eprintln!("{crash}");
         }
         eprintln!(
-            "{} cell(s) crashed; completed cells are journaled at {} — re-run with --resume to finish without repeating them",
-            crashes.len(),
-            journal_path.display()
+            "{} cell(s) crashed; completed cells are cached — re-run without --fresh to finish without repeating them",
+            crashes.len()
         );
         std::process::exit(EXIT_RESUMABLE);
     }

@@ -15,8 +15,9 @@
 //! 2. **Faults are transient by default**: a selected site faults on its
 //!    first [`FaultConfig::max_trips`] attempts and then behaves normally,
 //!    so bounded retry (oracle faults), recompute-on-corruption (cache)
-//!    and journal resume (worker panics) each recover the clean result —
-//!    a faulted-then-recovered run is byte-identical to an unfaulted one.
+//!    and a rerun from the cell cache (worker panics) each recover the
+//!    clean result — a faulted-then-recovered run is byte-identical to an
+//!    unfaulted one.
 //!
 //! The consumers are `proof_oracle::chaos` (oracle errors / garbage
 //! output), `minicoq_stm::session` (spurious timeouts), and
@@ -48,7 +49,7 @@ pub enum FaultKind {
     /// Recovered by checksum verification on load, which recomputes.
     CacheCorrupt,
     /// A worker thread panics inside a cell. Recovered by per-cell panic
-    /// isolation plus journal resume, which re-runs the cell.
+    /// isolation plus a rerun, which reads the cell's crash record.
     WorkerPanic,
 }
 
@@ -230,7 +231,7 @@ impl FaultPlan {
 
     /// Stateless query: does attempt number `attempt` (0-based) at `site`
     /// fault? Callers that track attempts externally — e.g. the runner
-    /// counting prior cell attempts from the journal, so a resumed process
+    /// counting prior cell crashes from its crash record, so a rerun
     /// does not re-panic — use this form.
     pub fn should_fault_at(&self, kind: FaultKind, site: &str, attempt: u32) -> bool {
         attempt < self.cfg.max_trips && self.selected(kind, site)
@@ -337,8 +338,8 @@ mod tests {
             ..Default::default()
         });
         assert!(plan.should_fault_at(FaultKind::WorkerPanic, "cell", 0));
-        // A resumed process that learned of the first attempt from the
-        // journal must not fault again.
+        // A rerun that learned of the first attempt from the crash record
+        // must not fault again.
         assert!(!plan.should_fault_at(FaultKind::WorkerPanic, "cell", 1));
     }
 

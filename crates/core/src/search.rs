@@ -2,7 +2,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use minicoq::analysis::ReasonCode;
 use minicoq::env::Env;
@@ -11,7 +11,7 @@ use minicoq::goal::ProofState;
 use minicoq_stm::{AddError, ProofSession, SessionConfig, StateId};
 use proof_chaos::FaultPlan;
 use proof_oracle::{ChaoticModel, PromptInfo, Proposal, QueryCtx, TacticModel};
-use proof_trace::metrics::HotCounter;
+use proof_trace::metrics::{registry, Histogram, HotCounter};
 use serde::Serialize;
 
 /// Search strategies; `BestFirst` is the paper's, the others are ablation
@@ -381,8 +381,8 @@ impl Frontier {
 /// query reuses its `query_index` (it is fixed in `ctx`), so the
 /// recovered answer is the one a clean run gets. Panics when faults
 /// outlast every retry — the oracle is genuinely down, and the cell
-/// runner's panic isolation converts that into a typed crashed-cell
-/// record for journaled resume.
+/// runner's panic isolation converts that into a typed cell crash that a
+/// rerun resumes from.
 fn propose_with_retry(
     model: &mut dyn TacticModel,
     ctx: &QueryCtx<'_>,
@@ -646,8 +646,7 @@ pub fn search(
 /// limit, so a recovered run is indistinguishable from a clean one. When
 /// the plan's faults outlast every retry the oracle is genuinely down; the
 /// search panics with a diagnostic, which the cell runner's panic
-/// isolation converts into a typed crashed-cell record for journaled
-/// resume.
+/// isolation converts into a typed cell crash that a rerun resumes from.
 pub fn search_with_recovery(
     env: &Arc<Env>,
     stmt: &Formula,
@@ -736,7 +735,11 @@ pub fn search_with_recovery(
             expand_sp.field_u64("state", entry.id.0);
             expand_sp.field_u64("depth", entry.depth as u64);
             expand_sp.field_u64("query", stats.queries as u64);
-            proof_trace::metrics::observe("search.frontier.depth", frontier.len() as u64);
+            // Resolved once, not looked up in the registry per expansion.
+            static DEPTH: OnceLock<Arc<Histogram>> = OnceLock::new();
+            DEPTH
+                .get_or_init(|| registry().histogram("search.frontier.depth"))
+                .record(frontier.len() as u64);
         }
         stats.expansions.push(entry.id.0);
         stats.oracle_faults += faults;

@@ -1,4 +1,4 @@
-//! Incremental re-verification: dirty-cone evaluation plus journal merge.
+//! Incremental re-verification: dirty-cone evaluation plus baseline merge.
 //!
 //! The flow mirrors what an always-on verification server does when the
 //! corpus is edited:
@@ -34,7 +34,7 @@ use corpus_analysis::{
 use fscq_corpus::Corpus;
 
 use crate::experiment::{finish_cell, CellConfig, CellResult, TheoremOutcome};
-use crate::runner::{cell_cache_key, load_envelope, replay_proved, store_envelope, Runner};
+use crate::runner::{cell_cache_key, replay_proved, store_envelope, Runner};
 
 /// What an incremental run did, alongside the merged result.
 pub struct IncrementalOutcome {
@@ -68,8 +68,8 @@ pub fn load_edited(sources: &[(String, String)]) -> Result<(Corpus, DepGraph), S
 /// `baseline_snapshot` and the edited corpus, and merging `baseline`
 /// outcomes for the clean remainder. With `baseline: None` every eval
 /// theorem is re-verified (still through the cone-keyed cache, which
-/// lives in the `cones` subdirectory of the runner's cache directory and
-/// is off when the runner's cache is).
+/// lives in the `cones` subdirectory of the runner's cache directory, is
+/// off when the runner's cache is, and is only written by a fresh one).
 ///
 /// The baseline must come from the same cell as `cell`: merging
 /// outcomes across cells (a different `--model` or `--vanilla` than the
@@ -139,12 +139,10 @@ pub fn run_incremental(
                 cone_fingerprint_in(ix, &corpus.dev, &graph, &name)
                     .map(|cone| dir.join(format!("{cell_key}-{cone}.json")))
             });
-        if let Some(path) = &cache_path {
-            if let Some(hit) = load_envelope::<TheoremOutcome>(path) {
-                slots[k] = Some(hit);
-                cone_cache_hits += 1;
-                continue;
-            }
+        if let Some(hit) = runner.load::<TheoremOutcome>(cache_path.as_deref()) {
+            slots[k] = Some(hit);
+            cone_cache_hits += 1;
+            continue;
         }
         to_eval.push(k);
         eval_keys.push(cache_path);

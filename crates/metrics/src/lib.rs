@@ -12,12 +12,11 @@
 //!   one worker running inline on the caller's thread) plus a
 //!   content-hashed, checksummed on-disk cell cache, with cell-level panic
 //!   isolation and optional seeded fault injection ([`proof_chaos`]); one
-//!   call serves a whole grid and returns each cell's provenance;
-//! * [`journal`] — the crash-safe JSONL progress journal behind
-//!   `--resume`: completed cells are appended as they finish and served
-//!   back without re-evaluation after an interrupted run;
+//!   call serves a whole grid and returns each cell's provenance, and a
+//!   crashed grid resumes from the cache, where each finished cell is
+//!   stored as it completes;
 //! * [`incremental`] — dirty-cone re-verification of an edited corpus
-//!   with cone-keyed per-theorem caching and baseline-journal merging
+//!   with cone-keyed per-theorem caching and baseline merging
 //!   (`prove --incremental`);
 //! * [`coverage`] — proof coverage by human-proof-length bin (Figure 1)
 //!   and by category with expected-coverage correction (Table 1);
@@ -29,7 +28,6 @@ pub mod coverage;
 pub mod elo;
 pub mod experiment;
 pub mod incremental;
-pub mod journal;
 pub mod levenshtein;
 pub mod report;
 pub mod runner;
@@ -37,5 +35,4 @@ pub mod runner;
 pub use elo::{elo_ladder, render_leaderboard, EloEntry, EloLeaderboard};
 pub use experiment::{CellConfig, CellResult, EvalScope, TheoremOutcome};
 pub use incremental::{load_edited, run_incremental, IncrementalOutcome};
-pub use journal::{Journal, JournalState};
 pub use runner::{CellCrash, CellRun, CellSource, Runner};

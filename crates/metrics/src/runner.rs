@@ -14,6 +14,14 @@
 //! loads instead of recomputing — and *changing* any knob or proof
 //! changes the hash, which is the cache-invalidation story.
 //!
+//! The cell cache is also what a crashed grid resumes from: every
+//! finished cell is stored as it completes, and a cell whose evaluation
+//! crashed leaves a sealed `<hash>.crashed` record of how many times it
+//! did, which the worker-panic fault site reads
+//! ([`FaultPlan::should_fault_at`]). A [`Runner::fresh`] runner serves
+//! nothing written before it but still writes both, so the same command
+//! without `--fresh` finishes a crashed fresh run.
+//!
 //! A grid is one [`Runner::run_cells`] call over its (corpus, cell)
 //! pairs. The runner keeps no state between calls: each cell's
 //! [`CellSource`] and wall time come back with its result.
@@ -23,6 +31,7 @@
 //! [`std::thread::available_parallelism`].
 
 use std::any::Any;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -41,7 +50,6 @@ use serde::{Deserialize, Serialize};
 use crate::experiment::{
     eval_theorem_with_recovery, finish_cell, CellConfig, CellResult, TheoremOutcome,
 };
-use crate::journal::{Journal, JournalState};
 
 /// Bump when the cached [`CellResult`] layout or the evaluation semantics
 /// change; old cache files then simply stop matching. Schema 3 wraps the
@@ -60,7 +68,7 @@ pub fn cell_cache_key(cell: &CellConfig) -> String {
 }
 
 /// The key a cell's result is stored under, as its cache file name and in
-/// a call's journal state: FNV-1a over [`cell_cache_key`] and the content
+/// a call's own record of its cells: FNV-1a over [`cell_cache_key`] and the content
 /// hash of the development the cell runs on, so a result is served only
 /// for the corpus that produced it. The cone cache, `prove`'s saved
 /// `cell_key.txt` and the worker-panic fault site key on
@@ -148,9 +156,9 @@ pub enum CellSource {
     Computed,
     /// Served from the content-hashed disk cache.
     CacheHit,
-    /// Served from the crash-safe journal: a resumed run, or a key that
-    /// appeared earlier in the same cell list.
-    Journal,
+    /// A key that appeared earlier in the same cell list, served from
+    /// that cell's result.
+    Repeat,
     /// The evaluation panicked, or a proved script it reported failed
     /// kernel replay; the wall time covers work up to the crash.
     Crashed,
@@ -162,7 +170,7 @@ impl CellSource {
         match self {
             CellSource::Computed => "computed",
             CellSource::CacheHit => "cache_hit",
-            CellSource::Journal => "journal",
+            CellSource::Repeat => "repeat",
             CellSource::Crashed => "crashed",
         }
     }
@@ -188,7 +196,7 @@ pub struct Runner {
     jobs: usize,
     cache_dir: Option<PathBuf>,
     recovery: RecoveryConfig,
-    journal: Option<Journal>,
+    fresh: bool,
     attempt_log: Option<AttemptLog>,
 }
 
@@ -204,7 +212,7 @@ impl Runner {
             jobs: jobs.max(1),
             cache_dir: Some(PathBuf::from("target/cells")),
             recovery: RecoveryConfig::default(),
-            journal: None,
+            fresh: false,
             attempt_log: None,
         }
     }
@@ -228,6 +236,14 @@ impl Runner {
         self
     }
 
+    /// Serves nothing the caches held before this runner, cell files,
+    /// crash records and cone entries alike, but still writes every
+    /// finished cell and crash: `--fresh`.
+    pub fn fresh(mut self) -> Runner {
+        self.fresh = true;
+        self
+    }
+
     /// Overrides the oracle-recovery policy (retry count, attempt collection).
     pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Runner {
         self.recovery = recovery;
@@ -243,11 +259,9 @@ impl Runner {
         self
     }
 
-    /// Attaches a crash-safe progress journal: completed cells are
-    /// appended as JSONL and served from the journal on a `--resume` run
-    /// instead of being re-evaluated.
-    pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Runner {
-        self.journal = Some(Journal::at(path.into()));
+    /// Returns the runner unchanged. Kept only because the benchmark
+    /// package calls it; goes with ROADMAP item 1.
+    pub fn with_journal(self, _path: impl Into<PathBuf>) -> Runner {
         self
     }
 
@@ -255,8 +269,8 @@ impl Runner {
     /// the JSONL log at `path` (the raw material `rank` mines), in the
     /// order of the evaluated indices once the cell is evaluated, so the
     /// log is the same at any worker count. Cells served from the cache
-    /// or the journal run no search and add nothing, and neither does a
-    /// crashed cell. A side channel: outcomes and cache contents are
+    /// or repeated in a call run no search and add nothing, and neither
+    /// does a crashed cell. A side channel: outcomes and cache contents are
     /// byte-identical with the log on or off.
     pub fn with_attempt_log(mut self, path: impl Into<PathBuf>) -> Runner {
         self.attempt_log = Some(AttemptLog::at(path));
@@ -268,18 +282,17 @@ impl Runner {
         self.jobs
     }
 
-    /// The attached journal, if any.
+    /// Always `None`. Kept only because the benchmark package calls it;
+    /// goes with ROADMAP item 1.
     pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
+        None
     }
 
     /// Runs (or loads) a grid: each `(corpus, cell)` in list order comes
-    /// from the journal, else the content-hashed cache, else an evaluation
-    /// on the pool that populates both. The call keeps one journal state:
-    /// replayed from the attached journal, else empty, and kept current
-    /// with every `start`/`done`/`crashed` event of this call, so a
-    /// [`store_key`] repeated in the list is served from this call's own
-    /// `done`, with or without a journal file.
+    /// from an earlier cell of this call with the same [`store_key`], else
+    /// the content-hashed cache, else an evaluation on the pool that
+    /// stores the result in the cache, or the crash count in the cell's
+    /// crash record.
     ///
     /// Every proved script is replayed in the kernel, against the
     /// environment its theorem was stated in, before its cell is reported,
@@ -287,23 +300,18 @@ impl Runner {
     /// a [`CellCrash`] naming the theorem.
     ///
     /// Each cell has panic isolation: a poisoned cell comes back as
-    /// `Err(CellCrash)` and every other cell's outcome survives. With a
-    /// journal attached, a `start` entry precedes each evaluation and a
-    /// `done`/`crashed` entry follows it, so a run killed at any point
-    /// resumes without repeating finished cells.
+    /// `Err(CellCrash)` and every other cell's outcome survives. Each
+    /// finished cell is stored as it completes, so a run killed at any
+    /// point resumes from the cache without repeating finished cells.
     pub fn run_cells(&self, cells: &[(&Corpus, &CellConfig)]) -> Vec<CellRun> {
-        let mut state = self
-            .journal
-            .as_ref()
-            .map_or_else(JournalState::default, |j| {
-                let _sp = proof_trace::span("journal", "load");
-                j.load()
-            });
+        // This call's cells by store key: the result, or how many times
+        // its evaluation crashed.
+        let mut seen = HashMap::new();
         cells
             .iter()
             .map(|&(corpus, cell)| {
                 let mut sw = proof_trace::Stopwatch::span("cell", &cell.label());
-                let (source, result) = match self.obtain(corpus, cell, &mut state) {
+                let (source, result) = match self.obtain(corpus, cell, &mut seen) {
                     (source, Ok(result)) => {
                         match replay_proved(&corpus.dev, cell, &result.outcomes) {
                             Ok(()) => (source, Ok(result)),
@@ -334,68 +342,65 @@ impl Runner {
             .result
     }
 
-    /// The cell's result and where it came from: the journal, the cache,
-    /// or an evaluation on the pool, keeping the journal state, the
-    /// journal file (when attached) and the cache up to date on the way.
+    /// The cell's result and where it came from: this call's `seen`, the
+    /// cache, or an evaluation on the pool, keeping `seen` and the cache
+    /// up to date on the way.
     fn obtain(
         &self,
         corpus: &Corpus,
         cell: &CellConfig,
-        state: &mut JournalState,
+        seen: &mut HashMap<String, Result<CellResult, u32>>,
     ) -> (CellSource, Result<CellResult, CellCrash>) {
         let key = store_key(corpus, cell);
-        if let Some(done) = state.done.get(&key) {
-            return (CellSource::Journal, Ok(done.clone()));
-        }
-        // Notes a `done` event, appending it to the journal if attached.
-        let record_done = |state: &mut JournalState, result: &CellResult| {
-            if let Some(journal) = &self.journal {
-                let _sp = proof_trace::span("journal", "done");
-                journal.record_done(&key, result);
-            }
-            state.note_done(&key, result.clone());
+        let crashed_here = match seen.get(&key) {
+            Some(Ok(done)) => return (CellSource::Repeat, Ok(done.clone())),
+            Some(Err(crashes)) => Some(*crashes),
+            None => None,
         };
-        let cache_path = self
-            .cache_dir
-            .as_ref()
-            .map(|d| d.join(format!("{key}.json")));
-        if let Some(path) = &cache_path {
-            let hit = {
-                let _sp = proof_trace::span("cache", "load");
-                load_envelope::<CellResult>(path)
-            };
-            if let Some(hit) = hit {
-                record_done(state, &hit);
-                return (CellSource::CacheHit, Ok(hit));
-            }
+        let path = |ext: &str| {
+            self.cache_dir
+                .as_ref()
+                .map(|d| d.join(format!("{key}.{ext}")))
+        };
+        let (cell_path, crash_path) = (path("json"), path("crashed"));
+        if let Some(hit) = self.load::<CellResult>(cell_path.as_deref()) {
+            seen.insert(key, Ok(hit.clone()));
+            return (CellSource::CacheHit, Ok(hit));
         }
-        let attempt = state.attempts_of(&key);
-        if let Some(journal) = &self.journal {
-            let _sp = proof_trace::span("journal", "start");
-            journal.record_start(&key, &cell.label());
-        }
-        state.note_start(&key);
+        // The evaluations of this cell that already crashed: in this call,
+        // else as its crash record counts them.
+        let attempt = crashed_here
+            .or_else(|| self.load(crash_path.as_deref()))
+            .unwrap_or(0);
         let indices = cell.eval_indices(&corpus.dev);
         match self.run_indices(corpus, cell, &indices, attempt) {
             Ok(outcomes) => {
                 let result = finish_cell(cell, outcomes);
-                if let Some(path) = &cache_path {
+                if let Some(path) = &cell_path {
                     let _sp = proof_trace::span("cache", "store");
                     store_envelope(path, &result);
                     self.maybe_corrupt_cache(path, &key);
                 }
-                record_done(state, &result);
+                seen.insert(key, Ok(result.clone()));
                 (CellSource::Computed, Ok(result))
             }
             Err(crash) => {
-                if let Some(journal) = &self.journal {
-                    let _sp = proof_trace::span("journal", "crashed");
-                    journal.record_crashed(&key, &crash.label, &crash.panic);
+                if let Some(path) = &crash_path {
+                    let _sp = proof_trace::span("cache", "store");
+                    store_envelope(path, &(attempt + 1));
                 }
-                state.note_crashed(&key, &crash.panic);
+                seen.insert(key, Err(attempt + 1));
                 (CellSource::Crashed, Err(crash))
             }
         }
+    }
+
+    /// The sealed record at `path` ([`load_envelope`]), unless this runner
+    /// is [`Runner::fresh`].
+    pub(crate) fn load<T: Deserialize>(&self, path: Option<&Path>) -> Option<T> {
+        let path = path.filter(|_| !self.fresh)?;
+        let _sp = proof_trace::span("cache", "load");
+        load_envelope(path)
     }
 
     /// Evaluates the given theorem indices under `cell` on the runner's
@@ -410,10 +415,10 @@ impl Runner {
     /// [`FaultKind::WorkerPanic`] — is caught at the cell boundary and
     /// returned as a typed [`CellCrash`].
     ///
-    /// `attempt` is how many evaluations of this cell already *began*
-    /// (journal `start` entries); the worker-panic fault site is keyed on
-    /// it, so a fault that fired on attempt 0 stays quiet on the resumed
-    /// attempt 1 (`FaultPlan::should_fault_at`).
+    /// `attempt` is how many evaluations of this cell already crashed;
+    /// the worker-panic fault site is keyed on it, so a fault that fired
+    /// on attempt 0 stays quiet on the rerun's attempt 1
+    /// (`FaultPlan::should_fault_at`).
     pub(crate) fn run_indices(
         &self,
         corpus: &Corpus,
@@ -511,12 +516,13 @@ impl Runner {
 
     /// The cone-keyed per-theorem cache directory of
     /// [`crate::incremental`]: `cones` under the cell cache, off with it.
+    /// Read it through [`Runner::load`].
     pub(crate) fn cone_cache_dir(&self) -> Option<PathBuf> {
         self.cache_dir.as_ref().map(|d| d.join("cones"))
     }
 
     /// Injected cache corruption: truncate the just-written cell file in
-    /// half, simulating a torn write. The schema-3 checksum envelope
+    /// half, simulating a torn write. The checksum envelope
     /// detects it on the next load and recomputes — the corruption is
     /// observable only as a cache miss.
     fn maybe_corrupt_cache(&self, path: &Path, key: &str) {
@@ -561,6 +567,17 @@ pub fn store_envelope<T: Serialize>(path: &Path, value: &T) {
         path,
         seal(&[("schema", CACHE_SCHEMA.to_string())], &payload),
     );
+}
+
+/// Holds nothing. Kept only because the benchmark package names it
+/// through [`Runner::journal`]; goes with ROADMAP item 1.
+#[derive(Debug)]
+pub struct Journal {}
+
+impl Journal {
+    /// Does nothing. Kept only because the benchmark package calls it;
+    /// goes with ROADMAP item 1.
+    pub fn clear(&self) {}
 }
 
 #[cfg(test)]

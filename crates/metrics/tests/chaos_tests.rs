@@ -2,8 +2,9 @@
 //!
 //! The headline invariant (ISSUE 3's acceptance criterion): a grid run
 //! under a seeded fault plan — transient oracle errors, garbage
-//! completions, cache corruption, a worker panic — followed by a
-//! `--resume` pass produces output **byte-identical** to a clean run.
+//! completions, cache corruption, a worker panic — followed by a plain
+//! rerun over the same cell cache produces output **byte-identical** to a
+//! clean run.
 //! Plus the regression for the old `h.join().expect(...)` worker-panic
 //! path and the checksummed cell cache's corruption detection.
 
@@ -13,6 +14,7 @@ use std::sync::Arc;
 
 use fscq_corpus::Corpus;
 use proof_chaos::{FaultConfig, FaultPlan};
+use proof_metrics::runner::{load_envelope, store_key};
 use proof_metrics::{CellConfig, CellResult, CellSource, Runner};
 use proof_oracle::profiles::ModelProfile;
 use proof_oracle::prompt::PromptSetting;
@@ -54,14 +56,15 @@ fn panic_only_plan(seed: u64) -> FaultConfig {
 
 /// The headline invariant over the pinned chaos seeds (101, 202, 303), at
 /// two and four workers and at query budgets 4 and 8: a faulted run, then
-/// a resumed one, gives the clean one-worker run's results byte for byte.
+/// a rerun over its cache, gives the clean one-worker run's results byte
+/// for byte.
 #[test]
 fn acceptance_faulted_then_resumed_run_is_byte_identical() {
     let corpus = Corpus::load();
     for query_limit in [4, 8] {
         let cells = small_cells(query_limit);
         let pairs: Vec<(&Corpus, &CellConfig)> = cells.iter().map(|c| (&corpus, c)).collect();
-        // Clean reference: one worker, no cache, no journal, no faults.
+        // Clean reference: one worker, no cache, no faults.
         let clean: Vec<CellResult> = Runner::from_env()
             .with_jobs(1)
             .without_cache()
@@ -74,19 +77,18 @@ fn acceptance_faulted_then_resumed_run_is_byte_identical() {
                 let case = format!("query_limit {query_limit}, seed {seed}, {jobs} workers");
                 let dir = scratch_dir("acceptance");
                 // A fresh plan per pass, as a restarted process would
-                // build, over one cache directory and one journal.
+                // build, over one cache directory.
                 let runner = || {
                     Runner::from_env()
                         .with_jobs(jobs)
                         .with_cache_dir(dir.join("cells"))
                         .with_fault_plan(Arc::new(FaultPlan::new(FaultConfig::smoke(seed))))
-                        .with_journal(dir.join("journal.jsonl"))
                 };
 
                 // Faulted run: oracle errors + garbage (recovered by
                 // retry), cache corruption (detected by checksum), and a
                 // worker panic on every cell's first attempt (isolated,
-                // journaled).
+                // counted in the cell's crash record).
                 let crashes = runner()
                     .run_cells(&pairs)
                     .iter()
@@ -94,7 +96,7 @@ fn acceptance_faulted_then_resumed_run_is_byte_identical() {
                     .count();
                 assert!(crashes > 0, "{case}: the smoke plan must crash a cell");
 
-                // Resume: journal attempt counts silence the worker panic;
+                // Rerun: the crash records silence the worker panic;
                 // oracle faults re-fire and are re-recovered.
                 let resumed: Vec<CellResult> = runner()
                     .run_cells(&pairs)
@@ -125,16 +127,15 @@ fn worker_panic_returns_typed_crash_not_process_death() {
         "need a few theorems to exercise the pool"
     );
     let dir = scratch_dir("panic");
-    // A runner whose journal counts the cell's attempts; the panic fires
-    // on attempt 0 only.
-    let faulted = |jobs: usize, journal: &str| {
+    // A runner whose cache counts the cell's crashes; the panic fires on
+    // attempt 0 only.
+    let faulted = |jobs: usize, cache: &str| {
         Runner::from_env()
             .with_jobs(jobs)
-            .without_cache()
+            .with_cache_dir(dir.join(cache))
             .with_fault_plan(Arc::new(FaultPlan::new(panic_only_plan(1))))
-            .with_journal(dir.join(journal))
     };
-    let err = faulted(4, "pool.jsonl")
+    let err = faulted(4, "pool")
         .run_cell_checked(&corpus, cell)
         .expect_err("the injected panic must surface as a crash");
     assert!(
@@ -144,13 +145,13 @@ fn worker_panic_returns_typed_crash_not_process_death() {
     );
     assert_eq!(err.label, cell.label());
     // The inline single-worker path isolates the same way.
-    let err = faulted(1, "inline.jsonl")
+    let err = faulted(1, "inline")
         .run_cell_checked(&corpus, cell)
         .expect_err("serial path must isolate too");
     assert!(err.panic.contains("injected"));
-    // And attempt counts from the journal silence a spent fault: the
-    // second attempt runs clean and matches the no-fault evaluation.
-    let recovered = faulted(4, "pool.jsonl")
+    // And the crash record silences a spent fault: the second attempt
+    // runs clean and matches the no-fault evaluation.
+    let recovered = faulted(4, "pool")
         .run_cell_checked(&corpus, cell)
         .expect("attempt 1 is past the fault's max_trips");
     let clean = Runner::from_env()
@@ -168,41 +169,35 @@ fn worker_panic_returns_typed_crash_not_process_death() {
 #[test]
 fn crash_in_one_cell_preserves_completed_cells() {
     // Grid-level survival: cell A completes, cell B crashes; A's outcome
-    // must survive in both the caller's hands and the journal.
+    // must survive in both the caller's hands and the cache.
     let corpus = Corpus::load();
     let cells = small_cells(4);
     let dir = scratch_dir("survival");
-    let journal_path = dir.join("journal.jsonl");
-    // worker_panic only fires on attempt 0; run A clean first by keying
-    // the runner's plan to fire only for B's cache key via max_trips: a
-    // simpler deterministic split — run A with no plan, then B faulted,
-    // against the same journal (as a grid loop with a per-cell plan
+    // worker_panic only fires on attempt 0, so run A with no plan, then B
+    // faulted, over the same cache (as a grid loop with a per-cell plan
     // lookup would).
-    let runner_a = Runner::from_env()
-        .with_jobs(2)
-        .without_cache()
-        .with_journal(&journal_path);
+    let runner_a = Runner::from_env().with_jobs(2).with_cache_dir(&dir);
     let result_a = runner_a
         .run_cell_checked(&corpus, &cells[0])
         .expect("cell A runs clean");
     let runner_b = Runner::from_env()
         .with_jobs(2)
-        .without_cache()
-        .with_fault_plan(Arc::new(FaultPlan::new(panic_only_plan(2))))
-        .with_journal(&journal_path);
+        .with_cache_dir(&dir)
+        .with_fault_plan(Arc::new(FaultPlan::new(panic_only_plan(2))));
     let crash = runner_b
         .run_cell_checked(&corpus, &cells[1])
         .expect_err("cell B crashes");
     assert!(crash.panic.contains("injected"));
-    // A's outcome is journaled and replayable; B is marked crashed.
-    let state = proof_metrics::Journal::at(&journal_path).load();
-    assert_eq!(state.done.len(), 1);
-    assert_eq!(state.crashes.len(), 1);
-    let journaled_a = state.done.values().next().unwrap();
+    // A's outcome is cached; B has no cell file, only its crash record.
+    let file =
+        |cell: &CellConfig, ext: &str| dir.join(format!("{}.{ext}", store_key(&corpus, cell)));
+    let cached_a: CellResult = load_envelope(&file(&cells[0], "json")).expect("A is cached");
     assert_eq!(
-        serde_json::to_string(journaled_a).unwrap(),
+        serde_json::to_string(&cached_a).unwrap(),
         serde_json::to_string(&result_a).unwrap()
     );
+    assert!(!file(&cells[1], "json").exists());
+    assert_eq!(load_envelope::<u32>(&file(&cells[1], "crashed")), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

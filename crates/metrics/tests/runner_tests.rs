@@ -177,7 +177,7 @@ fn a_cell_is_never_served_for_another_corpus() {
         [
             CellSource::Computed,
             CellSource::Computed,
-            CellSource::Journal
+            CellSource::Repeat
         ],
         "within a call, only a repeat on the same corpus is served"
     );

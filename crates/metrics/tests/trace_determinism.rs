@@ -48,7 +48,7 @@ fn traced_run_is_byte_identical_to_untraced() {
     let traced_json = serde_json::to_string(&traced).unwrap();
 
     // The whole point: the serialized cell — the unit every grid JSON,
-    // cache file, and journal record is built from — must not move by one
+    // cache file, and crash record is built from — must not move by one
     // byte when the collector is armed.
     assert_eq!(untraced_json, traced_json);
     // And the traced run must actually have been traced, or the assert
@@ -255,7 +255,7 @@ fn tracing_does_not_change_the_cell_cache_key() {
 }
 
 #[test]
-fn a_journaled_grid_loads_its_journal_once_and_labels_each_cell() {
+fn a_grid_reads_each_key_once_and_labels_each_cell() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let corpus = Corpus::load();
     let cell = small_cell();
@@ -265,8 +265,7 @@ fn a_journaled_grid_loads_its_journal_once_and_labels_each_cell() {
     let _ = std::fs::remove_dir_all(&dir);
     let runner = Runner::from_env()
         .with_jobs(1)
-        .with_cache_dir(dir.join("cells"))
-        .with_journal(dir.join("journal.jsonl"));
+        .with_cache_dir(dir.join("cells"));
     proof_trace::set_enabled(true);
     let _ = proof_trace::drain();
     let runs = runner.run_cells(&[(&corpus, &cell), (&corpus, &other), (&corpus, &cell)]);
@@ -274,22 +273,24 @@ fn a_journaled_grid_loads_its_journal_once_and_labels_each_cell() {
     proof_trace::set_enabled(false);
     let _ = std::fs::remove_dir_all(&dir);
 
-    let loads = data
-        .spans
-        .iter()
-        .filter(|s| s.kind == "journal" && s.name == "load")
-        .count();
-    assert_eq!(loads, 1, "one journal replay per grid");
-    // Computed, computed, then the repeat from this grid's own `done`
-    // record: each cell's span and run carry the same source and a wall
-    // time.
+    let cache = |name: &str| {
+        data.spans
+            .iter()
+            .filter(|s| s.kind == "cache" && s.name == name)
+            .count()
+    };
+    // Each distinct key misses its cell file and reads its crash record,
+    // then stores its result; the repeat touches neither.
+    assert_eq!((cache("load"), cache("store")), (4, 2));
+    // Computed, computed, then the repeat from this grid's own result:
+    // each cell's span and run carry the same source and a wall time.
     let sources: Vec<CellSource> = runs.iter().map(|r| r.source).collect();
     assert_eq!(
         sources,
         [
             CellSource::Computed,
             CellSource::Computed,
-            CellSource::Journal
+            CellSource::Repeat
         ]
     );
     let span_sources: Vec<String> = data
@@ -301,6 +302,6 @@ fn a_journaled_grid_loads_its_journal_once_and_labels_each_cell() {
             other => panic!("cell span fields {other:?}"),
         })
         .collect();
-    assert_eq!(span_sources, ["computed", "computed", "journal"]);
+    assert_eq!(span_sources, ["computed", "computed", "repeat"]);
     assert!(runs.iter().all(|r| r.wall_ms >= 0.0));
 }

@@ -345,9 +345,9 @@ impl<'a> Search<'a> {
                 if a.is_ground() && b.is_ground() && conv_eq_term(self.env, a, b, fuel)? {
                     return Ok(Some(uni));
                 }
-                self.search_candidates(scope, &target, uni, depth, fuel)
+                self.search_candidates(scope, target, uni, depth, fuel)
             }
-            _ => self.search_candidates(scope, &target, uni, depth, fuel),
+            _ => self.search_candidates(scope, target, uni, depth, fuel),
         }
     }
 

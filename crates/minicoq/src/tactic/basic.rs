@@ -256,7 +256,7 @@ pub fn contradiction(env: &Env, goal: &Goal, fuel: &mut Fuel) -> Result<Vec<Goal
     for (_, f) in &goal.hyps {
         if let Formula::Not(p) = &*whnf_prop(env, f) {
             for (_, g2) in &goal.hyps {
-                if conv_eq_formula(env, g2, &p, fuel)? {
+                if conv_eq_formula(env, g2, p, fuel)? {
                     return Ok(vec![]);
                 }
             }

@@ -10,9 +10,9 @@
 //! {"ev":"run","v":1,"checksum":"<16 hex>","payload":"<escaped JSON>"}
 //! ```
 //!
-//! Four files use it: the run ledger ([`crate::ledger`]), the attempt log
-//! ([`crate::attempts`]), the grid progress journal and the cell cache
-//! (both in `proof-metrics`). JSONL owners write through [`append`], which
+//! Three files use it: the run ledger ([`crate::ledger`]), the attempt log
+//! ([`crate::attempts`]) and the cell cache with its crash records (in
+//! `proof-metrics`). JSONL owners write through [`append`], which
 //! terminates a torn final line before adding theirs, and read through
 //! [`load`], which skips any line that does not parse. A crash can cost at
 //! most the lines being written, never the file.

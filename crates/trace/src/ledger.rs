@@ -67,10 +67,10 @@ pub struct RunRecord {
     /// Aggregate throughput (theorems / wall seconds).
     #[serde(default)]
     pub thm_per_sec: f64,
-    /// Cells served from the cell cache.
+    /// Cells served from the cell cache or repeated within the run.
     #[serde(default)]
     pub cache_hits: u64,
-    /// Cells computed (cache miss, journal replay, or fresh).
+    /// Cells computed (a cache miss or a fresh run) or crashed.
     #[serde(default)]
     pub cache_misses: u64,
     /// Injected oracle faults observed (`search.oracle_faults`).

@@ -9,7 +9,7 @@
 //!
 //! * **Spans** ([`span`]) — monotonic wall-clock intervals carrying a
 //!   *kind* (the phase taxonomy: `oracle`, `stm`, `preflight`,
-//!   `frontier`, `cache`, `journal`, …), a name, key/value fields, and a
+//!   `frontier`, `cache`, …), a name, key/value fields, and a
 //!   parent id derived from a per-thread span stack. Every span opened
 //!   while the collector is armed is recorded; there is no sampling, so
 //!   each phase's self time is read straight off the spans.
@@ -31,7 +31,7 @@
 //! # Determinism contract
 //!
 //! Tracing is a **side channel**. Nothing recorded here may flow back into
-//! proof search, cell-cache keys, journal records, golden transcripts, or
+//! proof search, cell-cache keys, cache records, golden transcripts, or
 //! any byte-compared output — timing is nondeterministic and would poison
 //! them all. The instrumented crates uphold this by construction (trace
 //! calls only *read* experiment state), and
@@ -162,7 +162,7 @@ impl Drop for SpanGuard {
 
 /// Opens a span of the given kind. The kind is the phase taxonomy key the
 /// report aggregates by (`oracle`, `stm`, `preflight`, `frontier`,
-/// `cache`, `journal`, `cell`, `theorem`, …; a `.`-suffix refines a phase,
+/// `cache`, `cell`, `theorem`, …; a `.`-suffix refines a phase,
 /// e.g. `oracle.prompt` reports under `oracle`). The parent is whatever
 /// span is currently open on this thread. Returns an inert guard — one
 /// atomic load, nothing else — when tracing is disabled.

@@ -55,13 +55,12 @@ impl From<&crate::SpanRec> for Span {
 
 /// The execution phases the acceptance contract names: a healthy trace
 /// attributes ≥95% of busy time to these.
-pub const NAMED_PHASES: [&str; 7] = [
+pub const NAMED_PHASES: [&str; 6] = [
     "oracle",
     "preflight",
     "stm",
     "frontier",
     "cache",
-    "journal",
     "classify",
 ];
 

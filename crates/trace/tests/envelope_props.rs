@@ -1,7 +1,7 @@
 //! The shared record envelope (`proof_trace::envelope`): layout, torn-tail
 //! repair, concurrent appends, the escaper, and durability properties
 //! over the head shape of every file that uses it — the run ledger, the
-//! attempt log, the grid journal's `done` entries and the cell cache. A
+//! attempt log and the cell cache with its crash records. A
 //! torn tail at any byte never breaks later appends or loses an intact
 //! record, and a flipped byte never yields a record whose payload changed.
 
@@ -150,17 +150,16 @@ fn escaping_covers_controls_and_quotes() {
 
 /// The head fields each envelope-backed file writes before the checksum.
 fn head(shape: usize) -> Vec<(&'static str, &'static str)> {
-    match shape % 4 {
+    match shape % 3 {
         0 => vec![("ev", "\"run\""), ("v", "1")],
         1 => vec![("ev", "\"attempt\""), ("v", "1")],
-        2 => vec![("ev", "\"done\""), ("key", "\"d0a2ca013482ae9b\"")],
         _ => vec![("ev", "\"cache\""), ("schema", "5")],
     }
 }
 
 /// The `ev` tag of [`head`], for loading.
 fn ev(shape: usize) -> &'static str {
-    ["run", "attempt", "done", "cache"][shape % 4]
+    ["run", "attempt", "cache"][shape % 3]
 }
 
 fn payload(i: u64, text: &str) -> String {
@@ -175,7 +174,7 @@ proptest! {
     /// was not written whole.
     #[test]
     fn any_truncation_keeps_intact_records_and_later_appends(
-        shape in 0usize..4,
+        shape in 0usize..3,
         cut_back in 1usize..400,
         text in ".{0,24}",
     ) {
@@ -214,7 +213,7 @@ proptest! {
     /// checksum pass over altered content.
     #[test]
     fn a_flipped_byte_never_passes_as_a_different_payload(
-        shape in 0usize..4,
+        shape in 0usize..3,
         pos_seed in 0u64..10_000,
         delta in 1u8..255,
         text in ".{0,24}",

@@ -1,8 +1,8 @@
 //! `Runner::run_cells`, the one grid entry point: a grid gives what its
 //! cells give one at a time, a repeated key is served from the call's own
-//! result (and a journal serves every repeat across calls), and an
-//! injected worker panic crashes only its own cell — at one worker and at
-//! two.
+//! result (and the cell cache serves every cell across calls), an injected
+//! worker panic crashes only its own cell — at one worker and at two — and
+//! a crashed grid resumes from the cache.
 
 use std::sync::Arc;
 
@@ -71,7 +71,7 @@ fn a_grid_equals_its_cells_run_one_at_a_time() {
 }
 
 #[test]
-fn a_journaled_grid_serves_repeats_from_the_journal() {
+fn a_cached_grid_serves_repeats_from_the_call_and_then_the_cache() {
     let corpus = Corpus::load();
     let cells = cells();
     let mut pairs: Vec<(&Corpus, &CellConfig)> = cells.iter().map(|c| (&corpus, c)).collect();
@@ -80,35 +80,66 @@ fn a_journaled_grid_serves_repeats_from_the_journal() {
         CellSource::Computed,
         CellSource::Computed,
         CellSource::Computed,
-        CellSource::Journal,
+        CellSource::Repeat,
     ];
     for jobs in [1, 2] {
         // A key repeated within one call is served from that call's own
-        // `done` event, with no journal file as with one.
-        let unjournaled = runner(jobs).run_cells(&pairs);
-        assert_eq!(
-            sources(&unjournaled),
-            repeat_served,
-            "jobs={jobs}, no journal"
-        );
-        assert_eq!(json(&unjournaled[3]), json(&unjournaled[0]), "jobs={jobs}");
+        // result, with no cache as with one.
+        let uncached = runner(jobs).run_cells(&pairs);
+        assert_eq!(sources(&uncached), repeat_served, "jobs={jobs}, no cache");
+        assert_eq!(json(&uncached[3]), json(&uncached[0]), "jobs={jobs}");
 
-        let dir = scratch(&format!("journal-j{jobs}"));
-        let runner = runner(jobs).with_journal(dir.join("journal.jsonl"));
+        let dir = scratch(&format!("cache-j{jobs}"));
+        let runner = Runner::from_env().with_jobs(jobs).with_cache_dir(&dir);
         let first = runner.run_cells(&pairs);
         assert_eq!(sources(&first), repeat_served, "jobs={jobs}");
         assert_eq!(json(&first[3]), json(&first[0]), "jobs={jobs}");
-        // A second call replays the journal: every cell, none evaluated.
+        // A second call serves every cell from the cache; its repeat is
+        // still the call's own.
         let second = runner.run_cells(&pairs);
-        assert_eq!(sources(&second), [CellSource::Journal; 4], "jobs={jobs}");
+        let mut cached = [CellSource::CacheHit; 4];
+        cached[3] = CellSource::Repeat;
+        assert_eq!(sources(&second), cached, "jobs={jobs}");
         let (a, b): (Vec<String>, Vec<String>) = first
             .iter()
             .zip(&second)
             .map(|(a, b)| (json(a), json(b)))
             .unzip();
-        assert_eq!(a, b, "jobs={jobs}: the journal changed a result");
+        assert_eq!(a, b, "jobs={jobs}: the cache changed a result");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn a_crashed_grid_resumes_from_the_cache_and_a_fresh_one_crashes_again() {
+    let corpus = Corpus::load();
+    let cells = &cells()[..2];
+    let pairs: Vec<(&Corpus, &CellConfig)> = cells.iter().map(|c| (&corpus, c)).collect();
+    let clean: Vec<String> = runner(2).run_cells(&pairs).iter().map(json).collect();
+    let dir = scratch("resume");
+    // Every cell panics on its first attempt; a fresh plan per run, as a
+    // restarted process would build.
+    let faulted = || {
+        Runner::from_env()
+            .with_jobs(2)
+            .with_cache_dir(&dir)
+            .with_fault_plan(Arc::new(FaultPlan::new(FaultConfig {
+                seed: 1,
+                worker_panic: 1.0,
+                ..FaultConfig::default()
+            })))
+    };
+    let crashed = faulted().run_cells(&pairs);
+    assert_eq!(sources(&crashed), [CellSource::Crashed; 2]);
+    // The same runner again: each cell's crash record spends the fault.
+    let rerun = faulted().run_cells(&pairs);
+    assert_eq!(sources(&rerun), [CellSource::Computed; 2]);
+    let rerun: Vec<String> = rerun.iter().map(json).collect();
+    assert_eq!(rerun, clean, "the rerun diverged from the clean run");
+    // A fresh run serves neither the cached cells nor the crash records.
+    let fresh = faulted().fresh().run_cells(&pairs);
+    assert_eq!(sources(&fresh), [CellSource::Crashed; 2]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

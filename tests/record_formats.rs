@@ -1,13 +1,15 @@
 //! Byte-level goldens for every file written in the shared record envelope
-//! (`proof_trace::envelope`): the run ledger, the attempt log, the grid
-//! journal and the cell cache. Each checked-in file must load in full, and
-//! re-sealing what was loaded must reproduce the file byte for byte — so
-//! a change to the envelope that alters a single on-disk byte fails here.
+//! (`proof_trace::envelope`): the run ledger, the attempt log, and the
+//! cell cache with its crash records. Each checked-in file must load in
+//! full, and re-sealing what was loaded must reproduce the file byte for
+//! byte — so a change to the envelope that alters a single on-disk byte
+//! fails here.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use fscq_corpus::Corpus;
-use proof_metrics::journal::Journal;
+use proof_chaos::{FaultConfig, FaultPlan};
 use proof_metrics::runner::{cell_cache_key, load_envelope, store_envelope, store_key};
 use proof_metrics::{CellConfig, CellResult, Runner};
 use proof_oracle::profiles::ModelProfile;
@@ -19,7 +21,6 @@ use proof_trace::ledger::Ledger;
 /// theorems.
 const CELL_KEY: &str = "d0a2ca013482ae9b";
 const CELL_LABEL: &str = "GPT-4o mini (w/ hints)";
-const CRASH_TEXT: &str = "injected: worker panic\nin \"cell\"";
 
 fn repo(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -74,26 +75,6 @@ fn checked_in_attempt_log_reseals_byte_for_byte() {
 }
 
 #[test]
-fn journal_triple_reseals_byte_for_byte() {
-    let fixture = repo("fixtures/envelope/journal_triple.jsonl");
-    let state = Journal::at(&fixture).load();
-    assert_eq!(state.attempts_of(CELL_KEY), 1);
-    assert!(state.crashes.is_empty(), "done supersedes the crash");
-    let result = &state.done[CELL_KEY];
-
-    let dir = scratch("journal");
-    let journal = Journal::at(dir.join("journal.jsonl"));
-    journal.record_start(CELL_KEY, CELL_LABEL);
-    journal.record_crashed(CELL_KEY, CELL_LABEL, CRASH_TEXT);
-    journal.record_done(CELL_KEY, result);
-    assert_eq!(
-        std::fs::read(journal.path()).unwrap(),
-        std::fs::read(&fixture).unwrap()
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn cell_cache_file_reseals_byte_for_byte() {
     let fixture = repo(&format!("fixtures/envelope/cell_{CELL_KEY}.json"));
     let result: CellResult = load_envelope(&fixture).expect("fixture loads");
@@ -121,6 +102,32 @@ fn runner_writes_the_captured_cache_file() {
     assert_eq!(
         std::fs::read(dir.join(format!("{}.json", store_key(&corpus, &cell)))).unwrap(),
         std::fs::read(repo(&format!("fixtures/envelope/cell_{CELL_KEY}.json"))).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn runner_writes_the_captured_crash_record() {
+    let cell = captured_cell();
+    let fixture = repo(&format!("fixtures/envelope/cell_{CELL_KEY}.crashed"));
+    assert_eq!(load_envelope::<u32>(&fixture), Some(1), "one crash so far");
+    let dir = scratch("crash");
+    let runner = Runner::from_env()
+        .with_jobs(1)
+        .with_cache_dir(&dir)
+        .with_fault_plan(Arc::new(FaultPlan::new(FaultConfig {
+            seed: 1,
+            worker_panic: 1.0,
+            ..FaultConfig::default()
+        })));
+    let corpus = Corpus::load();
+    runner
+        .run_cell_checked(&corpus, &cell)
+        .expect_err("the armed cell crashes");
+    let record = dir.join(format!("{}.crashed", store_key(&corpus, &cell)));
+    assert_eq!(
+        std::fs::read(&record).unwrap(),
+        std::fs::read(&fixture).unwrap()
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
