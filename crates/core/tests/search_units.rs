@@ -9,19 +9,6 @@ use proof_oracle::model::{Proposal, QueryCtx, TacticModel};
 use proof_oracle::prompt::PromptInfo;
 use proof_search::search::{search, Outcome, PremiseRank, SearchConfig, Strategy};
 
-/// An empty prompt (the scripted models below ignore it).
-fn empty_prompt() -> PromptInfo {
-    PromptInfo {
-        text: String::new(),
-        tokens: 0,
-        visible_lemmas: Vec::new(),
-        hint_scripts: Vec::new(),
-        hint_facts: Vec::new(),
-        truncated: false,
-        fingerprint: 0,
-    }
-}
-
 /// A deterministic model that proposes a fixed candidate list at every
 /// query, most probable first.
 struct FixedModel {
@@ -71,7 +58,7 @@ fn run(
 ) -> proof_search::search::SearchResult {
     let env = Env::with_prelude();
     let f = parse_formula(&env, stmt).unwrap();
-    let prompt = empty_prompt();
+    let prompt = PromptInfo::default();
     search(&std::sync::Arc::new(env), &f, "t", model, &prompt, cfg)
 }
 
@@ -332,7 +319,7 @@ fn callers_model_answers_every_query_in_order() {
     }
     let env = std::sync::Arc::new(Env::with_prelude());
     let f = parse_formula(&env, "0 = 0 /\\ 1 = 1").unwrap();
-    let prompt = empty_prompt();
+    let prompt = PromptInfo::default();
     let mut m = Counting {
         inner: FixedModel::new([("split", -3.0), ("intros", -0.1), ("reflexivity", -0.2)]),
         indices: Vec::new(),

@@ -9,18 +9,6 @@ use proof_oracle::model::{Proposal, QueryCtx, TacticModel};
 use proof_oracle::prompt::PromptInfo;
 use proof_search::whole_proof::whole_proof_with_repair;
 
-fn empty_prompt() -> PromptInfo {
-    PromptInfo {
-        text: String::new(),
-        tokens: 0,
-        visible_lemmas: Vec::new(),
-        hint_scripts: Vec::new(),
-        hint_facts: Vec::new(),
-        truncated: false,
-        fingerprint: 0,
-    }
-}
-
 /// Proposes a scripted sequence, one tactic per query, then falls silent.
 struct Sequenced {
     steps: Vec<&'static str>,
@@ -47,7 +35,7 @@ fn attempt(stmt: &str, steps: Vec<&'static str>) -> proof_search::whole_proof::W
     let env = Env::with_prelude();
     let f = parse_formula(&env, stmt).unwrap();
     let mut m = Sequenced { steps, next: 0 };
-    let prompt = empty_prompt();
+    let prompt = PromptInfo::default();
     whole_proof_with_repair(&env, &f, "t", &mut m, &prompt, 16, 0)
 }
 
@@ -139,7 +127,7 @@ fn max_sentences_bounds_generation() {
             ]
         }
     }
-    let prompt = empty_prompt();
+    let prompt = PromptInfo::default();
     let r = whole_proof_with_repair(&env, &f, "t", &mut Endless, &prompt, 5, 0);
     assert!(!r.proved);
     assert!(r.sentences_total <= 5);
@@ -184,7 +172,7 @@ fn repair_recovers_from_a_single_bad_sentence() {
         ],
         per_round: 8,
     };
-    let prompt = empty_prompt();
+    let prompt = PromptInfo::default();
     let r = whole_proof_with_repair(&env, &f, "t", &mut m, &prompt, 8, 1);
     assert!(r.proved, "{r:?}");
     assert!(r.script.contains("reflexivity"), "{}", r.script);
@@ -206,7 +194,7 @@ fn zero_repairs_matches_one_pass_failure() {
         ],
         per_round: 8,
     };
-    let prompt = empty_prompt();
+    let prompt = PromptInfo::default();
     let r = whole_proof_with_repair(&env, &f, "t", &mut m, &prompt, 8, 0);
     assert!(!r.proved, "{r:?}");
 }
@@ -221,7 +209,7 @@ fn repair_budget_is_bounded() {
         rounds: vec![vec!["apply nope"]; 100],
         per_round: 8,
     };
-    let prompt = empty_prompt();
+    let prompt = PromptInfo::default();
     let r = whole_proof_with_repair(&env, &f, "t", &mut m, &prompt, 8, 3);
     assert!(!r.proved);
 }

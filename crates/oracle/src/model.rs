@@ -43,8 +43,7 @@ pub struct QueryCtx<'a> {
 /// simulator reads the structured fields instead, but this is the exact
 /// payload shape the paper describes sending to the APIs.
 pub fn render_query(ctx: &QueryCtx<'_>) -> String {
-    let mut out = String::with_capacity(ctx.prompt.text.len() + 256);
-    out.push_str(&ctx.prompt.text);
+    let mut out = ctx.prompt.text();
     out.push_str("\n\n(* Current proof state: *)\n");
     out.push_str(&ctx.state.display());
     if !ctx.path.is_empty() {

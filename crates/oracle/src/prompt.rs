@@ -8,6 +8,7 @@
 //! are retained (the paper truncates the same way).
 
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use minicoq_vernac::loader::LoadedFile;
@@ -67,81 +68,95 @@ impl PromptConfig {
     }
 }
 
-/// The constructed prompt, with the structured views the simulated model
-/// consumes (a real client would read `text`).
+/// The constructed prompt: a view of the items its cell's [`PromptCache`]
+/// rendered, shared with every other prompt that shows them, plus the goal
+/// line. The simulated model reads the structured fields; a real client
+/// would send [`text`](PromptInfo::text).
 #[derive(Debug, Clone, Default)]
 pub struct PromptInfo {
-    /// The rendered prompt text.
-    pub text: String,
-    /// Token count of `text`.
+    /// The items the prompt shows, in prompt order (earlier = further
+    /// from the goal).
+    pub items: Vec<Arc<PromptItem>>,
+    /// The closing instruction and the statement to prove.
+    goal: String,
+    /// Token count of [`text`](PromptInfo::text).
     pub tokens: usize,
-    /// Lemma names whose statements survived into the prompt, in prompt
-    /// order (earlier = further from the goal).
-    pub visible_lemmas: Vec<String>,
-    /// `(lemma, proof script)` pairs whose proofs survived into the prompt.
-    pub hint_scripts: Vec<(String, String)>,
-    /// The simulator's reading of each script in `hint_scripts`, in the
-    /// same order, shared with every prompt of the cell that shows it.
+    /// Names of the lemmas whose statements survived into the prompt, in
+    /// prompt order; each is its item's [`PromptItem::lemma`].
+    pub visible_lemmas: Vec<Arc<str>>,
+    /// The simulator's reading of each proof that survived into the
+    /// prompt, in prompt order; each is its item's [`PromptItem::hint`].
     pub hint_facts: Vec<Arc<HintFacts>>,
     /// True when window truncation dropped leading context.
     pub truncated: bool,
-    /// Hash of the model-visible structure (`visible_lemmas`,
-    /// `hint_scripts`, `tokens`): two prompts with equal fingerprints are
-    /// interchangeable to the simulator, which keys its per-theorem
-    /// preparation cache on this.
+    /// Hash of the shown items and `tokens`: two prompts with equal
+    /// fingerprints show the same items, so they are interchangeable to
+    /// the simulator, which keys its per-theorem preparation cache on
+    /// this.
     pub fingerprint: u64,
 }
 
-/// The structural fingerprint of a prompt (see [`PromptInfo::fingerprint`]).
-fn prompt_fingerprint(
-    visible_lemmas: &[String],
-    hint_scripts: &[(String, String)],
-    tokens: usize,
-) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = crate::sip::SipHasher13::new();
-    visible_lemmas.hash(&mut h);
-    hint_scripts.hash(&mut h);
-    tokens.hash(&mut h);
-    h.finish()
+impl PromptInfo {
+    /// The rendered prompt text: the items, each followed by a blank line,
+    /// then the goal line.
+    pub fn text(&self) -> String {
+        let mut text = String::new();
+        for item in &self.items {
+            text += &item.text;
+            text += "\n\n";
+        }
+        text + &self.goal
+    }
+}
+
+/// One item as a prompt shows it, rendered once per cell.
+#[derive(Debug)]
+pub struct PromptItem {
+    /// The item's rendering, its proof shown or elided.
+    pub text: String,
+    /// [`count_tokens`] of `text`.
+    pub tokens: usize,
+    /// The item's name, when it is a lemma.
+    pub lemma: Option<Arc<str>>,
+    /// The proof read as a hint, when the proof is shown.
+    pub hint: Option<Arc<HintFacts>>,
+    /// Hash of `lemma`, `text` and whether the proof is shown, which the
+    /// prompt fingerprint folds.
+    key: u64,
+}
+
+impl PromptItem {
+    fn of(item: &Item, with_proof: bool) -> PromptItem {
+        let text = item.render(with_proof);
+        let lemma = (item.kind == ItemKind::Lemma).then(|| Arc::from(item.name.as_str()));
+        let mut key = crate::sip::SipHasher13::new();
+        (lemma.as_deref(), &text, with_proof).hash(&mut key);
+        PromptItem {
+            tokens: count_tokens(&text),
+            hint: with_proof
+                .then(|| Arc::new(HintFacts::of(item.proof.as_deref().unwrap_or_default()))),
+            lemma,
+            key: key.finish(),
+            text,
+        }
+    }
 }
 
 /// Memoizes rendered items across the theorems of a cell. Rendering an
 /// item, counting its tokens and reading its proof as a hint depend only on
 /// the item itself and on whether its proof is included, so one slot per
 /// `(file, item index, with_proof)` serves every theorem that sees the
-/// item, which in a full-corpus cell is nearly all of them. The cache is
-/// internally synchronized so parallel runner workers can share one: a
-/// prompt takes the lock once per file, and each slot is filled once.
+/// item (nearly all of them in a full-corpus cell), and a prompt shares the
+/// slot's [`PromptItem`]. The cache is internally synchronized so parallel
+/// runner workers can share one: a prompt takes the lock once per file,
+/// and each slot is filled once.
 #[derive(Debug, Default)]
 pub struct PromptCache {
     files: Mutex<HashMap<String, Arc<FileSlots>>>,
 }
 
 /// One file's slots, by item index: `[statement only, with proof]`.
-type FileSlots = [[OnceLock<Rendered>; 2]];
-
-/// One item as a prompt shows it.
-#[derive(Debug)]
-struct Rendered {
-    text: String,
-    /// [`count_tokens`] of `text`.
-    tokens: usize,
-    /// The proof read as a hint, when the proof is shown.
-    hint: Option<Arc<HintFacts>>,
-}
-
-impl Rendered {
-    fn of(item: &Item, with_proof: bool) -> Rendered {
-        let text = item.render(with_proof);
-        Rendered {
-            tokens: count_tokens(&text),
-            text,
-            hint: with_proof
-                .then(|| Arc::new(HintFacts::of(item.proof.as_deref().unwrap_or_default()))),
-        }
-    }
-}
+type FileSlots = [[OnceLock<Arc<PromptItem>>; 2]];
 
 impl PromptCache {
     /// An empty cache.
@@ -206,7 +221,7 @@ pub fn build_prompt_cached(
         .collect();
 
     let (mut hits, mut misses) = (0u64, 0u64);
-    let mut segments: Vec<(&Item, &Rendered)> = Vec::new();
+    let mut items = Vec::with_capacity(files.iter().map(|(_, upto, _)| upto).sum());
     for (file, upto, slots) in &files {
         for (item, slot) in file.items.iter().zip(slots.iter()).take(*upto) {
             if item.kind == ItemKind::Import {
@@ -221,16 +236,16 @@ pub fn build_prompt_cached(
             let with_proof =
                 cfg.setting == PromptSetting::Hints && lemma && hint_set.contains(&item.name);
             let mut missed = false;
-            let rendered = slot[usize::from(with_proof)].get_or_init(|| {
+            let shown = slot[usize::from(with_proof)].get_or_init(|| {
                 missed = true;
-                Rendered::of(item, with_proof)
+                Arc::new(PromptItem::of(item, with_proof))
             });
             if missed {
                 misses += 1;
             } else {
                 hits += 1;
             }
-            segments.push((item, rendered));
+            items.push(Arc::clone(shown));
         }
     }
     if proof_trace::enabled() {
@@ -239,63 +254,45 @@ pub fn build_prompt_cached(
     }
 
     // The goal segment is always kept.
-    let goal_text = format!(
+    let goal = format!(
         "(* Prove the following theorem. *)\n{}.",
         thm.statement_text
     );
-    let goal_tokens = count_tokens(&goal_text);
+    let goal_tokens = count_tokens(&goal);
 
-    // Window truncation: keep a suffix of the segments.
-    let budget = cfg.window.map(|w| w.saturating_sub(goal_tokens));
+    // Window truncation: keep the longest suffix of the items that fits.
     let mut start = 0usize;
-    let mut truncated = false;
-    if let Some(budget) = budget {
+    if let Some(budget) = cfg.window.map(|w| w.saturating_sub(goal_tokens)) {
         let mut used = 0usize;
-        let mut keep_from = segments.len();
-        for (i, (_, r)) in segments.iter().enumerate().rev() {
-            if used + r.tokens > budget {
+        start = items.len();
+        for (i, item) in items.iter().enumerate().rev() {
+            if used + item.tokens > budget {
                 break;
             }
-            used += r.tokens;
-            keep_from = i;
+            used += item.tokens;
+            start = i;
         }
-        start = keep_from;
-        truncated = start > 0;
     }
+    items.drain(..start);
 
-    // Segments are joined by whitespace, which `count_tokens` never counts
+    // Items are joined by whitespace, which `count_tokens` never counts
     // and never tokenizes across, so the prompt's count is the sum of its
-    // segments' counts.
-    let kept = &segments[start..];
-    let mut text = String::with_capacity(
-        kept.iter().map(|(_, r)| r.text.len() + 2).sum::<usize>() + goal_text.len(),
-    );
+    // items' counts.
+    let mut fingerprint = crate::sip::SipHasher13::new();
     let mut tokens = goal_tokens;
-    let mut visible_lemmas = Vec::new();
-    let mut hint_scripts = Vec::new();
-    let mut hint_facts = Vec::new();
-    for (item, r) in kept {
-        text.push_str(&r.text);
-        text.push_str("\n\n");
-        tokens += r.tokens;
-        if item.kind == ItemKind::Lemma {
-            visible_lemmas.push(item.name.clone());
-        }
-        if let Some(facts) = &r.hint {
-            hint_scripts.push((item.name.clone(), item.proof.clone().unwrap_or_default()));
-            hint_facts.push(Arc::clone(facts));
-        }
+    for item in &items {
+        tokens += item.tokens;
+        fingerprint.write_u64(item.key);
     }
-    text.push_str(&goal_text);
-    let fingerprint = prompt_fingerprint(&visible_lemmas, &hint_scripts, tokens);
+    fingerprint.write_usize(tokens);
     PromptInfo {
-        text,
+        visible_lemmas: items.iter().filter_map(|i| i.lemma.clone()).collect(),
+        hint_facts: items.iter().filter_map(|i| i.hint.clone()).collect(),
+        items,
+        goal,
         tokens,
-        visible_lemmas,
-        hint_scripts,
-        hint_facts,
-        truncated,
-        fingerprint,
+        truncated: start > 0,
+        fingerprint: fingerprint.finish(),
     }
 }
 
@@ -335,16 +332,16 @@ mod tests {
         let hints = hint_set(&dev);
         let p = build_prompt(&dev, thm, &hints, &PromptConfig::vanilla());
         // Earlier lemmas from the same file are visible...
-        assert!(p.visible_lemmas.contains(&"incl_cons_inv".to_string()));
+        assert!(p.visible_lemmas.contains(&Arc::from("incl_cons_inv")));
         // ... and imported files too.
-        assert!(p.visible_lemmas.contains(&"add_comm".to_string()));
+        assert!(p.visible_lemmas.contains(&Arc::from("add_comm")));
         // But not the theorem itself or later ones.
-        assert!(!p.visible_lemmas.contains(&"incl_tl_inv".to_string()));
-        assert!(!p.visible_lemmas.contains(&"NoDup_app_l".to_string()));
+        assert!(!p.visible_lemmas.contains(&Arc::from("incl_tl_inv")));
+        assert!(!p.visible_lemmas.contains(&Arc::from("NoDup_app_l")));
         // Vanilla prompts elide proofs.
-        assert!(p.hint_scripts.is_empty());
-        assert!(p.text.contains("(* ... *)"));
-        assert!(p.text.contains("Prove the following theorem"));
+        assert!(p.hint_facts.is_empty());
+        assert!(p.text().contains("(* ... *)"));
+        assert!(p.text().contains("Prove the following theorem"));
     }
 
     #[test]
@@ -353,9 +350,9 @@ mod tests {
         let thm = dev.theorem("NoDup_app_l").unwrap();
         let hints = hint_set(&dev);
         let p = build_prompt(&dev, thm, &hints, &PromptConfig::hints());
-        assert!(!p.hint_scripts.is_empty());
-        for (name, _) in &p.hint_scripts {
-            assert!(hints.contains(name));
+        assert!(!p.hint_facts.is_empty());
+        for item in p.items.iter().filter(|i| i.hint.is_some()) {
+            assert!(hints.contains(item.lemma.as_deref().unwrap()));
         }
     }
 
@@ -373,16 +370,22 @@ mod tests {
         // The nearest context (same file) survives; the earliest does not.
         assert!(cut.visible_lemmas.len() < full.visible_lemmas.len());
         assert_eq!(full.visible_lemmas.last(), cut.visible_lemmas.last());
-        assert!(cut.text.contains("Prove the following theorem"));
+        assert!(cut.text().contains("Prove the following theorem"));
     }
 
     /// Asserts that two builds of one prompt agree on everything a model
     /// or the simulator reads.
     fn assert_same_prompt(cold: &PromptInfo, warm: &PromptInfo, name: &str) {
-        assert_eq!(cold.text, warm.text, "{name}");
+        let shown = |p: &PromptInfo| {
+            let items = p.items.iter();
+            items
+                .map(|i| (i.text.clone(), i.hint.is_some()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(cold.text(), warm.text(), "{name}");
         assert_eq!(cold.tokens, warm.tokens, "{name}");
         assert_eq!(cold.visible_lemmas, warm.visible_lemmas, "{name}");
-        assert_eq!(cold.hint_scripts, warm.hint_scripts, "{name}");
+        assert_eq!(shown(cold), shown(warm), "{name}");
         assert_eq!(cold.hint_facts, warm.hint_facts, "{name}");
         assert_eq!(cold.truncated, warm.truncated, "{name}");
         assert_eq!(cold.fingerprint, warm.fingerprint, "{name}");
@@ -410,7 +413,7 @@ mod tests {
                 assert_same_prompt(&cold, &warm, name);
             }
         }
-        // Each hint fact is read off its own script.
+        // Each hint fact is read off its own item's script.
         let p = build_prompt(
             &dev,
             dev.theorem("tnd_update").unwrap(),
@@ -418,7 +421,12 @@ mod tests {
             &PromptConfig::hints(),
         );
         assert!(!p.hint_facts.is_empty());
-        for ((_, script), facts) in p.hint_scripts.iter().zip(&p.hint_facts) {
+        let hinted = p.items.iter().filter(|i| i.hint.is_some());
+        for (item, facts) in hinted.zip(&p.hint_facts) {
+            let script = &dev
+                .theorem(item.lemma.as_deref().unwrap())
+                .unwrap()
+                .proof_text;
             assert_eq!(**facts, HintFacts::of(script));
         }
     }
@@ -466,9 +474,9 @@ mod tests {
         cfg.minimal = true;
         let p = build_prompt(&dev, thm, &hints, &cfg);
         // mul_1_r's human proof rewrites with mul_succ_r, mul_0_r, add_0_r.
-        assert!(p.visible_lemmas.contains(&"mul_succ_r".to_string()));
-        assert!(p.visible_lemmas.contains(&"add_0_r".to_string()));
+        assert!(p.visible_lemmas.contains(&Arc::from("mul_succ_r")));
+        assert!(p.visible_lemmas.contains(&Arc::from("add_0_r")));
         // Unrelated lemmas are sliced away.
-        assert!(!p.visible_lemmas.contains(&"le_0_n".to_string()));
+        assert!(!p.visible_lemmas.contains(&Arc::from("le_0_n")));
     }
 }

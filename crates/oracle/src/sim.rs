@@ -145,10 +145,11 @@ struct PromptPrep {
     rules: Vec<(Formula, Formula)>,
 }
 
-/// The simulator's reading of one hint proof: its tactic sentences and
-/// their head words. It depends on the script alone, so the prompt cache
-/// computes it once per cell and every prompt showing the proof shares it
-/// ([`PromptInfo::hint_facts`](crate::prompt::PromptInfo::hint_facts)).
+/// The simulator's reading of one hint proof, all it reads of the script:
+/// its tactic sentences and their head words. It depends on the script
+/// alone, so the prompt cache computes it once per cell, in the proof's
+/// [`PromptItem`](crate::prompt::PromptItem), and every prompt showing the
+/// proof shares it.
 #[derive(Debug, PartialEq, Eq)]
 pub struct HintFacts {
     /// The sentences with leading bullets and whitespace trimmed, blank
@@ -245,7 +246,7 @@ fn build_prep(
         if unit(hash_from(&prefix, &["keep", lname])) > keep_p {
             continue;
         }
-        if let Some(&index) = ctx.env.lemma_index.get(lname.as_str()) {
+        if let Some(&index) = ctx.env.lemma_index.get(&**lname) {
             kept.push(Arc::clone(&ctx.env.lemmas[index]));
         }
     }
@@ -657,7 +658,7 @@ impl TacticModel for SimulatedModel {
         // Hint proofs teach the project's tactic vocabulary: without them
         // the model is markedly less reliable at surfacing the relevant
         // move and noisier in ranking (the paper's hint uplift).
-        let hinted = !ctx.prompt.hint_scripts.is_empty();
+        let hinted = !ctx.prompt.hint_facts.is_empty();
         let skill_eff = if hinted {
             self.profile.skill
         } else {

@@ -26,9 +26,10 @@ fn vanilla_prompts_contain_no_proof_scripts() {
     let hints = hint_set(&c.dev);
     for thm in c.dev.theorems.iter().rev().take(10) {
         let p = build_prompt(&c.dev, thm, &hints, &PromptConfig::vanilla());
-        assert!(p.hint_scripts.is_empty(), "{}", thm.name);
+        assert!(p.hint_facts.is_empty(), "{}", thm.name);
+        let text = p.text();
         assert!(
-            !p.text.contains("Qed.") || !p.text.contains("intros"),
+            !text.contains("Qed.") || !text.contains("intros"),
             "{}",
             thm.name
         );
@@ -41,13 +42,15 @@ fn hint_prompts_include_only_hint_split_proofs() {
     let hints = hint_set(&c.dev);
     let deep = c.dev.theorems.last().unwrap();
     let p = build_prompt(&c.dev, deep, &hints, &PromptConfig::hints());
-    assert!(!p.hint_scripts.is_empty());
-    for (name, script) in &p.hint_scripts {
+    assert!(!p.hint_facts.is_empty());
+    for item in &p.items {
+        let Some(facts) = &item.hint else { continue };
+        let name = item.lemma.as_deref().expect("a hint is a lemma's proof");
         assert!(hints.contains(name), "{name} leaked into hints");
-        assert!(!script.is_empty());
+        assert!(!facts.sentences.is_empty());
     }
     // The theorem under proof never appears in its own prompt.
-    assert!(!p.visible_lemmas.contains(&deep.name));
+    assert!(!p.visible_lemmas.iter().any(|l| **l == deep.name));
 }
 
 #[test]
@@ -107,7 +110,7 @@ fn minimal_prompts_are_dependency_slices() {
     cfg.minimal = true;
     let p = build_prompt(&c.dev, thm, &hints, &cfg);
     for l in &p.visible_lemmas {
-        assert!(deps.contains(l), "{l} not a dependency of {}", thm.name);
+        assert!(deps.contains(&**l), "{l} not a dependency of {}", thm.name);
     }
     let full = build_prompt(&c.dev, thm, &hints, &PromptConfig::vanilla());
     assert!(p.tokens < full.tokens);
@@ -136,7 +139,7 @@ fn prompt_token_count_matches_the_tokenizer() {
     let p = build_prompt(&c.dev, thm, &hints, &PromptConfig::hints());
     // Segment bookkeeping may over-count joins slightly but must track the
     // text's real size closely.
-    let real = count_tokens(&p.text);
+    let real = count_tokens(&p.text());
     assert!(
         p.tokens.abs_diff(real) * 20 <= real.max(1),
         "{} vs {real}",
@@ -367,7 +370,7 @@ fn prompt_tokens_are_the_sum_of_their_segments() {
             let p = build_prompt_cached(&c.dev, thm, &hints, &cfg, &cache);
             assert_eq!(
                 p.tokens,
-                count_tokens(&p.text),
+                count_tokens(&p.text()),
                 "{} under {cfg:?}",
                 thm.name
             );
@@ -393,7 +396,7 @@ fn retrieval_prompts_prune_to_relevant_lemmas() {
     // Exactly the retrieval set survives, in load order.
     let want = proof_oracle::retrieval::retrieval_set(&c.dev, thm, 16);
     for l in &pruned.visible_lemmas {
-        assert!(want.contains(l), "{l} not in the retrieval set");
+        assert!(want.contains(&**l), "{l} not in the retrieval set");
     }
 }
 
@@ -407,7 +410,7 @@ fn retrieval_zero_keeps_no_lemmas() {
     let p = build_prompt(&c.dev, thm, &hints, &cfg);
     assert!(p.visible_lemmas.is_empty());
     // The goal and the non-lemma vocabulary are still present.
-    assert!(p.text.contains(&thm.name));
+    assert!(p.text().contains(&thm.name));
 }
 
 #[test]
@@ -429,7 +432,7 @@ fn rendered_queries_carry_prompt_state_and_path() {
         query_index: 0,
     };
     let q = render_query(&ctx);
-    assert!(q.starts_with(&prompt.text));
+    assert!(q.starts_with(&prompt.text()));
     assert!(q.contains("Current proof state"));
     assert!(q.contains("Tactics so far: intros."));
     assert!(q.trim_end().ends_with("Next tactic:"));

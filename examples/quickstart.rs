@@ -37,7 +37,7 @@ fn main() {
         "prompt: {} tokens, {} lemma statements visible, {} hint proofs",
         prompt.tokens,
         prompt.visible_lemmas.len(),
-        prompt.hint_scripts.len()
+        prompt.hint_facts.len()
     );
 
     // Best-first search (width 8, query limit 128 — the paper's settings).

@@ -99,19 +99,20 @@ fn vanilla_prompts_never_leak_proofs() {
                 retrieval: None,
             },
         );
-        assert!(vanilla.hint_scripts.is_empty());
+        assert!(vanilla.hint_facts.is_empty());
         // The theorem's own human proof must never appear in any prompt.
         let hinted = build_prompt(&corpus.dev, thm, &hints, &PromptConfig::hints());
         let own = canonical_script(&thm.proof_text);
         if own.len() > 25 {
             assert!(
-                !canonical_script(&hinted.text).contains(&own),
+                !canonical_script(&hinted.text()).contains(&own),
                 "{}'s own proof leaked into its prompt",
                 thm.name
             );
         }
-        for (name, _) in &hinted.hint_scripts {
-            assert_ne!(name, &thm.name);
+        for item in hinted.items.iter().filter(|i| i.hint.is_some()) {
+            let name = item.lemma.as_deref().expect("a hint is a lemma's proof");
+            assert_ne!(name, thm.name);
             assert!(hints.contains(name));
         }
     }

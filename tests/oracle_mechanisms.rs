@@ -10,8 +10,9 @@ use llm_fscq::minicoq::fuel::Fuel;
 use llm_fscq::minicoq::goal::ProofState;
 use llm_fscq::minicoq::parse::{parse_tactic, split_sentences};
 use llm_fscq::minicoq::tactic::apply_tactic;
+use llm_fscq::oracle::model::render_query;
 use llm_fscq::oracle::profiles::ModelProfile;
-use llm_fscq::oracle::prompt::{build_prompt, PromptConfig};
+use llm_fscq::oracle::prompt::{build_prompt, build_prompt_cached, PromptCache, PromptConfig};
 use llm_fscq::oracle::sip::SipHasher13;
 use llm_fscq::oracle::split::hint_set;
 use llm_fscq::oracle::{QueryCtx, SimulatedModel, TacticModel};
@@ -139,6 +140,67 @@ fn proposals_on_generated_goals_match_the_pinned_digest() {
     );
 }
 
+/// The digest of every prompt of the corpus under five configurations:
+/// vanilla, hints, hints in a truncating 4,000-token window, minimal and
+/// top-16 retrieval. Per prompt it covers the rendered text (through the
+/// first query's payload, which carries it whole), the token count, the
+/// truncation flag, the visible lemma names and the hint-fact sentences.
+const PROMPT_DIGEST: &str = "9d5a25b9f6e0c380";
+
+#[test]
+fn prompts_match_the_pinned_digest() {
+    let corpus = Corpus::load();
+    let dev = &corpus.dev;
+    let hints = hint_set(dev);
+    let cache = PromptCache::new();
+    let configs = [
+        PromptConfig::vanilla(),
+        PromptConfig::hints(),
+        PromptConfig {
+            window: Some(4_000),
+            ..PromptConfig::hints()
+        },
+        PromptConfig {
+            minimal: true,
+            ..PromptConfig::hints()
+        },
+        PromptConfig {
+            retrieval: Some(16),
+            ..PromptConfig::hints()
+        },
+    ];
+    let mut digest = SipHasher13::new();
+    let mut truncated = 0usize;
+    for cfg in &configs {
+        for thm in &dev.theorems {
+            let prompt = build_prompt_cached(dev, thm, &hints, cfg, &cache);
+            let state = ProofState::new(thm.stmt.clone());
+            let ctx = QueryCtx {
+                prompt: &prompt,
+                state: &state,
+                env: dev.env_before(thm),
+                path: &[],
+                theorem: &thm.name,
+                query_index: 0,
+            };
+            render_query(&ctx).hash(&mut digest);
+            prompt.tokens.hash(&mut digest);
+            prompt.truncated.hash(&mut digest);
+            truncated += usize::from(prompt.truncated);
+            for lemma in &prompt.visible_lemmas {
+                (**lemma).hash(&mut digest);
+            }
+            for facts in &prompt.hint_facts {
+                for sentence in facts.sentences.iter() {
+                    (**sentence).hash(&mut digest);
+                }
+            }
+        }
+    }
+    assert!(truncated > 100, "the 4,000-token window truncates too few");
+    assert_eq!(format!("{:016x}", digest.finish()), PROMPT_DIGEST);
+}
+
 /// Counts lemma-directed proposals (apply/rewrite of a known lemma) whose
 /// target lemma sits in the given region of the prompt.
 fn lemma_proposals_by_region(sample: usize) -> (usize, usize) {
@@ -171,7 +233,7 @@ fn lemma_proposals_by_region(sample: usize) -> (usize, usize) {
                     .or_else(|| p.tactic.strip_prefix("rewrite "))
                     .map(|s| s.split_whitespace().next().unwrap_or(""))
                     .unwrap_or("");
-                if let Some(pos) = prompt.visible_lemmas.iter().position(|l| l == name) {
+                if let Some(pos) = prompt.visible_lemmas.iter().position(|l| &**l == name) {
                     if pos * 2 >= n {
                         near += 1; // Second half of the prompt: close to the goal.
                     } else {
@@ -210,7 +272,7 @@ fn hint_scripts_change_proposals() {
     for thm in corpus.dev.theorems.iter().take(40) {
         let env = corpus.dev.env_before(thm);
         let hinted = build_prompt(&corpus.dev, thm, &hints, &PromptConfig::hints());
-        if hinted.hint_scripts.is_empty() {
+        if hinted.hint_facts.is_empty() {
             continue;
         }
         let vanilla = build_prompt(&corpus.dev, thm, &hints, &PromptConfig::vanilla());
