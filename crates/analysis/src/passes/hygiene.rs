@@ -102,7 +102,7 @@ fn walk_shadowing(f: &Formula, scope: &mut Vec<String>, report: &mut impl FnMut(
         Formula::FMatch(_, arms) => {
             for (pat, arm) in arms {
                 let binders = pat.binders();
-                for b in &binders {
+                for b in binders {
                     if scope.iter().any(|s| s == b.as_str()) {
                         report(b);
                     }

@@ -14,11 +14,16 @@
 //! All reduction is fuel-metered; runaway reduction surfaces as
 //! [`TacticError::Timeout`], mirroring the paper's per-tactic timeout.
 
+use std::borrow::Cow;
+
 use crate::env::{Env, PredDef};
 use crate::error::TacticError;
 use crate::formula::Formula;
 use crate::fuel::Fuel;
-use crate::subst::{subst_formula, subst_sorts_formula, subst_term, SortSubst, TermSubst};
+use crate::subst::{
+    either, subst_formula_opt, subst_sorts_formula_opt, subst_term, subst_term_opt,
+    try_map_changed, SortSubst, TermSubst,
+};
 use crate::term::{Pat, Term};
 
 /// Controls how aggressively normalization unfolds definitions.
@@ -82,25 +87,35 @@ pub fn normalize_term(
     mode: EvalMode,
     fuel: &mut Fuel,
 ) -> Result<Term, TacticError> {
+    Ok(normalize_term_opt(env, t, mode, fuel)?.unwrap_or_else(|| t.clone()))
+}
+
+/// [`normalize_term`], `Ok(None)` when the term is already normal. Ticks
+/// exactly as [`normalize_term`] does.
+pub(crate) fn normalize_term_opt(
+    env: &Env,
+    t: &Term,
+    mode: EvalMode,
+    fuel: &mut Fuel,
+) -> Result<Option<Term>, TacticError> {
     fuel.tick()?;
     match t {
-        Term::Var(_) | Term::Meta(_) => Ok(t.clone()),
+        Term::Var(_) | Term::Meta(_) => Ok(None),
         Term::App(f, args) => {
-            let args: Vec<Term> = args
-                .iter()
-                .map(|a| normalize_term(env, a, mode, fuel))
-                .collect::<Result<_, _>>()?;
+            let new_args = try_map_changed(args, |a| normalize_term_opt(env, a, mode, fuel))?;
+            let rebuilt = |new_args: Option<Vec<Term>>| new_args.map(|a| Term::App(f.clone(), a));
+            let args_now = new_args.as_deref().unwrap_or(args);
             if env.ctors.contains_key(f) {
-                return Ok(Term::App(f.clone(), args));
+                return Ok(rebuilt(new_args));
             }
             let Some(def) = env.funcs.get(f) else {
-                return Ok(Term::App(f.clone(), args));
+                return Ok(rebuilt(new_args));
             };
-            if args.len() != def.params.len() {
-                return Ok(Term::App(f.clone(), args));
+            if args_now.len() != def.params.len() {
+                return Ok(rebuilt(new_args));
             }
             let should_unfold = if def.recursive {
-                mode.unfold_fix && fix_unfolds(env, def.struct_arg, &args)
+                mode.unfold_fix && fix_unfolds(env, def.struct_arg, args_now)
             } else if mode.unfold_defs {
                 true
             } else {
@@ -110,59 +125,64 @@ pub fn normalize_term(
                 mode.unfold_fix && matches!(def.body, Term::Match(..))
             };
             if !should_unfold {
-                return Ok(Term::App(f.clone(), args));
+                return Ok(rebuilt(new_args));
             }
             let map: TermSubst = def
                 .params
                 .iter()
                 .map(|(p, _)| p.clone())
-                .zip(args.iter().cloned())
+                .zip(args_now.iter().cloned())
                 .collect();
             let unfolded = subst_term(&def.body, &map);
-            let reduced = normalize_term(env, &unfolded, mode, fuel)?;
+            let reduced = normalize_term_opt(env, &unfolded, mode, fuel)?.unwrap_or(unfolded);
             if !def.recursive && !mode.unfold_defs {
                 // Refold if the body is still stuck on a match: keeps simpl
                 // output readable (Coq's simpl heuristic).
                 if let Term::Match(scrut, _) = &reduced {
                     if ctor_head(env, scrut).is_none() && !matches!(**scrut, Term::Meta(_)) {
-                        return Ok(Term::App(f.clone(), args));
+                        return Ok(rebuilt(new_args));
                     }
                 }
             }
-            Ok(reduced)
+            Ok(Some(reduced))
         }
         Term::Match(scrut, arms) => {
-            let scrut = normalize_term(env, scrut, mode, fuel)?;
-            if let Some(reduced) = step_match(env, &scrut, arms) {
-                return normalize_term(env, &reduced, mode, fuel);
+            let new_scrut = normalize_term_opt(env, scrut, mode, fuel)?;
+            let scrut_now = new_scrut.as_ref().unwrap_or(scrut);
+            if let Some(reduced) = step_match(env, scrut_now, arms) {
+                let out = normalize_term_opt(env, &reduced, mode, fuel)?;
+                return Ok(Some(out.unwrap_or_else(|| reduced.into_owned())));
             }
             // Stuck: normalize the arm bodies for readability.
-            let arms = arms
-                .iter()
-                .map(|(p, rhs)| Ok((p.clone(), normalize_term(env, rhs, mode, fuel)?)))
-                .collect::<Result<Vec<_>, TacticError>>()?;
-            Ok(Term::Match(Box::new(scrut), arms))
+            let new_arms = try_map_changed(arms, |(p, rhs)| {
+                normalize_term_opt(env, rhs, mode, fuel).map(|o| o.map(|rhs| (p.clone(), rhs)))
+            })?;
+            Ok(either(scrut, new_scrut.map(Box::new), arms, new_arms)
+                .map(|(s, arms)| Term::Match(s, arms)))
         }
     }
 }
 
-/// Selects and instantiates a match arm if the scrutinee decides one.
-fn step_match(env: &Env, scrut: &Term, arms: &[(Pat, Term)]) -> Option<Term> {
+/// Selects the arm of a `match` the scrutinee decides and instantiates it
+/// with `subst`, which is `None` when it changes nothing.
+fn step_arm<'a, T: Clone>(
+    env: &Env,
+    scrut: &Term,
+    arms: &'a [(Pat, T)],
+    subst: fn(&T, &TermSubst) -> Option<T>,
+) -> Option<Cow<'a, T>> {
     let head = ctor_head(env, scrut);
+    let instantiate =
+        |rhs: &'a T, map: TermSubst| Some(subst(rhs, &map).map_or(Cow::Borrowed(rhs), Cow::Owned));
     for (i, (pat, rhs)) in arms.iter().enumerate() {
         match pat {
-            Pat::Wild => {
-                // A wildcard matches anything, but only reduce when it is the
-                // first arm or the scrutinee's constructor is known (so
-                // earlier constructor arms are decidably non-matching).
-                if i == 0 || head.is_some() {
-                    return Some(rhs.clone());
-                }
-                return None;
-            }
+            // A wildcard or variable matches anything, but only reduce when
+            // it is the first arm or the scrutinee's constructor is known
+            // (so earlier constructor arms are decidably non-matching).
+            Pat::Wild => return (i == 0 || head.is_some()).then_some(Cow::Borrowed(rhs)),
             Pat::Var(v) => {
                 if i == 0 || head.is_some() {
-                    return Some(crate::subst::subst_term1(rhs, v, scrut));
+                    return instantiate(rhs, TermSubst::from([(v.clone(), scrut.clone())]));
                 }
                 return None;
             }
@@ -175,8 +195,10 @@ fn step_match(env: &Env, scrut: &Term, arms: &[(Pat, Term)]) -> Option<Term> {
                     if cargs.len() != vs.len() {
                         return None;
                     }
-                    let map: TermSubst = vs.iter().cloned().zip(cargs.iter().cloned()).collect();
-                    return Some(subst_term(rhs, &map));
+                    return instantiate(
+                        rhs,
+                        vs.iter().cloned().zip(cargs.iter().cloned()).collect(),
+                    );
                 }
                 // Different constructor: this arm is skipped; continue.
             }
@@ -185,39 +207,18 @@ fn step_match(env: &Env, scrut: &Term, arms: &[(Pat, Term)]) -> Option<Term> {
     None
 }
 
+/// Selects and instantiates a match arm if the scrutinee decides one.
+fn step_match<'a>(env: &Env, scrut: &Term, arms: &'a [(Pat, Term)]) -> Option<Cow<'a, Term>> {
+    step_arm(env, scrut, arms, subst_term_opt)
+}
+
 /// Selects and instantiates a formula-match arm if the scrutinee decides one.
-fn step_fmatch(env: &Env, scrut: &Term, arms: &[(Pat, Formula)]) -> Option<Formula> {
-    let head = ctor_head(env, scrut);
-    for (i, (pat, rhs)) in arms.iter().enumerate() {
-        match pat {
-            Pat::Wild => {
-                if i == 0 || head.is_some() {
-                    return Some(rhs.clone());
-                }
-                return None;
-            }
-            Pat::Var(v) => {
-                if i == 0 || head.is_some() {
-                    return Some(crate::subst::subst_formula1(rhs, v, scrut));
-                }
-                return None;
-            }
-            Pat::Ctor(c, vs) => {
-                let h = head?;
-                if h == c {
-                    let Term::App(_, cargs) = scrut else {
-                        return None;
-                    };
-                    if cargs.len() != vs.len() {
-                        return None;
-                    }
-                    let map: TermSubst = vs.iter().cloned().zip(cargs.iter().cloned()).collect();
-                    return Some(subst_formula(rhs, &map));
-                }
-            }
-        }
-    }
-    None
+fn step_fmatch<'a>(
+    env: &Env,
+    scrut: &Term,
+    arms: &'a [(Pat, Formula)],
+) -> Option<Cow<'a, Formula>> {
+    step_arm(env, scrut, arms, subst_formula_opt)
 }
 
 /// Unfolds one application of a defined predicate, instantiating sort and
@@ -247,7 +248,12 @@ pub fn unfold_pred(
         .map(|(p, _)| p.clone())
         .zip(args.iter().cloned())
         .collect();
-    Some(subst_formula(&subst_sorts_formula(&d.body, &smap), &tmap))
+    let sorted = subst_sorts_formula_opt(&d.body, &smap);
+    let body = sorted.as_ref().unwrap_or(&d.body);
+    Some(match subst_formula_opt(body, &tmap) {
+        Some(body) => body,
+        None => sorted.unwrap_or_else(|| d.body.clone()),
+    })
 }
 
 /// Normalizes a formula under the given mode.
@@ -257,23 +263,36 @@ pub fn normalize_formula(
     mode: EvalMode,
     fuel: &mut Fuel,
 ) -> Result<Formula, TacticError> {
+    Ok(normalize_formula_opt(env, f, mode, fuel)?.unwrap_or_else(|| f.clone()))
+}
+
+/// [`normalize_formula`], `Ok(None)` when the formula is already normal.
+/// Ticks exactly as [`normalize_formula`] does.
+pub(crate) fn normalize_formula_opt(
+    env: &Env,
+    f: &Formula,
+    mode: EvalMode,
+    fuel: &mut Fuel,
+) -> Result<Option<Formula>, TacticError> {
     fuel.tick()?;
-    match f {
-        Formula::True | Formula::False => Ok(f.clone()),
-        Formula::Eq(s, a, b) => Ok(Formula::Eq(
-            s.clone(),
-            normalize_term(env, a, mode, fuel)?,
-            normalize_term(env, b, mode, fuel)?,
-        )),
+    let term = |t: &Term, fuel: &mut Fuel| normalize_term_opt(env, t, mode, fuel);
+    let go = |g: &Formula, fuel: &mut Fuel| {
+        Ok::<_, TacticError>(normalize_formula_opt(env, g, mode, fuel)?.map(Box::new))
+    };
+    Ok(match f {
+        Formula::True | Formula::False => None,
+        Formula::Eq(s, a, b) => {
+            let new_a = term(a, fuel)?;
+            let new_b = term(b, fuel)?;
+            either(a, new_a, b, new_b).map(|(a, b)| Formula::Eq(s.clone(), a, b))
+        }
         Formula::Pred(p, sorts, args) => {
-            let args: Vec<Term> = args
-                .iter()
-                .map(|a| normalize_term(env, a, mode, fuel))
-                .collect::<Result<_, _>>()?;
+            let new_args = try_map_changed(args, |a| term(a, fuel))?;
+            let args_now = new_args.as_deref().unwrap_or(args);
             let unfold = match env.preds.get(p) {
                 Some(PredDef::Defined(d)) => {
                     if d.recursive {
-                        mode.unfold_fix && fix_unfolds(env, d.struct_arg, &args)
+                        mode.unfold_fix && fix_unfolds(env, d.struct_arg, args_now)
                     } else {
                         mode.unfold_defs
                     }
@@ -281,57 +300,40 @@ pub fn normalize_formula(
                 _ => false,
             };
             if unfold {
-                if let Some(body) = unfold_pred(env, p, sorts, &args) {
-                    return normalize_formula(env, &body, mode, fuel);
+                if let Some(body) = unfold_pred(env, p, sorts, args_now) {
+                    return Ok(Some(
+                        normalize_formula_opt(env, &body, mode, fuel)?.unwrap_or(body),
+                    ));
                 }
             }
-            Ok(Formula::Pred(p.clone(), sorts.clone(), args))
+            new_args.map(|args| Formula::Pred(p.clone(), sorts.clone(), args))
         }
-        Formula::Not(g) => Ok(Formula::Not(Box::new(normalize_formula(
-            env, g, mode, fuel,
-        )?))),
-        Formula::And(a, b) => Ok(Formula::and(
-            normalize_formula(env, a, mode, fuel)?,
-            normalize_formula(env, b, mode, fuel)?,
-        )),
-        Formula::Or(a, b) => Ok(Formula::or(
-            normalize_formula(env, a, mode, fuel)?,
-            normalize_formula(env, b, mode, fuel)?,
-        )),
-        Formula::Implies(a, b) => Ok(Formula::implies(
-            normalize_formula(env, a, mode, fuel)?,
-            normalize_formula(env, b, mode, fuel)?,
-        )),
-        Formula::Iff(a, b) => Ok(Formula::Iff(
-            Box::new(normalize_formula(env, a, mode, fuel)?),
-            Box::new(normalize_formula(env, b, mode, fuel)?),
-        )),
-        Formula::Forall(v, s, body) => Ok(Formula::Forall(
-            v.clone(),
-            s.clone(),
-            Box::new(normalize_formula(env, body, mode, fuel)?),
-        )),
-        Formula::Exists(v, s, body) => Ok(Formula::Exists(
-            v.clone(),
-            s.clone(),
-            Box::new(normalize_formula(env, body, mode, fuel)?),
-        )),
-        Formula::ForallSort(v, body) => Ok(Formula::ForallSort(
-            v.clone(),
-            Box::new(normalize_formula(env, body, mode, fuel)?),
-        )),
+        Formula::Not(g) => go(g, fuel)?.map(Formula::Not),
+        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
+            let new_a = go(a, fuel)?;
+            let new_b = go(b, fuel)?;
+            either(a, new_a, b, new_b).map(|(a, b)| f.with_operands(a, b))
+        }
+        Formula::Forall(v, s, body) | Formula::Exists(v, s, body) => {
+            go(body, fuel)?.map(|body| f.with_binder(v.clone(), s.clone(), body))
+        }
+        Formula::ForallSort(v, body) => {
+            go(body, fuel)?.map(|body| Formula::ForallSort(v.clone(), body))
+        }
         Formula::FMatch(scrut, arms) => {
-            let scrut = normalize_term(env, scrut, mode, fuel)?;
-            if let Some(reduced) = step_fmatch(env, &scrut, arms) {
-                return normalize_formula(env, &reduced, mode, fuel);
+            let new_scrut = term(scrut, fuel)?;
+            let scrut_now = new_scrut.as_ref().unwrap_or(scrut);
+            if let Some(reduced) = step_fmatch(env, scrut_now, arms) {
+                let out = normalize_formula_opt(env, &reduced, mode, fuel)?;
+                return Ok(Some(out.unwrap_or_else(|| reduced.into_owned())));
             }
-            let arms = arms
-                .iter()
-                .map(|(p, rhs)| Ok((p.clone(), normalize_formula(env, rhs, mode, fuel)?)))
-                .collect::<Result<Vec<_>, TacticError>>()?;
-            Ok(Formula::FMatch(Box::new(scrut), arms))
+            let new_arms = try_map_changed(arms, |(p, rhs)| {
+                normalize_formula_opt(env, rhs, mode, fuel).map(|o| o.map(|rhs| (p.clone(), rhs)))
+            })?;
+            either(scrut, new_scrut.map(Box::new), arms, new_arms)
+                .map(|(s, arms)| Formula::FMatch(s, arms))
         }
-    }
+    })
 }
 
 /// Decides definitional equality of two terms.
@@ -339,9 +341,12 @@ pub fn conv_eq_term(env: &Env, a: &Term, b: &Term, fuel: &mut Fuel) -> Result<bo
     if a == b {
         return Ok(true);
     }
-    let na = normalize_term(env, a, EvalMode::conversion(), fuel)?;
-    let nb = normalize_term(env, b, EvalMode::conversion(), fuel)?;
-    Ok(alpha_eq_term(&na, &nb))
+    let na = normalize_term_opt(env, a, EvalMode::conversion(), fuel)?;
+    let nb = normalize_term_opt(env, b, EvalMode::conversion(), fuel)?;
+    Ok(alpha_eq_term(
+        na.as_ref().unwrap_or(a),
+        nb.as_ref().unwrap_or(b),
+    ))
 }
 
 /// Decides definitional equality of two formulas (up to alpha-renaming of
@@ -355,9 +360,12 @@ pub fn conv_eq_formula(
     if alpha_eq_formula(a, b) {
         return Ok(true);
     }
-    let na = normalize_formula(env, a, EvalMode::conversion(), fuel)?;
-    let nb = normalize_formula(env, b, EvalMode::conversion(), fuel)?;
-    Ok(alpha_eq_formula(&na, &nb))
+    let na = normalize_formula_opt(env, a, EvalMode::conversion(), fuel)?;
+    let nb = normalize_formula_opt(env, b, EvalMode::conversion(), fuel)?;
+    Ok(alpha_eq_formula(
+        na.as_ref().unwrap_or(a),
+        nb.as_ref().unwrap_or(b),
+    ))
 }
 
 /// Alpha-equality on terms (match binders may differ).

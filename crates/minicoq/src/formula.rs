@@ -64,6 +64,28 @@ impl Formula {
         Formula::Forall(v.into(), s, Box::new(body))
     }
 
+    /// This binary connective (`And`, `Or`, `Implies` or `Iff`) over new
+    /// operands.
+    pub(crate) fn with_operands(&self, a: Box<Formula>, b: Box<Formula>) -> Formula {
+        match self {
+            Formula::And(..) => Formula::And(a, b),
+            Formula::Or(..) => Formula::Or(a, b),
+            Formula::Implies(..) => Formula::Implies(a, b),
+            Formula::Iff(..) => Formula::Iff(a, b),
+            _ => unreachable!("not a binary connective"),
+        }
+    }
+
+    /// This quantifier (`Forall` or `Exists`) with a new binder, sort and
+    /// body.
+    pub(crate) fn with_binder(&self, v: Ident, s: Sort, body: Box<Formula>) -> Formula {
+        match self {
+            Formula::Forall(..) => Formula::Forall(v, s, body),
+            Formula::Exists(..) => Formula::Exists(v, s, body),
+            _ => unreachable!("not a term quantifier"),
+        }
+    }
+
     /// Collects the free term variables of the formula into `out`.
     pub fn free_vars(&self, out: &mut BTreeSet<Ident>) {
         match self {
@@ -98,7 +120,7 @@ impl Formula {
                     let mut inner = BTreeSet::new();
                     rhs.free_vars(&mut inner);
                     for b in pat.binders() {
-                        inner.remove(&b);
+                        inner.remove(b);
                     }
                     out.extend(inner);
                 }

@@ -27,7 +27,7 @@ use std::sync::OnceLock;
 
 use crate::env::{Env, Lemma};
 use crate::error::TacticError;
-use crate::eval::{normalize_formula, EvalMode};
+use crate::eval::{normalize_formula_opt, EvalMode};
 use crate::formula::Formula;
 use crate::fuel::{Fuel, DEFAULT_TACTIC_FUEL};
 use crate::goal::Goal;
@@ -145,8 +145,8 @@ impl NormalForm {
         }
         let normal = self.0.get_or_init(|| {
             let mut fuel = Fuel::new(DEFAULT_TACTIC_FUEL);
-            let nf = normalize_formula(env, f, EvalMode::conversion(), &mut fuel).ok()?;
-            Some(((nf != *f).then(|| Box::new(nf)), fuel.spent()))
+            let nf = normalize_formula_opt(env, f, EvalMode::conversion(), &mut fuel).ok()?;
+            Some((nf.map(Box::new), fuel.spent()))
         });
         let (nf, cost) = normal.as_ref()?;
         Some((nf.as_deref().unwrap_or(f), *cost))
@@ -172,12 +172,8 @@ pub(crate) fn normalize_conv<'a>(
             fuel.replay(cost)?;
             Ok(Cow::Borrowed(nf))
         }
-        None => Ok(Cow::Owned(normalize_formula(
-            env,
-            f,
-            EvalMode::conversion(),
-            fuel,
-        )?)),
+        None => Ok(normalize_formula_opt(env, f, EvalMode::conversion(), fuel)?
+            .map_or(Cow::Borrowed(f), Cow::Owned)),
     }
 }
 

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::subst::map_changed;
 use crate::Ident;
 
 /// A sort (simple type) expression.
@@ -77,26 +78,34 @@ impl Sort {
 
     /// Applies a sort substitution mapping sort variables to sorts.
     pub fn subst_vars(&self, map: &BTreeMap<Ident, Sort>) -> Sort {
+        self.subst_vars_opt(map).unwrap_or_else(|| self.clone())
+    }
+
+    /// [`Sort::subst_vars`], `None` when it changes nothing.
+    pub(crate) fn subst_vars_opt(&self, map: &BTreeMap<Ident, Sort>) -> Option<Sort> {
         match self {
-            Sort::Atom(_) => self.clone(),
-            Sort::Var(v) => map.get(v).cloned().unwrap_or_else(|| self.clone()),
+            Sort::Atom(_) | Sort::Meta(_) => None,
+            Sort::Var(v) => map.get(v).cloned(),
             Sort::App(c, args) => {
-                Sort::App(c.clone(), args.iter().map(|a| a.subst_vars(map)).collect())
+                map_changed(args, |a| a.subst_vars_opt(map)).map(|args| Sort::App(c.clone(), args))
             }
-            Sort::Meta(_) => self.clone(),
         }
     }
 
     /// Applies a meta substitution mapping metavariables to sorts.
     pub fn subst_metas(&self, map: &BTreeMap<u32, Sort>) -> Sort {
+        self.subst_metas_opt(map).unwrap_or_else(|| self.clone())
+    }
+
+    /// [`Sort::subst_metas`], `None` when it changes nothing.
+    pub(crate) fn subst_metas_opt(&self, map: &BTreeMap<u32, Sort>) -> Option<Sort> {
         match self {
-            Sort::Atom(_) | Sort::Var(_) => self.clone(),
-            Sort::Meta(m) => match map.get(m) {
-                Some(s) => s.subst_metas(map),
-                None => self.clone(),
-            },
+            Sort::Atom(_) | Sort::Var(_) => None,
+            Sort::Meta(m) => map
+                .get(m)
+                .map(|s| s.subst_metas_opt(map).unwrap_or_else(|| s.clone())),
             Sort::App(c, args) => {
-                Sort::App(c.clone(), args.iter().map(|a| a.subst_metas(map)).collect())
+                map_changed(args, |a| a.subst_metas_opt(map)).map(|args| Sort::App(c.clone(), args))
             }
         }
     }

@@ -32,169 +32,270 @@ pub fn fresh_name(base: &str, avoid: &BTreeSet<Ident>) -> Ident {
     unreachable!("fresh name space exhausted")
 }
 
-/// The set of variables free in the range of a substitution.
-fn range_vars(map: &TermSubst) -> BTreeSet<Ident> {
-    let mut out = BTreeSet::new();
-    for t in map.values() {
-        t.free_vars(&mut out);
+/// Maps `f` over `items` copy-on-write: `f` returns `None` for an item it
+/// leaves alone, and the vector is built, from a copy of the items before
+/// it, only at the first item `f` changes. `Ok(None)` when it changes none.
+pub(crate) fn try_map_changed<T: Clone, E>(
+    items: &[T],
+    mut f: impl FnMut(&T) -> Result<Option<T>, E>,
+) -> Result<Option<Vec<T>>, E> {
+    let mut out: Option<Vec<T>> = None;
+    for (i, item) in items.iter().enumerate() {
+        match (f(item)?, &mut out) {
+            (Some(new), Some(out)) => out.push(new),
+            (Some(new), None) => {
+                let mut v = Vec::with_capacity(items.len());
+                v.extend_from_slice(&items[..i]);
+                v.push(new);
+                out = Some(v);
+            }
+            (None, Some(out)) => out.push(item.clone()),
+            (None, None) => {}
+        }
     }
+    Ok(out)
+}
+
+/// [`try_map_changed`] for an `f` that cannot fail.
+pub(crate) fn map_changed<T: Clone>(
+    items: &[T],
+    mut f: impl FnMut(&T) -> Option<T>,
+) -> Option<Vec<T>> {
+    let Ok(out) = try_map_changed(items, |x| Ok::<_, std::convert::Infallible>(f(x)));
     out
+}
+
+/// The pair `(a, b)` with each part that changed replaced by its new value;
+/// `None` when neither changed.
+pub(crate) fn either<A: Clone, B: Clone>(
+    a: &A,
+    new_a: Option<A>,
+    b: &B,
+    new_b: Option<B>,
+) -> Option<(A, B)> {
+    if new_a.is_none() && new_b.is_none() {
+        return None;
+    }
+    Some((
+        new_a.unwrap_or_else(|| a.clone()),
+        new_b.unwrap_or_else(|| b.clone()),
+    ))
+}
+
+/// A substitution as it stands under some binders: `map` minus the keys
+/// an enclosing binder hides.
+struct Scope<'m> {
+    map: &'m TermSubst,
+    hidden: Vec<&'m Ident>,
+}
+
+/// The trees substitution rewrites under `match` arms.
+trait Substitutable: Clone {
+    fn subst_in(&self, scope: &mut Scope<'_>) -> Option<Self>;
+    fn free_vars_into(&self, out: &mut BTreeSet<Ident>);
+}
+
+impl Substitutable for Term {
+    fn subst_in(&self, scope: &mut Scope<'_>) -> Option<Term> {
+        scope.term(self)
+    }
+
+    fn free_vars_into(&self, out: &mut BTreeSet<Ident>) {
+        self.free_vars(out);
+    }
+}
+
+impl Substitutable for Formula {
+    fn subst_in(&self, scope: &mut Scope<'_>) -> Option<Formula> {
+        scope.formula(self)
+    }
+
+    fn free_vars_into(&self, out: &mut BTreeSet<Ident>) {
+        self.free_vars(out);
+    }
+}
+
+impl<'m> Scope<'m> {
+    fn new(map: &'m TermSubst) -> Scope<'m> {
+        Scope {
+            map,
+            hidden: Vec::new(),
+        }
+    }
+
+    /// True when every key is hidden: the substitution changes nothing.
+    fn is_empty(&self) -> bool {
+        self.hidden.len() == self.map.len()
+    }
+
+    fn visible(&self) -> impl Iterator<Item = &'m Term> + '_ {
+        self.map
+            .iter()
+            .filter(|(k, _)| !self.hidden.contains(k))
+            .map(|(_, t)| t)
+    }
+
+    /// Hides the key `v`, if it is a visible one, under a binder of `v`.
+    /// The caller restores the scope by truncating `hidden`.
+    fn hide(&mut self, v: &Ident) {
+        if let Some((k, _)) = self.map.get_key_value(v) {
+            if !self.hidden.contains(&k) {
+                self.hidden.push(k);
+            }
+        }
+    }
+
+    /// True when the visible range mentions `b`, so that a binder of that
+    /// name would capture it.
+    fn captures(&self, b: &str) -> bool {
+        self.visible().any(|t| t.mentions(b))
+    }
+
+    /// The variables free in the visible range.
+    fn range_vars(&self) -> BTreeSet<Ident> {
+        let mut out = BTreeSet::new();
+        for t in self.visible() {
+            t.free_vars(&mut out);
+        }
+        out
+    }
+
+    fn term(&mut self, t: &Term) -> Option<Term> {
+        if self.is_empty() {
+            return None;
+        }
+        match t {
+            Term::Var(v) => self.visible_get(v).cloned(),
+            Term::Meta(_) => None,
+            Term::App(f, args) => {
+                map_changed(args, |a| self.term(a)).map(|args| Term::App(f.clone(), args))
+            }
+            Term::Match(scrut, arms) => {
+                let new_scrut = self.term(scrut).map(Box::new);
+                let new_arms = map_changed(arms, |(pat, rhs)| self.arm(pat, rhs));
+                either(scrut, new_scrut, arms, new_arms).map(|(s, arms)| Term::Match(s, arms))
+            }
+        }
+    }
+
+    fn visible_get(&self, v: &Ident) -> Option<&'m Term> {
+        let (k, t) = self.map.get_key_value(v)?;
+        (!self.hidden.contains(&k)).then_some(t)
+    }
+
+    /// Substitutes into a `match` arm. When the visible range mentions one
+    /// of the pattern's binders, every binder is renamed first.
+    fn arm<T: Substitutable>(&mut self, pat: &Pat, rhs: &T) -> Option<(Pat, T)> {
+        let renamed = pat.binders().iter().any(|b| self.captures(b)).then(|| {
+            let mut avoid = self.range_vars();
+            rhs.free_vars_into(&mut avoid);
+            let mut renaming = TermSubst::new();
+            let pat = rename_pat(pat, &mut avoid, &mut renaming);
+            let renamed = rhs.subst_in(&mut Scope::new(&renaming));
+            (pat, renamed.unwrap_or_else(|| rhs.clone()))
+        });
+        let mark = self.hidden.len();
+        let (pat_now, rhs_now) = match &renamed {
+            Some((p, r)) => (p, r),
+            None => (pat, rhs),
+        };
+        for b in pat_now.binders() {
+            self.hide(b);
+        }
+        let new_rhs = rhs_now.subst_in(self);
+        self.hidden.truncate(mark);
+        match renamed {
+            Some((pat, rhs)) => Some((pat, new_rhs.unwrap_or(rhs))),
+            None => new_rhs.map(|rhs| (pat.clone(), rhs)),
+        }
+    }
+
+    fn formula(&mut self, f: &Formula) -> Option<Formula> {
+        if self.is_empty() {
+            return None;
+        }
+        match f {
+            Formula::True | Formula::False => None,
+            Formula::Eq(s, a, b) => {
+                let new_a = self.term(a);
+                let new_b = self.term(b);
+                either(a, new_a, b, new_b).map(|(a, b)| Formula::Eq(s.clone(), a, b))
+            }
+            Formula::Pred(p, sorts, args) => map_changed(args, |a| self.term(a))
+                .map(|args| Formula::Pred(p.clone(), sorts.clone(), args)),
+            Formula::Not(g) => self.formula(g).map(|g| Formula::Not(Box::new(g))),
+            Formula::And(a, b)
+            | Formula::Or(a, b)
+            | Formula::Implies(a, b)
+            | Formula::Iff(a, b) => {
+                let new_a = self.formula(a).map(Box::new);
+                let new_b = self.formula(b).map(Box::new);
+                either(a, new_a, b, new_b).map(|(a, b)| f.with_operands(a, b))
+            }
+            Formula::Forall(v, s, body) | Formula::Exists(v, s, body) => {
+                let mark = self.hidden.len();
+                self.hide(v);
+                let out = if self.captures(v) {
+                    let mut avoid = self.range_vars();
+                    body.free_vars(&mut avoid);
+                    let nv = fresh_name(v, &avoid);
+                    let renamed = subst_formula1(body, v, &Term::Var(nv.clone()));
+                    let body = self.formula(&renamed).unwrap_or(renamed);
+                    Some(f.with_binder(nv, s.clone(), Box::new(body)))
+                } else {
+                    self.formula(body)
+                        .map(|body| f.with_binder(v.clone(), s.clone(), Box::new(body)))
+                };
+                self.hidden.truncate(mark);
+                out
+            }
+            Formula::ForallSort(v, body) => self
+                .formula(body)
+                .map(|body| Formula::ForallSort(v.clone(), Box::new(body))),
+            Formula::FMatch(scrut, arms) => {
+                let new_scrut = self.term(scrut).map(Box::new);
+                let new_arms = map_changed(arms, |(pat, rhs)| self.arm(pat, rhs));
+                either(scrut, new_scrut, arms, new_arms).map(|(s, arms)| Formula::FMatch(s, arms))
+            }
+        }
+    }
+}
+
+/// Applies `map` to `t`, renaming `match` binders to avoid capture; `None`
+/// when that changes nothing.
+pub(crate) fn subst_term_opt(t: &Term, map: &TermSubst) -> Option<Term> {
+    Scope::new(map).term(t)
 }
 
 /// Applies `map` to `t`, renaming `match` binders to avoid capture.
 pub fn subst_term(t: &Term, map: &TermSubst) -> Term {
-    if map.is_empty() {
-        return t.clone();
-    }
-    match t {
-        Term::Var(v) => map.get(v).cloned().unwrap_or_else(|| t.clone()),
-        Term::Meta(_) => t.clone(),
-        Term::App(f, args) => {
-            Term::App(f.clone(), args.iter().map(|a| subst_term(a, map)).collect())
-        }
-        Term::Match(scrut, arms) => {
-            let scrut = subst_term(scrut, map);
-            let arms = arms
-                .iter()
-                .map(|(pat, rhs)| {
-                    let (pat, rhs) = rename_arm_binders_term(pat, rhs, map);
-                    let mut inner = map.clone();
-                    for b in pat.binders() {
-                        inner.remove(&b);
-                    }
-                    (pat, subst_term(&rhs, &inner))
-                })
-                .collect();
-            Term::Match(Box::new(scrut), arms)
-        }
-    }
-}
-
-fn rename_arm_binders_term(pat: &Pat, rhs: &Term, map: &TermSubst) -> (Pat, Term) {
-    let danger = range_vars(map);
-    let binders = pat.binders();
-    if binders.iter().all(|b| !danger.contains(b)) {
-        return (pat.clone(), rhs.clone());
-    }
-    let mut avoid: BTreeSet<Ident> = danger;
-    let mut fv = BTreeSet::new();
-    rhs.free_vars(&mut fv);
-    avoid.extend(fv);
-    let mut renaming = TermSubst::new();
-    let new_pat = rename_pat(pat, &mut avoid, &mut renaming);
-    (new_pat, subst_term(rhs, &renaming))
+    subst_term_opt(t, map).unwrap_or_else(|| t.clone())
 }
 
 fn rename_pat(pat: &Pat, avoid: &mut BTreeSet<Ident>, renaming: &mut TermSubst) -> Pat {
+    let mut fresh = |v: &Ident| {
+        let nv = fresh_name(v, avoid);
+        avoid.insert(nv.clone());
+        renaming.insert(v.clone(), Term::Var(nv.clone()));
+        nv
+    };
     match pat {
         Pat::Wild => Pat::Wild,
-        Pat::Var(v) => {
-            let nv = fresh_name(v, avoid);
-            avoid.insert(nv.clone());
-            renaming.insert(v.clone(), Term::Var(nv.clone()));
-            Pat::Var(nv)
-        }
-        Pat::Ctor(c, vs) => {
-            let nvs = vs
-                .iter()
-                .map(|v| {
-                    let nv = fresh_name(v, avoid);
-                    avoid.insert(nv.clone());
-                    renaming.insert(v.clone(), Term::Var(nv.clone()));
-                    nv
-                })
-                .collect();
-            Pat::Ctor(c.clone(), nvs)
-        }
+        Pat::Var(v) => Pat::Var(fresh(v)),
+        Pat::Ctor(c, vs) => Pat::Ctor(c.clone(), vs.iter().map(fresh).collect()),
     }
+}
+
+/// Applies `map` to a formula, renaming quantifier and match binders to
+/// avoid capture; `None` when that changes nothing.
+pub(crate) fn subst_formula_opt(f: &Formula, map: &TermSubst) -> Option<Formula> {
+    Scope::new(map).formula(f)
 }
 
 /// Applies `map` to a formula, renaming quantifier and match binders to
 /// avoid capture.
 pub fn subst_formula(f: &Formula, map: &TermSubst) -> Formula {
-    if map.is_empty() {
-        return f.clone();
-    }
-    match f {
-        Formula::True | Formula::False => f.clone(),
-        Formula::Eq(s, a, b) => Formula::Eq(s.clone(), subst_term(a, map), subst_term(b, map)),
-        Formula::Pred(p, sorts, args) => Formula::Pred(
-            p.clone(),
-            sorts.clone(),
-            args.iter().map(|a| subst_term(a, map)).collect(),
-        ),
-        Formula::Not(g) => Formula::Not(Box::new(subst_formula(g, map))),
-        Formula::And(a, b) => Formula::and(subst_formula(a, map), subst_formula(b, map)),
-        Formula::Or(a, b) => Formula::or(subst_formula(a, map), subst_formula(b, map)),
-        Formula::Implies(a, b) => Formula::implies(subst_formula(a, map), subst_formula(b, map)),
-        Formula::Iff(a, b) => Formula::Iff(
-            Box::new(subst_formula(a, map)),
-            Box::new(subst_formula(b, map)),
-        ),
-        Formula::Forall(v, s, body) => {
-            let (v, body, inner) = rename_binder_formula(v, body, map);
-            Formula::Forall(v, s.clone(), Box::new(subst_formula(&body, &inner)))
-        }
-        Formula::Exists(v, s, body) => {
-            let (v, body, inner) = rename_binder_formula(v, body, map);
-            Formula::Exists(v, s.clone(), Box::new(subst_formula(&body, &inner)))
-        }
-        Formula::ForallSort(v, body) => {
-            Formula::ForallSort(v.clone(), Box::new(subst_formula(body, map)))
-        }
-        Formula::FMatch(scrut, arms) => {
-            let scrut = subst_term(scrut, map);
-            let arms = arms
-                .iter()
-                .map(|(pat, rhs)| {
-                    let (pat, rhs) = rename_arm_binders_formula(pat, rhs, map);
-                    let mut inner = map.clone();
-                    for b in pat.binders() {
-                        inner.remove(&b);
-                    }
-                    (pat, subst_formula(&rhs, &inner))
-                })
-                .collect();
-            Formula::FMatch(Box::new(scrut), arms)
-        }
-    }
-}
-
-fn rename_binder_formula(
-    v: &Ident,
-    body: &Formula,
-    map: &TermSubst,
-) -> (Ident, Formula, TermSubst) {
-    let mut inner = map.clone();
-    inner.remove(v);
-    let danger = range_vars(&inner);
-    if !danger.contains(v) {
-        return (v.clone(), body.clone(), inner);
-    }
-    let mut avoid = danger;
-    let mut fv = BTreeSet::new();
-    body.free_vars(&mut fv);
-    avoid.extend(fv);
-    let nv = fresh_name(v, &avoid);
-    let mut renaming = TermSubst::new();
-    renaming.insert(v.clone(), Term::Var(nv.clone()));
-    let body = subst_formula(body, &renaming);
-    (nv, body, inner)
-}
-
-fn rename_arm_binders_formula(pat: &Pat, rhs: &Formula, map: &TermSubst) -> (Pat, Formula) {
-    let danger = range_vars(map);
-    let binders = pat.binders();
-    if binders.iter().all(|b| !danger.contains(b)) {
-        return (pat.clone(), rhs.clone());
-    }
-    let mut avoid: BTreeSet<Ident> = danger;
-    let mut fv = BTreeSet::new();
-    rhs.free_vars(&mut fv);
-    avoid.extend(fv);
-    let mut renaming = TermSubst::new();
-    let new_pat = rename_pat(pat, &mut avoid, &mut renaming);
-    (new_pat, subst_formula(rhs, &renaming))
+    subst_formula_opt(f, map).unwrap_or_else(|| f.clone())
 }
 
 /// Substitutes a single variable in a term.
@@ -211,24 +312,82 @@ pub fn subst_formula1(f: &Formula, v: &str, r: &Term) -> Formula {
     subst_formula(f, &m)
 }
 
+/// Replaces metavariables in a term with their solutions; `None` when the
+/// term holds no solved metavariable.
+pub(crate) fn zonk_term_opt(t: &Term, metas: &BTreeMap<u32, Term>) -> Option<Term> {
+    if metas.is_empty() {
+        return None;
+    }
+    match t {
+        Term::Var(_) => None,
+        Term::Meta(m) => metas
+            .get(m)
+            .map(|sol| zonk_term_opt(sol, metas).unwrap_or_else(|| sol.clone())),
+        Term::App(f, args) => {
+            map_changed(args, |a| zonk_term_opt(a, metas)).map(|args| Term::App(f.clone(), args))
+        }
+        Term::Match(scrut, arms) => {
+            let new_scrut = zonk_term_opt(scrut, metas).map(Box::new);
+            let new_arms = map_changed(arms, |(p, rhs)| {
+                zonk_term_opt(rhs, metas).map(|rhs| (p.clone(), rhs))
+            });
+            either(scrut, new_scrut, arms, new_arms).map(|(s, arms)| Term::Match(s, arms))
+        }
+    }
+}
+
 /// Replaces metavariables in a term with their solutions.
 pub fn zonk_term(t: &Term, metas: &BTreeMap<u32, Term>) -> Term {
-    match t {
-        Term::Var(_) => t.clone(),
-        Term::Meta(m) => match metas.get(m) {
-            Some(sol) => zonk_term(sol, metas),
-            None => t.clone(),
-        },
-        Term::App(f, args) => Term::App(
-            f.clone(),
-            args.iter().map(|a| zonk_term(a, metas)).collect(),
-        ),
-        Term::Match(scrut, arms) => Term::Match(
-            Box::new(zonk_term(scrut, metas)),
-            arms.iter()
-                .map(|(p, rhs)| (p.clone(), zonk_term(rhs, metas)))
-                .collect(),
-        ),
+    zonk_term_opt(t, metas).unwrap_or_else(|| t.clone())
+}
+
+/// Replaces term and sort metavariables in a formula with their solutions;
+/// `None` when the formula holds no solved metavariable.
+pub(crate) fn zonk_formula_opt(
+    f: &Formula,
+    metas: &BTreeMap<u32, Term>,
+    smetas: &BTreeMap<u32, Sort>,
+) -> Option<Formula> {
+    if metas.is_empty() && smetas.is_empty() {
+        return None;
+    }
+    let sort = |s: &Sort| s.subst_metas_opt(smetas);
+    let term = |t: &Term| zonk_term_opt(t, metas);
+    let go = |g: &Formula| zonk_formula_opt(g, metas, smetas);
+    match f {
+        Formula::True | Formula::False => None,
+        Formula::Eq(s, a, b) => {
+            let (new_s, new_ab) = (sort(s), either(a, term(a), b, term(b)));
+            if new_s.is_none() && new_ab.is_none() {
+                return None;
+            }
+            let (a, b) = new_ab.unwrap_or_else(|| (a.clone(), b.clone()));
+            Some(Formula::Eq(new_s.unwrap_or_else(|| s.clone()), a, b))
+        }
+        Formula::Pred(p, sorts, args) => either(
+            sorts,
+            map_changed(sorts, sort),
+            args,
+            map_changed(args, term),
+        )
+        .map(|(sorts, args)| Formula::Pred(p.clone(), sorts, args)),
+        Formula::Not(g) => go(g).map(|g| Formula::Not(Box::new(g))),
+        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
+            either(a, go(a).map(Box::new), b, go(b).map(Box::new))
+                .map(|(a, b)| f.with_operands(a, b))
+        }
+        Formula::Forall(v, s, body) | Formula::Exists(v, s, body) => {
+            either(s, sort(s), body, go(body).map(Box::new))
+                .map(|(s, body)| f.with_binder(v.clone(), s, body))
+        }
+        Formula::ForallSort(v, body) => {
+            go(body).map(|body| Formula::ForallSort(v.clone(), Box::new(body)))
+        }
+        Formula::FMatch(scrut, arms) => {
+            let new_arms = map_changed(arms, |(p, rhs)| go(rhs).map(|rhs| (p.clone(), rhs)));
+            either(scrut, term(scrut).map(Box::new), arms, new_arms)
+                .map(|(s, arms)| Formula::FMatch(s, arms))
+        }
     }
 }
 
@@ -238,102 +397,53 @@ pub fn zonk_formula(
     metas: &BTreeMap<u32, Term>,
     smetas: &BTreeMap<u32, Sort>,
 ) -> Formula {
+    zonk_formula_opt(f, metas, smetas).unwrap_or_else(|| f.clone())
+}
+
+/// Applies a sort substitution throughout a formula; `None` when that
+/// changes nothing.
+pub(crate) fn subst_sorts_formula_opt(f: &Formula, map: &SortSubst) -> Option<Formula> {
+    if map.is_empty() {
+        return None;
+    }
+    let sort = |s: &Sort| s.subst_vars_opt(map);
+    let go = |g: &Formula| subst_sorts_formula_opt(g, map);
     match f {
-        Formula::True | Formula::False => f.clone(),
-        Formula::Eq(s, a, b) => Formula::Eq(
-            s.subst_metas(smetas),
-            zonk_term(a, metas),
-            zonk_term(b, metas),
-        ),
-        Formula::Pred(p, sorts, args) => Formula::Pred(
-            p.clone(),
-            sorts.iter().map(|s| s.subst_metas(smetas)).collect(),
-            args.iter().map(|a| zonk_term(a, metas)).collect(),
-        ),
-        Formula::Not(g) => Formula::Not(Box::new(zonk_formula(g, metas, smetas))),
-        Formula::And(a, b) => Formula::and(
-            zonk_formula(a, metas, smetas),
-            zonk_formula(b, metas, smetas),
-        ),
-        Formula::Or(a, b) => Formula::or(
-            zonk_formula(a, metas, smetas),
-            zonk_formula(b, metas, smetas),
-        ),
-        Formula::Implies(a, b) => Formula::implies(
-            zonk_formula(a, metas, smetas),
-            zonk_formula(b, metas, smetas),
-        ),
-        Formula::Iff(a, b) => Formula::Iff(
-            Box::new(zonk_formula(a, metas, smetas)),
-            Box::new(zonk_formula(b, metas, smetas)),
-        ),
-        Formula::Forall(v, s, body) => Formula::Forall(
-            v.clone(),
-            s.subst_metas(smetas),
-            Box::new(zonk_formula(body, metas, smetas)),
-        ),
-        Formula::Exists(v, s, body) => Formula::Exists(
-            v.clone(),
-            s.subst_metas(smetas),
-            Box::new(zonk_formula(body, metas, smetas)),
-        ),
-        Formula::ForallSort(v, body) => {
-            Formula::ForallSort(v.clone(), Box::new(zonk_formula(body, metas, smetas)))
+        Formula::True | Formula::False => None,
+        Formula::Eq(s, a, b) => sort(s).map(|s| Formula::Eq(s, a.clone(), b.clone())),
+        Formula::Pred(p, sorts, args) => {
+            map_changed(sorts, sort).map(|sorts| Formula::Pred(p.clone(), sorts, args.clone()))
         }
-        Formula::FMatch(scrut, arms) => Formula::FMatch(
-            Box::new(zonk_term(scrut, metas)),
-            arms.iter()
-                .map(|(p, rhs)| (p.clone(), zonk_formula(rhs, metas, smetas)))
-                .collect(),
-        ),
+        Formula::Not(g) => go(g).map(|g| Formula::Not(Box::new(g))),
+        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
+            either(a, go(a).map(Box::new), b, go(b).map(Box::new))
+                .map(|(a, b)| f.with_operands(a, b))
+        }
+        Formula::Forall(v, s, body) | Formula::Exists(v, s, body) => {
+            either(s, sort(s), body, go(body).map(Box::new))
+                .map(|(s, body)| f.with_binder(v.clone(), s, body))
+        }
+        Formula::ForallSort(v, body) => {
+            let body = if map.contains_key(v) {
+                let mut inner = map.clone();
+                inner.remove(v);
+                subst_sorts_formula_opt(body, &inner)
+            } else {
+                go(body)
+            };
+            body.map(|body| Formula::ForallSort(v.clone(), Box::new(body)))
+        }
+        Formula::FMatch(scrut, arms) => {
+            map_changed(arms, |(p, rhs)| go(rhs).map(|rhs| (p.clone(), rhs)))
+                .map(|arms| Formula::FMatch(scrut.clone(), arms))
+        }
     }
 }
 
 /// Applies a sort substitution throughout a formula (for instantiating
 /// polymorphic lemmas and definitions).
 pub fn subst_sorts_formula(f: &Formula, map: &SortSubst) -> Formula {
-    match f {
-        Formula::True | Formula::False => f.clone(),
-        Formula::Eq(s, a, b) => Formula::Eq(s.subst_vars(map), a.clone(), b.clone()),
-        Formula::Pred(p, sorts, args) => Formula::Pred(
-            p.clone(),
-            sorts.iter().map(|s| s.subst_vars(map)).collect(),
-            args.clone(),
-        ),
-        Formula::Not(g) => Formula::Not(Box::new(subst_sorts_formula(g, map))),
-        Formula::And(a, b) => {
-            Formula::and(subst_sorts_formula(a, map), subst_sorts_formula(b, map))
-        }
-        Formula::Or(a, b) => Formula::or(subst_sorts_formula(a, map), subst_sorts_formula(b, map)),
-        Formula::Implies(a, b) => {
-            Formula::implies(subst_sorts_formula(a, map), subst_sorts_formula(b, map))
-        }
-        Formula::Iff(a, b) => Formula::Iff(
-            Box::new(subst_sorts_formula(a, map)),
-            Box::new(subst_sorts_formula(b, map)),
-        ),
-        Formula::Forall(v, s, body) => Formula::Forall(
-            v.clone(),
-            s.subst_vars(map),
-            Box::new(subst_sorts_formula(body, map)),
-        ),
-        Formula::Exists(v, s, body) => Formula::Exists(
-            v.clone(),
-            s.subst_vars(map),
-            Box::new(subst_sorts_formula(body, map)),
-        ),
-        Formula::ForallSort(v, body) => {
-            let mut inner = map.clone();
-            inner.remove(v);
-            Formula::ForallSort(v.clone(), Box::new(subst_sorts_formula(body, &inner)))
-        }
-        Formula::FMatch(scrut, arms) => Formula::FMatch(
-            scrut.clone(),
-            arms.iter()
-                .map(|(p, rhs)| (p.clone(), subst_sorts_formula(rhs, map)))
-                .collect(),
-        ),
-    }
+    subst_sorts_formula_opt(f, map).unwrap_or_else(|| f.clone())
 }
 
 #[cfg(test)]

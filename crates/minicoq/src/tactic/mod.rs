@@ -37,6 +37,8 @@ pub fn whnf_concl(env: &crate::env::Env, goal: &crate::goal::Goal) -> crate::for
     basic::whnf_prop(env, &goal.concl).into_owned()
 }
 
+use proof_trace::metrics::{HotCounter, HotHistogram};
+
 use crate::analysis::PreflightRejection;
 use crate::env::Env;
 use crate::error::TacticError;
@@ -188,60 +190,92 @@ pub enum DestructTarget {
     Term(Term),
 }
 
+/// The metrics [`apply_tactic_timed`] records for one tactic head: the
+/// `minicoq.tactic.<head>.ns` latency histogram and one counter per
+/// outcome. Each handle resolves once per process.
+struct TacticMetrics {
+    head: &'static str,
+    ns: HotHistogram,
+    ok: HotCounter,
+    rejected: HotCounter,
+    parse: HotCounter,
+    timeout: HotCounter,
+}
+
+/// The `static` [`TacticMetrics`] of the head `$head`.
+macro_rules! tactic_metrics {
+    ($head:literal) => {{
+        static METRICS: TacticMetrics = TacticMetrics {
+            head: $head,
+            ns: HotHistogram::new(concat!("minicoq.tactic.", $head, ".ns")),
+            ok: HotCounter::new(concat!("minicoq.tactic.", $head, ".ok")),
+            rejected: HotCounter::new(concat!("minicoq.tactic.", $head, ".rejected")),
+            parse: HotCounter::new(concat!("minicoq.tactic.", $head, ".parse")),
+            timeout: HotCounter::new(concat!("minicoq.tactic.", $head, ".timeout")),
+        };
+        &METRICS
+    }};
+}
+
 impl Tactic {
     /// The head keyword of the tactic, as a stable label for per-tactic
     /// metrics. Tacticals report as their combinator (`seq`, `try`, …)
     /// rather than recursing into their bodies.
     pub fn head(&self) -> &'static str {
+        self.metrics().head
+    }
+
+    /// The metric handles of the tactic's head.
+    fn metrics(&self) -> &'static TacticMetrics {
         match self {
-            Tactic::Intro(_) => "intro",
-            Tactic::Intros(_) => "intros",
-            Tactic::Exact(_) => "exact",
-            Tactic::Assumption => "assumption",
+            Tactic::Intro(_) => tactic_metrics!("intro"),
+            Tactic::Intros(_) => tactic_metrics!("intros"),
+            Tactic::Exact(_) => tactic_metrics!("exact"),
+            Tactic::Assumption => tactic_metrics!("assumption"),
             Tactic::Apply {
                 in_hyp: Some(_), ..
-            } => "apply_in",
+            } => tactic_metrics!("apply_in"),
             Tactic::Apply {
                 existential: true, ..
-            } => "eapply",
-            Tactic::Apply { .. } => "apply",
-            Tactic::Split => "split",
-            Tactic::Left => "left",
-            Tactic::Right => "right",
-            Tactic::Constructor => "constructor",
-            Tactic::EConstructor => "econstructor",
-            Tactic::ExistsTac(_) => "exists",
-            Tactic::Destruct { .. } => "destruct",
-            Tactic::Induction(..) => "induction",
-            Tactic::Inversion(_) => "inversion",
-            Tactic::Injection(_) => "injection",
-            Tactic::Discriminate(_) => "discriminate",
-            Tactic::Subst => "subst",
-            Tactic::Reflexivity => "reflexivity",
-            Tactic::Symmetry(_) => "symmetry",
-            Tactic::FEqual => "f_equal",
-            Tactic::Congruence => "congruence",
-            Tactic::Simpl(_) => "simpl",
-            Tactic::Unfold(..) => "unfold",
-            Tactic::Rewrite { .. } => "rewrite",
-            Tactic::Lia => "lia",
-            Tactic::Auto(_) => "auto",
-            Tactic::EAuto(_) => "eauto",
-            Tactic::Trivial => "trivial",
-            Tactic::Contradiction => "contradiction",
-            Tactic::Exfalso => "exfalso",
-            Tactic::Clear(_) => "clear",
-            Tactic::Revert(_) => "revert",
-            Tactic::Specialize(..) => "specialize",
-            Tactic::PoseProof(..) => "pose_proof",
-            Tactic::Assert(..) => "assert",
-            Tactic::Seq(..) => "seq",
-            Tactic::SeqDispatch(..) => "seq_dispatch",
-            Tactic::Try(_) => "try",
-            Tactic::Repeat(_) => "repeat",
-            Tactic::First(_) => "first",
-            Tactic::Idtac => "idtac",
-            Tactic::Fail => "fail",
+            } => tactic_metrics!("eapply"),
+            Tactic::Apply { .. } => tactic_metrics!("apply"),
+            Tactic::Split => tactic_metrics!("split"),
+            Tactic::Left => tactic_metrics!("left"),
+            Tactic::Right => tactic_metrics!("right"),
+            Tactic::Constructor => tactic_metrics!("constructor"),
+            Tactic::EConstructor => tactic_metrics!("econstructor"),
+            Tactic::ExistsTac(_) => tactic_metrics!("exists"),
+            Tactic::Destruct { .. } => tactic_metrics!("destruct"),
+            Tactic::Induction(..) => tactic_metrics!("induction"),
+            Tactic::Inversion(_) => tactic_metrics!("inversion"),
+            Tactic::Injection(_) => tactic_metrics!("injection"),
+            Tactic::Discriminate(_) => tactic_metrics!("discriminate"),
+            Tactic::Subst => tactic_metrics!("subst"),
+            Tactic::Reflexivity => tactic_metrics!("reflexivity"),
+            Tactic::Symmetry(_) => tactic_metrics!("symmetry"),
+            Tactic::FEqual => tactic_metrics!("f_equal"),
+            Tactic::Congruence => tactic_metrics!("congruence"),
+            Tactic::Simpl(_) => tactic_metrics!("simpl"),
+            Tactic::Unfold(..) => tactic_metrics!("unfold"),
+            Tactic::Rewrite { .. } => tactic_metrics!("rewrite"),
+            Tactic::Lia => tactic_metrics!("lia"),
+            Tactic::Auto(_) => tactic_metrics!("auto"),
+            Tactic::EAuto(_) => tactic_metrics!("eauto"),
+            Tactic::Trivial => tactic_metrics!("trivial"),
+            Tactic::Contradiction => tactic_metrics!("contradiction"),
+            Tactic::Exfalso => tactic_metrics!("exfalso"),
+            Tactic::Clear(_) => tactic_metrics!("clear"),
+            Tactic::Revert(_) => tactic_metrics!("revert"),
+            Tactic::Specialize(..) => tactic_metrics!("specialize"),
+            Tactic::PoseProof(..) => tactic_metrics!("pose_proof"),
+            Tactic::Assert(..) => tactic_metrics!("assert"),
+            Tactic::Seq(..) => tactic_metrics!("seq"),
+            Tactic::SeqDispatch(..) => tactic_metrics!("seq_dispatch"),
+            Tactic::Try(_) => tactic_metrics!("try"),
+            Tactic::Repeat(_) => tactic_metrics!("repeat"),
+            Tactic::First(_) => tactic_metrics!("first"),
+            Tactic::Idtac => tactic_metrics!("idtac"),
+            Tactic::Fail => tactic_metrics!("fail"),
         }
     }
 }
@@ -262,8 +296,10 @@ pub fn apply_tactic(
 /// [`apply_tactic`], instrumented: when tracing is armed, records the
 /// evaluation into the `minicoq.tactic.<head>.ns` latency histogram and
 /// bumps the matching outcome counter (`ok` / `rejected` / `parse` /
-/// `timeout`). The non-recursive entry point — tactical bodies do not come
-/// back through it, so each top-level evaluation is counted exactly once.
+/// `timeout`), through handles resolved once per head, so the call
+/// neither builds a name nor takes the registry lock. The non-recursive
+/// entry point — tactical bodies do not come back through it, so each
+/// top-level evaluation is counted exactly once.
 /// With tracing off this is one atomic load over the plain call.
 ///
 /// `ran` is what the pre-flight checker handed on
@@ -282,18 +318,17 @@ pub fn apply_tactic_timed(
     if !proof_trace::enabled() {
         return eval(env, st, tac, &mut ran, fuel);
     }
-    let head = tac.head();
+    let metrics = tac.metrics();
     let start = std::time::Instant::now();
     let result = eval(env, st, tac, &mut ran, fuel);
-    let ns = start.elapsed().as_nanos() as u64;
-    proof_trace::metrics::observe(&format!("minicoq.tactic.{head}.ns"), ns);
+    metrics.ns.record(start.elapsed().as_nanos() as u64);
     let outcome = match &result {
-        Ok(_) => "ok",
-        Err(TacticError::Timeout) => "timeout",
-        Err(TacticError::Parse(_)) => "parse",
-        Err(_) => "rejected",
+        Ok(_) => &metrics.ok,
+        Err(TacticError::Timeout) => &metrics.timeout,
+        Err(TacticError::Parse(_)) => &metrics.parse,
+        Err(_) => &metrics.rejected,
     };
-    proof_trace::metrics::counter_inc(&format!("minicoq.tactic.{head}.{outcome}"));
+    outcome.inc();
     result
 }
 

@@ -35,7 +35,7 @@ pub(crate) fn replace_in_term(t: &Term, from: &Term, to: &Term) -> Term {
             let arms = arms
                 .iter()
                 .map(|(p, rhs)| {
-                    if binders_interfere(&p.binders(), from, to) {
+                    if binders_interfere(p.binders(), from, to) {
                         (p.clone(), rhs.clone())
                     } else {
                         (p.clone(), replace_in_term(rhs, from, to))
@@ -118,7 +118,7 @@ pub fn replace_in_formula(f: &Formula, from: &Term, to: &Term) -> Formula {
             let arms = arms
                 .iter()
                 .map(|(p, rhs)| {
-                    if binders_interfere(&p.binders(), from, to) {
+                    if binders_interfere(p.binders(), from, to) {
                         (p.clone(), rhs.clone())
                     } else {
                         (p.clone(), replace_in_formula(rhs, from, to))

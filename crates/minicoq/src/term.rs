@@ -20,11 +20,11 @@ pub enum Pat {
 
 impl Pat {
     /// The variables bound by this pattern.
-    pub fn binders(&self) -> Vec<Ident> {
+    pub fn binders(&self) -> &[Ident] {
         match self {
-            Pat::Ctor(_, vs) => vs.clone(),
-            Pat::Var(v) => vec![v.clone()],
-            Pat::Wild => Vec::new(),
+            Pat::Ctor(_, vs) => vs,
+            Pat::Var(v) => std::slice::from_ref(v),
+            Pat::Wild => &[],
         }
     }
 }
@@ -104,7 +104,7 @@ impl Term {
                     let mut inner = BTreeSet::new();
                     rhs.free_vars(&mut inner);
                     for b in pat.binders() {
-                        inner.remove(&b);
+                        inner.remove(b);
                     }
                     out.extend(inner);
                 }

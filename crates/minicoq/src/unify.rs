@@ -6,14 +6,19 @@
 //! folded in — tactics normalize first when they want reduction-aware
 //! matching.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::error::TacticError;
 use crate::formula::Formula;
 use crate::fuel::Fuel;
 use crate::sort::Sort;
-use crate::subst::{subst_formula1, subst_sorts_formula, zonk_formula, zonk_term, SortSubst};
+use crate::subst::{
+    subst_formula1, subst_formula_opt, subst_sorts_formula, subst_sorts_formula_opt, zonk_formula,
+    zonk_term, SortSubst, TermSubst,
+};
 use crate::term::Term;
+use crate::walk::Node;
 use crate::Ident;
 
 /// A unification state: solutions for term and sort metavariables.
@@ -109,17 +114,39 @@ impl Unifier {
         }
     }
 
+    /// `t` with a solved metavariable at its head replaced by (a copy of)
+    /// what it resolves to: the unifier's solutions are never borrowed
+    /// across a step that may extend them.
+    fn head_term<'t>(&self, t: &'t Term) -> Cow<'t, Term> {
+        match t {
+            Term::Meta(m) if self.term_metas.contains_key(m) => {
+                Cow::Owned(self.walk_term(t).clone())
+            }
+            _ => Cow::Borrowed(t),
+        }
+    }
+
+    /// [`Unifier::head_term`] for sorts.
+    fn head_sort<'s>(&self, s: &'s Sort) -> Cow<'s, Sort> {
+        match s {
+            Sort::Meta(m) if self.sort_metas.contains_key(m) => {
+                Cow::Owned(self.walk_sort(s).clone())
+            }
+            _ => Cow::Borrowed(s),
+        }
+    }
+
     /// Unifies two terms, extending the solution set. On failure the
     /// unifier may be partially extended; clone before speculative calls.
     pub fn unify_terms(&mut self, a: &Term, b: &Term, fuel: &mut Fuel) -> Result<(), UnifyError> {
         if fuel.tick().is_err() {
             return Err(UnifyError);
         }
-        let a = self.walk_term(a).clone();
-        let b = self.walk_term(b).clone();
-        match (&a, &b) {
+        let a = self.head_term(a);
+        let b = self.head_term(b);
+        match (&*a, &*b) {
             (Term::Meta(m), _) => {
-                if let Term::Meta(k) = &b {
+                if let Term::Meta(k) = &*b {
                     if k == m {
                         return Ok(());
                     }
@@ -127,14 +154,14 @@ impl Unifier {
                 if self.occurs(*m, &b) {
                     return Err(UnifyError);
                 }
-                self.term_metas.insert(*m, b);
+                self.term_metas.insert(*m, b.into_owned());
                 Ok(())
             }
             (_, Term::Meta(m)) => {
                 if self.occurs(*m, &a) {
                     return Err(UnifyError);
                 }
-                self.term_metas.insert(*m, a);
+                self.term_metas.insert(*m, a.into_owned());
                 Ok(())
             }
             (Term::Var(x), Term::Var(y)) => {
@@ -174,11 +201,11 @@ impl Unifier {
 
     /// Unifies two sorts.
     pub fn unify_sorts(&mut self, a: &Sort, b: &Sort) -> Result<(), UnifyError> {
-        let a = self.walk_sort(a).clone();
-        let b = self.walk_sort(b).clone();
-        match (&a, &b) {
+        let a = self.head_sort(a);
+        let b = self.head_sort(b);
+        match (&*a, &*b) {
             (Sort::Meta(m), _) => {
-                if let Sort::Meta(k) = &b {
+                if let Sort::Meta(k) = &*b {
                     if k == m {
                         return Ok(());
                     }
@@ -186,14 +213,14 @@ impl Unifier {
                 if self.occurs_sort(*m, &b) {
                     return Err(UnifyError);
                 }
-                self.sort_metas.insert(*m, b);
+                self.sort_metas.insert(*m, b.into_owned());
                 Ok(())
             }
             (_, Sort::Meta(m)) => {
                 if self.occurs_sort(*m, &a) {
                     return Err(UnifyError);
                 }
-                self.sort_metas.insert(*m, a);
+                self.sort_metas.insert(*m, a.into_owned());
                 Ok(())
             }
             (Sort::Atom(x), Sort::Atom(y)) | (Sort::Var(x), Sort::Var(y)) => {
@@ -259,11 +286,17 @@ impl Unifier {
                     return Err(UnifyError);
                 }
                 self.unify_sorts(s1, s2)?;
-                // Rename both binders to one fresh rigid name.
-                let fresh = format!("#u{}", self.next_meta);
+                // Rename both binders to one fresh rigid name. Where both
+                // already share a name and no metavariable occurs under
+                // them, no solution can mention the binder, and the bodies
+                // unify as they stand.
+                let fresh = Ident::numbered("#u", self.next_meta.into());
                 self.next_meta += 1;
-                let b1 = subst_formula1(b1, v1, &Term::var(fresh.clone()));
-                let b2 = subst_formula1(b2, v2, &Term::var(fresh));
+                if v1 == v2 && !has_term_meta(b1) && !has_term_meta(b2) {
+                    return self.unify_formulas(b1, b2, fuel);
+                }
+                let b1 = subst_formula1(b1, v1, &Term::Var(fresh.clone()));
+                let b2 = subst_formula1(b2, v2, &Term::Var(fresh));
                 self.unify_formulas(&b1, &b2, fuel)
             }
             (Formula::ForallSort(v1, b1), Formula::ForallSort(v2, b2)) => {
@@ -319,35 +352,54 @@ pub struct InstantiatedRule {
 pub fn instantiate_rule(stmt: &Formula, uni: &mut Unifier) -> InstantiatedRule {
     let mut metas = Vec::new();
     let mut premises = Vec::new();
-    let mut cur = stmt.clone();
+    let mut cur = Cow::Borrowed(stmt);
     loop {
-        match cur {
+        let instantiated = match &*cur {
             Formula::ForallSort(v, body) => {
-                let m = uni.fresh_sort_meta();
-                let mut map = SortSubst::new();
-                map.insert(v, m);
-                cur = subst_sorts_formula(&body, &map);
+                let map = SortSubst::from([(v.clone(), uni.fresh_sort_meta())]);
+                subst_sorts_formula_opt(body, &map)
             }
             Formula::Forall(v, s, body) => {
                 let m = uni.fresh_term_meta();
                 if let Term::Meta(id) = m {
                     metas.push((id, v.clone(), s.clone()));
                 }
-                cur = subst_formula1(&body, &v, &m);
+                subst_formula_opt(body, &TermSubst::from([(v.clone(), m)]))
             }
-            Formula::Implies(p, q) => {
+            Formula::Implies(..) => None,
+            _ => break,
+        };
+        // Step under the binder or premise, copying only what the
+        // instantiation changed.
+        cur = match (instantiated, cur) {
+            (Some(body), _) => Cow::Owned(body),
+            (None, Cow::Borrowed(Formula::Implies(p, q))) => {
+                premises.push((**p).clone());
+                Cow::Borrowed(q)
+            }
+            (None, Cow::Owned(Formula::Implies(p, q))) => {
                 premises.push(*p);
-                cur = *q;
+                Cow::Owned(*q)
             }
-            other => {
-                return InstantiatedRule {
-                    metas,
-                    premises,
-                    conclusion: other,
-                };
+            (None, Cow::Borrowed(Formula::ForallSort(_, body) | Formula::Forall(_, _, body))) => {
+                Cow::Borrowed(body)
             }
-        }
+            (None, Cow::Owned(Formula::ForallSort(_, body) | Formula::Forall(_, _, body))) => {
+                Cow::Owned(*body)
+            }
+            (None, _) => unreachable!("only binders and premises are stepped under"),
+        };
     }
+    InstantiatedRule {
+        metas,
+        premises,
+        conclusion: cur.into_owned(),
+    }
+}
+
+/// True when a term metavariable occurs in `f`.
+fn has_term_meta(f: &Formula) -> bool {
+    Node::Formula(f).any(|n| matches!(n, Node::Term(Term::Meta(_))))
 }
 
 /// Maps a [`UnifyError`] into a rejected-tactic error with context.

@@ -1027,3 +1027,45 @@ fn lia_detects_contradictory_hypotheses() {
     let env = Env::with_prelude();
     proves(&env, "forall a : nat, lt a a -> 1 = 2", "intros a H. lia.");
 }
+
+// ------------------------------------------------------------- metrics
+
+#[test]
+fn traced_tactics_record_per_head_latency_and_outcomes() {
+    use minicoq::tactic::apply_tactic_timed;
+
+    let env = Env::with_prelude();
+    let st = ProofState::new(parse_formula(&env, "forall a : nat, a = a").unwrap());
+    let run = |text: &str, fuel: u64| {
+        let tac = parse_tactic(&env, st.focused(), text).unwrap();
+        apply_tactic_timed(&env, &st, &tac, None, &mut Fuel::new(fuel))
+    };
+    let recorded = || {
+        let m = proof_trace::metrics::snapshot();
+        let counter = |name: &str| m.counters.get(name).copied().unwrap_or(0);
+        [
+            m.hists
+                .get("minicoq.tactic.intros.ns")
+                .map_or(0, |h| h.count),
+            counter("minicoq.tactic.intros.ok"),
+            counter("minicoq.tactic.fail.rejected"),
+            counter("minicoq.tactic.lia.timeout"),
+        ]
+    };
+    let before = recorded();
+    proof_trace::set_enabled(true);
+    assert!(run("intros", 1_000).is_ok());
+    assert!(run("fail", 1_000).is_err());
+    assert_eq!(run("lia", 0).unwrap_err(), TacticError::Timeout);
+    proof_trace::set_enabled(false);
+    let after = recorded();
+    for (i, name) in ["intros.ns", "intros.ok", "fail.rejected", "lia.timeout"]
+        .iter()
+        .enumerate()
+    {
+        assert!(
+            after[i] > before[i],
+            "minicoq.tactic.{name} was not recorded"
+        );
+    }
+}

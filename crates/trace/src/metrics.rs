@@ -290,6 +290,38 @@ impl HotCounter {
     }
 }
 
+/// [`HotCounter`] for a histogram: the registry lookup runs once per
+/// process, and every record after it is lock-free.
+///
+/// ```
+/// use proof_trace::metrics::HotHistogram;
+/// static LATENCY: HotHistogram = HotHistogram::new("op.ns");
+/// LATENCY.record(40);
+/// assert_eq!(proof_trace::metrics::snapshot().hists["op.ns"].count, 1);
+/// ```
+pub struct HotHistogram {
+    name: &'static str,
+    slot: OnceLock<Arc<Histogram>>,
+}
+
+impl HotHistogram {
+    /// A fresh unresolved handle (usable in `static` position).
+    pub const fn new(name: &'static str) -> HotHistogram {
+        HotHistogram {
+            name,
+            slot: OnceLock::new(),
+        }
+    }
+
+    /// Records `v` into the named histogram, resolving the handle on first
+    /// use.
+    pub fn record(&self, v: u64) {
+        self.slot
+            .get_or_init(|| registry().histogram(self.name))
+            .record(v);
+    }
+}
+
 /// Adds `n` to the counter named `name`.
 pub fn counter_add(name: &str, n: u64) {
     registry().counter(name).add(n);
